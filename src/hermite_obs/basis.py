@@ -198,10 +198,9 @@ class HermiteExpansion:
             raise ContractViolation("padded() cannot shrink the cutoff")
         if new_N == self.N:
             return self
+        # E_N is the leading block of E_{new_N} in the graded order
         out = np.zeros(space_dimension(self.n, new_N), dtype=complex)
-        pos = index_positions(self.n, new_N)
-        for i, alpha in enumerate(multi_indices(self.n, self.N)):
-            out[pos[alpha]] = self.coeffs[i]
+        out[: self.coeffs.size] = self.coeffs
         return HermiteExpansion(self.n, new_N, out)
 
     def truncated(self, new_N):
@@ -330,23 +329,37 @@ def apply_ladder(m: LadderMap, f: HermiteExpansion) -> HermiteExpansion:
         down = apply_ladder(LadderMap(LOWER, m.axis, f.N), f).padded(up.N)
         return (down - up).scaled(1.0 / SQRT2)
 
-    n, j = f.n, m.axis
     N_out = m.target_cutoff
-    out = np.zeros(space_dimension(n, N_out), dtype=complex)
-    pos_out = index_positions(n, N_out)
-    for i, alpha in enumerate(multi_indices(n, f.N)):
-        c = f.coeffs[i]
-        if c == 0:
-            continue
-        if m.kind == RAISE:
-            beta = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
-            out[pos_out[beta]] += math.sqrt(alpha[j] + 1.0) * c
-        else:  # LOWER
-            if alpha[j] == 0:
-                continue
-            beta = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-            out[pos_out[beta]] += math.sqrt(alpha[j]) * c
-    return HermiteExpansion(n, N_out, out)
+    out = np.zeros(space_dimension(f.n, N_out), dtype=complex)
+    if m.kind == RAISE:
+        src, tgt, fac = _ladder_table(f.n, N_out, m.axis)
+        out[tgt] = fac * f.coeffs[src]
+    else:  # LOWER, the adjoint: read the raise table of E_N backwards
+        src, tgt, fac = _ladder_table(f.n, f.N, m.axis)
+        out[src] = fac * f.coeffs[tgt]
+    return HermiteExpansion(f.n, N_out, out)
+
+
+@lru_cache(maxsize=None)
+def _ladder_table(n, M, axis):
+    """Index-shift table ``(src, tgt, fac)`` of a_{axis,+} inside E_M.
+
+    For every alpha with |alpha| <= M - 1 at position ``src``, the raised
+    index alpha + e_axis sits at position ``tgt`` and picks up the factor
+    ``fac = sqrt(alpha_axis + 1)``.  Positions are those of the global graded
+    order, which agree on every cutoff because E_k is a leading block of E_M.
+    Read-only arrays; empty for M = 0.
+    """
+    pos = index_positions(n, M)
+    alphas = multi_indices(n, M)[: space_dimension(n, M - 1)]
+    src = np.arange(len(alphas), dtype=np.int64)
+    tgt = np.array(
+        [pos[a[:axis] + (a[axis] + 1,) + a[axis + 1 :]] for a in alphas], dtype=np.int64
+    )
+    fac = np.sqrt(np.array([a[axis] + 1.0 for a in alphas]))
+    for arr in (src, tgt, fac):
+        arr.flags.writeable = False
+    return src, tgt, fac
 
 
 @lru_cache(maxsize=None)
@@ -356,14 +369,9 @@ def raise_matrix(n, M, axis):
     Compose ladder matrices only on a buffered cutoff: a product of p
     raise-type factors applied to columns with |alpha| <= M - p is exact.
     """
-    idx = multi_indices(n, M)
-    pos = index_positions(n, M)
-    A = np.zeros((len(idx), len(idx)))
-    for i, alpha in enumerate(idx):
-        if sum(alpha) == M:
-            continue
-        beta = alpha[:axis] + (alpha[axis] + 1,) + alpha[axis + 1 :]
-        A[pos[beta], i] = math.sqrt(alpha[axis] + 1.0)
+    src, tgt, fac = _ladder_table(n, M, axis)
+    A = np.zeros((space_dimension(n, M),) * 2)
+    A[tgt, src] = fac
     A.flags.writeable = False
     return A
 

@@ -217,10 +217,8 @@ def observability_constant(problem: ControlProblem, precision_bits=53,
         precision_bits = 256
 
     bits = max(precision_bits, 256)
-    old_prec = mp.prec
-    try:
-        while True:
-            mp.prec = bits + 16
+    while True:
+        with mp.workprec(bits + 16):
             A_mp = _to_mp_matrix(A)
             P_mp = _to_mp_matrix(P)
             W, grid = _mp_gramian(A_mp, P_mp, T)
@@ -260,8 +258,6 @@ def observability_constant(problem: ControlProblem, precision_bits=53,
                 T, float(c), float(mp.log(c)), extremal, "generalized-eigen",
                 bits, "ok", grid.subintervals,
             )
-    finally:
-        mp.prec = old_prec
 
 
 def _mp_triangular_inverse(L):
@@ -355,9 +351,7 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
         )
 
     bits = max(precision_bits, 256)
-    old_prec = mp.prec
-    try:
-        mp.prec = bits + 16
+    with mp.workprec(bits + 16):
         A_mp = _to_mp_matrix(A)
         P_mp = _to_mp_matrix(P)
         W, grid = _mp_gramian(A_mp, P_mp * P_mp, T)
@@ -384,8 +378,6 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
             [times[i] for i in order], [controls[i] for i in order],
             float(cost), residual, cond, bits, "ok", grid.subintervals,
         )
-    finally:
-        mp.prec = old_prec
 
 
 # -- staircase strategy ------------------------------------------------------------

@@ -76,9 +76,8 @@ def remez_bound(n, d, t, complex_poly=False):
     factor is T_d(F(t)); for complex polynomials the factor weakens to
     2^(2d+1) F(t)^d.
     """
-    if not 0.0 < t < 1.0 and not (t == 1.0 and not complex_poly):
-        if not 0.0 < t <= 1.0:
-            raise ContractViolation("ratio t must lie in (0, 1)")
+    if not 0.0 < t <= 1.0:
+        raise ContractViolation("ratio t must lie in (0, 1]")
     if d < 0:
         raise ContractViolation("degree must be >= 0")
     F = remez_fraction(n, t)
@@ -151,9 +150,7 @@ class WeightedResult:
     lhs_x: float
     lhs_xi: float
     rhs: float
-    passed: bool          # False also when inconclusive
-    certified: bool       # series tails certified below the tolerance
-    tail_bound: float
+    passed: bool
 
 
 def _apply_derivatives(f, beta):
@@ -189,51 +186,37 @@ def bernstein_check(f: HermiteExpansion, delta, beta):
     return CheckResult(lhs, rhs, lhs <= rhs)
 
 
-def _gaussian_weighted_norm(g, f_norm, N_f, beta_tot, delta, n, rel_tol):
-    """||exp(delta |x|^2) g|| by summing the power series of the weight.
+def _gaussian_weighted_norm(g, delta):
+    """||exp(delta |x|^2) g|| by scaled tensor Gauss-Hermite quadrature.
 
-    Terms t_m = delta^m |x|^(2m) g / m! are generated through the position
-    ladder (each step enlarges the cutoff by two, exactly).  The neglected
-    tail past order m is certified by the closed-form majorant
-    pref * 2^(n-1) (32 n delta)^(m+1) / (1 - 32 n delta), which requires
-    delta < 1/(32 n).
+    Writing g = p exp(-|x|^2/2) with p of degree <= M = g.N in each variable,
+    the squared norm is the integral of |p|^2 exp(-(1 - 2 delta)|x|^2).  At
+    x = y / sqrt(1 - 2 delta) that is a Gauss-Hermite integral of a
+    polynomial of degree <= 2M per axis, which M + 1 nodes per axis integrate
+    exactly (Golub-Welsch 1969); only rounding remains.
     """
-    pref = (
-        2.0 ** (0.5 * N_f)
-        * 2.0 ** (1.5 * beta_tot)
-        * math.sqrt(math.factorial(beta_tot))
-        * f_norm
-    )
-    ratio = 32.0 * n * delta
-    term = g
-    total = g
-    tail = math.inf
-    for m in range(400):
-        tail = pref * 2.0 ** (n - 1) * ratio ** (m + 1) / (1.0 - ratio)
-        if tail <= rel_tol * max(total.norm(), 1e-300):
-            return total.norm(), tail, True
-        nxt = None
-        for j in range(n):
-            xj = apply_ladder(LadderMap(basis.POSITION, j, term.N), term)
-            xjj = apply_ladder(LadderMap(basis.POSITION, j, xj.N), xj)
-            nxt = xjj if nxt is None else nxt + xjj
-        term = nxt.scaled(delta / (m + 1.0))
-        total = total.padded(term.N) + term
-    return total.norm(), tail, False
+    n = g.n
+    s = math.sqrt(1.0 - 2.0 * delta)
+    y, w = np.polynomial.hermite.hermgauss(g.N + 1)
+    x = y / s
+    pts = np.stack(np.meshgrid(*([x] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    # w exp(x^2) folds the factor exp(|x|^2) of |p|^2 = |g|^2 exp(|x|^2) in
+    wts = np.prod(np.meshgrid(*([w * np.exp(x * x)] * n), indexing="ij"), axis=0).ravel()
+    quad = np.sum(wts * np.abs(g.evaluate(pts)) ** 2) / s**n
+    return math.sqrt(float(quad))
 
 
-def weighted_check(f: HermiteExpansion, delta, beta, rel_tol=1e-8):
+def weighted_check(f: HermiteExpansion, delta, beta):
     """Check the Gaussian-weighted two-sided estimate for f in E_N.
 
-    lhs_x  = ||exp(delta |x|^2) d^beta f||   (series through the ladder algebra)
+    lhs_x  = ||exp(delta |x|^2) d^beta f||   (d^beta through the ladder
+             algebra, then the weighted norm by scaled Gauss-Hermite
+             quadrature, exact up to rounding)
     lhs_xi = ||exp(delta |D|^2) x^beta f||   (via the Fourier symmetry of the
              basis: Phi_alpha maps to (-i)^{|alpha|} Phi_alpha up to the
              Parseval factor, so the xi-side equals the x-side computation on
              the phase-twisted coefficients)
     rhs    = 2^n/(1 - 32 n delta) * 2^(N/2) * 2^(3|beta|/2) sqrt(|beta|!) ||f||
-
-    An uncertifiable series truncation is reported as not passed with
-    ``certified=False``; it is never silently treated as a pass.
     """
     n = f.n
     if not 0.0 < delta < 1.0 / (32.0 * n):
@@ -241,19 +224,11 @@ def weighted_check(f: HermiteExpansion, delta, beta, rel_tol=1e-8):
     if len(beta) != n:
         raise ContractViolation("beta has wrong length")
     beta_tot = int(sum(beta))
-    f_norm = f.norm()
 
-    g_x = _apply_derivatives(f, beta)
-    lhs_x, tail_x, ok_x = _gaussian_weighted_norm(
-        g_x, f_norm, f.N, beta_tot, delta, n, rel_tol
-    )
-
+    lhs_x = _gaussian_weighted_norm(_apply_derivatives(f, beta), delta)
     levels = basis.index_levels(n, f.N)
     twisted = HermiteExpansion(n, f.N, f.coeffs * (-1j) ** levels)
-    g_xi = _apply_derivatives(twisted, beta)
-    lhs_xi, tail_xi, ok_xi = _gaussian_weighted_norm(
-        g_xi, f_norm, f.N, beta_tot, delta, n, rel_tol
-    )
+    lhs_xi = _gaussian_weighted_norm(_apply_derivatives(twisted, beta), delta)
 
     rhs = (
         2.0**n
@@ -261,11 +236,9 @@ def weighted_check(f: HermiteExpansion, delta, beta, rel_tol=1e-8):
         * 2.0 ** (0.5 * f.N)
         * 2.0 ** (1.5 * beta_tot)
         * math.sqrt(math.factorial(beta_tot))
-        * f_norm
+        * f.norm()
     )
-    certified = ok_x and ok_xi
-    passed = certified and (lhs_x + lhs_xi <= rhs)
-    return WeightedResult(lhs_x, lhs_xi, rhs, passed, certified, max(tail_x, tail_xi))
+    return WeightedResult(lhs_x, lhs_xi, rhs, lhs_x + lhs_xi <= rhs)
 
 
 # -- Hermite tails -------------------------------------------------------------

@@ -169,9 +169,7 @@ def spectral_constant(G: GramOperator, start_bits=256, max_bits=4096) -> Spectra
     bits = start_bits
     tail = truncation_entry_error(G.n, G.N, G.region.trunc_radius)
     while True:
-        old_prec = mp.prec
-        try:
-            mp.prec = bits + 16
+        with mp.workprec(bits + 16):
             Gm = gram_matrix_mp(G.region, G.n, G.N)
             ev = mp.eigsy(Gm, eigvals_only=True)
             lam_min_mp = ev[0]
@@ -194,8 +192,6 @@ def spectral_constant(G: GramOperator, start_bits=256, max_bits=4096) -> Spectra
                     float(lam_max_mp), bits, "singular_floor",
                 )
             bits *= 2
-        finally:
-            mp.prec = old_prec
 
 
 # -- explicit bounds -----------------------------------------------------------

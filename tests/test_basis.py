@@ -60,6 +60,15 @@ class TestMultiIndices:
 
     def test_leading_block_is_smaller_space(self):
         assert multi_indices(2, 2) == multi_indices(2, 4)[: space_dimension(2, 2)]
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3):
+            f = basis.random_expansion(n, 3, rng)
+            g = f.padded(6)
+            pos = basis.index_positions(n, 6)
+            want = np.zeros(space_dimension(n, 6), dtype=complex)
+            for c, alpha in zip(f.coeffs, multi_indices(n, 3)):
+                want[pos[alpha]] = c
+            assert g.N == 6 and np.array_equal(g.coeffs, want)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ContractViolation):
@@ -153,6 +162,30 @@ class TestLadder:
         assert g.N == 4
         want = unit_expansion(1, 4, (3,)).scaled(math.sqrt(3))
         assert np.allclose(g.coeffs, want.coeffs)
+
+    def test_matches_per_coefficient_reference(self):
+        # oracle: the definition a_{j,+-} Phi_alpha = sqrt(.) Phi_{alpha +- e_j},
+        # applied one coefficient at a time; the table form must agree
+        # bit for bit, and raise_matrix must be the same map on E_{N+1}
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            for N in (0, 1, 4):
+                f = basis.random_expansion(n, N, rng)
+                for j in range(n):
+                    up = np.zeros(space_dimension(n, N + 1), dtype=complex)
+                    down = np.zeros(space_dimension(n, max(N - 1, 0)), dtype=complex)
+                    pos_up = basis.index_positions(n, N + 1)
+                    pos_down = basis.index_positions(n, max(N - 1, 0))
+                    for c, a in zip(f.coeffs, multi_indices(n, N)):
+                        up[pos_up[a[:j] + (a[j] + 1,) + a[j + 1:]]] = math.sqrt(a[j] + 1.0) * c
+                        if a[j] > 0:
+                            down[pos_down[a[:j] + (a[j] - 1,) + a[j + 1:]]] = math.sqrt(a[j]) * c
+                    got_up = apply_ladder(LadderMap(basis.RAISE, j, N), f)
+                    got_down = apply_ladder(LadderMap(basis.LOWER, j, N), f)
+                    assert np.array_equal(got_up.coeffs, up)
+                    assert np.array_equal(got_down.coeffs, down)
+                    R = basis.raise_matrix(n, N + 1, j)
+                    assert np.array_equal(R @ f.padded(N + 1).coeffs, up)
 
     def test_lower_annihilates_ground_state(self):
         f = unit_expansion(1, 2, (0,))

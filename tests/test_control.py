@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +77,19 @@ class TestObservability:
         b = ct.observability_constant(prob, precision_bits=256)
         assert b.precision_bits >= 256
         assert a.c_value == pytest.approx(b.c_value, rel=1e-9)
+
+
+def test_mpmath_precision_is_scoped():
+    # each escalation runs under mp.workprec: the caller's precision comes
+    # back unchanged, whatever it was
+    with mpmath.workprec(80):
+        reg = rg.half_line(rg.truncate_radius(16, 1) + 1.0)
+        res = gram.spectral_constant(gram.gram_matrix(reg, 1, 16))
+        assert res.precision_bits >= 256 and mpmath.mp.prec == 80
+        rep = ct.observability_constant(harmonic_problem(4, 0.8, thick_gram(4)), 256)
+        assert rep.precision_bits == 256 and mpmath.mp.prec == 80
+        ctl = ct.hum_control(harmonic_problem(4), basis.unit_expansion(1, 4, (0,)), 256)
+        assert ctl.precision_bits == 256 and mpmath.mp.prec == 80
 
 
 class TestHumControl:

@@ -64,6 +64,11 @@ class TestRemez:
     def test_degree_one_bound(self):
         assert est.remez_bound(1, 1, 0.5) == pytest.approx(3.0)
 
+    def test_full_measure(self):
+        for d in range(6):
+            assert est.remez_bound(2, d, 1.0) == 1.0
+            assert est.remez_bound(2, d, 1.0, complex_poly=True) == 2.0 ** (2 * d + 1)
+
     def test_classical_interval_consistency(self):
         # |E| = 1 inside [-1, 1] gives T_d((4-|E|)/|E|) = T_d(3) = T_d(F(1/2))
         for d in range(8):
@@ -80,6 +85,10 @@ class TestRemez:
     def test_domain_errors(self):
         with pytest.raises(ContractViolation):
             est.remez_fraction(1, 0.0)
+        for t in (0.0, 1.5):
+            for complex_poly in (False, True):
+                with pytest.raises(ContractViolation, match=r"\(0, 1\]"):
+                    est.remez_bound(1, 2, t, complex_poly)
         with pytest.raises(ContractViolation):
             est.remez_ball_bound(1, 2, 1.5)
 
@@ -163,15 +172,73 @@ class TestBernstein:
             assert est.bernstein_check(f, delta, beta).passed
 
 
+def weighted_norm_oracle(f, beta, delta):
+    """||exp(delta |x|^2) d^beta f|| by brute-force composite Gauss-Legendre.
+
+    The integrand |d^beta f|^2 exp(2 delta |x|^2) is evaluated from the 1-D
+    tables of phi_k and phi_k' (not through the ladder algebra) and
+    integrated over [-L, L]^n, nested for n = 2.  The integrand decays like
+    exp(-(1 - 2 delta)|x|^2) with 1 - 2 delta >= 15/16, so past L it is
+    below 1e-40 of the squared norm for every N <= 12.
+    """
+    C = np.zeros((f.N + 1,) * f.n, dtype=complex)
+    for c, alpha in zip(f.coeffs, basis.multi_indices(f.n, f.N)):
+        C[alpha] = c
+
+    def table(j, x):
+        vals = basis.hermite_values(f.N + 1, x)
+        return basis.hermite_derivatives(f.N, x, vals) if beta[j] else vals[: f.N + 1]
+
+    def line(d, j):
+        """Integrand along axis j for the coefficient row d of that axis."""
+        return lambda x: np.abs(d @ table(j, x)) ** 2 * np.exp(2.0 * delta * x * x)
+
+    L = math.sqrt(2.0 * f.N + 3.0) + 9.0
+    tol = 1e-14 * f.norm() ** 2
+    if f.n == 1:
+        value, _, _ = composite_gauss_legendre(line(C, 0), -L, L, abs_tol=tol, min_panels=8)
+    else:
+        def outer(x1):
+            rows = table(0, x1).T @ C
+            inner = [
+                composite_gauss_legendre(line(d, 1), -L, L, abs_tol=tol, min_panels=8)[0]
+                for d in rows
+            ]
+            return np.array(inner) * np.exp(2.0 * delta * x1 * x1)
+
+        value, _, _ = composite_gauss_legendre(outer, -L, L, abs_tol=tol, min_panels=8)
+    return math.sqrt(value)
+
+
+def assert_matches_oracle(r, f, delta, beta):
+    """Both sides of a WeightedResult against the quadrature oracle, 1e-10
+    relative.  The xi side is the x side of the Fourier transform of f,
+    whose coefficients are (-i)^{|alpha|} c_alpha."""
+    lev = basis.index_levels(f.n, f.N)
+    f_hat = basis.HermiteExpansion(f.n, f.N, f.coeffs * (-1j) ** lev)
+    assert r.lhs_x == pytest.approx(weighted_norm_oracle(f, beta, delta), rel=1e-10)
+    assert r.lhs_xi == pytest.approx(weighted_norm_oracle(f_hat, beta, delta), rel=1e-10)
+
+
 class TestWeighted:
     def test_gaussian_ground_state(self):
         # ||exp(d x^2) phi_0||^2 = (1 - 2 d)^(-1/2) in closed form
         f = basis.unit_expansion(1, 0, (0,))
         r = est.weighted_check(f, 1.0 / 64, (0,))
-        assert r.certified
-        assert r.lhs_x == pytest.approx((1 - 2 / 64) ** -0.25, abs=1e-6)
+        assert_matches_oracle(r, f, 1.0 / 64, (0,))
+        assert r.lhs_x == pytest.approx((1 - 2 / 64) ** -0.25, rel=1e-13)
         assert r.rhs == pytest.approx(4.0)
         assert r.passed
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_quadrature_oracle(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(6):
+            N = int(rng.integers(0, 9))
+            f = basis.random_expansion(n, N, rng)
+            delta = float(rng.uniform(0.1, 0.9)) / (32 * n)
+            beta = tuple(int(b) for b in rng.integers(0, 2, size=n))
+            assert_matches_oracle(est.weighted_check(f, delta, beta), f, delta, beta)
 
     def test_fourier_symmetry_identity(self):
         rng = np.random.default_rng(17)
@@ -190,7 +257,8 @@ class TestWeighted:
         for N in (4, 8, 12):
             f = basis.unit_expansion(1, N, (N,))
             r = est.weighted_check(f, delta, (0,))
-            assert r.certified and r.passed
+            assert_matches_oracle(r, f, delta, (0,))
+            assert r.passed
             ratios.append(r.lhs_x / 2.0 ** (N / 2.0))
         assert ratios[0] > ratios[1] > ratios[2]
 
@@ -203,7 +271,7 @@ class TestWeighted:
             delta = float(rng.uniform(0.2, 0.9)) / (32 * n)
             beta = tuple(int(b) for b in rng.integers(0, 2, size=n))
             r = est.weighted_check(f, delta, beta)
-            assert r.certified
+            assert_matches_oracle(r, f, delta, beta)
             assert r.passed
 
 
