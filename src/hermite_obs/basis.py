@@ -410,3 +410,17 @@ def project_energy(f: HermiteExpansion, k, mode="cumulative") -> HermiteExpansio
     lev = index_levels(f.n, f.N)
     keep = lev == k if mode == "single" else lev <= k
     return HermiteExpansion(f.n, f.N, np.where(keep, f.coeffs, 0.0))
+
+
+# -- fits --------------------------------------------------------------------
+
+
+def linear_fit(g, y):
+    """Least-squares line y ~ slope g + intercept; returns
+    (slope, intercept, ssr, r2), with r2 = 1 for constant y."""
+    A = np.column_stack([g, np.ones_like(g)])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    ssr = float(resid @ resid)
+    tot = float(np.sum((y - y.mean()) ** 2))
+    return float(coef[0]), float(coef[1]), ssr, 1.0 - ssr / tot if tot > 0 else 1.0

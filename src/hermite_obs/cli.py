@@ -502,7 +502,7 @@ def _run_command(args):
             k0 = args.k0
             if k0 is None:
                 k0 = qd.singular_space(qd.hamilton_map(sym)).k0 or 0
-            study = ct.cost_blowup_study(A, P, T_list, k0=k0)
+            study = ct.cost_blowup_study(A, P, T_list, k0=k0, precision_bits=pipeline_bits)
             csv_payload = (
                 ["T", "C_T", "precision_bits", "method"],
                 [[r["T"], r["C_T"], r["precision_bits"], r["method"]] for r in study.rows],

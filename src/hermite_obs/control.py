@@ -12,9 +12,11 @@ horizon T is the largest generalized eigenvalue of the pencil
 
 and the minimal-norm steering control solves W_c lam = -e^{-TA} f0 with the
 reachability Gramian W_c built from P^2 (the control enters through B = P
-with cost ||u(t)||^2_{L2}).  Ill-conditioned Gramians escalate to software
-floating point with the whole pipeline (propagators, solve, re-simulation)
-rebuilt in that precision.
+with cost ||u(t)||^2_{L2}).  Gramians are exact: a block exponential over a
+short step, then doubling up to T.  Both pipelines are written once over an
+arithmetic backend; an ill-conditioned Gramian, or an explicit precision,
+runs the whole pipeline (Gramian, solve, control grid, re-simulation) in
+software floating point.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from . import basis
 from .basis import ContractViolation, HermiteExpansion
 from .quadratic import GalerkinOperator
 
-GRAMIAN_ORDER = 8
-GRAMIAN_REL_TOL = 1e-8
-MAX_SUBINTERVALS = 64
+GRID_ORDER = 8  # Gauss nodes per subinterval of the control grid
 
 
 @dataclass
@@ -55,114 +55,189 @@ class ControlProblem:
             raise ContractViolation("coupling matrix must be Hermitian")
 
 
-# -- time quadrature ------------------------------------------------------------
+# -- arithmetic backends ----------------------------------------------------------
+#
+# Matrices of both backends support +, -, @, scalar * and slicing; everything
+# else the control pipelines need goes through these methods.  Each pipeline
+# runs under mp.workprec(bits + 16), the working precision of the mpmath
+# backend and of log C_T.
 
 
-@dataclass
-class _Grid:
-    nodes: list          # absolute times in (0, T)
-    weights: list
-    props: list          # expm(-s A) per node
-    prop_T: object       # expm(-T A)
-    subintervals: int
+class _Double:
+    """numpy and LAPACK in IEEE double precision."""
+
+    bits = 53
+
+    def from_np(self, M):
+        return np.array(M, dtype=complex)
+
+    def to_np(self, v):
+        return v
+
+    def gauss(self, order):
+        return np.polynomial.legendre.leggauss(order)
+
+    def expm(self, M):
+        return scipy.linalg.expm(M)
+
+    def adj(self, M):
+        return M.conj().T
+
+    def solve(self, M, b):
+        return np.linalg.solve(M, b)
+
+    def cholesky(self, W):
+        try:
+            return np.linalg.cholesky(W)
+        except np.linalg.LinAlgError:
+            return None
+
+    def inv_lower(self, L):
+        return scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)
+
+    def eigh_top(self, M):
+        vals, vecs = np.linalg.eigh(M)
+        return vals[-1], vecs[:, -1]
+
+    def cond(self, W):
+        return float(np.linalg.cond(W))
+
+    def norm(self, v):
+        return float(np.linalg.norm(v))
 
 
-def _np_propagator_grid(Amat, T, subintervals, order=GRAMIAN_ORDER):
-    x, w = np.polynomial.legendre.leggauss(order)
-    h = T / subintervals
-    offsets = 0.5 * h * (x + 1.0)
-    weights = 0.5 * h * w
-    E_off = [scipy.linalg.expm(-float(o) * Amat) for o in offsets]
-    E_h = scipy.linalg.expm(-h * Amat)
-    nodes, wts, props = [], [], []
-    base = np.eye(Amat.shape[0], dtype=complex)
-    for j in range(subintervals):
-        for k in range(order):
-            nodes.append(j * h + offsets[k])
-            wts.append(weights[k])
-            props.append(base @ E_off[k])
-        base = base @ E_h
-    return _Grid(nodes, wts, props, base, subintervals)
+class _Mp:
+    """mpmath software floating point with a ``bits``-bit mantissa."""
+
+    def __init__(self, bits):
+        self.bits = bits
+
+    def from_np(self, M):
+        return mp.matrix(np.asarray(M, dtype=complex).tolist())
+
+    def to_np(self, v):
+        return np.array(v.tolist(), dtype=complex).reshape(-1)
+
+    def gauss(self, order):
+        # Golub-Welsch: the Legendre Jacobi matrix's eigenpairs
+        J = mp.zeros(order)
+        for i in range(1, order):
+            J[i, i - 1] = J[i - 1, i] = i / mp.sqrt(4 * i * i - 1)
+        x, V = mp.eigsy(J)
+        return [x[m] for m in range(order)], [2 * V[0, m] ** 2 for m in range(order)]
+
+    def expm(self, M):
+        return mp.expm(M)
+
+    def adj(self, M):
+        return M.H
+
+    def solve(self, M, b):
+        return mp.lu_solve(M, b)
+
+    def cholesky(self, W):
+        try:
+            return mp.cholesky(W)
+        except ValueError:
+            return None
+
+    def inv_lower(self, L):
+        return mp.inverse(L)  # mpmath has no triangular solve for matrices
+
+    def eigh_top(self, M):
+        vals, vecs = mp.eighe(M)
+        return vals[vals.rows - 1], vecs[:, vecs.cols - 1]
+
+    def cond(self, W):
+        sv = mp.svd_c(W, compute_uv=False)
+        return float(sv[0] / sv[sv.rows - 1]) if sv[sv.rows - 1] > 0 else math.inf
+
+    def norm(self, v):
+        return float(mp.norm(v))
+
+    def ridged(self, W):
+        """W + ||W||_F 2^(-bits/2) I, positive definite for the floor bound."""
+        return W + mp.eye(W.rows) * (mp.mnorm(W, "f") * mp.mpf(2) ** (-self.bits // 2))
 
 
-def _np_gramian(Amat, P, T, rel_tol=GRAMIAN_REL_TOL):
-    """W = int_0^T e^{-tA} P e^{-tA^H} dt by composite Gauss, refined until
-    the Frobenius norm stagnates to rel_tol."""
-    prev = None
-    subintervals = 1
-    while True:
-        grid = _np_propagator_grid(Amat, T, subintervals)
-        W = np.zeros_like(Amat, dtype=complex)
-        for wt, E in zip(grid.weights, grid.props):
-            W += wt * (E @ P @ E.conj().T)
-        W = 0.5 * (W + W.conj().T)
-        if prev is not None:
-            if np.linalg.norm(W - prev, "fro") <= rel_tol * np.linalg.norm(W, "fro"):
-                return W, grid
-        if subintervals >= MAX_SUBINTERVALS:
-            return W, grid
-        prev = W
-        subintervals *= 2
+_DOUBLE = _Double()
 
 
-def _mp_expm(Amat_mp):
-    return mp.expm(Amat_mp)
+def _backend(bits):
+    return _DOUBLE if bits <= 53 else _Mp(bits)
 
 
-def _to_mp_matrix(Amat):
-    rows, cols = Amat.shape
-    M = mp.matrix(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            z = complex(Amat[i, j])
-            M[i, j] = mp.mpc(z.real, z.imag)
-    return M
+# -- Gramians and the control grid -------------------------------------------------
 
 
-def _mp_propagator_grid(Amat_mp, T, subintervals, order=GRAMIAN_ORDER):
-    x, w = np.polynomial.legendre.leggauss(order)
-    h = mp.mpf(T) / subintervals
-    offsets = [h * (mp.mpf(float(xi)) + 1) / 2 for xi in x]
-    weights = [h * mp.mpf(float(wi)) / 2 for wi in w]
-    E_off = [_mp_expm(-o * Amat_mp) for o in offsets]
-    E_h = _mp_expm(-h * Amat_mp)
-    nodes, wts, props = [], [], []
-    base = mp.eye(Amat_mp.rows)
-    for j in range(subintervals):
-        for k in range(order):
-            nodes.append(j * h + offsets[k])
-            wts.append(weights[k])
-            props.append(base * E_off[k])
-        base = base * E_h
-    return _Grid(nodes, wts, props, base, subintervals)
+def _gramian(ar, A, Q, T):
+    """W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA} in closed form.
+
+    ``A`` is the generator as a numpy array, ``Q`` a Hermitian matrix of the
+    backend.  W(h) is the top-right block of expm(h [[-A, Q], [0, A^H]]) times
+    E(h)^H (Van Loan 1978) at h = T / 2^k, k the least integer giving
+    h ||A||_1 <= 1; k doublings W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2
+    then reach T.  Returns W(T), E(T), E(h) and the step count 2^k.
+    """
+    d = A.shape[0]
+    norm1 = float(np.abs(A).sum(axis=0).max())
+    steps = 1
+    while T * norm1 > steps:
+        steps *= 2
+    zero = np.zeros_like(A)
+    Z = ar.from_np(np.block([[-A, zero], [zero, A.conj().T]]))
+    Z[:d, d:] = Q
+    F = ar.expm(Z * (T / steps))
+    E_h = F[:d, :d]
+    W, E = F[:d, d:] @ ar.adj(E_h), E_h
+    for _ in range(steps.bit_length() - 1):
+        W = W + E @ W @ ar.adj(E)
+        E = E @ E
+    return (W + ar.adj(W)) * 0.5, E, E_h, steps
 
 
-def _mp_hermitize(W):
-    out = mp.matrix(W.rows, W.cols)
-    for i in range(W.rows):
-        for j in range(W.cols):
-            out[i, j] = (W[i, j] + mp.conj(W[j, i])) / 2
-    return out
+def _steer(ar, A, P, d, lam, T, steps, E_h):
+    """Drive the full state with u(s) = P_d e^{-s A_d^H} lam on the control grid.
 
-
-def _mp_gramian(Amat_mp, P_mp, T, rel_tol=GRAMIAN_REL_TOL):
-    def frob(M):
-        return mp.sqrt(sum(abs(M[i, j]) ** 2 for i in range(M.rows) for j in range(M.cols)))
-
-    prev = None
-    subintervals = 1
-    while True:
-        grid = _mp_propagator_grid(Amat_mp, T, subintervals)
-        W = mp.zeros(Amat_mp.rows)
-        for wt, E in zip(grid.weights, grid.props):
-            W += wt * (E * P_mp * E.transpose_conj())
-        W = _mp_hermitize(W)
-        if prev is not None and frob(W - prev) <= rel_tol * frob(W):
-            return W, grid
-        if subintervals >= MAX_SUBINTERVALS:
-            return W, grid
-        prev = W
-        subintervals *= 2
+    s is the time to go and the subscript d marks the leading d x d block,
+    the controlled modes (all of them for HUM).  ``A`` is the generator as a
+    numpy array, ``P`` the coupling in the backend and E_h = e^{-h A_d} with
+    h = T / steps.  The grid is the order-8 Gauss rule on each of the steps
+    subintervals of [0, T].  Returns the times T - s in increasing order, the
+    control samples as numpy vectors, the cost sum w ||u||^2 and the forced
+    response sum w e^{-sA} P[:, :d] u(s).  Propagators act on vectors only:
+    e^{-sA} = (e^{-hA})^j e^{-oA} at s = jh + o, and the sum over the
+    subintervals j runs in Horner form.
+    """
+    h = T / steps
+    x, w = ar.gauss(GRID_ORDER)
+    offsets = [h * (xi + 1) / 2 for xi in x]
+    weights = [h * wi / 2 for wi in w]
+    A_full = ar.from_np(A)
+    sim = [ar.expm(A_full * -o) for o in offsets]
+    ctl, E_sim = sim, E_h
+    if d < A.shape[0]:
+        ctl = [ar.expm(A_full[:d, :d] * -o) for o in offsets]
+        E_sim = ar.expm(A_full * -h)
+    out = [P[:d, :d] @ ar.adj(E) for E in ctl]                     # v_j -> u
+    back = [wt * (E @ P[:, :d]) for wt, E in zip(weights, sim)]   # u -> state
+    E_ctl_H = ar.adj(E_h)
+    times, samples, cost, pieces = [], [], 0.0, []
+    v = lam                                                        # e^{-jh A_d^H} lam
+    for j in range(steps):
+        piece = None
+        for o, wt, U, B in zip(offsets, weights, out, back):
+            u = U @ v
+            times.append(float(T - (j * h + o)))
+            samples.append(ar.to_np(u))
+            cost += float(wt) * ar.norm(u) ** 2
+            piece = B @ u if piece is None else piece + B @ u
+        pieces.append(piece)
+        v = E_ctl_H @ v
+    forced = pieces.pop()
+    while pieces:
+        forced = pieces.pop() + E_sim @ forced
+    return times[::-1], samples[::-1], cost, forced
 
 
 # -- observability ---------------------------------------------------------------
@@ -177,7 +252,7 @@ class ObservabilityReport:
     method: str
     precision_bits: int
     flag: str  # 'ok' or 'singular_floor' (value then a certified lower bound)
-    subintervals: int = 0
+    subintervals: int = 0  # Gramian steps of length h = T / 2^k: 2^k
 
 
 def observability_constant(problem: ControlProblem, precision_bits=53,
@@ -185,97 +260,42 @@ def observability_constant(problem: ControlProblem, precision_bits=53,
     """Best constant C_T with ||g(T)||^2 <= C_T int_0^T ||g(t)||^2_{L2(w)} dt
     along the adjoint flow g(t) = e^{-tA^H} g0 on E_N.
 
-    Solved as the largest generalized eigenvalue of (e^{-TA} e^{-TA^H}, W).
-    The pencil escalates to software floating point when W is too
-    ill-conditioned for double precision; if W stays numerically singular
-    even at the maximal mantissa, a certified lower bound is returned with a
-    flag.
+    Solved as the largest generalized eigenvalue of (e^{-TA} e^{-TA^H}, W):
+    with W = L L^H, C_T is the top eigenvalue of X X^H, X = L^{-1} e^{-TA}.
+    Double precision serves while cond(W) < 1e12; otherwise the pencil is
+    redone in software floating point, doubling the mantissa while W is not
+    numerically positive definite.  If W stays singular at ``max_bits``, a
+    ridged W gives a certified lower bound, returned with a flag.
     """
     A = problem.A.matrix
-    P = problem.piomega.astype(complex)
-    T = problem.T
-
-    if precision_bits <= 53:
-        W, grid = _np_gramian(A, P, T)
-        ET = grid.prop_T
-        M = ET @ ET.conj().T
-        try:
-            cond = np.linalg.cond(W)
-            if cond < 1e12:
-                vals, vecs = scipy.linalg.eigh(M, W)
-                idx = int(np.argmax(vals))
-                c = float(vals[idx])
-                g0 = vecs[:, idx]
-                g0 = g0 / np.linalg.norm(g0)
-                extremal = HermiteExpansion(problem.A.n, problem.A.N, g0)
-                return ObservabilityReport(
-                    T, c, math.log(c), extremal, "generalized-eigen", 53, "ok",
-                    grid.subintervals,
-                )
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-            pass
-        precision_bits = 256
-
-    bits = max(precision_bits, 256)
+    bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
     while True:
-        with mp.workprec(bits + 16):
-            A_mp = _to_mp_matrix(A)
-            P_mp = _to_mp_matrix(P)
-            W, grid = _mp_gramian(A_mp, P_mp, T)
-            ET = grid.prop_T
-            M = _mp_hermitize(ET * ET.transpose_conj())
-            try:
-                L = mp.cholesky(W)
-            except Exception:
-                L = None
-            if L is None:
-                if bits >= max_bits:
-                    ridge = mp.mnorm(W, "f") * mp.mpf(2) ** (-bits // 2)
-                    Wr = W + ridge * mp.eye(W.rows)
-                    L = mp.cholesky(Wr)
-                    Li = _mp_triangular_inverse(L)
-                    Mt = _mp_hermitize(Li * M * Li.transpose_conj())
-                    ev = mp.eighe(Mt, eigvals_only=True)
-                    c = ev[ev.rows - 1]
-                    return ObservabilityReport(
-                        T, float(c), float(mp.log(c)), None, "generalized-eigen",
-                        bits, "singular_floor", grid.subintervals,
-                    )
-                bits *= 2
+        ar = _backend(bits)
+        with mp.workprec(ar.bits + 16):
+            W, E_T, _, steps = _gramian(ar, A, ar.from_np(problem.piomega), problem.T)
+            L = ar.cholesky(W)
+            if bits == 53 and (L is None or not ar.cond(W) < 1e12):
+                bits = 256
                 continue
-            Li = _mp_triangular_inverse(L)
-            Mt = _mp_hermitize(Li * M * Li.transpose_conj())
-            ev, Y = mp.eighe(Mt)
-            c = ev[ev.rows - 1]
-            y = Y[:, Y.cols - 1]
-            g0_mp = Li.transpose_conj() * y
-            g0 = np.array([complex(g0_mp[i]) for i in range(g0_mp.rows)])
-            nrm = np.linalg.norm(g0)
+            flag = "ok"
+            if L is None:
+                if bits < max_bits:
+                    bits *= 2
+                    continue
+                L, flag = ar.cholesky(ar.ridged(W)), "singular_floor"
+            Li = ar.inv_lower(L)
+            X = Li @ E_T
+            c, y = ar.eigh_top(X @ ar.adj(X))
             extremal = None
-            if nrm > 0 and np.all(np.isfinite(g0)):
-                extremal = HermiteExpansion(problem.A.n, problem.A.N, g0 / nrm)
+            if flag == "ok":
+                g0 = ar.to_np(ar.adj(Li) @ y)
+                nrm = np.linalg.norm(g0)
+                if nrm > 0 and np.all(np.isfinite(g0)):
+                    extremal = HermiteExpansion(problem.A.n, problem.A.N, g0 / nrm)
             return ObservabilityReport(
-                T, float(c), float(mp.log(c)), extremal, "generalized-eigen",
-                bits, "ok", grid.subintervals,
+                problem.T, float(c), float(mp.log(c)), extremal, "generalized-eigen",
+                bits, flag, steps,
             )
-
-
-def _mp_triangular_inverse(L):
-    """Inverse of a lower-triangular mp matrix by forward substitution."""
-    m = L.rows
-    inv = mp.zeros(m)
-    for col in range(m):
-        e = mp.zeros(m, 1)
-        e[col] = mp.mpf(1)
-        x = mp.zeros(m, 1)
-        for i in range(m):
-            s = e[i]
-            for j in range(i):
-                s -= L[i, j] * x[j]
-            x[i] = s / L[i, i]
-        for i in range(m):
-            inv[i, col] = x[i]
-    return inv
 
 
 def harmonic_full_space_ct(n, N, T):
@@ -287,7 +307,7 @@ def harmonic_full_space_ct(n, N, T):
     best = 0.0
     for k in range(N + 1):
         lam = 2.0 * k + n
-        best = max(best, 2.0 * lam * math.exp(-2.0 * lam * T) / (1.0 - math.exp(-2.0 * lam * T)))
+        best = max(best, 2.0 * lam * math.exp(-2.0 * lam * T) / -math.expm1(-2.0 * lam * T))
     return best
 
 
@@ -303,81 +323,39 @@ class ControlResult:
     gramian_cond: float
     precision_bits: int
     flag: str
-    subintervals: int = 0
+    subintervals: int = 0       # control-grid subintervals, 2^k
 
 
 def hum_control(problem: ControlProblem, f0: HermiteExpansion,
-                precision_bits=53, max_bits=4096) -> ControlResult:
+                precision_bits=53) -> ControlResult:
     """Minimal-norm control steering f0 to (numerical) zero at time T.
 
-    Solves W_c lam = -e^{-TA} f0 with the reachability Gramian
+    Solves W_c lam = -e^{-TA} f0 with the exact reachability Gramian
     W_c = int_0^T e^{-sA} P^2 e^{-sA^H} ds and applies
-    u(t) = P e^{-(T-t)A^H} lam.  The verdict is the re-simulated relative
-    residual on the same time grid; an uncontrollably ill-conditioned
-    Gramian yields a partial control with the residual documented.
+    u(t) = P e^{-(T-t)A^H} lam on the Gauss control grid.  The verdict is the
+    relative residual of the state re-simulated on that grid, an independent
+    check of the solve; an ill-conditioned double-precision Gramian yields a
+    least-squares control with the residual documented.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
-    A = problem.A.matrix
-    P = problem.piomega.astype(complex)
-    T = problem.T
     nrm0 = f0.norm()
     if nrm0 == 0.0:
         return ControlResult([], [], 0.0, 0.0, 1.0, precision_bits, "ok")
-
-    if precision_bits <= 53:
-        W, grid = _np_gramian(A, P @ P, T)
-        b = grid.prop_T @ f0.coeffs
-        cond = float(np.linalg.cond(W))
-        if cond < 1e12:
-            lam = np.linalg.solve(W, -b)
-            flag = "ok"
-        else:
-            lam, *_ = np.linalg.lstsq(W, -b, rcond=None)
-            flag = "ill_conditioned"
-        controls, times, cost = [], [], 0.0
-        f_T = b.copy()
-        for s, wt, E in zip(grid.nodes, grid.weights, grid.props):
-            u = P @ (E.conj().T @ lam)
-            controls.append(HermiteExpansion(f0.n, f0.N, u))
-            times.append(T - s)
-            cost += wt * float(np.vdot(u, u).real)
-            f_T += wt * (E @ (P @ u))
-        residual = float(np.linalg.norm(f_T)) / nrm0
-        order = np.argsort(times)
-        return ControlResult(
-            [times[i] for i in order], [controls[i] for i in order],
-            cost, residual, cond, 53, flag, grid.subintervals,
-        )
-
-    bits = max(precision_bits, 256)
-    with mp.workprec(bits + 16):
-        A_mp = _to_mp_matrix(A)
-        P_mp = _to_mp_matrix(P)
-        W, grid = _mp_gramian(A_mp, P_mp * P_mp, T)
-        f0_mp = mp.matrix([[mp.mpc(complex(z).real, complex(z).imag)] for z in f0.coeffs])
-        b = grid.prop_T * f0_mp
-        lam = mp.lu_solve(W, -b)
-        sv = mp.svd_c(W, compute_uv=False)
-        cond = float(sv[0] / sv[sv.rows - 1]) if sv[sv.rows - 1] > 0 else math.inf
-        controls, times, cost = [], [], mp.mpf(0)
-        f_T = +b
-        for s, wt, E in zip(grid.nodes, grid.weights, grid.props):
-            u = P_mp * (E.transpose_conj() * lam)
-            times.append(float(T - s))
-            controls.append(
-                HermiteExpansion(
-                    f0.n, f0.N, np.array([complex(u[i]) for i in range(u.rows)])
-                )
-            )
-            cost += wt * sum(abs(u[i]) ** 2 for i in range(u.rows))
-            f_T += wt * (E * (P_mp * u))
-        residual = float(mp.norm(f_T)) / nrm0
-        order = np.argsort(times)
-        return ControlResult(
-            [times[i] for i in order], [controls[i] for i in order],
-            float(cost), residual, cond, bits, "ok", grid.subintervals,
-        )
+    A = problem.A.matrix
+    ar = _backend(53 if precision_bits <= 53 else max(precision_bits, 256))
+    with mp.workprec(ar.bits + 16):
+        P = ar.from_np(problem.piomega)
+        W, E_T, E_h, steps = _gramian(ar, A, P @ P, problem.T)
+        b = E_T @ ar.from_np(f0.coeffs)
+        cond = ar.cond(W)
+        flag = "ok" if ar.bits > 53 or cond < 1e12 else "ill_conditioned"
+        lam = ar.solve(W, -b) if flag == "ok" else np.linalg.lstsq(W, -b, rcond=None)[0]
+        times, samples, cost, forced = _steer(ar, A, P, A.shape[0], lam, problem.T,
+                                              steps, E_h)
+        residual = ar.norm(b + forced) / nrm0
+    controls = [HermiteExpansion(f0.n, f0.N, u) for u in samples]
+    return ControlResult(times, controls, cost, residual, cond, ar.bits, flag, steps)
 
 
 # -- staircase strategy ------------------------------------------------------------
@@ -427,10 +405,9 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
         T_j = T * 2.0 ** (-j - 1)
         tau = T_j / 2.0
         d = basis.space_dimension(n, k_j)
-        A_j = A[:d, :d]
         P_j = P[:d, :d]
-        W_j, grid = _np_gramian(A_j, P_j @ P_j, tau)
-        b_j = grid.prop_T @ f[:d]
+        W_j, E_j, E_h, steps = _gramian(_DOUBLE, A[:d, :d], P_j @ P_j, tau)
+        b_j = E_j @ f[:d]
         try:
             cond = np.linalg.cond(W_j)
             if not np.isfinite(cond) or cond > 1e13:
@@ -439,19 +416,11 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
         except np.linalg.LinAlgError:
             flag = "stage_gramian_failure:%d" % j
             break
-        # active half: full-state simulation forced by the designed control
-        E_full = scipy.linalg.expm(-tau * A)
-        f_new = E_full @ f
-        stage_cost = 0.0
-        for s, wt, E_sub in zip(grid.nodes, grid.weights, grid.props):
-            u_sub = P_j @ (E_sub.conj().T @ lam)
-            u_full = np.zeros_like(f)
-            u_full[:d] = u_sub
-            force = P @ u_full
-            f_new += wt * (scipy.linalg.expm(-(float(s)) * A) @ force)
-            stage_cost += wt * float(np.vdot(u_sub, u_sub).real)
-        # passive half: free dissipation
-        f = scipy.linalg.expm(-tau * A) @ f_new
+        # active half: full-state simulation forced by the designed control,
+        # then the passive half: free dissipation
+        _, _, stage_cost, forced = _steer(_DOUBLE, A, P, d, lam, tau, steps, E_h)
+        E_tau = scipy.linalg.expm(-tau * A)
+        f = E_tau @ (E_tau @ f + forced)
         elapsed += T_j
         total_cost += stage_cost
         energy = float(np.linalg.norm(f))
@@ -526,15 +495,6 @@ def cost_blowup_study(A: GalerkinOperator, piomega, T_list, k0,
         y = np.array([r["c_log"] for r in usable])
         for p in exponents:
             g = np.array([r["T"] ** (-float(p)) for r in usable])
-            Amat = np.column_stack([g, np.ones_like(g)])
-            coef, *_ = np.linalg.lstsq(Amat, y, rcond=None)
-            resid = y - Amat @ coef
-            ssr = float(resid @ resid)
-            tot = float(np.sum((y - y.mean()) ** 2))
-            fits[p] = {
-                "slope": float(coef[0]),
-                "intercept": float(coef[1]),
-                "ssr": ssr,
-                "r2": 1.0 - ssr / tot if tot > 0 else 1.0,
-            }
+            slope, intercept, ssr, r2 = basis.linear_fit(g, y)
+            fits[p] = {"slope": slope, "intercept": intercept, "ssr": ssr, "r2": r2}
     return BlowupStudy(rows, fits, k0, excluded)

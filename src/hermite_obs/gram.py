@@ -322,16 +322,6 @@ def theoretical_bound(p: BoundParams, N):
 # -- scaling studies -----------------------------------------------------------
 
 
-def _least_squares(g, y):
-    A = np.column_stack([g, np.ones_like(g)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ssr = float(resid @ resid)
-    tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ssr / tot if tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), ssr, r2
-
-
 SCALING_MODELS = ("sqrtN", "N", "NlnN")
 
 
@@ -429,13 +419,13 @@ def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None
     logs = np.array([r["C_log"] for r in report.rows if r["flag"] == "ok"])
     if len(Ns) >= 3:
         for name in SCALING_MODELS:
-            slope, intercept, ssr, r2 = _least_squares(_model_values(name, Ns), logs)
+            slope, intercept, ssr, r2 = basis.linear_fit(_model_values(name, Ns), logs)
             report.fits[name] = {
                 "slope": slope, "intercept": intercept, "ssr": ssr, "r2": r2,
             }
         report.best_model = min(report.fits, key=lambda k: report.fits[k]["ssr"])
         mask = logs > 0.1
         if mask.sum() >= 3:
-            p_slope, _, _, _ = _least_squares(np.log(Ns[mask]), np.log(logs[mask]))
+            p_slope, _, _, _ = basis.linear_fit(np.log(Ns[mask]), np.log(logs[mask]))
             report.exponent_p = p_slope
     return report

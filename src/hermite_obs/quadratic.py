@@ -12,7 +12,6 @@ intersection becomes trivial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -369,19 +368,6 @@ def weyl_quantize(sym: QuadraticSymbol, N) -> GalerkinOperator:
     return GalerkinOperator(n, N, np.ascontiguousarray(A[:dim_N, :dim_N]), sym)
 
 
-def _propagator(A, t):
-    """expm(-t A) with step splitting once t ||A|| exceeds 50."""
-    if t == 0.0:
-        return np.eye(A.shape[0], dtype=complex)
-    scale = t * float(np.linalg.norm(A, 2))
-    steps = max(1, int(math.ceil(scale / 50.0)))
-    E = scipy.linalg.expm(-(t / steps) * A)
-    out = E
-    for _ in range(steps - 1):
-        out = out @ E
-    return out
-
-
 def evolve(op: GalerkinOperator, f0: HermiteExpansion, t,
            check_contraction=True) -> HermiteExpansion:
     """Propagate f0 by the Galerkin semigroup, f(t) = expm(-t A) f0.
@@ -394,7 +380,7 @@ def evolve(op: GalerkinOperator, f0: HermiteExpansion, t,
         raise ContractViolation("time must be nonnegative")
     if f0.n != op.n or f0.N != op.N:
         raise ContractViolation("state space mismatch")
-    c = _propagator(op.matrix, t) @ f0.coeffs
+    c = scipy.linalg.expm(-t * op.matrix) @ f0.coeffs
     out = HermiteExpansion(op.n, op.N, c)
     if check_contraction and op.accretive:
         if out.norm() > f0.norm() * (1.0 + 1e-8):
@@ -440,7 +426,7 @@ def dissipation_check(op: GalerkinOperator, t_grid, k_grid, probes=12,
         probe_vecs.append(v / np.linalg.norm(v))
     ratios = np.zeros((len(t_grid), len(k_grid)))
     for it, t in enumerate(t_grid):
-        E = _propagator(op.matrix, t)
+        E = scipy.linalg.expm(-t * op.matrix)
         evolved = [E @ v for v in probe_vecs]
         for jk, k in enumerate(k_grid):
             mask = lev > k
@@ -452,22 +438,16 @@ def dissipation_check(op: GalerkinOperator, t_grid, k_grid, probes=12,
     report = DissipationReport(list(t_grid), list(k_grid), ratios)
     ks = np.asarray(k_grid, dtype=float)
     for it, t in enumerate(t_grid):
-        y = np.log(np.maximum(ratios[it], 1e-280))
-        A = np.column_stack([ks, np.ones_like(ks)])
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        resid = y - A @ coef
-        ssr = float(resid @ resid)
-        tot = float(np.sum((y - y.mean()) ** 2))
-        report.slope_per_t.append(float(coef[0]))
-        report.r2_per_t.append(1.0 - ssr / tot if tot > 0 else 1.0)
+        slope, _, _, r2 = basis.linear_fit(ks, np.log(np.maximum(ratios[it], 1e-280)))
+        report.slope_per_t.append(slope)
+        report.r2_per_t.append(r2)
     slopes = np.array(report.slope_per_t)
     if len(t_grid) >= 2 and np.all(slopes < 0):
-        lt = np.log(np.asarray(t_grid, dtype=float))
-        ld = np.log(-slopes)
-        A = np.column_stack([lt, np.ones_like(lt)])
-        coef, *_ = np.linalg.lstsq(A, ld, rcond=None)
+        exponent, log_prefactor, _, _ = basis.linear_fit(
+            np.log(np.asarray(t_grid, dtype=float)), np.log(-slopes)
+        )
         report.rate_constants = {
-            "time_exponent": float(coef[0]),
-            "log_prefactor": float(coef[1]),
+            "time_exponent": exponent,
+            "log_prefactor": log_prefactor,
         }
     return report

@@ -210,6 +210,16 @@ class TestOutputs:
         doc = json.loads((tmp_path / "o.json").read_text())
         assert doc["result"]["precision_bits"] >= 256
 
+    def test_explicit_precision_reaches_every_horizon(self, capsys, tmp_path):
+        out = str(tmp_path / "o")
+        code = cli.run(["observability", "--symbol", "harmonic", "--region", "full",
+                        "--N", "4", "--T", "1,0.5,0.25", "--precision-bits", "256",
+                        "--quiet", "--out", out])
+        assert code == cli.EXIT_OK
+        rows = json.loads((tmp_path / "o.json").read_text())["result"]["rows"]
+        assert len(rows) == 3
+        assert all(r["precision_bits"] >= 256 for r in rows)
+
     def test_evolve_ground_state(self, capsys, tmp_path):
         out = str(tmp_path / "e")
         code = cli.run(["evolve", "--symbol", "harmonic", "--N", "6",

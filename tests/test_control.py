@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hermite_obs import basis, control as ct, gram, quadratic as qd, regions as rg
 from hermite_obs.basis import ContractViolation
@@ -17,6 +18,59 @@ def harmonic_problem(N, T=1.0, piomega=None):
 def thick_gram(N, gamma=0.6, L=1.0):
     reg = rg.make_periodic_thick(1, L, gamma, rg.truncate_radius(N, 1) + 1)
     return gram.gram_matrix(reg, 1, N).matrix
+
+
+def half_plane_gram(N):
+    reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(N, 2) + 1)
+    return gram.gram_matrix(reg, 2, N).matrix
+
+
+def lyapunov_oracle(A, Q, T):
+    """Bartels-Stewart: W solves A W + W A^H = Q - E Q E^H with E = e^{-TA}."""
+    E = scipy.linalg.expm(-T * A)
+    return scipy.linalg.solve_continuous_lyapunov(A, Q - E @ Q @ E.conj().T), E
+
+
+def gramian_cases():
+    # (generator, Hermitian Q, horizon): non-normal KFP and level-diagonal harmonic
+    kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
+    P_kfp = half_plane_gram(6).astype(complex)
+    harm = qd.weyl_quantize(qd.harmonic_symbol(1), 12).matrix
+    P_harm = thick_gram(12).astype(complex)
+    return [(kfp, P_kfp, 1.0), (kfp, P_kfp @ P_kfp, 0.3), (harm, P_harm, 1.0),
+            (harm, P_harm @ P_harm, 0.125)]
+
+
+class TestGramian:
+    def test_lyapunov_identity(self):
+        # d/dt e^{-tA} Q e^{-tA^H} integrates to A W + W A^H = Q - E Q E^H
+        for A, Q, T in gramian_cases():
+            W, E, _, steps = ct._gramian(ct._DOUBLE, A, Q, T)
+            lhs = A @ W + W @ A.conj().T
+            assert np.linalg.norm(lhs - (Q - E @ Q @ E.conj().T)) <= 1e-12 * np.linalg.norm(Q)
+            # the step h = T / steps is the longest power-of-two split of T
+            # with h ||A||_1 <= 1
+            norm1 = np.abs(A).sum(axis=0).max()
+            assert T * norm1 <= steps and (steps == 1 or T * norm1 > steps / 2)
+
+    def test_matches_bartels_stewart(self):
+        for A, Q, T in gramian_cases():
+            W, E, _, _ = ct._gramian(ct._DOUBLE, A, Q, T)
+            W_bs, E_ref = lyapunov_oracle(A, Q, T)
+            assert np.linalg.norm(W - W_bs) <= 1e-12 * np.linalg.norm(W_bs)
+            assert np.linalg.norm(E - E_ref) <= 1e-12 * np.linalg.norm(E_ref)
+            assert np.array_equal(W, W.conj().T)
+
+    def test_mp_matches_double(self):
+        kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
+        P = half_plane_gram(3).astype(complex)
+        W, _, _, steps = ct._gramian(ct._DOUBLE, kfp, P, 0.5)
+        ar = ct._Mp(256)
+        with mpmath.workprec(ar.bits + 16):
+            W_mp, _, _, steps_mp = ct._gramian(ar, kfp, ar.from_np(P), 0.5)
+            W_mp = np.array(W_mp.tolist(), dtype=complex)
+        assert steps_mp == steps
+        assert np.linalg.norm(W_mp - W) <= 1e-12 * np.linalg.norm(W_mp)
 
 
 class TestObservability:
@@ -50,9 +104,8 @@ class TestObservability:
         P = thick_gram(N)
         prob = harmonic_problem(N, 1.0, P)
         rep = ct.observability_constant(prob)
-        A = prob.A.matrix
-        W, grid = ct._np_gramian(A, P.astype(complex), prob.T)
-        M = grid.prop_T @ grid.prop_T.conj().T
+        W, E = lyapunov_oracle(prob.A.matrix, P.astype(complex), prob.T)
+        M = E @ E.conj().T
         rng = np.random.default_rng(8)
         for _ in range(20):
             g = rng.standard_normal(prob.A.size) + 1j * rng.standard_normal(prob.A.size)
@@ -64,9 +117,8 @@ class TestObservability:
         P = thick_gram(N)
         prob = harmonic_problem(N, 1.0, P)
         rep = ct.observability_constant(prob)
-        A = prob.A.matrix
-        W, grid = ct._np_gramian(A, P.astype(complex), prob.T)
-        M = grid.prop_T @ grid.prop_T.conj().T
+        W, E = lyapunov_oracle(prob.A.matrix, P.astype(complex), prob.T)
+        M = E @ E.conj().T
         g = rep.extremal.coeffs
         ratio = float(np.real(np.vdot(g, M @ g)) / np.real(np.vdot(g, W @ g)))
         assert ratio == pytest.approx(rep.c_value, rel=1e-8)
@@ -147,6 +199,22 @@ class TestHumControl:
         c_small = ct.hum_control(harmonic_problem(N, 1.0, P_small), f0).cost
         c_big = ct.hum_control(harmonic_problem(N, 1.0, P_big), f0).cost
         assert c_big <= c_small * (1 + 1e-9)
+
+    def test_mp_path_matches_double(self):
+        # the 256-bit residual sits at the control grid's quadrature error,
+        # far below double rounding; the cost agrees with double precision
+        N = 6
+        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        f0 = basis.random_expansion(1, N, np.random.default_rng(17))
+        a = ct.hum_control(prob, f0)
+        b = ct.hum_control(prob, f0, precision_bits=256)
+        assert b.precision_bits == 256 and b.flag == "ok"
+        assert b.subintervals == a.subintervals
+        assert b.residual <= 1e-15
+        assert b.cost == pytest.approx(a.cost, rel=1e-10)
+        assert b.times == pytest.approx(a.times, rel=1e-15)
+        assert all(np.allclose(u.coeffs, v.coeffs, rtol=1e-9, atol=1e-12)
+                   for u, v in zip(a.controls, b.controls))
 
     def test_state_space_mismatch(self):
         prob = harmonic_problem(6)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -175,8 +176,20 @@ class TestEvolve:
     def test_step_splitting_regime(self):
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 30)
         f0 = basis.unit_expansion(1, 30, (0,))
-        ft = qd.evolve(A, f0, 2.0)  # t ||A|| = 122 forces splitting
+        ft = qd.evolve(A, f0, 2.0)  # stiff horizon: t ||A|| = 122
         assert abs(ft.coeffs[0]) == pytest.approx(math.exp(-2.0), rel=1e-10)
+
+    def test_stiff_non_normal_matches_mpmath_oracle(self):
+        # KFP generator at N = 4 with t ||A||_2 = 150: the double-precision
+        # propagator against a 120-bit Taylor expm
+        op = qd.weyl_quantize(qd.kfp_symbol(1.0), 4)
+        t = 150.0 / np.linalg.norm(op.matrix, 2)
+        f0 = basis.random_expansion(2, 4, np.random.default_rng(3))
+        got = qd.evolve(op, f0, t).coeffs
+        with mpmath.workprec(120):
+            E = mpmath.expm(mpmath.matrix((-t * op.matrix).tolist()))
+            want = np.array([complex(z) for z in E * mpmath.matrix(f0.coeffs.tolist())])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestDissipation:
