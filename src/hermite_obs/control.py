@@ -371,7 +371,7 @@ class StaircaseResult:
 
 
 def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
-                 a=0.5, b=1.0, m=None, target=1e-6) -> StaircaseResult:
+                 target=1e-6) -> StaircaseResult:
     """Iterative low-mode steering with free dissipation in between.
 
     Stage j works on the dyadic time slice T_j = T 2^{-j-1}: during the
@@ -390,7 +390,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
     N = problem.A.N
     n = problem.A.n
     nrm0 = f0.norm()
-    params = {"K0": K0, "a": a, "b": b, "m": m, "target": target}
+    params = {"K0": K0, "target": target}
     if nrm0 == 0.0:
         return StaircaseResult([], 0.0, 0.0, "ok", params)
 

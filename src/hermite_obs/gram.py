@@ -81,56 +81,83 @@ def _require_radius(region, n, N):
         )
 
 
-def gram_matrix(region: Region, n, N) -> GramOperator:
-    """Assemble G[a, b] = int_region Phi_a Phi_b by tensorized 1-D integrals.
+def _times(outer, inner):
+    """Entrywise product of an outer-axis table with an inner sum.
 
-    Requires the region to be truncated at least at safety 1.5 times the
-    quarter-mass radius for E_N; the neglected tail is added to the entry
-    error budget together with the quadrature errors.
+    In double precision both carry (values, |values|, bound), and the bound
+    of the product is (|T| + E)(A' + E') - |T| A' = E (A' + E') + |T| E',
+    written without the cancelling difference.
+    """
+    if len(outer) == 1:
+        return [outer[0] * inner[0]]
+    (T, A, E), (T2, A2, E2) = outer, inner
+    return [T * T2, A * A2, E * (A2 + E2) + A * E2]
+
+
+def _assemble(region: Region, n, N, mp=None):
+    """Sum over the region's boxes of the tensor products of pair tables.
+
+    One table per distinct interval serves every box and axis that uses it.
+    Boxes are grouped by their interval on each axis in turn; the innermost
+    axis stays a sum of (N+1)^2 tables and is spread onto the dim x dim
+    multi-index grid only to be multiplied by an outer axis.  In double
+    precision the result is ``[G, A, E]``: the Gram matrix, the sum over
+    boxes of prod |T| and the sum of the per-box bounds
+    prod(|T| + E_T) - prod |T|.  With an mpmath context it is ``[G]``, with
+    mpf entries in the working precision.
     """
     if region.n != n:
         raise ContractViolation("region dimension mismatch")
     _require_radius(region, n, N)
     idx = basis.multi_indices(n, N)
-    dim = len(idx)
-    axes_per_idx = [np.array([alpha[j] for alpha in idx]) for j in range(n)]
-    G = np.zeros((dim, dim))
-    E = np.zeros((dim, dim))
-    for lo, hi in zip(region.lows, region.highs):
-        vals_prod = np.ones((dim, dim))
-        upper_prod = np.ones((dim, dim))
-        for j in range(n):
-            vals, errs = regions.interval_pair_tables(lo[j], hi[j], N)
-            sub = vals[np.ix_(axes_per_idx[j], axes_per_idx[j])]
-            sub_err = errs[np.ix_(axes_per_idx[j], axes_per_idx[j])]
-            vals_prod = vals_prod * sub
-            upper_prod = upper_prod * (np.abs(sub) + sub_err)
-        G += vals_prod
-        E += upper_prod - np.abs(vals_prod)
-    G = 0.5 * (G + G.T)
+    # spread[j] maps the (N+1)^2 table of axis j onto the dim x dim grid
+    spread = [np.ix_(degrees, degrees) for degrees in np.array(idx).T]
+    tables = {}
+
+    def table(lo, hi):
+        if (lo, hi) not in tables:
+            tables[lo, hi] = regions.interval_pair_tables(lo, hi, N, mp)
+        if mp is not None:
+            return [tables[lo, hi]]
+        vals, errs = tables[lo, hi]
+        return [vals, np.abs(vals), errs]
+
+    if not region.box_count:
+        return [np.zeros((len(idx), len(idx)))] * (3 if mp is None else 1)
+    return _axis_sum(region, 0, np.arange(region.box_count), table, spread)
+
+
+def _axis_sum(region, axis, rows, table, spread):
+    """Sum over the boxes ``rows`` of the products of their tables on the
+    axes from ``axis`` on, grouped by the boxes' interval on ``axis``."""
+    ends = np.stack([region.lows[rows, axis], region.highs[rows, axis]], axis=1)
+    keys, group = np.unique(ends, axis=0, return_inverse=True)
+    total = None
+    for g, (lo, hi) in enumerate(keys):
+        part = table(float(lo), float(hi))
+        if axis < region.n - 1:
+            inner = _axis_sum(region, axis + 1, rows[group.ravel() == g], table, spread)
+            part = _times([t[spread[axis]] for t in part], inner)
+        total = part if total is None else [s + p for s, p in zip(total, part)]
+    return [t[spread[axis]] for t in total] if axis == region.n - 1 else total
+
+
+def gram_matrix(region: Region, n, N) -> GramOperator:
+    """Assemble G[a, b] = int_region Phi_a Phi_b from closed-form 1-D tables.
+
+    Requires the region to be truncated at least at safety 1.5 times the
+    quarter-mass radius for E_N; the neglected tail is added to the entry
+    error budget together with the rounding bounds of the tables.
+    """
+    G, _, E = _assemble(region, n, N)
     entry_error = float(np.max(E)) + truncation_entry_error(n, N, region.trunc_radius)
     return GramOperator(n, N, G, entry_error, region)
 
 
 def gram_matrix_mp(region: Region, n, N):
     """Gram matrix at the current mpmath precision (closed-form entries)."""
-    _require_radius(region, n, N)
-    idx = basis.multi_indices(n, N)
-    dim = len(idx)
-    G = mp.zeros(dim, dim)
-    for lo, hi in zip(region.lows, region.highs):
-        tables = [regions.interval_pair_table_mp(lo[j], hi[j], N, mp) for j in range(n)]
-        for irow, alpha in enumerate(idx):
-            for icol in range(irow + 1):
-                beta = idx[icol]
-                term = mp.mpf(1)
-                for j in range(n):
-                    term *= tables[j][alpha[j]][beta[j]]
-                G[irow, icol] += term
-    for irow in range(dim):
-        for icol in range(irow):
-            G[icol, irow] = G[irow, icol]
-    return G
+    (G,) = _assemble(region, n, N, mp)
+    return mp.matrix(G.tolist())
 
 
 @dataclass(frozen=True)

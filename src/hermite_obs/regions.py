@@ -3,15 +3,20 @@
 A region is always normalized to a finite union of pairwise-disjoint boxes
 inside a truncation ball; geometric diagnostics (thickness, density ratios)
 are exact box arithmetic, and integrals of Hermite-function pairs over a
-region reduce per axis to one-dimensional integrals over intervals:
+region reduce per axis to one-dimensional integrals over intervals, all in
+closed form from the boundary values of phi_k and phi_k':
 
-* ``j != k``: exact through the Wronskian identity
+* ``j != k``: the Wronskian identity
   ``int_a^b phi_j phi_k = [phi_j phi_k' - phi_j' phi_k]_a^b / (2 (j - k))``,
   a consequence of both factors solving the oscillator equation.
-* ``j == k``: adaptive composite Gauss-Legendre panels, or (in the
-  arbitrary-precision path) a forward recurrence seeded by the error
-  function, in which the diagonal at degree k+1 is expressed with the
-  diagonal at k plus boundary terms and Wronskian-exact off-diagonals.
+* ``j == k``: the ladder recurrence
+  ``I_{k+1} = I_k - [phi_k phi_{k+1}]_a^b / sqrt(2 (k + 1))`` seeded with
+  ``I_0 = (erf(b) - erf(a)) / 2``; it follows from
+  ``a^dagger phi_k = sqrt(k + 1) phi_{k+1}`` and one integration by parts
+  of ``a^dagger = (x - d/dx) / sqrt(2)``.
+
+The same formulas serve double precision (with a derived rounding bound)
+and arbitrary precision.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis
 from .basis import ContractViolation
 from .estimates import tail_constant_cn
 from .quadrature import composite_gauss_legendre
 
 WRONSKIAN_EXACT = "wronskian_exact"
+ERF_RECURRENCE = "erf_recurrence"
 
 
 @dataclass(frozen=True)
@@ -108,12 +113,14 @@ class Region:
             return
         vols = np.prod(self.highs - self.lows, axis=1)
         floor = 1e-12 * max(np.min(vols[vols > 0], initial=1.0), 1e-300)
-        for i in range(K):
-            for j in range(i + 1, K):
-                lo = np.maximum(self.lows[i], self.lows[j])
-                hi = np.minimum(self.highs[i], self.highs[j])
-                if np.all(hi > lo) and np.prod(hi - lo) > floor:
-                    raise ContractViolation("boxes overlap beyond tolerance")
+        rows = max(1, 2**15 // (K * self.n))  # chunk of rows i, all j, ~2^15 coordinates
+        for start in range(0, K - 1, rows):
+            i = np.arange(start, min(start + rows, K - 1))
+            lo = np.maximum(self.lows[i, None], self.lows[None, :])
+            hi = np.minimum(self.highs[i, None], self.highs[None, :])
+            overlap = np.all(hi > lo, axis=2) & (np.prod(hi - lo, axis=2) > floor)
+            if np.any(overlap & (i[:, None] < np.arange(K))):
+                raise ContractViolation("boxes overlap beyond tolerance")
 
     # -- measures -----------------------------------------------------------
 
@@ -374,169 +381,118 @@ def density_ratio(region: Region, R, tol=1e-7):
 # -- Hermite pair integration ---------------------------------------------------
 
 
-def _wronskian_offdiag(j, k, va, vb, da, db):
-    """int_a^b phi_j phi_k from boundary data, for j != k."""
-    upper = vb[j] * db[k] - db[j] * vb[k]
-    lower = va[j] * da[k] - da[j] * va[k]
-    return (upper - lower) / (2.0 * (j - k))
+def interval_pair_tables(a, b, N, mp=None):
+    """All integrals int_a^b phi_j phi_k for j, k <= N, in closed form.
 
-
-def interval_pair_tables(a, b, N):
-    """All integrals int_a^b phi_j phi_k for j, k <= N, with error bounds.
-
-    Off-diagonal entries use the Wronskian identity (exact up to rounding of
-    the boundary evaluations); diagonal entries use shared-grid composite
-    Gauss-Legendre panels, doubled until every diagonal stabilizes.
-    Returns (values, error_bounds) as (N+1, N+1) arrays.
+    The boundary values phi_k(a), phi_k(b) come from the weighted three-term
+    recurrence, the off-diagonals from the Wronskian identity and the
+    diagonals from the erf-seeded ladder recurrence (module docstring).
+    With ``mp=None`` everything runs in double precision, vectorized, and the
+    result is ``(values, error_bounds)``, two (N+1, N+1) arrays whose bounds
+    come from the rounding analysis below.  With an mpmath context the same
+    formulas run in its working precision and only the values are returned,
+    as an (N+1, N+1) object array of mpf.
     """
+    if mp is None:
+        num, sqrt, exp, erf, erfc, pi, dtype = (
+            float, math.sqrt, math.exp, math.erf, math.erfc, math.pi, float)
+    else:
+        num, sqrt, exp, erf, erfc, pi, dtype = (
+            mp.mpf, mp.sqrt, mp.exp, mp.erf, mp.erfc, mp.pi, object)
+    K = N + 1
+    x = np.array([num(a), num(b)], dtype=dtype)
+    c = np.array([sqrt(num(2) / (k + 1)) for k in range(K)], dtype=dtype)
+    d = np.array([sqrt(num(k) / (k + 1)) for k in range(K)], dtype=dtype)
+    root = np.array([sqrt(num(k)) for k in range(K + 1)], dtype=dtype)
+
+    # v[k] = (phi_k(a), phi_k(b)) for k <= N+1, dv[k] = (phi_k'(a), phi_k'(b)) for k <= N
+    xc = x * c[:, None]
+    v = np.empty((K + 1, 2), dtype=dtype)
+    v[0] = [pi ** num(-0.25) * exp(-t * t / 2) for t in x]
+    v[1] = xc[0] * v[0]
+    for k in range(1, K):
+        v[k + 1] = xc[k] * v[k] - d[k] * v[k - 1]
+    below = np.concatenate([v[:1] * 0, v[:K - 1]])
+    dv = (root[:K, None] * below - root[1:, None] * v[1:]) / sqrt(num(2))
+
+    # off[j, k] = [phi_j phi_k' - phi_j' phi_k]_a^b / (2 (j - k)), symmetric
+    row, col = upper = np.triu_indices(K, 1)
+    lower = (col, row)
+    wronskian = [v[row, e] * dv[col, e] - v[col, e] * dv[row, e] for e in (0, 1)]
+    den = np.array([num(-2 * m) for m in range(K)], dtype=dtype)[col - row]
+    vals = np.empty((K, K), dtype=dtype)
+    vals[upper] = vals[lower] = (wronskian[1] - wronskian[0]) / den
+
+    # diagonal: I_{k+1} = I_k - (c_k / 2) [phi_k phi_{k+1}]_a^b from I_0, which is
+    # (erf(b) - erf(a)) / 2 reflected to lean right and taken through erfc
+    # when both ends share a sign, so that far intervals keep relative accuracy
+    B = v[:N, 1] * v[1:K, 1] - v[:N, 0] * v[1:K, 0]
+    step = c[:N] / 2 * B
+    lo, hi = (x[0], x[1]) if a + b >= 0 else (-x[1], -x[0])
+    F, sign = (erfc, -1) if lo >= 0 else (erf, 1)
+    F_lo, F_hi = F(lo), F(hi)
+    seed = sign * (F_hi - F_lo) / 2
+    diag = np.cumsum(np.concatenate([np.array([seed], dtype=dtype), -step]))
+    np.fill_diagonal(vals, diag)
+    if mp is not None:
+        return vals
+
+    # Rounding bound.  eps = 2u dominates every gamma_m = m u / (1 - m u)
+    # below.  The boundary values solve T v = phi_0 e_0, T unit lower
+    # triangular with row k+1 reading v_{k+1} - x c_k v_k + d_k v_{k-1}.
+    # Forward substitution with rounded coefficients gives
+    # (T + dT) v^ = phi_0^ e_0 with |dT| <= 3 eps |T| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Thm 8.5), so
+    #     |v - v^| <= |T^-1| (3 eps |T| |v^| + |phi_0 - phi_0^| e_0),
+    # where exp(-x^2/2) inherits the relative error u x^2/2 of x^2.  An
+    # underflow adds at most half a subnormal step: the seed's share is
+    # carried by T^-1, the rest by a floor of the smallest normal number.
     eps = np.finfo(float).eps
-    va = basis.hermite_values(N + 2, np.array(a))
-    vb = basis.hermite_values(N + 2, np.array(b))
-    da = basis.hermite_derivatives(N + 1, np.array(a), values=va)
-    db = basis.hermite_derivatives(N + 1, np.array(b), values=vb)
-
-    vals = np.zeros((N + 1, N + 1))
-    errs = np.zeros((N + 1, N + 1))
-    for j in range(N + 1):
-        for k in range(j):
-            v = _wronskian_offdiag(j, k, va, vb, da, db)
-            scale = (
-                abs(vb[j] * db[k]) + abs(db[j] * vb[k])
-                + abs(va[j] * da[k]) + abs(da[j] * va[k])
-            )
-            e = 8.0 * eps * (scale / (2.0 * abs(j - k)) + abs(v))
-            vals[j, k] = vals[k, j] = v
-            errs[j, k] = errs[k, j] = e
-
-    # diagonals on a shared panel grid
-    panels = max(1, int((b - a) * math.sqrt(2.0 * N + 1.0) / 4.0) + 1)
-    x, w = np.polynomial.legendre.leggauss(20)
-    prev = None
-    diag = np.ones(N + 1)
-    diag_err = np.full(N + 1, math.inf)
-    for _ in range(14):
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        tab = basis.hermite_values(N, pts)
-        weights = (half[:, None] * w[None, :]).ravel()
-        diag = (tab * tab) @ weights
-        if prev is not None:
-            diag_err = np.abs(diag - prev)
-            if np.all(diag_err <= 1e-13):
-                break
-        prev = diag
-        panels *= 2
-    for k in range(N + 1):
-        vals[k, k] = diag[k]
-        errs[k, k] = max(diag_err[k], 1e-300)
-    return vals, errs
+    tiny = np.finfo(float).smallest_subnormal
+    av = np.abs(v)
+    G = np.zeros((K + 1, 2, K + 1))  # G[k, e, m] = (T^-1)[k, m] at end e
+    G[np.arange(K + 1), :, np.arange(K + 1)] = 1.0
+    G[1] += xc[0, :, None] * G[0]
+    for k in range(1, K):
+        G[k + 1] += xc[k, :, None] * G[k] - d[k] * G[k - 1]
+    Tv = av.copy()
+    Tv[1:] += np.abs(xc) * av[:-1]
+    Tv[2:] += d[1:, None] * av[:-2]
+    r = 3 * eps * Tv + tiny
+    r[0] = eps * (x * x / 4 + 3) * av[0] + tiny
+    rho = (np.abs(G) * r.T[None, :, :]).sum(axis=2)
+    # phi_k' carries its terms' errors and 3 eps of their size; products of
+    # perturbed factors obey |pq - p^q^| <= dp |q^| + (|p^| + dp) dq
+    sig = (root[:K, None] * (np.concatenate([rho[:1] * 0, rho[:K - 1]]) + 3 * eps * np.abs(below))
+           + root[1:, None] * (rho[1:] + 3 * eps * av[1:])) / math.sqrt(2.0)
+    adv = np.abs(dv)
+    S = (rho[:K, None, :] * adv[None, :, :] + (av[:K, None, :] + rho[:K, None, :]) * sig[None, :, :]
+         + 2 * eps * av[:K, None, :] * adv[None, :, :]).sum(axis=2)
+    errs = np.empty((K, K))
+    errs[upper] = errs[lower] = (S[upper] + S[lower]) / np.abs(den) + eps * np.abs(vals[upper])
+    err_B = (rho[:N] * av[1:K] + (av[:N] + rho[:N]) * rho[1:K]
+             + 2 * eps * av[:N] * av[1:K]).sum(axis=1)
+    err_seed = 4 * eps * (abs(F_lo) + abs(F_hi)) + eps * abs(seed)  # erf, erfc to 8 ulp
+    err_step = c[:N] / 2 * err_B + 2 * eps * np.abs(step) + eps * np.abs(diag[1:])
+    np.fill_diagonal(errs, err_seed + np.concatenate([[0.0], np.cumsum(err_step)]))
+    return vals, errs + np.finfo(float).tiny
 
 
 def integrate_pair(region: Region, j, k):
     """int over a 1-D region of phi_j phi_k, with an honest error account.
 
-    The result is the sum over the region's intervals; the method tag records
-    whether the value came out of the exact Wronskian identity (j != k) or
-    from adaptive Gauss-Legendre panels (j == k).
+    The result is one entry of ``interval_pair_tables`` summed over the
+    region's intervals; the method tag names the closed form behind it, the
+    Wronskian identity (j != k) or the erf-seeded recurrence (j == k).
     """
     if region.n != 1:
         raise ContractViolation("integrate_pair is a one-dimensional building block")
     if j < 0 or k < 0:
         raise ContractViolation("degrees must be >= 0")
-    eps = np.finfo(float).eps
     total, err = 0.0, 0.0
-    if j != k:
-        for lo, hi in zip(region.lows[:, 0], region.highs[:, 0]):
-            va = basis.hermite_values(max(j, k) + 1, np.array(lo))
-            vb = basis.hermite_values(max(j, k) + 1, np.array(hi))
-            da = basis.hermite_derivatives(max(j, k), np.array(lo), values=va)
-            db = basis.hermite_derivatives(max(j, k), np.array(hi), values=vb)
-            v = _wronskian_offdiag(j, k, va, vb, da, db)
-            scale = (
-                abs(vb[j] * db[k]) + abs(db[j] * vb[k])
-                + abs(va[j] * da[k]) + abs(da[j] * va[k])
-            )
-            total += v
-            err += 8.0 * eps * (scale / (2.0 * abs(j - k)) + abs(v))
-        return QuadratureAccount(float(total), float(err), WRONSKIAN_EXACT)
-
-    order = 20
-    panel_count = 0
     for lo, hi in zip(region.lows[:, 0], region.highs[:, 0]):
-        def integrand(x):
-            return basis.hermite_values(j, x)[j] ** 2
-
-        min_panels = max(1, int((hi - lo) * math.sqrt(2.0 * j + 1.0) / 4.0) + 1)
-        v, e, p = composite_gauss_legendre(
-            integrand, lo, hi, abs_tol=1e-13, order=order, min_panels=min_panels
-        )
-        total += v
-        err += e
-        panel_count += p
-    return QuadratureAccount(
-        float(total), float(err), "panel_gl(order=%d, panels=%d)" % (order, panel_count)
-    )
-
-
-def interval_pair_table_mp(a, b, N, mp):
-    """Arbitrary-precision table of int_a^b phi_j phi_k, j, k <= N.
-
-    All entries are closed-form in the working precision: off-diagonals by
-    the Wronskian identity and diagonals by the forward recurrence
-
-        I_{k+1} = I_k - sqrt(2/(k+1)) [phi_k phi_{k+1}]_a^b
-                  + sqrt(k/(k+1)) J_{k-1,k+1} - sqrt((k+2)/(k+1)) J_{k,k+2},
-
-    seeded with I_0 = (erf(b) - erf(a)) / 2.
-    """
-
-    def phi_values(x, top):
-        x = mp.mpf(x)
-        vals = [mp.pi ** mp.mpf("-0.25") * mp.e ** (-x * x / 2)]
-        if top >= 1:
-            vals.append(x * mp.sqrt(2) * vals[0])
-        for k in range(1, top):
-            vals.append(
-                x * mp.sqrt(mp.mpf(2) / (k + 1)) * vals[k]
-                - mp.sqrt(mp.mpf(k) / (k + 1)) * vals[k - 1]
-            )
-        return vals
-
-    top = N + 3
-    va = phi_values(a, top)
-    vb = phi_values(b, top)
-
-    def derivs(vals):
-        out = []
-        for k in range(N + 2):
-            low = mp.sqrt(k) * vals[k - 1] if k > 0 else mp.mpf(0)
-            out.append((low - mp.sqrt(k + 1) * vals[k + 1]) / mp.sqrt(2))
-        return out
-
-    da = derivs(va)
-    db = derivs(vb)
-
-    def offdiag(j, k):
-        upper = vb[j] * db[k] - db[j] * vb[k]
-        lower = va[j] * da[k] - da[j] * va[k]
-        return (upper - lower) / (2 * (j - k))
-
-    table = [[mp.mpf(0)] * (N + 1) for _ in range(N + 1)]
-    for j in range(N + 1):
-        for k in range(j):
-            v = offdiag(j, k)
-            table[j][k] = v
-            table[k][j] = v
-
-    I = (mp.erf(b) - mp.erf(a)) / 2
-    table[0][0] = I
-    for k in range(N):
-        boundary = vb[k] * vb[k + 1] - va[k] * va[k + 1]
-        I = I - mp.sqrt(mp.mpf(2) / (k + 1)) * boundary
-        if k >= 1:
-            I += mp.sqrt(mp.mpf(k) / (k + 1)) * offdiag(k - 1, k + 1)
-        I -= mp.sqrt(mp.mpf(k + 2) / (k + 1)) * offdiag(k, k + 2)
-        table[k + 1][k + 1] = I
-    return table
+        vals, errs = interval_pair_tables(lo, hi, max(j, k))
+        total += vals[j, k]
+        err += errs[j, k]
+    return QuadratureAccount(float(total), float(err),
+                             WRONSKIAN_EXACT if j != k else ERF_RECURRENCE)

@@ -12,6 +12,29 @@ def halfline_region(N, extra=1.0):
     return rg.half_line(rg.truncate_radius(N, 1) + extra)
 
 
+def per_box_reference(region, n, N):
+    """Gram matrix and entry error box by box, with fresh tables per axis.
+
+    The bound of a product of perturbed factors, prod(|t| + e) - prod |t|,
+    is accumulated axis by axis as U <- U (|t| + e) + |P| e, which is the
+    same quantity without the cancellation of the difference.
+    """
+    idx = basis.multi_indices(n, N)
+    axes = [np.ix_(*[np.array([a[j] for a in idx])] * 2) for j in range(n)]
+    G = np.zeros((len(idx), len(idx)))
+    E = np.zeros_like(G)
+    for lo, hi in zip(region.lows, region.highs):
+        P, U = np.ones_like(G), np.zeros_like(G)
+        for j in range(n):
+            t, e = rg.interval_pair_tables(lo[j], hi[j], N)
+            t, e = t[axes[j]], e[axes[j]]
+            U = U * (np.abs(t) + e) + np.abs(P) * e
+            P = P * t
+        G += P
+        E += U
+    return G, float(np.max(E)) + gram.truncation_entry_error(n, N, region.trunc_radius)
+
+
 class TestGramAssembly:
     def test_full_space_identity(self):
         reg = rg.full_space(2, rg.truncate_radius(3, 2) + 1)
@@ -45,17 +68,36 @@ class TestGramAssembly:
     def test_mp_matches_double(self):
         reg = rg.make_periodic_thick(1, 1.0, 0.5, rg.truncate_radius(4, 1) + 1)
         G = gram.gram_matrix(reg, 1, 4)
-        old = mpmath.mp.prec
-        try:
-            mpmath.mp.prec = 120
+        with mpmath.workprec(120):
             Gm = gram.gram_matrix_mp(reg, 1, 4)
             dev = max(
                 abs(float(Gm[i, j]) - G.matrix[i, j])
                 for i in range(G.size)
                 for j in range(G.size)
             )
-        finally:
-            mpmath.mp.prec = old
+        assert dev < 1e-11
+
+
+    @pytest.mark.parametrize("n,N,L,gamma", [(2, 5, 1.0, 0.5), (3, 3, 3.0, 0.4)])
+    def test_grouped_assembly_matches_per_box_reference(self, n, N, L, gamma):
+        R = rg.truncate_radius(N, n) + 1
+        reg = rg.union(rg.make_periodic_thick(n, L, gamma, R),
+                       rg.box_region([R - 0.5] * n, [R - 0.25] * n, trunc_radius=R))
+        G = gram.gram_matrix(reg, n, N)
+        want, want_err = per_box_reference(reg, n, N)
+        assert np.max(np.abs(G.matrix - want)) < 1e-14
+        assert G.entry_error == pytest.approx(want_err, rel=1e-12, abs=0)
+
+    def test_mp_matches_double_2d(self):
+        reg = rg.make_periodic_thick(2, 1.0, 0.5, rg.truncate_radius(6, 2) + 1)
+        G = gram.gram_matrix(reg, 2, 6)
+        with mpmath.workprec(120):
+            Gm = gram.gram_matrix_mp(reg, 2, 6)
+            dev = max(
+                abs(float(Gm[i, j]) - G.matrix[i, j])
+                for i in range(G.size)
+                for j in range(G.size)
+            )
         assert dev < 1e-11
 
 

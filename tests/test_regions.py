@@ -40,6 +40,19 @@ class TestGenerators:
         assert r.box_count == 1
         assert r.measure() == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("corner", [(0.5, 0.5), (30.5, 29.5)])
+    def test_overlap_hidden_among_many_boxes(self, corner):
+        # 32 x 32 unit squares tile [0, 32]^2; touching boxes are accepted
+        g = np.arange(32.0)
+        lows = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        tiled = rg.Region(2, lows, lows + 1.0)
+        assert tiled.box_count == 1024
+        assert tiled.measure() == pytest.approx(1024.0)
+        # one more unit square straddling four tiles, early or late in the list
+        bad = np.vstack([lows, [corner]])
+        with pytest.raises(ContractViolation, match="overlap"):
+            rg.Region(2, bad, bad + 1.0)
+
     def test_ball_complement(self):
         r = rg.ball_complement(1.0, 5.0)
         assert r.box_count == 2
@@ -115,8 +128,9 @@ class TestPairIntegral:
     def test_account_honesty_under_refinement(self):
         # reported bounds must dominate the change seen at doubled resolution
         r = rg.interval_region(0.3, 2.7)
-        for k in (0, 3, 9):
+        for k in (0, 3, 9, 25, 40):
             acc = rg.integrate_pair(r, k, k)
+            assert acc.method == rg.ERF_RECURRENCE
 
             def f(x):
                 return basis.hermite_values(k, x)[k] ** 2
@@ -125,6 +139,18 @@ class TestPairIntegral:
                 f, 0.3, 2.7, abs_tol=1e-15, min_panels=64
             )
             assert abs(acc.value - finer) <= max(acc.abs_error_bound, 1e-13)
+
+    @pytest.mark.parametrize("a,b", [(-8.0097, 3.2986), (0.0, 40.0), (-40.0, 40.0), (5.0, 40.0),
+                                     (0.7093, 19.7191), (-20.3609, -0.9621), (-17.0869, -4.2967)])
+    def test_rounding_bound_holds_against_320_bits(self, a, b):
+        # the same closed forms at 320 bits leave only the double rounding,
+        # which every entry's reported bound must cover
+        N = 64
+        vals, errs = rg.interval_pair_tables(a, b, N)
+        with mpmath.workprec(320):
+            ref = rg.interval_pair_tables(a, b, N, mpmath.mp)
+            ref = np.array([[float(e) for e in row] for row in ref])
+        assert np.all(np.abs(vals - ref) <= errs)
 
     def test_tensorization_against_2d_quadrature(self):
         # int_box Phi_a Phi_b factorizes; oracle is a tensor Gauss rule
@@ -146,12 +172,8 @@ class TestPairIntegral:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_mp_table_matches_double(self):
-        old = mpmath.mp.prec
-        try:
-            mpmath.mp.prec = 200
-            tab = rg.interval_pair_table_mp(0.0, 40.0, 8, mpmath.mp)
-        finally:
-            mpmath.mp.prec = old
+        with mpmath.workprec(200):
+            tab = rg.interval_pair_tables(0.0, 40.0, 8, mpmath.mp)
         vals, errs = rg.interval_pair_tables(0.0, 40.0, 8)
         for j in range(9):
             for k in range(9):
