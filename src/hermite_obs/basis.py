@@ -32,6 +32,31 @@ class ContractViolation(ValueError):
     """An operation was called outside its documented contract."""
 
 
+class UsageError(ContractViolation):
+    """Malformed user input; the command line reports it as a usage error."""
+
+
+def parse_shorthand(text, table):
+    """'head:key=value,...' -> (head, {key: float}).  ``table`` maps each
+    head to its keys and their defaults, None for a required key; any other
+    head or key, a value that is not a number or a missing required key
+    raises UsageError."""
+    head, _, args = text.partition(":")
+    opts = dict(table.get(head, {}))
+    try:
+        if head not in table:
+            raise ValueError("unknown shorthand; choose from %s" % ", ".join(table))
+        for key, _, val in (item.partition("=") for item in args.split(",") if item):
+            if key.strip() not in opts:
+                raise ValueError("%s takes the keys %s" % (head, ", ".join(opts) or "none"))
+            opts[key.strip()] = float(val)
+        if None in opts.values():
+            raise ValueError("%s needs the keys %s" % (head, ", ".join(opts)))
+    except ValueError as exc:
+        raise UsageError("%r: %s" % (text, exc)) from None
+    return head, opts
+
+
 def space_dimension(n, N):
     """Dimension of E_N in n variables: binomial(N + n, n)."""
     return math.comb(N + n, n)
@@ -374,10 +399,6 @@ def raise_matrix(n, M, axis):
     A[tgt, src] = fac
     A.flags.writeable = False
     return A
-
-
-def lower_matrix(n, M, axis):
-    return raise_matrix(n, M, axis).T
 
 
 def position_matrix(n, M, axis):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import basis, control as ct, estimates as est, gram, quadratic as qd
 from . import regions as rg, reporting, verify
-from .basis import ContractViolation
+from .basis import ContractViolation, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,13 +29,14 @@ EXIT_IO = 4
 ENV_PRECISION = "HERMITE_OBS_PRECISION_BITS"
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+REGION_SHORTHANDS = {"periodic": {"L": 1.0, "gamma": 0.5}, "halfline": {}, "full": {},
+                     "halfspace": {"axis": 0.0, "c": 0.0}, "ball": {"r": 1.0},
+                     "interval": {"a": None, "b": None}, "ballcomp": {"r0": 1.0}}
 
 
 def parse_region(text, n, N, safety=1.5, margin=1.0):
@@ -45,54 +46,42 @@ def parse_region(text, n, N, safety=1.5, margin=1.0):
     'ball:r=1' (interval in 1-D), 'interval:a=-1,b=1',
     'halfspace:axis=0,c=0', 'ballcomp:r0=1'.
     """
-    head, _, args = text.partition(":")
-    opts = {}
-    if args:
-        for item in args.split(","):
-            key, _, val = item.partition("=")
-            opts[key.strip()] = float(val)
+    head, opts = basis.parse_shorthand(text, REGION_SHORTHANDS)
     radius = rg.truncate_radius(N, n, safety=safety) + margin
     if head == "periodic":
-        return rg.make_periodic_thick(n, opts.get("L", 1.0), opts.get("gamma", 0.5), radius)
-    if head == "halfline":
-        if n != 1:
-            raise ContractViolation("halfline is one-dimensional")
-        return rg.half_line(radius)
+        return rg.make_periodic_thick(n, opts["L"], opts["gamma"], radius)
     if head == "halfspace":
-        return rg.half_space(n, int(opts.get("axis", 0)), opts.get("c", 0.0), radius)
+        return rg.half_space(n, int(opts["axis"]), opts["c"], radius)
     if head == "full":
         return rg.full_space(n, radius)
+    if n != 1:
+        raise ContractViolation("%s shorthand is one-dimensional" % head)
+    if head == "halfline":
+        return rg.half_line(radius)
     if head == "ball":
-        if n != 1:
-            raise ContractViolation("ball shorthand is one-dimensional")
-        r = opts.get("r", 1.0)
-        return rg.interval_region(-r, r, trunc_radius=radius)
+        return rg.interval_region(-opts["r"], opts["r"], trunc_radius=radius)
     if head == "interval":
-        if n != 1:
-            raise ContractViolation("interval shorthand is one-dimensional")
         return rg.interval_region(opts["a"], opts["b"], trunc_radius=radius)
-    if head == "ballcomp":
-        if n != 1:
-            raise ContractViolation("ballcomp shorthand is one-dimensional")
-        return rg.ball_complement(opts.get("r0", 1.0), radius)
-    raise ContractViolation("unknown region shorthand %r" % text)
+    return rg.ball_complement(opts["r0"], radius)
 
 
 def parse_int_range(text):
     """'4:64:4' -> [4, 8, ..., 64]; '8' -> [8]; '4,9,16' -> [4, 9, 16]."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            parts.append(1)
-        lo, hi, step = parts
-        return list(range(lo, hi + 1, step))
-    if "," in text:
+    try:
+        if ":" in text:
+            parts = [int(p) for p in text.split(":")]
+            lo, hi, step = parts if len(parts) == 3 else parts + [1]
+            return list(range(lo, hi + 1, step))
         return [int(p) for p in text.split(",")]
-    return [int(text)]
+    except ValueError:
+        raise UsageError("malformed cutoff list %r" % text) from None
 
 
 def parse_float_list(text):
-    return [float(p) for p in str(text).split(",")]
+    try:
+        return [float(p) for p in str(text).split(",")]
+    except ValueError:
+        raise UsageError("malformed number list %r" % text) from None
 
 
 CONFIG_KEYS = {
@@ -132,9 +121,9 @@ def load_config(path):
             raise UsageError("config field %r has invalid value %r" % (key, value))
     if "gamma" in out and not 0.0 < out["gamma"] <= 1.0:
         raise UsageError("config field 'gamma' out of range (0, 1]")
-    if "region" in out and "gamma=" in out["region"]:
-        g = float(out["region"].split("gamma=")[1].split(",")[0])
-        if not 0.0 < g <= 1.0:
+    if "region" in out:
+        _, opts = basis.parse_shorthand(out["region"], REGION_SHORTHANDS)
+        if not 0.0 < opts.get("gamma", 1.0) <= 1.0:
             raise UsageError("config region gamma out of range (0, 1]")
     if "n" in out and out["n"] < 1:
         raise UsageError("config field 'n' must be >= 1")
@@ -555,6 +544,9 @@ def _run_command(args):
 
     elif command == "verify":
         names = None if args.suite in (None, "all") else args.suite.split(",")
+        if not set(names or ()) <= set(verify.SUITES):
+            raise UsageError("unknown suite in %r; choose from all, %s"
+                             % (args.suite, ", ".join(verify.SUITES)))
         verdicts, ok = verify.run_suites(names, seed=seed, trials=args.trials)
         result = {"verdicts": verdicts, "all_passed": ok}
         csv_payload = (

@@ -14,9 +14,10 @@ and the minimal-norm steering control solves W_c lam = -e^{-TA} f0 with the
 reachability Gramian W_c built from P^2 (the control enters through B = P
 with cost ||u(t)||^2_{L2}).  Gramians are exact: a block exponential over a
 short step, then doubling up to T.  Both pipelines are written once over an
-arithmetic backend; an ill-conditioned Gramian, or an explicit precision,
-runs the whole pipeline (Gramian, solve, control grid, re-simulation) in
-software floating point.
+arithmetic backend (:mod:`hermite_obs.arith`) under mp.workprec(bits + 16),
+which is also the precision of log C_T.  An ill-conditioned Gramian, or an
+explicit precision, runs the whole pipeline (Gramian, solve, control grid,
+re-simulation) in software floating point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from mpmath import mp
 
-from . import basis
+from . import arith, basis
 from .basis import ContractViolation, HermiteExpansion
 from .quadratic import GalerkinOperator
 
@@ -53,118 +54,6 @@ class ControlProblem:
         dev = float(np.max(np.abs(self.piomega - self.piomega.T.conj())))
         if dev > 1e-12 * max(1.0, float(np.max(np.abs(self.piomega)))):
             raise ContractViolation("coupling matrix must be Hermitian")
-
-
-# -- arithmetic backends ----------------------------------------------------------
-#
-# Matrices of both backends support +, -, @, scalar * and slicing; everything
-# else the control pipelines need goes through these methods.  Each pipeline
-# runs under mp.workprec(bits + 16), the working precision of the mpmath
-# backend and of log C_T.
-
-
-class _Double:
-    """numpy and LAPACK in IEEE double precision."""
-
-    bits = 53
-
-    def from_np(self, M):
-        return np.array(M, dtype=complex)
-
-    def to_np(self, v):
-        return v
-
-    def gauss(self, order):
-        return np.polynomial.legendre.leggauss(order)
-
-    def expm(self, M):
-        return scipy.linalg.expm(M)
-
-    def adj(self, M):
-        return M.conj().T
-
-    def solve(self, M, b):
-        return np.linalg.solve(M, b)
-
-    def cholesky(self, W):
-        try:
-            return np.linalg.cholesky(W)
-        except np.linalg.LinAlgError:
-            return None
-
-    def inv_lower(self, L):
-        return scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)
-
-    def eigh_top(self, M):
-        vals, vecs = np.linalg.eigh(M)
-        return vals[-1], vecs[:, -1]
-
-    def cond(self, W):
-        return float(np.linalg.cond(W))
-
-    def norm(self, v):
-        return float(np.linalg.norm(v))
-
-
-class _Mp:
-    """mpmath software floating point with a ``bits``-bit mantissa."""
-
-    def __init__(self, bits):
-        self.bits = bits
-
-    def from_np(self, M):
-        return mp.matrix(np.asarray(M, dtype=complex).tolist())
-
-    def to_np(self, v):
-        return np.array(v.tolist(), dtype=complex).reshape(-1)
-
-    def gauss(self, order):
-        # Golub-Welsch: the Legendre Jacobi matrix's eigenpairs
-        J = mp.zeros(order)
-        for i in range(1, order):
-            J[i, i - 1] = J[i - 1, i] = i / mp.sqrt(4 * i * i - 1)
-        x, V = mp.eigsy(J)
-        return [x[m] for m in range(order)], [2 * V[0, m] ** 2 for m in range(order)]
-
-    def expm(self, M):
-        return mp.expm(M)
-
-    def adj(self, M):
-        return M.H
-
-    def solve(self, M, b):
-        return mp.lu_solve(M, b)
-
-    def cholesky(self, W):
-        try:
-            return mp.cholesky(W)
-        except ValueError:
-            return None
-
-    def inv_lower(self, L):
-        return mp.inverse(L)  # mpmath has no triangular solve for matrices
-
-    def eigh_top(self, M):
-        vals, vecs = mp.eighe(M)
-        return vals[vals.rows - 1], vecs[:, vecs.cols - 1]
-
-    def cond(self, W):
-        sv = mp.svd_c(W, compute_uv=False)
-        return float(sv[0] / sv[sv.rows - 1]) if sv[sv.rows - 1] > 0 else math.inf
-
-    def norm(self, v):
-        return float(mp.norm(v))
-
-    def ridged(self, W):
-        """W + ||W||_F 2^(-bits/2) I, positive definite for the floor bound."""
-        return W + mp.eye(W.rows) * (mp.mnorm(W, "f") * mp.mpf(2) ** (-self.bits // 2))
-
-
-_DOUBLE = _Double()
-
-
-def _backend(bits):
-    return _DOUBLE if bits <= 53 else _Mp(bits)
 
 
 # -- Gramians and the control grid -------------------------------------------------
@@ -270,7 +159,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53,
     A = problem.A.matrix
     bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
     while True:
-        ar = _backend(bits)
+        ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
             W, E_T, _, steps = _gramian(ar, A, ar.from_np(problem.piomega), problem.T)
             L = ar.cholesky(W)
@@ -343,7 +232,7 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     if nrm0 == 0.0:
         return ControlResult([], [], 0.0, 0.0, 1.0, precision_bits, "ok")
     A = problem.A.matrix
-    ar = _backend(53 if precision_bits <= 53 else max(precision_bits, 256))
+    ar = arith.backend(53 if precision_bits <= 53 else max(precision_bits, 256))
     with mp.workprec(ar.bits + 16):
         P = ar.from_np(problem.piomega)
         W, E_T, E_h, steps = _gramian(ar, A, P @ P, problem.T)
@@ -406,7 +295,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
         tau = T_j / 2.0
         d = basis.space_dimension(n, k_j)
         P_j = P[:d, :d]
-        W_j, E_j, E_h, steps = _gramian(_DOUBLE, A[:d, :d], P_j @ P_j, tau)
+        W_j, E_j, E_h, steps = _gramian(arith.DOUBLE, A[:d, :d], P_j @ P_j, tau)
         b_j = E_j @ f[:d]
         try:
             cond = np.linalg.cond(W_j)
@@ -418,7 +307,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
             break
         # active half: full-state simulation forced by the designed control,
         # then the passive half: free dissipation
-        _, _, stage_cost, forced = _steer(_DOUBLE, A, P, d, lam, tau, steps, E_h)
+        _, _, stage_cost, forced = _steer(arith.DOUBLE, A, P, d, lam, tau, steps, E_h)
         E_tau = scipy.linalg.expm(-tau * A)
         f = E_tau @ (E_tau @ f + forced)
         elapsed += T_j

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import basis
 from .basis import ContractViolation, HermiteExpansion, LadderMap, apply_ladder
-from .quadrature import composite_gauss_legendre
 
 __all__ = [
     "chebyshev_value",
@@ -102,18 +101,6 @@ def remez_ball_bound(n, d, rho):
         / math.sqrt(3.0)
         * math.sqrt(4.0 / rho)
         * remez_fraction(n, rho / 4.0) ** d
-    )
-
-
-def remez_ball_bound_log(n, d, rho):
-    """log of remez_ball_bound, safe for large degrees."""
-    if not 0.0 < rho <= 1.0:
-        raise ContractViolation("relative measure rho must lie in (0, 1]")
-    return (
-        (2 * d + 1) * math.log(2.0)
-        - 0.5 * math.log(3.0)
-        + 0.5 * math.log(4.0 / rho)
-        + d * math.log(remez_fraction(n, rho / 4.0))
     )
 
 
@@ -258,32 +245,19 @@ def hermite_tail_bound_log(k, a):
 def hermite_tail_bound(k, a):
     """Tail mass of phi_k^2 beyond |x| >= a and its closed-form majorant.
 
-    Valid for a >= sqrt(2k+1), i.e. past the classically allowed region.
-    The exact value is computed by adaptive Gauss-Legendre panels (absolute
-    tolerance 1e-14); the bound decays like a^(2k-1) e^(-a^2).
-
-    Returns (exact, bound).
+    Valid for a >= sqrt(2k+1), past the classically allowed region.  The mass
+    is 2 I_k, I_k = int_a^inf phi_k^2, from the pair tables' diagonal
+    recurrence at b = inf: I_{j+1} = I_j + phi_j(a) phi_{j+1}(a) / sqrt(2(j+1)),
+    I_0 = erfc(a)/2, a sum of positive terms.  The bound decays like
+    a^(2k-1) e^(-a^2).  Returns (exact, bound).
     """
     if k < 0:
         raise ContractViolation("degree k must be >= 0")
-    turning = math.sqrt(2.0 * k + 1.0)
-    if a < turning:
+    if a < math.sqrt(2.0 * k + 1.0):
         raise ContractViolation("tail bound requires a >= sqrt(2k+1)")
-    b = turning + 10.0
-
-    def integrand(x):
-        return basis.hermite_values(k, x)[k] ** 2
-
-    if b <= a:
-        exact, err = 0.0, 0.0
-    else:
-        min_panels = max(1, int((b - a) * turning / 4.0) + 1)
-        exact_half, err, _ = composite_gauss_legendre(
-            integrand, a, b, abs_tol=5e-15, min_panels=min_panels
-        )
-        exact = 2.0 * exact_half
-    bound = math.exp(hermite_tail_bound_log(k, a))
-    return exact, bound
+    phi = basis.hermite_values(k, a)
+    half = math.erfc(a) / 2 + float(np.sum(phi[:-1] * phi[1:] / np.sqrt(2.0 * np.arange(1, k + 1))))
+    return 2.0 * half, math.exp(hermite_tail_bound_log(k, a))
 
 
 def tail_mass_rhs_log(n, N, a):

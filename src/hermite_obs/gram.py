@@ -6,10 +6,10 @@ For a region w and the space E_N of Hermite combinations, the Gram matrix
 ``||f||_{L2(w)}^2 = c^H G c`` while ``||f||_{L2(R^n)}^2 = ||c||^2``.  The
 sharp constant in ``||f|| <= C_N(w) ||f||_{L2(w)}`` on E_N is therefore
 ``C_N = lambda_min(G)^(-1/2)``.  Since lambda_min decays exponentially for
-sparse regions, the eigenproblem escalates to software floating point with a
-configurable mantissa, and the Gram entries are then rebuilt in the same
-precision from closed forms (Wronskian identity plus the erf-seeded diagonal
-recurrence), because double-precision entries would drown such eigenvalues.
+sparse regions, it escalates to software floating point with a doubling
+mantissa: the Gram entries are rebuilt in that precision from closed forms
+(Wronskian identity, erf-seeded diagonal recurrence), and lambda_min is
+read from one Cholesky factor G = L L^H as sigma_max(L^-1)^-2.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 import scipy.linalg
 from mpmath import mp
 
-from . import basis, regions
+from . import arith, basis, regions
 from .basis import ContractViolation
-from .estimates import remez_fraction, tail_constant_cn
+from .estimates import hermite_tail_bound_log, remez_fraction, tail_constant_cn
 from .regions import Region
 
 DEFAULT_C_SOBOLEV = 10.0
@@ -36,24 +36,12 @@ def sphere_area(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _pair_tail_log(j, k, a):
-    """log majorant of |int_{|x|>=a} phi_j phi_k| (one dimension)."""
-    return (
-        0.5 * (j + k) * math.log(2.0)
-        + math.log(2.0)
-        - 0.5 * math.log(math.pi)
-        - 0.5 * (math.lgamma(j + 1.0) + math.lgamma(k + 1.0))
-        + (j + k - 1) * math.log(a)
-        - a * a
-    )
-
-
 def truncation_entry_error(n, N, radius):
     """Bound on the neglected |x| > radius part of any Gram entry."""
     a = radius / math.sqrt(n)
     if a < math.sqrt(2.0 * N + 1.0):
         return math.inf
-    return n * math.exp(min(_pair_tail_log(N, N, a), 700.0))
+    return n * math.exp(min(hermite_tail_bound_log(N, a), 700.0))
 
 
 @dataclass
@@ -65,7 +53,6 @@ class GramOperator:
     matrix: np.ndarray
     entry_error: float
     region: Region
-    precision_bits: int = 53
 
     @property
     def size(self):
@@ -176,49 +163,38 @@ class SpectralResult:
 def spectral_constant(G: GramOperator, start_bits=256, max_bits=4096) -> SpectralResult:
     """Sharp constant of the spectral inequality on E_N for G's region.
 
-    Tries the double-precision eigensolve first and escalates to software
-    floating point (rebuilding the Gram entries in the same precision) once
-    lambda_min sinks under 1e3 * eps * lambda_max or under the accumulated
-    entry error; bits double until the eigenvalue clears the noise floor.
-    If even the largest mantissa cannot separate lambda_min from the entry
-    noise, the result is flagged and is a certified lower bound on C_N.
+    Tries the double-precision eigensolve first.  Once lambda_min sinks under
+    1e3 * eps * lambda_max or the accumulated entry error, the Gram entries
+    are rebuilt in software floating point from ``start_bits`` on, doubling
+    until lambda_min clears 1e3 * 2^-bits * lambda_max + dim * tail.  A
+    failed Cholesky factorization (:mod:`hermite_obs.arith`) means lambda_min
+    is below its rounding, about 20 dim^1.5 2^-(bits+16) lambda_max (Higham,
+    Thm 10.7), under that floor for dim up to about 20,000.  If ``max_bits``
+    does not suffice, the flagged result is a certified lower bound on C_N.
     """
-    lam = scipy.linalg.eigvalsh(G.matrix)
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    eps = np.finfo(float).eps
-    floor = max(1e3 * eps * max(lam_max, 0.0), G.size * G.entry_error)
-    if lam_min > floor:
-        return SpectralResult(
-            lam_min ** -0.5, -0.5 * math.log(lam_min), lam_min, math.log(lam_min),
-            lam_max, 53, "ok",
-        )
-
-    bits = start_bits
     tail = truncation_entry_error(G.n, G.N, G.region.trunc_radius)
+    bits = 53
     while True:
-        with mp.workprec(bits + 16):
-            Gm = gram_matrix_mp(G.region, G.n, G.N)
-            ev = mp.eigsy(Gm, eigvals_only=True)
-            lam_min_mp = ev[0]
-            lam_max_mp = ev[ev.rows - 1]
-            noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max_mp + G.size * tail
-            if lam_min_mp > noise:
+        ar = arith.backend(bits)
+        with mp.workprec(ar.bits + 16):
+            if ar is arith.DOUBLE:
+                lam = scipy.linalg.eigvalsh(G.matrix)
+                lam_min, lam_max = float(lam[0]), float(lam[-1])
+                noise = max(1e3 * np.finfo(float).eps * max(lam_max, 0.0), G.size * G.entry_error)
+            else:
+                Gm = gram_matrix_mp(G.region, G.n, G.N)
+                lam_min, lam_max = ar.lam_min(Gm), ar.eigh_top(Gm)[0]
+                noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max + G.size * tail
+            flag = "ok" if lam_min is not None and lam_min > noise else ""
+            if not flag and ar is not arith.DOUBLE and bits >= max_bits:
+                lam_min, flag = noise, "singular_floor"
+            if flag:
+                log = math.log if ar is arith.DOUBLE else mp.log  # no mpmath rounding at 53 bits
                 return SpectralResult(
-                    float(lam_min_mp ** mp.mpf("-0.5")),
-                    float(-mp.log(lam_min_mp) / 2),
-                    float(lam_min_mp),
-                    float(mp.log(lam_min_mp)),
-                    float(lam_max_mp),
-                    bits,
-                    "ok",
+                    float(lam_min ** -0.5), float(-log(lam_min) / 2), float(lam_min),
+                    float(log(lam_min)), float(lam_max), bits, flag,
                 )
-            if bits >= max_bits:
-                lower = float(noise)
-                return SpectralResult(
-                    lower ** -0.5, -0.5 * math.log(lower), lower, math.log(lower),
-                    float(lam_max_mp), bits, "singular_floor",
-                )
-            bits *= 2
+        bits = start_bits if ar is arith.DOUBLE else 2 * bits
 
 
 # -- explicit bounds -----------------------------------------------------------

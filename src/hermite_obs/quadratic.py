@@ -112,17 +112,10 @@ def kfp_symbol(a=1.0):
 
 def parse_symbol(text):
     """Named symbols for the command line: 'harmonic[:n=..]' or 'kfp:a=..'."""
-    head, _, args = text.partition(":")
-    opts = {}
-    if args:
-        for item in args.split(","):
-            key, _, val = item.partition("=")
-            opts[key.strip()] = float(val)
+    head, opts = basis.parse_shorthand(text, {"harmonic": {"n": 1}, "kfp": {"a": 1.0}})
     if head == "harmonic":
-        return harmonic_symbol(int(opts.get("n", 1)))
-    if head == "kfp":
-        return kfp_symbol(opts.get("a", 1.0))
-    raise ContractViolation("unknown symbol %r" % text)
+        return harmonic_symbol(int(opts["n"]))
+    return kfp_symbol(opts["a"])
 
 
 # -- Hamilton map and singular space -------------------------------------------

@@ -1,0 +1,67 @@
+import pytest
+from mpmath import mp
+
+from hermite_obs import arith, control as ct, gram, quadratic as qd, regions as rg
+
+
+def ball(N):
+    return rg.interval_region(-1.0, 1.0, trunc_radius=rg.truncate_radius(N, 1) + 1)
+
+
+def box_2d(N):
+    return rg.box_region((-1.0, -0.5), (0.5, 1.5), trunc_radius=rg.truncate_radius(N, 2) + 1)
+
+
+@pytest.mark.parametrize("region, n, N, bits", [
+    (ball(48), 1, 48, 512),
+    (rg.half_line(rg.truncate_radius(32, 1) + 1), 1, 32, 256),
+    (box_2d(10), 2, 10, 256),
+])
+def test_lam_min_matches_high_precision_eigsy(region, n, N, bits):
+    # the same working-precision Gram, fully diagonalized at >= 600 bits:
+    # the Cholesky route is off by its factorization's rounding plus the
+    # double-precision reading of sigma_max(L^-1)
+    ar = arith.Mp(bits)
+    with mp.workprec(bits + 16):
+        G = gram.gram_matrix_mp(region, n, N)
+        lam = ar.lam_min(G)
+    with mp.workprec(max(600, 2 * bits)):
+        ev = mp.eigsy(G, eigvals_only=True)
+        ref_min, ref_max = ev[0], ev[ev.rows - 1]
+        tol = G.rows * mp.mpf(2) ** -(bits + 16) * ref_max + 1e-13 * ref_min
+        assert lam is not None and abs(lam - ref_min) <= tol
+
+
+def test_not_positive_definite_below_needed_bits():
+    # ball N=48 needs 512 bits: at 256 its smallest eigenvalue drowns
+    with mp.workprec(256 + 16):
+        assert arith.Mp(256).lam_min(gram.gram_matrix_mp(ball(48), 1, 48)) is None
+
+
+@pytest.mark.parametrize("k", [-3000, 2200])
+def test_power_of_two_scaling_is_exact(k):
+    # the pivot tolerance and the double-precision reading both follow the
+    # matrix's scale, so 2^k M answers exactly 2^k times M's answers
+    ar = arith.Mp(256)
+    with mp.workprec(256 + 16):
+        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(12, 1) + 1), 1, 12)
+        S = M * mp.ldexp(1, k)
+        assert ar.lam_min(S) == mp.ldexp(ar.lam_min(M), k)
+        (top, vec), (top_s, vec_s) = ar.eigh_top(M), ar.eigh_top(S)
+        assert top_s == mp.ldexp(top, k) and vec_s.tolist() == vec.tolist()
+
+
+def test_inv_lower_and_cond_match_dense_routines():
+    kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
+    reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(3, 2) + 1)
+    P = gram.gram_matrix(reg, 2, 3).matrix
+    ar = arith.Mp(256)
+    with mp.workprec(256 + 16):
+        W, _, _, _ = ct._gramian(ar, kfp, ar.from_np(P), 0.5)
+        L = ar.cholesky(W)
+        Li, ref = ar.inv_lower(L), mp.inverse(L)
+        assert mp.mnorm(Li - ref, 1) <= mp.mpf(2) ** -240 * mp.mnorm(ref, 1)
+        sv = mp.svd_c(W, compute_uv=False)
+        want = sv[0] / sv[sv.rows - 1]
+        assert abs(ar.cond(W) - want) <= 1e-13 * want
+        assert ar.cond(-W) == float("inf")

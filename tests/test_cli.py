@@ -57,6 +57,21 @@ class TestExitCodes:
         assert os.path.exists(target + ".json")
 
 
+@pytest.mark.parametrize("argv", [
+    ["constant", "--region", "periodic:L=x"],
+    ["constant", "--region", "interval:a=1"],
+    ["constant", "--region", "ball:radius=1"],
+    ["scaling", "--region", "halfline", "--N", "4:x"],
+    ["observability", "--T", "1,x"],
+    ["quantize", "--symbol", "kfp:a=x"],
+    ["verify", "--suite", "nosuch"],
+])
+def test_malformed_input_is_one_usage_line(argv, capsys):
+    assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestConfig:
     def test_flags_override_config_with_warning(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hermite_obs import basis, control as ct, gram, quadratic as qd, regions as rg
+from hermite_obs import arith, basis, control as ct, gram, quadratic as qd, regions as rg
 from hermite_obs.basis import ContractViolation
 
 
@@ -45,7 +45,7 @@ class TestGramian:
     def test_lyapunov_identity(self):
         # d/dt e^{-tA} Q e^{-tA^H} integrates to A W + W A^H = Q - E Q E^H
         for A, Q, T in gramian_cases():
-            W, E, _, steps = ct._gramian(ct._DOUBLE, A, Q, T)
+            W, E, _, steps = ct._gramian(arith.DOUBLE, A, Q, T)
             lhs = A @ W + W @ A.conj().T
             assert np.linalg.norm(lhs - (Q - E @ Q @ E.conj().T)) <= 1e-12 * np.linalg.norm(Q)
             # the step h = T / steps is the longest power-of-two split of T
@@ -55,7 +55,7 @@ class TestGramian:
 
     def test_matches_bartels_stewart(self):
         for A, Q, T in gramian_cases():
-            W, E, _, _ = ct._gramian(ct._DOUBLE, A, Q, T)
+            W, E, _, _ = ct._gramian(arith.DOUBLE, A, Q, T)
             W_bs, E_ref = lyapunov_oracle(A, Q, T)
             assert np.linalg.norm(W - W_bs) <= 1e-12 * np.linalg.norm(W_bs)
             assert np.linalg.norm(E - E_ref) <= 1e-12 * np.linalg.norm(E_ref)
@@ -64,8 +64,8 @@ class TestGramian:
     def test_mp_matches_double(self):
         kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
         P = half_plane_gram(3).astype(complex)
-        W, _, _, steps = ct._gramian(ct._DOUBLE, kfp, P, 0.5)
-        ar = ct._Mp(256)
+        W, _, _, steps = ct._gramian(arith.DOUBLE, kfp, P, 0.5)
+        ar = arith.Mp(256)
         with mpmath.workprec(ar.bits + 16):
             W_mp, _, _, steps_mp = ct._gramian(ar, kfp, ar.from_np(P), 0.5)
             W_mp = np.array(W_mp.tolist(), dtype=complex)

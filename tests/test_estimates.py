@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -301,6 +302,19 @@ class TestTails:
     def test_validity_threshold(self):
         with pytest.raises(ContractViolation):
             est.hermite_tail_bound(5, 1.0)
+
+    def test_closed_form_matches_quadrature_oracle(self):
+        # 2 int_a^inf phi_k^2 by mpmath tanh-sinh quadrature at 100 bits
+        with mpmath.workprec(100):
+            for k in range(21):
+                norm = mpmath.sqrt(mpmath.pi) * 2**k * mpmath.factorial(k)
+                for shift in (0.0, 1.3, 3.0):
+                    a = math.sqrt(2 * k + 1) + shift
+                    want = 2 * mpmath.quad(
+                        lambda x: (mpmath.hermite(k, x) * mpmath.exp(-x * x / 2)) ** 2 / norm,
+                        [a, mpmath.inf])
+                    exact, _ = est.hermite_tail_bound(k, a)
+                    assert exact == pytest.approx(float(want), rel=1e-13)
 
 
 class TestTailConstant:
