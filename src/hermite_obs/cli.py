@@ -39,15 +39,16 @@ REGION_SHORTHANDS = {"periodic": {"L": 1.0, "gamma": 0.5}, "halfline": {}, "full
                      "interval": {"a": None, "b": None}, "ballcomp": {"r0": 1.0}}
 
 
-def parse_region(text, n, N, safety=1.5, margin=1.0):
-    """Region shorthand -> Region, truncated generously for cutoff N.
+def parse_region(text, n, N):
+    """Region shorthand -> Region, truncated at ``truncate_radius(N, n) + 1``
+    (safety 1.5 and a unit margin) for cutoff N.
 
     Shorthands: 'periodic:L=1,gamma=0.5', 'halfline', 'full',
     'ball:r=1' (interval in 1-D), 'interval:a=-1,b=1',
     'halfspace:axis=0,c=0', 'ballcomp:r0=1'.
     """
     head, opts = basis.parse_shorthand(text, REGION_SHORTHANDS)
-    radius = rg.truncate_radius(N, n, safety=safety) + margin
+    radius = rg.truncate_radius(N, n) + 1.0
     if head == "periodic":
         return rg.make_periodic_thick(n, opts["L"], opts["gamma"], radius)
     if head == "halfspace":
@@ -71,10 +72,14 @@ def parse_int_range(text):
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
             lo, hi, step = parts if len(parts) == 3 else parts + [1]
-            return list(range(lo, hi + 1, step))
-        return [int(p) for p in text.split(",")]
+            values = list(range(lo, hi + 1, step))
+        else:
+            values = [int(p) for p in text.split(",")]
     except ValueError:
         raise UsageError("malformed cutoff list %r" % text) from None
+    if not values:
+        raise UsageError("empty cutoff range %r" % text)
+    return values
 
 
 def parse_float_list(text):
@@ -134,41 +139,42 @@ def build_parser():
     parser = _Parser(prog="hermite-obs", description=__doc__)
     parser.add_argument("--config", help="JSON config file merged under CLI flags")
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # name -> subparser; run() sets config defaults on it
 
     def add(name, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--out", help="output stem; writes <out>.json / <out>.csv")
         p.add_argument("--mkdirs", action="store_true")
         p.add_argument("--plot-data", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--precision-bits", type=int, default=None)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--precision-bits", type=int)
         p.add_argument("--quiet", action="store_true")
         return p
 
     p = add("basis", help="dimension and self-check of E_N")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", default=None)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--N", default="8")
 
     p = add("gram", help="restriction Gram matrix on E_N")
-    p.add_argument("--region", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", default=None)
+    p.add_argument("--region", default="halfline")
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--N", default="4")
 
     p = add("constant", help="sharp spectral constant C_N")
-    p.add_argument("--region", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", default=None)
+    p.add_argument("--region", default="halfline")
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--N", default="8")
 
     p = add("scaling", help="C_N over a range of cutoffs, with growth fits")
-    p.add_argument("--region", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", default=None, help="range a:b:c")
-    p.add_argument("--variant", default=None, choices=["open", "density", "thick"])
+    p.add_argument("--region", default="periodic:L=1,gamma=0.5")
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--N", default="4:16:4", help="range a:b:c")
+    p.add_argument("--variant", choices=["open", "density", "thick"])
 
     p = add("bounds", help="explicit theoretical bounds")
-    p.add_argument("--variant", default=None, choices=["open", "density", "thick"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", default=None, help="range a:b:c")
+    p.add_argument("--variant", default="thick", choices=["open", "density", "thick"])
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--N", default="4:16:4", help="range a:b:c")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
@@ -177,79 +183,59 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=0.5)
 
     p = add("remez", help="Remez/Chebyshev growth factors")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--t", type=float)
+    p.add_argument("--rho", type=float)
     p.add_argument("--complex-poly", action="store_true")
 
     p = add("bernstein", help="randomized derivative/weighted estimate suites")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int)
 
     p = add("tails", help="Hermite tail bounds and the radius constant c_n")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--a", type=float, default=None)
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--a", type=float)
 
     p = add("symbol", help="Hamilton map and singular space of a symbol")
-    p.add_argument("--symbol", default=None)
+    p.add_argument("--symbol", default="harmonic")
 
     p = add("quantize", help="Galerkin matrix of the Weyl quantization")
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--N", default=None)
+    p.add_argument("--symbol", default="harmonic")
+    p.add_argument("--N", default="6")
 
     p = add("evolve", help="semigroup propagation of an initial expansion")
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--N", default=None)
+    p.add_argument("--symbol", default="harmonic")
+    p.add_argument("--N", default="8")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--f0", default="ground", help="'ground', 'random' or a JSON file")
 
     p = add("observability", help="observability constant C_T")
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--region", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", default=None)
-    p.add_argument("--T", default=None, help="single horizon or comma list (blowup study)")
-    p.add_argument("--k0", type=int, default=None)
+    p.add_argument("--symbol", default="harmonic")
+    p.add_argument("--region", default="full")
+    p.add_argument("--n", type=int)
+    p.add_argument("--N", default="8")
+    p.add_argument("--T", default="1.0", help="single horizon or comma list (blowup study)")
+    p.add_argument("--k0", type=int)
 
     p = add("control", help="minimal-norm or staircase control synthesis")
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--region", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", default=None)
-    p.add_argument("--T", default=None)
+    p.add_argument("--symbol", default="harmonic")
+    p.add_argument("--region", default="full")
+    p.add_argument("--n", type=int)
+    p.add_argument("--N", default="8")
+    p.add_argument("--T", default="1.0")
     p.add_argument("--f0", default="random")
     p.add_argument("--staircase", action="store_true")
     p.add_argument("--target", type=float, default=1e-6)
 
     p = add("verify", help="run every invariant suite")
     p.add_argument("--suite", default="all", help="'all' or comma list of suite names")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int)
     return parser
 
 
-def _fill_from_config(args, config):
-    merged_warnings = []
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr):
-            current = getattr(args, attr)
-            if current is None:
-                setattr(args, attr, value)
-            elif str(current) != str(value):
-                merged_warnings.append(
-                    "config %s=%r overridden by flag value %r" % (key, value, current)
-                )
-    return merged_warnings
-
-
-def _default(args, attr, value):
-    if getattr(args, attr, None) is None:
-        setattr(args, attr, value)
-
-
 def _single_N(args):
-    values = parse_int_range(str(args.N))
+    values = parse_int_range(args.N)
     if len(values) != 1:
         raise UsageError("this command takes a single cutoff N")
     return values[0]
@@ -268,34 +254,51 @@ def _load_f0(spec, n, N, seed):
         return basis.unit_expansion(n, N, (0,) * n)
     if spec == "random":
         return basis.random_expansion(n, N, np.random.default_rng(seed))
-    with open(spec) as fh:
-        return basis.HermiteExpansion.from_json(fh.read())
+    try:
+        with open(spec) as fh:
+            return basis.HermiteExpansion.from_json(fh.read())
+    except ContractViolation:
+        raise  # a wrong order or size stays a contract violation
+    except KeyError as exc:
+        raise UsageError("initial state %s lacks field %s" % (spec, exc)) from None
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise UsageError("cannot read initial state %s: %s" % (spec, exc)) from None
+
+
+def _observed_system(args):
+    """Cutoff, symbol, Galerkin generator, region and its Gram P for
+    ``observability`` and ``control``."""
+    N = _single_N(args)
+    sym = qd.parse_symbol(args.symbol)
+    A = qd.weyl_quantize(sym, N)
+    region = parse_region(args.region, A.n, N)
+    return N, sym, A, region, gram.gram_matrix(region, A.n, N).matrix
 
 
 def _run_command(args):
-    """Dispatch; returns (bundle, csv_payload, exit_code)."""
+    """Dispatch; returns (result, csv_payload, plot_series, exit_code, seed)."""
     command = args.command
     seed = args.seed if args.seed is not None else 0
-    explicit_bits = args.precision_bits is not None
     bits = args.precision_bits
     if bits is None:
-        bits = int(os.environ.get(ENV_PRECISION, "256"))
+        text = os.environ.get(ENV_PRECISION, "256")
+        try:
+            bits = int(text)
+        except ValueError:
+            raise UsageError("%s must be an integer, got %r" % (ENV_PRECISION, text)) from None
     # explicit --precision-bits forces the software-float pipeline; the
     # environment default only seeds the escalation start
-    pipeline_bits = bits if explicit_bits else 53
+    pipeline_bits = bits if args.precision_bits is not None else 53
     code = EXIT_OK
     csv_payload = None
     plot_series = {}
 
     if command == "basis":
-        _default(args, "n", 1)
-        _default(args, "N", "8")
         N = _single_N(args)
         idx = basis.multi_indices(args.n, N)
         result = {"n": args.n, "N": N, "dim": len(idx), "order": "grlex"}
 
     elif command == "gram":
-        _default(args, "n", 1); _default(args, "N", "4"); _default(args, "region", "halfline")
         N = _single_N(args)
         region = parse_region(args.region, args.n, N)
         G = gram.gram_matrix(region, args.n, N)
@@ -305,15 +308,10 @@ def _run_command(args):
         }
         if G.size <= 32:
             result["matrix"] = [[float(v) for v in row] for row in G.matrix]
-        header = ["row", "col", "value"]
-        rows = [
-            [i, j, float(G.matrix[i, j])]
-            for i in range(G.size) for j in range(G.size)
-        ]
-        csv_payload = (header, rows)
+        csv_payload = (["row", "col", "value"],
+                       [[i, j, float(v)] for (i, j), v in np.ndenumerate(G.matrix)])
 
     elif command == "constant":
-        _default(args, "n", 1); _default(args, "N", "8"); _default(args, "region", "halfline")
         N = _single_N(args)
         region = parse_region(args.region, args.n, N)
         G = gram.gram_matrix(region, args.n, N)
@@ -328,9 +326,7 @@ def _run_command(args):
             code = EXIT_PRECISION
 
     elif command == "scaling":
-        _default(args, "n", 1); _default(args, "N", "4:16:4")
-        _default(args, "region", "periodic:L=1,gamma=0.5")
-        N_list = parse_int_range(str(args.N))
+        N_list = parse_int_range(args.N)
         region = parse_region(args.region, args.n, max(N_list))
         bound = None
         if args.variant == "open":
@@ -346,8 +342,7 @@ def _run_command(args):
             bound = gram.thick_params(args.n, gen.get("L", 1.0), gen.get("gamma", 0.5))
         rep = gram.scaling_study(region, args.n, N_list, bound=bound,
                                  start_bits=max(bits, 128))
-        header, rows = rep.csv_rows()
-        csv_payload = (header, rows)
+        csv_payload = rep.csv_rows()
         result = {
             "rows": rep.rows, "fits": rep.fits, "best_model": rep.best_model,
             "exponent_p": rep.exponent_p, "dominance_ok": rep.dominance_ok,
@@ -362,8 +357,7 @@ def _run_command(args):
             code = EXIT_PRECISION
 
     elif command == "bounds":
-        _default(args, "n", 1); _default(args, "N", "4:16:4"); _default(args, "variant", "thick")
-        N_list = parse_int_range(str(args.N))
+        N_list = parse_int_range(args.N)
         if args.variant == "open":
             params = gram.open_params(args.n, (args.x0,) * args.n, args.r)
         elif args.variant == "density":
@@ -372,22 +366,14 @@ def _run_command(args):
             params = gram.thick_params(args.n, args.L, args.gamma)
         rows = []
         for N in N_list:
-            blog = gram.theoretical_bound_log(params, N)
-            rows.append([
-                N, args.variant,
-                math.nan if blog is None else (math.exp(blog) if blog < 709 else math.inf),
-                math.nan if blog is None else blog,
-            ])
+            bound, blog = gram.theoretical_bound(params, N), gram.theoretical_bound_log(params, N)
+            rows.append([N, args.variant, math.nan if bound is None else bound,
+                         math.nan if blog is None else blog])
         csv_payload = (["N", "variant", "bound", "log_bound"], rows)
-        result = {
-            "variant": args.variant,
-            "rows": [
-                {"N": r[0], "bound": r[2], "log_bound": r[3]} for r in rows
-            ],
-        }
+        result = {"variant": args.variant,
+                  "rows": [{"N": r[0], "bound": r[2], "log_bound": r[3]} for r in rows]}
 
     elif command == "remez":
-        _default(args, "n", 1)
         result = {"n": args.n, "d": args.d}
         if args.t is not None:
             result["interval_bound"] = est.remez_bound(
@@ -415,7 +401,8 @@ def _run_command(args):
             exact, bound = est.hermite_tail_bound(args.k, args.a)
             result = {"k": args.k, "a": args.a, "exact": exact, "bound": bound}
         else:
-            _default(args, "n", 1)
+            if args.n is None:  # --k ignores n, so only this branch records it
+                args.n = 1
             tc = est.tail_constant_cn(args.n)
             result = {
                 "n": tc.n, "c_n": tc.c, "worst_case": tc.worst_case,
@@ -423,7 +410,6 @@ def _run_command(args):
             }
 
     elif command == "symbol":
-        _default(args, "symbol", "harmonic")
         sym = qd.parse_symbol(args.symbol)
         F = qd.hamilton_map(sym)
         S = qd.singular_space(F)
@@ -439,7 +425,6 @@ def _run_command(args):
         }
 
     elif command == "quantize":
-        _default(args, "symbol", "harmonic"); _default(args, "N", "6")
         N = _single_N(args)
         sym = qd.parse_symbol(args.symbol)
         A = qd.weyl_quantize(sym, N)
@@ -452,7 +437,6 @@ def _run_command(args):
             result["matrix_im"] = A.matrix.imag.tolist()
 
     elif command == "evolve":
-        _default(args, "symbol", "harmonic"); _default(args, "N", "8")
         N = _single_N(args)
         sym = qd.parse_symbol(args.symbol)
         A = qd.weyl_quantize(sym, N)
@@ -464,13 +448,7 @@ def _run_command(args):
         }
 
     elif command == "observability":
-        _default(args, "symbol", "harmonic"); _default(args, "N", "8")
-        _default(args, "region", "full"); _default(args, "T", "1.0")
-        N = _single_N(args)
-        sym = qd.parse_symbol(args.symbol)
-        A = qd.weyl_quantize(sym, N)
-        region = parse_region(args.region, A.n, N)
-        P = gram.gram_matrix(region, A.n, N).matrix
+        N, sym, A, region, P = _observed_system(args)
         T_list = parse_float_list(args.T)
         if len(T_list) == 1:
             rep = ct.observability_constant(
@@ -481,10 +459,7 @@ def _run_command(args):
                 "method": rep.method, "precision_bits": rep.precision_bits,
                 "flag": rep.flag, "region": region.to_json_dict(),
             }
-            csv_payload = (
-                ["T", "C_T", "precision_bits", "method"],
-                [[rep.T, rep.c_value, rep.precision_bits, rep.method]],
-            )
+            csv_rows = [[rep.T, rep.c_value, rep.precision_bits, rep.method]]
             if rep.flag != "ok":
                 code = EXIT_PRECISION
         else:
@@ -492,10 +467,7 @@ def _run_command(args):
             if k0 is None:
                 k0 = qd.singular_space(qd.hamilton_map(sym)).k0 or 0
             study = ct.cost_blowup_study(A, P, T_list, k0=k0, precision_bits=pipeline_bits)
-            csv_payload = (
-                ["T", "C_T", "precision_bits", "method"],
-                [[r["T"], r["C_T"], r["precision_bits"], r["method"]] for r in study.rows],
-            )
+            csv_rows = [[r["T"], r["C_T"], r["precision_bits"], r["method"]] for r in study.rows]
             result = {
                 "rows": study.rows, "fits": {str(k): v for k, v in study.fits.items()},
                 "k0": study.k0, "excluded": study.excluded,
@@ -503,15 +475,10 @@ def _run_command(args):
             }
             if study.excluded:
                 code = EXIT_PRECISION
+        csv_payload = (["T", "C_T", "precision_bits", "method"], csv_rows)
 
     elif command == "control":
-        _default(args, "symbol", "harmonic"); _default(args, "N", "8")
-        _default(args, "region", "full"); _default(args, "T", "1.0")
-        N = _single_N(args)
-        sym = qd.parse_symbol(args.symbol)
-        A = qd.weyl_quantize(sym, N)
-        region = parse_region(args.region, A.n, N)
-        P = gram.gram_matrix(region, A.n, N).matrix
+        N, sym, A, region, P = _observed_system(args)
         T = parse_float_list(args.T)[0]
         problem = ct.ControlProblem(A, P, T)
         f0 = _load_f0(args.f0, A.n, N, seed)
@@ -543,7 +510,7 @@ def _run_command(args):
             )
 
     elif command == "verify":
-        names = None if args.suite in (None, "all") else args.suite.split(",")
+        names = None if args.suite == "all" else args.suite.split(",")
         if not set(names or ()) <= set(verify.SUITES):
             raise UsageError("unknown suite in %r; choose from all, %s"
                              % (args.suite, ", ".join(verify.SUITES)))
@@ -557,13 +524,13 @@ def _run_command(args):
         if not ok:
             code = EXIT_CONTRACT
 
-    else:
-        raise UsageError("missing or unknown subcommand")
-
     return result, csv_payload, plot_series, code, seed
 
 
 def run(argv):
+    """Parse ``argv`` and run one command.  A value comes from its flag, else
+    from the ``--config`` file (keys the subcommand has a flag for), else from
+    the parser's default."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -571,15 +538,15 @@ def run(argv):
         sys.stderr.write("error: %s\n" % exc)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    warnings = []
     try:
-        if args.config:
-            config = load_config(args.config)
-            warnings = _fill_from_config(args, config)
+        config = load_config(args.config) if args.config else {}
         if args.command is None:
             sys.stderr.write("error: no subcommand given\n")
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        config = {k: v for k, v in config.items() if hasattr(args, k)}
+        parser.commands[args.command].set_defaults(**config)
+        args = parser.parse_args(argv)
         result, csv_payload, plot_series, code, seed = _run_command(args)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
@@ -591,8 +558,10 @@ def run(argv):
         sys.stderr.write("io error: %s\n" % exc)
         return EXIT_IO
 
-    for w in warnings:
-        sys.stderr.write("warning: %s\n" % w)
+    for key, value in config.items():
+        if getattr(args, key) != value:
+            sys.stderr.write("warning: config %s=%r overridden by flag value %r\n"
+                             % (key, value, getattr(args, key)))
 
     presentation = ("config", "out", "mkdirs", "plot_data", "quiet")
     config_view = {
@@ -605,15 +574,15 @@ def run(argv):
         "provenance": reporting.provenance(config_view, seed, _aux_defaults()),
     }
     text = json.dumps(reporting.sanitize(bundle), sort_keys=True, indent=2)
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         sys.stdout.write(text + "\n")
     try:
-        if getattr(args, "out", None):
+        if args.out:
             reporting.write_json(args.out + ".json", bundle, mkdirs=args.mkdirs)
             if csv_payload is not None:
                 reporting.write_csv(args.out + ".csv", csv_payload[0], csv_payload[1],
                                     mkdirs=args.mkdirs)
-            if getattr(args, "plot_data", False):
+            if args.plot_data:
                 for name, (xs, ys) in plot_series.items():
                     reporting.write_xy_series(
                         "%s_%s.dat" % (args.out, name), xs, ys, mkdirs=args.mkdirs

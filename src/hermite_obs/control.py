@@ -44,7 +44,6 @@ class ControlProblem:
     A: GalerkinOperator
     piomega: np.ndarray
     T: float
-    label: str = ""
 
     def __post_init__(self):
         if self.piomega.shape != (self.A.size, self.A.size):

@@ -21,6 +21,7 @@ and arbitrary precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -186,30 +187,12 @@ def make_periodic_thick(n, L, gamma, r_trunc):
         raise ContractViolation("scale L and truncation radius must be positive")
     side = gamma ** (1.0 / n) * L
     jmax = int(math.floor(r_trunc / L)) + 1
-    axes = range(-jmax - 1, jmax + 1)
-    lows, highs = [], []
-
-    def cells(prefix, depth):
-        if depth == n:
-            yield tuple(prefix)
-            return
-        for j in axes:
-            yield from cells(prefix + (j,), depth + 1)
-
-    for cell in cells((), 0):
-        corner = np.array(cell, dtype=float) * L
-        nearest = np.where(corner > 0, corner, np.minimum(corner + L, 0.0))
-        if np.linalg.norm(nearest) >= r_trunc:
-            continue
-        lows.append(corner)
-        highs.append(corner + side)
-    return Region(
-        n,
-        np.array(lows),
-        np.array(highs),
-        {"kind": "periodic_thick", "L": L, "gamma": gamma},
-        trunc_radius=r_trunc,
-    )
+    cells = itertools.product(range(-jmax - 1, jmax + 1), repeat=n)
+    corners = np.array(list(cells), dtype=float) * L
+    nearest = np.where(corners > 0, corners, np.minimum(corners + L, 0.0))
+    corners = corners[np.linalg.norm(nearest, axis=1) < r_trunc]
+    return Region(n, corners, corners + side,
+                  {"kind": "periodic_thick", "L": L, "gamma": gamma}, trunc_radius=r_trunc)
 
 
 def half_space(n, axis, c, r_trunc):
@@ -297,21 +280,9 @@ def thickness_check(region: Region, L, m=4):
     count = int(math.floor((hi_corner - lo_corner) / pitch)) + 1
     if count < 1:
         raise ContractViolation("no admissible cube positions")
-    best = math.inf
     grid = [lo_corner + pitch * i for i in range(count)]
-
-    def corners(prefix, depth):
-        if depth == region.n:
-            yield tuple(prefix)
-            return
-        for g in grid:
-            yield from corners(prefix + (g,), depth + 1)
-
-    for corner in corners((), 0):
-        frac = region.measure_in_cube(np.array(corner), L) / L**region.n
-        if frac < best:
-            best = frac
-    return best
+    return min(region.measure_in_cube(np.array(corner), L) / L**region.n
+               for corner in itertools.product(grid, repeat=region.n))
 
 
 def _clip_length(lo, hi, s):

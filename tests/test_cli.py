@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -65,11 +67,47 @@ class TestExitCodes:
     ["observability", "--T", "1,x"],
     ["quantize", "--symbol", "kfp:a=x"],
     ["verify", "--suite", "nosuch"],
+    ["control", "--N", "4", "--f0", "/nonexistent"],
+    ["evolve", "--t", "1", "--f0", "."],
+    ["scaling", "--N", "8:4"],
+    ["scaling", "--N", "4:64:-4"],
 ])
 def test_malformed_input_is_one_usage_line(argv, capsys):
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, code", [
+    ("not json", cli.EXIT_USAGE),
+    ('{"n": 1, "N": 4, "order": "grlex"}', cli.EXIT_USAGE),
+    ("[1, 2]", cli.EXIT_USAGE),
+    ('{"n": 1, "N": 4, "order": "lex", "coeffs": []}', cli.EXIT_CONTRACT),
+])
+def test_malformed_initial_state_file(text, code, capsys, tmp_path):
+    f0 = tmp_path / "f0.json"
+    f0.write_text(text)
+    assert cli.run(["evolve", "--N", "4", "--t", "1", "--f0", str(f0), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_malformed_precision_variable_is_one_usage_line(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_PRECISION, "x")
+    assert cli.run(["basis", "--quiet"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and cli.ENV_PRECISION in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(lines) >= 7
+    for line in lines:
+        words = shlex.split(line)
+        assert words[0] == "hermite-obs"
+        cli.build_parser().parse_args(words[1:])
 
 
 class TestConfig:
@@ -85,6 +123,22 @@ class TestConfig:
         doc = json.loads((tmp_path / "b.json").read_text())
         assert doc["result"]["N"] == 6
         assert doc["provenance"]["seed"] == 3
+
+    def test_config_fills_flags_with_parser_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "est_tails", "trials": 2}))
+        out = str(tmp_path / "v")
+        assert cli.run(["--config", str(cfg), "verify", "--quiet", "--out", out]) == 0
+        assert "overridden" not in capsys.readouterr().err
+        verdicts = json.loads((tmp_path / "v.json").read_text())["result"]["verdicts"]
+        assert [(v["suite"], v["trials"]) for v in verdicts] == [("est_tails", 2)]
+
+        cfg.write_text(json.dumps({"gamma": 0.9}))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert cli.run(["--config", str(cfg), "bounds", "--N", "4", "--quiet", "--out", a]) == 0
+        assert cli.run(["bounds", "--N", "4", "--gamma", "0.9", "--quiet", "--out", b]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_empty_config_plus_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
