@@ -72,12 +72,7 @@ class Mp:
         return np.array(v.tolist(), dtype=complex).reshape(-1)
 
     def gauss(self, order):
-        # Golub-Welsch: the Legendre Jacobi matrix's eigenpairs
-        J = mp.zeros(order)
-        for i in range(1, order):
-            J[i, i - 1] = J[i - 1, i] = i / mp.sqrt(4 * i * i - 1)
-        x, V = mp.eigsy(J)
-        return [x[m] for m in range(order)], [2 * V[0, m] ** 2 for m in range(order)]
+        return mp.gauss_quadrature(order, "legendre")
 
     def expm(self, M):
         return mp.expm(M)

@@ -297,12 +297,11 @@ def unit_expansion(n, N, alpha):
     return HermiteExpansion(n, N, c)
 
 
-def random_expansion(n, N, rng, complex_coeffs=True):
+def random_expansion(n, N, rng):
+    """Expansion with independent standard complex Gaussian coefficients."""
     dim = space_dimension(n, N)
     c = rng.standard_normal(dim)
-    if complex_coeffs:
-        c = c + 1j * rng.standard_normal(dim)
-    return HermiteExpansion(n, N, c)
+    return HermiteExpansion(n, N, c + 1j * rng.standard_normal(dim))
 
 
 # -- ladder maps -------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,8 +24,6 @@ EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_PRECISION = 3
 EXIT_IO = 4
-
-ENV_PRECISION = "HERMITE_OBS_PRECISION_BITS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,9 +142,7 @@ def build_parser():
         p = sub.add_parser(name, **kw)
         p.add_argument("--out", help="output stem; writes <out>.json / <out>.csv")
         p.add_argument("--mkdirs", action="store_true")
-        p.add_argument("--plot-data", action="store_true")
         p.add_argument("--seed", type=int)
-        p.add_argument("--precision-bits", type=int)
         p.add_argument("--quiet", action="store_true")
         return p
 
@@ -164,12 +159,15 @@ def build_parser():
     p.add_argument("--region", default="halfline")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", default="8")
+    p.add_argument("--precision-bits", type=int)
 
     p = add("scaling", help="C_N over a range of cutoffs, with growth fits")
     p.add_argument("--region", default="periodic:L=1,gamma=0.5")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", default="4:16:4", help="range a:b:c")
     p.add_argument("--variant", choices=["open", "density", "thick"])
+    p.add_argument("--precision-bits", type=int)
+    p.add_argument("--plot-data", action="store_true")
 
     p = add("bounds", help="explicit theoretical bounds")
     p.add_argument("--variant", default="thick", choices=["open", "density", "thick"])
@@ -188,9 +186,6 @@ def build_parser():
     p.add_argument("--t", type=float)
     p.add_argument("--rho", type=float)
     p.add_argument("--complex-poly", action="store_true")
-
-    p = add("bernstein", help="randomized derivative/weighted estimate suites")
-    p.add_argument("--trials", type=int)
 
     p = add("tails", help="Hermite tail bounds and the radius constant c_n")
     p.add_argument("--n", type=int)
@@ -213,24 +208,24 @@ def build_parser():
     p = add("observability", help="observability constant C_T")
     p.add_argument("--symbol", default="harmonic")
     p.add_argument("--region", default="full")
-    p.add_argument("--n", type=int)
     p.add_argument("--N", default="8")
     p.add_argument("--T", default="1.0", help="single horizon or comma list (blowup study)")
     p.add_argument("--k0", type=int)
+    p.add_argument("--precision-bits", type=int)
 
     p = add("control", help="minimal-norm or staircase control synthesis")
     p.add_argument("--symbol", default="harmonic")
     p.add_argument("--region", default="full")
-    p.add_argument("--n", type=int)
     p.add_argument("--N", default="8")
     p.add_argument("--T", default="1.0")
     p.add_argument("--f0", default="random")
     p.add_argument("--staircase", action="store_true")
     p.add_argument("--target", type=float, default=1e-6)
+    p.add_argument("--precision-bits", type=int)
 
     p = add("verify", help="run every invariant suite")
     p.add_argument("--suite", default="all", help="'all' or comma list of suite names")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=int, help="trials per suite, at least 1")
     return parser
 
 
@@ -279,16 +274,11 @@ def _run_command(args):
     """Dispatch; returns (result, csv_payload, plot_series, exit_code, seed)."""
     command = args.command
     seed = args.seed if args.seed is not None else 0
-    bits = args.precision_bits
-    if bits is None:
-        text = os.environ.get(ENV_PRECISION, "256")
-        try:
-            bits = int(text)
-        except ValueError:
-            raise UsageError("%s must be an integer, got %r" % (ENV_PRECISION, text)) from None
-    # explicit --precision-bits forces the software-float pipeline; the
-    # environment default only seeds the escalation start
-    pipeline_bits = bits if args.precision_bits is not None else 53
+    # --precision-bits seeds the spectral escalation (else 256, at least 128)
+    # and forces the control pipeline into software floating point
+    bits = getattr(args, "precision_bits", None)
+    start_bits = max(256 if bits is None else bits, 128)
+    pipeline_bits = 53 if bits is None else bits
     code = EXIT_OK
     csv_payload = None
     plot_series = {}
@@ -315,7 +305,7 @@ def _run_command(args):
         N = _single_N(args)
         region = parse_region(args.region, args.n, N)
         G = gram.gram_matrix(region, args.n, N)
-        res = gram.spectral_constant(G, start_bits=max(bits, 128))
+        res = gram.spectral_constant(G, start_bits=start_bits)
         result = {
             "n": args.n, "N": N, "C_N": res.c_value, "log_C_N": res.c_log,
             "lambda_min": res.lam_min, "lambda_min_log": res.lam_min_log,
@@ -341,7 +331,7 @@ def _run_command(args):
             gen = region.generator
             bound = gram.thick_params(args.n, gen.get("L", 1.0), gen.get("gamma", 0.5))
         rep = gram.scaling_study(region, args.n, N_list, bound=bound,
-                                 start_bits=max(bits, 128))
+                                 start_bits=start_bits)
         csv_payload = rep.csv_rows()
         result = {
             "rows": rep.rows, "fits": rep.fits, "best_model": rep.best_model,
@@ -383,16 +373,6 @@ def _run_command(args):
         if args.rho is not None:
             result["ball_bound"] = est.remez_ball_bound(args.n, args.d, args.rho)
             result["rho"] = args.rho
-
-    elif command == "bernstein":
-        trials = args.trials or 100
-        verdicts = [
-            verify.suite_est_bernstein(seed=seed, trials=trials),
-            verify.suite_est_weighted(seed=seed, trials=trials),
-        ]
-        result = {"verdicts": verdicts}
-        if any(v["failures"] for v in verdicts):
-            code = EXIT_CONTRACT
 
     elif command == "tails":
         if args.k is not None:
@@ -478,8 +458,11 @@ def _run_command(args):
         csv_payload = (["T", "C_T", "precision_bits", "method"], csv_rows)
 
     elif command == "control":
+        T_list = parse_float_list(args.T)
+        if len(T_list) != 1:
+            raise UsageError("control takes a single horizon T")
         N, sym, A, region, P = _observed_system(args)
-        T = parse_float_list(args.T)[0]
+        T = T_list[0]
         problem = ct.ControlProblem(A, P, T)
         f0 = _load_f0(args.f0, A.n, N, seed)
         if args.staircase:
@@ -573,16 +556,15 @@ def run(argv):
         "result": result,
         "provenance": reporting.provenance(config_view, seed, _aux_defaults()),
     }
-    text = json.dumps(reporting.sanitize(bundle), sort_keys=True, indent=2)
     if not args.quiet:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(json.dumps(reporting.sanitize(bundle), sort_keys=True, indent=2) + "\n")
     try:
         if args.out:
             reporting.write_json(args.out + ".json", bundle, mkdirs=args.mkdirs)
             if csv_payload is not None:
                 reporting.write_csv(args.out + ".csv", csv_payload[0], csv_payload[1],
                                     mkdirs=args.mkdirs)
-            if args.plot_data:
+            if getattr(args, "plot_data", False):
                 for name, (xs, ys) in plot_series.items():
                     reporting.write_xy_series(
                         "%s_%s.dat" % (args.out, name), xs, ys, mkdirs=args.mkdirs

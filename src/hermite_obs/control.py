@@ -35,6 +35,8 @@ from .basis import ContractViolation, HermiteExpansion
 from .quadratic import GalerkinOperator
 
 GRID_ORDER = 8  # Gauss nodes per subinterval of the control grid
+MAX_BITS = 4096  # mantissa ceiling of the observability escalation
+STAIRCASE_K0 = 2  # cutoff of the first staircase stage's controlled modes
 
 
 @dataclass
@@ -143,8 +145,7 @@ class ObservabilityReport:
     subintervals: int = 0  # Gramian steps of length h = T / 2^k: 2^k
 
 
-def observability_constant(problem: ControlProblem, precision_bits=53,
-                           max_bits=4096) -> ObservabilityReport:
+def observability_constant(problem: ControlProblem, precision_bits=53) -> ObservabilityReport:
     """Best constant C_T with ||g(T)||^2 <= C_T int_0^T ||g(t)||^2_{L2(w)} dt
     along the adjoint flow g(t) = e^{-tA^H} g0 on E_N.
 
@@ -152,7 +153,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53,
     with W = L L^H, C_T is the top eigenvalue of X X^H, X = L^{-1} e^{-TA}.
     Double precision serves while cond(W) < 1e12; otherwise the pencil is
     redone in software floating point, doubling the mantissa while W is not
-    numerically positive definite.  If W stays singular at ``max_bits``, a
+    numerically positive definite.  If W stays singular at ``MAX_BITS``, a
     ridged W gives a certified lower bound, returned with a flag.
     """
     A = problem.A.matrix
@@ -167,7 +168,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53,
                 continue
             flag = "ok"
             if L is None:
-                if bits < max_bits:
+                if bits < MAX_BITS:
                     bits *= 2
                     continue
                 L, flag = ar.cholesky(ar.ridged(W)), "singular_floor"
@@ -255,18 +256,18 @@ class StaircaseResult:
     total_cost: float
     residual: float
     flag: str
-    params: dict = field(default_factory=dict)
 
 
-def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
+def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
                  target=1e-6) -> StaircaseResult:
     """Iterative low-mode steering with free dissipation in between.
 
     Stage j works on the dyadic time slice T_j = T 2^{-j-1}: during the
-    first half the modes of E_{k_j} (k_j = min(ceil(K0 2^j), N), a leading
-    block in the graded order) are steered to zero through the Gramian of
-    the compressed problem, during the second half the system evolves freely
-    and dissipation crushes what the control spilled into higher modes.
+    first half the modes of E_{k_j} (k_j = min(ceil(STAIRCASE_K0 2^j), N), a
+    leading block in the graded order) are steered to zero through the
+    Gramian of the compressed problem, during the second half the system
+    evolves freely and dissipation crushes what the control spilled into
+    higher modes.
     The run stops once the remaining energy is below ``target`` relative to
     the initial one, or after the stage that controls the full space.
     """
@@ -278,9 +279,8 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
     N = problem.A.N
     n = problem.A.n
     nrm0 = f0.norm()
-    params = {"K0": K0, "target": target}
     if nrm0 == 0.0:
-        return StaircaseResult([], 0.0, 0.0, "ok", params)
+        return StaircaseResult([], 0.0, 0.0, "ok")
 
     f = f0.coeffs.copy()
     stages = []
@@ -289,7 +289,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
     j = 0
     flag = "ok"
     while True:
-        k_j = min(int(math.ceil(K0 * 2**j)), N)
+        k_j = min(int(math.ceil(STAIRCASE_K0 * 2**j)), N)
         T_j = T * 2.0 ** (-j - 1)
         tau = T_j / 2.0
         d = basis.space_dimension(n, k_j)
@@ -327,7 +327,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion, K0=2,
     if elapsed < T:
         f = scipy.linalg.expm(-(T - elapsed) * A) @ f
     residual = float(np.linalg.norm(f)) / nrm0
-    return StaircaseResult(stages, total_cost, residual, flag, params)
+    return StaircaseResult(stages, total_cost, residual, flag)
 
 
 # -- cost blowup -------------------------------------------------------------------

@@ -285,8 +285,8 @@ class TailConstants:
 
     For every N and every f in E_N, the mass of f outside the ball of radius
     c_n sqrt(N+1) is at most ||f||^2 / 4.  The certificate lists the
-    majorant value at a grid of cutoffs; monotonicity in N holds analytically
-    once c_n^2 >= 2 n log 8, so the worst case is N = 0.
+    majorant value at the cutoffs N = 0..60; monotonicity in N holds
+    analytically once c_n^2 >= 2 n log 8, so the worst case is N = 0.
     """
 
     n: int
@@ -304,7 +304,7 @@ def _quarter_mass_log(n, c, N):
 
 
 @lru_cache(maxsize=None)
-def tail_constant_cn(n, certificate_depth=60):
+def tail_constant_cn(n):
     """Smallest certified c >= sqrt(2 n log 8) with the quarter-mass property.
 
     The majorant at a = c sqrt(N+1) is decreasing in N whenever
@@ -329,9 +329,7 @@ def tail_constant_cn(n, certificate_depth=60):
             else:
                 hi = mid
         c = hi
-    cert = tuple(
-        (N, math.exp(_quarter_mass_log(n, c, N))) for N in range(certificate_depth + 1)
-    )
+    cert = tuple((N, math.exp(_quarter_mass_log(n, c, N))) for N in range(61))
     if any(v > 0.25 + 1e-15 for _, v in cert):
         raise AssertionError("tail certificate failed; this is a bug")
     return TailConstants(n, c, cert)

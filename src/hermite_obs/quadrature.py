@@ -6,24 +6,19 @@ import math
 
 import numpy as np
 
-_GL_CACHE = {}
+ORDER = 20  # Gauss-Legendre nodes per panel
+MAX_DOUBLINGS = 16
+_X, _W = np.polynomial.legendre.leggauss(ORDER)
 
 
-def _gl_nodes(order):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
-
-
-def composite_gauss_legendre(f, a, b, abs_tol=1e-13, order=20, min_panels=1,
-                             max_doublings=16):
+def composite_gauss_legendre(f, a, b, abs_tol=1e-13, min_panels=1):
     """Integrate a smooth vectorizable callable over [a, b].
 
-    Panels are doubled until two successive composite values agree to
-    ``abs_tol``; the last observed difference is returned as an honest error
-    estimate (it dominates the true error for panel counts past the
-    resolution threshold of a fixed-order Gauss rule).
+    Panels are doubled, at most ``MAX_DOUBLINGS`` times, until two
+    successive composite values agree to ``abs_tol``; the last observed
+    difference is returned as an honest error estimate (it dominates the true
+    error for panel counts past the resolution threshold of a fixed-order
+    Gauss rule).
 
     Returns
     -------
@@ -31,18 +26,17 @@ def composite_gauss_legendre(f, a, b, abs_tol=1e-13, order=20, min_panels=1,
     """
     if b <= a:
         return 0.0, 0.0, 0
-    x, w = _gl_nodes(order)
     panels = max(1, int(min_panels))
     prev = None
     value = 0.0
     err = math.inf
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        vals = np.asarray(f(pts), dtype=float).reshape(panels, order)
-        value = float(np.sum(np.sort((vals * w[None, :] * half[:, None]).ravel())))
+        pts = (mid[:, None] + half[:, None] * _X[None, :]).ravel()
+        vals = np.asarray(f(pts), dtype=float).reshape(panels, ORDER)
+        value = float(np.sum(np.sort((vals * _W[None, :] * half[:, None]).ravel())))
         if prev is not None:
             err = abs(value - prev)
             if err <= abs_tol:

@@ -261,12 +261,16 @@ def union(a: Region, b: Region):
 
 
 def thickness_check(region: Region, L, m=4):
-    """Certified lower estimate of the thickness fraction at scale L.
+    """Thickness fraction at scale L, sampled on a lattice of cube corners.
 
     Minimizes |region cap (x + [0,L]^n)| / L^n over corners x on a lattice of
     pitch L/m, restricted to cubes lying inside the truncation ball (outside
     it the region is artificially empty).  Box clipping makes each cube
-    measure exact.
+    measure exact, but a minimum over lattice corners is in general an upper
+    estimate of the infimum over all corners: for [-10, 0.15] u [1.05, 10],
+    L = 1 and m = 4 it gives 0.15, while the infimum is 0.1.  For the
+    periodic pattern at its own period L every cube has the same measure, so
+    the value is exact there.
     """
     if L <= 0 or m < 1:
         raise ContractViolation("need L > 0 and m >= 1")

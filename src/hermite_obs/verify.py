@@ -548,9 +548,12 @@ SUITES = {
 def run_suites(names=None, seed=0, trials=None):
     """Run the selected suites (all by default) with one master seed.
 
-    ``trials`` optionally overrides each suite's default trial count.
+    ``trials`` optionally overrides each suite's default trial count; it
+    must be at least 1, so that every suite checks something.
     Returns (verdicts, all_passed).
     """
+    if trials is not None and trials < 1:
+        raise basis.UsageError("trials must be at least 1, got %d" % trials)
     if names is None or names == ["all"]:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

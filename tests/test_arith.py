@@ -65,3 +65,12 @@ def test_inv_lower_and_cond_match_dense_routines():
         want = sv[0] / sv[sv.rows - 1]
         assert abs(ar.cond(W) - want) <= 1e-13 * want
         assert ar.cond(-W) == float("inf")
+
+
+def test_mp_gauss_rule_is_exact_to_degree_15():
+    with mp.workprec(272):
+        x, w = arith.Mp(256).gauss(8)
+        for k in range(16):
+            got = mp.fsum(wi * xi ** k for xi, wi in zip(x, w))
+            want = 2 / mp.mpf(k + 1) if k % 2 == 0 else 0
+            assert abs(got - want) < mp.mpf(2) ** -260

@@ -71,11 +71,29 @@ class TestExitCodes:
     ["evolve", "--t", "1", "--f0", "."],
     ["scaling", "--N", "8:4"],
     ["scaling", "--N", "4:64:-4"],
+    ["verify", "--suite", "est_tails", "--trials", "0"],
+    ["control", "--N", "4", "--T", "1,2"],
 ])
 def test_malformed_input_is_one_usage_line(argv, capsys):
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["observability", "--n", "2"],
+    ["control", "--n", "2"],
+    ["gram", "--precision-bits", "256"],
+    ["verify", "--precision-bits", "999"],
+    ["basis", "--plot-data"],
+    ["bernstein"],
+])
+def test_flag_a_subcommand_never_reads_is_a_usage_error(argv, capsys):
+    assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert lines[0].startswith("error: ") and "Traceback" not in err
+    assert sum(line.startswith("error: ") for line in lines) == 1
 
 
 @pytest.mark.parametrize("text, code", [
@@ -92,11 +110,21 @@ def test_malformed_initial_state_file(text, code, capsys, tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_malformed_precision_variable_is_one_usage_line(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_PRECISION, "x")
-    assert cli.run(["basis", "--quiet"]) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and cli.ENV_PRECISION in err
+def test_precision_variable_has_no_effect(capsys, monkeypatch, tmp_path):
+    # the escalation start is a recorded input (--precision-bits), never the
+    # environment, so the artifact is the same whatever the variable holds
+    argv = ["constant", "--region", "ball:r=1", "--n", "1", "--N", "48", "--quiet", "--out"]
+    artifacts = []
+    for value in (None, "1024", "x"):
+        if value is None:
+            monkeypatch.delenv("HERMITE_OBS_PRECISION_BITS", raising=False)
+        else:
+            monkeypatch.setenv("HERMITE_OBS_PRECISION_BITS", value)
+        out = str(tmp_path / ("c%d" % len(artifacts)))
+        assert cli.run(argv + [out]) == cli.EXIT_OK
+        artifacts.append(Path(out + ".json").read_bytes())
+    assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
+    assert json.loads(artifacts[0])["result"]["precision_bits"] == 512
 
 
 def test_readme_command_lines_parse():
@@ -139,6 +167,14 @@ class TestConfig:
         assert cli.run(["bounds", "--N", "4", "--gamma", "0.9", "--quiet", "--out", b]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_config_key_without_a_flag_is_not_recorded(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"precision_bits": 512}))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert cli.run(["--config", str(cfg), "gram", "--quiet", "--out", a]) == 0
+        assert cli.run(["gram", "--quiet", "--out", b]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_empty_config_plus_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
