@@ -1,15 +1,19 @@
 """Arithmetic backends shared by the spectral and control pipelines.
 
-Matrices of both backends support +, -, @, scalar * and slicing; everything
-else goes through the methods here, under ``mp.workprec(bits + 16)``.  ``Mp``
-answers every eigenproblem through one Cholesky factor G = L L^H, which
-exists exactly when G is numerically positive definite: lambda_min =
-sigma_max(L^-1)^-2 and cond = sigma_max(G) sigma_max(L^-1)^2.  Largest
-singular values and top eigenpairs are well conditioned, so they are read in
-double precision after an exact power-of-two rescale, to a few d eps.
+Matrices of both backends support +, @, unary -, real scalar * and slicing;
+everything else goes through the methods here, under ``mp.workprec(bits +
+16)``.  ``Mp`` matrices are fixed point (``Fx``), so their error is normwise;
+mpmath serves scalars and the once-per-run O(d^3) calls.  ``Mp`` answers
+every eigenproblem through one Cholesky factor G = L L^H, which exists
+exactly when G is numerically positive definite: lambda_min =
+sigma_max(L^-1)^-2 and cond = lambda_max / lambda_min.  Largest singular
+values and top eigenpairs are well conditioned, so they are read in double
+precision after an exact power-of-two rescale, to a few d eps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -30,8 +34,10 @@ class Double:
     def gauss(self, order):
         return np.polynomial.legendre.leggauss(order)
 
-    def expm(self, M):
-        return scipy.linalg.expm(M)
+    def taylor(self, scales, terms):
+        """[sum_k c^k / k! terms[k] for c in scales]."""
+        C = [[c**k / math.factorial(k) for k in range(len(terms))] for c in scales]
+        return list(np.tensordot(C, np.stack(terms), axes=1))
 
     def adj(self, M):
         return M.conj().T
@@ -59,33 +65,108 @@ class Double:
         return float(np.linalg.norm(v))
 
 
+def _shift(x, s):
+    """x 2^-s rounded to integers (exact for s <= 0); x an int array or None."""
+    if x is None or s == 0:
+        return x
+    return x << -s if s < 0 else (x + (1 << (s - 1))) >> s
+
+
+def _plus(x, y):
+    return x if y is None else y if x is None else x + y
+
+
+class Fx:
+    """A complex matrix or vector (re + i im) 2^exp in fixed point: ``re``
+    and ``im`` (None if real) are object arrays of Python ints, rounded to
+    ``prec`` bits of the largest entry, so each operation errs by at most
+    2^-prec of its result's largest entry, whatever the scale."""
+
+    __slots__ = ("re", "im", "exp", "prec")
+
+    def __init__(self, re, im, exp, prec):
+        self.re, self.im, self.exp, self.prec = re, im, exp, prec
+        s = self.bits() - prec
+        if s > 0:
+            self.re, self.im, self.exp = _shift(re, s), _shift(im, s), exp + s
+
+    def bits(self):  # of the largest mantissa
+        return max(int(abs(x).max()).bit_length() for x in (self.re, self.im) if x is not None)
+
+    def __getitem__(self, key):
+        return Fx(self.re[key], None if self.im is None else self.im[key], self.exp, self.prec)
+
+    def __neg__(self):
+        return self * -1
+
+    def __add__(self, other):  # exact at the finer exponent, then rounded
+        t = min(self.exp, other.exp)
+        a, b = t - self.exp, t - other.exp
+        return Fx(_shift(self.re, a) + _shift(other.re, b),
+                  _plus(_shift(self.im, a), _shift(other.im, b)), t, self.prec)
+
+    def __mul__(self, c):
+        """Product with a real scalar: an int, a float or an mpf."""
+        e = mp.frexp(c)[1] - self.prec if c else 0
+        m = int(mp.nint(mp.ldexp(c, -e)))
+        return Fx(self.re * m, None if self.im is None else self.im * m, self.exp + e, self.prec)
+
+    def __matmul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        re = a @ c if b is None or d is None else a @ c - b @ d
+        im = _plus(None if b is None else b @ c, None if d is None else a @ d)
+        return Fx(re, im, self.exp + other.exp, self.prec)
+
+
 class Mp:
-    """mpmath software floating point with a ``bits``-bit mantissa."""
+    """Fixed-point matrices and mpmath scalars, ``bits`` + 16 bits."""
 
     def __init__(self, bits):
         self.bits = bits
+        self.prec = bits + 16
 
     def from_np(self, M):
-        return mp.matrix(np.asarray(M, dtype=complex).tolist())
+        M = np.asarray(M, dtype=complex)
+        return self._fx(mp.matrix(M.reshape(len(M), -1).tolist()), M.shape)
 
-    def to_np(self, v):
-        return np.array(v.tolist(), dtype=complex).reshape(-1)
+    def to_np(self, v):  # int / int true division rounds each entry once
+        re, im = (0.0 if x is None else (x / (1 << -v.exp) if v.exp < 0 else x * 2.0**v.exp)
+                  .astype(float) for x in (v.re, v.im))
+        return re + 1j * im
+
+    def _fx(self, M, shape):
+        """An mpmath matrix as an Fx of the given shape."""
+        parts = [[f(x) for row in M.tolist() for x in row] for f in (mp.re, mp.im)]
+        t = max((mp.frexp(x)[1] for part in parts for x in part if x), default=0) - self.prec
+        re, im = (np.array([int(mp.nint(mp.ldexp(x, -t))) for x in part], dtype=object)
+                  for part in parts)
+        return Fx(re.reshape(shape), im.reshape(shape) if im.any() else None, t, self.prec)
 
     def gauss(self, order):
         return mp.gauss_quadrature(order, "legendre")
 
-    def expm(self, M):
-        return mp.expm(M)
+    def taylor(self, scales, terms):
+        """[sum_k c^k / k! terms[k] for c in scales] as one integer product."""
+        C = np.array([[int(mp.nint(mp.ldexp(mp.mpf(c) ** k / math.factorial(k), self.prec)))
+                       for k in range(len(terms))] for c in scales], dtype=object)
+        t = max(M.exp + M.bits() for M in terms) - self.prec  # the terms stacked at 2^t
+        re = np.array([_shift(M.re, t - M.exp).ravel() for M in terms])
+        im = None if all(M.im is None for M in terms) else np.array(
+            [_shift(0 * M.re if M.im is None else M.im, t - M.exp).ravel() for M in terms])
+        S, shape = Fx(C, None, -self.prec, self.prec) @ Fx(re, im, t, self.prec), terms[0].re.shape
+        return [Fx(S.re[i].reshape(shape), None if S.im is None else S.im[i].reshape(shape),
+                   S.exp, self.prec) for i in range(len(C))]
 
     def adj(self, M):
-        return M.H
+        return Fx(M.re.T, None if M.im is None else -M.im.T, M.exp, M.prec)
 
     def solve(self, M, b):
-        return mp.lu_solve(M, b)
+        return self._fx(mp.lu_solve(_mp(M), _mp(b)), b.re.shape)
 
     def cholesky(self, W):
         # pivots are held against eps times the largest diagonal entry, not
         # mpmath's absolute eps, so that 2^k W factors exactly as W does
+        W = _mp(W)
         tol = mp.eps * max(abs(W[j, j]) for j in range(W.rows))
         try:
             return mp.cholesky(W, tol)
@@ -93,36 +174,53 @@ class Mp:
             return None
 
     def inv_lower(self, L):
-        n, rows = L.rows, L.tolist()
-        cols = [[mp.zero] * n for _ in range(n)]  # forward substitution, by columns
-        for i in range(n):
-            cols[i][i] = d = 1 / rows[i][i]
-            for j in range(i):
-                cols[j][i] = -d * mp.fdot(rows[i][j:i], cols[j][j:i])
-        return mp.matrix(cols).T
+        return self._fx(_inv_lower(L), (L.rows, L.cols))
 
     def lam_min(self, G):
         """sigma_max(L^-1)^-2, or None when G is not numerically positive definite."""
         L = self.cholesky(G)
-        return None if L is None else _sigma_max(self.inv_lower(L)) ** -2
+        if L is None:
+            return None
+        X, e = _scaled(_inv_lower(L))
+        return mp.ldexp(mp.mpf(float(np.linalg.norm(X, 2))), e) ** -2
 
     def eigh_top(self, M):
-        X, e = _scaled(M)
+        X, e = _scaled(_mp(M))
         vals, vecs = np.linalg.eigh(X)
         return mp.ldexp(mp.mpf(vals[-1]), e), self.from_np(vecs[:, -1])
 
     def cond(self, W):
-        L = self.cholesky(W)
-        if L is None:
-            return float("inf")
-        return float(_sigma_max(W) * _sigma_max(self.inv_lower(L)) ** 2)
+        lam = self.lam_min(W)
+        return float("inf") if lam is None else float(self.eigh_top(W)[0] / lam)
 
     def norm(self, v):
-        return float(mp.norm(v))
+        sq = sum(int((x * x).sum()) for x in (v.re, v.im) if x is not None)
+        return float(mp.sqrt(mp.ldexp(sq, 2 * v.exp)))
 
     def ridged(self, W):
         """W + ||W||_F 2^(-bits/2) I, positive definite for the floor bound."""
+        W = _mp(W)
         return W + mp.eye(W.rows) * (mp.mnorm(W, "f") * mp.mpf(2) ** (-self.bits // 2))
+
+
+def _mp(M):
+    """An Fx as an mpmath matrix, a vector as a column; others pass through."""
+    if not isinstance(M, Fx):
+        return M
+    re = M.re.reshape(len(M.re), -1)
+    im = 0 * re if M.im is None else M.im.reshape(re.shape)
+    return mp.matrix([[mp.mpc(mp.ldexp(a, M.exp), mp.ldexp(b, M.exp)) for a, b in zip(*rows)]
+                      for rows in zip(re, im)])
+
+
+def _inv_lower(L):
+    n, rows = L.rows, L.tolist()
+    cols = [[mp.zero] * n for _ in range(n)]  # forward substitution, by columns
+    for i in range(n):
+        cols[i][i] = d = 1 / rows[i][i]
+        for j in range(i):
+            cols[j][i] = -d * mp.fdot(rows[i][j:i], cols[j][j:i])
+    return mp.matrix(cols).T
 
 
 def _scaled(M):
@@ -133,11 +231,6 @@ def _scaled(M):
     scale = mp.ldexp(1, -e)
     X = np.array([complex(x * scale) for x in entries]).reshape(M.rows, M.cols)
     return (X if X.imag.any() else X.real), e
-
-
-def _sigma_max(M):
-    X, e = _scaled(M)
-    return mp.ldexp(mp.mpf(float(np.linalg.norm(X, 2))), e)
 
 
 DOUBLE = Double()

@@ -275,7 +275,7 @@ def _run_command(args):
     command = args.command
     seed = args.seed if args.seed is not None else 0
     # --precision-bits seeds the spectral escalation (else 256, at least 128)
-    # and forces the control pipeline into software floating point
+    # and forces the control pipeline into fixed point
     bits = getattr(args, "precision_bits", None)
     start_bits = max(256 if bits is None else bits, 128)
     pipeline_bits = 53 if bits is None else bits
@@ -437,6 +437,7 @@ def _run_command(args):
             result = {
                 "T": rep.T, "C_T": rep.c_value, "log_C_T": rep.c_log,
                 "method": rep.method, "precision_bits": rep.precision_bits,
+                "subintervals": rep.subintervals, "taylor_degree": rep.taylor_degree,
                 "flag": rep.flag, "region": region.to_json_dict(),
             }
             csv_rows = [[rep.T, rep.c_value, rep.precision_bits, rep.method]]
@@ -483,8 +484,9 @@ def _run_command(args):
             res = ct.hum_control(problem, f0, precision_bits=pipeline_bits)
             result = {
                 "method": "hum", "residual": res.residual, "cost": res.cost,
-                "gramian_cond": res.gramian_cond,
-                "precision_bits": res.precision_bits, "flag": res.flag,
+                "gramian_cond": res.gramian_cond, "precision_bits": res.precision_bits,
+                "subintervals": res.subintervals, "taylor_degree": res.taylor_degree,
+                "flag": res.flag,
                 "region": region.to_json_dict(),
             }
             csv_payload = (

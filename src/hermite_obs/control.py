@@ -12,12 +12,13 @@ horizon T is the largest generalized eigenvalue of the pencil
 
 and the minimal-norm steering control solves W_c lam = -e^{-TA} f0 with the
 reachability Gramian W_c built from P^2 (the control enters through B = P
-with cost ||u(t)||^2_{L2}).  Gramians are exact: a block exponential over a
-short step, then doubling up to T.  Both pipelines are written once over an
-arithmetic backend (:mod:`hermite_obs.arith`) under mp.workprec(bits + 16),
-which is also the precision of log C_T.  An ill-conditioned Gramian, or an
-explicit precision, runs the whole pipeline (Gramian, solve, control grid,
-re-simulation) in software floating point.
+with cost ||u(t)||^2_{L2}).  Gramians are exact: one truncated Taylor table
+over a short step, then doubling up to T.  Both pipelines are written once
+over an arithmetic backend (:mod:`hermite_obs.arith`) under
+mp.workprec(bits + 16), which is also the precision of log C_T.  An
+ill-conditioned Gramian, or an explicit precision, runs the whole pipeline
+(Gramian, solve, control grid, re-simulation) in fixed point at that
+precision.
 """
 
 from __future__ import annotations
@@ -60,39 +61,60 @@ class ControlProblem:
 # -- Gramians and the control grid -------------------------------------------------
 
 
-def _gramian(ar, A, Q, T):
-    """W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA} in closed form.
+def _taylor(ar, A, T, x=(), Q=None):
+    """Propagators and, given Q, the Gramian over [0, T] from one Taylor table.
 
-    ``A`` is the generator as a numpy array, ``Q`` a Hermitian matrix of the
-    backend.  W(h) is the top-right block of expm(h [[-A, Q], [0, A^H]]) times
-    E(h)^H (Van Loan 1978) at h = T / 2^k, k the least integer giving
-    h ||A||_1 <= 1; k doublings W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2
-    then reach T.  Returns W(T), E(T), E(h) and the step count 2^k.
+    At h = T / 2^k, k least with h ||A||_1 <= 1, the powers of B = -hA up to
+    the least m with nu^{m+1} / (m+1)! (m+2) / (m+2-nu) < 2^-(bits+16), nu
+    the 1-norm of B or of Z = [[B, hQ], [0, -B^H]] (Higham, *Functions of
+    Matrices*, 10.3), give E(h) = e^{-hA} and e^{-c h A} at the Gauss offsets
+    c = (x + 1) / 2, one contraction each; without Q they are squared k times.
+    With Q, W(h) = V E(h)^H, V = sum R_j / j! the top-right block of e^Z with
+    R_1 = hQ, R_{j+1} = B R_j + (-1)^j hQ (B^j)^H (Van Loan 1978); k doublings
+    W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach
+    W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.  Returns the
+    propagators, W (or None), E, the step count 2^k and m.
     """
-    d = A.shape[0]
     norm1 = float(np.abs(A).sum(axis=0).max())
     steps = 1
     while T * norm1 > steps:
         steps *= 2
-    zero = np.zeros_like(A)
-    Z = ar.from_np(np.block([[-A, zero], [zero, A.conj().T]]))
-    Z[:d, d:] = Q
-    F = ar.expm(Z * (T / steps))
-    E_h = F[:d, :d]
-    W, E = F[:d, d:] @ ar.adj(E_h), E_h
+    h = T / steps
+    nu = h * norm1
+    if Q is not None:
+        nu = max(nu, h * float((np.abs(ar.to_np(Q)).sum(axis=0) + np.abs(A).sum(axis=1)).max()))
+    m = 1
+    while nu and (m + 2 <= nu or (m + 1) * math.log(nu) - math.lgamma(m + 2)
+                  + math.log((m + 2) / (m + 2 - nu)) > -(ar.bits + 16) * math.log(2)):
+        m += 1
+    B = ar.from_np(A) * -h
+    powers = [ar.from_np(np.eye(A.shape[0])), B]
+    while len(powers) <= m:
+        powers.append(B @ powers[-1])
+    props = ar.taylor([1] + [(xi + 1) / 2 for xi in x], powers)
+    if Q is None:
+        for _ in range(steps.bit_length() - 1):
+            props = [M @ M for M in props]
+        return props, None, props[0], steps, m
+    R = [Q * 0, Q * h]
+    for j in range(1, m):
+        R.append(B @ R[-1] + R[1] @ ar.adj(powers[j]) * (-1) ** j)
+    E = props[0]
+    W = ar.taylor([1], R)[0] @ ar.adj(E)
     for _ in range(steps.bit_length() - 1):
         W = W + E @ W @ ar.adj(E)
         E = E @ E
-    return (W + ar.adj(W)) * 0.5, E, E_h, steps
+    return props, (W + ar.adj(W)) * 0.5, E, steps, m
 
 
-def _steer(ar, A, P, d, lam, T, steps, E_h):
+def _steer(ar, A, P, d, lam, T, steps, props, grid):
     """Drive the full state with u(s) = P_d e^{-s A_d^H} lam on the control grid.
 
     s is the time to go and the subscript d marks the leading d x d block,
     the controlled modes (all of them for HUM).  ``A`` is the generator as a
-    numpy array, ``P`` the coupling in the backend and E_h = e^{-h A_d} with
-    h = T / steps.  The grid is the order-8 Gauss rule on each of the steps
+    numpy array, ``P`` the coupling in the backend, h = T / steps and
+    ``props`` the propagators of A_d that :func:`_taylor` returns at the
+    nodes of ``grid``, the order-8 Gauss rule (x, w) on each of the steps
     subintervals of [0, T].  Returns the times T - s in increasing order, the
     control samples as numpy vectors, the cost sum w ||u||^2 and the forced
     response sum w e^{-sA} P[:, :d] u(s).  Propagators act on vectors only:
@@ -100,17 +122,13 @@ def _steer(ar, A, P, d, lam, T, steps, E_h):
     subintervals j runs in Horner form.
     """
     h = T / steps
-    x, w = ar.gauss(GRID_ORDER)
+    x, w = grid
     offsets = [h * (xi + 1) / 2 for xi in x]
     weights = [h * wi / 2 for wi in w]
-    A_full = ar.from_np(A)
-    sim = [ar.expm(A_full * -o) for o in offsets]
-    ctl, E_sim = sim, E_h
-    if d < A.shape[0]:
-        ctl = [ar.expm(A_full[:d, :d] * -o) for o in offsets]
-        E_sim = ar.expm(A_full * -h)
+    E_h, *ctl = props
+    E_sim, *sim = props if d == A.shape[0] else _taylor(ar, A, h, x)[0]
     out = [P[:d, :d] @ ar.adj(E) for E in ctl]                     # v_j -> u
-    back = [wt * (E @ P[:, :d]) for wt, E in zip(weights, sim)]   # u -> state
+    back = [(E @ P[:, :d]) * wt for wt, E in zip(weights, sim)]   # u -> state
     E_ctl_H = ar.adj(E_h)
     times, samples, cost, pieces = [], [], 0.0, []
     v = lam                                                        # e^{-jh A_d^H} lam
@@ -143,6 +161,7 @@ class ObservabilityReport:
     precision_bits: int
     flag: str  # 'ok' or 'singular_floor' (value then a certified lower bound)
     subintervals: int = 0  # Gramian steps of length h = T / 2^k: 2^k
+    taylor_degree: int = 0  # degree of the step's Taylor table
 
 
 def observability_constant(problem: ControlProblem, precision_bits=53) -> ObservabilityReport:
@@ -152,7 +171,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
     Solved as the largest generalized eigenvalue of (e^{-TA} e^{-TA^H}, W):
     with W = L L^H, C_T is the top eigenvalue of X X^H, X = L^{-1} e^{-TA}.
     Double precision serves while cond(W) < 1e12; otherwise the pencil is
-    redone in software floating point, doubling the mantissa while W is not
+    redone in fixed point, doubling the precision while W is not
     numerically positive definite.  If W stays singular at ``MAX_BITS``, a
     ridged W gives a certified lower bound, returned with a flag.
     """
@@ -161,7 +180,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
     while True:
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
-            W, E_T, _, steps = _gramian(ar, A, ar.from_np(problem.piomega), problem.T)
+            _, W, E_T, steps, m = _taylor(ar, A, problem.T, Q=ar.from_np(problem.piomega))
             L = ar.cholesky(W)
             if bits == 53 and (L is None or not ar.cond(W) < 1e12):
                 bits = 256
@@ -183,7 +202,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
                     extremal = HermiteExpansion(problem.A.n, problem.A.N, g0 / nrm)
             return ObservabilityReport(
                 problem.T, float(c), float(mp.log(c)), extremal, "generalized-eigen",
-                bits, flag, steps,
+                bits, flag, steps, m,
             )
 
 
@@ -213,6 +232,7 @@ class ControlResult:
     precision_bits: int
     flag: str
     subintervals: int = 0       # control-grid subintervals, 2^k
+    taylor_degree: int = 0      # degree of the step's Taylor table
 
 
 def hum_control(problem: ControlProblem, f0: HermiteExpansion,
@@ -224,27 +244,29 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     u(t) = P e^{-(T-t)A^H} lam on the Gauss control grid.  The verdict is the
     relative residual of the state re-simulated on that grid, an independent
     check of the solve; an ill-conditioned double-precision Gramian yields a
-    least-squares control with the residual documented.
+    least-squares control with the residual documented.  A zero f0 reports
+    the working precision and ``gramian_cond`` nan: nothing is computed.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
+    ar = arith.backend(53 if precision_bits <= 53 else max(precision_bits, 256))
     nrm0 = f0.norm()
     if nrm0 == 0.0:
-        return ControlResult([], [], 0.0, 0.0, 1.0, precision_bits, "ok")
+        return ControlResult([], [], 0.0, 0.0, float("nan"), ar.bits, "ok")
     A = problem.A.matrix
-    ar = arith.backend(53 if precision_bits <= 53 else max(precision_bits, 256))
     with mp.workprec(ar.bits + 16):
         P = ar.from_np(problem.piomega)
-        W, E_T, E_h, steps = _gramian(ar, A, P @ P, problem.T)
+        grid = ar.gauss(GRID_ORDER)
+        props, W, E_T, steps, m = _taylor(ar, A, problem.T, grid[0], P @ P)
         b = E_T @ ar.from_np(f0.coeffs)
         cond = ar.cond(W)
         flag = "ok" if ar.bits > 53 or cond < 1e12 else "ill_conditioned"
         lam = ar.solve(W, -b) if flag == "ok" else np.linalg.lstsq(W, -b, rcond=None)[0]
         times, samples, cost, forced = _steer(ar, A, P, A.shape[0], lam, problem.T,
-                                              steps, E_h)
+                                              steps, props, grid)
         residual = ar.norm(b + forced) / nrm0
     controls = [HermiteExpansion(f0.n, f0.N, u) for u in samples]
-    return ControlResult(times, controls, cost, residual, cond, ar.bits, flag, steps)
+    return ControlResult(times, controls, cost, residual, cond, ar.bits, flag, steps, m)
 
 
 # -- staircase strategy ------------------------------------------------------------
@@ -283,6 +305,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         return StaircaseResult([], 0.0, 0.0, "ok")
 
     f = f0.coeffs.copy()
+    grid = arith.DOUBLE.gauss(GRID_ORDER)
     stages = []
     total_cost = 0.0
     elapsed = 0.0
@@ -294,7 +317,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         tau = T_j / 2.0
         d = basis.space_dimension(n, k_j)
         P_j = P[:d, :d]
-        W_j, E_j, E_h, steps = _gramian(arith.DOUBLE, A[:d, :d], P_j @ P_j, tau)
+        props, W_j, E_j, steps, _ = _taylor(arith.DOUBLE, A[:d, :d], tau, grid[0], P_j @ P_j)
         b_j = E_j @ f[:d]
         try:
             cond = np.linalg.cond(W_j)
@@ -306,7 +329,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
             break
         # active half: full-state simulation forced by the designed control,
         # then the passive half: free dissipation
-        _, _, stage_cost, forced = _steer(arith.DOUBLE, A, P, d, lam, tau, steps, E_h)
+        _, _, stage_cost, forced = _steer(arith.DOUBLE, A, P, d, lam, tau, steps, props, grid)
         E_tau = scipy.linalg.expm(-tau * A)
         f = E_tau @ (E_tau @ f + forced)
         elapsed += T_j
@@ -335,7 +358,8 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
 
 @dataclass
 class BlowupStudy:
-    rows: list                   # dicts: T, C_T, c_log, precision_bits, method, flag
+    rows: list                   # dicts: T, C_T, c_log, precision_bits, method, flag,
+                                 # subintervals, taylor_degree
     fits: dict                   # exponent -> {slope, intercept, r2, ssr}
     k0: int
     excluded: list = field(default_factory=list)
@@ -372,6 +396,8 @@ def cost_blowup_study(A: GalerkinOperator, piomega, T_list, k0,
             "precision_bits": rep.precision_bits,
             "method": rep.method,
             "flag": rep.flag,
+            "subintervals": rep.subintervals,
+            "taylor_degree": rep.taylor_degree,
         }
         rows.append(row)
         if rep.flag != "ok":

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -48,7 +49,8 @@ def test_power_of_two_scaling_is_exact(k):
         S = M * mp.ldexp(1, k)
         assert ar.lam_min(S) == mp.ldexp(ar.lam_min(M), k)
         (top, vec), (top_s, vec_s) = ar.eigh_top(M), ar.eigh_top(S)
-        assert top_s == mp.ldexp(top, k) and vec_s.tolist() == vec.tolist()
+        assert top_s == mp.ldexp(top, k)
+        assert np.array_equal(ar.to_np(vec_s), ar.to_np(vec))
 
 
 def test_inv_lower_and_cond_match_dense_routines():
@@ -57,11 +59,11 @@ def test_inv_lower_and_cond_match_dense_routines():
     P = gram.gram_matrix(reg, 2, 3).matrix
     ar = arith.Mp(256)
     with mp.workprec(256 + 16):
-        W, _, _, _ = ct._gramian(ar, kfp, ar.from_np(P), 0.5)
+        _, W, _, _, _ = ct._taylor(ar, kfp, 0.5, Q=ar.from_np(P))
         L = ar.cholesky(W)
-        Li, ref = ar.inv_lower(L), mp.inverse(L)
+        Li, ref = arith._mp(ar.inv_lower(L)), mp.inverse(L)
         assert mp.mnorm(Li - ref, 1) <= mp.mpf(2) ** -240 * mp.mnorm(ref, 1)
-        sv = mp.svd_c(W, compute_uv=False)
+        sv = mp.svd_c(arith._mp(W), compute_uv=False)
         want = sv[0] / sv[sv.rows - 1]
         assert abs(ar.cond(W) - want) <= 1e-13 * want
         assert ar.cond(-W) == float("inf")
@@ -74,3 +76,28 @@ def test_mp_gauss_rule_is_exact_to_degree_15():
             got = mp.fsum(wi * xi ** k for xi, wi in zip(x, w))
             want = 2 / mp.mpf(k + 1) if k % 2 == 0 else 0
             assert abs(got - want) < mp.mpf(2) ** -260
+
+
+@pytest.mark.parametrize("scale", [-40, 0, 40])
+def test_fixed_point_matches_mpmath(scale):
+    # one exponent per matrix: products, adjoints, sums and scalar multiples
+    # err by at most 2^-bits of the result's norm at any scale
+    bits, rng = 256, np.random.default_rng(scale + 50)
+    X = (rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))) * 2.0 ** scale
+    Y = rng.standard_normal((7, 7)) * 2.0 ** -scale  # real: no imaginary part is held
+    v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    ar = arith.Mp(bits)
+    with mp.workprec(bits + 16):
+        a, b, u = ar.from_np(X), ar.from_np(Y), ar.from_np(v)
+        ma, mb, mu = mp.matrix(X.tolist()), mp.matrix(Y.tolist()), mp.matrix(v.tolist())
+        assert b.im is None and np.array_equal(ar.to_np(a), X) and np.array_equal(ar.to_np(u), v)
+        for M in (a, a @ a):  # full-width mantissas through mpmath and back, exactly
+            again = ar._fx(arith._mp(M), M.re.shape)
+            assert (again.re == M.re).all() and (again.im == M.im).all() and again.exp == M.exp
+        c = mp.mpf(1) / 3
+        pairs = [(a @ b, ma * mb), (b @ a, mb * ma), (a @ a, ma * ma), (ar.adj(a) @ a, ma.H * ma),
+                 (a @ u, ma * mu), (a * c, ma * c), (-a, -ma), (a + a @ b, ma + ma * mb),
+                 (a * 2.0 ** -60 + a, ma * (1 + mp.ldexp(1, -60)))]
+        for got, want in pairs:
+            assert mp.mnorm(arith._mp(got) - want, 1) <= mp.ldexp(mp.mnorm(want, 1), -bits)
+        assert abs(ar.norm(u) - mp.norm(mu)) <= 1e-15 * mp.norm(mu)

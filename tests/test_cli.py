@@ -265,6 +265,7 @@ class TestOutputs:
         assert code == cli.EXIT_OK
         doc = json.loads((tmp_path / "ctl.json").read_text())
         assert doc["result"]["residual"] <= 1e-6
+        assert doc["result"]["subintervals"] == 32 and doc["result"]["taylor_degree"] > 0
 
     def test_staircase_stage_csv(self, capsys, tmp_path):
         out = str(tmp_path / "st")
@@ -314,6 +315,14 @@ class TestOutputs:
         assert code == cli.EXIT_OK
         doc = json.loads((tmp_path / "o.json").read_text())
         assert doc["result"]["precision_bits"] >= 256
+        # the artifact records the Gramian's step count and Taylor degree
+        from hermite_obs import control as ct, quadratic as qd
+
+        A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
+        P = gram_matrix(cli.parse_region("full", 1, 4), 1, 4).matrix
+        rep = ct.observability_constant(ct.ControlProblem(A, P, 1.0), 256)
+        assert doc["result"]["subintervals"] == rep.subintervals == 16
+        assert doc["result"]["taylor_degree"] == rep.taylor_degree > 0
 
     def test_explicit_precision_reaches_every_horizon(self, capsys, tmp_path):
         out = str(tmp_path / "o")
@@ -324,6 +333,8 @@ class TestOutputs:
         rows = json.loads((tmp_path / "o.json").read_text())["result"]["rows"]
         assert len(rows) == 3
         assert all(r["precision_bits"] >= 256 for r in rows)
+        assert [r["subintervals"] for r in rows] == [16, 8, 4]
+        assert all(r["taylor_degree"] > 0 for r in rows)
 
     def test_evolve_ground_state(self, capsys, tmp_path):
         out = str(tmp_path / "e")

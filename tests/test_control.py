@@ -45,7 +45,7 @@ class TestGramian:
     def test_lyapunov_identity(self):
         # d/dt e^{-tA} Q e^{-tA^H} integrates to A W + W A^H = Q - E Q E^H
         for A, Q, T in gramian_cases():
-            W, E, _, steps = ct._gramian(arith.DOUBLE, A, Q, T)
+            _, W, E, steps, _ = ct._taylor(arith.DOUBLE, A, T, Q=Q)
             lhs = A @ W + W @ A.conj().T
             assert np.linalg.norm(lhs - (Q - E @ Q @ E.conj().T)) <= 1e-12 * np.linalg.norm(Q)
             # the step h = T / steps is the longest power-of-two split of T
@@ -55,7 +55,7 @@ class TestGramian:
 
     def test_matches_bartels_stewart(self):
         for A, Q, T in gramian_cases():
-            W, E, _, _ = ct._gramian(arith.DOUBLE, A, Q, T)
+            _, W, E, _, _ = ct._taylor(arith.DOUBLE, A, T, Q=Q)
             W_bs, E_ref = lyapunov_oracle(A, Q, T)
             assert np.linalg.norm(W - W_bs) <= 1e-12 * np.linalg.norm(W_bs)
             assert np.linalg.norm(E - E_ref) <= 1e-12 * np.linalg.norm(E_ref)
@@ -64,13 +64,61 @@ class TestGramian:
     def test_mp_matches_double(self):
         kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
         P = half_plane_gram(3).astype(complex)
-        W, _, _, steps = ct._gramian(arith.DOUBLE, kfp, P, 0.5)
+        _, W, _, steps, _ = ct._taylor(arith.DOUBLE, kfp, 0.5, Q=P)
         ar = arith.Mp(256)
         with mpmath.workprec(ar.bits + 16):
-            W_mp, _, _, steps_mp = ct._gramian(ar, kfp, ar.from_np(P), 0.5)
-            W_mp = np.array(W_mp.tolist(), dtype=complex)
+            _, W_mp, _, steps_mp, _ = ct._taylor(ar, kfp, 0.5, Q=ar.from_np(P))
+            W_mp = ar.to_np(W_mp)
         assert steps_mp == steps
         assert np.linalg.norm(W_mp - W) <= 1e-12 * np.linalg.norm(W_mp)
+
+
+class TestTaylorTable:
+    """The one Taylor table against independent matrix exponentials."""
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("case", ["harmonic-7", "kfp-4"])
+    def test_matches_mp_expm(self, bits, case):
+        # E(h), the eight grid offsets e^{-c h A} and W = V E^H built from the
+        # Van Loan block V, against mp.expm of the block and of each -c h A
+        if case == "harmonic-7":
+            A, P = qd.weyl_quantize(qd.harmonic_symbol(1), 7).matrix, thick_gram(7)
+        else:
+            A, P = qd.weyl_quantize(qd.kfp_symbol(1.0), 4).matrix, half_plane_gram(4)
+        d, ar = A.shape[0], arith.Mp(bits)
+        T = 1.0 / float(np.abs(A).sum(axis=0).max())
+        tol = mpmath.mpf(2) ** -(bits - 16)
+        with mpmath.workprec(bits + 16):
+            x, _ = ar.gauss(ct.GRID_ORDER)
+            Q = ar.from_np(P) @ ar.from_np(P)
+            props, W, E, steps, m = ct._taylor(ar, A, T, x, Q)
+            h = T / steps
+            A_mp, Z = mpmath.matrix(A), mpmath.matrix(2 * d)
+            Z[:d, :d], Z[:d, d:], Z[d:, d:] = A_mp * -h, arith._mp(Q) * h, A_mp.H * h
+            F = mpmath.expm(Z)
+            refs = [F[:d, :d]] + [mpmath.expm(A_mp * (-h * (xi + 1) / 2)) for xi in x]
+            ref_W = F[:d, d:] * F[:d, :d].H
+
+            def err(got, ref):
+                return mpmath.mnorm(arith._mp(got) - ref, 1) / mpmath.mnorm(ref, 1)
+
+            assert steps == 1 and m > 50
+            assert err(E, refs[0]) <= tol
+            assert all(err(got, ref) <= tol for got, ref in zip(props, refs))
+            assert err(W, (ref_W + ref_W.H) / 2) <= tol
+
+    @pytest.mark.parametrize("T", [0.01, 1.0, 5.0])
+    def test_double_matches_scipy(self, T):
+        # without Q the propagators at T ||A||_1 > 1 come from the table of
+        # B / 2^k, squared k times
+        A = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
+        x, _ = arith.DOUBLE.gauss(ct.GRID_ORDER)
+        props, W, E, steps, m = ct._taylor(arith.DOUBLE, A, T, x)
+        assert W is None and (steps > 1) == (T * np.abs(A).sum(axis=0).max() > 1)
+        for c, got in zip([1] + [(xi + 1) / 2 for xi in x], props):
+            ref = scipy.linalg.expm(-c * T * A)
+            assert np.linalg.norm(got - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+        assert np.array_equal(E, props[0])
 
 
 class TestObservability:
@@ -128,6 +176,7 @@ class TestObservability:
         a = ct.observability_constant(prob)
         b = ct.observability_constant(prob, precision_bits=256)
         assert b.precision_bits >= 256
+        assert b.subintervals == a.subintervals and b.taylor_degree > a.taylor_degree > 0
         assert a.c_value == pytest.approx(b.c_value, rel=1e-9)
 
 
@@ -150,6 +199,14 @@ class TestHumControl:
         f0 = basis.HermiteExpansion(1, 6, np.zeros(7))
         res = ct.hum_control(prob, f0)
         assert res.cost == 0.0 and res.residual == 0.0
+        # no Gramian is built, and the precision is the one a nonzero state gets
+        assert math.isnan(res.gramian_cond) and res.precision_bits == 53
+        nonzero = basis.unit_expansion(1, 6, (0,))
+        for bits in (100, 300):
+            want = ct.hum_control(prob, nonzero, bits).precision_bits
+            res = ct.hum_control(prob, f0, bits)
+            assert res.precision_bits == want == max(bits, 256)
+            assert math.isnan(res.gramian_cond)
 
     def test_full_space_single_mode(self):
         prob = harmonic_problem(8)
@@ -210,6 +267,7 @@ class TestHumControl:
         b = ct.hum_control(prob, f0, precision_bits=256)
         assert b.precision_bits == 256 and b.flag == "ok"
         assert b.subintervals == a.subintervals
+        assert b.taylor_degree > a.taylor_degree > 0
         assert b.residual <= 1e-15
         assert b.cost == pytest.approx(a.cost, rel=1e-10)
         assert b.times == pytest.approx(a.times, rel=1e-15)
