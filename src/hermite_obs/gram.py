@@ -84,49 +84,45 @@ def _times(outer, inner):
 def _assemble(region: Region, n, N, mp=None):
     """Sum over the region's boxes of the tensor products of pair tables.
 
-    One table per distinct interval serves every box and axis that uses it.
-    Boxes are grouped by their interval on each axis in turn; the innermost
-    axis stays a sum of (N+1)^2 tables and is spread onto the dim x dim
-    multi-index grid only to be multiplied by an outer axis.  In double
-    precision the result is ``[G, A, E]``: the Gram matrix, the sum over
-    boxes of prod |T| and the sum of the per-box bounds
-    prod(|T| + E_T) - prod |T|.  With an mpmath context it is ``[G]``, with
-    mpf entries in the working precision.
+    One ``regions.interval_pair_tables`` call stacks the tables of the
+    distinct intervals of all axes.  Boxes are grouped by their interval on
+    each axis in turn; the innermost axis is an in-order sum over the stack's
+    first axis, an (N+1)^2 table spread onto the dim x dim multi-index grid
+    only to be multiplied by an outer axis.  In double precision the result
+    is ``[G, A, E]``: the Gram matrix, the sum over boxes of prod |T| and the
+    sum of the per-box bounds prod(|T| + E_T) - prod |T|.  With an mpmath
+    context it is ``[G]``, with mpf entries in the working precision.
     """
     if region.n != n:
         raise ContractViolation("region dimension mismatch")
     _require_radius(region, n, N)
     idx = basis.multi_indices(n, N)
-    # spread[j] maps the (N+1)^2 table of axis j onto the dim x dim grid
-    spread = [np.ix_(degrees, degrees) for degrees in np.array(idx).T]
-    tables = {}
-
-    def table(lo, hi):
-        if (lo, hi) not in tables:
-            tables[lo, hi] = regions.interval_pair_tables(lo, hi, N, mp)
-        if mp is not None:
-            return [tables[lo, hi]]
-        vals, errs = tables[lo, hi]
-        return [vals, np.abs(vals), errs]
-
     if not region.box_count:
         return [np.zeros((len(idx), len(idx)))] * (3 if mp is None else 1)
-    return _axis_sum(region, 0, np.arange(region.box_count), table, spread)
+    # spread[j] maps the (N+1)^2 table of axis j onto the dim x dim grid
+    spread = [np.ix_(degrees, degrees) for degrees in np.array(idx).T]
+    ends = np.stack([region.lows.T, region.highs.T], axis=-1).reshape(-1, 2)
+    keys, which = np.unique(ends, axis=0, return_inverse=True)
+    tables = regions.interval_pair_tables(keys[:, 0], keys[:, 1], N, mp)
+    stack = [tables] if mp is not None else [tables[0], np.abs(tables[0]), tables[1]]
+    return _axis_sum(0, np.arange(region.box_count), which.reshape(n, -1), stack, spread)
 
 
-def _axis_sum(region, axis, rows, table, spread):
+def _axis_sum(axis, rows, which, stack, spread):
     """Sum over the boxes ``rows`` of the products of their tables on the
-    axes from ``axis`` on, grouped by the boxes' interval on ``axis``."""
-    ends = np.stack([region.lows[rows, axis], region.highs[rows, axis]], axis=1)
-    keys, group = np.unique(ends, axis=0, return_inverse=True)
+    axes from ``axis`` on, grouped by the boxes' interval on ``axis``;
+    ``stack[.][which[axis, box]]`` is the box's table on ``axis``."""
+    used, group = np.unique(which[axis, rows], return_inverse=True)
+    if axis == len(which) - 1:
+        # -0.0 + t == t, so the sum is t_0 + t_1 + ... exactly, signed zeros included
+        tables = stack if len(used) == len(stack[0]) else [t[used] for t in stack]
+        return [t.sum(axis=0, initial=-0.0)[spread[axis]] for t in tables]
     total = None
-    for g, (lo, hi) in enumerate(keys):
-        part = table(float(lo), float(hi))
-        if axis < region.n - 1:
-            inner = _axis_sum(region, axis + 1, rows[group.ravel() == g], table, spread)
-            part = _times([t[spread[axis]] for t in part], inner)
+    for g, i in enumerate(used):
+        inner = _axis_sum(axis + 1, rows[group == g], which, stack, spread)
+        part = _times([t[i][spread[axis]] for t in stack], inner)
         total = part if total is None else [s + p for s, p in zip(total, part)]
-    return [t[spread[axis]] for t in total] if axis == region.n - 1 else total
+    return total
 
 
 def gram_matrix(region: Region, n, N) -> GramOperator:

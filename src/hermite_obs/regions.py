@@ -64,14 +64,10 @@ def truncate_radius(N, n, safety=1.5):
 
 def _merge_intervals(lows, highs, tol=1e-12):
     order = np.argsort(lows)
-    lo, hi = [], []
-    for i in order:
-        if lo and lows[i] <= hi[-1] + tol:
-            hi[-1] = max(hi[-1], highs[i])
-        else:
-            lo.append(lows[i])
-            hi.append(highs[i])
-    return np.array(lo), np.array(hi)
+    lows, highs = lows[order], highs[order]
+    reach = np.maximum.accumulate(highs)  # a run ends where the next interval starts past it
+    start = np.flatnonzero(np.concatenate([[True], lows[1:] > reach[:-1] + tol]))
+    return lows[start], np.maximum.reduceat(highs, start)
 
 
 class Region:
@@ -315,15 +311,9 @@ def _box_ball_overlap(lo, hi, R, tol):
             s = np.sqrt(np.clip(R * R - x * x, 0.0, None))
             return _clip_length(lo[1], hi[1], s)
     else:
-        def f(x):
-            out = np.empty_like(x)
-            for i, xi in enumerate(np.atleast_1d(x)):
-                r2 = R * R - xi * xi
-                if r2 <= 0.0:
-                    out[i] = 0.0
-                else:
-                    out[i] = _box_ball_overlap(lo[1:], hi[1:], math.sqrt(r2), tol / 10)[0]
-            return out
+        def f(x):  # a slice past the ball has radius 0 and overlap 0
+            return np.array([_box_ball_overlap(lo[1:], hi[1:], math.sqrt(max(R * R - t * t, 0.0)),
+                                               tol / 10)[0] for t in x])
     v, e, _ = composite_gauss_legendre(f, a, b, abs_tol=tol, min_panels=32)
     return v, e
 
@@ -357,60 +347,77 @@ def density_ratio(region: Region, R, tol=1e-7):
 
 
 def interval_pair_tables(a, b, N, mp=None):
-    """All integrals int_a^b phi_j phi_k for j, k <= N, in closed form.
+    """All integrals int_{a_i}^{b_i} phi_j phi_k for j, k <= N, in closed form.
 
-    The boundary values phi_k(a), phi_k(b) come from the weighted three-term
-    recurrence, the off-diagonals from the Wronskian identity and the
-    diagonals from the erf-seeded ladder recurrence (module docstring).
-    With ``mp=None`` everything runs in double precision, vectorized, and the
-    result is ``(values, error_bounds)``, two (N+1, N+1) arrays whose bounds
-    come from the rounding analysis below.  With an mpmath context the same
-    formulas run in its working precision and only the values are returned,
-    as an (N+1, N+1) object array of mpf.
+    ``a`` and ``b`` hold the ends of M intervals, shape (M,).  The boundary
+    values come from the weighted three-term recurrence, the off-diagonals
+    from the Wronskian identity and the diagonals from the erf-seeded ladder
+    recurrence (module docstring).  With ``mp=None`` everything runs in double
+    precision, vectorized, and the result is ``(values, error_bounds)``, two
+    (M, N+1, N+1) stacks whose bounds come from the rounding analysis below.
+    With an mpmath context the same formulas run in its working precision and
+    only the values are returned, an (M, N+1, N+1) object array of mpf.  No
+    table depends on its batch: every entry sees the same operations in the
+    same order, bit for bit, in chunks of about 2^15 bound temporaries.
     """
+    ends = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)], axis=-1)
+    shape = (len(ends), N + 1, N + 1)
+    out = (np.empty(shape, dtype=object),) if mp is not None else (np.empty(shape), np.empty(shape))
+    rows = max(1, 2**15 // (2 * (N + 2) ** 2))  # G below holds 2 (N+2)^2 doubles per interval
+    for start in range(0, len(ends), rows):
+        for stack, part in zip(out, _pair_tables(ends[start:start + rows], N, mp)):
+            stack[start:start + rows] = part
+    return out[0] if mp is not None else out
+
+
+def _pair_tables(x, N, mp):
+    """``interval_pair_tables`` of the intervals ``x[i] = (a_i, b_i)``."""
     if mp is None:
         num, sqrt, exp, erf, erfc, pi, dtype = (
             float, math.sqrt, math.exp, math.erf, math.erfc, math.pi, float)
     else:
         num, sqrt, exp, erf, erfc, pi, dtype = (
             mp.mpf, mp.sqrt, mp.exp, mp.erf, mp.erfc, mp.pi, object)
-    K = N + 1
-    x = np.array([num(a), num(b)], dtype=dtype)
+    M, K = len(x), N + 1
+    if mp is not None:
+        x = np.frompyfunc(num, 1, 1)(x)
     c = np.array([sqrt(num(2) / (k + 1)) for k in range(K)], dtype=dtype)
     d = np.array([sqrt(num(k) / (k + 1)) for k in range(K)], dtype=dtype)
-    root = np.array([sqrt(num(k)) for k in range(K + 1)], dtype=dtype)
+    root = np.array([sqrt(num(k)) for k in range(K + 1)], dtype=dtype)[:, None, None]
 
-    # v[k] = (phi_k(a), phi_k(b)) for k <= N+1, dv[k] = (phi_k'(a), phi_k'(b)) for k <= N
-    xc = x * c[:, None]
-    v = np.empty((K + 1, 2), dtype=dtype)
-    v[0] = [pi ** num(-0.25) * exp(-t * t / 2) for t in x]
+    # v[k, i] = (phi_k(a_i), phi_k(b_i)) for k <= N+1, dv[k, i] likewise phi_k' for k <= N;
+    # the diagonal's seed I_0 = (erf(b) - erf(a)) / 2 leans right and takes erfc when
+    # both ends share a sign, so that far intervals keep relative accuracy
+    v = np.empty((K + 1, M, 2), dtype=dtype)
+    F_lo, F_hi, sign = (np.empty(M, dtype=dtype) for _ in range(3))
+    for i, (a, b) in enumerate(x):
+        v[0, i] = [pi ** num(-0.25) * exp(-t * t / 2) for t in (a, b)]
+        lo, hi = (a, b) if a + b >= 0 else (-b, -a)
+        F, sign[i] = (erfc, -1) if lo >= 0 else (erf, 1)
+        F_lo[i], F_hi[i] = F(lo), F(hi)
+    xc = x * c[:, None, None]
     v[1] = xc[0] * v[0]
     for k in range(1, K):
         v[k + 1] = xc[k] * v[k] - d[k] * v[k - 1]
     below = np.concatenate([v[:1] * 0, v[:K - 1]])
-    dv = (root[:K, None] * below - root[1:, None] * v[1:]) / sqrt(num(2))
+    dv = (root[:K] * below - root[1:] * v[1:]) / sqrt(num(2))
 
-    # off[j, k] = [phi_j phi_k' - phi_j' phi_k]_a^b / (2 (j - k)), symmetric
-    row, col = upper = np.triu_indices(K, 1)
-    lower = (col, row)
-    wronskian = [v[row, e] * dv[col, e] - v[col, e] * dv[row, e] for e in (0, 1)]
-    den = np.array([num(-2 * m) for m in range(K)], dtype=dtype)[col - row]
-    vals = np.empty((K, K), dtype=dtype)
-    vals[upper] = vals[lower] = (wronskian[1] - wronskian[0]) / den
+    # off[., i] = [phi_j phi_k' - phi_j' phi_k]_{a_i}^{b_i} / (2 (j - k)) for j < k
+    row, col = np.nonzero(np.arange(K)[:, None] < np.arange(K))
+    wronskian = [v[row, :, e] * dv[col, :, e] - v[col, :, e] * dv[row, :, e] for e in (0, 1)]
+    den = np.array([num(-2 * m) for m in range(K)], dtype=dtype)[col - row, None]
+    off = (wronskian[1] - wronskian[0]) / den
 
-    # diagonal: I_{k+1} = I_k - (c_k / 2) [phi_k phi_{k+1}]_a^b from I_0, which is
-    # (erf(b) - erf(a)) / 2 reflected to lean right and taken through erfc
-    # when both ends share a sign, so that far intervals keep relative accuracy
-    B = v[:N, 1] * v[1:K, 1] - v[:N, 0] * v[1:K, 0]
-    step = c[:N] / 2 * B
-    lo, hi = (x[0], x[1]) if a + b >= 0 else (-x[1], -x[0])
-    F, sign = (erfc, -1) if lo >= 0 else (erf, 1)
-    F_lo, F_hi = F(lo), F(hi)
+    # diagonal: I_{k+1} = I_k - (c_k / 2) [phi_k phi_{k+1}]_a^b from I_0
+    B = v[:N, :, 1] * v[1:K, :, 1] - v[:N, :, 0] * v[1:K, :, 0]
+    step = c[:N, None] / 2 * B
     seed = sign * (F_hi - F_lo) / 2
-    diag = np.cumsum(np.concatenate([np.array([seed], dtype=dtype), -step]))
-    np.fill_diagonal(vals, diag)
+    diag = np.cumsum(np.concatenate([seed[None], -step]), axis=0)
+    vals = np.empty((M, K, K), dtype=dtype)
+    vals[:, row, col] = vals[:, col, row] = off.T
+    vals.reshape(M, -1)[:, ::K + 1] = diag.T
     if mp is not None:
-        return vals
+        return (vals,)
 
     # Rounding bound.  eps = 2u dominates every gamma_m = m u / (1 - m u)
     # below.  The boundary values solve T v = phi_0 e_0, T unit lower
@@ -425,49 +432,47 @@ def interval_pair_tables(a, b, N, mp=None):
     eps = np.finfo(float).eps
     tiny = np.finfo(float).smallest_subnormal
     av = np.abs(v)
-    G = np.zeros((K + 1, 2, K + 1))  # G[k, e, m] = (T^-1)[k, m] at end e
-    G[np.arange(K + 1), :, np.arange(K + 1)] = 1.0
-    G[1] += xc[0, :, None] * G[0]
+    G = np.zeros((K + 1, M, 2, K + 1))  # G[k, i, e, m] = (T^-1)[k, m] at end e of interval i
+    G[np.arange(K + 1), :, :, np.arange(K + 1)] = 1.0
+    G[1] += xc[0, :, :, None] * G[0]
     for k in range(1, K):
-        G[k + 1] += xc[k, :, None] * G[k] - d[k] * G[k - 1]
+        G[k + 1] += xc[k, :, :, None] * G[k] - d[k] * G[k - 1]
     Tv = av.copy()
     Tv[1:] += np.abs(xc) * av[:-1]
-    Tv[2:] += d[1:, None] * av[:-2]
+    Tv[2:] += d[1:, None, None] * av[:-2]
     r = 3 * eps * Tv + tiny
     r[0] = eps * (x * x / 4 + 3) * av[0] + tiny
-    rho = (np.abs(G) * r.T[None, :, :]).sum(axis=2)
+    rho = (np.abs(G) * r.transpose(1, 2, 0)).sum(axis=3)
     # phi_k' carries its terms' errors and 3 eps of their size; products of
     # perturbed factors obey |pq - p^q^| <= dp |q^| + (|p^| + dp) dq
-    sig = (root[:K, None] * (np.concatenate([rho[:1] * 0, rho[:K - 1]]) + 3 * eps * np.abs(below))
-           + root[1:, None] * (rho[1:] + 3 * eps * av[1:])) / math.sqrt(2.0)
+    sig = (root[:K] * (np.concatenate([rho[:1] * 0, rho[:K - 1]]) + 3 * eps * np.abs(below))
+           + root[1:] * (rho[1:] + 3 * eps * av[1:])) / math.sqrt(2.0)
     adv = np.abs(dv)
-    S = (rho[:K, None, :] * adv[None, :, :] + (av[:K, None, :] + rho[:K, None, :]) * sig[None, :, :]
-         + 2 * eps * av[:K, None, :] * adv[None, :, :]).sum(axis=2)
-    errs = np.empty((K, K))
-    errs[upper] = errs[lower] = (S[upper] + S[lower]) / np.abs(den) + eps * np.abs(vals[upper])
+    rho_j, av_j = rho[:K, None], av[:K, None]
+    S = (rho_j * adv + (av_j + rho_j) * sig + 2 * eps * av_j * adv).sum(axis=3)
     err_B = (rho[:N] * av[1:K] + (av[:N] + rho[:N]) * rho[1:K]
-             + 2 * eps * av[:N] * av[1:K]).sum(axis=1)
-    err_seed = 4 * eps * (abs(F_lo) + abs(F_hi)) + eps * abs(seed)  # erf, erfc to 8 ulp
-    err_step = c[:N] / 2 * err_B + 2 * eps * np.abs(step) + eps * np.abs(diag[1:])
-    np.fill_diagonal(errs, err_seed + np.concatenate([[0.0], np.cumsum(err_step)]))
+             + 2 * eps * av[:N] * av[1:K]).sum(axis=2)
+    err_seed = 4 * eps * (np.abs(F_lo) + np.abs(F_hi)) + eps * np.abs(seed)  # erf, erfc to 8 ulp
+    err_step = c[:N, None] / 2 * err_B + 2 * eps * np.abs(step) + eps * np.abs(diag[1:])
+    errs = np.empty((M, K, K))
+    errs[:, row, col] = errs[:, col, row] = (
+        (S[row, col] + S[col, row]) / np.abs(den) + eps * np.abs(off)).T
+    errs.reshape(M, -1)[:, ::K + 1] = (err_seed + np.concatenate(
+        [np.zeros((1, M)), np.cumsum(err_step, axis=0)])).T
     return vals, errs + np.finfo(float).tiny
 
 
 def integrate_pair(region: Region, j, k):
     """int over a 1-D region of phi_j phi_k, with an honest error account.
 
-    The result is one entry of ``interval_pair_tables`` summed over the
-    region's intervals; the method tag names the closed form behind it, the
-    Wronskian identity (j != k) or the erf-seeded recurrence (j == k).
+    The result is one entry of ``interval_pair_tables`` summed in order over
+    the region's intervals; the method tag names the closed form behind it,
+    the Wronskian identity (j != k) or the erf-seeded recurrence (j == k).
     """
     if region.n != 1:
         raise ContractViolation("integrate_pair is a one-dimensional building block")
     if j < 0 or k < 0:
         raise ContractViolation("degrees must be >= 0")
-    total, err = 0.0, 0.0
-    for lo, hi in zip(region.lows[:, 0], region.highs[:, 0]):
-        vals, errs = interval_pair_tables(lo, hi, max(j, k))
-        total += vals[j, k]
-        err += errs[j, k]
-    return QuadratureAccount(float(total), float(err),
+    vals, errs = interval_pair_tables(region.lows[:, 0], region.highs[:, 0], max(j, k))
+    return QuadratureAccount(float(vals.sum(axis=0)[j, k]), float(errs.sum(axis=0)[j, k]),
                              WRONSKIAN_EXACT if j != k else ERF_RECURRENCE)

@@ -170,9 +170,8 @@ def suite_regions_tensorization(seed=0, trials=20):
         N = 3
         alpha = tuple(int(v) for v in rng.integers(0, N + 1, size=2))
         beta = tuple(int(v) for v in rng.integers(0, N + 1, size=2))
-        vx, _ = rg.interval_pair_tables(lo[0], hi[0], N)
-        vy, _ = rg.interval_pair_tables(lo[1], hi[1], N)
-        got = vx[alpha[0], beta[0]] * vy[alpha[1], beta[1]]
+        vals, _ = rg.interval_pair_tables(lo, hi, N)
+        got = vals[0, alpha[0], beta[0]] * vals[1, alpha[1], beta[1]]
         want = 1.0
         for ax in range(2):
             xs = 0.5 * (lo[ax] + hi[ax]) + 0.5 * (hi[ax] - lo[ax]) * nodes

@@ -13,7 +13,7 @@ def halfline_region(N, extra=1.0):
 
 
 def per_box_reference(region, n, N):
-    """Gram matrix and entry error box by box, with fresh tables per axis.
+    """Gram matrix and entry error box by box, with fresh tables per box.
 
     The bound of a product of perturbed factors, prod(|t| + e) - prod |t|,
     is accumulated axis by axis as U <- U (|t| + e) + |P| e, which is the
@@ -25,9 +25,9 @@ def per_box_reference(region, n, N):
     E = np.zeros_like(G)
     for lo, hi in zip(region.lows, region.highs):
         P, U = np.ones_like(G), np.zeros_like(G)
+        T, E_T = rg.interval_pair_tables(lo, hi, N)
         for j in range(n):
-            t, e = rg.interval_pair_tables(lo[j], hi[j], N)
-            t, e = t[axes[j]], e[axes[j]]
+            t, e = T[j][axes[j]], E_T[j][axes[j]]
             U = U * (np.abs(t) + e) + np.abs(P) * e
             P = P * t
         G += P
@@ -87,6 +87,33 @@ class TestGramAssembly:
         want, want_err = per_box_reference(reg, n, N)
         assert np.max(np.abs(G.matrix - want)) < 1e-14
         assert G.entry_error == pytest.approx(want_err, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["periodic", "ball"])
+    def test_1d_gram_is_the_ordered_sum_of_tables(self, kind):
+        # the intervals' tables summed one after another, bit for bit; the
+        # symmetric interval's odd-parity entries are -0.0 and must stay so
+        R = rg.truncate_radius(16, 1) + 1
+        reg = (rg.make_periodic_thick(1, 1.0, 0.5, R) if kind == "periodic"
+               else rg.interval_region(-1.0, 1.0, trunc_radius=R))
+        vals, errs = rg.interval_pair_tables(reg.lows[:, 0], reg.highs[:, 0], 16)
+        G, E = vals[0], errs[0]
+        for v, e in zip(vals[1:], errs[1:]):
+            G, E = G + v, E + e
+        got = gram.gram_matrix(reg, 1, 16)
+        assert got.matrix.tobytes() == G.tobytes()
+        assert got.entry_error == float(np.max(E)) + gram.truncation_entry_error(1, 16, R)
+
+    @pytest.mark.parametrize("n,N,build", [(1, 16, gram.gram_matrix), (2, 6, gram.gram_matrix),
+                                           (2, 2, gram.gram_matrix_mp)])
+    def test_one_table_call_per_gram(self, n, N, build, monkeypatch):
+        calls = []
+        tables = rg.interval_pair_tables
+        monkeypatch.setattr(rg, "interval_pair_tables",
+                            lambda *args: calls.append(args) or tables(*args))
+        reg = rg.make_periodic_thick(n, 1.0, 0.5, rg.truncate_radius(N, n) + 1)
+        with mpmath.workprec(272):
+            build(reg, n, N)
+        assert len(calls) == 1
 
     def test_mp_matches_double_2d(self):
         reg = rg.make_periodic_thick(2, 1.0, 0.5, rg.truncate_radius(6, 2) + 1)

@@ -146,9 +146,9 @@ class TestPairIntegral:
         # the same closed forms at 320 bits leave only the double rounding,
         # which every entry's reported bound must cover
         N = 64
-        vals, errs = rg.interval_pair_tables(a, b, N)
+        (vals,), (errs,) = rg.interval_pair_tables([a], [b], N)
         with mpmath.workprec(320):
-            ref = rg.interval_pair_tables(a, b, N, mpmath.mp)
+            (ref,) = rg.interval_pair_tables([a], [b], N, mpmath.mp)
             ref = np.array([[float(e) for e in row] for row in ref])
         assert np.all(np.abs(vals - ref) <= errs)
 
@@ -156,9 +156,8 @@ class TestPairIntegral:
         # int_box Phi_a Phi_b factorizes; oracle is a tensor Gauss rule
         lo, hi = [-0.4, 0.1], [1.2, 1.7]
         alpha, beta = (1, 2), (0, 1)
-        vx, _ = rg.interval_pair_tables(lo[0], hi[0], 3)
-        vy, _ = rg.interval_pair_tables(lo[1], hi[1], 3)
-        got = vx[alpha[0], beta[0]] * vy[alpha[1], beta[1]]
+        vals, _ = rg.interval_pair_tables(lo, hi, 3)
+        got = vals[0, alpha[0], beta[0]] * vals[1, alpha[1], beta[1]]
         nodes, w = np.polynomial.legendre.leggauss(40)
         xs = 0.5 * (lo[0] + hi[0]) + 0.5 * (hi[0] - lo[0]) * nodes
         ys = 0.5 * (lo[1] + hi[1]) + 0.5 * (hi[1] - lo[1]) * nodes
@@ -173,13 +172,130 @@ class TestPairIntegral:
 
     def test_mp_table_matches_double(self):
         with mpmath.workprec(200):
-            tab = rg.interval_pair_tables(0.0, 40.0, 8, mpmath.mp)
-        vals, errs = rg.interval_pair_tables(0.0, 40.0, 8)
+            (tab,) = rg.interval_pair_tables([0.0], [40.0], 8, mpmath.mp)
+        (vals,), (errs,) = rg.interval_pair_tables([0.0], [40.0], 8)
         for j in range(9):
             for k in range(9):
                 assert float(tab[j][k]) == pytest.approx(
                     vals[j, k], abs=max(5e-13, 4 * errs[j, k])
                 )
+
+
+# The single-interval pair-table routine that the batched one replaced, kept
+# verbatim as the reference: a batch must reproduce it bit for bit.
+def single_interval_tables(a, b, N, mp=None):
+    """One interval [a, b]: (N+1, N+1) tables, or their mpf values with ``mp``."""
+    if mp is None:
+        num, sqrt, exp, erf, erfc, pi, dtype = (
+            float, math.sqrt, math.exp, math.erf, math.erfc, math.pi, float)
+    else:
+        num, sqrt, exp, erf, erfc, pi, dtype = (
+            mp.mpf, mp.sqrt, mp.exp, mp.erf, mp.erfc, mp.pi, object)
+    K = N + 1
+    x = np.array([num(a), num(b)], dtype=dtype)
+    c = np.array([sqrt(num(2) / (k + 1)) for k in range(K)], dtype=dtype)
+    d = np.array([sqrt(num(k) / (k + 1)) for k in range(K)], dtype=dtype)
+    root = np.array([sqrt(num(k)) for k in range(K + 1)], dtype=dtype)
+
+    # v[k] = (phi_k(a), phi_k(b)) for k <= N+1, dv[k] = (phi_k'(a), phi_k'(b)) for k <= N
+    xc = x * c[:, None]
+    v = np.empty((K + 1, 2), dtype=dtype)
+    v[0] = [pi ** num(-0.25) * exp(-t * t / 2) for t in x]
+    v[1] = xc[0] * v[0]
+    for k in range(1, K):
+        v[k + 1] = xc[k] * v[k] - d[k] * v[k - 1]
+    below = np.concatenate([v[:1] * 0, v[:K - 1]])
+    dv = (root[:K, None] * below - root[1:, None] * v[1:]) / sqrt(num(2))
+
+    # off[j, k] = [phi_j phi_k' - phi_j' phi_k]_a^b / (2 (j - k)), symmetric
+    row, col = upper = np.triu_indices(K, 1)
+    lower = (col, row)
+    wronskian = [v[row, e] * dv[col, e] - v[col, e] * dv[row, e] for e in (0, 1)]
+    den = np.array([num(-2 * m) for m in range(K)], dtype=dtype)[col - row]
+    vals = np.empty((K, K), dtype=dtype)
+    vals[upper] = vals[lower] = (wronskian[1] - wronskian[0]) / den
+
+    # diagonal: I_{k+1} = I_k - (c_k / 2) [phi_k phi_{k+1}]_a^b from I_0, which is
+    # (erf(b) - erf(a)) / 2 reflected to lean right and taken through erfc
+    # when both ends share a sign, so that far intervals keep relative accuracy
+    B = v[:N, 1] * v[1:K, 1] - v[:N, 0] * v[1:K, 0]
+    step = c[:N] / 2 * B
+    lo, hi = (x[0], x[1]) if a + b >= 0 else (-x[1], -x[0])
+    F, sign = (erfc, -1) if lo >= 0 else (erf, 1)
+    F_lo, F_hi = F(lo), F(hi)
+    seed = sign * (F_hi - F_lo) / 2
+    diag = np.cumsum(np.concatenate([np.array([seed], dtype=dtype), -step]))
+    np.fill_diagonal(vals, diag)
+    if mp is not None:
+        return vals
+
+    # Rounding bound.  eps = 2u dominates every gamma_m = m u / (1 - m u)
+    # below.  The boundary values solve T v = phi_0 e_0, T unit lower
+    # triangular with row k+1 reading v_{k+1} - x c_k v_k + d_k v_{k-1}.
+    # Forward substitution with rounded coefficients gives
+    # (T + dT) v^ = phi_0^ e_0 with |dT| <= 3 eps |T| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Thm 8.5), so
+    #     |v - v^| <= |T^-1| (3 eps |T| |v^| + |phi_0 - phi_0^| e_0),
+    # where exp(-x^2/2) inherits the relative error u x^2/2 of x^2.  An
+    # underflow adds at most half a subnormal step: the seed's share is
+    # carried by T^-1, the rest by a floor of the smallest normal number.
+    eps = np.finfo(float).eps
+    tiny = np.finfo(float).smallest_subnormal
+    av = np.abs(v)
+    G = np.zeros((K + 1, 2, K + 1))  # G[k, e, m] = (T^-1)[k, m] at end e
+    G[np.arange(K + 1), :, np.arange(K + 1)] = 1.0
+    G[1] += xc[0, :, None] * G[0]
+    for k in range(1, K):
+        G[k + 1] += xc[k, :, None] * G[k] - d[k] * G[k - 1]
+    Tv = av.copy()
+    Tv[1:] += np.abs(xc) * av[:-1]
+    Tv[2:] += d[1:, None] * av[:-2]
+    r = 3 * eps * Tv + tiny
+    r[0] = eps * (x * x / 4 + 3) * av[0] + tiny
+    rho = (np.abs(G) * r.T[None, :, :]).sum(axis=2)
+    # phi_k' carries its terms' errors and 3 eps of their size; products of
+    # perturbed factors obey |pq - p^q^| <= dp |q^| + (|p^| + dp) dq
+    sig = (root[:K, None] * (np.concatenate([rho[:1] * 0, rho[:K - 1]]) + 3 * eps * np.abs(below))
+           + root[1:, None] * (rho[1:] + 3 * eps * av[1:])) / math.sqrt(2.0)
+    adv = np.abs(dv)
+    S = (rho[:K, None, :] * adv[None, :, :] + (av[:K, None, :] + rho[:K, None, :]) * sig[None, :, :]
+         + 2 * eps * av[:K, None, :] * adv[None, :, :]).sum(axis=2)
+    errs = np.empty((K, K))
+    errs[upper] = errs[lower] = (S[upper] + S[lower]) / np.abs(den) + eps * np.abs(vals[upper])
+    err_B = (rho[:N] * av[1:K] + (av[:N] + rho[:N]) * rho[1:K]
+             + 2 * eps * av[:N] * av[1:K]).sum(axis=1)
+    err_seed = 4 * eps * (abs(F_lo) + abs(F_hi)) + eps * abs(seed)  # erf, erfc to 8 ulp
+    err_step = c[:N] / 2 * err_B + 2 * eps * np.abs(step) + eps * np.abs(diag[1:])
+    np.fill_diagonal(errs, err_seed + np.concatenate([[0.0], np.cumsum(err_step)]))
+    return vals, errs + np.finfo(float).tiny
+
+
+# straddling, far on either side, both signs of a + b, zero-length
+MIXED_INTERVALS = [(-8.0097, 3.2986), (0.0, 40.0), (5.0, 40.0), (-40.0, -5.0), (-40.0, 40.0),
+                   (-3.0, 1.5), (-1.5, 3.0), (-0.7, 0.7), (2.5, 2.5), (-2.5, -2.5), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("N,extra", [(0, 4100), (1, 1900), (8, 200), (64, 0)])
+def test_batched_tables_match_single_interval(N, extra, monkeypatch):
+    rng = np.random.default_rng(N)
+    ends = np.vstack([MIXED_INTERVALS, np.sort(rng.uniform(-12.0, 12.0, (extra, 2)), axis=1)])
+    a, b = ends[:, 0], ends[:, 1]
+    chunks = []
+    whole = rg._pair_tables
+    monkeypatch.setattr(rg, "_pair_tables",
+                        lambda x, *args: chunks.append(len(x)) or whole(x, *args))
+    vals, errs = rg.interval_pair_tables(a, b, N)
+    assert len(chunks) > 1 and sum(chunks) == len(ends)
+    for i in range(len(ends)):
+        v, e = single_interval_tables(a[i], b[i], N)
+        assert vals[i].tobytes() == v.tobytes() and errs[i].tobytes() == e.tobytes()
+    # the mpf entries at 272 bits, on the mixed intervals and 40 of the rest
+    take = len(MIXED_INTERVALS) + min(extra, 40)
+    with mpmath.workprec(272):
+        tabs = rg.interval_pair_tables(a[:take], b[:take], N, mpmath.mp)
+        for i in range(take):
+            ref = single_interval_tables(a[i], b[i], N, mpmath.mp)
+            assert [t._mpf_ for t in tabs[i].ravel()] == [t._mpf_ for t in ref.ravel()]
 
 
 class TestTruncateRadius:
