@@ -1,4 +1,5 @@
-"""Arithmetic backends shared by the spectral and control pipelines.
+"""Arithmetic backends shared by the spectral and control pipelines, and the
+one Taylor table (:func:`taylor`) behind every propagator and time Gramian.
 
 Matrices of both backends support +, @, unary -, real scalar * and slicing;
 everything else goes through the methods here, under ``mp.workprec(bits +
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 from mpmath import mp
 
 
@@ -34,7 +34,7 @@ class Double:
     def gauss(self, order):
         return np.polynomial.legendre.leggauss(order)
 
-    def taylor(self, scales, terms):
+    def series(self, scales, terms):
         """[sum_k c^k / k! terms[k] for c in scales]."""
         C = [[c**k / math.factorial(k) for k in range(len(terms))] for c in scales]
         return list(np.tensordot(C, np.stack(terms), axes=1))
@@ -52,7 +52,10 @@ class Double:
             return None
 
     def inv_lower(self, L):
-        return scipy.linalg.solve_triangular(L, np.eye(L.shape[0]), lower=True)
+        X = np.zeros_like(L)  # forward substitution by rows: exactly lower triangular
+        for i in range(len(L)):
+            X[i, : i + 1] = np.append(-L[i, :i] @ X[:i, :i], 1) / L[i, i]
+        return X
 
     def eigh_top(self, M):
         vals, vecs = np.linalg.eigh(M)
@@ -145,7 +148,7 @@ class Mp:
     def gauss(self, order):
         return mp.gauss_quadrature(order, "legendre")
 
-    def taylor(self, scales, terms):
+    def series(self, scales, terms):
         """[sum_k c^k / k! terms[k] for c in scales] as one integer product."""
         C = np.array([[int(mp.nint(mp.ldexp(mp.mpf(c) ** k / math.factorial(k), self.prec)))
                        for k in range(len(terms))] for c in scales], dtype=object)
@@ -238,3 +241,49 @@ DOUBLE = Double()
 
 def backend(bits):
     return DOUBLE if bits <= 53 else Mp(bits)
+
+
+def taylor(ar, A, T, x=(), Q=None):
+    """Propagators and, given Q, the Gramian over [0, T] from one Taylor table.
+
+    At h = T / 2^k, k least with h ||A||_1 <= 1, the powers of B = -hA up to
+    the least m with nu^{m+1} / (m+1)! (m+2) / (m+2-nu) < 2^-(bits+16), nu
+    the 1-norm of B or of Z = [[B, hQ], [0, -B^H]] (Higham, *Functions of
+    Matrices*, 10.3), give E(h) = e^{-hA} and e^{-c h A} at the Gauss offsets
+    c = (x + 1) / 2, one contraction each; without Q they are squared k times.
+    With Q, W(h) = V E(h)^H, V = sum R_j / j! the top-right block of e^Z with
+    R_1 = hQ, R_{j+1} = B R_j + (-1)^j hQ (B^j)^H (Van Loan 1978); k doublings
+    W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach
+    W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.  Returns the
+    propagators, W (or None), E, the step count 2^k and m.
+    """
+    norm1 = float(np.abs(A).sum(axis=0).max())
+    steps = 1
+    while T * norm1 > steps:
+        steps *= 2
+    h = T / steps
+    nu = h * norm1
+    if Q is not None:
+        nu = max(nu, h * float((np.abs(ar.to_np(Q)).sum(axis=0) + np.abs(A).sum(axis=1)).max()))
+    m = 1
+    while nu and (m + 2 <= nu or (m + 1) * math.log(nu) - math.lgamma(m + 2)
+                  + math.log((m + 2) / (m + 2 - nu)) > -(ar.bits + 16) * math.log(2)):
+        m += 1
+    B = ar.from_np(A) * -h
+    powers = [ar.from_np(np.eye(A.shape[0])), B]
+    while len(powers) <= m:
+        powers.append(B @ powers[-1])
+    props = ar.series([1] + [(xi + 1) / 2 for xi in x], powers)
+    if Q is None:
+        for _ in range(steps.bit_length() - 1):
+            props = [M @ M for M in props]
+        return props, None, props[0], steps, m
+    R = [Q * 0, Q * h]
+    for j in range(1, m):
+        R.append(B @ R[-1] + R[1] @ ar.adj(powers[j]) * (-1) ** j)
+    E = props[0]
+    W = ar.series([1], R)[0] @ ar.adj(E)
+    for _ in range(steps.bit_length() - 1):
+        W = W + E @ W @ ar.adj(E)
+        E = E @ E
+    return props, (W + ar.adj(W)) * 0.5, E, steps, m

@@ -13,8 +13,8 @@ horizon T is the largest generalized eigenvalue of the pencil
 and the minimal-norm steering control solves W_c lam = -e^{-TA} f0 with the
 reachability Gramian W_c built from P^2 (the control enters through B = P
 with cost ||u(t)||^2_{L2}).  Gramians are exact: one truncated Taylor table
-over a short step, then doubling up to T.  Both pipelines are written once
-over an arithmetic backend (:mod:`hermite_obs.arith`) under
+over a short step, then doubling up to T (:func:`arith.taylor`).  Both
+pipelines are written once over a backend (:mod:`hermite_obs.arith`) under
 mp.workprec(bits + 16), which is also the precision of log C_T.  An
 ill-conditioned Gramian, or an explicit precision, runs the whole pipeline
 (Gramian, solve, control grid, re-simulation) in fixed point at that
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from mpmath import mp
 
 from . import arith, basis
@@ -58,53 +57,7 @@ class ControlProblem:
             raise ContractViolation("coupling matrix must be Hermitian")
 
 
-# -- Gramians and the control grid -------------------------------------------------
-
-
-def _taylor(ar, A, T, x=(), Q=None):
-    """Propagators and, given Q, the Gramian over [0, T] from one Taylor table.
-
-    At h = T / 2^k, k least with h ||A||_1 <= 1, the powers of B = -hA up to
-    the least m with nu^{m+1} / (m+1)! (m+2) / (m+2-nu) < 2^-(bits+16), nu
-    the 1-norm of B or of Z = [[B, hQ], [0, -B^H]] (Higham, *Functions of
-    Matrices*, 10.3), give E(h) = e^{-hA} and e^{-c h A} at the Gauss offsets
-    c = (x + 1) / 2, one contraction each; without Q they are squared k times.
-    With Q, W(h) = V E(h)^H, V = sum R_j / j! the top-right block of e^Z with
-    R_1 = hQ, R_{j+1} = B R_j + (-1)^j hQ (B^j)^H (Van Loan 1978); k doublings
-    W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach
-    W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.  Returns the
-    propagators, W (or None), E, the step count 2^k and m.
-    """
-    norm1 = float(np.abs(A).sum(axis=0).max())
-    steps = 1
-    while T * norm1 > steps:
-        steps *= 2
-    h = T / steps
-    nu = h * norm1
-    if Q is not None:
-        nu = max(nu, h * float((np.abs(ar.to_np(Q)).sum(axis=0) + np.abs(A).sum(axis=1)).max()))
-    m = 1
-    while nu and (m + 2 <= nu or (m + 1) * math.log(nu) - math.lgamma(m + 2)
-                  + math.log((m + 2) / (m + 2 - nu)) > -(ar.bits + 16) * math.log(2)):
-        m += 1
-    B = ar.from_np(A) * -h
-    powers = [ar.from_np(np.eye(A.shape[0])), B]
-    while len(powers) <= m:
-        powers.append(B @ powers[-1])
-    props = ar.taylor([1] + [(xi + 1) / 2 for xi in x], powers)
-    if Q is None:
-        for _ in range(steps.bit_length() - 1):
-            props = [M @ M for M in props]
-        return props, None, props[0], steps, m
-    R = [Q * 0, Q * h]
-    for j in range(1, m):
-        R.append(B @ R[-1] + R[1] @ ar.adj(powers[j]) * (-1) ** j)
-    E = props[0]
-    W = ar.taylor([1], R)[0] @ ar.adj(E)
-    for _ in range(steps.bit_length() - 1):
-        W = W + E @ W @ ar.adj(E)
-        E = E @ E
-    return props, (W + ar.adj(W)) * 0.5, E, steps, m
+# -- the control grid ------------------------------------------------------------
 
 
 def _steer(ar, A, P, d, lam, T, steps, props, grid):
@@ -113,7 +66,7 @@ def _steer(ar, A, P, d, lam, T, steps, props, grid):
     s is the time to go and the subscript d marks the leading d x d block,
     the controlled modes (all of them for HUM).  ``A`` is the generator as a
     numpy array, ``P`` the coupling in the backend, h = T / steps and
-    ``props`` the propagators of A_d that :func:`_taylor` returns at the
+    ``props`` the propagators of A_d that :func:`arith.taylor` returns at the
     nodes of ``grid``, the order-8 Gauss rule (x, w) on each of the steps
     subintervals of [0, T].  Returns the times T - s in increasing order, the
     control samples as numpy vectors, the cost sum w ||u||^2 and the forced
@@ -126,7 +79,7 @@ def _steer(ar, A, P, d, lam, T, steps, props, grid):
     offsets = [h * (xi + 1) / 2 for xi in x]
     weights = [h * wi / 2 for wi in w]
     E_h, *ctl = props
-    E_sim, *sim = props if d == A.shape[0] else _taylor(ar, A, h, x)[0]
+    E_sim, *sim = props if d == A.shape[0] else arith.taylor(ar, A, h, x)[0]
     out = [P[:d, :d] @ ar.adj(E) for E in ctl]                     # v_j -> u
     back = [(E @ P[:, :d]) * wt for wt, E in zip(weights, sim)]   # u -> state
     E_ctl_H = ar.adj(E_h)
@@ -180,7 +133,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
     while True:
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
-            _, W, E_T, steps, m = _taylor(ar, A, problem.T, Q=ar.from_np(problem.piomega))
+            _, W, E_T, steps, m = arith.taylor(ar, A, problem.T, Q=ar.from_np(problem.piomega))
             L = ar.cholesky(W)
             if bits == 53 and (L is None or not ar.cond(W) < 1e12):
                 bits = 256
@@ -257,7 +210,7 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     with mp.workprec(ar.bits + 16):
         P = ar.from_np(problem.piomega)
         grid = ar.gauss(GRID_ORDER)
-        props, W, E_T, steps, m = _taylor(ar, A, problem.T, grid[0], P @ P)
+        props, W, E_T, steps, m = arith.taylor(ar, A, problem.T, grid[0], P @ P)
         b = E_T @ ar.from_np(f0.coeffs)
         cond = ar.cond(W)
         flag = "ok" if ar.bits > 53 or cond < 1e12 else "ill_conditioned"
@@ -317,7 +270,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         tau = T_j / 2.0
         d = basis.space_dimension(n, k_j)
         P_j = P[:d, :d]
-        props, W_j, E_j, steps, _ = _taylor(arith.DOUBLE, A[:d, :d], tau, grid[0], P_j @ P_j)
+        props, W_j, E_j, steps, _ = arith.taylor(arith.DOUBLE, A[:d, :d], tau, grid[0], P_j @ P_j)
         b_j = E_j @ f[:d]
         try:
             cond = np.linalg.cond(W_j)
@@ -330,7 +283,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         # active half: full-state simulation forced by the designed control,
         # then the passive half: free dissipation
         _, _, stage_cost, forced = _steer(arith.DOUBLE, A, P, d, lam, tau, steps, props, grid)
-        E_tau = scipy.linalg.expm(-tau * A)
+        E_tau = arith.taylor(arith.DOUBLE, A, tau)[2]
         f = E_tau @ (E_tau @ f + forced)
         elapsed += T_j
         total_cost += stage_cost
@@ -348,7 +301,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
             break
         j += 1
     if elapsed < T:
-        f = scipy.linalg.expm(-(T - elapsed) * A) @ f
+        f = arith.taylor(arith.DOUBLE, A, T - elapsed)[2] @ f
     residual = float(np.linalg.norm(f)) / nrm0
     return StaircaseResult(stages, total_cost, residual, flag)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from mpmath import mp
 
 from . import arith, basis, regions
@@ -174,7 +173,7 @@ def spectral_constant(G: GramOperator, start_bits=256, max_bits=4096) -> Spectra
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
             if ar is arith.DOUBLE:
-                lam = scipy.linalg.eigvalsh(G.matrix)
+                lam = np.linalg.eigvalsh(G.matrix)
                 lam_min, lam_max = float(lam[0]), float(lam[-1])
                 noise = max(1e3 * np.finfo(float).eps * max(lam_max, 0.0), G.size * G.entry_error)
             else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from hermite_obs import arith, control as ct, gram, quadratic as qd, regions as rg
+from hermite_obs import arith, gram, quadratic as qd, regions as rg
 
 
 def ball(N):
@@ -59,7 +59,7 @@ def test_inv_lower_and_cond_match_dense_routines():
     P = gram.gram_matrix(reg, 2, 3).matrix
     ar = arith.Mp(256)
     with mp.workprec(256 + 16):
-        _, W, _, _, _ = ct._taylor(ar, kfp, 0.5, Q=ar.from_np(P))
+        _, W, _, _, _ = arith.taylor(ar, kfp, 0.5, Q=ar.from_np(P))
         L = ar.cholesky(W)
         Li, ref = arith._mp(ar.inv_lower(L)), mp.inverse(L)
         assert mp.mnorm(Li - ref, 1) <= mp.mpf(2) ** -240 * mp.mnorm(ref, 1)
@@ -67,6 +67,18 @@ def test_inv_lower_and_cond_match_dense_routines():
         want = sv[0] / sv[sv.rows - 1]
         assert abs(ar.cond(W) - want) <= 1e-13 * want
         assert ar.cond(-W) == float("inf")
+
+
+def test_double_inv_lower_is_exactly_lower_triangular():
+    # the Cholesky factor of the KFP N=6 observability Gramian (dim 28)
+    kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
+    reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(6, 2) + 1)
+    P = gram.gram_matrix(reg, 2, 6).matrix
+    _, W, _, _, _ = arith.taylor(arith.DOUBLE, kfp, 0.5, Q=arith.DOUBLE.from_np(P))
+    L = arith.DOUBLE.cholesky(W)
+    Li = arith.DOUBLE.inv_lower(L)
+    assert not np.triu(Li, 1).any()
+    assert np.abs(L @ Li - np.eye(len(L))).max() <= 1e-13
 
 
 def test_mp_gauss_rule_is_exact_to_degree_15():

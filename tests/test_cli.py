@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +127,16 @@ def test_precision_variable_has_no_effect(capsys, monkeypatch, tmp_path):
         artifacts.append(Path(out + ".json").read_bytes())
     assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
     assert json.loads(artifacts[0])["result"]["precision_bits"] == 512
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle: the runtime needs numpy and mpmath alone
+    code = ("import sys, hermite_obs.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_readme_command_lines_parse():

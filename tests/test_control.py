@@ -45,7 +45,7 @@ class TestGramian:
     def test_lyapunov_identity(self):
         # d/dt e^{-tA} Q e^{-tA^H} integrates to A W + W A^H = Q - E Q E^H
         for A, Q, T in gramian_cases():
-            _, W, E, steps, _ = ct._taylor(arith.DOUBLE, A, T, Q=Q)
+            _, W, E, steps, _ = arith.taylor(arith.DOUBLE, A, T, Q=Q)
             lhs = A @ W + W @ A.conj().T
             assert np.linalg.norm(lhs - (Q - E @ Q @ E.conj().T)) <= 1e-12 * np.linalg.norm(Q)
             # the step h = T / steps is the longest power-of-two split of T
@@ -55,7 +55,7 @@ class TestGramian:
 
     def test_matches_bartels_stewart(self):
         for A, Q, T in gramian_cases():
-            _, W, E, _, _ = ct._taylor(arith.DOUBLE, A, T, Q=Q)
+            _, W, E, _, _ = arith.taylor(arith.DOUBLE, A, T, Q=Q)
             W_bs, E_ref = lyapunov_oracle(A, Q, T)
             assert np.linalg.norm(W - W_bs) <= 1e-12 * np.linalg.norm(W_bs)
             assert np.linalg.norm(E - E_ref) <= 1e-12 * np.linalg.norm(E_ref)
@@ -64,10 +64,10 @@ class TestGramian:
     def test_mp_matches_double(self):
         kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
         P = half_plane_gram(3).astype(complex)
-        _, W, _, steps, _ = ct._taylor(arith.DOUBLE, kfp, 0.5, Q=P)
+        _, W, _, steps, _ = arith.taylor(arith.DOUBLE, kfp, 0.5, Q=P)
         ar = arith.Mp(256)
         with mpmath.workprec(ar.bits + 16):
-            _, W_mp, _, steps_mp, _ = ct._taylor(ar, kfp, 0.5, Q=ar.from_np(P))
+            _, W_mp, _, steps_mp, _ = arith.taylor(ar, kfp, 0.5, Q=ar.from_np(P))
             W_mp = ar.to_np(W_mp)
         assert steps_mp == steps
         assert np.linalg.norm(W_mp - W) <= 1e-12 * np.linalg.norm(W_mp)
@@ -91,7 +91,7 @@ class TestTaylorTable:
         with mpmath.workprec(bits + 16):
             x, _ = ar.gauss(ct.GRID_ORDER)
             Q = ar.from_np(P) @ ar.from_np(P)
-            props, W, E, steps, m = ct._taylor(ar, A, T, x, Q)
+            props, W, E, steps, m = arith.taylor(ar, A, T, x, Q)
             h = T / steps
             A_mp, Z = mpmath.matrix(A), mpmath.matrix(2 * d)
             Z[:d, :d], Z[:d, d:], Z[d:, d:] = A_mp * -h, arith._mp(Q) * h, A_mp.H * h
@@ -107,13 +107,17 @@ class TestTaylorTable:
             assert all(err(got, ref) <= tol for got, ref in zip(props, refs))
             assert err(W, (ref_W + ref_W.H) / 2) <= tol
 
-    @pytest.mark.parametrize("T", [0.01, 1.0, 5.0])
-    def test_double_matches_scipy(self, T):
+    @pytest.mark.parametrize("case, T", [pytest.param("kfp-6", T, id=str(T)) for T in (0.01, 1.0, 5.0)]
+                             + [(case, T) for case in ("kfp-8", "harmonic-24") for T in (0.05, 0.8, 1.6)])
+    def test_double_matches_scipy(self, case, T):
         # without Q the propagators at T ||A||_1 > 1 come from the table of
-        # B / 2^k, squared k times
-        A = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
+        # B / 2^k, squared k times; kfp-8 (dim 45) and harmonic-24 (dim 25)
+        # are the semigroup and staircase generators that evolve and
+        # lr_staircase exponentiate
+        sym = qd.harmonic_symbol(1) if case.startswith("harmonic") else qd.kfp_symbol(1.0)
+        A = qd.weyl_quantize(sym, int(case.split("-")[1])).matrix
         x, _ = arith.DOUBLE.gauss(ct.GRID_ORDER)
-        props, W, E, steps, m = ct._taylor(arith.DOUBLE, A, T, x)
+        props, W, E, steps, m = arith.taylor(arith.DOUBLE, A, T, x)
         assert W is None and (steps > 1) == (T * np.abs(A).sum(axis=0).max() > 1)
         for c, got in zip([1] + [(xi + 1) / 2 for xi in x], props):
             ref = scipy.linalg.expm(-c * T * A)
