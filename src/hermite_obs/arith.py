@@ -3,13 +3,16 @@ one Taylor table (:func:`taylor`) behind every propagator and time Gramian.
 
 Matrices of both backends support +, @, unary -, real scalar * and slicing;
 everything else goes through the methods here, under ``mp.workprec(bits +
-16)``.  ``Mp`` matrices are fixed point (``Fx``), so their error is normwise;
-mpmath serves scalars and the once-per-run O(d^3) calls.  ``Mp`` answers
-every eigenproblem through one Cholesky factor G = L L^H, which exists
-exactly when G is numerically positive definite: lambda_min =
-sigma_max(L^-1)^-2 and cond = lambda_max / lambda_min.  Largest singular
-values and top eigenpairs are well conditioned, so they are read in double
-precision after an exact power-of-two rescale, to a few d eps.
+16)``.  ``Mp`` takes and returns fixed-point matrices (``Fx``) only; mpmath
+serves scalars.  ``Mp`` answers every eigenproblem and solve through one
+Cholesky factor G = L L^H in integers, which exists exactly when G is
+numerically positive definite: lambda_min = sigma_max(L^-1)^-2, cond =
+lambda_max / lambda_min, G^-1 b by two triangular solves.  Its error is
+normwise, so with u = 2^-(bits+16) Higham's Thm 10.7 bounds it by about
+20 d^{3/2} u ||G||, below the escalation floor 1e3 2^-bits lambda_max for d
+up to about 20,000.  Largest singular values and top eigenpairs are well
+conditioned, so they are read in double precision after an exact
+power-of-two rescale, to a few d eps.
 """
 
 from __future__ import annotations
@@ -79,6 +82,18 @@ def _plus(x, y):
     return x if y is None else y if x is None else x + y
 
 
+def _dot(a, b):
+    """The exact product a @ b of (re, im) pairs of int arrays, im None if real."""
+    (p, q), (r, s) = a, b
+    re = p @ r if q is None or s is None else p @ r - q @ s
+    return re, _plus(None if q is None else q @ r, None if s is None else p @ s)
+
+
+def _rdiv(x, d):
+    """x / d rounded to integers, d > 0."""
+    return (2 * x + d) // (2 * d)
+
+
 class Fx:
     """A complex matrix or vector (re + i im) 2^exp in fixed point: ``re``
     and ``im`` (None if real) are object arrays of Python ints, rounded to
@@ -115,10 +130,31 @@ class Fx:
         return Fx(self.re * m, None if self.im is None else self.im * m, self.exp + e, self.prec)
 
     def __matmul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        re = a @ c if b is None or d is None else a @ c - b @ d
-        im = _plus(None if b is None else b @ c, None if d is None else a @ d)
-        return Fx(re, im, self.exp + other.exp, self.prec)
+        return Fx(*_dot((self.re, self.im), (other.re, other.im)), self.exp + other.exp, self.prec)
+
+
+def fixed(x, prec):
+    """An array of reals (floats or mpf) as an Fx at one exponent, each entry
+    rounded once, ties to even, to 2^-prec of the largest."""
+    t = max((mp.frexp(v)[1] for v in x.flat if v), default=0) - prec
+    return Fx(np.frompyfunc(lambda v: int(mp.nint(mp.ldexp(v, -t))), 1, 1)(x), None, t, prec)
+
+
+def _forward(L, B):
+    """L^-1 B by forward substitution in integers, row by row, for L lower
+    triangular with a real positive diagonal and B lower trapezoidal (B[i,
+    j] = 0 for j > i: the identity or a column).  B is first raised by 2 prec
+    bits, so each rounded quotient errs by at most 2^-prec of its scale."""
+    up = 2 * B.prec
+    rhs = [_shift(x, -up) for x in (B.re, B.im)]
+    X = [np.zeros_like(rhs[0]), None if L.im is None and B.im is None else np.zeros_like(rhs[0])]
+    for i in range(len(X[0])):
+        c = _dot((L.re[i, :i], None if L.im is None else L.im[i, :i]),
+                 tuple(None if x is None else x[:i, :i + 1] for x in X))
+        for x, r, ci in zip(X, rhs, c):
+            if x is not None:
+                x[i, :i + 1] = _rdiv((0 if r is None else r[i, :i + 1]) - ci, L.re[i, i])
+    return Fx(X[0], X[1], B.exp - up - L.exp, B.prec)
 
 
 class Mp:
@@ -130,20 +166,19 @@ class Mp:
 
     def from_np(self, M):
         M = np.asarray(M, dtype=complex)
-        return self._fx(mp.matrix(M.reshape(len(M), -1).tolist()), M.shape)
+        F = fixed(np.stack([M.real, M.imag]), self.prec)  # one exponent for both parts
+        return Fx(F.re[0], F.re[1] if F.re[1].any() else None, F.exp, self.prec)
 
     def to_np(self, v):  # int / int true division rounds each entry once
         re, im = (0.0 if x is None else (x / (1 << -v.exp) if v.exp < 0 else x * 2.0**v.exp)
                   .astype(float) for x in (v.re, v.im))
         return re + 1j * im
 
-    def _fx(self, M, shape):
-        """An mpmath matrix as an Fx of the given shape."""
-        parts = [[f(x) for row in M.tolist() for x in row] for f in (mp.re, mp.im)]
-        t = max((mp.frexp(x)[1] for part in parts for x in part if x), default=0) - self.prec
-        re, im = (np.array([int(mp.nint(mp.ldexp(x, -t))) for x in part], dtype=object)
-                  for part in parts)
-        return Fx(re.reshape(shape), im.reshape(shape) if im.any() else None, t, self.prec)
+    def _unit(self, M):
+        """(X, e): M = 2^e X exactly, |X| < 1 in doubles, X real when it reads so."""
+        b = M.bits()
+        X = self.to_np(Fx(M.re, M.im, -b, M.prec))
+        return (X if X.imag.any() else X.real), M.exp + b
 
     def gauss(self, order):
         return mp.gauss_quadrature(order, "legendre")
@@ -164,31 +199,49 @@ class Mp:
         return Fx(M.re.T, None if M.im is None else -M.im.T, M.exp, M.prec)
 
     def solve(self, M, b):
-        return self._fx(mp.lu_solve(_mp(M), _mp(b)), b.re.shape)
+        """M^-1 b by two triangular solves on the factor of M (of the ridged M
+        if M is not numerically positive definite); J L^H J is lower triangular."""
+        L = self.cholesky(M) or self.cholesky(self.ridged(M))
+        rev = (slice(None, None, -1),) * 2
+        return _forward(self.adj(L)[rev], _forward(L, b[:, None])[rev])[rev][:, 0]
 
     def cholesky(self, W):
-        # pivots are held against eps times the largest diagonal entry, not
-        # mpmath's absolute eps, so that 2^k W factors exactly as W does
-        W = _mp(W)
-        tol = mp.eps * max(abs(W[j, j]) for j in range(W.rows))
-        try:
-            return mp.cholesky(W, tol)
-        except (ValueError, ZeroDivisionError):
-            return None
+        """W = L L^H in integers, or None when a pivot falls below eps =
+        2^(1-prec) times the largest diagonal entry, so that 2^k W factors
+        exactly as W does for even k.  W is held at 2^(2f) with that entry at
+        2 prec - 2 or 2 prec - 1 bits, so L (at 2^f) fits prec bits; each
+        pivot is an isqrt and each column one object mat-vec."""
+        p, d = self.prec, len(W.re)
+        shift = 2 * p - 2 - int(abs(W.re.diagonal()).max()).bit_length()
+        shift += (W.exp - shift) % 2
+        G = [_shift(x, -shift) for x in (W.re, W.im)]
+        top = int(abs(G[0].diagonal()).max())
+        L = [None if x is None else np.zeros((d, d), dtype=object) for x in G]
+        for j in range(d):
+            c = _dot(tuple(None if x is None else x[j:, :j] for x in L),
+                     (L[0][j, :j], None if L[1] is None else -L[1][j, :j]))
+            s = G[0][j, j] - c[0][0]  # |L[j, :j]|^2 is real
+            if s <= 0 or s << (p - 1) < top:
+                return None
+            L[0][j, j] = r = math.isqrt(s)
+            for x, g, cj in zip(L, G, c):
+                if x is not None:
+                    x[j + 1:, j] = _rdiv(g[j + 1:, j] - cj[1:], r)
+        return Fx(L[0], L[1], (W.exp - shift) // 2, p)
 
     def inv_lower(self, L):
-        return self._fx(_inv_lower(L), (L.rows, L.cols))
+        return _forward(L, self.from_np(np.eye(len(L.re))))
 
     def lam_min(self, G):
         """sigma_max(L^-1)^-2, or None when G is not numerically positive definite."""
         L = self.cholesky(G)
         if L is None:
             return None
-        X, e = _scaled(_inv_lower(L))
+        X, e = self._unit(self.inv_lower(L))
         return mp.ldexp(mp.mpf(float(np.linalg.norm(X, 2))), e) ** -2
 
     def eigh_top(self, M):
-        X, e = _scaled(_mp(M))
+        X, e = self._unit(M)
         vals, vecs = np.linalg.eigh(X)
         return mp.ldexp(mp.mpf(vals[-1]), e), self.from_np(vecs[:, -1])
 
@@ -200,40 +253,11 @@ class Mp:
         sq = sum(int((x * x).sum()) for x in (v.re, v.im) if x is not None)
         return float(mp.sqrt(mp.ldexp(sq, 2 * v.exp)))
 
-    def ridged(self, W):
-        """W + ||W||_F 2^(-bits/2) I, positive definite for the floor bound."""
-        W = _mp(W)
-        return W + mp.eye(W.rows) * (mp.mnorm(W, "f") * mp.mpf(2) ** (-self.bits // 2))
-
-
-def _mp(M):
-    """An Fx as an mpmath matrix, a vector as a column; others pass through."""
-    if not isinstance(M, Fx):
-        return M
-    re = M.re.reshape(len(M.re), -1)
-    im = 0 * re if M.im is None else M.im.reshape(re.shape)
-    return mp.matrix([[mp.mpc(mp.ldexp(a, M.exp), mp.ldexp(b, M.exp)) for a, b in zip(*rows)]
-                      for rows in zip(re, im)])
-
-
-def _inv_lower(L):
-    n, rows = L.rows, L.tolist()
-    cols = [[mp.zero] * n for _ in range(n)]  # forward substitution, by columns
-    for i in range(n):
-        cols[i][i] = d = 1 / rows[i][i]
-        for j in range(i):
-            cols[j][i] = -d * mp.fdot(rows[i][j:i], cols[j][j:i])
-    return mp.matrix(cols).T
-
-
-def _scaled(M):
-    """(X, e): the double array X = 2^-e M, 2^e bounding M's largest real or
-    imaginary part.  Zero parts are skipped: mp.frexp(0) has exponent 0."""
-    entries = [x for row in M.tolist() for x in row]
-    e = max((mp.frexp(p)[1] for x in entries for p in (mp.re(x), mp.im(x)) if p), default=0)
-    scale = mp.ldexp(1, -e)
-    X = np.array([complex(x * scale) for x in entries]).reshape(M.rows, M.cols)
-    return (X if X.imag.any() else X.real), e
+    def ridged(self, W, floor=0):
+        """W + (floor + ||W||_F 2^(-bits/2)) I, positive definite far above
+        the rounding once ``floor`` covers W's distance from the PSD cone."""
+        ridge = floor + mp.ldexp(self.norm(W), -self.bits // 2)
+        return W + self.from_np(np.eye(len(W.re))) * ridge
 
 
 DOUBLE = Double()

@@ -344,14 +344,10 @@ def apply_ladder(m: LadderMap, f: HermiteExpansion) -> HermiteExpansion:
         )
     if m.axis < 0 or m.axis >= f.n:
         raise ContractViolation("axis out of range")
-    if m.kind == POSITION:
+    if m.kind in (POSITION, DERIVATIVE):
         up = apply_ladder(LadderMap(RAISE, m.axis, f.N), f)
         down = apply_ladder(LadderMap(LOWER, m.axis, f.N), f).padded(up.N)
-        return (up + down).scaled(1.0 / SQRT2)
-    if m.kind == DERIVATIVE:
-        up = apply_ladder(LadderMap(RAISE, m.axis, f.N), f)
-        down = apply_ladder(LadderMap(LOWER, m.axis, f.N), f).padded(up.N)
-        return (down - up).scaled(1.0 / SQRT2)
+        return (up + down if m.kind == POSITION else down - up).scaled(1.0 / SQRT2)
 
     N_out = m.target_cutoff
     out = np.zeros(space_dimension(f.n, N_out), dtype=complex)

@@ -126,7 +126,9 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
     Double precision serves while cond(W) < 1e12; otherwise the pencil is
     redone in fixed point, doubling the precision while W is not
     numerically positive definite.  If W stays singular at ``MAX_BITS``, a
-    ridged W gives a certified lower bound, returned with a flag.
+    ridged W gives a certified lower bound, returned with a flag.  The ridge
+    covers the error W inherits from the double P, at most T dim eps ||P||
+    (e^{-tA} is a contraction), and the working rounding.
     """
     A = problem.A.matrix
     bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
@@ -143,7 +145,8 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
                 if bits < MAX_BITS:
                     bits *= 2
                     continue
-                L, flag = ar.cholesky(ar.ridged(W)), "singular_floor"
+                floor = problem.T * len(A) * np.finfo(float).eps * np.linalg.norm(problem.piomega)
+                L, flag = ar.cholesky(ar.ridged(W, floor)), "singular_floor"
             Li = ar.inv_lower(L)
             X = Li @ E_T
             c, y = ar.eigh_top(X @ ar.adj(X))
@@ -196,9 +199,10 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     W_c = int_0^T e^{-sA} P^2 e^{-sA^H} ds and applies
     u(t) = P e^{-(T-t)A^H} lam on the Gauss control grid.  The verdict is the
     relative residual of the state re-simulated on that grid, an independent
-    check of the solve; an ill-conditioned double-precision Gramian yields a
-    least-squares control with the residual documented.  A zero f0 reports
-    the working precision and ``gramian_cond`` nan: nothing is computed.
+    check of the solve; an ill-conditioned Gramian yields a least-squares
+    control in double precision, a ridged solve in fixed point, flagged, with
+    the residual documented.  A zero f0 reports the working precision and
+    ``gramian_cond`` nan: nothing is computed.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
@@ -213,8 +217,11 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
         props, W, E_T, steps, m = arith.taylor(ar, A, problem.T, grid[0], P @ P)
         b = E_T @ ar.from_np(f0.coeffs)
         cond = ar.cond(W)
-        flag = "ok" if ar.bits > 53 or cond < 1e12 else "ill_conditioned"
-        lam = ar.solve(W, -b) if flag == "ok" else np.linalg.lstsq(W, -b, rcond=None)[0]
+        flag = "ok" if cond < (1e12 if ar is arith.DOUBLE else math.inf) else "ill_conditioned"
+        if ar.bits > 53 or flag == "ok":
+            lam = ar.solve(W, -b)
+        else:
+            lam = np.linalg.lstsq(W, -b, rcond=None)[0]
         times, samples, cost, forced = _steer(ar, A, P, A.shape[0], lam, problem.T,
                                               steps, props, grid)
         residual = ar.norm(b + forced) / nrm0

@@ -18,21 +18,6 @@ import numpy as np
 from . import basis
 from .basis import ContractViolation, HermiteExpansion, LadderMap, apply_ladder
 
-__all__ = [
-    "chebyshev_value",
-    "remez_fraction",
-    "remez_bound",
-    "remez_ball_bound",
-    "kovrijkine_interval_bound",
-    "bernstein_check",
-    "weighted_check",
-    "hermite_tail_bound",
-    "tail_constant_cn",
-    "tail_mass_rhs_log",
-    "TailConstants",
-]
-
-
 def chebyshev_value(kind, d, x):
     """Chebyshev polynomial value by the stable three-term recurrence.
 

@@ -8,8 +8,9 @@ sharp constant in ``||f|| <= C_N(w) ||f||_{L2(w)}`` on E_N is therefore
 ``C_N = lambda_min(G)^(-1/2)``.  Since lambda_min decays exponentially for
 sparse regions, it escalates to software floating point with a doubling
 mantissa: the Gram entries are rebuilt in that precision from closed forms
-(Wronskian identity, erf-seeded diagonal recurrence), and lambda_min is
-read from one Cholesky factor G = L L^H as sigma_max(L^-1)^-2.
+(Wronskian identity, erf-seeded diagonal recurrence) and summed in fixed
+point, and lambda_min is read from one integer Cholesky factor G = L L^H as
+sigma_max(L^-1)^-2 (:mod:`hermite_obs.arith`).
 """
 
 from __future__ import annotations
@@ -90,21 +91,25 @@ def _assemble(region: Region, n, N, mp=None):
     only to be multiplied by an outer axis.  In double precision the result
     is ``[G, A, E]``: the Gram matrix, the sum over boxes of prod |T| and the
     sum of the per-box bounds prod(|T| + E_T) - prod |T|.  With an mpmath
-    context it is ``[G]``, with mpf entries in the working precision.
+    context the tables are rounded once to one exponent, products and sums
+    are exact in integers, and ``[G]`` is an :class:`arith.Fx` rounded once.
     """
     if region.n != n:
         raise ContractViolation("region dimension mismatch")
     _require_radius(region, n, N)
     idx = basis.multi_indices(n, N)
     if not region.box_count:
-        return [np.zeros((len(idx), len(idx)))] * (3 if mp is None else 1)
+        zero = np.zeros((len(idx), len(idx)))
+        return [zero] * 3 if mp is None else [arith.fixed(zero, mp.prec)]
     # spread[j] maps the (N+1)^2 table of axis j onto the dim x dim grid
     spread = [np.ix_(degrees, degrees) for degrees in np.array(idx).T]
     ends = np.stack([region.lows.T, region.highs.T], axis=-1).reshape(-1, 2)
     keys, which = np.unique(ends, axis=0, return_inverse=True)
     tables = regions.interval_pair_tables(keys[:, 0], keys[:, 1], N, mp)
-    stack = [tables] if mp is not None else [tables[0], np.abs(tables[0]), tables[1]]
-    return _axis_sum(0, np.arange(region.box_count), which.reshape(n, -1), stack, spread)
+    fx = None if mp is None else arith.fixed(tables, mp.prec)  # every table at one exponent
+    stack = [tables[0], np.abs(tables[0]), tables[1]] if fx is None else [fx.re]
+    sums = _axis_sum(0, np.arange(region.box_count), which.reshape(n, -1), stack, spread)
+    return sums if fx is None else [arith.Fx(sums[0], None, n * fx.exp, mp.prec)]
 
 
 def _axis_sum(axis, rows, which, stack, spread):
@@ -113,9 +118,10 @@ def _axis_sum(axis, rows, which, stack, spread):
     ``stack[.][which[axis, box]]`` is the box's table on ``axis``."""
     used, group = np.unique(which[axis, rows], return_inverse=True)
     if axis == len(which) - 1:
-        # -0.0 + t == t, so the sum is t_0 + t_1 + ... exactly, signed zeros included
+        # -0.0 + t == t: the sum is t_0 + t_1 + ... exactly, signed zeros and ints kept
         tables = stack if len(used) == len(stack[0]) else [t[used] for t in stack]
-        return [t.sum(axis=0, initial=-0.0)[spread[axis]] for t in tables]
+        return [t.sum(axis=0, initial=-0.0 if t.dtype == float else 0)[spread[axis]]
+                for t in tables]
     total = None
     for g, i in enumerate(used):
         inner = _axis_sum(axis + 1, rows[group == g], which, stack, spread)
@@ -136,10 +142,11 @@ def gram_matrix(region: Region, n, N) -> GramOperator:
     return GramOperator(n, N, G, entry_error, region)
 
 
-def gram_matrix_mp(region: Region, n, N):
-    """Gram matrix at the current mpmath precision (closed-form entries)."""
+def gram_matrix_mp(region: Region, n, N) -> arith.Fx:
+    """Gram matrix in fixed point at the current mpmath precision: closed-form
+    tables, summed exactly in integers and rounded once."""
     (G,) = _assemble(region, n, N, mp)
-    return mp.matrix(G.tolist())
+    return G
 
 
 @dataclass(frozen=True)

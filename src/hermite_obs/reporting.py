@@ -37,11 +37,7 @@ def sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
+        return obj if math.isfinite(obj) else fmt_float(obj)
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         try:
             return sanitize(obj.item())

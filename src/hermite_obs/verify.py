@@ -516,32 +516,8 @@ def suite_control_staircase(seed=0, trials=3):
     return _verdict("control_staircase", trials, margins, seed)
 
 
-SUITES = {
-    "basis_parseval": suite_basis_parseval,
-    "basis_ladder": suite_basis_ladder,
-    "basis_recurrence": suite_basis_recurrence,
-    "regions_exactness": suite_regions_exactness,
-    "regions_additivity": suite_regions_additivity,
-    "regions_account_honesty": suite_regions_account_honesty,
-    "regions_tensorization": suite_regions_tensorization,
-    "gram_invariants": suite_gram_invariants,
-    "gram_monotonicity": suite_gram_monotonicity,
-    "gram_dominance": suite_gram_dominance,
-    "est_chebyshev": suite_est_chebyshev,
-    "est_remez": suite_est_remez,
-    "est_kovrijkine": suite_est_kovrijkine,
-    "est_bernstein": suite_est_bernstein,
-    "est_weighted": suite_est_weighted,
-    "est_tails": suite_est_tails,
-    "est_tail_constant": suite_est_tail_constant,
-    "quad_hamilton": suite_quad_hamilton,
-    "quad_singular_scaling": suite_quad_singular_scaling,
-    "quad_weyl": suite_quad_weyl,
-    "quad_semigroup": suite_quad_semigroup,
-    "control_duality": suite_control_duality,
-    "control_monotone": suite_control_monotone,
-    "control_staircase": suite_control_staircase,
-}
+# every suite_<name> above, in definition order
+SUITES = {name[len("suite_"):]: fn for name, fn in globals().items() if name.startswith("suite_")}
 
 
 def run_suites(names=None, seed=0, trials=None):

@@ -1,8 +1,21 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from mpmath import mp
 
-from hermite_obs import arith, gram, quadratic as qd, regions as rg
+from hermite_obs import arith, basis, control as ct, gram, quadratic as qd, regions as rg
+
+
+def to_mp(F):
+    """The oracles' exact reading of an Fx: an mpmath matrix, a vector as a
+    column; real entries when the Fx is real."""
+    re = F.re.reshape(len(F.re), -1)
+    im = None if F.im is None else F.im.reshape(re.shape)
+    return mp.matrix([[mp.ldexp(int(a), F.exp) if im is None
+                       else mp.mpc(mp.ldexp(int(a), F.exp), mp.ldexp(int(im[i, j]), F.exp))
+                       for j, a in enumerate(row)] for i, row in enumerate(re)])
 
 
 def ball(N):
@@ -27,9 +40,9 @@ def test_lam_min_matches_high_precision_eigsy(region, n, N, bits):
         G = gram.gram_matrix_mp(region, n, N)
         lam = ar.lam_min(G)
     with mp.workprec(max(600, 2 * bits)):
-        ev = mp.eigsy(G, eigvals_only=True)
+        ev = mp.eigsy(to_mp(G), eigvals_only=True)
         ref_min, ref_max = ev[0], ev[ev.rows - 1]
-        tol = G.rows * mp.mpf(2) ** -(bits + 16) * ref_max + 1e-13 * ref_min
+        tol = len(G.re) * mp.mpf(2) ** -(bits + 16) * ref_max + 1e-13 * ref_min
         assert lam is not None and abs(lam - ref_min) <= tol
 
 
@@ -61,9 +74,9 @@ def test_inv_lower_and_cond_match_dense_routines():
     with mp.workprec(256 + 16):
         _, W, _, _, _ = arith.taylor(ar, kfp, 0.5, Q=ar.from_np(P))
         L = ar.cholesky(W)
-        Li, ref = arith._mp(ar.inv_lower(L)), mp.inverse(L)
+        Li, ref = to_mp(ar.inv_lower(L)), mp.inverse(to_mp(L))
         assert mp.mnorm(Li - ref, 1) <= mp.mpf(2) ** -240 * mp.mnorm(ref, 1)
-        sv = mp.svd_c(arith._mp(W), compute_uv=False)
+        sv = mp.svd_c(to_mp(W), compute_uv=False)
         want = sv[0] / sv[sv.rows - 1]
         assert abs(ar.cond(W) - want) <= 1e-13 * want
         assert ar.cond(-W) == float("inf")
@@ -103,13 +116,88 @@ def test_fixed_point_matches_mpmath(scale):
         a, b, u = ar.from_np(X), ar.from_np(Y), ar.from_np(v)
         ma, mb, mu = mp.matrix(X.tolist()), mp.matrix(Y.tolist()), mp.matrix(v.tolist())
         assert b.im is None and np.array_equal(ar.to_np(a), X) and np.array_equal(ar.to_np(u), v)
-        for M in (a, a @ a):  # full-width mantissas through mpmath and back, exactly
-            again = ar._fx(arith._mp(M), M.re.shape)
-            assert (again.re == M.re).all() and (again.im == M.im).all() and again.exp == M.exp
+        for M in (a, a @ a):  # real parts through mpmath and back, exactly
+            part = np.frompyfunc(lambda x: mp.ldexp(int(x), M.exp), 1, 1)(M.re)
+            assert to_mp(arith.fixed(part, ar.prec)) == mp.matrix(part.tolist())
         c = mp.mpf(1) / 3
         pairs = [(a @ b, ma * mb), (b @ a, mb * ma), (a @ a, ma * ma), (ar.adj(a) @ a, ma.H * ma),
                  (a @ u, ma * mu), (a * c, ma * c), (-a, -ma), (a + a @ b, ma + ma * mb),
                  (a * 2.0 ** -60 + a, ma * (1 + mp.ldexp(1, -60)))]
         for got, want in pairs:
-            assert mp.mnorm(arith._mp(got) - want, 1) <= mp.ldexp(mp.mnorm(want, 1), -bits)
+            assert mp.mnorm(to_mp(got) - want, 1) <= mp.ldexp(mp.mnorm(want, 1), -bits)
         assert abs(ar.norm(u) - mp.norm(mu)) <= 1e-15 * mp.norm(mu)
+
+
+def hermitian(rng, d, shift):
+    # B B^H + shift I, exactly Hermitian in double precision: eigenvalues >= shift
+    B = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2 * d)
+    W = B @ B.conj().T + shift * np.eye(d)
+    return (W + W.conj().T) / 2
+
+
+@pytest.mark.parametrize("scale", [-40, 0, 40])
+def test_complex_hermitian_through_one_factor(scale):
+    # a complex W goes through real and imaginary mantissas with real pivots;
+    # the oracles are mpmath's dense routines at twice the bits
+    bits, rng = 256, np.random.default_rng(scale + 90)
+    ar = arith.Mp(bits)
+    with mp.workprec(bits + 16):
+        W = ar.from_np(hermitian(rng, 7, 0.25) * 2.0 ** scale)
+        b = ar.from_np(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        L = ar.cholesky(W)
+        lam, cond, x = ar.lam_min(W), ar.cond(W), ar.solve(W, b)
+    assert W.im is not None and L.im is not None and b.im is not None
+    assert not np.triu(L.re, 1).any() and not np.triu(L.im).any()
+    with mp.workprec(2 * bits):
+        Wm, Lm = to_mp(W), to_mp(L)
+        assert mp.mnorm(Lm * Lm.H - Wm, 1) <= mp.ldexp(mp.mnorm(Wm, 1), -bits)
+        ev = mp.eighe(Wm, eigvals_only=True)
+        assert abs(lam - ev[0]) <= 1e-13 * ev[0]
+        assert abs(cond - ev[ev.rows - 1] / ev[0]) <= 1e-13 * cond
+        want = mp.lu_solve(Wm, to_mp(b))
+        assert mp.mnorm(to_mp(x) - want, 1) <= mp.ldexp(mp.mnorm(want, 1), -bits)
+    with mp.workprec(bits + 16):
+        indefinite = ar.from_np(hermitian(rng, 7, -0.05) * 2.0 ** scale)
+        assert np.linalg.eigvalsh(ar.to_np(indefinite))[0] < 0
+        assert ar.cholesky(indefinite) is None and ar.lam_min(indefinite) is None
+        assert ar.cond(indefinite) == float("inf")
+
+
+def _forbid_in_package(monkeypatch, name):
+    # mp.<name> raises when called from hermite_obs; mpmath's own calls (the
+    # Gauss nodes build mp.matrix) still run
+    real = getattr(mp, name)
+
+    def check():
+        caller = sys._getframe(2).f_globals.get("__name__", "")
+        if caller.startswith("hermite_obs"):
+            raise AssertionError("mp.%s called from %s" % (name, caller))
+
+    if isinstance(real, type):
+        class Guarded(real):
+            def __init__(self, *args, **kwargs):
+                check()
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(mp, name, Guarded)
+    else:
+        def guarded(*args, **kwargs):
+            check()
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mp, name, guarded)
+
+
+def test_no_mpmath_matrix_routine_in_the_pipelines(monkeypatch):
+    for name in ("cholesky", "lu_solve", "fdot", "matrix"):
+        _forbid_in_package(monkeypatch, name)
+    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(16, 1) + 1), 1, 16)
+    res = gram.spectral_constant(G)
+    assert res.precision_bits == 256 and res.flag == "ok"
+    N = 7
+    A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
+    P = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.6, rg.truncate_radius(N, 1) + 1),
+                         1, N).matrix
+    problem = ct.ControlProblem(A, P, 1.0)
+    hum = ct.hum_control(problem, basis.random_expansion(1, N, np.random.default_rng(3)), 256)
+    assert hum.precision_bits == 256 and hum.flag == "ok" and hum.residual <= 1e-15
+    obs = ct.observability_constant(problem, precision_bits=256)
+    assert obs.precision_bits == 256 and obs.flag == "ok"

@@ -25,6 +25,13 @@ def half_plane_gram(N):
     return gram.gram_matrix(reg, 2, N).matrix
 
 
+def to_mp(F):
+    """The oracles' exact reading of an Fx as an mpmath matrix."""
+    im = np.zeros_like(F.re) if F.im is None else F.im
+    return mpmath.matrix([[mpmath.mpc(mpmath.ldexp(int(a), F.exp), mpmath.ldexp(int(b), F.exp))
+                           for a, b in zip(*rows)] for rows in zip(F.re, im)])
+
+
 def lyapunov_oracle(A, Q, T):
     """Bartels-Stewart: W solves A W + W A^H = Q - E Q E^H with E = e^{-TA}."""
     E = scipy.linalg.expm(-T * A)
@@ -94,13 +101,13 @@ class TestTaylorTable:
             props, W, E, steps, m = arith.taylor(ar, A, T, x, Q)
             h = T / steps
             A_mp, Z = mpmath.matrix(A), mpmath.matrix(2 * d)
-            Z[:d, :d], Z[:d, d:], Z[d:, d:] = A_mp * -h, arith._mp(Q) * h, A_mp.H * h
+            Z[:d, :d], Z[:d, d:], Z[d:, d:] = A_mp * -h, to_mp(Q) * h, A_mp.H * h
             F = mpmath.expm(Z)
             refs = [F[:d, :d]] + [mpmath.expm(A_mp * (-h * (xi + 1) / 2)) for xi in x]
             ref_W = F[:d, d:] * F[:d, :d].H
 
             def err(got, ref):
-                return mpmath.mnorm(arith._mp(got) - ref, 1) / mpmath.mnorm(ref, 1)
+                return mpmath.mnorm(to_mp(got) - ref, 1) / mpmath.mnorm(ref, 1)
 
             assert steps == 1 and m > 50
             assert err(E, refs[0]) <= tol
@@ -182,6 +189,22 @@ class TestObservability:
         assert b.precision_bits >= 256
         assert b.subintervals == a.subintervals and b.taylor_degree > a.taylor_degree > 0
         assert a.c_value == pytest.approx(b.c_value, rel=1e-9)
+
+    def test_singular_floor_is_a_certified_lower_bound(self, monkeypatch):
+        # the ball N=32 coupling arrives as the double Gram, indefinite at
+        # rounding level (lambda_min -6.6e-16 against a true 3.6e-54): no
+        # precision makes W positive definite, and the ridge must cover the
+        # error W inherits from P for the floor to factor
+        monkeypatch.setattr(ct, "MAX_BITS", 256)
+        N, T = 32, 0.5
+        R = rg.truncate_radius(N, 1) + 1
+        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, N)
+        assert np.linalg.eigvalsh(G.matrix)[0] < 0
+        rep = ct.observability_constant(harmonic_problem(N, T, G.matrix))
+        assert rep.flag == "singular_floor" and rep.precision_bits == 256
+        assert math.isfinite(rep.c_log) and rep.extremal is None
+        # accretive flow: C_T <= 1 / (T lambda_min(P)) = C_N(w)^2 / T
+        assert rep.c_log <= 2 * gram.spectral_constant(G).c_log - math.log(T)
 
 
 def test_mpmath_precision_is_scoped():
@@ -277,6 +300,15 @@ class TestHumControl:
         assert b.times == pytest.approx(a.times, rel=1e-15)
         assert all(np.allclose(u.coeffs, v.coeffs, rtol=1e-9, atol=1e-12)
                    for u, v in zip(a.controls, b.controls))
+
+    def test_mp_singular_gramian_is_flagged(self):
+        # a coupling that sees one mode only: W is singular, so the factor
+        # fails and a ridged solve steers that mode, flagged
+        P = np.zeros((7, 7))
+        P[0, 0] = 1.0
+        res = ct.hum_control(harmonic_problem(6, 1.0, P), basis.unit_expansion(1, 6, (0,)), 256)
+        assert res.flag == "ill_conditioned" and res.gramian_cond == float("inf")
+        assert res.residual <= 1e-30 and res.cost > 0
 
     def test_state_space_mismatch(self):
         prob = harmonic_problem(6)
