@@ -229,8 +229,11 @@ class Mp:
                     x[j + 1:, j] = _rdiv(g[j + 1:, j] - cj[1:], r)
         return Fx(L[0], L[1], (W.exp - shift) // 2, p)
 
+    def eye(self, d):  # from_np(np.eye(d)), built in integers
+        return Fx(np.eye(d, dtype=object) << (self.prec - 1), None, 1 - self.prec, self.prec)
+
     def inv_lower(self, L):
-        return _forward(L, self.from_np(np.eye(len(L.re))))
+        return _forward(L, self.eye(len(L.re)))
 
     def lam_min(self, G):
         """sigma_max(L^-1)^-2, or None when G is not numerically positive definite."""
@@ -257,7 +260,7 @@ class Mp:
         """W + (floor + ||W||_F 2^(-bits/2)) I, positive definite far above
         the rounding once ``floor`` covers W's distance from the PSD cone."""
         ridge = floor + mp.ldexp(self.norm(W), -self.bits // 2)
-        return W + self.from_np(np.eye(len(W.re))) * ridge
+        return W + self.eye(len(W.re)) * ridge
 
 
 DOUBLE = Double()

@@ -46,26 +46,34 @@ def truncation_entry_error(n, N, radius):
 
 @dataclass
 class GramOperator:
-    """Hermitian PSD matrix of the restriction form on E_N."""
+    """Hermitian PSD matrix of the restriction form on E_N and the rounding
+    bound of each entry."""
 
     n: int
     N: int
     matrix: np.ndarray
-    entry_error: float
+    errors: np.ndarray
     region: Region
 
     @property
     def size(self):
         return self.matrix.shape[0]
 
+    @property
+    def tail(self):
+        """Bound on the neglected |x| > trunc_radius part of any entry."""
+        return truncation_entry_error(self.n, self.N, self.region.trunc_radius)
 
-def _require_radius(region, n, N):
-    required = regions.truncate_radius(N, n, safety=1.5)
-    if region.trunc_radius + 1e-9 < required:
-        raise ContractViolation(
-            "region truncated at %.6g but cutoff N=%d needs radius >= %.6g"
-            % (region.trunc_radius, N, required)
-        )
+    @property
+    def entry_error(self):
+        return float(np.max(self.errors)) + self.tail
+
+    def leading(self, N):
+        """The Gram of E_N, N <= self.N: its leading block in the graded order."""
+        if not 0 <= N <= self.N:
+            raise ContractViolation("cutoff %r outside 0..%d of this Gram" % (N, self.N))
+        d = len(basis.multi_indices(self.n, N))
+        return GramOperator(self.n, N, self.matrix[:d, :d], self.errors[:d, :d], self.region)
 
 
 def _times(outer, inner):
@@ -96,7 +104,10 @@ def _assemble(region: Region, n, N, mp=None):
     """
     if region.n != n:
         raise ContractViolation("region dimension mismatch")
-    _require_radius(region, n, N)
+    required = regions.truncate_radius(N, n, safety=1.5)
+    if region.trunc_radius + 1e-9 < required:
+        raise ContractViolation("region truncated at %.6g but cutoff N=%d needs radius >= %.6g"
+                                % (region.trunc_radius, N, required))
     idx = basis.multi_indices(n, N)
     if not region.box_count:
         zero = np.zeros((len(idx), len(idx)))
@@ -138,8 +149,7 @@ def gram_matrix(region: Region, n, N) -> GramOperator:
     error budget together with the rounding bounds of the tables.
     """
     G, _, E = _assemble(region, n, N)
-    entry_error = float(np.max(E)) + truncation_entry_error(n, N, region.trunc_radius)
-    return GramOperator(n, N, G, entry_error, region)
+    return GramOperator(n, N, G, E, region)
 
 
 def gram_matrix_mp(region: Region, n, N) -> arith.Fx:
@@ -162,41 +172,55 @@ class SpectralResult:
     flag: str  # 'ok' or 'singular_floor' (value is then a lower bound on C_N)
 
 
-def spectral_constant(G: GramOperator, start_bits=256, max_bits=4096) -> SpectralResult:
-    """Sharp constant of the spectral inequality on E_N for G's region.
+def spectral_constants(G: GramOperator, cutoffs, start_bits=256, max_bits=4096):
+    """Sharp constants of the spectral inequality on E_N for G's region, one
+    per N <= G.N in ``cutoffs``, each from its leading block of G.
 
     Tries the double-precision eigensolve first.  Once lambda_min sinks under
     1e3 * eps * lambda_max or the accumulated entry error, the Gram entries
     are rebuilt in software floating point from ``start_bits`` on, doubling
-    until lambda_min clears 1e3 * 2^-bits * lambda_max + dim * tail.  A
-    failed Cholesky factorization (:mod:`hermite_obs.arith`) means lambda_min
-    is below its rounding, about 20 dim^1.5 2^-(bits+16) lambda_max (Higham,
-    Thm 10.7), under that floor for dim up to about 20,000.  If ``max_bits``
-    does not suffice, the flagged result is a certified lower bound on C_N.
+    until lambda_min clears 1e3 * 2^-bits * lambda_max + dim * tail; a level
+    builds one fixed-point Gram, at the largest cutoff left, and factors each
+    left block on its own.  A failed Cholesky factorization
+    (:mod:`hermite_obs.arith`) means lambda_min is below its rounding, about
+    20 dim^1.5 2^-(bits+16) lambda_max (Higham, Thm 10.7), under that floor
+    for dim up to about 20,000.  If ``max_bits`` does not suffice, the
+    flagged result is a certified lower bound on C_N.
     """
-    tail = truncation_entry_error(G.n, G.N, G.region.trunc_radius)
+    blocks = [G.leading(N) for N in cutoffs]
+    results = [None] * len(blocks)
     bits = 53
-    while True:
+    while todo := [i for i, res in enumerate(results) if res is None]:
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
-            if ar is arith.DOUBLE:
-                lam = np.linalg.eigvalsh(G.matrix)
-                lam_min, lam_max = float(lam[0]), float(lam[-1])
-                noise = max(1e3 * np.finfo(float).eps * max(lam_max, 0.0), G.size * G.entry_error)
-            else:
-                Gm = gram_matrix_mp(G.region, G.n, G.N)
-                lam_min, lam_max = ar.lam_min(Gm), ar.eigh_top(Gm)[0]
-                noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max + G.size * tail
-            flag = "ok" if lam_min is not None and lam_min > noise else ""
-            if not flag and ar is not arith.DOUBLE and bits >= max_bits:
-                lam_min, flag = noise, "singular_floor"
-            if flag:
-                log = math.log if ar is arith.DOUBLE else mp.log  # no mpmath rounding at 53 bits
-                return SpectralResult(
-                    float(lam_min ** -0.5), float(-log(lam_min) / 2), float(lam_min),
-                    float(log(lam_min)), float(lam_max), bits, flag,
-                )
+            if ar is not arith.DOUBLE:
+                Gm = gram_matrix_mp(G.region, G.n, max(blocks[i].N for i in todo))
+            for i in todo:
+                B = blocks[i]
+                if ar is arith.DOUBLE:
+                    lam = np.linalg.eigvalsh(B.matrix)
+                    lam_min, lam_max = float(lam[0]), float(lam[-1])
+                    noise = max(1e3 * np.finfo(float).eps * max(lam_max, 0.0), B.size * B.entry_error)
+                else:
+                    Bm = Gm[:B.size, :B.size]
+                    lam_min, lam_max = ar.lam_min(Bm), ar.eigh_top(Bm)[0]
+                    noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max + B.size * B.tail
+                flag = "ok" if lam_min is not None and lam_min > noise else ""
+                if not flag and ar is not arith.DOUBLE and bits >= max_bits:
+                    lam_min, flag = noise, "singular_floor"
+                if flag:
+                    log = math.log if ar is arith.DOUBLE else mp.log  # no mpmath rounding at 53 bits
+                    results[i] = SpectralResult(
+                        float(lam_min ** -0.5), float(-log(lam_min) / 2), float(lam_min),
+                        float(log(lam_min)), float(lam_max), bits, flag,
+                    )
         bits = start_bits if ar is arith.DOUBLE else 2 * bits
+    return results
+
+
+def spectral_constant(G: GramOperator, start_bits=256, max_bits=4096) -> SpectralResult:
+    """:func:`spectral_constants` at G's own cutoff."""
+    return spectral_constants(G, [G.N], start_bits, max_bits)[0]
 
 
 # -- explicit bounds -----------------------------------------------------------
@@ -345,7 +369,6 @@ def _model_values(name, Ns):
 class ScalingReport:
     """Measured constants over a range of cutoffs plus growth-model fits."""
 
-    region_desc: dict
     n: int
     rows: list = field(default_factory=list)  # dicts per N
     fits: dict = field(default_factory=dict)
@@ -358,19 +381,8 @@ class ScalingReport:
     def csv_rows(self):
         header = ["N", "dim", "C_measured", "lambda_min", "bound", "bound_variant",
                   "precision_bits"]
-        table = [
-            [
-                row["N"],
-                self.n,
-                row["C_measured"],
-                row["lambda_min"],
-                row["bound"],
-                self.bound_variant,
-                row["precision_bits"],
-            ]
-            for row in self.rows
-        ]
-        return header, table
+        return header, [[row["N"], self.n, row["C_measured"], row["lambda_min"], row["bound"],
+                         self.bound_variant, row["precision_bits"]] for row in self.rows]
 
 
 def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None,
@@ -382,40 +394,26 @@ def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None
     When a bound-parameter object is supplied, every measured constant is
     compared in log domain against the explicit bound and violations are
     recorded (never silently dropped); cutoffs whose Gram is numerically
-    singular even at maximal precision are reported with flags.
+    singular even at maximal precision are reported with flags.  One Gram,
+    at the largest cutoff, serves every cutoff (:func:`spectral_constants`).
     """
     N_list = list(N_list)
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ContractViolation("N_list must be strictly increasing")
-    report = ScalingReport(region.to_json_dict()["generator"], n)
+    if not N_list or any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ContractViolation("N_list must be non-empty and strictly increasing")
+    report = ScalingReport(n)
     if bound is not None:
         report.bound_variant = bound.variant
-        report.aux_constants = {
-            "c_n": bound.tail_c(),
-            "C_sobolev": bound.C_sobolev,
-            "C_kov": bound.C_kov,
-        }
-    bits = start_bits
-    for N in N_list:
-        G = gram_matrix(region, n, N)
-        res = spectral_constant(G, start_bits=bits)
-        bits = max(bits, res.precision_bits)  # lambda_min shrinks with N
-        row = {
-            "N": N,
-            "C_measured": res.c_value,
-            "C_log": res.c_log,
-            "lambda_min": res.lam_min,
-            "lambda_min_log": res.lam_min_log,
-            "precision_bits": res.precision_bits,
-            "flag": res.flag,
-            "bound": math.nan,
-            "bound_log": math.nan,
-        }
+        report.aux_constants = {"c_n": bound.tail_c(), "C_sobolev": bound.C_sobolev,
+                                "C_kov": bound.C_kov}
+    G = gram_matrix(region, n, N_list[-1])
+    for N, res in zip(N_list, spectral_constants(G, N_list, start_bits)):
+        row = {"N": N, "C_measured": res.c_value, "C_log": res.c_log, "lambda_min": res.lam_min,
+               "lambda_min_log": res.lam_min_log, "precision_bits": res.precision_bits,
+               "flag": res.flag, "bound": math.nan, "bound_log": math.nan}
         if bound is not None:
             blog = theoretical_bound_log(bound, N)
             if blog is not None:
-                row["bound_log"] = blog
-                row["bound"] = math.exp(blog) if blog < 709.0 else math.inf
+                row["bound_log"], row["bound"] = blog, theoretical_bound(bound, N)
                 if res.flag == "ok" and res.c_log > blog:
                     report.dominance_ok = False
         report.rows.append(row)
@@ -425,9 +423,7 @@ def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None
     if len(Ns) >= 3:
         for name in SCALING_MODELS:
             slope, intercept, ssr, r2 = basis.linear_fit(_model_values(name, Ns), logs)
-            report.fits[name] = {
-                "slope": slope, "intercept": intercept, "ssr": ssr, "r2": r2,
-            }
+            report.fits[name] = {"slope": slope, "intercept": intercept, "ssr": ssr, "r2": r2}
         report.best_model = min(report.fits, key=lambda k: report.fits[k]["ssr"])
         mask = logs > 0.1
         if mask.sum() >= 3:

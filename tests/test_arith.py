@@ -66,6 +66,16 @@ def test_power_of_two_scaling_is_exact(k):
         assert np.array_equal(ar.to_np(vec_s), ar.to_np(vec))
 
 
+@pytest.mark.parametrize("bits", [256, 512, 1000])
+@pytest.mark.parametrize("d", [1, 5, 49])
+def test_integer_identity_matches_rounded_identity(bits, d):
+    ar = arith.Mp(bits)
+    got, want = ar.eye(d), ar.from_np(np.eye(d))
+    assert (got.exp, got.prec, got.im) == (want.exp, want.prec, want.im)
+    assert got.re.shape == want.re.shape and all(
+        type(a) is int and a == b for a, b in zip(got.re.flat, want.re.flat))
+
+
 def test_inv_lower_and_cond_match_dense_routines():
     kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
     reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(3, 2) + 1)

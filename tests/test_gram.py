@@ -190,6 +190,37 @@ class TestSpectralConstant:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(cs, cs[1:]))
 
+    def test_cutoffs_outside_the_gram_are_refused(self):
+        G = gram.gram_matrix(halfline_region(6), 1, 6)
+        for N in (7, -1):
+            with pytest.raises(ContractViolation):
+                gram.spectral_constants(G, [2, N])
+
+    @pytest.mark.parametrize("spec,n,cutoffs,levels", [
+        ("halfline", 1, range(8, 33, 8), {53, 256}),
+        ("ball:r=1", 1, range(8, 65, 8), {53, 256, 512}),
+        ("halfspace:axis=0,c=1", 2, range(2, 15, 2), {53, 256}),
+        ("periodic:L=1,gamma=0.5", 1, range(4, 33, 4), {53}),
+    ])
+    def test_leading_blocks_match_their_own_grams(self, spec, n, cutoffs, levels):
+        # every cutoff read from one Gram equals, bit for bit, the cutoff's own
+        # Gram and constant; the ball's N=64 Gram does not factor at 256 bits.
+        # The rounding bounds of the pair tables sum N+2 terms, so their last
+        # bits depend on the cutoff; the values do not
+        from hermite_obs.cli import parse_region
+
+        cutoffs = list(cutoffs)
+        reg = parse_region(spec, n, cutoffs[-1])
+        G = gram.gram_matrix(reg, n, cutoffs[-1])
+        got = gram.spectral_constants(G, cutoffs)
+        for N, res in zip(cutoffs, got):
+            own = gram.gram_matrix(reg, n, N)
+            block = G.leading(N)
+            assert block.matrix.tobytes() == own.matrix.tobytes()
+            assert block.entry_error == pytest.approx(own.entry_error, rel=4 * np.finfo(float).eps)
+            assert res == gram.spectral_constant(own)
+        assert {res.precision_bits for res in got} == levels
+
     def test_rayleigh_consistency(self):
         reg = rg.make_periodic_thick(1, 1.0, 0.5, rg.truncate_radius(8, 1) + 1)
         G = gram.gram_matrix(reg, 1, 8)
@@ -272,6 +303,28 @@ class TestScalingStudy:
         reg = rg.full_space(1, rg.truncate_radius(8, 1) + 1)
         with pytest.raises(ContractViolation):
             gram.scaling_study(reg, 1, [4, 4, 8])
+
+    @pytest.mark.parametrize("spec,cutoffs,fixed_levels", [
+        ("halfline", range(8, 33, 8), 1), ("ball:r=1", range(8, 65, 8), 2)])
+    def test_one_gram_per_precision(self, spec, cutoffs, fixed_levels, monkeypatch):
+        # one double Gram at the largest cutoff, then one fixed-point Gram per
+        # precision level, whatever the number of cutoffs
+        from hermite_obs.cli import parse_region
+
+        cutoffs = list(cutoffs)
+        calls = []
+        assemble = gram._assemble
+        monkeypatch.setattr(gram, "_assemble", lambda region, n, N, mp=None: calls.append(
+            (N, None if mp is None else mp.prec)) or assemble(region, n, N, mp))
+        rep = gram.scaling_study(parse_region(spec, 1, cutoffs[-1]), 1, cutoffs)
+        assert calls[0] == (cutoffs[-1], None)
+        assert [prec for _, prec in calls[1:]] == [(256 << k) + 16 for k in range(fixed_levels)]
+        assert max(r["precision_bits"] for r in rep.rows) == 256 << (fixed_levels - 1)
+
+    def test_requires_cutoffs(self):
+        reg = rg.full_space(1, rg.truncate_radius(8, 1) + 1)
+        with pytest.raises(ContractViolation):
+            gram.scaling_study(reg, 1, [])
 
     def test_csv_rows_schema(self):
         reg = rg.full_space(1, rg.truncate_radius(6, 1) + 1)
