@@ -129,10 +129,10 @@ def _axis_sum(axis, rows, which, stack, spread):
     ``stack[.][which[axis, box]]`` is the box's table on ``axis``."""
     used, group = np.unique(which[axis, rows], return_inverse=True)
     if axis == len(which) - 1:
-        # -0.0 + t == t: the sum is t_0 + t_1 + ... exactly, signed zeros and ints kept
+        # a running sum adds t_0 + t_1 + ... in order whatever the tables' size,
+        # where numpy's sum pairs the terms of a (M, 1, 1) stack
         tables = stack if len(used) == len(stack[0]) else [t[used] for t in stack]
-        return [t.sum(axis=0, initial=-0.0 if t.dtype == float else 0)[spread[axis]]
-                for t in tables]
+        return [np.cumsum(t, axis=0)[-1][spread[axis]] for t in tables]
     total = None
     for g, i in enumerate(used):
         inner = _axis_sum(axis + 1, rows[group == g], which, stack, spread)
@@ -361,7 +361,7 @@ def _model_values(name, Ns):
     if name == "N":
         return Ns
     if name == "NlnN":
-        return Ns * np.log(Ns)
+        return Ns * np.log(np.maximum(Ns, 1.0))  # 0 at N = 0, its limit
     raise ContractViolation("unknown model %r" % name)
 
 
@@ -425,7 +425,7 @@ def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None
             slope, intercept, ssr, r2 = basis.linear_fit(_model_values(name, Ns), logs)
             report.fits[name] = {"slope": slope, "intercept": intercept, "ssr": ssr, "r2": r2}
         report.best_model = min(report.fits, key=lambda k: report.fits[k]["ssr"])
-        mask = logs > 0.1
+        mask = (logs > 0.1) & (Ns > 0)
         if mask.sum() >= 3:
             p_slope, _, _, _ = basis.linear_fit(np.log(Ns[mask]), np.log(logs[mask]))
             report.exponent_p = p_slope

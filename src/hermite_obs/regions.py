@@ -29,7 +29,6 @@ import numpy as np
 
 from .basis import ContractViolation
 from .estimates import tail_constant_cn
-from .quadrature import composite_gauss_legendre
 
 WRONSKIAN_EXACT = "wronskian_exact"
 ERF_RECURRENCE = "erf_recurrence"
@@ -105,18 +104,24 @@ class Region:
         self.highs.flags.writeable = False
 
     def _check_disjoint(self):
+        # sort and sweep on axis 0: in order of low ends, box i can overlap only the
+        # boxes after it whose low end lies before its high end; pairs go in chunks
         K = self.lows.shape[0]
         if K < 2:
             return
         vols = np.prod(self.highs - self.lows, axis=1)
         floor = 1e-12 * max(np.min(vols[vols > 0], initial=1.0), 1e-300)
-        rows = max(1, 2**15 // (K * self.n))  # chunk of rows i, all j, ~2^15 coordinates
-        for start in range(0, K - 1, rows):
-            i = np.arange(start, min(start + rows, K - 1))
-            lo = np.maximum(self.lows[i, None], self.lows[None, :])
-            hi = np.minimum(self.highs[i, None], self.highs[None, :])
-            overlap = np.all(hi > lo, axis=2) & (np.prod(hi - lo, axis=2) > floor)
-            if np.any(overlap & (i[:, None] < np.arange(K))):
+        order = np.argsort(self.lows[:, 0], kind="stable")
+        lows, highs = self.lows[order], self.highs[order]
+        counts = np.maximum(np.searchsorted(lows[:, 0], highs[:, 0]) - np.arange(1, K + 1), 0)
+        first, total, chunk = np.cumsum(counts) - counts, int(counts.sum()), 2**15 // self.n
+        for start in range(0, total, chunk):
+            pair = np.arange(start, min(start + chunk, total))
+            i = np.searchsorted(first, pair, side="right") - 1  # first[i]: box i's first pair
+            j = i + 1 + pair - first[i]
+            lo = np.maximum(lows[i], lows[j])
+            hi = np.minimum(highs[i], highs[j])
+            if np.any(np.all(hi > lo, axis=1) & (np.prod(hi - lo, axis=1) > floor)):
                 raise ContractViolation("boxes overlap beyond tolerance")
 
     # -- measures -----------------------------------------------------------
@@ -129,24 +134,6 @@ class Region:
         if not self.lows.size:
             return 0.0
         return float(np.sum(np.prod(self.highs - self.lows, axis=1)))
-
-    def measure_in_cube(self, corner, side):
-        """Exact |region cap (corner + [0, side]^n)| by box clipping."""
-        corner = np.asarray(corner, dtype=float)
-        if not self.lows.size:
-            return 0.0
-        lo = np.maximum(self.lows, corner)
-        hi = np.minimum(self.highs, corner + side)
-        edges = np.clip(hi - lo, 0.0, None)
-        return float(np.sum(np.prod(edges, axis=1)))
-
-    def intersect_interval(self, a, b):
-        """1-D only: total length of region cap [a, b]."""
-        if self.n != 1:
-            raise ContractViolation("intersect_interval is one-dimensional")
-        lo = np.maximum(self.lows[:, 0], a)
-        hi = np.minimum(self.highs[:, 0], b)
-        return float(np.sum(np.clip(hi - lo, 0.0, None)))
 
     def to_json_dict(self):
         return {
@@ -231,13 +218,8 @@ def ball_complement(r0, r_trunc):
     """1-D complement of (-r0, r0), truncated: two symmetric intervals."""
     if r0 <= 0 or r_trunc <= r0:
         raise ContractViolation("need 0 < r0 < truncation radius")
-    return Region(
-        1,
-        [[-r_trunc], [r0]],
-        [[-r0], [r_trunc]],
-        {"kind": "ball_complement", "r0": r0},
-        trunc_radius=r_trunc,
-    )
+    return Region(1, [[-r_trunc], [r0]], [[-r0], [r_trunc]], {"kind": "ball_complement", "r0": r0},
+                  trunc_radius=r_trunc)
 
 
 def union(a: Region, b: Region):
@@ -266,81 +248,98 @@ def thickness_check(region: Region, L, m=4):
     estimate of the infimum over all corners: for [-10, 0.15] u [1.05, 10],
     L = 1 and m = 4 it gives 0.15, while the infimum is 0.1.  For the
     periodic pattern at its own period L every cube has the same measure, so
-    the value is exact there.
+    the value is exact there.  A box's clipped volume in a cube is the
+    product of its clipped side lengths, so the measures of all cubes are one
+    contraction of per-axis length tables, taken in chunks of boxes.
     """
     if L <= 0 or m < 1:
         raise ContractViolation("need L > 0 and m >= 1")
-    R = region.trunc_radius
-    if math.sqrt(region.n) * L >= 2 * R:
+    n, R = region.n, region.trunc_radius
+    if math.sqrt(n) * L >= 2 * R:
         raise ContractViolation("truncation ball too small for scale L")
-    pitch = L / m
-    half_span = R / math.sqrt(region.n)  # cube inside the ball
-    lo_corner = -half_span
-    hi_corner = half_span - L
-    count = int(math.floor((hi_corner - lo_corner) / pitch)) + 1
+    pitch, half_span = L / m, R / math.sqrt(n)  # cubes inside the ball
+    count = int(math.floor((half_span - L + half_span) / pitch)) + 1
     if count < 1:
         raise ContractViolation("no admissible cube positions")
-    grid = [lo_corner + pitch * i for i in range(count)]
-    return min(region.measure_in_cube(np.array(corner), L) / L**region.n
-               for corner in itertools.product(grid, repeat=region.n))
+    grid = -half_span + pitch * np.arange(count)
+    # lengths[i][b, g] = |[lows[b, i], highs[b, i]] cap [grid[g], grid[g] + L]|
+    lengths = [np.clip(np.minimum(region.highs[:, i, None], grid + L)
+                       - np.maximum(region.lows[:, i, None], grid), 0.0, None) for i in range(n)]
+    measure = np.zeros((count ** (n - 1), count))
+    rows = max(1, 2**20 // count ** (n - 1))
+    for s in range(0, region.box_count, rows):
+        head = np.ones((len(lengths[0][s:s + rows]), 1))
+        for ell in lengths[:-1]:
+            head = (head[:, :, None] * ell[s:s + rows, None, :]).reshape(len(head), -1)
+        measure += head.T @ lengths[-1][s:s + rows]
+    return float(np.min(measure)) / L**n
 
 
-def _clip_length(lo, hi, s):
-    """Vectorized |[lo, hi] cap [-s, s]|."""
-    return np.clip(np.minimum(hi, s) - np.maximum(lo, -s), 0.0, None)
+def _quarter_disc(u, v, R):
+    """|[0, u] x [0, v] cap B(0, R)| for 0 <= u, v <= R: vx up to
+    x = min(u, sqrt(R^2 - v^2)), then int_x^u sqrt(R^2 - s^2) ds = S(u) - S(x),
+    S(x) = (x y + R^2 asin(x / R)) / 2 with y = sqrt(R^2 - x^2); each asin is
+    atan2(x, y) from the known y, which stays accurate near the circle."""
+    x0 = np.sqrt((R - v) * (R + v))
+    yu = np.sqrt((R - u) * (R + u))
+    x, y = np.minimum(u, x0), np.where(u < x0, yu, v)
+    return v * x + (u * yu - x * y) / 2 + R * R / 2 * (np.arctan2(u, yu) - np.arctan2(x, y))
 
 
-def _box_ball_overlap(lo, hi, R, tol):
-    """|box cap B(0,R)| by slicing along the first axis.
+def _octant_ball(u, v, w, R):
+    """|[0, u] x [0, v] x [0, w] cap B(0, R)| for 0 <= u, v, w <= R.
 
-    The slice at x has overlap equal to a (d-1)-dimensional box/ball overlap
-    at radius sqrt(R^2 - x^2); in two dimensions that inner overlap is a
-    closed-form clipped interval length, so the outer integral is a single
-    adaptive panel quadrature with an honest doubling estimate.
+    The slice at x is the quarter-disc rectangle at r = sqrt(R^2 - x^2): vw up
+    to x_vw = sqrt(R^2 - v^2 - w^2), then T(v) + T(w) - pi r^2 / 4 with
+    T(t) = int_0^min(t, r) sqrt(r^2 - s^2) ds, pi r^2 / 4 past x_t = sqrt(R^2 - t^2).
+    Below x_t, by parts on (R^2 - x^2) asin(t / r) and s = sqrt(R^2 - t^2 - x^2),
+    int T dx = P = t x s / 3 + t (R^2/2 - t^2/6) asin(x / sqrt(R^2 - t^2))
+        + x (R^2 - x^2/3) asin(t / r) / 2 - (R^3 / 3) atan(t x / (R s)),
+    each asin an atan2 of s.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    a = max(lo[0], -R)
-    b = min(hi[0], R)
-    if b <= a or R <= 0:
-        return 0.0, 0.0
-    if len(lo) == 1:
-        return b - a, 0.0
-    if len(lo) == 2:
-        def f(x):
-            s = np.sqrt(np.clip(R * R - x * x, 0.0, None))
-            return _clip_length(lo[1], hi[1], s)
-    else:
-        def f(x):  # a slice past the ball has radius 0 and overlap 0
-            return np.array([_box_ball_overlap(lo[1:], hi[1:], math.sqrt(max(R * R - t * t, 0.0)),
-                                               tol / 10)[0] for t in x])
-    v, e, _ = composite_gauss_legendre(f, a, b, abs_tol=tol, min_panels=32)
-    return v, e
+    def Q(a, b):  # int_a^b pi r^2 / 4 dx
+        return math.pi / 4 * (b - a) * (R * R - (a * a + a * b + b * b) / 3)
+
+    def P(t, x, s):
+        return (t * x * s / 3 + t * (R * R / 2 - t * t / 6) * np.arctan2(x, s)
+                + x * (R * R - x * x / 3) * np.arctan2(t, s) / 2
+                - R**3 / 3 * np.arctan2(t * x, R * s))
+
+    x_vw = np.sqrt(np.clip((R - v) * (R + v) - w * w, 0.0, None))
+    a0 = np.minimum(u, x_vw)
+    total = v * w * a0 - Q(a0, u)
+    for t, other in ((v, w), (w, v)):
+        x_t = np.sqrt((R - t) * (R + t))
+        s_u = np.sqrt(np.clip((R - t) * (R + t) - u * u, 0.0, None))  # s at x = u
+        c = np.minimum(x_t, u)
+        s_a0 = np.where(u < x_vw, s_u, np.minimum(other, x_t))  # other, or x_t if x_vw = 0
+        total += P(t, c, np.where(u < x_t, s_u, 0.0)) - P(t, a0, s_a0) + Q(c, u)
+    return total
 
 
-def density_ratio(region: Region, R, tol=1e-7):
-    """|region cap B(0,R)| / |B(0,R)|.
+def density_ratio(region: Region, R):
+    """|region cap B(0,R)| / |B(0,R)| in closed form, for n <= 3.
 
-    Exact interval arithmetic in one dimension; in higher dimension each box
-    is sliced against the ball with adaptive quadrature whose doubling
-    estimate certifies the error below ``tol`` of the ball volume.
+    Inclusion-exclusion over the 2^n corners c of each box, high ends +, low
+    ends -, of G(c) = prod_i sgn(c_i) g_n(min(|c|, R)), where g_n(u) is
+    |[0, u_1] x ... x [0, u_n] cap B(0, R)|; the ball is 2^n g_n(R, ..., R).
+    Corner terms reach R^n and cancel, so the absolute error is a few eps R^n.
     """
     if R <= 0:
         raise ContractViolation("radius must be positive")
     if R > region.trunc_radius + 1e-12:
         raise ContractViolation("radius exceeds the truncation radius")
-    if region.n == 1:
-        return region.intersect_interval(-R, R) / (2.0 * R)
-    ball_vol = math.pi ** (region.n / 2.0) / math.gamma(region.n / 2.0 + 1.0) * R**region.n
-    total, err = 0.0, 0.0
-    budget = tol * ball_vol / max(region.box_count, 1)
-    for lo, hi in zip(region.lows, region.highs):
-        v, e = _box_ball_overlap(lo, hi, R, budget)
-        total += v
-        err += e
-    if err > tol * ball_vol * max(region.box_count, 1) * 1.001:
-        raise ContractViolation("slicing failed to certify the requested tolerance")
-    return total / ball_vol
+    n = region.n
+    if n > 3:
+        raise ContractViolation("box-ball volumes are closed forms only for n <= 3")
+    g = {1: lambda u, R: u, 2: _quarter_disc, 3: _octant_ball}[n]
+    total = 0.0
+    for high in itertools.product((False, True), repeat=n):
+        c = np.where(high, region.highs, region.lows)
+        sign = (-1) ** (n - sum(high))
+        total = total + sign * np.prod(np.sign(c), axis=1) * g(*np.minimum(np.abs(c), R).T, R)
+    ball = 2**n * g(*np.full((n, 1), float(R)), R)[0]
+    return float(np.sum(total) / ball)
 
 
 # -- Hermite pair integration ---------------------------------------------------
@@ -442,7 +441,7 @@ def _pair_tables(x, N, mp):
     Tv[2:] += d[1:, None, None] * av[:-2]
     r = 3 * eps * Tv + tiny
     r[0] = eps * (x * x / 4 + 3) * av[0] + tiny
-    rho = (np.abs(G) * r.transpose(1, 2, 0)).sum(axis=3)
+    rho = np.cumsum(np.abs(G) * r.transpose(1, 2, 0), axis=3)[..., -1]  # in order: no N in the bits
     # phi_k' carries its terms' errors and 3 eps of their size; products of
     # perturbed factors obey |pq - p^q^| <= dp |q^| + (|p^| + dp) dq
     sig = (root[:K] * (np.concatenate([rho[:1] * 0, rho[:K - 1]]) + 3 * eps * np.abs(below))

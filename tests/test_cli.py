@@ -48,6 +48,13 @@ class TestExitCodes:
                         "--n", "1", "--N", "4", "--quiet"])
         assert code == cli.EXIT_CONTRACT
 
+    def test_density_beyond_three_dimensions(self, capsys):
+        # box-ball volumes are closed forms for n <= 3 only
+        code = cli.run(["scaling", "--region", "full", "--n", "4", "--N", "0",
+                        "--variant", "density", "--quiet"])
+        assert code == cli.EXIT_CONTRACT
+        assert "n <= 3" in capsys.readouterr().err
+
     def test_io_failure(self, capsys, tmp_path):
         missing = str(tmp_path / "no" / "such" / "dir" / "x")
         code = cli.run(["basis", "--n", "1", "--N", "4", "--quiet", "--out", missing])
@@ -230,6 +237,15 @@ class TestOutputs:
         assert lines[0] == "N,dim,C_measured,lambda_min,bound,bound_variant,precision_bits"
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "4"
+
+    def test_density_scaling_in_three_dimensions(self, capsys, tmp_path):
+        out = str(tmp_path / "d")
+        code = cli.run(["scaling", "--region", "periodic:L=1,gamma=0.5", "--n", "3",
+                        "--N", "2", "--variant", "density", "--quiet", "--out", out])
+        assert code == cli.EXIT_OK
+        result = json.loads((tmp_path / "d.json").read_text())["result"]
+        assert result["bound_variant"] == "density"
+        assert [row["N"] for row in result["rows"]] == [2]
 
     def test_plot_data_companion(self, capsys, tmp_path):
         out = str(tmp_path / "s")

@@ -201,12 +201,14 @@ class TestSpectralConstant:
         ("ball:r=1", 1, range(8, 65, 8), {53, 256, 512}),
         ("halfspace:axis=0,c=1", 2, range(2, 15, 2), {53, 256}),
         ("periodic:L=1,gamma=0.5", 1, range(4, 33, 4), {53}),
+        ("periodic:L=1,gamma=0.5", 2, range(0, 9), {53}),
+        ("periodic:L=1,gamma=0.5", 3, range(0, 3), {53}),
+        ("ball:r=1", 1, range(0, 41, 5), {53, 256}),
     ])
     def test_leading_blocks_match_their_own_grams(self, spec, n, cutoffs, levels):
         # every cutoff read from one Gram equals, bit for bit, the cutoff's own
-        # Gram and constant; the ball's N=64 Gram does not factor at 256 bits.
-        # The rounding bounds of the pair tables sum N+2 terms, so their last
-        # bits depend on the cutoff; the values do not
+        # Gram, rounding bounds and constant, N = 0 included; the ball's N=64
+        # Gram does not factor at 256 bits
         from hermite_obs.cli import parse_region
 
         cutoffs = list(cutoffs)
@@ -217,7 +219,7 @@ class TestSpectralConstant:
             own = gram.gram_matrix(reg, n, N)
             block = G.leading(N)
             assert block.matrix.tobytes() == own.matrix.tobytes()
-            assert block.entry_error == pytest.approx(own.entry_error, rel=4 * np.finfo(float).eps)
+            assert block.errors.tobytes() == own.errors.tobytes()
             assert res == gram.spectral_constant(own)
         assert {res.precision_bits for res in got} == levels
 
@@ -298,6 +300,14 @@ class TestScalingStudy:
         logs = [r["C_log"] for r in rep.rows]
         assert all(a <= b + 1e-12 for a, b in zip(logs, logs[1:]))
         assert rep.dominance_ok
+
+    def test_cutoff_zero_is_fitted(self):
+        # N log N is 0 at N = 0 and the exponent fit skips log N = -inf
+        reg = rg.make_periodic_thick(2, 1.0, 0.5, rg.truncate_radius(4, 2) + 1)
+        rep = gram.scaling_study(reg, 2, [0, 1, 2, 3, 4])
+        assert set(rep.fits) == set(gram.SCALING_MODELS)
+        assert all(math.isfinite(fit["ssr"]) for fit in rep.fits.values())
+        assert rep.rows[0]["C_log"] == gram.spectral_constant(gram.gram_matrix(reg, 2, 0)).c_log
 
     def test_requires_increasing_cutoffs(self):
         reg = rg.full_space(1, rg.truncate_radius(8, 1) + 1)

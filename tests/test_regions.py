@@ -53,6 +53,18 @@ class TestGenerators:
         with pytest.raises(ContractViolation, match="overlap"):
             rg.Region(2, bad, bad + 1.0)
 
+    def test_overlap_hidden_in_a_3d_periodic_region(self):
+        # the sort-and-sweep test on a 3-D lattice of 9,016 boxes: accepted as
+        # built, refused with one box shifted by half a side onto a neighbour
+        r = rg.make_periodic_thick(3, 1.0, 0.5, rg.truncate_radius(2, 3) + 1.0)
+        assert r.box_count >= 9000
+        side = r.highs[0] - r.lows[0]
+        for cell in ([0, 0, 0], [-3, 2, -1], [5, -1, 4], [-13, -3, -1]):
+            (k,) = np.flatnonzero(np.all(r.lows == cell, axis=1))
+            lows = np.vstack([r.lows, r.lows[k] + side / 2])
+            with pytest.raises(ContractViolation, match="overlap"):
+                rg.Region(3, lows, np.vstack([r.highs, r.highs[k] + side / 2]))
+
     def test_ball_complement(self):
         r = rg.ball_complement(1.0, 5.0)
         assert r.box_count == 2
@@ -78,6 +90,16 @@ class TestThickness:
         r = rg.full_space(1, 10.0)
         assert rg.thickness_check(r, 2.0, 3) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n,N,gamma", [(2, 16, 0.5), (2, 6, 0.3), (3, 2, 0.5)])
+    def test_periodic_pattern_exact_at_its_period(self, n, N, gamma):
+        r = rg.make_periodic_thick(n, 1.0, gamma, rg.truncate_radius(N, n) + 1.0)
+        assert rg.thickness_check(r, 1.0) == pytest.approx(gamma, abs=1e-12)
+
+    def test_lattice_minimum_overestimates_the_infimum(self):
+        # the docstring's case: the lattice of pitch 1/4 sees 0.15, not 0.1
+        r = rg.Region(1, [[-10.0], [1.05]], [[0.15], [10.0]])
+        assert rg.thickness_check(r, 1.0, 4) == pytest.approx(0.15, abs=1e-12)
+
 
 class TestDensity:
     def test_half_line(self):
@@ -93,6 +115,109 @@ class TestDensity:
     def test_radius_beyond_truncation_rejected(self):
         with pytest.raises(ContractViolation):
             rg.density_ratio(rg.half_line(5.0), 6.0)
+
+    def test_four_dimensions_rejected(self):
+        with pytest.raises(ContractViolation):
+            rg.density_ratio(rg.full_space(4, 3.0), 2.0)
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        # box-ball volumes and cube measures are closed forms: the adaptive
+        # quadrature is never called
+        from hermite_obs import quadrature
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(quadrature, "composite_gauss_legendre", refuse)
+        for n in (2, 3):
+            r = rg.make_periodic_thick(n, 1.0, 0.5, 4.0)
+            assert 0.4 < rg.density_ratio(r, 4.0) < 0.6
+            assert rg.thickness_check(r, 1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def clipped_length(lo, hi, s):
+    return max(mpmath.mpf(0), min(hi, s) - max(lo, -s))
+
+
+def quarter_kinks(lo, hi, R, coords):
+    """Ends of [lo, hi] and the points inside it where sqrt(R^2 - x^2) = |c|."""
+    pts = {lo, hi}
+    for c in coords:
+        if abs(c) < R:
+            pts |= {mpmath.sqrt(R * R - c * c), -mpmath.sqrt(R * R - c * c)}
+    return sorted(p for p in pts | {0, R, -R} if lo <= p <= hi)
+
+
+def disc_area_quad(lo, hi, R):
+    """|[lo, hi] cap B(0, R)| in 2-D by mpmath.quad over x, split at the kinks."""
+    a, b = max(lo[0], -R), min(hi[0], R)
+    if b <= a:
+        return mpmath.mpf(0)
+    return mpmath.quad(lambda x: clipped_length(lo[1], hi[1], mpmath.sqrt(R * R - x * x)),
+                       quarter_kinks(a, b, R, [lo[1], hi[1]]))
+
+
+def disc_area_exact(lo, hi, R):
+    """The same area by the antiderivative of sqrt(R^2 - y^2) on each piece."""
+    a, b = max(lo[0], -R), min(hi[0], R)
+    if R <= 0 or b <= a:
+        return mpmath.mpf(0)
+
+    def S(y):
+        return (y * mpmath.sqrt(R * R - y * y) + R * R * mpmath.asin(y / R)) / 2
+
+    total = mpmath.mpf(0)
+    pts = quarter_kinks(a, b, R, [lo[1], hi[1]])
+    for y0, y1 in zip(pts, pts[1:]):
+        s = mpmath.sqrt(R * R - ((y0 + y1) / 2) ** 2)
+        if clipped_length(lo[1], hi[1], s) > 0:  # each end: the edge or the circle
+            total += ((S(y1) - S(y0) if hi[1] > s else hi[1] * (y1 - y0))
+                      + (S(y1) - S(y0) if lo[1] < -s else -lo[1] * (y1 - y0)))
+    return total
+
+
+def ball_volume_quad(lo, hi, R):
+    """|box cap B(0, R)| at 30 digits: mpmath.quad, piecewise between kinks.
+
+    In 3-D the outer integral over x is mpmath.quad and each slice is a disc
+    area at radius sqrt(R^2 - x^2), taken piece by piece in closed form.
+    """
+    with mpmath.workdps(30):
+        lo, hi = [mpmath.mpf(t) for t in lo], [mpmath.mpf(t) for t in hi]
+        R = mpmath.mpf(R)
+        if len(lo) == 2:
+            return disc_area_quad(lo, hi, R)
+        a, b = max(lo[0], -R), min(hi[0], R)
+        if b <= a:
+            return mpmath.mpf(0)
+        radii = [mpmath.sqrt(y * y + z * z) for y in (lo[1], hi[1], 0) for z in (lo[2], hi[2], 0)]
+        slice_area = lambda x: disc_area_exact(lo[1:], hi[1:], mpmath.sqrt(max(R * R - x * x, 0)))
+        return mpmath.quad(slice_area, quarter_kinks(a, b, R, radii))
+
+
+BOX_BALL_CASES = [
+    # 2-D: straddles, contains, inside, touches, misses, straddles far out
+    ((0.2, -0.3), (1.4, 0.9), 1.5), ((-2.0, -2.0), (2.0, 2.0), 1.5), ((0.1, 0.1), (0.5, 0.6), 1.5),
+    ((1.5, -1.0), (2.0, 1.0), 1.5), ((1.2, 1.2), (2.0, 2.0), 1.5), ((-0.9, -1.1), (0.3, 0.2), 1.2),
+    ((10.5, 2.0), (11.5, 3.5), 12.0),
+    # 3-D: the same classes
+    ((0.2, -0.3, 0.1), (1.4, 0.9, 0.8), 1.5), ((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), 1.5),
+    ((0.1, 0.1, -0.3), (0.5, 0.6, 0.2), 1.5), ((1.5, -1.0, -1.0), (2.0, 1.0, 1.0), 1.5),
+    ((0.9, 0.9, 0.9), (2.0, 2.0, 2.0), 1.5), ((-1.3, 0.2, -0.7), (0.4, 1.1, 0.1), 1.0),
+    ((0.0, -0.5, 0.3), (0.8, 0.5, 1.7), 1.2), ((10.5, 2.0, 1.0), (11.5, 3.5, 2.5), 12.0),
+]
+
+
+@pytest.mark.parametrize("lo,hi,R", BOX_BALL_CASES)
+def test_box_ball_volume_matches_30_digit_quadrature(lo, hi, R):
+    # relative 1e-13 near the origin; inclusion-exclusion cancels corner terms
+    # of size up to R^n, so a zero volume or a box far out is held to 1e-14 R^n
+    n = len(lo)
+    want = ball_volume_quad(lo, hi, R)
+    ball = mpmath.pi ** (n / mpmath.mpf(2)) / mpmath.gamma(n / mpmath.mpf(2) + 1) * R**n
+    got = rg.density_ratio(rg.box_region(lo, hi, trunc_radius=R), R) * ball
+    near = max(abs(t) for t in lo + hi) <= 2.0 and want > 0
+    assert abs(got - want) <= (1e-13 * want if near else 1e-14 * R**n)
 
 
 class TestPairIntegral:
@@ -182,7 +307,8 @@ class TestPairIntegral:
 
 
 # The single-interval pair-table routine that the batched one replaced, kept
-# verbatim as the reference: a batch must reproduce it bit for bit.
+# as the reference: a batch must reproduce it bit for bit.  Its sum for rho
+# runs in order, as the batched routine's does, so that no bound depends on N.
 def single_interval_tables(a, b, N, mp=None):
     """One interval [a, b]: (N+1, N+1) tables, or their mpf values with ``mp``."""
     if mp is None:
@@ -252,7 +378,7 @@ def single_interval_tables(a, b, N, mp=None):
     Tv[2:] += d[1:, None] * av[:-2]
     r = 3 * eps * Tv + tiny
     r[0] = eps * (x * x / 4 + 3) * av[0] + tiny
-    rho = (np.abs(G) * r.T[None, :, :]).sum(axis=2)
+    rho = np.cumsum(np.abs(G) * r.T[None, :, :], axis=2)[..., -1]
     # phi_k' carries its terms' errors and 3 eps of their size; products of
     # perturbed factors obey |pq - p^q^| <= dp |q^| + (|p^| + dp) dq
     sig = (root[:K, None] * (np.concatenate([rho[:1] * 0, rho[:K - 1]]) + 3 * eps * np.abs(below))
