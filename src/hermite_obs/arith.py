@@ -22,6 +22,8 @@ import math
 import numpy as np
 from mpmath import mp
 
+MAX_BITS = 4096  # mantissa ceiling of every multiprecision escalation
+
 
 class Double:
     """numpy and LAPACK in IEEE double precision."""

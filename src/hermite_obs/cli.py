@@ -2,8 +2,8 @@
 deterministic CSV/JSON emission.
 
 Exit codes: 0 success, 1 usage or malformed config, 2 contract violation,
-3 precision ceiling reached (scientifically meaningful, not a failure),
-4 output IO failure.
+3 precision ceiling reached or an ill-conditioned control (a flagged result,
+scientifically meaningful, not a failure), 4 output IO failure.
 """
 
 from __future__ import annotations
@@ -318,18 +318,21 @@ def _run_command(args):
     elif command == "scaling":
         N_list = parse_int_range(args.N)
         region = parse_region(args.region, args.n, max(N_list))
-        bound = None
-        if args.variant == "open":
-            gen = region.generator
-            r = 1.0
-            if gen.get("kind") == "explicit" and region.box_count == 1:
-                r = float(region.highs[0, 0] - region.lows[0, 0]) / 2
-            bound = gram.open_params(args.n, (0.0,) * args.n, r)
+        bound, gen = None, region.generator
+        if args.variant == "open":  # the ball of a one-interval region, else B(0, 1)
+            x0, r = np.zeros(args.n), 1.0
+            if gen["kind"] == "explicit" and region.box_count == 1:
+                x0, r = (region.lows[0] + region.highs[0]) / 2, np.min(region.highs - region.lows) / 2
+            if not np.all((region.lows <= x0 - r) & (region.highs >= x0 + r), axis=1).any():
+                raise ContractViolation("open bound: no box contains [x0-r, x0+r]^n, x0 = %s, r = %r"
+                                        % (x0.tolist(), float(r)))
+            bound = gram.open_params(args.n, x0.tolist(), r)
         elif args.variant == "density":
             bound = gram.density_params(args.n, rg.density_ratio(region, region.trunc_radius))
         elif args.variant == "thick":
-            gen = region.generator
-            bound = gram.thick_params(args.n, gen.get("L", 1.0), gen.get("gamma", 0.5))
+            if gen["kind"] != "periodic_thick":
+                raise ContractViolation("thick bound: only a periodic region gives its L and gamma")
+            bound = gram.thick_params(args.n, gen["L"], gen["gamma"])
         rep = gram.scaling_study(region, args.n, N_list, bound=bound,
                                  start_bits=start_bits)
         csv_payload = rep.csv_rows()
@@ -462,6 +465,8 @@ def _run_command(args):
         T_list = parse_float_list(args.T)
         if len(T_list) != 1:
             raise UsageError("control takes a single horizon T")
+        if args.staircase and bits is not None:
+            raise UsageError("--staircase runs in double precision; it takes no --precision-bits")
         N, sym, A, region, P = _observed_system(args)
         T = T_list[0]
         problem = ct.ControlProblem(A, P, T)
@@ -478,8 +483,6 @@ def _run_command(args):
                 "total_cost": res.total_cost, "stages": res.stages,
                 "flag": res.flag, "region": region.to_json_dict(),
             }
-            if res.flag != "ok":
-                code = EXIT_CONTRACT
         else:
             res = ct.hum_control(problem, f0, precision_bits=pipeline_bits)
             result = {
@@ -493,6 +496,8 @@ def _run_command(args):
                 ["T", "cost", "residual", "precision_bits"],
                 [[T, res.cost, res.residual, res.precision_bits]],
             )
+        if res.flag != "ok":
+            code = EXIT_PRECISION
 
     elif command == "verify":
         names = None if args.suite == "all" else args.suite.split(",")
@@ -530,6 +535,9 @@ def run(argv):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         config = {k: v for k, v in config.items() if hasattr(args, k)}
+        for act in parser.commands[args.command]._actions:  # the flags' own choices
+            if act.choices and act.dest in config and config[act.dest] not in act.choices:
+                raise UsageError("config field %r must be one of %s" % (act.dest, ", ".join(act.choices)))
         parser.commands[args.command].set_defaults(**config)
         args = parser.parse_args(argv)
         result, csv_payload, plot_series, code, seed = _run_command(args)

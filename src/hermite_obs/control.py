@@ -18,7 +18,7 @@ pipelines are written once over a backend (:mod:`hermite_obs.arith`) under
 mp.workprec(bits + 16), which is also the precision of log C_T.  An
 ill-conditioned Gramian, or an explicit precision, runs the whole pipeline
 (Gramian, solve, control grid, re-simulation) in fixed point at that
-precision.
+precision.  Each staircase stage is HUM on the leading block of its modes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .basis import ContractViolation, HermiteExpansion
 from .quadratic import GalerkinOperator
 
 GRID_ORDER = 8  # Gauss nodes per subinterval of the control grid
-MAX_BITS = 4096  # mantissa ceiling of the observability escalation
+COND_MAX = 1e12  # double-precision Gramians at or above this condition are flagged
 STAIRCASE_K0 = 2  # cutoff of the first staircase stage's controlled modes
 
 
@@ -57,30 +57,38 @@ class ControlProblem:
             raise ContractViolation("coupling matrix must be Hermitian")
 
 
-# -- the control grid ------------------------------------------------------------
+# -- HUM on a leading block ----------------------------------------------------
 
 
-def _steer(ar, A, P, d, lam, T, steps, props, grid):
-    """Drive the full state with u(s) = P_d e^{-s A_d^H} lam on the control grid.
-
-    s is the time to go and the subscript d marks the leading d x d block,
-    the controlled modes (all of them for HUM).  ``A`` is the generator as a
-    numpy array, ``P`` the coupling in the backend, h = T / steps and
-    ``props`` the propagators of A_d that :func:`arith.taylor` returns at the
-    nodes of ``grid``, the order-8 Gauss rule (x, w) on each of the steps
-    subintervals of [0, T].  Returns the times T - s in increasing order, the
-    control samples as numpy vectors, the cost sum w ||u||^2 and the forced
-    response sum w e^{-sA} P[:, :d] u(s).  Propagators act on vectors only:
-    e^{-sA} = (e^{-hA})^j e^{-oA} at s = jh + o, and the sum over the
-    subintervals j runs in Horner form.
+def _hum(ar, A, P, d, f, T, grid):
+    """HUM on the leading d modes (the subscript d): one Taylor table of
+    A_d, with Q = P_d^2, gives the Gramian W, b = e^{-TA_d} f_d and the
+    propagators at the Gauss ``grid`` (x, w) on the 2^k steps of [0, T].
+    W lam = -b is flagged unless cond(W) < ``COND_MAX`` in double precision
+    (then solved in least squares) or W factors in fixed point (else
+    ridged).  u(s) = P_d e^{-s A_d^H} lam, s the time to go, is sampled on
+    the grid and drives the full state: e^{-sA} = (e^{-hA})^j e^{-oA} at
+    s = jh + o acts on vectors, summed over the steps j in Horner form.
+    Returns cond(W), the flag, the times T - s increasing, the samples as
+    numpy vectors, the cost sum w ||u||^2, b, the forced response sum w
+    e^{-sA} P[:, :d] u(s), the step count and the Taylor degree.
     """
-    h = T / steps
     x, w = grid
+    P_d = P[:d, :d]
+    props, W, E_T, steps, m = arith.taylor(ar, A[:d, :d], T, x, P_d @ P_d)
+    b = E_T @ f[:d]
+    cond = ar.cond(W)
+    flag = "ok" if cond < (COND_MAX if ar is arith.DOUBLE else math.inf) else "ill_conditioned"
+    if ar.bits > 53 or flag == "ok":
+        lam = ar.solve(W, -b)
+    else:
+        lam = np.linalg.lstsq(W, -b, rcond=None)[0]
+    h = T / steps
     offsets = [h * (xi + 1) / 2 for xi in x]
     weights = [h * wi / 2 for wi in w]
     E_h, *ctl = props
     E_sim, *sim = props if d == A.shape[0] else arith.taylor(ar, A, h, x)[0]
-    out = [P[:d, :d] @ ar.adj(E) for E in ctl]                     # v_j -> u
+    out = [P_d @ ar.adj(E) for E in ctl]                          # v_j -> u
     back = [(E @ P[:, :d]) * wt for wt, E in zip(weights, sim)]   # u -> state
     E_ctl_H = ar.adj(E_h)
     times, samples, cost, pieces = [], [], 0.0, []
@@ -98,7 +106,7 @@ def _steer(ar, A, P, d, lam, T, steps, props, grid):
     forced = pieces.pop()
     while pieces:
         forced = pieces.pop() + E_sim @ forced
-    return times[::-1], samples[::-1], cost, forced
+    return cond, flag, times[::-1], samples[::-1], cost, b, forced, steps, m
 
 
 # -- observability ---------------------------------------------------------------
@@ -123,12 +131,12 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
 
     Solved as the largest generalized eigenvalue of (e^{-TA} e^{-TA^H}, W):
     with W = L L^H, C_T is the top eigenvalue of X X^H, X = L^{-1} e^{-TA}.
-    Double precision serves while cond(W) < 1e12; otherwise the pencil is
-    redone in fixed point, doubling the precision while W is not
-    numerically positive definite.  If W stays singular at ``MAX_BITS``, a
-    ridged W gives a certified lower bound, returned with a flag.  The ridge
-    covers the error W inherits from the double P, at most T dim eps ||P||
-    (e^{-tA} is a contraction), and the working rounding.
+    Double precision serves while cond(W) < COND_MAX; otherwise the pencil
+    is redone in fixed point, doubling the precision while W is not
+    numerically positive definite.  If W stays singular at arith.MAX_BITS,
+    a ridged W gives a certified lower bound, returned with a flag.  The
+    ridge covers the error W inherits from the double P, at most T dim eps
+    ||P|| (e^{-tA} is a contraction), and the working rounding.
     """
     A = problem.A.matrix
     bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
@@ -137,12 +145,12 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
         with mp.workprec(ar.bits + 16):
             _, W, E_T, steps, m = arith.taylor(ar, A, problem.T, Q=ar.from_np(problem.piomega))
             L = ar.cholesky(W)
-            if bits == 53 and (L is None or not ar.cond(W) < 1e12):
+            if bits == 53 and (L is None or not ar.cond(W) < COND_MAX):
                 bits = 256
                 continue
             flag = "ok"
             if L is None:
-                if bits < MAX_BITS:
+                if bits < arith.MAX_BITS:
                     bits *= 2
                     continue
                 floor = problem.T * len(A) * np.finfo(float).eps * np.linalg.norm(problem.piomega)
@@ -212,18 +220,9 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
         return ControlResult([], [], 0.0, 0.0, float("nan"), ar.bits, "ok")
     A = problem.A.matrix
     with mp.workprec(ar.bits + 16):
-        P = ar.from_np(problem.piomega)
-        grid = ar.gauss(GRID_ORDER)
-        props, W, E_T, steps, m = arith.taylor(ar, A, problem.T, grid[0], P @ P)
-        b = E_T @ ar.from_np(f0.coeffs)
-        cond = ar.cond(W)
-        flag = "ok" if cond < (1e12 if ar is arith.DOUBLE else math.inf) else "ill_conditioned"
-        if ar.bits > 53 or flag == "ok":
-            lam = ar.solve(W, -b)
-        else:
-            lam = np.linalg.lstsq(W, -b, rcond=None)[0]
-        times, samples, cost, forced = _steer(ar, A, P, A.shape[0], lam, problem.T,
-                                              steps, props, grid)
+        cond, flag, times, samples, cost, b, forced, steps, m = _hum(
+            ar, A, ar.from_np(problem.piomega), len(A), ar.from_np(f0.coeffs), problem.T,
+            ar.gauss(GRID_ORDER))
         residual = ar.norm(b + forced) / nrm0
     controls = [HermiteExpansion(f0.n, f0.N, u) for u in samples]
     return ControlResult(times, controls, cost, residual, cond, ar.bits, flag, steps, m)
@@ -246,10 +245,10 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
 
     Stage j works on the dyadic time slice T_j = T 2^{-j-1}: during the
     first half the modes of E_{k_j} (k_j = min(ceil(STAIRCASE_K0 2^j), N), a
-    leading block in the graded order) are steered to zero through the
-    Gramian of the compressed problem, during the second half the system
-    evolves freely and dissipation crushes what the control spilled into
-    higher modes.
+    leading block in the graded order) are steered to zero by HUM on that
+    block in double precision, during the second half the system evolves
+    freely and dissipation crushes what the control spilled into higher
+    modes.  A stage whose Gramian HUM flags ends the run, flagged.
     The run stops once the remaining energy is below ``target`` relative to
     the initial one, or after the stage that controls the full space.
     """
@@ -257,9 +256,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         raise ContractViolation("initial state lives on the wrong space")
     A = problem.A.matrix
     P = problem.piomega.astype(complex)
-    T = problem.T
-    N = problem.A.N
-    n = problem.A.n
+    T, N, n = problem.T, problem.A.N, problem.A.n
     nrm0 = f0.norm()
     if nrm0 == 0.0:
         return StaircaseResult([], 0.0, 0.0, "ok")
@@ -276,20 +273,12 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         T_j = T * 2.0 ** (-j - 1)
         tau = T_j / 2.0
         d = basis.space_dimension(n, k_j)
-        P_j = P[:d, :d]
-        props, W_j, E_j, steps, _ = arith.taylor(arith.DOUBLE, A[:d, :d], tau, grid[0], P_j @ P_j)
-        b_j = E_j @ f[:d]
-        try:
-            cond = np.linalg.cond(W_j)
-            if not np.isfinite(cond) or cond > 1e13:
-                raise np.linalg.LinAlgError("gramian condition %.3g" % cond)
-            lam = np.linalg.solve(W_j, -b_j)
-        except np.linalg.LinAlgError:
+        # active half: HUM on E_{k_j}, simulated on the full state; then the
+        # passive half: free dissipation
+        _, stage_flag, _, _, stage_cost, _, forced, _, _ = _hum(arith.DOUBLE, A, P, d, f, tau, grid)
+        if stage_flag != "ok":
             flag = "stage_gramian_failure:%d" % j
             break
-        # active half: full-state simulation forced by the designed control,
-        # then the passive half: free dissipation
-        _, _, stage_cost, forced = _steer(arith.DOUBLE, A, P, d, lam, tau, steps, props, grid)
         E_tau = arith.taylor(arith.DOUBLE, A, tau)[2]
         f = E_tau @ (E_tau @ f + forced)
         elapsed += T_j

@@ -172,7 +172,7 @@ class SpectralResult:
     flag: str  # 'ok' or 'singular_floor' (value is then a lower bound on C_N)
 
 
-def spectral_constants(G: GramOperator, cutoffs, start_bits=256, max_bits=4096):
+def spectral_constants(G: GramOperator, cutoffs, start_bits=256):
     """Sharp constants of the spectral inequality on E_N for G's region, one
     per N <= G.N in ``cutoffs``, each from its leading block of G.
 
@@ -184,7 +184,7 @@ def spectral_constants(G: GramOperator, cutoffs, start_bits=256, max_bits=4096):
     left block on its own.  A failed Cholesky factorization
     (:mod:`hermite_obs.arith`) means lambda_min is below its rounding, about
     20 dim^1.5 2^-(bits+16) lambda_max (Higham, Thm 10.7), under that floor
-    for dim up to about 20,000.  If ``max_bits`` does not suffice, the
+    for dim up to about 20,000.  If ``arith.MAX_BITS`` does not suffice, the
     flagged result is a certified lower bound on C_N.
     """
     blocks = [G.leading(N) for N in cutoffs]
@@ -206,7 +206,7 @@ def spectral_constants(G: GramOperator, cutoffs, start_bits=256, max_bits=4096):
                     lam_min, lam_max = ar.lam_min(Bm), ar.eigh_top(Bm)[0]
                     noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max + B.size * B.tail
                 flag = "ok" if lam_min is not None and lam_min > noise else ""
-                if not flag and ar is not arith.DOUBLE and bits >= max_bits:
+                if not flag and ar is not arith.DOUBLE and bits >= arith.MAX_BITS:
                     lam_min, flag = noise, "singular_floor"
                 if flag:
                     log = math.log if ar is arith.DOUBLE else mp.log  # no mpmath rounding at 53 bits
@@ -218,9 +218,9 @@ def spectral_constants(G: GramOperator, cutoffs, start_bits=256, max_bits=4096):
     return results
 
 
-def spectral_constant(G: GramOperator, start_bits=256, max_bits=4096) -> SpectralResult:
+def spectral_constant(G: GramOperator, start_bits=256) -> SpectralResult:
     """:func:`spectral_constants` at G's own cutoff."""
-    return spectral_constants(G, [G.N], start_bits, max_bits)[0]
+    return spectral_constants(G, [G.N], start_bits)[0]
 
 
 # -- explicit bounds -----------------------------------------------------------

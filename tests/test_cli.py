@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hermite_obs import cli, gram, regions as rg
+from hermite_obs import arith, cli, gram, regions as rg
 from hermite_obs.gram import spectral_constant, gram_matrix
 
 
@@ -55,6 +55,45 @@ class TestExitCodes:
         assert code == cli.EXIT_CONTRACT
         assert "n <= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--N", "24"], "ill_conditioned"),
+        (["--N", "12", "--staircase"], "stage_gramian_failure:3"),
+    ])
+    def test_flagged_control_exits_3(self, extra, flag, capsys, tmp_path):
+        # HUM and each staircase stage flag their Gramian by one rule, and a
+        # flagged result exits 3 like every other subcommand's
+        out = str(tmp_path / "c")
+        code = cli.run(["control", "--symbol", "harmonic", "--region", "ball:r=1",
+                        "--T", "0.5", "--quiet", "--out", out] + extra)
+        assert code == cli.EXIT_PRECISION
+        assert json.loads((tmp_path / "c.json").read_text())["result"]["flag"] == flag
+
+    @pytest.mark.parametrize("region, variant", [
+        ("ballcomp:r0=1", "open"),
+        ("halfline", "open"),
+        ("periodic:L=1,gamma=0.5", "open"),
+        ("halfline", "thick"),
+        ("full", "thick"),
+        ("ball:r=1", "thick"),
+    ])
+    def test_bound_outside_its_hypothesis_is_refused(self, region, variant, capsys):
+        # open needs a box containing [x0 - r, x0 + r]^n, thick a periodic
+        # region's own L and gamma
+        code = cli.run(["scaling", "--region", region, "--N", "4:8:4",
+                        "--variant", variant, "--quiet"])
+        assert code == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err.startswith("contract violation: %s bound: " % variant)
+
+    def test_open_bound_is_the_intervals_own_ball(self, capsys, tmp_path):
+        out = str(tmp_path / "s")
+        code = cli.run(["scaling", "--region", "interval:a=1,b=3", "--N", "8:16:8",
+                        "--variant", "open", "--quiet", "--out", out])
+        assert code == cli.EXIT_OK
+        rows = json.loads((tmp_path / "s.json").read_text())["result"]["rows"]
+        params = gram.open_params(1, (2.0,), 1.0)
+        assert [r["bound_log"] for r in rows] == [gram.theoretical_bound_log(params, N)
+                                                  for N in (8, 16)]
+
     def test_io_failure(self, capsys, tmp_path):
         missing = str(tmp_path / "no" / "such" / "dir" / "x")
         code = cli.run(["basis", "--n", "1", "--N", "4", "--quiet", "--out", missing])
@@ -96,6 +135,7 @@ def test_malformed_input_is_one_usage_line(argv, capsys):
     ["verify", "--precision-bits", "999"],
     ["basis", "--plot-data"],
     ["bernstein"],
+    ["control", "--N", "4", "--staircase", "--precision-bits", "256"],
 ])
 def test_flag_a_subcommand_never_reads_is_a_usage_error(argv, capsys):
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
@@ -194,6 +234,27 @@ class TestConfig:
         assert cli.run(["--config", str(cfg), "gram", "--quiet", "--out", a]) == 0
         assert cli.run(["gram", "--quiet", "--out", b]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_staircase_refuses_config_precision_bits(self, capsys, tmp_path):
+        # the staircase runs in double precision: a precision it would only
+        # record in config_hash is a usage error, from a config as from a flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"precision_bits": 256}))
+        argv = ["--config", str(cfg), "control", "--N", "4", "--quiet"]
+        assert cli.run(argv + ["--staircase"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--precision-bits" in err
+        assert cli.run(argv) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["bounds", "scaling"])
+    def test_config_values_take_the_flags_choices(self, command, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": "bogus"}))
+        assert cli.run(["--config", str(cfg), command, "--N", "4", "--quiet"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: config field 'variant' must be one of open, density, thick\n"
+        cfg.write_text(json.dumps({"variant": "density"}))
+        assert cli.run(["--config", str(cfg), command, "--N", "4", "--quiet"]) == cli.EXIT_OK
 
     def test_empty_config_plus_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -316,23 +377,11 @@ class TestOutputs:
         assert rows[0]["log_bound"] == "nan"  # below the validity threshold
         assert isinstance(rows[20]["log_bound"], float)
 
-    def test_precision_floor_exit_code(self, capsys, tmp_path):
+    def test_precision_floor_exit_code(self, capsys, monkeypatch):
         # lambda_min far below a capped mantissa must exit 3, not fail
-        from hermite_obs import gram as gram_mod
-
-        orig = gram_mod.spectral_constant
-
-        def capped(G, start_bits=256, max_bits=4096):
-            return orig(G, start_bits=256, max_bits=256)
-
-        try:
-            gram_mod.spectral_constant = capped
-            cli.gram.spectral_constant = capped
-            code = cli.run(["constant", "--region", "ball:r=1", "--n", "1",
-                            "--N", "48", "--quiet"])
-        finally:
-            gram_mod.spectral_constant = orig
-            cli.gram.spectral_constant = orig
+        monkeypatch.setattr(arith, "MAX_BITS", 256)
+        code = cli.run(["constant", "--region", "ball:r=1", "--n", "1",
+                        "--N", "48", "--quiet"])
         assert code == cli.EXIT_PRECISION
 
     def test_explicit_precision_forces_mp_pipeline(self, capsys, tmp_path):

@@ -195,7 +195,7 @@ class TestObservability:
         # rounding level (lambda_min -6.6e-16 against a true 3.6e-54): no
         # precision makes W positive definite, and the ridge must cover the
         # error W inherits from P for the floor to factor
-        monkeypatch.setattr(ct, "MAX_BITS", 256)
+        monkeypatch.setattr(arith, "MAX_BITS", 256)
         N, T = 32, 0.5
         R = rg.truncate_radius(N, 1) + 1
         G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, N)
@@ -333,6 +333,35 @@ class TestStaircase:
         assert all(b < a for a, b in zip(energies, energies[1:]))
         assert res.residual <= 1e-4
         assert res.flag == "ok"
+
+    def test_stage_is_hum_on_the_leading_block(self):
+        # stage 0 steers E_{k_0} over the first quarter of [0, T] by the HUM
+        # core: its cost is hum_control's on the compressed problem, bit for bit
+        N, T = 12, 1.0
+        prob = harmonic_problem(N, T, thick_gram(N))
+        f0 = basis.random_expansion(1, N, np.random.default_rng(16))
+        stage = ct.lr_staircase(prob, f0).stages[0]
+        k = stage["k_j"]
+        d = basis.space_dimension(1, k)
+        A_d = qd.GalerkinOperator(1, k, prob.A.matrix[:d, :d], prob.A.symbol)
+        hum = ct.hum_control(ct.ControlProblem(A_d, prob.piomega[:d, :d], T / 4),
+                             basis.HermiteExpansion(1, k, f0.coeffs[:d]))
+        assert (d, hum.flag) == (3, "ok")
+        assert stage["stage_cost"] == hum.cost
+
+    def test_one_conditioning_rule(self, monkeypatch):
+        # stage 0's Gramian has condition number 2.15: a ceiling below it
+        # flags that stage and the double-precision HUM by the same test
+        N = 12
+        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        f0 = basis.random_expansion(1, N, np.random.default_rng(16))
+        monkeypatch.setattr(ct, "COND_MAX", 2.2)
+        assert ct.lr_staircase(prob, f0).flag == "stage_gramian_failure:1"
+        monkeypatch.setattr(ct, "COND_MAX", 2.1)
+        res = ct.lr_staircase(prob, f0)
+        assert res.flag == "stage_gramian_failure:0" and res.stages == []
+        hum = ct.hum_control(prob, f0)
+        assert hum.flag == "ill_conditioned" and hum.gramian_cond >= 2.1
 
     def test_cost_comparable_to_hum(self):
         N = 12

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hermite_obs import basis, gram, regions as rg
+from hermite_obs import arith, basis, gram, regions as rg
 from hermite_obs.basis import ContractViolation
 
 
@@ -162,15 +162,17 @@ class TestSpectralConstant:
         assert res.flag == "ok"
         assert res.lam_min < 1e-15
 
-    def test_precision_floor_reports_certified_lower_bound(self):
+    def test_precision_floor_reports_certified_lower_bound(self, monkeypatch):
         # cap the mantissa below what lambda_min needs: the result must be
         # flagged and must stay below the fully resolved constant
         R = rg.truncate_radius(48, 1) + 1
         ball = rg.interval_region(-1.0, 1.0, trunc_radius=R)
         G = gram.gram_matrix(ball, 1, 48)
-        capped = gram.spectral_constant(G, start_bits=256, max_bits=256)
+        monkeypatch.setattr(arith, "MAX_BITS", 256)
+        capped = gram.spectral_constant(G, start_bits=256)
         assert capped.flag == "singular_floor"
-        resolved = gram.spectral_constant(G, start_bits=256, max_bits=1024)
+        monkeypatch.setattr(arith, "MAX_BITS", 1024)
+        resolved = gram.spectral_constant(G, start_bits=256)
         assert resolved.flag == "ok"
         assert capped.c_log <= resolved.c_log
 
