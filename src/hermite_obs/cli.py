@@ -220,7 +220,7 @@ def build_parser():
     p.add_argument("--T", default="1.0")
     p.add_argument("--f0", default="random")
     p.add_argument("--staircase", action="store_true")
-    p.add_argument("--target", type=float, default=1e-6)
+    p.add_argument("--target", type=float, help="staircase energy target (default 1e-6)")
     p.add_argument("--precision-bits", type=int)
 
     p = add("verify", help="run every invariant suite")
@@ -467,6 +467,10 @@ def _run_command(args):
             raise UsageError("control takes a single horizon T")
         if args.staircase and bits is not None:
             raise UsageError("--staircase runs in double precision; it takes no --precision-bits")
+        if not args.staircase and args.target is not None:
+            raise UsageError("--target is the staircase's energy target; HUM takes none")
+        if args.staircase and args.target is None:
+            args.target = 1e-6
         N, sym, A, region, P = _observed_system(args)
         T = T_list[0]
         problem = ct.ControlProblem(A, P, T)

@@ -70,8 +70,10 @@ def _hum(ar, A, P, d, f, T, grid):
     the grid and drives the full state: e^{-sA} = (e^{-hA})^j e^{-oA} at
     s = jh + o acts on vectors, summed over the steps j in Horner form.
     Returns cond(W), the flag, the times T - s increasing, the samples as
-    numpy vectors, the cost sum w ||u||^2, b, the forced response sum w
-    e^{-sA} P[:, :d] u(s), the step count and the Taylor degree.
+    numpy vectors, the cost sum w ||u||^2, the state at T, e^{-TA} f plus the
+    forced response sum w e^{-sA} P[:, :d] u(s), the full generator's e^{-TA}
+    (e^{-hA} squared k times, unless the block is the whole space), the step
+    count and the Taylor degree.
     """
     x, w = grid
     P_d = P[:d, :d]
@@ -106,7 +108,13 @@ def _hum(ar, A, P, d, f, T, grid):
     forced = pieces.pop()
     while pieces:
         forced = pieces.pop() + E_sim @ forced
-    return cond, flag, times[::-1], samples[::-1], cost, b, forced, steps, m
+    E = E_T
+    if d < A.shape[0]:
+        E = E_sim
+        for _ in range(steps.bit_length() - 1):
+            E = E @ E
+        b = E @ f
+    return cond, flag, times[::-1], samples[::-1], cost, b + forced, E, steps, m
 
 
 # -- observability ---------------------------------------------------------------
@@ -220,10 +228,10 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
         return ControlResult([], [], 0.0, 0.0, float("nan"), ar.bits, "ok")
     A = problem.A.matrix
     with mp.workprec(ar.bits + 16):
-        cond, flag, times, samples, cost, b, forced, steps, m = _hum(
+        cond, flag, times, samples, cost, state, _, steps, m = _hum(
             ar, A, ar.from_np(problem.piomega), len(A), ar.from_np(f0.coeffs), problem.T,
             ar.gauss(GRID_ORDER))
-        residual = ar.norm(b + forced) / nrm0
+        residual = ar.norm(state) / nrm0
     controls = [HermiteExpansion(f0.n, f0.N, u) for u in samples]
     return ControlResult(times, controls, cost, residual, cond, ar.bits, flag, steps, m)
 
@@ -250,7 +258,9 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
     freely and dissipation crushes what the control spilled into higher
     modes.  A stage whose Gramian HUM flags ends the run, flagged.
     The run stops once the remaining energy is below ``target`` relative to
-    the initial one, or after the stage that controls the full space.
+    the initial one, or after the stage that controls the full space; the
+    rest of [0, T] is free flow by the last stage's e^{-tau A}, tau = T_j / 2,
+    the propagator that HUM built for that stage.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
@@ -265,7 +275,6 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
     grid = arith.DOUBLE.gauss(GRID_ORDER)
     stages = []
     total_cost = 0.0
-    elapsed = 0.0
     j = 0
     flag = "ok"
     while True:
@@ -274,14 +283,13 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         tau = T_j / 2.0
         d = basis.space_dimension(n, k_j)
         # active half: HUM on E_{k_j}, simulated on the full state; then the
-        # passive half: free dissipation
-        _, stage_flag, _, _, stage_cost, _, forced, _, _ = _hum(arith.DOUBLE, A, P, d, f, tau, grid)
+        # passive half: free dissipation by the same e^{-tau A}
+        _, stage_flag, _, _, stage_cost, state, E_tau, _, _ = _hum(
+            arith.DOUBLE, A, P, d, f, tau, grid)
         if stage_flag != "ok":
             flag = "stage_gramian_failure:%d" % j
             break
-        E_tau = arith.taylor(arith.DOUBLE, A, tau)[2]
-        f = E_tau @ (E_tau @ f + forced)
-        elapsed += T_j
+        f = E_tau @ state
         total_cost += stage_cost
         energy = float(np.linalg.norm(f))
         stages.append(
@@ -296,8 +304,8 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         if energy <= target * nrm0 or k_j >= N or j > 60:
             break
         j += 1
-    if elapsed < T:
-        f = arith.taylor(arith.DOUBLE, A, T - elapsed)[2] @ f
+    for _ in range(2 if flag == "ok" else 4):  # the rest of [0, T]: T_j, or T_{j-1} if stage j failed
+        f = E_tau @ f
     residual = float(np.linalg.norm(f)) / nrm0
     return StaircaseResult(stages, total_cost, residual, flag)
 

@@ -21,30 +21,14 @@ and arbitrary precision.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import ContractViolation
 from .estimates import tail_constant_cn
-
-WRONSKIAN_EXACT = "wronskian_exact"
-ERF_RECURRENCE = "erf_recurrence"
-
-
-@dataclass(frozen=True)
-class QuadratureAccount:
-    """A numeric value together with an honest absolute error bound."""
-
-    value: float
-    abs_error_bound: float
-    method: str
-
-    def __post_init__(self):
-        if self.abs_error_bound < 0:
-            raise ContractViolation("error bound must be nonnegative")
 
 
 def truncate_radius(N, n, safety=1.5):
@@ -136,22 +120,17 @@ class Region:
         return float(np.sum(np.prod(self.highs - self.lows, axis=1)))
 
     def to_json_dict(self):
+        """The region's definition, size and a SHA-256 of the little-endian
+        float64 bytes of ``lows`` then ``highs``, which pins every box."""
+        corners = b"".join(np.asarray(c, dtype="<f8").tobytes() for c in (self.lows, self.highs))
         return {
             "n": self.n,
             "generator": self.generator,
             "trunc_radius": self.trunc_radius,
-            "boxes": [
-                [list(map(float, lo)), list(map(float, hi))]
-                for lo, hi in zip(self.lows, self.highs)
-            ],
+            "box_count": self.box_count,
+            "measure": self.measure(),
+            "sha256": hashlib.sha256(corners).hexdigest(),
         }
-
-    @staticmethod
-    def from_json_dict(doc):
-        lows = [b[0] for b in doc["boxes"]]
-        highs = [b[1] for b in doc["boxes"]]
-        return Region(doc["n"], lows, highs, doc.get("generator"),
-                      doc.get("trunc_radius"))
 
 
 # -- generators ---------------------------------------------------------------
@@ -460,18 +439,3 @@ def _pair_tables(x, N, mp):
         [np.zeros((1, M)), np.cumsum(err_step, axis=0)])).T
     return vals, errs + np.finfo(float).tiny
 
-
-def integrate_pair(region: Region, j, k):
-    """int over a 1-D region of phi_j phi_k, with an honest error account.
-
-    The result is one entry of ``interval_pair_tables`` summed in order over
-    the region's intervals; the method tag names the closed form behind it,
-    the Wronskian identity (j != k) or the erf-seeded recurrence (j == k).
-    """
-    if region.n != 1:
-        raise ContractViolation("integrate_pair is a one-dimensional building block")
-    if j < 0 or k < 0:
-        raise ContractViolation("degrees must be >= 0")
-    vals, errs = interval_pair_tables(region.lows[:, 0], region.highs[:, 0], max(j, k))
-    return QuadratureAccount(float(vals.sum(axis=0)[j, k]), float(errs.sum(axis=0)[j, k]),
-                             WRONSKIAN_EXACT if j != k else ERF_RECURRENCE)

@@ -136,6 +136,7 @@ def test_malformed_input_is_one_usage_line(argv, capsys):
     ["basis", "--plot-data"],
     ["bernstein"],
     ["control", "--N", "4", "--staircase", "--precision-bits", "256"],
+    ["control", "--N", "4", "--target", "0.5"],
 ])
 def test_flag_a_subcommand_never_reads_is_a_usage_error(argv, capsys):
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
@@ -298,6 +299,18 @@ class TestOutputs:
         assert lines[0] == "N,dim,C_measured,lambda_min,bound,bound_variant,precision_bits"
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "4"
+
+    def test_region_is_recorded_by_digest(self, capsys, tmp_path):
+        out = str(tmp_path / "s")
+        code = cli.run(["scaling", "--region", "periodic:L=1,gamma=0.5", "--n", "2",
+                        "--N", "2:4:2", "--variant", "thick", "--quiet", "--out", out])
+        assert code == cli.EXIT_OK
+        region = json.loads((tmp_path / "s.json").read_text())["result"]["region"]
+        built = cli.parse_region("periodic:L=1,gamma=0.5", 2, 4)
+        assert "boxes" not in region
+        assert region["box_count"] == built.box_count > 1
+        assert region["measure"] == built.measure()
+        assert region["sha256"] == built.to_json_dict()["sha256"]
 
     def test_density_scaling_in_three_dimensions(self, capsys, tmp_path):
         out = str(tmp_path / "d")
