@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_float
 
 MAX_BITS = 4096  # mantissa ceiling of every multiprecision escalation
 
@@ -92,8 +93,17 @@ def _dot(a, b):
 
 
 def _rdiv(x, d):
-    """x / d rounded to integers, d > 0."""
+    """x / d rounded to integers, d != 0."""
     return (2 * x + d) // (2 * d)
+
+
+@np.vectorize(otypes=[object])
+def rounded(v, s):
+    """v 2^s rounded to an int, ties to even, entrywise over floats or mpf v
+    and ints s, read from the mantissa and exponent of v."""
+    sign, m, e, _ = v._mpf_ if hasattr(v, "_mpf_") else from_float(v)
+    q, r = divmod((-m if sign else m) << max(e + s, 0), 1 << max(-e - s, 0))
+    return q + ((2 * r, q & 1) > (1 << max(-e - s, 0), 0))  # past half, or half and q odd
 
 
 class Fx:
@@ -138,8 +148,8 @@ class Fx:
 def fixed(x, prec):
     """An array of reals (floats or mpf) as an Fx at one exponent, each entry
     rounded once, ties to even, to 2^-prec of the largest."""
-    t = max((mp.frexp(v)[1] for v in x.flat if v), default=0) - prec
-    return Fx(np.frompyfunc(lambda v: int(mp.nint(mp.ldexp(v, -t))), 1, 1)(x), None, t, prec)
+    t = mp.frexp(np.max(np.abs(x), initial=0))[1] - prec
+    return Fx(rounded(x, -t), None, t, prec)
 
 
 def _forward(L, B):

@@ -116,11 +116,14 @@ def _assemble(region: Region, n, N, mp=None):
     spread = [np.ix_(degrees, degrees) for degrees in np.array(idx).T]
     ends = np.stack([region.lows.T, region.highs.T], axis=-1).reshape(-1, 2)
     keys, which = np.unique(ends, axis=0, return_inverse=True)
-    tables = regions.interval_pair_tables(keys[:, 0], keys[:, 1], N, mp)
-    fx = None if mp is None else arith.fixed(tables, mp.prec)  # every table at one exponent
-    stack = [tables[0], np.abs(tables[0]), tables[1]] if fx is None else [fx.re]
+    tables, other = regions.interval_pair_tables(keys[:, 0], keys[:, 1], N, mp)
+    if mp is not None:  # table i is tables[i] 2^other[i]; at 2^t the largest has mp.prec bits
+        t = max((e + int(abs(T).max()).bit_length() for T, e in zip(tables, other) if T.any()),
+                default=0) - mp.prec
+        tables = np.stack([arith._shift(T, t - e) for T, e in zip(tables, other)])
+    stack = [tables, np.abs(tables), other] if mp is None else [tables]
     sums = _axis_sum(0, np.arange(region.box_count), which.reshape(n, -1), stack, spread)
-    return sums if fx is None else [arith.Fx(sums[0], None, n * fx.exp, mp.prec)]
+    return sums if mp is None else [arith.Fx(sums[0], None, n * t, mp.prec)]
 
 
 def _axis_sum(axis, rows, which, stack, spread):

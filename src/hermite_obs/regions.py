@@ -15,8 +15,8 @@ closed form from the boundary values of phi_k and phi_k':
   ``a^dagger phi_k = sqrt(k + 1) phi_{k+1}`` and one integration by parts
   of ``a^dagger = (x - d/dx) / sqrt(2)``.
 
-The same formulas serve double precision (with a derived rounding bound)
-and arbitrary precision.
+The same formulas serve double precision and, with mpf boundary values and
+the pair work in Python ints, arbitrary precision, each to a derived bound.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from . import arith
 from .basis import ContractViolation
 from .estimates import tail_constant_cn
 
@@ -65,8 +66,8 @@ class Region:
     """
 
     def __init__(self, n, lows, highs, generator=None, trunc_radius=None):
-        lows = np.atleast_2d(np.asarray(lows, dtype=float))
-        highs = np.atleast_2d(np.asarray(highs, dtype=float))
+        lows, highs = (np.atleast_2d(c) if c.size else c.reshape(0, n)  # no boxes: (0, n)
+                       for c in (np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)))
         if lows.shape != highs.shape or (lows.size and lows.shape[1] != n):
             raise ContractViolation("box arrays must have shape (K, n)")
         if np.any(highs < lows):
@@ -80,9 +81,8 @@ class Region:
         self.lows = lows
         self.highs = highs
         self.generator = dict(generator or {"kind": "explicit"})
-        if trunc_radius is None:
-            trunc_radius = float(np.max(np.abs(np.concatenate([lows, highs])))) if lows.size else 0.0
-        self.trunc_radius = float(trunc_radius)
+        edge = np.max(np.abs(np.concatenate([lows, highs])), initial=0.0)
+        self.trunc_radius = float(edge if trunc_radius is None else trunc_radius)
         self._check_disjoint()
         self.lows.flags.writeable = False
         self.highs.flags.writeable = False
@@ -115,8 +115,6 @@ class Region:
         return self.lows.shape[0]
 
     def measure(self):
-        if not self.lows.size:
-            return 0.0
         return float(np.sum(np.prod(self.highs - self.lows, axis=1)))
 
     def to_json_dict(self):
@@ -333,32 +331,36 @@ def interval_pair_tables(a, b, N, mp=None):
     recurrence (module docstring).  With ``mp=None`` everything runs in double
     precision, vectorized, and the result is ``(values, error_bounds)``, two
     (M, N+1, N+1) stacks whose bounds come from the rounding analysis below.
-    With an mpmath context the same formulas run in its working precision and
-    only the values are returned, an (M, N+1, N+1) object array of mpf.  No
-    table depends on its batch: every entry sees the same operations in the
-    same order, bit for bit, in chunks of about 2^15 bound temporaries.
+    With an mpmath context the result is ``(tables, exps)``, table i being
+    the Python ints ``tables[i]`` times 2^exps[i]: the O(N M) boundary values,
+    seeds and constants are mpf at ``mp.prec + 64`` bits, rounded once at the
+    interval's scale 2^-s_i (32 bits past ``mp.prec`` for the larger of its
+    largest boundary value and the root of its seed), and the Wronskian, the
+    division by 2 (j - k) and the ladder run in ints, exps[i] = -2 s_i.  With
+    A the largest |v|, |v'| in units 2^-s_i, each entry errs by at most
+    (N + 1) (3 A + 1) units 2^exps[i].  No table depends on its batch: every
+    entry sees the same operations in the same order, bit for bit, in chunks
+    of about 2^15 bound temporaries.
     """
     ends = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)], axis=-1)
     shape = (len(ends), N + 1, N + 1)
-    out = (np.empty(shape, dtype=object),) if mp is not None else (np.empty(shape), np.empty(shape))
+    out = (np.empty(shape), np.empty(shape)) if mp is None else (
+        np.empty(shape, dtype=object), np.empty(len(ends), dtype=object))
+    bits = None if mp is None else mp.prec + 32
+    tables = _pair_tables if mp is None else mp.workprec(bits + 32)(_pair_tables)
     rows = max(1, 2**15 // (2 * (N + 2) ** 2))  # G below holds 2 (N+2)^2 doubles per interval
     for start in range(0, len(ends), rows):
-        for stack, part in zip(out, _pair_tables(ends[start:start + rows], N, mp)):
+        for stack, part in zip(out, tables(ends[start:start + rows], N, mp, bits)):
             stack[start:start + rows] = part
-    return out[0] if mp is not None else out
+    return out
 
 
-def _pair_tables(x, N, mp):
+def _pair_tables(x, N, mp, bits):
     """``interval_pair_tables`` of the intervals ``x[i] = (a_i, b_i)``."""
-    if mp is None:
-        num, sqrt, exp, erf, erfc, pi, dtype = (
-            float, math.sqrt, math.exp, math.erf, math.erfc, math.pi, float)
-    else:
-        num, sqrt, exp, erf, erfc, pi, dtype = (
-            mp.mpf, mp.sqrt, mp.exp, mp.erf, mp.erfc, mp.pi, object)
+    sqrt, exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("sqrt", "exp", "erf", "erfc", "pi"))
+    num, dtype, div = (float, float, np.true_divide) if mp is None else (mp.mpf, object, arith._rdiv)
     M, K = len(x), N + 1
-    if mp is not None:
-        x = np.frompyfunc(num, 1, 1)(x)
+    x = x if mp is None else np.frompyfunc(num, 1, 1)(x)
     c = np.array([sqrt(num(2) / (k + 1)) for k in range(K)], dtype=dtype)
     d = np.array([sqrt(num(k) / (k + 1)) for k in range(K)], dtype=dtype)
     root = np.array([sqrt(num(k)) for k in range(K + 1)], dtype=dtype)[:, None, None]
@@ -376,26 +378,31 @@ def _pair_tables(x, N, mp):
     xc = x * c[:, None, None]
     v[1] = xc[0] * v[0]
     for k in range(1, K):
-        v[k + 1] = xc[k] * v[k] - d[k] * v[k - 1]
+        v[k + 1] = xc[k] * v[k] - v[k - 1] * d[k]  # not d[k] * v: mpf would try converting v
     below = np.concatenate([v[:1] * 0, v[:K - 1]])
     dv = (root[:K] * below - root[1:] * v[1:]) / sqrt(num(2))
+    seed = sign * (F_hi - F_lo) / 2
+    if mp is not None:  # v, dv at 2^-s_i, the seed at 2^-2s_i, c_k / 2 at 2^-bits
+        s = np.array([bits - max(mp.frexp(t)[1], -(-mp.frexp(z)[1] // 2))
+                      for t, z in zip(np.abs(v).max(axis=(0, 2)), seed)], dtype=object)
+        v, dv = (arith.rounded(t, s[:, None]) for t in (v, dv))
+        seed, half_c, num = arith.rounded(seed, 2 * s), arith.rounded(c[:N, None] / 2, bits), int
 
     # off[., i] = [phi_j phi_k' - phi_j' phi_k]_{a_i}^{b_i} / (2 (j - k)) for j < k
     row, col = np.nonzero(np.arange(K)[:, None] < np.arange(K))
     wronskian = [v[row, :, e] * dv[col, :, e] - v[col, :, e] * dv[row, :, e] for e in (0, 1)]
     den = np.array([num(-2 * m) for m in range(K)], dtype=dtype)[col - row, None]
-    off = (wronskian[1] - wronskian[0]) / den
+    off = div(wronskian[1] - wronskian[0], den)
 
     # diagonal: I_{k+1} = I_k - (c_k / 2) [phi_k phi_{k+1}]_a^b from I_0
     B = v[:N, :, 1] * v[1:K, :, 1] - v[:N, :, 0] * v[1:K, :, 0]
-    step = c[:N, None] / 2 * B
-    seed = sign * (F_hi - F_lo) / 2
+    step = c[:N, None] / 2 * B if mp is None else arith._shift(half_c * B, bits)
     diag = np.cumsum(np.concatenate([seed[None], -step]), axis=0)
     vals = np.empty((M, K, K), dtype=dtype)
     vals[:, row, col] = vals[:, col, row] = off.T
     vals.reshape(M, -1)[:, ::K + 1] = diag.T
     if mp is not None:
-        return (vals,)
+        return vals, -2 * s
 
     # Rounding bound.  eps = 2u dominates every gamma_m = m u / (1 - m u)
     # below.  The boundary values solve T v = phi_0 e_0, T unit lower

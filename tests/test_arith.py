@@ -113,6 +113,28 @@ def test_mp_gauss_rule_is_exact_to_degree_15():
             assert abs(got - want) < mp.mpf(2) ** -260
 
 
+def test_fixed_matches_mpmath_rounding():
+    # fixed reads mantissas and exponents and rounds in integers; the
+    # reference rounds each entry through mpmath, ties to even
+    def reference(x, prec):
+        t = max((mp.frexp(v)[1] for v in x.flat if v), default=0) - prec
+        return arith.Fx(np.frompyfunc(lambda v: int(mp.nint(mp.ldexp(v, -t))), 1, 1)(x),
+                        None, t, prec)
+
+    rng = np.random.default_rng(17)
+    ties = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 3.5, -3.5, 0.0, 7.0]) * 2.0**-9
+    with mp.workprec(272):
+        cases = [(ties, p) for p in range(1, 7)]
+        for _ in range(6):
+            X = rng.standard_normal((6, 7)) * 2.0 ** rng.integers(-90, 90, (6, 7))
+            X[0, 0] = 0.0
+            cases += [(X, 256), (X, 40), (np.frompyfunc(lambda v: mp.mpf(v) / 3, 1, 1)(X), 256)]
+        cases.append((np.zeros((3, 3)), 256))
+        for x, prec in cases:
+            got, want = arith.fixed(x, prec), reference(x, prec)
+            assert got.exp == want.exp and got.re.tolist() == want.re.tolist()
+
+
 @pytest.mark.parametrize("scale", [-40, 0, 40])
 def test_fixed_point_matches_mpmath(scale):
     # one exponent per matrix: products, adjoints, sums and scalar multiples

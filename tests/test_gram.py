@@ -46,6 +46,32 @@ class TestGramAssembly:
         G = gram.gram_matrix(reg, 2, 3)
         assert np.max(np.abs(G.matrix - np.eye(G.size))) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_region_gives_zero_grams(self, n):
+        reg = rg.Region(n, [], [], trunc_radius=rg.truncate_radius(4, n) + 1)
+        G = gram.gram_matrix(reg, n, 4)
+        assert not G.matrix.any() and not G.errors.any()
+        with mpmath.workprec(272):
+            Gm = gram.gram_matrix_mp(reg, n, 4)
+        assert Gm.re.shape == G.matrix.shape and not Gm.re.any()
+
+    def test_mpf_multiplications_grow_linearly(self, monkeypatch):
+        # only the boundary values and their scalars are mpf: doubling N
+        # about doubles the mpf products, where O(N^2) pairs would quadruple them
+        mpf = type(mpmath.mpf(1))
+        counts = []
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(mpf, name, lambda x, y, f=getattr(mpf, name):
+                                counts.append(1) or f(x, y))
+        reg = rg.interval_region(-1.0, 1.0, trunc_radius=rg.truncate_radius(32, 1) + 1)
+        sizes = []
+        for N in (16, 32):
+            counts.clear()
+            with mpmath.workprec(272):
+                gram.gram_matrix_mp(reg, 1, N)
+            sizes.append(len(counts))
+        assert 0 < sizes[1] < 2.2 * sizes[0]
+
     def test_half_line_two_by_two(self):
         G = gram.gram_matrix(halfline_region(1), 1, 1)
         want = np.array(

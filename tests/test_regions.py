@@ -65,6 +65,12 @@ class TestGenerators:
             with pytest.raises(ContractViolation, match="overlap"):
                 rg.Region(3, lows, np.vstack([r.highs, r.highs[k] + side / 2]))
 
+    def test_empty_region_has_no_boxes(self):
+        for n in (1, 2, 3):
+            r = rg.Region(n, [], [], trunc_radius=5.0)
+            assert r.lows.shape == r.highs.shape == (0, n)
+            assert r.box_count == 0 and r.measure() == 0.0
+
     def test_ball_complement(self):
         r = rg.ball_complement(1.0, 5.0)
         assert r.box_count == 2
@@ -279,8 +285,8 @@ class TestPairIntegral:
         N = 64
         (vals,), (errs,) = rg.interval_pair_tables([a], [b], N)
         with mpmath.workprec(320):
-            (ref,) = rg.interval_pair_tables([a], [b], N, mpmath.mp)
-            ref = np.array([[float(e) for e in row] for row in ref])
+            (ref,), (e,) = rg.interval_pair_tables([a], [b], N, mpmath.mp)
+        ref = np.array([[float(mpmath.ldexp(t, e)) for t in row] for row in ref])
         assert np.all(np.abs(vals - ref) <= errs)
 
     def test_tensorization_against_2d_quadrature(self):
@@ -303,11 +309,11 @@ class TestPairIntegral:
 
     def test_mp_table_matches_double(self):
         with mpmath.workprec(200):
-            (tab,) = rg.interval_pair_tables([0.0], [40.0], 8, mpmath.mp)
+            (tab,), (e,) = rg.interval_pair_tables([0.0], [40.0], 8, mpmath.mp)
         (vals,), (errs,) = rg.interval_pair_tables([0.0], [40.0], 8)
         for j in range(9):
             for k in range(9):
-                assert float(tab[j][k]) == pytest.approx(
+                assert float(mpmath.ldexp(tab[j][k], e)) == pytest.approx(
                     vals[j, k], abs=max(5e-13, 4 * errs[j, k])
                 )
 
@@ -421,13 +427,30 @@ def test_batched_tables_match_single_interval(N, extra, monkeypatch):
     for i in range(len(ends)):
         v, e = single_interval_tables(a[i], b[i], N)
         assert vals[i].tobytes() == v.tobytes() and errs[i].tobytes() == e.tobytes()
-    # the mpf entries at 272 bits, on the mixed intervals and 40 of the rest
+    # the integer tables at 272 bits, on the mixed intervals and 40 of the rest
     take = len(MIXED_INTERVALS) + min(extra, 40)
     with mpmath.workprec(272):
-        tabs = rg.interval_pair_tables(a[:take], b[:take], N, mpmath.mp)
+        tabs, exps = rg.interval_pair_tables(a[:take], b[:take], N, mpmath.mp)
         for i in range(take):
-            ref = single_interval_tables(a[i], b[i], N, mpmath.mp)
-            assert [t._mpf_ for t in tabs[i].ravel()] == [t._mpf_ for t in ref.ravel()]
+            (tab,), (e,) = rg.interval_pair_tables(a[i:i + 1], b[i:i + 1], N, mpmath.mp)
+            assert exps[i] == e and tabs[i].tolist() == tab.tolist()
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_integer_tables_within_two_units_of_mpf(N):
+    # against the mpf closed forms at twice the bits, every entry of a table is
+    # within 2 units of 2^-prec of that table's largest entry; the far-only
+    # intervals sit at e^-32 and e^-12.5, and zero-length tables are exactly 0
+    ends = MIXED_INTERVALS + [(8.0, 9.0), (-40.0, -5.0)]
+    prec = 272
+    with mpmath.workprec(prec):
+        tabs, exps = rg.interval_pair_tables(*np.array(ends).T, N, mpmath.mp)
+    with mpmath.workprec(2 * prec):
+        for (a, b), tab, e in zip(ends, tabs, exps):
+            ref = single_interval_tables(a, b, N, mpmath.mp)
+            top = max(abs(r) for r in ref.flat)
+            err = max(abs(mpmath.ldexp(t, e) - r) for t, r in zip(tab.flat, ref.flat))
+            assert err <= 2 * mpmath.ldexp(top, -prec)
 
 
 class TestTruncateRadius:
