@@ -20,7 +20,7 @@ from hermite_obs import quadratic as qd
 
 print("== harmonic oscillator: exact level decay")
 A = qd.weyl_quantize(qd.harmonic_symbol(1), 12)
-rep = qd.dissipation_check(A, [0.25, 0.75], [1, 3, 5], probes=4, seed=0)
+rep = qd.dissipation_check(A, [0.25, 0.75], [1, 3, 5], seed=0)
 for i, t in enumerate(rep.t_grid):
     for j, k in enumerate(rep.k_grid):
         print(
@@ -31,7 +31,7 @@ for i, t in enumerate(rep.t_grid):
 print("\n== Kramers-Fokker-Planck: k-linear log decay and the t^3 law")
 A = qd.weyl_quantize(qd.kfp_symbol(1.0), 30)
 ts = [0.05, 0.08, 0.12, 0.18, 0.28, 0.42, 0.63, 0.95, 1.4]
-rep = qd.dissipation_check(A, ts, [2, 3, 4, 5, 6, 7, 8], probes=4, seed=0)
+rep = qd.dissipation_check(A, ts, [2, 3, 4, 5, 6, 7, 8], seed=0)
 print("    t      delta(t)     t^3     (R^2 of k-fit)")
 for i, t in enumerate(ts):
     print(

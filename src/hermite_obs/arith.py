@@ -212,8 +212,11 @@ class Mp:
 
     def solve(self, M, b):
         """M^-1 b by two triangular solves on the factor of M (of the ridged M
-        if M is not numerically positive definite); J L^H J is lower triangular."""
+        if M is not numerically positive definite; 0, the least-squares
+        solution, if M = 0, which no ridge makes factor); J L^H J is lower triangular."""
         L = self.cholesky(M) or self.cholesky(self.ridged(M))
+        if L is None:
+            return b * 0
         rev = (slice(None, None, -1),) * 2
         return _forward(self.adj(L)[rev], _forward(L, b[:, None])[rev])[rev][:, 0]
 
@@ -297,9 +300,8 @@ def taylor(ar, A, T, x=(), Q=None):
     propagators, W (or None), E, the step count 2^k and m.
     """
     norm1 = float(np.abs(A).sum(axis=0).max())
-    steps = 1
-    while T * norm1 > steps:
-        steps *= 2
+    frac, e = math.frexp(T * norm1)
+    steps = 1 << max(0, e - (frac == 0.5))  # the least power of two >= T ||A||_1
     h = T / steps
     nu = h * norm1
     if Q is not None:

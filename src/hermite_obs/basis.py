@@ -228,13 +228,6 @@ class HermiteExpansion:
         out[: self.coeffs.size] = self.coeffs
         return HermiteExpansion(self.n, new_N, out)
 
-    def truncated(self, new_N):
-        """Orthogonal projection onto E_{new_N} (new_N <= N)."""
-        if new_N > self.N:
-            return self.padded(new_N)
-        dim = space_dimension(self.n, new_N)
-        return HermiteExpansion(self.n, new_N, self.coeffs[:dim])
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x):

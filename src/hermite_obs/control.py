@@ -144,7 +144,9 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
     numerically positive definite.  If W stays singular at arith.MAX_BITS,
     a ridged W gives a certified lower bound, returned with a flag.  The
     ridge covers the error W inherits from the double P, at most T dim eps
-    ||P|| (e^{-tA} is a contraction), and the working rounding.
+    ||P|| (e^{-tA} is a contraction), and the working rounding.  A zero W
+    (P = 0, a region of measure zero) observes nothing, and no ridge makes it
+    factor: C_T is then inf, exactly, flagged 'singular_floor'.
     """
     A = problem.A.matrix
     bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
@@ -163,6 +165,9 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
                     continue
                 floor = problem.T * len(A) * np.finfo(float).eps * np.linalg.norm(problem.piomega)
                 L, flag = ar.cholesky(ar.ridged(W, floor)), "singular_floor"
+                if L is None:  # W = 0
+                    return ObservabilityReport(problem.T, math.inf, math.inf, None,
+                                               "generalized-eigen", bits, flag, steps, m)
             Li = ar.inv_lower(L)
             X = Li @ E_T
             c, y = ar.eigh_top(X @ ar.adj(X))
@@ -217,8 +222,9 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     relative residual of the state re-simulated on that grid, an independent
     check of the solve; an ill-conditioned Gramian yields a least-squares
     control in double precision, a ridged solve in fixed point, flagged, with
-    the residual documented.  A zero f0 reports the working precision and
-    ``gramian_cond`` nan: nothing is computed.
+    the residual documented.  A zero Gramian (P = 0) gives the zero control
+    in both, flagged, and the residual of the free flow.  A zero f0 reports
+    the working precision and ``gramian_cond`` nan: nothing is computed.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")

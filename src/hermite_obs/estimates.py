@@ -14,25 +14,21 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from mpmath import mp
 
 from . import basis
 from .basis import ContractViolation, HermiteExpansion, LadderMap, apply_ladder
 
-def chebyshev_value(kind, d, x):
-    """Chebyshev polynomial value by the stable three-term recurrence.
-
-    kind 'first' evaluates T_d, kind 'second' evaluates U_d; both satisfy
-    p_{d+1} = 2 x p_d - p_{d-1} and differ only in the degree-one seed.
-    """
+def chebyshev_value(d, x):
+    """Chebyshev polynomial T_d by the stable three-term recurrence
+    p_{d+1} = 2 x p_d - p_{d-1}."""
     if d < 0:
         raise ContractViolation("degree must be >= 0")
-    if kind not in ("first", "second"):
-        raise ContractViolation("kind must be 'first' or 'second'")
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
     if d == 0:
         return p_prev if p_prev.ndim else float(p_prev)
-    p_cur = x.copy() if kind == "first" else 2.0 * x
+    p_cur = x.copy()
     for _ in range(d - 1):
         p_prev, p_cur = p_cur, 2.0 * x * p_cur - p_prev
     return p_cur if p_cur.ndim else float(p_cur)
@@ -67,7 +63,7 @@ def remez_bound(n, d, t, complex_poly=False):
     F = remez_fraction(n, t)
     if complex_poly:
         return 2.0 ** (2 * d + 1) * F**d
-    return float(chebyshev_value("first", d, F))
+    return float(chebyshev_value(d, F))
 
 
 def remez_ball_bound(n, d, rho):
@@ -283,38 +279,28 @@ class TailConstants:
         return max(v for _, v in self.certificate)
 
 
-def _quarter_mass_log(n, c, N):
-    a = c * math.sqrt(N + 1.0)
-    return tail_mass_rhs_log(n, N, a)
-
-
 @lru_cache(maxsize=None)
 def tail_constant_cn(n):
     """Smallest certified c >= sqrt(2 n log 8) with the quarter-mass property.
 
     The majorant at a = c sqrt(N+1) is decreasing in N whenever
     c^2 >= 2 n log 8 (the Gaussian factor then beats the 8^N growth), so it
-    suffices to pin the N = 0 value below 1/4; a bisection finds the smallest
-    such c when the floor value does not already qualify.
+    suffices to pin the N = 0 value below 1/4.  With K = n log 2 + 1.5 log n
+    - 0.5 log pi + log 4 it equals 1/4 where c^2/n + log(c^2/n) = 2K - log n,
+    at c = sqrt(n W(e^{2K}/n)), W the principal Lambert function; from the
+    larger of that root and the floor, ulp steps reach the smallest double
+    whose majorant is at most 1/4.
     """
     if n < 1:
         raise ContractViolation("dimension n must be >= 1")
     floor = math.sqrt(2.0 * n * math.log(8.0))
-    log_quarter = math.log(0.25)
-    if _quarter_mass_log(n, floor, 0) <= log_quarter:
-        c = floor
-    else:
-        lo, hi = floor, floor
-        while _quarter_mass_log(n, hi, 0) > log_quarter:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _quarter_mass_log(n, mid, 0) > log_quarter:
-                lo = mid
-            else:
-                hi = mid
-        c = hi
-    cert = tuple((N, math.exp(_quarter_mass_log(n, c, N))) for N in range(61))
+    K = n * math.log(2.0) + 1.5 * math.log(n) - 0.5 * math.log(math.pi) + math.log(4.0)
+    c = max(floor, math.sqrt(n * float(mp.lambertw(mp.exp(2 * K) / n))))
+    while tail_mass_rhs_log(n, 0, c) > math.log(0.25):
+        c = math.nextafter(c, math.inf)
+    while c > floor and tail_mass_rhs_log(n, 0, math.nextafter(c, 0.0)) <= math.log(0.25):
+        c = math.nextafter(c, 0.0)
+    cert = tuple((N, math.exp(tail_mass_rhs_log(n, N, c * math.sqrt(N + 1.0)))) for N in range(61))
     if any(v > 0.25 + 1e-15 for _, v in cert):
         raise AssertionError("tail certificate failed; this is a bug")
     return TailConstants(n, c, cert)

@@ -104,7 +104,7 @@ def _assemble(region: Region, n, N, mp=None):
     """
     if region.n != n:
         raise ContractViolation("region dimension mismatch")
-    required = regions.truncate_radius(N, n, safety=1.5)
+    required = regions.truncate_radius(N, n)
     if region.trunc_radius + 1e-9 < required:
         raise ContractViolation("region truncated at %.6g but cutoff N=%d needs radius >= %.6g"
                                 % (region.trunc_radius, N, required))
@@ -147,8 +147,8 @@ def _axis_sum(axis, rows, which, stack, spread):
 def gram_matrix(region: Region, n, N) -> GramOperator:
     """Assemble G[a, b] = int_region Phi_a Phi_b from closed-form 1-D tables.
 
-    Requires the region to be truncated at least at safety 1.5 times the
-    quarter-mass radius for E_N; the neglected tail is added to the entry
+    Requires the region to be truncated at least at
+    ``regions.truncate_radius(N, n)``; the neglected tail is added to the entry
     error budget together with the rounding bounds of the tables.
     """
     G, _, E = _assemble(region, n, N)
@@ -170,7 +170,6 @@ class SpectralResult:
     c_log: float
     lam_min: float
     lam_min_log: float
-    lam_max: float
     precision_bits: int
     flag: str  # 'ok' or 'singular_floor' (value is then a lower bound on C_N)
 
@@ -215,7 +214,7 @@ def spectral_constants(G: GramOperator, cutoffs, start_bits=256):
                     log = math.log if ar is arith.DOUBLE else mp.log  # no mpmath rounding at 53 bits
                     results[i] = SpectralResult(
                         float(lam_min ** -0.5), float(-log(lam_min) / 2), float(lam_min),
-                        float(log(lam_min)), float(lam_max), bits, flag,
+                        float(log(lam_min)), bits, flag,
                     )
         bits = start_bits if ar is arith.DOUBLE else 2 * bits
     return results
@@ -237,9 +236,9 @@ class BoundParams:
     variant 'density' : |w cap B(0,R)|/|B(0,R)| >= delta for R >= R0
     variant 'thick'   : w is gamma-thick at scale L
 
-    The Sobolev embedding constant and the analytic-interval-lemma constant
-    are never pinned down by the theory; they are parameters with documented
-    defaults, recorded in every output artifact.
+    The tail constant c_n (:func:`estimates.tail_constant_cn`) and the Sobolev
+    and interval-lemma constants ``DEFAULT_C_SOBOLEV`` and ``DEFAULT_C_KOV``,
+    which the theory never pins down, are fixed; every artifact records them.
     """
 
     n: int
@@ -250,30 +249,24 @@ class BoundParams:
     R0: float = 0.0
     L: float = 0.0
     gamma: float = 0.0
-    c_n: Optional[float] = None
-    C_sobolev: float = DEFAULT_C_SOBOLEV
-    C_kov: float = DEFAULT_C_KOV
-
-    def tail_c(self):
-        return self.c_n if self.c_n is not None else tail_constant_cn(self.n).c
 
 
-def open_params(n, x0, r, **kw):
+def open_params(n, x0, r):
     if r <= 0:
         raise ContractViolation("ball radius must be positive")
-    return BoundParams(n, "open", x0=tuple(x0), r=float(r), **kw)
+    return BoundParams(n, "open", x0=tuple(x0), r=float(r))
 
 
-def density_params(n, delta, R0=0.0, **kw):
+def density_params(n, delta, R0=0.0):
     if not 0.0 < delta <= 1.0:
         raise ContractViolation("density fraction must lie in (0, 1]")
-    return BoundParams(n, "density", delta=float(delta), R0=float(R0), **kw)
+    return BoundParams(n, "density", delta=float(delta), R0=float(R0))
 
 
-def thick_params(n, L, gamma, **kw):
+def thick_params(n, L, gamma):
     if not 0.0 < gamma <= 1.0 or L <= 0:
         raise ContractViolation("need 0 < gamma <= 1 and L > 0")
-    return BoundParams(n, "thick", L=float(L), gamma=float(gamma), **kw)
+    return BoundParams(n, "thick", L=float(L), gamma=float(gamma))
 
 
 def _sum_weighted_factorials(n, ratio):
@@ -290,11 +283,12 @@ def delta_weight_scale(n):
     return 2.0 * math.sqrt(2.0**11 * n**3 * (2.0**n + 1.0))
 
 
-def sobolev_chain_constant_log(n, delta, C_sobolev):
-    """log of the good-cube sup-norm chain constant at weight delta."""
+def sobolev_chain_constant_log(n, delta):
+    """log of the good-cube sup-norm chain constant at weight delta, with the
+    Sobolev embedding constant ``DEFAULT_C_SOBOLEV``."""
     ratio = 32.0 * delta * delta * (2.0**n + 1.0)
     return (
-        math.log(C_sobolev)
+        math.log(DEFAULT_C_SOBOLEV)
         + math.e / (2.0 * delta * delta)
         + 0.5 * math.log(_sum_weighted_factorials(n, ratio))
     )
@@ -304,7 +298,7 @@ def theoretical_bound_log(p: BoundParams, N):
     """log of the explicit spectral-constant bound; None when N is outside
     the validity range of the variant's derivation."""
     n = p.n
-    c_n = p.tail_c()
+    c_n = tail_constant_cn(n).c
     root = c_n * math.sqrt(N + 1.0)
     if p.variant == "open":
         x0_norm = math.sqrt(sum(v * v for v in p.x0))
@@ -332,10 +326,11 @@ def theoretical_bound_log(p: BoundParams, N):
         )
     if p.variant == "thick":
         dn = delta_weight_scale(n)
-        theta = math.log(2.0 * p.C_kov * n ** (n / 2.0) * sphere_area(n) / p.gamma) / math.log(2.0)
+        theta = (math.log(2.0 * DEFAULT_C_KOV * n ** (n / 2.0) * sphere_area(n) / p.gamma)
+                 / math.log(2.0))
         inner = (
             0.5 * n * math.log(4.0 * p.L)
-            + sobolev_chain_constant_log(n, 1.0 / (dn * p.L), p.C_sobolev)
+            + sobolev_chain_constant_log(n, 1.0 / (dn * p.L))
             + dn * p.L * math.sqrt(N)
         )
         return 1.5 * math.log(2.0) - 0.5 * math.log(p.gamma) + theta * inner
@@ -406,8 +401,8 @@ def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None
     report = ScalingReport(n)
     if bound is not None:
         report.bound_variant = bound.variant
-        report.aux_constants = {"c_n": bound.tail_c(), "C_sobolev": bound.C_sobolev,
-                                "C_kov": bound.C_kov}
+        report.aux_constants = {"c_n": tail_constant_cn(n).c, "C_sobolev": DEFAULT_C_SOBOLEV,
+                                "C_kov": DEFAULT_C_KOV}
     G = gram_matrix(region, n, N_list[-1])
     for N, res in zip(N_list, spectral_constants(G, N_list, start_bits)):
         row = {"N": N, "C_measured": res.c_value, "C_log": res.c_log, "lambda_min": res.lam_min,

@@ -165,7 +165,6 @@ class SingularSpace:
     basis: np.ndarray
     k0: Optional[int]
     dims: tuple
-    rank_tol: float
     tolerance_sensitive: bool = False
     alternative_dims: tuple = ()
 
@@ -174,12 +173,13 @@ def _kernel_dims_for_tol(svals_per_stack, tol):
     return tuple(int(np.sum(s <= tol)) for s in svals_per_stack)
 
 
-def singular_space(H: HamiltonMap, tol=None) -> SingularSpace:
+def singular_space(H: HamiltonMap) -> SingularSpace:
     """Kernel intersection S = cap_j Ker[Re F (Im F)^j] over j = 0..2n-1.
 
     The intersection is computed through singular values of the stacked
     matrices [Re F; Re F Im F; ...]; singular values at most the rank
-    tolerance count as kernel directions.  Rank decisions within a factor 10
+    tolerance, 1e-10 times the largest singular value of the full stack,
+    count as kernel directions.  Rank decisions within a factor 10
     of the tolerance are flagged and both candidate answers are reported.
     """
     n = H.n
@@ -195,8 +195,7 @@ def singular_space(H: HamiltonMap, tol=None) -> SingularSpace:
         svals = np.linalg.svd(stack, compute_uv=False)
         svals = np.concatenate([svals, np.zeros(max(0, two_n - len(svals)))])
         svals_per_stack.append(np.sort(svals))
-    scale = max(float(svals_per_stack[-1][-1]), 1e-300)
-    rank_tol = tol if tol is not None else 1e-10 * scale
+    rank_tol = 1e-10 * max(float(svals_per_stack[-1][-1]), 1e-300)
 
     dims = _kernel_dims_for_tol(svals_per_stack, rank_tol)
     sensitive = any(
@@ -216,7 +215,7 @@ def singular_space(H: HamiltonMap, tol=None) -> SingularSpace:
     s = np.concatenate([s, np.zeros(max(0, two_n - len(s)))])
     kernel_basis = Vt[s <= rank_tol].T if dims[-1] > 0 else np.zeros((two_n, 0))
     kernel_basis = np.ascontiguousarray(kernel_basis)
-    return SingularSpace(kernel_basis, k0, dims, rank_tol, sensitive, alt)
+    return SingularSpace(kernel_basis, k0, dims, sensitive, alt)
 
 
 def _fraction_kernel(rows):
@@ -390,12 +389,11 @@ class DissipationReport:
     rate_constants: dict = field(default_factory=dict)
 
 
-def dissipation_check(op: GalerkinOperator, t_grid, k_grid, probes=12,
-                      seed=0) -> DissipationReport:
+def dissipation_check(op: GalerkinOperator, t_grid, k_grid, seed=0) -> DissipationReport:
     """Measure sup_f ||(1 - pi_k) e^{-tA} f|| / ||f|| on the given grids.
 
     The sup over f is the exact operator norm of the row-masked propagator
-    e^{-tA} (arith.taylor), its largest singular value; random unit probes
+    e^{-tA} (arith.taylor), its largest singular value; four random unit probes
     cross-check it from below, and a violation of that ordering is reported
     as a failure.  At each t the decay exponent in k is fitted by least
     squares; the fitted intercept exp(c) estimates the prefactor C_0 and the
@@ -404,7 +402,7 @@ def dissipation_check(op: GalerkinOperator, t_grid, k_grid, probes=12,
     rng = np.random.default_rng(seed)
     lev = basis.index_levels(op.n, op.N)
     probe_vecs = []
-    for _ in range(probes):
+    for _ in range(4):
         v = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
         probe_vecs.append(v / np.linalg.norm(v))
     ratios = np.zeros((len(t_grid), len(k_grid)))

@@ -32,25 +32,22 @@ from .basis import ContractViolation
 from .estimates import tail_constant_cn
 
 
-def truncate_radius(N, n, safety=1.5):
-    """Radius past which any f in E_N keeps at most a quarter of its mass.
-
-    Returns ``safety * c_n * sqrt(N+1)`` with the certified dimensional
-    constant c_n; safety > 1 shrinks the neglected mass far below the
-    quarter-mass guarantee (the majorant exponent scales with safety^2).
+def truncate_radius(N, n):
+    """Radius past which any f in E_N keeps at most a quarter of its mass,
+    times 1.5: ``1.5 c_n sqrt(N+1)`` with the certified dimensional constant
+    c_n.  The factor 1.5 shrinks the neglected mass far below the
+    quarter-mass guarantee (the majorant exponent scales with its square).
     """
     if N < 0 or n < 1:
         raise ContractViolation("need N >= 0 and n >= 1")
-    if safety < 1.0:
-        raise ContractViolation("safety factor must be >= 1")
-    return safety * tail_constant_cn(n).c * math.sqrt(N + 1.0)
+    return 1.5 * tail_constant_cn(n).c * math.sqrt(N + 1.0)
 
 
-def _merge_intervals(lows, highs, tol=1e-12):
+def _merge_intervals(lows, highs):
     order = np.argsort(lows)
     lows, highs = lows[order], highs[order]
     reach = np.maximum.accumulate(highs)  # a run ends where the next interval starts past it
-    start = np.flatnonzero(np.concatenate([[True], lows[1:] > reach[:-1] + tol]))
+    start = np.flatnonzero(np.concatenate([[True], lows[1:] > reach[:-1] + 1e-12]))
     return lows[start], np.maximum.reduceat(highs, start)
 
 

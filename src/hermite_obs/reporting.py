@@ -51,12 +51,12 @@ def config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def provenance(config, seed, defaults=None):
+def provenance(config, seed, defaults):
     return {
         "version": __version__,
         "config_hash": config_hash(config),
         "seed": seed,
-        "defaults": defaults or {},
+        "defaults": defaults,
     }
 
 

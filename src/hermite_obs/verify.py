@@ -254,7 +254,7 @@ def suite_est_chebyshev(seed=0, trials=60):
         want = Fraction(0)
         for k in range(d // 2 + 1):
             want += math.comb(d, 2 * k) * (x * x - 1) ** k * x ** (d - 2 * k)
-        got = est.chebyshev_value("first", d, float(x))
+        got = est.chebyshev_value(d, float(x))
         scale = max(abs(float(want)), 1.0)
         margins.append(abs(got - float(want)) / scale - 1e-9)
     return _verdict("est_chebyshev", trials, margins, seed)
@@ -526,7 +526,7 @@ def run_suites(names=None, seed=0, trials=None):
     """
     if trials is not None and trials < 1:
         raise basis.UsageError("trials must be at least 1, got %d" % trials)
-    if names is None or names == ["all"]:
+    if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:

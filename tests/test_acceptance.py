@@ -174,8 +174,7 @@ def test_c07_dissipation():
     # harmonic: the masked-propagator norm equals e^{-(2k+2+n) t} exactly
     n = 1
     A = qd.weyl_quantize(qd.harmonic_symbol(n), 12)
-    rep = qd.dissipation_check(A, [0.25, 0.6, 1.0], [1, 3, 5], probes=4,
-                               seed=MASTER_SEED)
+    rep = qd.dissipation_check(A, [0.25, 0.6, 1.0], [1, 3, 5], seed=MASTER_SEED)
     for it, t in enumerate(rep.t_grid):
         for jk, k in enumerate(rep.k_grid):
             want = math.exp(-(2 * k + 2 + n) * t)
@@ -184,8 +183,7 @@ def test_c07_dissipation():
     # KFP: log decay linear in k at fixed t, R^2 >= 0.9, resolved with N >= 3k
     k_grid = [2, 3, 4, 5, 6]
     A_kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3 * max(k_grid))
-    rep_kfp = qd.dissipation_check(A_kfp, [0.5, 1.0], k_grid, probes=4,
-                                   seed=MASTER_SEED)
+    rep_kfp = qd.dissipation_check(A_kfp, [0.5, 1.0], k_grid, seed=MASTER_SEED)
     for it in range(len(rep_kfp.t_grid)):
         assert rep_kfp.slope_per_t[it] < 0
         assert rep_kfp.r2_per_t[it] >= 0.9
@@ -319,7 +317,7 @@ def test_c09_kfp_model_selection():
     # the dissipation-matched exponent, measured on delta(t)
     A_d = qd.weyl_quantize(kfp, 24)
     diss = qd.dissipation_check(A_d, [0.05, 0.1, 0.2, 0.4], list(range(2, 9)),
-                                probes=4, seed=MASTER_SEED)
+                                seed=MASTER_SEED)
     p = diss.rate_constants["time_exponent"]
     assert abs(p - p_matched) <= 0.1, p
     assert abs(p - p_matched) < abs(p - 1), p

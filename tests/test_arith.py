@@ -233,3 +233,18 @@ def test_no_mpmath_matrix_routine_in_the_pipelines(monkeypatch):
     assert hum.precision_bits == 256 and hum.flag == "ok" and hum.residual <= 1e-15
     obs = ct.observability_constant(problem, precision_bits=256)
     assert obs.precision_bits == 256 and obs.flag == "ok"
+
+
+def test_taylor_steps_are_the_least_power_of_two():
+    # the doubling loop that the frexp form replaced is the reference, at
+    # every power of two and one ulp on either side
+    def doubling(x):
+        steps = 1
+        while x > steps:
+            steps *= 2
+        return steps
+
+    xs = [0.0, 0.3, 1e-300] + list(np.random.default_rng(3).uniform(0.0, 1e3, 50))
+    xs += [math.nextafter(2.0**k, to) for k in range(-3, 41) for to in (0.0, 2.0**k, math.inf)]
+    for x in xs:
+        assert arith.taylor(arith.DOUBLE, np.array([[1.0]]), x)[3] == doubling(x)

@@ -68,6 +68,27 @@ class TestExitCodes:
         assert code == cli.EXIT_PRECISION
         assert json.loads((tmp_path / "c.json").read_text())["result"]["flag"] == flag
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["observability"], "singular_floor"),
+        (["control", "--precision-bits", "256"], "ill_conditioned"),
+    ])
+    def test_zero_coupling_is_flagged(self, argv, flag, capsys, monkeypatch, tmp_path):
+        # a measure-zero region makes P and so W zero, which no ridge makes
+        # factor: the fixed-point paths end flagged, C_T inf and the control 0
+        monkeypatch.setattr(arith, "MAX_BITS", 256)
+        common = ["--symbol", "harmonic", "--region", "interval:a=0,b=0", "--N", "4",
+                  "--T", "1", "--quiet", "--out"]
+        assert cli.run(argv + common + [str(tmp_path / "z")]) == cli.EXIT_PRECISION
+        res = json.loads((tmp_path / "z.json").read_text())["result"]
+        assert res["flag"] == flag
+        if argv[0] == "observability":
+            assert res["C_T"] == res["log_C_T"] == "inf"
+        else:  # the free flow, as the double-precision least-squares control
+            assert cli.run(["control"] + common + [str(tmp_path / "d")]) == cli.EXIT_PRECISION
+            dbl = json.loads((tmp_path / "d.json").read_text())["result"]
+            assert res["cost"] == dbl["cost"] == 0.0
+            assert res["residual"] == pytest.approx(dbl["residual"], rel=1e-12)
+
     @pytest.mark.parametrize("region, variant", [
         ("ballcomp:r0=1", "open"),
         ("halfline", "open"),
@@ -269,6 +290,29 @@ class TestConfig:
         assert cli.run(["--config", str(cfg), "basis", "--n", "1", "--N", "4",
                         "--quiet"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("doc, command, message", [
+        ({"x0": 0.5}, "bounds", "unknown config field 'x0'"),  # a flag, not a config key
+        ({"gamma": 0}, "bounds", "config field 'gamma' out of range (0, 1]"),
+        ({"region": "periodic:L=1,gamma=2"}, "gram", "config region gamma out of range (0, 1]"),
+        ({"n": 0}, "basis", "config field 'n' must be >= 1"),
+        ([1, 2], "basis", "config root must be an object"),
+        ({"n": "two"}, "basis", "config field 'n' has invalid value 'two'"),
+    ])
+    def test_config_refusals_are_usage_errors(self, doc, command, message, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.run(["--config", str(cfg), command, "--quiet"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--gamma", "0"],
+        ["gram", "--region", "periodic:L=1,gamma=2"],
+        ["basis", "--n", "0"],
+    ])
+    def test_the_same_values_as_flags_are_contract_violations(self, argv, capsys):
+        assert cli.run(argv + ["--quiet"]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err.startswith("contract violation: ")
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -284,7 +328,7 @@ class TestOutputs:
                         "--N", "8", "--quiet", "--out", out])
         assert code == cli.EXIT_OK
         doc = json.loads((tmp_path / "c.json").read_text())
-        region = rg.half_line(rg.truncate_radius(8, 1, 1.5) + 1.0)
+        region = rg.half_line(rg.truncate_radius(8, 1) + 1.0)
         res = spectral_constant(gram_matrix(region, 1, 8))
         assert doc["result"]["C_N"] == pytest.approx(res.c_value, rel=1e-12)
         assert doc["result"]["lambda_min"] == pytest.approx(res.lam_min, rel=1e-12)

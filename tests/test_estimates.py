@@ -22,37 +22,19 @@ def chebyshev_first_exact(d, x):
 
 class TestChebyshev:
     def test_t3_at_two(self):
-        assert est.chebyshev_value("first", 3, 2.0) == pytest.approx(26.0)
-
-    def test_u2_at_three(self):
-        assert est.chebyshev_value("second", 2, 3.0) == pytest.approx(35.0)
+        assert est.chebyshev_value(3, 2.0) == pytest.approx(26.0)
 
     @pytest.mark.parametrize("d", range(0, 51, 5))
     def test_value_one_at_one(self, d):
-        assert est.chebyshev_value("first", d, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert est.chebyshev_value(d, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_recurrence_matches_exact_sum(self):
         xs = [Fraction(i, 7) for i in range(-20, 21, 2)] + [Fraction(5, 2), Fraction(9, 4)]
         for d in range(31):
             for x in xs[:20]:
                 want = float(chebyshev_first_exact(d, x))
-                got = est.chebyshev_value("first", d, float(x))
+                got = est.chebyshev_value(d, float(x))
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-    def test_second_kind_is_derivative_of_first(self):
-        # U_{d-1} = T_d' / d, with T_d' computed by differentiating the
-        # recurrence (p' obeys p'_{d+1} = 2 p_d + 2x p'_d - p'_{d-1})
-        for d in range(1, 12):
-            for x in (-1.5, 0.3, 2.0):
-                p_prev, p_cur = 1.0, x
-                dp_prev, dp_cur = 0.0, 1.0
-                for _ in range(d - 1):
-                    p_prev, p_cur = p_cur, 2 * x * p_cur - p_prev
-                    dp_prev, dp_cur = dp_cur, 2 * p_prev + 2 * x * dp_cur - dp_prev
-                t_prime = dp_cur if d >= 1 else 0.0
-                assert est.chebyshev_value("second", d - 1, x) == pytest.approx(
-                    t_prime / d, rel=1e-11, abs=1e-11
-                )
 
 
 class TestRemez:
@@ -73,7 +55,7 @@ class TestRemez:
     def test_classical_interval_consistency(self):
         # |E| = 1 inside [-1, 1] gives T_d((4-|E|)/|E|) = T_d(3) = T_d(F(1/2))
         for d in range(8):
-            classical = est.chebyshev_value("first", d, 3.0)
+            classical = est.chebyshev_value(d, 3.0)
             assert est.remez_bound(1, d, 0.5) == pytest.approx(classical, rel=1e-12)
 
     def test_ball_bound_plugin(self):
@@ -327,6 +309,18 @@ class TestTailConstant:
         c = est.tail_constant_cn(2)
         assert all(v <= 0.25 + 1e-12 for _, v in c.certificate)
         assert c.worst_case == c.certificate[0][1]
+
+    def test_closed_form_is_the_smallest_qualifying_double(self):
+        # the values of the doubling search and 200-step bisection it replaced
+        want = [2.039333980337618, 2.940350772064617, 4.300604872791374, 5.614677564730411,
+                6.900852967040596, 8.16836547704588, 9.422531291561297, 10.666690806755135]
+        for n, c_want in enumerate(want, 1):
+            c = est.tail_constant_cn(n).c
+            assert c == c_want
+            assert est.tail_mass_rhs_log(n, 0, c) <= math.log(0.25)
+            below = math.nextafter(c, 0.0)
+            assert (below < math.sqrt(2 * n * math.log(8.0))
+                    or est.tail_mass_rhs_log(n, 0, below) > math.log(0.25))
 
     def test_empirical_quarter_mass(self):
         # 50 random expansions: the tail mass past c_1 sqrt(N+1) stays below

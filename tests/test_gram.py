@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hermite_obs import arith, basis, gram, regions as rg
+from hermite_obs import arith, basis, estimates as est, gram, regions as rg
 from hermite_obs.basis import ContractViolation
 
 
@@ -267,7 +267,7 @@ class TestBounds:
     def test_density_plugin_at_zero(self):
         # delta = 1 at N = 0: sqrt(2^6 / 9) e^{c_1^2 / 2}
         p = gram.density_params(1, 1.0)
-        c1 = p.tail_c()
+        c1 = est.tail_constant_cn(1).c
         want = math.sqrt(2.0**6 / 9.0) * math.exp(c1 * c1 / 2.0)
         assert gram.theoretical_bound(p, 0) == pytest.approx(want, rel=1e-12)
 
@@ -275,7 +275,7 @@ class TestBounds:
         # gamma = 1: the log bound grows by exactly theta * delta_1 * L *
         # (sqrt(16) - sqrt(4)) between N = 4 and N = 16
         p = gram.thick_params(1, 1.0, 1.0)
-        theta = math.log(2 * p.C_kov * 1.0 * 2.0) / math.log(2.0)
+        theta = math.log(2 * gram.DEFAULT_C_KOV * 1.0 * 2.0) / math.log(2.0)
         d1 = gram.delta_weight_scale(1)
         inc = gram.theoretical_bound_log(p, 16) - gram.theoretical_bound_log(p, 4)
         assert inc == pytest.approx(theta * d1 * (4.0 - 2.0), rel=1e-12)
@@ -284,7 +284,7 @@ class TestBounds:
         # oracle: the fully explicit expression evaluated independently in
         # high-precision arithmetic
         p = gram.open_params(1, (0.0,), 1.0)
-        c1 = p.tail_c()
+        c1 = est.tail_constant_cn(1).c
         for N in (4, 10, 30):
             with mpmath.workdps(80):
                 root = c1 * mpmath.sqrt(N + 1)

@@ -195,7 +195,7 @@ class TestEvolve:
 class TestDissipation:
     def test_harmonic_exact_rate(self):
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 12)
-        rep = qd.dissipation_check(A, [0.25, 0.5], [2, 4], probes=4, seed=0)
+        rep = qd.dissipation_check(A, [0.25, 0.5], [2, 4], seed=0)
         for it, t in enumerate(rep.t_grid):
             for jk, k in enumerate(rep.k_grid):
                 want = math.exp(-(2 * k + 2 + 1) * t)
@@ -203,13 +203,13 @@ class TestDissipation:
 
     def test_time_zero_keeps_mass(self):
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 6)
-        rep = qd.dissipation_check(A, [0.0], [3], probes=4, seed=0)
+        rep = qd.dissipation_check(A, [0.0], [3], seed=0)
         assert rep.ratios[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_kfp_log_decay_linear_in_k(self):
         # N >= 3k so the high-mode content is resolved by the truncation
         A = qd.weyl_quantize(qd.kfp_symbol(1.0), 18)
-        rep = qd.dissipation_check(A, [0.5, 1.0], [2, 3, 4, 5, 6], probes=4, seed=1)
+        rep = qd.dissipation_check(A, [0.5, 1.0], [2, 3, 4, 5, 6], seed=1)
         for it in range(2):
             assert rep.slope_per_t[it] < 0
             assert rep.r2_per_t[it] >= 0.9

@@ -458,18 +458,22 @@ class TestTruncateRadius:
         assert rg.truncate_radius(10, 1) < rg.truncate_radius(40, 1)
 
     def test_safety_one_value(self):
+        # the radius is 1.5 times the quarter-mass radius c_n sqrt(N+1)
         from hermite_obs.estimates import tail_constant_cn
 
-        c1 = tail_constant_cn(1).c
-        assert rg.truncate_radius(0, 1, safety=1.0) == pytest.approx(c1)
+        for n in (1, 2, 3):
+            c = tail_constant_cn(n).c
+            for N in (0, 5, 20):
+                assert rg.truncate_radius(N, n) == 1.5 * c * math.sqrt(N + 1.0)
 
     def test_doubling_safety_at_least_halves_majorant(self):
         from hermite_obs.estimates import tail_mass_rhs_log
 
         for N in (0, 5, 20):
-            a = rg.truncate_radius(N, 1, safety=1.0)
+            a = rg.truncate_radius(N, 1) / 1.5  # the quarter-mass radius
             assert tail_mass_rhs_log(1, N, 2 * a) <= tail_mass_rhs_log(1, N, a) - math.log(2.0)
 
-    def test_safety_below_one_rejected(self):
-        with pytest.raises(ContractViolation):
-            rg.truncate_radius(5, 1, safety=0.5)
+    def test_cutoff_and_dimension_checked(self):
+        for N, n in ((-1, 1), (5, 0)):
+            with pytest.raises(ContractViolation):
+                rg.truncate_radius(N, n)
