@@ -117,8 +117,12 @@ def load_config(path):
     for key, value in doc.items():
         if key not in CONFIG_KEYS:
             raise UsageError("unknown config field %r" % key)
+        kind = CONFIG_KEYS[key]
         try:
-            out[key] = CONFIG_KEYS[key](value)
+            if kind is not str and isinstance(value, bool) or (
+                    kind is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError  # true is no number and 1.5 no integer: neither converts
+            out[key] = kind(value)
         except (TypeError, ValueError):
             raise UsageError("config field %r has invalid value %r" % (key, value))
     if "gamma" in out and not 0.0 < out["gamma"] <= 1.0:
@@ -136,7 +140,7 @@ def build_parser():
     parser = _Parser(prog="hermite-obs", description=__doc__)
     parser.add_argument("--config", help="JSON config file merged under CLI flags")
     sub = parser.add_subparsers(dest="command")
-    parser.commands = sub.choices  # name -> subparser; run() sets config defaults on it
+    parser.commands = sub.choices  # name -> subparser; run() lends config values to its flags
 
     def add(name, **kw):
         p = sub.add_parser(name, **kw)
@@ -521,11 +525,19 @@ def _run_command(args):
     return result, csv_payload, plot_series, code, seed
 
 
+_PARSER = None  # built by the first run(), shared by every later one
+
+
 def run(argv):
     """Parse ``argv`` and run one command.  A value comes from its flag, else
     from the ``--config`` file (keys the subcommand has a flag for), else from
-    the parser's default."""
-    parser = build_parser()
+    the parser's default.  Every call shares one parser, to which a config run
+    lends its values for the length of its second parse: calls from several
+    threads must not overlap."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
@@ -539,11 +551,19 @@ def run(argv):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         config = {k: v for k, v in config.items() if hasattr(args, k)}
-        for act in parser.commands[args.command]._actions:  # the flags' own choices
-            if act.choices and act.dest in config and config[act.dest] not in act.choices:
+        lent = [act for act in parser.commands[args.command]._actions if act.dest in config]
+        for act in lent:  # the flags' own choices
+            if act.choices and config[act.dest] not in act.choices:
                 raise UsageError("config field %r must be one of %s" % (act.dest, ", ".join(act.choices)))
-        parser.commands[args.command].set_defaults(**config)
-        args = parser.parse_args(argv)
+        if lent:  # parse again with the config as the flags' defaults, then give them back
+            saved = [act.default for act in lent]
+            for act in lent:
+                act.default = config[act.dest]
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                for act, default in zip(lent, saved):
+                    act.default = default
         result, csv_payload, plot_series, code, seed = _run_command(args)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)

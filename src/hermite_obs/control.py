@@ -145,8 +145,9 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
     a ridged W gives a certified lower bound, returned with a flag.  The
     ridge covers the error W inherits from the double P, at most T dim eps
     ||P|| (e^{-tA} is a contraction), and the working rounding.  A zero W
-    (P = 0, a region of measure zero) observes nothing, and no ridge makes it
-    factor: C_T is then inf, exactly, flagged 'singular_floor'.
+    (P = 0, a region of measure zero) observes nothing, and no precision or
+    ridge makes it factor: C_T is then inf, exactly, flagged 'singular_floor'
+    at the first precision tried.
     """
     A = problem.A.matrix
     bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
@@ -155,6 +156,9 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
         with mp.workprec(ar.bits + 16):
             _, W, E_T, steps, m = arith.taylor(ar, A, problem.T, Q=ar.from_np(problem.piomega))
             L = ar.cholesky(W)
+            if L is None and not problem.piomega.any():  # P = 0, so W = 0 at every precision
+                return ObservabilityReport(problem.T, math.inf, math.inf, None,
+                                           "generalized-eigen", bits, "singular_floor", steps, m)
             if bits == 53 and (L is None or not ar.cond(W) < COND_MAX):
                 bits = 256
                 continue
@@ -165,7 +169,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
                     continue
                 floor = problem.T * len(A) * np.finfo(float).eps * np.linalg.norm(problem.piomega)
                 L, flag = ar.cholesky(ar.ridged(W, floor)), "singular_floor"
-                if L is None:  # W = 0
+                if L is None:  # P below the double range, so its ridge underflowed to 0
                     return ObservabilityReport(problem.T, math.inf, math.inf, None,
                                                "generalized-eigen", bits, flag, steps, m)
             Li = ar.inv_lower(L)

@@ -73,9 +73,16 @@ class TestExitCodes:
         (["control", "--precision-bits", "256"], "ill_conditioned"),
     ])
     def test_zero_coupling_is_flagged(self, argv, flag, capsys, monkeypatch, tmp_path):
-        # a measure-zero region makes P and so W zero, which no ridge makes
-        # factor: the fixed-point paths end flagged, C_T inf and the control 0
-        monkeypatch.setattr(arith, "MAX_BITS", 256)
+        # a measure-zero region makes P and so W zero, which no precision or
+        # ridge makes factor: observability, under the full 4,096-bit ceiling,
+        # ends flagged with C_T inf after its first Taylor table, and HUM at
+        # 256 bits gives the control 0
+        tables = []
+        taylor = arith.taylor
+        monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
+                            or taylor(ar, *a, **kw))
+        if argv[0] == "control":
+            monkeypatch.setattr(arith, "MAX_BITS", 256)
         common = ["--symbol", "harmonic", "--region", "interval:a=0,b=0", "--N", "4",
                   "--T", "1", "--quiet", "--out"]
         assert cli.run(argv + common + [str(tmp_path / "z")]) == cli.EXIT_PRECISION
@@ -83,6 +90,7 @@ class TestExitCodes:
         assert res["flag"] == flag
         if argv[0] == "observability":
             assert res["C_T"] == res["log_C_T"] == "inf"
+            assert tables == [53] and res["precision_bits"] == 53
         else:  # the free flow, as the double-precision least-squares control
             assert cli.run(["control"] + common + [str(tmp_path / "d")]) == cli.EXIT_PRECISION
             dbl = json.loads((tmp_path / "d.json").read_text())["result"]
@@ -297,12 +305,28 @@ class TestConfig:
         ({"n": 0}, "basis", "config field 'n' must be >= 1"),
         ([1, 2], "basis", "config root must be an object"),
         ({"n": "two"}, "basis", "config field 'n' has invalid value 'two'"),
+        ({"seed": 1.5}, "basis", "config field 'seed' has invalid value 1.5"),
+        ({"n": True}, "basis", "config field 'n' has invalid value True"),
+        ({"gamma": True}, "bounds", "config field 'gamma' has invalid value True"),
+        ({"seed": math.inf}, "basis", "config field 'seed' has invalid value inf"),
     ])
     def test_config_refusals_are_usage_errors(self, doc, command, message, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert cli.run(["--config", str(cfg), command, "--quiet"]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "error: %s\n" % message
+
+    def test_integral_config_values_convert(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        artifacts = []
+        for value in (2, 2.0, "2"):
+            cfg.write_text(json.dumps({"seed": value, "n": value}))
+            out = tmp_path / ("b%d" % len(artifacts))
+            assert cli.run(["--config", str(cfg), "basis", "--quiet", "--out", str(out)]) == 0
+            artifacts.append(out.with_suffix(".json").read_bytes())
+        assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
+        doc = json.loads(artifacts[0])
+        assert doc["result"]["n"] == doc["provenance"]["seed"] == 2
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--gamma", "0"],
@@ -319,6 +343,50 @@ class TestConfig:
         code = cli.run(["--config", str(cfg), "basis", "--quiet"])
         assert code == cli.EXIT_USAGE
         assert "line" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch, tmp_path):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": "3"}))
+        assert cli.run(["basis", "--quiet"]) == cli.EXIT_OK
+        assert cli.run(["--config", str(cfg), "basis", "--quiet"]) == cli.EXIT_OK
+        assert cli.run(["basis", "--bogus"]) == cli.EXIT_USAGE
+        assert cli.run(["gram", "--N", "2", "--quiet"]) == cli.EXIT_OK
+        assert builds == [1]
+
+    @pytest.mark.parametrize("argv, doc, config_argv, code, warns", [
+        # lends trials and seed; the seed flag overrides its config value
+        (["verify", "--suite", "est_tails"], {"trials": 2, "seed": 3},
+         ["verify", "--suite", "est_tails", "--seed", "5"], cli.EXIT_OK, True),
+        # refused by the choices check before anything is lent
+        (["bounds", "--N", "4"], {"variant": "bogus", "gamma": 0.9},
+         ["bounds", "--N", "4"], cli.EXIT_USAGE, False),
+        # lends trials and suite, then the suite is refused
+        (["verify", "--suite", "est_tails"], {"trials": 2, "suite": "bogus"},
+         ["verify"], cli.EXIT_USAGE, False),
+        # a usage error in the first parse
+        (["verify", "--suite", "est_tails"], {"trials": 2, "seed": 3},
+         ["verify", "--bogus"], cli.EXIT_USAGE, False),
+    ])
+    def test_no_state_outlives_a_run(self, argv, doc, config_argv, code, warns, capsys,
+                                     monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_PARSER", None)  # a fresh parser, whatever ran before
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert cli.run(argv + ["--quiet", "--out", a]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert cli.run(["--config", str(cfg)] + config_argv + ["--quiet"]) == code
+        assert ("overridden by flag" in capsys.readouterr().err) == warns
+        assert cli.run(argv + ["--quiet", "--out", b]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestOutputs:
