@@ -1,12 +1,16 @@
 """Arithmetic backends shared by the spectral and control pipelines, and the
 one Taylor table (:func:`taylor`) behind every propagator and time Gramian.
 
-Matrices of both backends support +, @, unary -, real scalar * and slicing;
+Matrices of both backends support +, -, @, unary -, real scalar * and slicing;
 everything else goes through the methods here, under ``mp.workprec(bits +
 16)``.  ``Mp`` takes and returns fixed-point matrices (``Fx``) only; mpmath
-serves scalars.  ``Mp`` answers every eigenproblem and solve through one
-Cholesky factor G = L L^H in integers, which exists exactly when G is
-numerically positive definite: lambda_min = sigma_max(L^-1)^-2, cond =
+serves scalars, while the Gauss rule and the Taylor coefficients are exact
+integer work at the backend's own precision.  Products by a sparse generator
+go through its row slots (``rows``), and one matrix times many vectors is
+one integer product (``each``), rounded per vector as the single products are.
+``Mp`` answers every eigenproblem and solve through one Cholesky factor
+G = L L^H in integers, which exists exactly when G is numerically positive
+definite: lambda_min = sigma_max(L^-1)^-2, cond =
 lambda_max / lambda_min, G^-1 b by two triangular solves.  Its error is
 normwise, so with u = 2^-(bits+16) Higham's Thm 10.7 bounds it by about
 20 d^{3/2} u ||G||, below the escalation floor 1e3 2^-bits lambda_max for d
@@ -18,10 +22,11 @@ power-of-two rescale, to a few d eps.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_float
+from mpmath.libmp import from_float, from_man_exp
 
 MAX_BITS = 4096  # mantissa ceiling of every multiprecision escalation
 
@@ -44,6 +49,12 @@ class Double:
         """[sum_k c^k / k! terms[k] for c in scales]."""
         C = [[c**k / math.factorial(k) for k in range(len(terms))] for c in scales]
         return list(np.tensordot(C, np.stack(terms), axes=1))
+
+    def rows(self, B):  # BLAS takes the dense product
+        return B
+
+    def each(self, M, vs):  # BLAS mat-vecs: stacking them measured no net gain
+        return [M @ v for v in vs]
 
     def adj(self, M):
         return M.conj().T
@@ -85,16 +96,31 @@ def _plus(x, y):
     return x if y is None else y if x is None else x + y
 
 
-def _dot(a, b):
-    """The exact product a @ b of (re, im) pairs of int arrays, im None if real."""
+def _dot(a, b, mul=operator.matmul):
+    """The exact product a @ b of (re, im) pairs of int arrays, im None if
+    real; entrywise with ``mul`` = operator.mul."""
     (p, q), (r, s) = a, b
-    re = p @ r if q is None or s is None else p @ r - q @ s
-    return re, _plus(None if q is None else q @ r, None if s is None else p @ s)
+    re = mul(p, r) if q is None or s is None else mul(p, r) - mul(q, s)
+    return re, _plus(None if q is None else mul(q, r), None if s is None else mul(p, s))
 
 
 def _rdiv(x, d):
     """x / d rounded to integers, d != 0."""
     return (2 * x + d) // (2 * d)
+
+
+def coefficients(c, n, prec):
+    """[c^k / k! 2^prec for k < n], each rounded once to an int, ties to even
+    as in :func:`rounded`: with c = man 2^e, man^k 2^(ek+prec) / k! in integers."""
+    sign, man, e, _ = c._mpf_ if hasattr(c, "_mpf_") else from_float(c)
+    man, out, num, den = -man if sign else man, [], 1, 1          # num, den: man^k, k!
+    for k in range(n):
+        s = e * k + prec
+        d = den << max(-s, 0)
+        q, r = divmod(num << max(s, 0), d)
+        out.append(q + ((2 * r, q & 1) > (d, 0)))
+        num, den = num * man, den * (k + 1)
+    return out
 
 
 @np.vectorize(otypes=[object])
@@ -128,6 +154,9 @@ class Fx:
 
     def __neg__(self):
         return self * -1
+
+    def __sub__(self, other):
+        return self + -other
 
     def __add__(self, other):  # exact at the finer exponent, then rounded
         t = min(self.exp, other.exp)
@@ -169,6 +198,31 @@ def _forward(L, B):
     return Fx(X[0], X[1], B.exp - up - L.exp, B.prec)
 
 
+class _Rows:
+    """A fixed-point B by its row slots: slot k holds one nonzero of each row
+    (B[i, cols[k, i]], or 0 where the row has fewer), so B @ X is a sum of
+    scaled row gathers of X with the same integers as the dense product.  A
+    Weyl-quantized generator has at most 5 slots, a diagonal one 1."""
+
+    def __init__(self, B):
+        nz = B.re != 0 if B.im is None else (B.re != 0) | (B.im != 0)
+        count = nz.sum(axis=1)
+        self.cols = np.zeros((max(1, int(count.max())), len(nz)), dtype=int)
+        for i, row in enumerate(nz):
+            self.cols[:count[i], i] = np.flatnonzero(row)
+        at, held = (np.arange(len(nz)), self.cols), np.arange(len(self.cols))[:, None] < count
+        self.re, self.im = (None if x is None else np.where(held, x[at], 0) for x in (B.re, B.im))
+        self.exp, self.prec = B.exp, B.prec
+
+    def __matmul__(self, X):
+        re = im = None
+        for k, c in enumerate(self.cols):
+            p, q = _dot((self.re[k][:, None], None if self.im is None else self.im[k][:, None]),
+                        (X.re[c], None if X.im is None else X.im[c]), operator.mul)
+            re, im = _plus(re, p), _plus(im, q)
+        return Fx(re, im, self.exp + X.exp, self.prec)
+
+
 class Mp:
     """Fixed-point matrices and mpmath scalars, ``bits`` + 16 bits."""
 
@@ -193,12 +247,35 @@ class Mp:
         return (X if X.imag.any() else X.real), M.exp + b
 
     def gauss(self, order):
-        return mp.gauss_quadrature(order, "legendre")
+        """The Gauss-Legendre rule (nodes ascending, weights) as mpf on the
+        2^-prec grid, whatever mp.prec is: Newton steps on the Legendre
+        recurrence in integers at 2^-(prec+8), from numpy's double nodes
+        (good to 48 bits).  The Newton constant P''/2P' at a node is below
+        n^2, so each step doubles the good bits less 2 log2(n) until they
+        cover the grid; w = 2 (1 - x^2) / (n P_{n-1}(x))^2 at the nodes."""
+        wb = self.prec + 8
+        one, X = 1 << wb, rounded(np.polynomial.legendre.leggauss(order)[0], wb)
+
+        def legendre(X):  # P_n(x), P_{n-1}(x) at 2^-wb
+            p0, p1 = X * 0 + one, X
+            for k in range(1, order):
+                p0, p1 = p1, _rdiv((2 * k + 1) * X * p1 - k * one * p0, (k + 1) * one)
+            return p1, p0
+
+        good = 48
+        while good < wb:
+            pn, pm = legendre(X)
+            X = X - _rdiv(pn * (one * one - X * X), order * (pm * one - X * pn))
+            good = 2 * good - 2 * order.bit_length()
+        pm = legendre(X)[1]
+        W = _rdiv(2 * one * (one * one - X * X), order * order * pm * pm)
+        return [[mp.make_mpf(from_man_exp(int(v), -self.prec)) for v in _shift(Y, wb - self.prec)]
+                for Y in (X, W)]
 
     def series(self, scales, terms):
-        """[sum_k c^k / k! terms[k] for c in scales] as one integer product."""
-        C = np.array([[int(mp.nint(mp.ldexp(mp.mpf(c) ** k / math.factorial(k), self.prec)))
-                       for k in range(len(terms))] for c in scales], dtype=object)
+        """[sum_k c^k / k! terms[k] for c in scales] as one integer product,
+        its coefficients exact (:func:`coefficients`)."""
+        C = np.array([coefficients(c, len(terms), self.prec) for c in scales], dtype=object)
         t = max(M.exp + M.bits() for M in terms) - self.prec  # the terms stacked at 2^t
         re = np.array([_shift(M.re, t - M.exp).ravel() for M in terms])
         im = None if all(M.im is None for M in terms) else np.array(
@@ -206,6 +283,20 @@ class Mp:
         S, shape = Fx(C, None, -self.prec, self.prec) @ Fx(re, im, t, self.prec), terms[0].re.shape
         return [Fx(S.re[i].reshape(shape), None if S.im is None else S.im[i].reshape(shape),
                    S.exp, self.prec) for i in range(len(C))]
+
+    def rows(self, B):
+        return _Rows(B)
+
+    def each(self, M, vs):
+        """[M @ v for v in vs] bit for bit as one integer product: the v
+        stacked as columns, each at its own exponent, each column of the
+        exact product rounded as its own vector."""
+        re = np.stack([v.re for v in vs], axis=1)
+        im = None if all(v.im is None for v in vs) else np.stack(
+            [0 * v.re if v.im is None else v.im for v in vs], axis=1)
+        P, Q = _dot((M.re, M.im), (re, im))
+        return [Fx(P[:, j], None if Q is None else Q[:, j], M.exp + v.exp, self.prec)
+                for j, v in enumerate(vs)]
 
     def adj(self, M):
         return Fx(M.re.T, None if M.im is None else -M.im.T, M.exp, M.prec)
@@ -294,7 +385,10 @@ def taylor(ar, A, T, x=(), Q=None):
     Matrices*, 10.3), give E(h) = e^{-hA} and e^{-c h A} at the Gauss offsets
     c = (x + 1) / 2, one contraction each; without Q they are squared k times.
     With Q, W(h) = V E(h)^H, V = sum R_j / j! the top-right block of e^Z with
-    R_1 = hQ, R_{j+1} = B R_j + (-1)^j hQ (B^j)^H (Van Loan 1978); k doublings
+    R_1 = hQ, R_{j+1} = B R_j + (-1)^j (B^j hQ)^H (Van Loan 1978; Q is
+    Hermitian).  Every product of the table is B times a matrix, taken
+    through ``ar.rows(B)``: B's row slots in fixed point, BLAS in double,
+    so only the contractions, V E(h)^H and the doublings are dense.  k doublings
     W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach
     W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.  Returns the
     propagators, W (or None), E, the step count 2^k and m.
@@ -311,17 +405,20 @@ def taylor(ar, A, T, x=(), Q=None):
                   + math.log((m + 2) / (m + 2 - nu)) > -(ar.bits + 16) * math.log(2)):
         m += 1
     B = ar.from_np(A) * -h
+    rows = ar.rows(B)
     powers = [ar.from_np(np.eye(A.shape[0])), B]
     while len(powers) <= m:
-        powers.append(B @ powers[-1])
+        powers.append(rows @ powers[-1])
     props = ar.series([1] + [(xi + 1) / 2 for xi in x], powers)
     if Q is None:
         for _ in range(steps.bit_length() - 1):
             props = [M @ M for M in props]
         return props, None, props[0], steps, m
     R = [Q * 0, Q * h]
+    BQ = R[1]                                                      # B^j hQ
     for j in range(1, m):
-        R.append(B @ R[-1] + R[1] @ ar.adj(powers[j]) * (-1) ** j)
+        BQ, BR = rows @ BQ, rows @ R[-1]
+        R.append(BR - ar.adj(BQ) if j % 2 else BR + ar.adj(BQ))
     E = props[0]
     W = ar.series([1], R)[0] @ ar.adj(E)
     for _ in range(steps.bit_length() - 1):

@@ -69,6 +69,10 @@ def _hum(ar, A, P, d, f, T, grid):
     ridged).  u(s) = P_d e^{-s A_d^H} lam, s the time to go, is sampled on
     the grid and drives the full state: e^{-sA} = (e^{-hA})^j e^{-oA} at
     s = jh + o acts on vectors, summed over the steps j in Horner form.
+    v_j = e^{-jh A_d^H} lam is stepped once per step; each grid offset o
+    then takes its samples at every step from its node matrix and the v_j,
+    and its forced pieces likewise, through ``ar.each``: one integer product
+    in fixed point, BLAS mat-vecs in double precision.
     Returns cond(W), the flag, the times T - s increasing, the samples as
     numpy vectors, the cost sum w ||u||^2, the state at T, e^{-TA} f plus the
     forced response sum w e^{-sA} P[:, :d] u(s), the full generator's e^{-TA}
@@ -93,18 +97,18 @@ def _hum(ar, A, P, d, f, T, grid):
     out = [P_d @ ar.adj(E) for E in ctl]                          # v_j -> u
     back = [(E @ P[:, :d]) * wt for wt, E in zip(weights, sim)]   # u -> state
     E_ctl_H = ar.adj(E_h)
-    times, samples, cost, pieces = [], [], 0.0, []
-    v = lam                                                        # e^{-jh A_d^H} lam
+    vs = [lam]                                                     # v_j = e^{-jh A_d^H} lam
+    while len(vs) < steps:
+        vs.append(E_ctl_H @ vs[-1])
+    us = [ar.each(U, vs) for U in out]                             # us[o][j]: u at s = jh + o
+    times, samples, cost = [], [], 0.0
     for j in range(steps):
-        piece = None
-        for o, wt, U, B in zip(offsets, weights, out, back):
-            u = U @ v
+        for o, wt, u in zip(offsets, weights, us):
             times.append(float(T - (j * h + o)))
-            samples.append(ar.to_np(u))
-            cost += float(wt) * ar.norm(u) ** 2
-            piece = B @ u if piece is None else piece + B @ u
-        pieces.append(piece)
-        v = E_ctl_H @ v
+            samples.append(ar.to_np(u[j]))
+            cost += float(wt) * ar.norm(u[j]) ** 2
+    parts = zip(*(ar.each(B, u) for B, u in zip(back, us)))
+    pieces = [sum(p[1:], p[0]) for p in parts]                     # sum_o back_o u_o per step
     forced = pieces.pop()
     while pieces:
         forced = pieces.pop() + E_sim @ forced

@@ -113,6 +113,105 @@ def test_mp_gauss_rule_is_exact_to_degree_15():
             assert abs(got - want) < mp.mpf(2) ** -260
 
 
+@pytest.mark.parametrize("bits", [256, 512, 1024])
+def test_integer_gauss_rule_matches_golub_welsch(bits):
+    # Newton in integers from numpy's double nodes against mpmath's
+    # eigenvalue route at 32 more bits; the rule is the same whatever the
+    # ambient precision
+    ar = arith.Mp(bits)
+    for order in range(1, 17):
+        with mp.workprec(53):
+            x, w = ar.gauss(order)
+        with mp.workprec(2000):
+            assert ar.gauss(order) == [x, w]
+        with mp.workprec(ar.prec + 32):
+            X, W = mp.gauss_quadrature(order, "legendre")
+            assert len(x) == len(X) == order and all(a < b for a, b in zip(x, x[1:]))
+            assert all(abs(a - b) <= mp.mpf(2) ** -(ar.prec - 4)
+                       for a, b in [*zip(x, X), *zip(w, W)])
+
+
+def test_integer_coefficients_round_exactly():
+    # nint(c^k / k! 2^prec) at four times the precision is the reference:
+    # the Gauss offsets, and random c at random exponents
+    rng = np.random.default_rng(21)
+    for bits in (256, 512):
+        ar = arith.Mp(bits)
+        with mp.workprec(ar.prec):
+            scales = [1] + [(xi + 1) / 2 for xi in ar.gauss(8)[0]]
+        scales += [float(c) for c in rng.uniform(-2, 2, 6) * 2.0 ** rng.integers(-40, 4, 6)]
+        scales += [mp.mpf(3) / 7, 0.0]
+        for c in scales:
+            got = arith.coefficients(c, 64, ar.prec)
+            with mp.workprec(4 * ar.prec):
+                want = [int(mp.nint(mp.ldexp(mp.mpf(c) ** k / mp.factorial(k), ar.prec)))
+                        for k in range(64)]
+            assert got == want
+
+
+def test_series_ignores_the_ambient_precision():
+    A = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
+    ar = arith.Mp(256)
+    with mp.workprec(ar.prec):
+        B = ar.from_np(A * (0.6 + 0.8j)) * -0.05
+        scales = [1] + [(xi + 1) / 2 for xi in ar.gauss(8)[0]]
+    terms = [ar.from_np(np.eye(len(A))), B, B @ B]
+    results = []
+    for prec in (53, 272, 2000):
+        with mp.workprec(prec):
+            results.append([(S.exp, S.re.tolist(), S.im.tolist()) for S in ar.series(scales, terms)])
+    assert results[0] == results[1] == results[2]
+
+
+def _slot_cases():
+    kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
+    zero_row = np.arange(1.0, 26.0).reshape(5, 5) * np.tri(5, k=1)
+    zero_row[2] = 0.0
+    return [("harmonic-7", qd.weyl_quantize(qd.harmonic_symbol(1), 7).matrix),
+            ("kfp-6", kfp), ("kfp-6-complex", kfp * (0.6 + 0.8j)), ("zero-row", zero_row)]
+
+
+@pytest.mark.parametrize("name, A", _slot_cases(), ids=[c[0] for c in _slot_cases()])
+def test_row_slots_equal_the_dense_product(name, A):
+    # the slot product is the dense product's exact integers, so the same
+    # rounded Fx: exponent, mantissas and which parts are held
+    ar, rng = arith.Mp(256), np.random.default_rng(len(A))
+    d = len(A)
+    with mp.workprec(ar.prec):
+        B = ar.from_np(A) * -0.07
+        rows = ar.rows(B)
+        operands = [B, ar.from_np(np.eye(d)), ar.from_np(rng.standard_normal((d, d))),
+                    ar.from_np(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))),
+                    ar.from_np(rng.standard_normal((d, 3)) * 2.0**-70)]
+        for X in operands:
+            got, want = rows @ X, B @ X
+            assert (got.exp, got.prec, got.im is None) == (want.exp, want.prec, want.im is None)
+            assert got.re.tolist() == want.re.tolist()
+            assert got.im is None or got.im.tolist() == want.im.tolist()
+    assert len(rows.cols) == (1 if name == "harmonic-7" else 5)
+
+
+def test_taylor_dense_products_do_not_grow_with_the_degree(monkeypatch):
+    # every product of the Van Loan table goes through B's row slots: the
+    # dense Fx @ Fx left are the two contractions and W(h) = V E^H, whatever
+    # m; two horizons of one step need different degrees
+    A = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
+    P = gram.gram_matrix(rg.half_space(2, 0, 0.3, rg.truncate_radius(6, 2) + 1), 2, 6).matrix
+    ar, calls, matmul = arith.Mp(256), [], arith.Fx.__matmul__
+    monkeypatch.setattr(arith.Fx, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+    norm1 = float(np.abs(A).sum(axis=0).max())
+    seen = []
+    with mp.workprec(ar.prec):
+        x, _ = ar.gauss(ct.GRID_ORDER)
+        Q = ar.from_np(P)
+        for T in (0.5 / norm1, 1.0 / norm1):
+            calls.clear()
+            _, _, _, steps, m = arith.taylor(ar, A, T, x, Q)
+            seen.append((steps, m, len(calls)))
+    (s1, m1, c1), (s2, m2, c2) = seen
+    assert s1 == s2 == 1 and m1 < m2 - 3 and c1 == c2 == 3
+
+
 def test_fixed_matches_mpmath_rounding():
     # fixed reads mantissas and exponents and rounds in integers; the
     # reference rounds each entry through mpmath, ties to even
@@ -196,8 +295,7 @@ def test_complex_hermitian_through_one_factor(scale):
 
 
 def _forbid_in_package(monkeypatch, name):
-    # mp.<name> raises when called from hermite_obs; mpmath's own calls (the
-    # Gauss nodes build mp.matrix) still run
+    # mp.<name> raises when called from hermite_obs; mpmath's own calls still run
     real = getattr(mp, name)
 
     def check():
@@ -219,7 +317,8 @@ def _forbid_in_package(monkeypatch, name):
 
 
 def test_no_mpmath_matrix_routine_in_the_pipelines(monkeypatch):
-    for name in ("cholesky", "lu_solve", "fdot", "matrix"):
+    # the Gauss nodes of the 256-bit HUM grid come from integer Newton steps
+    for name in ("cholesky", "lu_solve", "fdot", "matrix", "gauss_quadrature"):
         _forbid_in_package(monkeypatch, name)
     G = gram.gram_matrix(rg.half_line(rg.truncate_radius(16, 1) + 1), 1, 16)
     res = gram.spectral_constant(G)

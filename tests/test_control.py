@@ -316,6 +316,56 @@ class TestHumControl:
             ct.hum_control(prob, basis.unit_expansion(1, 5, (0,)))
 
 
+def per_node_hum(ar, A, P, f, T, grid):
+    """HUM on the whole space with one mat-vec per grid node and step: the
+    loop that the stacked products replaced, kept as their reference."""
+    x, w = grid
+    props, W, E_T, steps, _ = arith.taylor(ar, A, T, x, P @ P)
+    lam = ar.solve(W, -(E_T @ f))
+    h = T / steps
+    offsets, weights = [h * (xi + 1) / 2 for xi in x], [h * wi / 2 for wi in w]
+    E_h, *ctl = props
+    out, back = [P @ ar.adj(E) for E in ctl], [(E @ P) * wt for wt, E in zip(weights, ctl)]
+    times, samples, cost, pieces, v = [], [], 0.0, [], lam
+    for j in range(steps):
+        piece = None
+        for o, wt, U, B in zip(offsets, weights, out, back):
+            u = U @ v
+            times.append(float(T - (j * h + o)))
+            samples.append(ar.to_np(u))
+            cost += float(wt) * ar.norm(u) ** 2
+            piece = B @ u if piece is None else piece + B @ u
+        pieces.append(piece)
+        v = ar.adj(E_h) @ v
+    forced = pieces.pop()
+    while pieces:
+        forced = pieces.pop() + E_h @ forced
+    return times[::-1], samples[::-1], cost, E_T @ f + forced
+
+
+@pytest.mark.parametrize("case", ["harmonic-6", "kfp-4"])
+def test_stacked_hum_equals_the_per_node_loop(case):
+    # one product per grid node over all steps rounds each column as its own
+    # vector: times, samples, cost and final state are the loop's, bit for bit
+    if case == "harmonic-6":
+        A, P, T = qd.weyl_quantize(qd.harmonic_symbol(1), 6).matrix, thick_gram(6), 1.0
+    else:
+        A, P, T = qd.weyl_quantize(qd.kfp_symbol(1.0), 4).matrix, half_plane_gram(4), 0.5
+    f0 = basis.random_expansion(1 if case == "harmonic-6" else 2, int(case[-1]),
+                                np.random.default_rng(19)).coeffs
+    ar = arith.Mp(256)
+    with mpmath.workprec(ar.bits + 16):
+        grid = ar.gauss(ct.GRID_ORDER)
+        P_, f = ar.from_np(P), ar.from_np(f0)
+        _, flag, times, samples, cost, state, _, steps, _ = ct._hum(ar, A, P_, len(A), f, T, grid)
+        want = per_node_hum(ar, A, P_, f, T, grid)
+    assert flag == "ok" and steps > 1
+    assert times == want[0] and cost == want[2]
+    assert all(np.array_equal(u, v) for u, v in zip(samples, want[1], strict=True))
+    held = [(F.exp, F.re.tolist(), None if F.im is None else F.im.tolist()) for F in (state, want[3])]
+    assert held[0] == held[1]
+
+
 class TestStaircase:
     def test_single_mode_one_stage(self):
         prob = harmonic_problem(12)
