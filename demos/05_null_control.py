@@ -22,7 +22,7 @@ for T in (1.0, 0.5, 0.25, 0.125):
     rep = ct.observability_constant(ct.ControlProblem(A, P, T))
     print("  T=%.3f   log C_T = %8.3f   (bits=%d)" % (T, rep.c_log, rep.precision_bits))
 
-study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125], k0=0)
+study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
 fit = study.fits[1]
 print(
     "  fit log C_T ~ %.3f / T + %.3f   (R^2 = %.3f)"

@@ -28,7 +28,15 @@ import numpy as np
 from mpmath import mp
 from mpmath.libmp import from_float, from_man_exp
 
+from .basis import ContractViolation
+
 MAX_BITS = 4096  # mantissa ceiling of every multiprecision escalation
+
+
+def check_bits(bits):
+    """Refuse a requested precision above ``MAX_BITS``, before any work."""
+    if bits > MAX_BITS:
+        raise ContractViolation("precision_bits %d is above arith.MAX_BITS = %d" % (bits, MAX_BITS))
 
 
 class Double:
@@ -301,11 +309,12 @@ class Mp:
     def adj(self, M):
         return Fx(M.re.T, None if M.im is None else -M.im.T, M.exp, M.prec)
 
-    def solve(self, M, b):
-        """M^-1 b by two triangular solves on the factor of M (of the ridged M
-        if M is not numerically positive definite; 0, the least-squares
-        solution, if M = 0, which no ridge makes factor); J L^H J is lower triangular."""
-        L = self.cholesky(M) or self.cholesky(self.ridged(M))
+    def solve(self, M, b, L=None):
+        """M^-1 b by two triangular solves on the factor L of M, factored here
+        if not given (of the ridged M if M is not numerically positive
+        definite; 0, the least-squares solution, if M = 0, which no ridge
+        makes factor); J L^H J is lower triangular."""
+        L = L or self.cholesky(M) or self.cholesky(self.ridged(M))
         if L is None:
             return b * 0
         rev = (slice(None, None, -1),) * 2
@@ -341,9 +350,10 @@ class Mp:
     def inv_lower(self, L):
         return _forward(L, self.eye(len(L.re)))
 
-    def lam_min(self, G):
-        """sigma_max(L^-1)^-2, or None when G is not numerically positive definite."""
-        L = self.cholesky(G)
+    def lam_min(self, G, L=None):
+        """sigma_max(L^-1)^-2, L the factor of G (factored here if not given),
+        or None when G is not numerically positive definite."""
+        L = L or self.cholesky(G)
         if L is None:
             return None
         X, e = self._unit(self.inv_lower(L))
@@ -354,8 +364,8 @@ class Mp:
         vals, vecs = np.linalg.eigh(X)
         return mp.ldexp(mp.mpf(vals[-1]), e), self.from_np(vecs[:, -1])
 
-    def cond(self, W):
-        lam = self.lam_min(W)
+    def cond(self, W, L=None):
+        lam = self.lam_min(W, L)
         return float("inf") if lam is None else float(self.eigh_top(W)[0] / lam)
 
     def norm(self, v):

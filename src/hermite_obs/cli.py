@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import basis, control as ct, estimates as est, gram, quadratic as qd
+from . import arith, basis, control as ct, estimates as est, gram, quadratic as qd
 from . import regions as rg, reporting, verify
 from .basis import ContractViolation, UsageError
 
@@ -86,24 +86,13 @@ def parse_float_list(text):
         raise UsageError("malformed number list %r" % text) from None
 
 
-CONFIG_KEYS = {
-    "region": str,
-    "symbol": str,
-    "n": int,
-    "N": str,
-    "T": str,
-    "seed": int,
-    "precision_bits": int,
-    "out": str,
-    "trials": int,
-    "suite": str,
-    "gamma": float,
-    "variant": str,
-}
+CONFIG_KEYS = ("region", "symbol", "n", "N", "T", "seed", "precision_bits", "out", "trials",
+               "suite", "gamma", "variant")
 
 
-def load_config(path):
-    """Read a JSON config file and validate field types and ranges."""
+def load_config(path, types):
+    """Read a JSON config file and validate field types and ranges; each value
+    converts with ``types[key]``, the type of the flag of that name."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -117,7 +106,7 @@ def load_config(path):
     for key, value in doc.items():
         if key not in CONFIG_KEYS:
             raise UsageError("unknown config field %r" % key)
-        kind = CONFIG_KEYS[key]
+        kind = types[key]
         try:
             if kind is not str and isinstance(value, bool) or (
                     kind is int and isinstance(value, float) and not value.is_integer()):
@@ -133,14 +122,19 @@ def load_config(path):
             raise UsageError("config region gamma out of range (0, 1]")
     if "n" in out and out["n"] < 1:
         raise UsageError("config field 'n' must be >= 1")
+    if out.get("precision_bits", 0) > arith.MAX_BITS:
+        raise UsageError("config field 'precision_bits' above arith.MAX_BITS = %d" % arith.MAX_BITS)
     return out
 
 
 def build_parser():
+    """The parser of every subcommand.  Its flags default to absent, so a parse
+    holds exactly the flags given: ``parser.flags[command]`` maps each of the
+    subcommand's destinations to its action, ``parser.defaults[command]`` to
+    its default, and ``parser.types`` each destination to its flag's type."""
     parser = _Parser(prog="hermite-obs", description=__doc__)
     parser.add_argument("--config", help="JSON config file merged under CLI flags")
     sub = parser.add_subparsers(dest="command")
-    parser.commands = sub.choices  # name -> subparser; run() lends config values to its flags
 
     def add(name, **kw):
         p = sub.add_parser(name, **kw)
@@ -214,7 +208,6 @@ def build_parser():
     p.add_argument("--region", default="full")
     p.add_argument("--N", default="8")
     p.add_argument("--T", default="1.0", help="single horizon or comma list (blowup study)")
-    p.add_argument("--k0", type=int)
     p.add_argument("--precision-bits", type=int)
 
     p = add("control", help="minimal-norm or staircase control synthesis")
@@ -230,6 +223,15 @@ def build_parser():
     p = add("verify", help="run every invariant suite")
     p.add_argument("--suite", default="all", help="'all' or comma list of suite names")
     p.add_argument("--trials", type=int, help="trials per suite, at least 1")
+
+    parser.flags, parser.defaults, parser.types = {}, {}, {}
+    for name, p in sub.choices.items():
+        acts = [act for act in p._actions if act.default is not argparse.SUPPRESS]
+        parser.flags[name] = {act.dest: act for act in acts}
+        parser.defaults[name] = {act.dest: act.default for act in acts}
+        parser.types.update((act.dest, act.type or str) for act in acts)
+        for act in acts:
+            act.default = argparse.SUPPRESS
     return parser
 
 
@@ -238,14 +240,6 @@ def _single_N(args):
     if len(values) != 1:
         raise UsageError("this command takes a single cutoff N")
     return values[0]
-
-
-def _aux_defaults():
-    return {
-        "C_sobolev": gram.DEFAULT_C_SOBOLEV,
-        "C_kov": gram.DEFAULT_C_KOV,
-        "c_1": est.tail_constant_cn(1).c,
-    }
 
 
 def _load_f0(spec, n, N, seed):
@@ -264,28 +258,48 @@ def _load_f0(spec, n, N, seed):
         raise UsageError("cannot read initial state %s: %s" % (spec, exc)) from None
 
 
-def _observed_system(args):
-    """Cutoff, symbol, Galerkin generator, region and its Gram P for
-    ``observability`` and ``control``."""
-    N = _single_N(args)
-    sym = qd.parse_symbol(args.symbol)
-    A = qd.weyl_quantize(sym, N)
-    region = parse_region(args.region, A.n, N)
-    return N, sym, A, region, gram.gram_matrix(region, A.n, N).matrix
+def _region_gram(text, n, N):
+    """The region and its Gram operator on E_N, the one route of ``gram``,
+    ``constant``, ``observability`` and ``control``."""
+    region = parse_region(text, n, N)
+    return region, gram.gram_matrix(region, n, N)
+
+
+_VARIANT_FLAGS = {"open": {"x0", "r"}, "density": {"delta", "R0"}, "thick": {"L", "gamma"}}
+
+
+def _unread(args):
+    """The flags the chosen mode never reads, and the error ({flag} names one)."""
+    if args.command == "control":
+        if args.staircase:
+            return {"precision_bits"}, "--staircase runs in double precision; it takes no --precision-bits"
+        return {"target"}, "--target is the staircase's energy target; HUM takes none"
+    if args.command == "tails" and (args.k is not None or args.a is not None):
+        return {"n"}, "tails --k --a bounds one Hermite tail; it takes no {flag}"
+    if args.command == "remez" and args.t is None:
+        return {"complex_poly"}, "{flag} applies to the interval bound of --t; it needs --t"
+    if args.command == "bounds":
+        unread = set().union(*(f for v, f in _VARIANT_FLAGS.items() if v != args.variant))
+        return unread, "bounds --variant %s takes no {flag}" % args.variant
+    return set(), ""
 
 
 def _run_command(args):
-    """Dispatch; returns (result, csv_payload, plot_series, exit_code, seed)."""
+    """Dispatch; returns (result, csv_payload, plot_series, exit_code, seed).
+    A result whose flag, or the flag of any of its rows, is not 'ok' exits 3."""
     command = args.command
     seed = args.seed if args.seed is not None else 0
     # --precision-bits seeds the spectral escalation (else 256, at least 128)
     # and forces the control pipeline into fixed point
     bits = getattr(args, "precision_bits", None)
+    if bits is not None:
+        arith.check_bits(bits)
     start_bits = max(256 if bits is None else bits, 128)
     pipeline_bits = 53 if bits is None else bits
     code = EXIT_OK
     csv_payload = None
     plot_series = {}
+    region = None
 
     if command == "basis":
         N = _single_N(args)
@@ -294,12 +308,8 @@ def _run_command(args):
 
     elif command == "gram":
         N = _single_N(args)
-        region = parse_region(args.region, args.n, N)
-        G = gram.gram_matrix(region, args.n, N)
-        result = {
-            "n": args.n, "N": N, "dim": G.size, "entry_error": G.entry_error,
-            "region": region.to_json_dict(),
-        }
+        region, G = _region_gram(args.region, args.n, N)
+        result = {"n": args.n, "N": N, "dim": G.size, "entry_error": G.entry_error}
         if G.size <= 32:
             result["matrix"] = [[float(v) for v in row] for row in G.matrix]
         csv_payload = (["row", "col", "value"],
@@ -307,17 +317,13 @@ def _run_command(args):
 
     elif command == "constant":
         N = _single_N(args)
-        region = parse_region(args.region, args.n, N)
-        G = gram.gram_matrix(region, args.n, N)
+        region, G = _region_gram(args.region, args.n, N)
         res = gram.spectral_constant(G, start_bits=start_bits)
         result = {
             "n": args.n, "N": N, "C_N": res.c_value, "log_C_N": res.c_log,
             "lambda_min": res.lam_min, "lambda_min_log": res.lam_min_log,
             "precision_bits": res.precision_bits, "flag": res.flag,
-            "region": region.to_json_dict(),
         }
-        if res.flag != "ok":
-            code = EXIT_PRECISION
 
     elif command == "scaling":
         N_list = parse_int_range(args.N)
@@ -344,14 +350,11 @@ def _run_command(args):
             "rows": rep.rows, "fits": rep.fits, "best_model": rep.best_model,
             "exponent_p": rep.exponent_p, "dominance_ok": rep.dominance_ok,
             "bound_variant": rep.bound_variant, "aux_constants": rep.aux_constants,
-            "region": region.to_json_dict(),
         }
         plot_series["logC_vs_sqrtN"] = (
             [math.sqrt(r["N"]) for r in rep.rows],
             [r["C_log"] for r in rep.rows],
         )
-        if any(r["flag"] != "ok" for r in rep.rows):
-            code = EXIT_PRECISION
 
     elif command == "bounds":
         N_list = parse_int_range(args.N)
@@ -382,9 +385,10 @@ def _run_command(args):
             result["rho"] = args.rho
 
     elif command == "tails":
+        if (args.k is None) != (args.a is None):
+            raise UsageError("tails with --%s also needs --%s"
+                             % (("k", "a") if args.a is None else ("a", "k")))
         if args.k is not None:
-            if args.a is None:
-                raise UsageError("tails with --k also needs --a")
             exact, bound = est.hermite_tail_bound(args.k, args.a)
             result = {"k": args.k, "a": args.a, "exact": exact, "bound": bound}
         else:
@@ -435,49 +439,30 @@ def _run_command(args):
         }
 
     elif command == "observability":
-        N, sym, A, region, P = _observed_system(args)
+        N = _single_N(args)
+        A = qd.weyl_quantize(qd.parse_symbol(args.symbol), N)
+        region, G = _region_gram(args.region, A.n, N)
         T_list = parse_float_list(args.T)
-        if len(T_list) == 1:
-            rep = ct.observability_constant(
-                ct.ControlProblem(A, P, T_list[0]), precision_bits=pipeline_bits
-            )
-            result = {
-                "T": rep.T, "C_T": rep.c_value, "log_C_T": rep.c_log,
-                "method": rep.method, "precision_bits": rep.precision_bits,
-                "subintervals": rep.subintervals, "taylor_degree": rep.taylor_degree,
-                "flag": rep.flag, "region": region.to_json_dict(),
-            }
-            csv_rows = [[rep.T, rep.c_value, rep.precision_bits, rep.method]]
-            if rep.flag != "ok":
-                code = EXIT_PRECISION
+        study = ct.cost_blowup_study(A, G.matrix, T_list, precision_bits=pipeline_bits)
+        csv_payload = (["T", "C_T", "precision_bits", "method"],
+                       [[r["T"], r["C_T"], r["precision_bits"], r["method"]] for r in study.rows])
+        if len(T_list) == 1:  # the one row, its c_log as log_C_T
+            result = {"log_C_T" if k == "c_log" else k: v for k, v in study.rows[0].items()}
         else:
-            k0 = args.k0
-            if k0 is None:
-                k0 = qd.singular_space(qd.hamilton_map(sym)).k0 or 0
-            study = ct.cost_blowup_study(A, P, T_list, k0=k0, precision_bits=pipeline_bits)
-            csv_rows = [[r["T"], r["C_T"], r["precision_bits"], r["method"]] for r in study.rows]
-            result = {
-                "rows": study.rows, "fits": {str(k): v for k, v in study.fits.items()},
-                "k0": study.k0, "excluded": study.excluded,
-                "region": region.to_json_dict(),
-            }
-            if study.excluded:
-                code = EXIT_PRECISION
-        csv_payload = (["T", "C_T", "precision_bits", "method"], csv_rows)
+            result = {"rows": study.rows, "fits": {str(k): v for k, v in study.fits.items()},
+                      "k0": study.k0, "excluded": study.excluded}
 
     elif command == "control":
         T_list = parse_float_list(args.T)
         if len(T_list) != 1:
             raise UsageError("control takes a single horizon T")
-        if args.staircase and bits is not None:
-            raise UsageError("--staircase runs in double precision; it takes no --precision-bits")
-        if not args.staircase and args.target is not None:
-            raise UsageError("--target is the staircase's energy target; HUM takes none")
         if args.staircase and args.target is None:
             args.target = 1e-6
-        N, sym, A, region, P = _observed_system(args)
+        N = _single_N(args)
+        A = qd.weyl_quantize(qd.parse_symbol(args.symbol), N)
+        region, G = _region_gram(args.region, A.n, N)
         T = T_list[0]
-        problem = ct.ControlProblem(A, P, T)
+        problem = ct.ControlProblem(A, G.matrix, T)
         f0 = _load_f0(args.f0, A.n, N, seed)
         if args.staircase:
             res = ct.lr_staircase(problem, f0, target=args.target)
@@ -488,8 +473,7 @@ def _run_command(args):
             )
             result = {
                 "method": "staircase", "residual": res.residual,
-                "total_cost": res.total_cost, "stages": res.stages,
-                "flag": res.flag, "region": region.to_json_dict(),
+                "total_cost": res.total_cost, "stages": res.stages, "flag": res.flag,
             }
         else:
             res = ct.hum_control(problem, f0, precision_bits=pipeline_bits)
@@ -498,14 +482,11 @@ def _run_command(args):
                 "gramian_cond": res.gramian_cond, "precision_bits": res.precision_bits,
                 "subintervals": res.subintervals, "taylor_degree": res.taylor_degree,
                 "flag": res.flag,
-                "region": region.to_json_dict(),
             }
             csv_payload = (
                 ["T", "cost", "residual", "precision_bits"],
                 [[T, res.cost, res.residual, res.precision_bits]],
             )
-        if res.flag != "ok":
-            code = EXIT_PRECISION
 
     elif command == "verify":
         names = None if args.suite == "all" else args.suite.split(",")
@@ -522,6 +503,11 @@ def _run_command(args):
         if not ok:
             code = EXIT_CONTRACT
 
+    if region is not None:
+        result["region"] = region.to_json_dict()
+    flags = [result.get("flag", "ok")] + [r.get("flag", "ok") for r in result.get("rows", ())]
+    if any(flag != "ok" for flag in flags):
+        code = EXIT_PRECISION
     return result, csv_payload, plot_series, code, seed
 
 
@@ -529,11 +515,10 @@ _PARSER = None  # built by the first run(), shared by every later one
 
 
 def run(argv):
-    """Parse ``argv`` and run one command.  A value comes from its flag, else
-    from the ``--config`` file (keys the subcommand has a flag for), else from
-    the parser's default.  Every call shares one parser, to which a config run
-    lends its values for the length of its second parse: calls from several
-    threads must not overlap."""
+    """Parse ``argv`` once and run one command.  A value comes from its flag,
+    else from the ``--config`` file (keys the subcommand has a flag for), else
+    from the parser's default.  A flag or config value that the chosen mode
+    never reads is a usage error."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
@@ -545,25 +530,21 @@ def run(argv):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        config = load_config(args.config) if args.config else {}
+        config = load_config(args.config, parser.types) if args.config else {}
         if args.command is None:
             sys.stderr.write("error: no subcommand given\n")
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        config = {k: v for k, v in config.items() if hasattr(args, k)}
-        lent = [act for act in parser.commands[args.command]._actions if act.dest in config]
-        for act in lent:  # the flags' own choices
-            if act.choices and config[act.dest] not in act.choices:
-                raise UsageError("config field %r must be one of %s" % (act.dest, ", ".join(act.choices)))
-        if lent:  # parse again with the config as the flags' defaults, then give them back
-            saved = [act.default for act in lent]
-            for act in lent:
-                act.default = config[act.dest]
-            try:
-                args = parser.parse_args(argv)
-            finally:
-                for act, default in zip(lent, saved):
-                    act.default = default
+        flags = parser.flags[args.command]
+        config = {k: v for k, v in config.items() if k in flags}
+        for key, value in config.items():  # the flags' own choices
+            if flags[key].choices and value not in flags[key].choices:
+                raise UsageError("config field %r must be one of %s" % (key, ", ".join(flags[key].choices)))
+        given = set(vars(args)) | set(config)  # the parse holds the flags given, no defaults
+        args = argparse.Namespace(**{**parser.defaults[args.command], **config, **vars(args)})
+        unread, message = _unread(args)
+        if given & unread:
+            raise UsageError(message.format(flag=flags[min(given & unread)].option_strings[0]))
         result, csv_payload, plot_series, code, seed = _run_command(args)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
@@ -585,10 +566,12 @@ def run(argv):
         k: v for k, v in sorted(vars(args).items())
         if k not in presentation and v is not None
     }
+    aux_defaults = {"C_sobolev": gram.DEFAULT_C_SOBOLEV, "C_kov": gram.DEFAULT_C_KOV,
+                    "c_1": est.tail_constant_cn(1).c}
     bundle = {
         "command": args.command,
         "result": result,
-        "provenance": reporting.provenance(config_view, seed, _aux_defaults()),
+        "provenance": reporting.provenance(config_view, seed, aux_defaults),
     }
     if not args.quiet:
         sys.stdout.write(json.dumps(reporting.sanitize(bundle), sort_keys=True, indent=2) + "\n")

@@ -32,7 +32,7 @@ from mpmath import mp
 
 from . import arith, basis
 from .basis import ContractViolation, HermiteExpansion
-from .quadratic import GalerkinOperator
+from .quadratic import GalerkinOperator, hamilton_map, singular_space
 
 GRID_ORDER = 8  # Gauss nodes per subinterval of the control grid
 COND_MAX = 1e12  # double-precision Gramians at or above this condition are flagged
@@ -83,12 +83,15 @@ def _hum(ar, A, P, d, f, T, grid):
     P_d = P[:d, :d]
     props, W, E_T, steps, m = arith.taylor(ar, A[:d, :d], T, x, P_d @ P_d)
     b = E_T @ f[:d]
-    cond = ar.cond(W)
-    flag = "ok" if cond < (COND_MAX if ar is arith.DOUBLE else math.inf) else "ill_conditioned"
-    if ar.bits > 53 or flag == "ok":
-        lam = ar.solve(W, -b)
-    else:
-        lam = np.linalg.lstsq(W, -b, rcond=None)[0]
+    if ar is arith.DOUBLE:
+        cond = ar.cond(W)
+        flag = "ok" if cond < COND_MAX else "ill_conditioned"
+        lam = ar.solve(W, -b) if flag == "ok" else np.linalg.lstsq(W, -b, rcond=None)[0]
+    else:  # one Cholesky factor serves cond(W) and the solve
+        L = ar.cholesky(W)
+        cond = math.inf if L is None else ar.cond(W, L)
+        flag = "ok" if cond < math.inf else "ill_conditioned"
+        lam = ar.solve(W, -b, L)
     h = T / steps
     offsets = [h * (xi + 1) / 2 for xi in x]
     weights = [h * wi / 2 for wi in w]
@@ -153,6 +156,7 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
     ridge makes it factor: C_T is then inf, exactly, flagged 'singular_floor'
     at the first precision tried.
     """
+    arith.check_bits(precision_bits)
     A = problem.A.matrix
     bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
     while True:
@@ -236,6 +240,7 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
+    arith.check_bits(precision_bits)
     ar = arith.backend(53 if precision_bits <= 53 else max(precision_bits, 256))
     nrm0 = f0.norm()
     if nrm0 == 0.0:
@@ -336,13 +341,14 @@ class BlowupStudy:
     excluded: list = field(default_factory=list)
 
 
-def cost_blowup_study(A: GalerkinOperator, piomega, T_list, k0,
-                      precision_bits=53) -> BlowupStudy:
+def cost_blowup_study(A: GalerkinOperator, piomega, T_list, precision_bits=53) -> BlowupStudy:
     """Observability constants over shrinking horizons and blowup-shape fits.
 
-    Fits log C_T against T^(-(2 k0 + 1)) (the dissipation-matched shape) and
-    against T^(-1) for model comparison; horizons whose pencil hit the
-    precision ceiling are excluded from fits and listed.
+    Fits log C_T against T^(-(2 k0 + 1)) (the dissipation-matched shape), k0
+    the index of A's symbol (0 when its singular space is not trivial), and
+    against T^(-1) for model comparison, given at least three usable
+    horizons; horizons whose pencil hit the precision ceiling are excluded
+    from fits and listed.
 
     The fits are a comparison, not a law expected at fixed N.  For an
     accretive generator the adjoint flow does not grow in norm, so
@@ -354,6 +360,7 @@ def cost_blowup_study(A: GalerkinOperator, piomega, T_list, k0,
     T_list = list(T_list)
     if any(b >= a for a, b in zip(T_list, T_list[1:])):
         raise ContractViolation("T_list must be strictly decreasing")
+    k0 = singular_space(hamilton_map(A.symbol)).k0 or 0
     rows = []
     excluded = []
     for T in T_list:

@@ -187,8 +187,10 @@ def spectral_constants(G: GramOperator, cutoffs, start_bits=256):
     (:mod:`hermite_obs.arith`) means lambda_min is below its rounding, about
     20 dim^1.5 2^-(bits+16) lambda_max (Higham, Thm 10.7), under that floor
     for dim up to about 20,000.  If ``arith.MAX_BITS`` does not suffice, the
-    flagged result is a certified lower bound on C_N.
+    flagged result is a certified lower bound on C_N; a ``start_bits`` above
+    it is a contract violation.
     """
+    arith.check_bits(start_bits)
     blocks = [G.leading(N) for N in cutoffs]
     results = [None] * len(blocks)
     bits = 53

@@ -83,11 +83,6 @@ class QuadraticSymbol:
             "Q_im": self.Q.imag.tolist(),
         }
 
-    @staticmethod
-    def from_json_dict(doc):
-        Q = np.array(doc["Q_re"], dtype=float) + 1j * np.array(doc["Q_im"], dtype=float)
-        return QuadraticSymbol(doc["n"], Q)
-
 
 def harmonic_symbol(n=1):
     """q = |x|^2 + |xi|^2, the harmonic oscillator symbol."""

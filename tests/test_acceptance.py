@@ -243,7 +243,7 @@ def test_c09_harmonic_blowup_shape():
     reg = rg.make_periodic_thick(1, 1.0, 0.2, rg.truncate_radius(N, 1) + 1)
     P = gram.gram_matrix(reg, 1, N).matrix
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
-    study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125], k0=0)
+    study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
     assert not study.excluded
     fit = study.fits[1]
     assert fit["slope"] > 0
@@ -291,7 +291,7 @@ def test_c09_kfp_model_selection():
     reg = rg.make_periodic_thick(2, 1.0, 0.2, rg.truncate_radius(N, 2) + 1)
     P = gram.gram_matrix(reg, 2, N).matrix
     A = qd.weyl_quantize(kfp, N)
-    study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125], k0=k0)
+    study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
     assert not study.excluded
     assert set(study.fits) == {1, p_matched}
 

@@ -166,6 +166,14 @@ def test_malformed_input_is_one_usage_line(argv, capsys):
     ["bernstein"],
     ["control", "--N", "4", "--staircase", "--precision-bits", "256"],
     ["control", "--N", "4", "--target", "0.5"],
+    ["tails", "--a", "3"],
+    ["tails", "--k", "3"],
+    ["tails", "--n", "2", "--k", "3", "--a", "5"],
+    ["remez", "--d", "3", "--rho", "0.5", "--complex-poly"],
+    ["bounds", "--variant", "thick", "--N", "4", "--delta", "0.3"],
+    ["bounds", "--variant", "open", "--L", "2"],
+    ["bounds", "--N", "4", "--x0", "1"],
+    ["bounds", "--variant", "density", "--gamma", "0.5"],
 ])
 def test_flag_a_subcommand_never_reads_is_a_usage_error(argv, capsys):
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
@@ -276,6 +284,21 @@ class TestConfig:
         assert err.startswith("error: ") and "--precision-bits" in err
         assert cli.run(argv) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({"gamma": 0.3}, ["bounds", "--variant", "open"], "bounds --variant open takes no --gamma"),
+        ({"n": 2}, ["tails", "--k", "3", "--a", "5"],
+         "tails --k --a bounds one Hermite tail; it takes no --n"),
+    ])
+    def test_config_value_the_mode_never_reads_is_refused(self, doc, argv, message, capsys,
+                                                          tmp_path):
+        # a config value is refused where a flag would be; the mode that reads
+        # it takes the same file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.run(["--config", str(cfg)] + argv + ["--quiet"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert cli.run(["--config", str(cfg), argv[0], "--quiet"]) == cli.EXIT_OK
+
     @pytest.mark.parametrize("command", ["bounds", "scaling"])
     def test_config_values_take_the_flags_choices(self, command, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -337,6 +360,21 @@ class TestConfig:
         assert cli.run(argv + ["--quiet"]) == cli.EXIT_CONTRACT
         assert capsys.readouterr().err.startswith("contract violation: ")
 
+    def test_precision_above_the_ceiling_is_refused(self, capsys, monkeypatch, tmp_path):
+        # a flag value is a contract violation, a config value an error when
+        # the file is read, whatever the subcommand
+        monkeypatch.setattr(arith, "MAX_BITS", 256)
+        argv = ["control", "--N", "2", "--T", "1", "--quiet"]
+        assert cli.run(argv + ["--precision-bits", "512"]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            "contract violation: precision_bits 512 is above arith.MAX_BITS = 256\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"precision_bits": 512}))
+        assert cli.run(["--config", str(cfg), "basis", "--quiet"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: config field 'precision_bits' above arith.MAX_BITS = 256\n")
+        assert cli.run(argv + ["--precision-bits", "256"]) == cli.EXIT_OK
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -359,17 +397,33 @@ class TestSharedParser:
         assert cli.run(["gram", "--N", "2", "--quiet"]) == cli.EXIT_OK
         assert builds == [1]
 
+    def test_one_parse_per_run(self, capsys, monkeypatch, tmp_path):
+        # the parse holds the flags given; the config and the defaults fill
+        # the rest without parsing again
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        parses = []
+        parse = cli._PARSER.parse_args
+        monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: parses.append(1) or parse(argv))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": "3", "seed": 2, "suite": "est_tails"}))
+        assert cli.run(["basis", "--quiet"]) == cli.EXIT_OK
+        assert len(parses) == 1
+        assert cli.run(["--config", str(cfg), "basis", "--n", "2", "--quiet"]) == cli.EXIT_OK
+        assert len(parses) == 2
+        assert cli.run(["--config", str(cfg), "verify", "--trials", "1", "--quiet"]) == 0
+        assert len(parses) == 3
+
     @pytest.mark.parametrize("argv, doc, config_argv, code, warns", [
-        # lends trials and seed; the seed flag overrides its config value
+        # fills trials and seed; the seed flag overrides its config value
         (["verify", "--suite", "est_tails"], {"trials": 2, "seed": 3},
          ["verify", "--suite", "est_tails", "--seed", "5"], cli.EXIT_OK, True),
-        # refused by the choices check before anything is lent
+        # refused by the choices check before anything is filled
         (["bounds", "--N", "4"], {"variant": "bogus", "gamma": 0.9},
          ["bounds", "--N", "4"], cli.EXIT_USAGE, False),
-        # lends trials and suite, then the suite is refused
+        # fills trials and suite, then the suite is refused
         (["verify", "--suite", "est_tails"], {"trials": 2, "suite": "bogus"},
          ["verify"], cli.EXIT_USAGE, False),
-        # a usage error in the first parse
+        # a usage error in the parse
         (["verify", "--suite", "est_tails"], {"trials": 2, "seed": 3},
          ["verify", "--bogus"], cli.EXIT_USAGE, False),
     ])

@@ -220,7 +220,34 @@ def test_mpmath_precision_is_scoped():
         assert ctl.precision_bits == 256 and mpmath.mp.prec == 80
 
 
+def test_precision_above_the_ceiling_is_refused_before_any_work(monkeypatch):
+    # one shared check: the fixed-point cost grows about tenfold per doubling
+    monkeypatch.setattr(arith, "MAX_BITS", 256)
+    monkeypatch.setattr(arith, "taylor", None)  # no Taylor table is started
+    prob = harmonic_problem(2)
+    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(2, 1) + 1.0), 1, 2)
+    for call in (lambda: ct.observability_constant(prob, 512),
+                 lambda: ct.hum_control(prob, basis.unit_expansion(1, 2, (0,)), 512),
+                 lambda: ct.cost_blowup_study(prob.A, prob.piomega, [1.0], 512),
+                 lambda: gram.spectral_constant(G, start_bits=512)):
+        with pytest.raises(ContractViolation, match="above arith.MAX_BITS = 256"):
+            call()
+
+
 class TestHumControl:
+    def test_one_cholesky_factor_per_fixed_point_solve(self, monkeypatch):
+        # cond(W) and the solve share W's factor, so the artifact is the same
+        # as with one factorization each
+        factors = []
+        cholesky = arith.Mp.cholesky
+        monkeypatch.setattr(arith.Mp, "cholesky",
+                            lambda self, W: factors.append(1) or cholesky(self, W))
+        N = 6
+        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        res = ct.hum_control(prob, basis.random_expansion(1, N, np.random.default_rng(17)), 256)
+        assert res.flag == "ok" and res.residual <= 1e-15
+        assert factors == [1]
+
     def test_zero_initial_state(self):
         prob = harmonic_problem(6)
         f0 = basis.HermiteExpansion(1, 6, np.zeros(7))
@@ -429,7 +456,7 @@ class TestBlowup:
         # per-mode closed form, whose top rate is the finite-N ceiling
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 6)
         P = np.eye(A.size)
-        study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25], k0=0)
+        study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25])
         for row in study.rows:
             want = ct.harmonic_full_space_ct(1, 6, row["T"])
             assert row["C_T"] == pytest.approx(want, rel=1e-5)
@@ -438,7 +465,7 @@ class TestBlowup:
         N = 12
         A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
         P = thick_gram(N, gamma=0.2)
-        study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125], k0=0)
+        study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
         assert not study.excluded
         fit = study.fits[1]
         assert fit["slope"] > 0
@@ -447,4 +474,4 @@ class TestBlowup:
     def test_requires_decreasing_horizons(self):
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
         with pytest.raises(ContractViolation):
-            ct.cost_blowup_study(A, np.eye(A.size), [0.5, 1.0], k0=0)
+            ct.cost_blowup_study(A, np.eye(A.size), [0.5, 1.0])
