@@ -6,8 +6,9 @@ everything else goes through the methods here, under ``mp.workprec(bits +
 16)``.  ``Mp`` takes and returns fixed-point matrices (``Fx``) only; mpmath
 serves scalars, while the Gauss rule and the Taylor coefficients are exact
 integer work at the backend's own precision.  Products by a sparse generator
-go through its row slots (``rows``), and one matrix times many vectors is
-one integer product (``each``), rounded per vector as the single products are.
+go through its row slots (``rows``).  A block of vectors (``stack``) is an
+array in double precision and a list in fixed point, where a matrix times it
+(``each``) is one integer product rounded per vector as the single products are.
 ``Mp`` answers every eigenproblem and solve through one Cholesky factor
 G = L L^H in integers, which exists exactly when G is numerically positive
 definite: lambda_min = sigma_max(L^-1)^-2, cond =
@@ -21,6 +22,7 @@ power-of-two rescale, to a few d eps.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -50,8 +52,9 @@ class Double:
     def to_np(self, v):
         return v
 
-    def gauss(self, order):
-        return np.polynomial.legendre.leggauss(order)
+    @functools.cache
+    def gauss(self, order):  # built on first use, once per order; floats, immutable
+        return tuple(tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(order))
 
     def series(self, scales, terms):
         """[sum_k c^k / k! terms[k] for c in scales]."""
@@ -61,8 +64,21 @@ class Double:
     def rows(self, B):  # BLAS takes the dense product
         return B
 
-    def each(self, M, vs):  # BLAS mat-vecs: stacking them measured no net gain
-        return [M @ v for v in vs]
+    def stack(self, vs):  # a block: the vectors as the columns of one array
+        return np.stack(vs, axis=1)
+
+    def each(self, M, V):  # one BLAS product for every column of the block
+        return M @ V
+
+    def read(self, blocks, weights):
+        """The columns of equal-shaped blocks as the rows of one array, the
+        block index running fastest, and sum_b weights[b] ||blocks[b]||_F^2,
+        one reduction per block."""
+        cost = sum(float(wt) * self.norm(U) ** 2 for wt, U in zip(weights, blocks))
+        return np.concatenate(blocks).T.reshape(-1, len(blocks[0])), cost
+
+    def summed(self, blocks):  # the blocks' sum, as the list of its columns
+        return list(sum(blocks[1:], blocks[0]).T)
 
     def adj(self, M):
         return M.conj().T
@@ -295,6 +311,9 @@ class Mp:
     def rows(self, B):
         return _Rows(B)
 
+    def stack(self, vs):  # a block: the vectors as a list, each at its own exponent
+        return vs
+
     def each(self, M, vs):
         """[M @ v for v in vs] bit for bit as one integer product: the v
         stacked as columns, each at its own exponent, each column of the
@@ -305,6 +324,15 @@ class Mp:
         P, Q = _dot((M.re, M.im), (re, im))
         return [Fx(P[:, j], None if Q is None else Q[:, j], M.exp + v.exp, self.prec)
                 for j, v in enumerate(vs)]
+
+    def read(self, blocks, weights):
+        """As ``Double.read``, the cost added column by column in that order."""
+        cols = [(wt, u) for step in zip(*blocks) for wt, u in zip(weights, step)]
+        return (np.array([self.to_np(u) for _, u in cols]),
+                sum(float(wt) * self.norm(u) ** 2 for wt, u in cols))
+
+    def summed(self, blocks):  # the blocks' sum, column by column in block order
+        return [sum(p[1:], p[0]) for p in zip(*blocks)]
 
     def adj(self, M):
         return Fx(M.re.T, None if M.im is None else -M.im.T, M.exp, M.prec)

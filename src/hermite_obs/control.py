@@ -69,13 +69,15 @@ def _hum(ar, A, P, d, f, T, grid):
     ridged).  u(s) = P_d e^{-s A_d^H} lam, s the time to go, is sampled on
     the grid and drives the full state: e^{-sA} = (e^{-hA})^j e^{-oA} at
     s = jh + o acts on vectors, summed over the steps j in Horner form.
-    v_j = e^{-jh A_d^H} lam is stepped once per step; each grid offset o
-    then takes its samples at every step from its node matrix and the v_j,
-    and its forced pieces likewise, through ``ar.each``: one integer product
-    in fixed point, BLAS mat-vecs in double precision.
+    v_j = e^{-jh A_d^H} lam is stepped once per step and the v_j stacked
+    as one block (``ar.stack``); each grid offset o then takes its samples
+    at every step as one product of its node matrix with the block, and its
+    forced pieces as one more (``ar.each``): one BLAS product in double
+    precision, one integer product rounded per column in fixed point.
     Returns cond(W), the flag, the times T - s increasing, the samples as
-    numpy vectors, the cost sum w ||u||^2, the state at T, e^{-TA} f plus the
-    forced response sum w e^{-sA} P[:, :d] u(s), the full generator's e^{-TA}
+    the rows of one numpy array in the same order, the cost sum w ||u||^2,
+    the state at T, e^{-TA} f plus the forced response
+    sum w e^{-sA} P[:, :d] u(s), the full generator's e^{-TA}
     (e^{-hA} squared k times, unless the block is the whole space), the step
     count and the Taylor degree.
     """
@@ -103,15 +105,11 @@ def _hum(ar, A, P, d, f, T, grid):
     vs = [lam]                                                     # v_j = e^{-jh A_d^H} lam
     while len(vs) < steps:
         vs.append(E_ctl_H @ vs[-1])
-    us = [ar.each(U, vs) for U in out]                             # us[o][j]: u at s = jh + o
-    times, samples, cost = [], [], 0.0
-    for j in range(steps):
-        for o, wt, u in zip(offsets, weights, us):
-            times.append(float(T - (j * h + o)))
-            samples.append(ar.to_np(u[j]))
-            cost += float(wt) * ar.norm(u[j]) ** 2
-    parts = zip(*(ar.each(B, u) for B, u in zip(back, us)))
-    pieces = [sum(p[1:], p[0]) for p in parts]                     # sum_o back_o u_o per step
+    V = ar.stack(vs)
+    us = [ar.each(U, V) for U in out]                              # column j of us[o]: u at s = jh + o
+    times = [float(T - (j * h + o)) for j in range(steps) for o in offsets]
+    samples, cost = ar.read(us, weights)                           # in (j, o) order, as the times
+    pieces = ar.summed([ar.each(B, U) for B, U in zip(back, us)])  # sum_o back_o u_o per step
     forced = pieces.pop()
     while pieces:
         forced = pieces.pop() + E_sim @ forced
@@ -214,7 +212,7 @@ def harmonic_full_space_ct(n, N, T):
 @dataclass
 class ControlResult:
     times: list
-    controls: list              # HermiteExpansion per time node
+    controls: np.ndarray        # (nodes x dim): row i the coefficients of u at times[i]
     cost: float
     residual: float             # ||f(T)|| / ||f0||
     gramian_cond: float
@@ -244,15 +242,15 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     ar = arith.backend(53 if precision_bits <= 53 else max(precision_bits, 256))
     nrm0 = f0.norm()
     if nrm0 == 0.0:
-        return ControlResult([], [], 0.0, 0.0, float("nan"), ar.bits, "ok")
+        return ControlResult([], np.zeros((0, len(f0.coeffs)), dtype=complex), 0.0, 0.0,
+                             float("nan"), ar.bits, "ok")
     A = problem.A.matrix
     with mp.workprec(ar.bits + 16):
         cond, flag, times, samples, cost, state, _, steps, m = _hum(
             ar, A, ar.from_np(problem.piomega), len(A), ar.from_np(f0.coeffs), problem.T,
             ar.gauss(GRID_ORDER))
         residual = ar.norm(state) / nrm0
-    controls = [HermiteExpansion(f0.n, f0.N, u) for u in samples]
-    return ControlResult(times, controls, cost, residual, cond, ar.bits, flag, steps, m)
+    return ControlResult(times, samples, cost, residual, cond, ar.bits, flag, steps, m)
 
 
 # -- staircase strategy ------------------------------------------------------------

@@ -325,7 +325,8 @@ class TestHumControl:
         assert b.residual <= 1e-15
         assert b.cost == pytest.approx(a.cost, rel=1e-10)
         assert b.times == pytest.approx(a.times, rel=1e-15)
-        assert all(np.allclose(u.coeffs, v.coeffs, rtol=1e-9, atol=1e-12)
+        assert a.controls.shape == b.controls.shape == (len(a.times), N + 1)
+        assert all(np.allclose(u, v, rtol=1e-9, atol=1e-12)
                    for u, v in zip(a.controls, b.controls))
 
     def test_mp_singular_gramian_is_flagged(self):
@@ -344,8 +345,9 @@ class TestHumControl:
 
 
 def per_node_hum(ar, A, P, f, T, grid):
-    """HUM on the whole space with one mat-vec per grid node and step: the
-    loop that the stacked products replaced, kept as their reference."""
+    """HUM on the whole space with one mat-vec per grid node and step, on
+    either backend: the loop that the stacked products replaced, kept as
+    their reference."""
     x, w = grid
     props, W, E_T, steps, _ = arith.taylor(ar, A, T, x, P @ P)
     lam = ar.solve(W, -(E_T @ f))
@@ -367,30 +369,59 @@ def per_node_hum(ar, A, P, f, T, grid):
     forced = pieces.pop()
     while pieces:
         forced = pieces.pop() + E_h @ forced
-    return times[::-1], samples[::-1], cost, E_T @ f + forced
+    return times[::-1], samples[::-1], cost, E_T @ f + forced, lam
 
 
-@pytest.mark.parametrize("case", ["harmonic-6", "kfp-4"])
+@pytest.mark.parametrize("case", ["harmonic-6", "kfp-4", "harmonic-6:double", "kfp-4:double"])
 def test_stacked_hum_equals_the_per_node_loop(case):
     # one product per grid node over all steps rounds each column as its own
-    # vector: times, samples, cost and final state are the loop's, bit for bit
-    if case == "harmonic-6":
+    # vector: times, samples, cost and final state are the loop's, bit for bit.
+    # In double precision one BLAS product sums in another order than the
+    # mat-vecs, so the numbers agree to rounding, measured against the size of
+    # what is summed: a sample against ||P|| ||lam|| (e^{-sA^H} is a
+    # contraction), the final state against ||f0|| + ||P|| sqrt(T cost), which
+    # bounds ||E_T f0|| plus sum w ||e^{-sA} P u(s)||.  KFP's lam is of order
+    # 1e5: its samples and forced response cancel by two to three orders.
+    name, _, double = case.partition(":")
+    if name == "harmonic-6":
         A, P, T = qd.weyl_quantize(qd.harmonic_symbol(1), 6).matrix, thick_gram(6), 1.0
     else:
         A, P, T = qd.weyl_quantize(qd.kfp_symbol(1.0), 4).matrix, half_plane_gram(4), 0.5
-    f0 = basis.random_expansion(1 if case == "harmonic-6" else 2, int(case[-1]),
+    f0 = basis.random_expansion(1 if name == "harmonic-6" else 2, int(name[-1]),
                                 np.random.default_rng(19)).coeffs
-    ar = arith.Mp(256)
+    ar = arith.DOUBLE if double else arith.Mp(256)
     with mpmath.workprec(ar.bits + 16):
         grid = ar.gauss(ct.GRID_ORDER)
         P_, f = ar.from_np(P), ar.from_np(f0)
         _, flag, times, samples, cost, state, _, steps, _ = ct._hum(ar, A, P_, len(A), f, T, grid)
         want = per_node_hum(ar, A, P_, f, T, grid)
     assert flag == "ok" and steps > 1
+    if double:
+        assert times == want[0] and abs(cost - want[2]) <= 1e-14 * want[2]
+        loop, size_P = np.array(want[1]), np.linalg.norm(P, 2)
+        assert samples.shape == loop.shape == (len(times), len(A))
+        assert np.abs(samples - loop).max() <= 1e-14 * size_P * np.linalg.norm(want[4])
+        size = np.linalg.norm(f0) + size_P * math.sqrt(T * cost)
+        assert np.linalg.norm(state - want[3]) <= 1e-15 * size
+        return
     assert times == want[0] and cost == want[2]
     assert all(np.array_equal(u, v) for u, v in zip(samples, want[1], strict=True))
     held = [(F.exp, F.re.tolist(), None if F.im is None else F.im.tolist()) for F in (state, want[3])]
     assert held[0] == held[1]
+
+
+def test_double_hum_norms_do_not_grow_with_the_steps(monkeypatch):
+    # the double backend reduces each grid offset's samples at every step at
+    # once: one norm per offset and one for the residual, whatever 2^k is
+    calls = []
+    norm = arith.Double.norm
+    monkeypatch.setattr(arith.Double, "norm", lambda self, v: calls.append(1) or norm(self, v))
+    counts = {}
+    for T in (1.0, 2.0):
+        res = ct.hum_control(harmonic_problem(8, T), basis.unit_expansion(1, 8, (0,)))
+        counts[res.subintervals] = len(calls)
+        calls.clear()
+    assert len(counts) == 2 and len(set(counts.values())) == 1
 
 
 class TestStaircase:
