@@ -6,9 +6,9 @@ everything else goes through the methods here, under ``mp.workprec(bits +
 16)``.  ``Mp`` takes and returns fixed-point matrices (``Fx``) only; mpmath
 serves scalars, while the Gauss rule and the Taylor coefficients are exact
 integer work at the backend's own precision.  Products by a sparse generator
-go through its row slots (``rows``).  A block of vectors (``stack``) is an
-array in double precision and a list in fixed point, where a matrix times it
-(``each``) is one integer product rounded per vector as the single products are.
+go through its row slots (``rows``).  Vectors stack (``stack``) as the
+columns of one matrix in both backends, so a product with a block of them is
+one BLAS or one integer product, rounded once as any matrix is.
 ``Mp`` answers every eigenproblem and solve through one Cholesky factor
 G = L L^H in integers, which exists exactly when G is numerically positive
 definite: lambda_min = sigma_max(L^-1)^-2, cond =
@@ -64,21 +64,8 @@ class Double:
     def rows(self, B):  # BLAS takes the dense product
         return B
 
-    def stack(self, vs):  # a block: the vectors as the columns of one array
+    def stack(self, vs):  # the vectors as the columns of one array
         return np.stack(vs, axis=1)
-
-    def each(self, M, V):  # one BLAS product for every column of the block
-        return M @ V
-
-    def read(self, blocks, weights):
-        """The columns of equal-shaped blocks as the rows of one array, the
-        block index running fastest, and sum_b weights[b] ||blocks[b]||_F^2,
-        one reduction per block."""
-        cost = sum(float(wt) * self.norm(U) ** 2 for wt, U in zip(weights, blocks))
-        return np.concatenate(blocks).T.reshape(-1, len(blocks[0])), cost
-
-    def summed(self, blocks):  # the blocks' sum, as the list of its columns
-        return list(sum(blocks[1:], blocks[0]).T)
 
     def adj(self, M):
         return M.conj().T
@@ -311,28 +298,14 @@ class Mp:
     def rows(self, B):
         return _Rows(B)
 
-    def stack(self, vs):  # a block: the vectors as a list, each at its own exponent
-        return vs
-
-    def each(self, M, vs):
-        """[M @ v for v in vs] bit for bit as one integer product: the v
-        stacked as columns, each at its own exponent, each column of the
-        exact product rounded as its own vector."""
-        re = np.stack([v.re for v in vs], axis=1)
+    def stack(self, vs):
+        """The vectors as the columns of one Fx: each shifted exactly to the
+        finest exponent, then rounded once, as any Fx is."""
+        t = min(v.exp for v in vs)
+        re = np.stack([_shift(v.re, t - v.exp) for v in vs], axis=1)
         im = None if all(v.im is None for v in vs) else np.stack(
-            [0 * v.re if v.im is None else v.im for v in vs], axis=1)
-        P, Q = _dot((M.re, M.im), (re, im))
-        return [Fx(P[:, j], None if Q is None else Q[:, j], M.exp + v.exp, self.prec)
-                for j, v in enumerate(vs)]
-
-    def read(self, blocks, weights):
-        """As ``Double.read``, the cost added column by column in that order."""
-        cols = [(wt, u) for step in zip(*blocks) for wt, u in zip(weights, step)]
-        return (np.array([self.to_np(u) for _, u in cols]),
-                sum(float(wt) * self.norm(u) ** 2 for wt, u in cols))
-
-    def summed(self, blocks):  # the blocks' sum, column by column in block order
-        return [sum(p[1:], p[0]) for p in zip(*blocks)]
+            [_shift(0 * v.re if v.im is None else v.im, t - v.exp) for v in vs], axis=1)
+        return Fx(re, im, t, self.prec)
 
     def adj(self, M):
         return Fx(M.re.T, None if M.im is None else -M.im.T, M.exp, M.prec)
@@ -429,9 +402,12 @@ def taylor(ar, A, T, x=(), Q=None):
     so only the contractions, V E(h)^H and the doublings are dense.  k doublings
     W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach
     W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.  Returns the
-    propagators, W (or None), E, the step count 2^k and m.
+    propagators, W (or None), E, the step count 2^k and m.  A T ||A||_1
+    that is not finite has no step count: it raises ContractViolation.
     """
     norm1 = float(np.abs(A).sum(axis=0).max())
+    if not math.isfinite(T * norm1):
+        raise ContractViolation("T ||A||_1 = %r is not finite" % (T * norm1))
     frac, e = math.frexp(T * norm1)
     steps = 1 << max(0, e - (frac == 0.5))  # the least power of two >= T ||A||_1
     h = T / steps

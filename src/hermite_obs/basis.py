@@ -36,11 +36,19 @@ class UsageError(ContractViolation):
     """Malformed user input; the command line reports it as a usage error."""
 
 
+def finite_float(text):
+    """float(text), refusing nan and the infinities with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%r is not a finite number" % text)
+    return value
+
+
 def parse_shorthand(text, table):
     """'head:key=value,...' -> (head, {key: float}).  ``table`` maps each
     head to its keys and their defaults, None for a required key; any other
-    head or key, a value that is not a number or a missing required key
-    raises UsageError."""
+    head or key, a value that is not a finite number or a missing required
+    key raises UsageError."""
     head, _, args = text.partition(":")
     opts = dict(table.get(head, {}))
     try:
@@ -49,7 +57,7 @@ def parse_shorthand(text, table):
         for key, _, val in (item.partition("=") for item in args.split(",") if item):
             if key.strip() not in opts:
                 raise ValueError("%s takes the keys %s" % (head, ", ".join(opts) or "none"))
-            opts[key.strip()] = float(val)
+            opts[key.strip()] = finite_float(val)
         if None in opts.values():
             raise ValueError("%s needs the keys %s" % (head, ", ".join(opts)))
     except ValueError as exc:

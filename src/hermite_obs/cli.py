@@ -81,7 +81,7 @@ def parse_int_range(text):
 
 def parse_float_list(text):
     try:
-        return [float(p) for p in str(text).split(",")]
+        return [basis.finite_float(p) for p in str(text).split(",")]
     except ValueError:
         raise UsageError("malformed number list %r" % text) from None
 
@@ -171,24 +171,24 @@ def build_parser():
     p.add_argument("--variant", default="thick", choices=["open", "density", "thick"])
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", default="4:16:4", help="range a:b:c")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--R0", type=float, default=0.0)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--x0", type=basis.finite_float, default=0.0)
+    p.add_argument("--r", type=basis.finite_float, default=1.0)
+    p.add_argument("--delta", type=basis.finite_float, default=0.5)
+    p.add_argument("--R0", type=basis.finite_float, default=0.0)
+    p.add_argument("--L", type=basis.finite_float, default=1.0)
+    p.add_argument("--gamma", type=basis.finite_float, default=0.5)
 
     p = add("remez", help="Remez/Chebyshev growth factors")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=float)
-    p.add_argument("--rho", type=float)
+    p.add_argument("--t", type=basis.finite_float)
+    p.add_argument("--rho", type=basis.finite_float)
     p.add_argument("--complex-poly", action="store_true")
 
     p = add("tails", help="Hermite tail bounds and the radius constant c_n")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--a", type=float)
+    p.add_argument("--a", type=basis.finite_float)
 
     p = add("symbol", help="Hamilton map and singular space of a symbol")
     p.add_argument("--symbol", default="harmonic")
@@ -200,7 +200,7 @@ def build_parser():
     p = add("evolve", help="semigroup propagation of an initial expansion")
     p.add_argument("--symbol", default="harmonic")
     p.add_argument("--N", default="8")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=basis.finite_float, required=True)
     p.add_argument("--f0", default="ground", help="'ground', 'random' or a JSON file")
 
     p = add("observability", help="observability constant C_T")
@@ -217,7 +217,7 @@ def build_parser():
     p.add_argument("--T", default="1.0")
     p.add_argument("--f0", default="random")
     p.add_argument("--staircase", action="store_true")
-    p.add_argument("--target", type=float, help="staircase energy target (default 1e-6)")
+    p.add_argument("--target", type=basis.finite_float, help="staircase energy target (default 1e-6)")
     p.add_argument("--precision-bits", type=int)
 
     p = add("verify", help="run every invariant suite")
@@ -289,6 +289,8 @@ def _run_command(args):
     A result whose flag, or the flag of any of its rows, is not 'ok' exits 3."""
     command = args.command
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:  # flag or config: numpy's generators take no negative seed
+        raise UsageError("seed must be a non-negative integer, not %d" % seed)
     # --precision-bits seeds the spectral escalation (else 256, at least 128)
     # and forces the control pipeline into fixed point
     bits = getattr(args, "precision_bits", None)

@@ -70,10 +70,10 @@ def _hum(ar, A, P, d, f, T, grid):
     the grid and drives the full state: e^{-sA} = (e^{-hA})^j e^{-oA} at
     s = jh + o acts on vectors, summed over the steps j in Horner form.
     v_j = e^{-jh A_d^H} lam is stepped once per step and the v_j stacked
-    as one block (``ar.stack``); each grid offset o then takes its samples
-    at every step as one product of its node matrix with the block, and its
-    forced pieces as one more (``ar.each``): one BLAS product in double
-    precision, one integer product rounded per column in fixed point.
+    as the columns of one matrix V (``ar.stack``); each grid offset o then
+    takes its samples at every step as one product U_o = out_o V, its cost
+    as one Frobenius norm, and its forced pieces as one more product, the
+    same arithmetic in both backends.
     Returns cond(W), the flag, the times T - s increasing, the samples as
     the rows of one numpy array in the same order, the cost sum w ||u||^2,
     the state at T, e^{-TA} f plus the forced response
@@ -106,13 +106,15 @@ def _hum(ar, A, P, d, f, T, grid):
     while len(vs) < steps:
         vs.append(E_ctl_H @ vs[-1])
     V = ar.stack(vs)
-    us = [ar.each(U, V) for U in out]                              # column j of us[o]: u at s = jh + o
+    us = [U @ V for U in out]                           # column j of us[o]: u at s = jh + o
     times = [float(T - (j * h + o)) for j in range(steps) for o in offsets]
-    samples, cost = ar.read(us, weights)                           # in (j, o) order, as the times
-    pieces = ar.summed([ar.each(B, U) for B, U in zip(back, us)])  # sum_o back_o u_o per step
-    forced = pieces.pop()
-    while pieces:
-        forced = pieces.pop() + E_sim @ forced
+    samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, d)  # (j, o) order, as times
+    cost = sum(float(wt) * ar.norm(U) ** 2 for wt, U in zip(weights, us))
+    S = [B @ U for B, U in zip(back, us)]
+    S = sum(S[1:], S[0])                                # column j: sum_o back_o u_o at step j
+    forced = S[:, steps - 1]
+    for j in reversed(range(steps - 1)):
+        forced = S[:, j] + E_sim @ forced
     E = E_T
     if d < A.shape[0]:
         E = E_sim

@@ -160,6 +160,12 @@ ENTRIES = [
     ("usage-N-negative-step", "scaling --N 4:64:-4", None),
     ("usage-trials-0", "verify --suite est_tails --trials 0", None),
     ("usage-control-two-T", "control --N 4 --T 1,2", None),
+    ("usage-T-nan", "observability --T nan", None),
+    ("usage-control-T-inf", "control --N 4 --T inf", None),
+    ("usage-evolve-t-inf", "evolve --t inf", None),
+    ("usage-region-L-nan", "scaling --region periodic:L=nan", None),
+    ("usage-seed-negative", "control --N 4 --seed -1", None),
+    ("config-seed-negative", "--config {cfg} verify", '{"seed": -1}'),
     ("usage-single-N", "constant --N 4:8", None),
     ("usage-observability-n", "observability --n 2", None),
     ("usage-control-n", "control --n 2", None),

@@ -347,3 +347,12 @@ def test_taylor_steps_are_the_least_power_of_two():
     xs += [math.nextafter(2.0**k, to) for k in range(-3, 41) for to in (0.0, 2.0**k, math.inf)]
     for x in xs:
         assert arith.taylor(arith.DOUBLE, np.array([[1.0]]), x)[3] == doubling(x)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+@pytest.mark.parametrize("A", [np.array([[1.0]]), np.zeros((1, 1))], ids=["A", "zero"])
+def test_taylor_refuses_a_horizon_that_is_not_finite(T, A):
+    # no step count covers T ||A||_1 = inf or nan (inf 0 is nan): refused
+    # before the degree loop, which would not end
+    with pytest.raises(basis.ContractViolation):
+        arith.taylor(arith.DOUBLE, A, T)

@@ -25,6 +25,9 @@ class TestParsing:
 
     def test_float_list(self):
         assert cli.parse_float_list("1,0.5,0.25") == [1.0, 0.5, 0.25]
+        for text in ("nan", "1,inf", "-inf"):
+            with pytest.raises(cli.UsageError):
+                cli.parse_float_list(text)
 
     def test_region_shorthands(self):
         r = cli.parse_region("periodic:L=1,gamma=0.5", 1, 8)
@@ -150,6 +153,12 @@ class TestExitCodes:
     ["scaling", "--N", "4:64:-4"],
     ["verify", "--suite", "est_tails", "--trials", "0"],
     ["control", "--N", "4", "--T", "1,2"],
+    ["observability", "--T", "nan"],
+    ["control", "--T", "nan"],
+    ["observability", "--T", "inf"],
+    ["scaling", "--region", "periodic:L=nan"],
+    ["control", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
 ])
 def test_malformed_input_is_one_usage_line(argv, capsys):
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
@@ -181,6 +190,22 @@ def test_flag_a_subcommand_never_reads_is_a_usage_error(argv, capsys):
     lines = err.splitlines()
     assert lines[0].startswith("error: ") and "Traceback" not in err
     assert sum(line.startswith("error: ") for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--t", "inf"],
+    ["evolve", "--t", "nan"],
+    ["tails", "--k", "2", "--a", "nan"],
+    ["bounds", "--variant", "thick", "--L", "nan"],
+    ["control", "--N", "4", "--staircase", "--target", "inf"],
+])
+def test_non_finite_flag_is_a_usage_error(argv, capsys):
+    # a float flag takes finite numbers only: argparse refuses the rest
+    assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert lines[0].startswith("error: argument ") and "finite" in lines[0]
+    assert sum(line.startswith("error: ") for line in lines) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, code", [
@@ -332,6 +357,9 @@ class TestConfig:
         ({"n": True}, "basis", "config field 'n' has invalid value True"),
         ({"gamma": True}, "bounds", "config field 'gamma' has invalid value True"),
         ({"seed": math.inf}, "basis", "config field 'seed' has invalid value inf"),
+        ({"gamma": math.nan}, "bounds", "config field 'gamma' has invalid value nan"),
+        ({"seed": -1}, "verify", "seed must be a non-negative integer, not -1"),
+        ({"T": "inf"}, "observability", "malformed number list 'inf'"),
     ])
     def test_config_refusals_are_usage_errors(self, doc, command, message, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -374,14 +374,15 @@ def per_node_hum(ar, A, P, f, T, grid):
 
 @pytest.mark.parametrize("case", ["harmonic-6", "kfp-4", "harmonic-6:double", "kfp-4:double"])
 def test_stacked_hum_equals_the_per_node_loop(case):
-    # one product per grid node over all steps rounds each column as its own
-    # vector: times, samples, cost and final state are the loop's, bit for bit.
-    # In double precision one BLAS product sums in another order than the
-    # mat-vecs, so the numbers agree to rounding, measured against the size of
-    # what is summed: a sample against ||P|| ||lam|| (e^{-sA^H} is a
-    # contraction), the final state against ||f0|| + ||P|| sqrt(T cost), which
-    # bounds ||E_T f0|| plus sum w ||e^{-sA} P u(s)||.  KFP's lam is of order
-    # 1e5: its samples and forced response cancel by two to three orders.
+    # one product per grid node over all steps sums in another order than the
+    # mat-vecs, and in fixed point rounds the stacked columns once, at the
+    # finest exponent: the numbers agree to the backend's unit (1e-14 for
+    # samples and 1e-15 for the state in double, 2^-bits in fixed point),
+    # measured against the size of what is summed: a sample against ||P||
+    # ||lam|| (e^{-sA^H} is a contraction), the final state against ||f0|| +
+    # ||P|| sqrt(T cost), which bounds ||E_T f0|| plus sum w ||e^{-sA} P u(s)||.
+    # KFP's lam is of order 1e5: its samples and forced response cancel by
+    # two to three orders.  The cost is a sum of squares, good to 1e-15.
     name, _, double = case.partition(":")
     if name == "harmonic-6":
         A, P, T = qd.weyl_quantize(qd.harmonic_symbol(1), 6).matrix, thick_gram(6), 1.0
@@ -395,30 +396,26 @@ def test_stacked_hum_equals_the_per_node_loop(case):
         P_, f = ar.from_np(P), ar.from_np(f0)
         _, flag, times, samples, cost, state, _, steps, _ = ct._hum(ar, A, P_, len(A), f, T, grid)
         want = per_node_hum(ar, A, P_, f, T, grid)
+        gap = ar.norm(state - want[3])
+    unit_sample, unit_state = (1e-14, 1e-15) if double else (2.0 ** -ar.bits,) * 2
     assert flag == "ok" and steps > 1
-    if double:
-        assert times == want[0] and abs(cost - want[2]) <= 1e-14 * want[2]
-        loop, size_P = np.array(want[1]), np.linalg.norm(P, 2)
-        assert samples.shape == loop.shape == (len(times), len(A))
-        assert np.abs(samples - loop).max() <= 1e-14 * size_P * np.linalg.norm(want[4])
-        size = np.linalg.norm(f0) + size_P * math.sqrt(T * cost)
-        assert np.linalg.norm(state - want[3]) <= 1e-15 * size
-        return
-    assert times == want[0] and cost == want[2]
-    assert all(np.array_equal(u, v) for u, v in zip(samples, want[1], strict=True))
-    held = [(F.exp, F.re.tolist(), None if F.im is None else F.im.tolist()) for F in (state, want[3])]
-    assert held[0] == held[1]
+    assert times == want[0] and abs(cost - want[2]) <= 1e-15 * want[2]
+    loop, size_P = np.array(want[1]), np.linalg.norm(P, 2)
+    assert samples.shape == loop.shape == (len(times), len(A))
+    assert np.abs(samples - loop).max() <= unit_sample * size_P * ar.norm(want[4])
+    assert gap <= unit_state * (np.linalg.norm(f0) + size_P * math.sqrt(T * cost))
 
 
-def test_double_hum_norms_do_not_grow_with_the_steps(monkeypatch):
-    # the double backend reduces each grid offset's samples at every step at
-    # once: one norm per offset and one for the residual, whatever 2^k is
+@pytest.mark.parametrize("ar", [arith.DOUBLE, arith.Mp(256)], ids=["double", "fixed"])
+def test_hum_norms_do_not_grow_with_the_steps(ar, monkeypatch):
+    # HUM reduces each grid offset's samples at every step at once, in both
+    # backends: one norm per offset and one for the residual, whatever 2^k is
     calls = []
-    norm = arith.Double.norm
-    monkeypatch.setattr(arith.Double, "norm", lambda self, v: calls.append(1) or norm(self, v))
+    norm = type(ar).norm
+    monkeypatch.setattr(type(ar), "norm", lambda self, v: calls.append(1) or norm(self, v))
     counts = {}
     for T in (1.0, 2.0):
-        res = ct.hum_control(harmonic_problem(8, T), basis.unit_expansion(1, 8, (0,)))
+        res = ct.hum_control(harmonic_problem(8, T), basis.unit_expansion(1, 8, (0,)), ar.bits)
         counts[res.subintervals] = len(calls)
         calls.clear()
     assert len(counts) == 2 and len(set(counts.values())) == 1
