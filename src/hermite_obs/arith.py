@@ -36,9 +36,23 @@ MAX_BITS = 4096  # mantissa ceiling of every multiprecision escalation
 
 
 def check_bits(bits):
-    """Refuse a requested precision above ``MAX_BITS``, before any work."""
+    """Refuse a requested precision below 53 or above ``MAX_BITS``, before any work."""
+    if bits < 53:
+        raise ContractViolation("precision_bits %d is below 53, double precision" % bits)
     if bits > MAX_BITS:
         raise ContractViolation("precision_bits %d is above arith.MAX_BITS = %d" % (bits, MAX_BITS))
+
+
+def precisions(precision_bits):
+    """The precisions a pipeline asked for ``precision_bits`` tries, in order:
+    first 53 (double) for 53, else max(precision_bits, 256); 256 follows 53,
+    then each doubles; the last is ``MAX_BITS``.  A value outside 53 ..
+    ``MAX_BITS`` is refused through :func:`check_bits`."""
+    check_bits(precision_bits)
+    ladder = [53 if precision_bits <= 53 else max(precision_bits, 256)]
+    while ladder[-1] < MAX_BITS:
+        ladder.append(min(256 if ladder[-1] == 53 else 2 * ladder[-1], MAX_BITS))
+    return ladder
 
 
 class Double:

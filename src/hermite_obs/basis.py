@@ -45,19 +45,23 @@ def finite_float(text):
 
 
 def parse_shorthand(text, table):
-    """'head:key=value,...' -> (head, {key: float}).  ``table`` maps each
-    head to its keys and their defaults, None for a required key; any other
-    head or key, a value that is not a finite number or a missing required
-    key raises UsageError."""
+    """'head:key=value,...' -> (head, {key: value}).  ``table`` maps each
+    head to its keys and their defaults, None for a required key; a key
+    takes its default's type, int or else float.  Any other head or key, a
+    value that is not a finite number, a value of an int key that is not a
+    whole number, or a missing required key raises UsageError."""
     head, _, args = text.partition(":")
     opts = dict(table.get(head, {}))
     try:
         if head not in table:
             raise ValueError("unknown shorthand; choose from %s" % ", ".join(table))
         for key, _, val in (item.partition("=") for item in args.split(",") if item):
-            if key.strip() not in opts:
+            if (key := key.strip()) not in opts:
                 raise ValueError("%s takes the keys %s" % (head, ", ".join(opts) or "none"))
-            opts[key.strip()] = finite_float(val)
+            value, whole = finite_float(val), type(table[head][key]) is int
+            if whole and not value.is_integer():
+                raise ValueError("%s takes a whole number, not %s" % (key, val.strip()))
+            opts[key] = int(value) if whole else value
         if None in opts.values():
             raise ValueError("%s needs the keys %s" % (head, ", ".join(opts)))
     except ValueError as exc:

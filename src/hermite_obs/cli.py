@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 REGION_SHORTHANDS = {"periodic": {"L": 1.0, "gamma": 0.5}, "halfline": {}, "full": {},
-                     "halfspace": {"axis": 0.0, "c": 0.0}, "ball": {"r": 1.0},
+                     "halfspace": {"axis": 0, "c": 0.0}, "ball": {"r": 1.0},
                      "interval": {"a": None, "b": None}, "ballcomp": {"r0": 1.0}}
 
 
@@ -49,7 +49,7 @@ def parse_region(text, n, N):
     if head == "periodic":
         return rg.make_periodic_thick(n, opts["L"], opts["gamma"], radius)
     if head == "halfspace":
-        return rg.half_space(n, int(opts["axis"]), opts["c"], radius)
+        return rg.half_space(n, opts["axis"], opts["c"], radius)
     if head == "full":
         return rg.full_space(n, radius)
     if n != 1:
@@ -122,7 +122,9 @@ def load_config(path, types):
             raise UsageError("config region gamma out of range (0, 1]")
     if "n" in out and out["n"] < 1:
         raise UsageError("config field 'n' must be >= 1")
-    if out.get("precision_bits", 0) > arith.MAX_BITS:
+    if out.get("precision_bits", 53) < 53:
+        raise UsageError("config field 'precision_bits' below 53, double precision")
+    if out.get("precision_bits", 53) > arith.MAX_BITS:
         raise UsageError("config field 'precision_bits' above arith.MAX_BITS = %d" % arith.MAX_BITS)
     return out
 
@@ -270,9 +272,7 @@ _VARIANT_FLAGS = {"open": {"x0", "r"}, "density": {"delta", "R0"}, "thick": {"L"
 
 def _unread(args):
     """The flags the chosen mode never reads, and the error ({flag} names one)."""
-    if args.command == "control":
-        if args.staircase:
-            return {"precision_bits"}, "--staircase runs in double precision; it takes no --precision-bits"
+    if args.command == "control" and not args.staircase:
         return {"target"}, "--target is the staircase's energy target; HUM takes none"
     if args.command == "tails" and (args.k is not None or args.a is not None):
         return {"n"}, "tails --k --a bounds one Hermite tail; it takes no {flag}"
@@ -291,13 +291,10 @@ def _run_command(args):
     seed = args.seed if args.seed is not None else 0
     if seed < 0:  # flag or config: numpy's generators take no negative seed
         raise UsageError("seed must be a non-negative integer, not %d" % seed)
-    # --precision-bits seeds the spectral escalation (else 256, at least 128)
-    # and forces the control pipeline into fixed point
+    # every pipeline walks arith.precisions(bits); a bad value fails before any work
     bits = getattr(args, "precision_bits", None)
-    if bits is not None:
-        arith.check_bits(bits)
-    start_bits = max(256 if bits is None else bits, 128)
-    pipeline_bits = 53 if bits is None else bits
+    bits = 53 if bits is None else bits
+    arith.check_bits(bits)
     code = EXIT_OK
     csv_payload = None
     plot_series = {}
@@ -320,7 +317,7 @@ def _run_command(args):
     elif command == "constant":
         N = _single_N(args)
         region, G = _region_gram(args.region, args.n, N)
-        res = gram.spectral_constant(G, start_bits=start_bits)
+        res = gram.spectral_constant(G, precision_bits=bits)
         result = {
             "n": args.n, "N": N, "C_N": res.c_value, "log_C_N": res.c_log,
             "lambda_min": res.lam_min, "lambda_min_log": res.lam_min_log,
@@ -345,8 +342,7 @@ def _run_command(args):
             if gen["kind"] != "periodic_thick":
                 raise ContractViolation("thick bound: only a periodic region gives its L and gamma")
             bound = gram.thick_params(args.n, gen["L"], gen["gamma"])
-        rep = gram.scaling_study(region, args.n, N_list, bound=bound,
-                                 start_bits=start_bits)
+        rep = gram.scaling_study(region, args.n, N_list, bound=bound, precision_bits=bits)
         csv_payload = rep.csv_rows()
         result = {
             "rows": rep.rows, "fits": rep.fits, "best_model": rep.best_model,
@@ -445,7 +441,7 @@ def _run_command(args):
         A = qd.weyl_quantize(qd.parse_symbol(args.symbol), N)
         region, G = _region_gram(args.region, A.n, N)
         T_list = parse_float_list(args.T)
-        study = ct.cost_blowup_study(A, G.matrix, T_list, precision_bits=pipeline_bits)
+        study = ct.cost_blowup_study(A, G.matrix, T_list, precision_bits=bits)
         csv_payload = (["T", "C_T", "precision_bits", "method"],
                        [[r["T"], r["C_T"], r["precision_bits"], r["method"]] for r in study.rows])
         if len(T_list) == 1:  # the one row, its c_log as log_C_T
@@ -467,7 +463,7 @@ def _run_command(args):
         problem = ct.ControlProblem(A, G.matrix, T)
         f0 = _load_f0(args.f0, A.n, N, seed)
         if args.staircase:
-            res = ct.lr_staircase(problem, f0, target=args.target)
+            res = ct.lr_staircase(problem, f0, target=args.target, precision_bits=bits)
             csv_payload = (
                 ["stage", "k_j", "stage_cost", "energy_after"],
                 [[s["stage"], s["k_j"], s["stage_cost"], s["energy_after"]]
@@ -478,7 +474,7 @@ def _run_command(args):
                 "total_cost": res.total_cost, "stages": res.stages, "flag": res.flag,
             }
         else:
-            res = ct.hum_control(problem, f0, precision_bits=pipeline_bits)
+            res = ct.hum_control(problem, f0, precision_bits=bits)
             result = {
                 "method": "hum", "residual": res.residual, "cost": res.cost,
                 "gramian_cond": res.gramian_cond, "precision_bits": res.precision_bits,

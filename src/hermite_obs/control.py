@@ -146,20 +146,20 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
 
     Solved as the largest generalized eigenvalue of (e^{-TA} e^{-TA^H}, W):
     with W = L L^H, C_T is the top eigenvalue of X X^H, X = L^{-1} e^{-TA}.
-    Double precision serves while cond(W) < COND_MAX; otherwise the pencil
-    is redone in fixed point, doubling the precision while W is not
-    numerically positive definite.  If W stays singular at arith.MAX_BITS,
-    a ridged W gives a certified lower bound, returned with a flag.  The
-    ridge covers the error W inherits from the double P, at most T dim eps
-    ||P|| (e^{-tA} is a contraction), and the working rounding.  A zero W
+    It walks ``arith.precisions(precision_bits)``: double precision serves
+    while cond(W) < COND_MAX, fixed point while W is numerically positive
+    definite, else the pencil is redone at the next precision.  If W stays
+    singular at the last, arith.MAX_BITS, a ridged W gives a certified lower
+    bound, returned with a flag.  The ridge covers the error W inherits from
+    the double P, at most T dim eps ||P|| (e^{-tA} is a contraction), and
+    the working rounding.  A zero W
     (P = 0, a region of measure zero) observes nothing, and no precision or
     ridge makes it factor: C_T is then inf, exactly, flagged 'singular_floor'
     at the first precision tried.
     """
-    arith.check_bits(precision_bits)
     A = problem.A.matrix
-    bits = 53 if precision_bits <= 53 else max(precision_bits, 256)
-    while True:
+    ladder = arith.precisions(precision_bits)
+    for bits in ladder:
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
             _, W, E_T, steps, m = arith.taylor(ar, A, problem.T, Q=ar.from_np(problem.piomega))
@@ -167,14 +167,10 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
             if L is None and not problem.piomega.any():  # P = 0, so W = 0 at every precision
                 return ObservabilityReport(problem.T, math.inf, math.inf, None,
                                            "generalized-eigen", bits, "singular_floor", steps, m)
-            if bits == 53 and (L is None or not ar.cond(W) < COND_MAX):
-                bits = 256
+            if bits < ladder[-1] and (L is None or bits == 53 and not ar.cond(W) < COND_MAX):
                 continue
             flag = "ok"
             if L is None:
-                if bits < arith.MAX_BITS:
-                    bits *= 2
-                    continue
                 floor = problem.T * len(A) * np.finfo(float).eps * np.linalg.norm(problem.piomega)
                 L, flag = ar.cholesky(ar.ridged(W, floor)), "singular_floor"
                 if L is None:  # P below the double range, so its ridge underflowed to 0
@@ -240,8 +236,7 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
-    arith.check_bits(precision_bits)
-    ar = arith.backend(53 if precision_bits <= 53 else max(precision_bits, 256))
+    ar = arith.backend(arith.precisions(precision_bits)[0])
     nrm0 = f0.norm()
     if nrm0 == 0.0:
         return ControlResult([], np.zeros((0, len(f0.coeffs)), dtype=complex), 0.0, 0.0,
@@ -267,65 +262,55 @@ class StaircaseResult:
 
 
 def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
-                 target=1e-6) -> StaircaseResult:
+                 target=1e-6, precision_bits=53) -> StaircaseResult:
     """Iterative low-mode steering with free dissipation in between.
 
     Stage j works on the dyadic time slice T_j = T 2^{-j-1}: during the
     first half the modes of E_{k_j} (k_j = min(ceil(STAIRCASE_K0 2^j), N), a
     leading block in the graded order) are steered to zero by HUM on that
-    block in double precision, during the second half the system evolves
-    freely and dissipation crushes what the control spilled into higher
-    modes.  A stage whose Gramian HUM flags ends the run, flagged.
-    The run stops once the remaining energy is below ``target`` relative to
-    the initial one, or after the stage that controls the full space; the
-    rest of [0, T] is free flow by the last stage's e^{-tau A}, tau = T_j / 2,
-    the propagator that HUM built for that stage.
+    block, during the second half the system evolves freely and dissipation
+    crushes what the control spilled into higher modes.  Every stage, the
+    state and its norms run at ``arith.precisions(precision_bits)[0]``, as
+    :func:`hum_control` does.  A stage whose Gramian HUM flags ends the run,
+    flagged.  The run stops once the remaining energy is below ``target``
+    relative to the initial one, or after the stage that controls the full
+    space; the rest of [0, T] is free flow by the last stage's e^{-tau A},
+    tau = T_j / 2, the propagator that HUM built for that stage.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
+    ar = arith.backend(arith.precisions(precision_bits)[0])
     A = problem.A.matrix
-    P = problem.piomega.astype(complex)
     T, N, n = problem.T, problem.A.N, problem.A.n
     nrm0 = f0.norm()
     if nrm0 == 0.0:
         return StaircaseResult([], 0.0, 0.0, "ok")
 
-    f = f0.coeffs.copy()
-    grid = arith.DOUBLE.gauss(GRID_ORDER)
-    stages = []
-    total_cost = 0.0
-    j = 0
-    flag = "ok"
-    while True:
-        k_j = min(int(math.ceil(STAIRCASE_K0 * 2**j)), N)
-        T_j = T * 2.0 ** (-j - 1)
-        tau = T_j / 2.0
-        d = basis.space_dimension(n, k_j)
-        # active half: HUM on E_{k_j}, simulated on the full state; then the
-        # passive half: free dissipation by the same e^{-tau A}
-        _, stage_flag, _, _, stage_cost, state, E_tau, _, _ = _hum(
-            arith.DOUBLE, A, P, d, f, tau, grid)
-        if stage_flag != "ok":
-            flag = "stage_gramian_failure:%d" % j
-            break
-        f = E_tau @ state
-        total_cost += stage_cost
-        energy = float(np.linalg.norm(f))
-        stages.append(
-            {
-                "stage": j,
-                "k_j": k_j,
-                "T_j": T_j,
-                "stage_cost": stage_cost,
-                "energy_after": energy,
-            }
-        )
-        if energy <= target * nrm0 or k_j >= N or j > 60:
-            break
-        j += 1
-    for _ in range(2 if flag == "ok" else 4):  # the rest of [0, T]: T_j, or T_{j-1} if stage j failed
-        f = E_tau @ f
-    residual = float(np.linalg.norm(f)) / nrm0
+    stages, total_cost, j, flag = [], 0.0, 0, "ok"
+    with mp.workprec(ar.bits + 16):
+        P, f, grid = ar.from_np(problem.piomega), ar.from_np(f0.coeffs), ar.gauss(GRID_ORDER)
+        while True:
+            k_j = min(int(math.ceil(STAIRCASE_K0 * 2**j)), N)
+            T_j = T * 2.0 ** (-j - 1)
+            tau = T_j / 2.0
+            d = basis.space_dimension(n, k_j)
+            # active half: HUM on E_{k_j}, simulated on the full state; then the
+            # passive half: free dissipation by the same e^{-tau A}
+            _, stage_flag, _, _, stage_cost, state, E_tau, _, _ = _hum(ar, A, P, d, f, tau, grid)
+            if stage_flag != "ok":
+                flag = "stage_gramian_failure:%d" % j
+                break
+            f = E_tau @ state
+            total_cost += stage_cost
+            energy = ar.norm(f)
+            stages.append({"stage": j, "k_j": k_j, "T_j": T_j, "stage_cost": stage_cost,
+                           "energy_after": energy})
+            if energy <= target * nrm0 or k_j >= N or j > 60:
+                break
+            j += 1
+        for _ in range(2 if flag == "ok" else 4):  # the rest of [0, T]: T_j, or T_{j-1} if stage j failed
+            f = E_tau @ f
+        residual = ar.norm(f) / nrm0
     return StaircaseResult(stages, total_cost, residual, flag)
 
 

@@ -174,27 +174,28 @@ class SpectralResult:
     flag: str  # 'ok' or 'singular_floor' (value is then a lower bound on C_N)
 
 
-def spectral_constants(G: GramOperator, cutoffs, start_bits=256):
+def spectral_constants(G: GramOperator, cutoffs, precision_bits=53):
     """Sharp constants of the spectral inequality on E_N for G's region, one
     per N <= G.N in ``cutoffs``, each from its leading block of G.
 
-    Tries the double-precision eigensolve first.  Once lambda_min sinks under
-    1e3 * eps * lambda_max or the accumulated entry error, the Gram entries
-    are rebuilt in software floating point from ``start_bits`` on, doubling
-    until lambda_min clears 1e3 * 2^-bits * lambda_max + dim * tail; a level
-    builds one fixed-point Gram, at the largest cutoff left, and factors each
-    left block on its own.  A failed Cholesky factorization
-    (:mod:`hermite_obs.arith`) means lambda_min is below its rounding, about
-    20 dim^1.5 2^-(bits+16) lambda_max (Higham, Thm 10.7), under that floor
-    for dim up to about 20,000.  If ``arith.MAX_BITS`` does not suffice, the
-    flagged result is a certified lower bound on C_N; a ``start_bits`` above
-    it is a contract violation.
+    Walks the precisions of ``arith.precisions(precision_bits)``.  In double
+    precision a block is resolved once lambda_min clears 1e3 * eps *
+    lambda_max and the accumulated entry error; in software floating point,
+    where the Gram entries are rebuilt, once it clears 1e3 * 2^-bits *
+    lambda_max + dim * tail.  A level builds one fixed-point Gram, at the
+    largest cutoff left, and factors each left block on its own.  A failed
+    Cholesky factorization (:mod:`hermite_obs.arith`) means lambda_min is
+    below its rounding, about 20 dim^1.5 2^-(bits+16) lambda_max (Higham,
+    Thm 10.7), under that floor for dim up to about 20,000.  A block left at
+    the last precision, ``arith.MAX_BITS``, is flagged with a certified lower
+    bound on C_N.
     """
-    arith.check_bits(start_bits)
+    ladder = arith.precisions(precision_bits)
     blocks = [G.leading(N) for N in cutoffs]
     results = [None] * len(blocks)
-    bits = 53
-    while todo := [i for i, res in enumerate(results) if res is None]:
+    for bits in ladder:
+        if not (todo := [i for i, res in enumerate(results) if res is None]):
+            break
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
             if ar is not arith.DOUBLE:
@@ -210,7 +211,7 @@ def spectral_constants(G: GramOperator, cutoffs, start_bits=256):
                     lam_min, lam_max = ar.lam_min(Bm), ar.eigh_top(Bm)[0]
                     noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max + B.size * B.tail
                 flag = "ok" if lam_min is not None and lam_min > noise else ""
-                if not flag and ar is not arith.DOUBLE and bits >= arith.MAX_BITS:
+                if not flag and bits == ladder[-1]:
                     lam_min, flag = noise, "singular_floor"
                 if flag:
                     log = math.log if ar is arith.DOUBLE else mp.log  # no mpmath rounding at 53 bits
@@ -218,13 +219,12 @@ def spectral_constants(G: GramOperator, cutoffs, start_bits=256):
                         float(lam_min ** -0.5), float(-log(lam_min) / 2), float(lam_min),
                         float(log(lam_min)), bits, flag,
                     )
-        bits = start_bits if ar is arith.DOUBLE else 2 * bits
     return results
 
 
-def spectral_constant(G: GramOperator, start_bits=256) -> SpectralResult:
+def spectral_constant(G: GramOperator, precision_bits=53) -> SpectralResult:
     """:func:`spectral_constants` at G's own cutoff."""
-    return spectral_constants(G, [G.N], start_bits)[0]
+    return spectral_constants(G, [G.N], precision_bits)[0]
 
 
 # -- explicit bounds -----------------------------------------------------------
@@ -386,7 +386,7 @@ class ScalingReport:
 
 
 def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None,
-                  start_bits=256) -> ScalingReport:
+                  precision_bits=53) -> ScalingReport:
     """Measure C_N over increasing cutoffs, fit growth models, check bounds.
 
     Fits log C_N against sqrt(N), N and N log N; also fits the free exponent
@@ -406,7 +406,7 @@ def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None
         report.aux_constants = {"c_n": tail_constant_cn(n).c, "C_sobolev": DEFAULT_C_SOBOLEV,
                                 "C_kov": DEFAULT_C_KOV}
     G = gram_matrix(region, n, N_list[-1])
-    for N, res in zip(N_list, spectral_constants(G, N_list, start_bits)):
+    for N, res in zip(N_list, spectral_constants(G, N_list, precision_bits)):
         row = {"N": N, "C_measured": res.c_value, "C_log": res.c_log, "lambda_min": res.lam_min,
                "lambda_min_log": res.lam_min_log, "precision_bits": res.precision_bits,
                "flag": res.flag, "bound": math.nan, "bound_log": math.nan}

@@ -48,6 +48,8 @@ class QuadraticSymbol:
     Q: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ContractViolation("symbol dimension n must be >= 1, not %d" % self.n)
         Q = np.asarray(self.Q, dtype=complex)
         if Q.shape != (2 * self.n, 2 * self.n):
             raise ContractViolation("Q must be 2n x 2n")
@@ -86,7 +88,7 @@ class QuadraticSymbol:
 
 def harmonic_symbol(n=1):
     """q = |x|^2 + |xi|^2, the harmonic oscillator symbol."""
-    return QuadraticSymbol(n, np.eye(2 * n, dtype=complex))
+    return QuadraticSymbol(n, np.eye(max(2 * n, 0), dtype=complex))  # QuadraticSymbol refuses n < 1
 
 
 def kfp_symbol(a=1.0):
@@ -108,7 +110,7 @@ def parse_symbol(text):
     """Named symbols for the command line: 'harmonic[:n=..]' or 'kfp:a=..'."""
     head, opts = basis.parse_shorthand(text, {"harmonic": {"n": 1}, "kfp": {"a": 1.0}})
     if head == "harmonic":
-        return harmonic_symbol(int(opts["n"]))
+        return harmonic_symbol(opts["n"])
     return kfp_symbol(opts["a"])
 
 

@@ -31,6 +31,8 @@ from . import arith
 from .basis import ContractViolation
 from .estimates import tail_constant_cn
 
+MAX_CELLS = 1 << 20  # lattice cells a periodic region may enumerate
+
 
 def truncate_radius(N, n):
     """Radius past which any f in E_N keeps at most a quarter of its mass,
@@ -136,14 +138,19 @@ def make_periodic_thick(n, L, gamma, r_trunc):
 
     Every lattice cell ``alpha + [0, L]^n`` meeting the ball B(0, r_trunc)
     contributes the sub-box anchored at its corner, so the region is exactly
-    gamma-thick at scale L inside the truncation radius.
+    gamma-thick at scale L inside the truncation radius.  The (2 jmax + 2)^n
+    cells enumerated, jmax = floor(r_trunc / L) + 1, are counted first and
+    refused above ``MAX_CELLS``.
     """
     if not 0.0 < gamma <= 1.0:
         raise ContractViolation("thickness fraction gamma must lie in (0, 1]")
     if L <= 0.0 or r_trunc <= 0.0:
         raise ContractViolation("scale L and truncation radius must be positive")
     side = gamma ** (1.0 / n) * L
-    jmax = int(math.floor(r_trunc / L)) + 1
+    jmax = math.floor(min(r_trunc / L, MAX_CELLS)) + 1  # r_trunc / L overflows for tiny L
+    if (2 * jmax + 2) ** n > MAX_CELLS:
+        raise ContractViolation("periodic L = %r at truncation radius %.6g needs more than "
+                                "regions.MAX_CELLS = %d lattice cells" % (L, r_trunc, MAX_CELLS))
     cells = itertools.product(range(-jmax - 1, jmax + 1), repeat=n)
     corners = np.array(list(cells), dtype=float) * L
     nearest = np.where(corners > 0, corners, np.minimum(corners + L, 0.0))
@@ -156,6 +163,8 @@ def half_space(n, axis, c, r_trunc):
     """{x_axis > c} clipped to the truncation box [-R, R]^n."""
     if r_trunc <= 0 or c >= r_trunc:
         raise ContractViolation("truncation radius too small for the half-space")
+    if not 0 <= axis < n:
+        raise ContractViolation("half-space axis %d outside 0..%d" % (axis, n - 1))
     lo = np.full(n, -r_trunc)
     hi = np.full(n, r_trunc)
     lo[axis] = c

@@ -85,6 +85,10 @@ ENTRIES = [
     ("fx-obs-harm8-512", OBS + " --N 8 --T 1 --precision-bits 512 --out {out}", None),
     ("fx-obs-halfline12-256", "observability --symbol harmonic --region halfline --N 12 --T 0.5"
      " --precision-bits 256 --out {out}", None),
+    ("fx-staircase-ball12-256", "control --symbol harmonic --region ball:r=1 --T 0.5 --N 12"
+     " --staircase --precision-bits 256 --seed 1 --out {out}", None),
+    ("fx-constant-halfline8-512", "constant --region halfline --N 8 --precision-bits 512"
+     " --out {out}", None),
     # the other subcommands
     ("basis", "basis --n 2 --N 3 --out {out}", None),
     ("gram", "gram --region halfline --n 1 --N 4 --out {out}", None),
@@ -128,6 +132,8 @@ ENTRIES = [
      " --N 4 --T 1,0.5 --out {out}", None),
     ("flagged-control-zero", "control --symbol harmonic --region interval:a=0,b=0 --N 4 --T 1"
      " --out {out}", None),
+    ("flagged-constant-zero-300", "constant --region interval:a=0,b=0 --N 2 --precision-bits 300"
+     " --out {out}", None),
     # contract violations and failed verification (exit 2), output failures (exit 4)
     ("contract-gamma", "constant --region periodic:L=1,gamma=1.5 --n 1 --N 4", None),
     ("contract-density-4d", "scaling --region full --n 4 --N 0 --variant density", None),
@@ -142,6 +148,15 @@ ENTRIES = [
     ("contract-halfline-2d", "constant --region halfline --n 2 --N 4", None),
     ("contract-f0-order", "evolve --N 4 --t 1 --f0 {cfg}",
      '{"n": 1, "N": 4, "order": "lex", "coeffs": []}'),
+    ("contract-halfspace-axis-5", "gram --region halfspace:axis=5 --N 2", None),
+    ("contract-halfspace-axis-neg", "gram --region halfspace:axis=-1 --n 2 --N 2", None),
+    ("contract-harmonic-n0", "symbol --symbol harmonic:n=0", None),
+    ("contract-harmonic-n-neg", "symbol --symbol harmonic:n=-1", None),
+    ("contract-periodic-cells-2d", "gram --region periodic:L=0.001 --n 2 --N 4", None),
+    ("contract-periodic-cells-5d", "gram --region periodic:L=1,gamma=0.5 --n 5 --N 4", None),
+    ("contract-bits-0", "constant --N 2 --precision-bits 0", None),
+    ("contract-bits-neg", "control --N 2 --precision-bits -7", None),
+    ("contract-bits-10", "observability --N 2 --precision-bits 10", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)
     ("usage-none", "", None),
@@ -164,6 +179,8 @@ ENTRIES = [
     ("usage-control-T-inf", "control --N 4 --T inf", None),
     ("usage-evolve-t-inf", "evolve --t inf", None),
     ("usage-region-L-nan", "scaling --region periodic:L=nan", None),
+    ("usage-harmonic-n-half", "symbol --symbol harmonic:n=1.5", None),
+    ("usage-halfspace-axis-half", "gram --region halfspace:axis=0.5 --n 2 --N 2", None),
     ("usage-seed-negative", "control --N 4 --seed -1", None),
     ("config-seed-negative", "--config {cfg} verify", '{"seed": -1}'),
     ("usage-single-N", "constant --N 4:8", None),
@@ -226,7 +243,7 @@ ENTRIES = [
      '{"region": "halfline", "symbol": "harmonic", "n": 2, "T": "0.5", "seed": 9, "trials": 3,'
      ' "suite": "est_tails", "gamma": 0.5, "variant": "open", "out": "ignored"}'),
     # refused: a flag or config value the mode never reads, --k0, and a
-    # precision above arith.MAX_BITS
+    # precision above arith.MAX_BITS or below 53
     ("k0-flag", OBS + " --N 8 --T 1,0.5,0.25 --k0 2 --out {out}", None),
     ("unread-tails-a", "tails --a 3 --out {out}", None),
     ("unread-tails-n-k-a", "tails --n 2 --k 3 --a 5 --out {out}", None),
@@ -239,6 +256,8 @@ ENTRIES = [
     ("unread-config-n-tails-k", "--config {cfg} tails --k 3 --a 5 --out {out}", '{"n": 2}'),
     ("bits-above-ceiling", "constant --region halfline --N 4 --precision-bits 5000 --out {out}",
      None),
+    ("bits-below-double-config", "--config {cfg} constant --region halfline --N 4 --out {out}",
+     '{"precision_bits": 10}'),
     ("bits-above-ceiling-config", "--config {cfg} constant --region halfline --N 4 --out {out}",
      '{"precision_bits": 5000}'),
 ]

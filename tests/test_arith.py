@@ -18,6 +18,28 @@ def to_mp(F):
                        for j, a in enumerate(row)] for i, row in enumerate(re)])
 
 
+@pytest.mark.parametrize("bits, ladder", [
+    (53, [53, 256, 512, 1024, 2048, 4096]),
+    (54, [256, 512, 1024, 2048, 4096]),
+    (256, [256, 512, 1024, 2048, 4096]),
+    (300, [300, 600, 1200, 2400, 4096]),
+    (4000, [4000, 4096]),
+    (arith.MAX_BITS, [arith.MAX_BITS]),
+])
+def test_precisions_double_up_to_the_ceiling(bits, ladder):
+    assert arith.MAX_BITS == 4096 and arith.precisions(bits) == ladder
+
+
+@pytest.mark.parametrize("bits, message", [
+    (0, "precision_bits 0 is below 53"),
+    (52, "precision_bits 52 is below 53"),
+    (arith.MAX_BITS + 1, "precision_bits 4097 is above arith.MAX_BITS = 4096"),
+])
+def test_precisions_refuse_either_bound(bits, message):
+    with pytest.raises(basis.ContractViolation, match=message):
+        arith.precisions(bits)
+
+
 def ball(N):
     return rg.interval_region(-1.0, 1.0, trunc_radius=rg.truncate_radius(N, 1) + 1)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -159,11 +160,36 @@ class TestExitCodes:
     ["scaling", "--region", "periodic:L=nan"],
     ["control", "--seed", "-1"],
     ["verify", "--seed", "-1"],
+    ["symbol", "--symbol", "harmonic:n=1.5"],
+    ["gram", "--region", "halfspace:axis=0.5", "--n", "2", "--N", "2"],
 ])
 def test_malformed_input_is_one_usage_line(argv, capsys):
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--region", "halfspace:axis=5", "--N", "2"],
+    ["gram", "--region", "halfspace:axis=-1", "--n", "2", "--N", "2"],
+    ["symbol", "--symbol", "harmonic:n=0"],
+    ["symbol", "--symbol", "harmonic:n=-1"],
+    ["gram", "--region", "periodic:L=0.001", "--n", "2", "--N", "4"],
+    ["gram", "--region", "periodic:L=1,gamma=0.5", "--n", "5", "--N", "4"],
+    ["gram", "--region", "periodic:L=1e-320", "--N", "2"],
+    ["constant", "--N", "2", "--precision-bits", "0"],
+    ["control", "--N", "2", "--precision-bits", "-7"],
+    ["observability", "--N", "2", "--precision-bits", "10"],
+    ["control", "--N", "2", "--staircase", "--precision-bits", "52"],
+])
+def test_out_of_range_input_is_one_contract_line(argv, capsys, monkeypatch):
+    # an integer shorthand key outside its range, a periodic lattice above
+    # regions.MAX_CELLS (refused before a cell is built) and a precision
+    # below double are contract violations: one line, exit 2
+    monkeypatch.setattr(itertools, "product", None)
+    assert cli.run(argv + ["--quiet"]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -173,7 +199,6 @@ def test_malformed_input_is_one_usage_line(argv, capsys):
     ["verify", "--precision-bits", "999"],
     ["basis", "--plot-data"],
     ["bernstein"],
-    ["control", "--N", "4", "--staircase", "--precision-bits", "256"],
     ["control", "--N", "4", "--target", "0.5"],
     ["tails", "--a", "3"],
     ["tails", "--k", "3"],
@@ -298,16 +323,20 @@ class TestConfig:
         assert cli.run(["gram", "--quiet", "--out", b]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_staircase_refuses_config_precision_bits(self, capsys, tmp_path):
-        # the staircase runs in double precision: a precision it would only
-        # record in config_hash is a usage error, from a config as from a flag
+    def test_config_precision_bits_reaches_the_staircase(self, monkeypatch, capsys, tmp_path):
+        # config precision_bits runs the staircase at that precision, the
+        # same artifact as the flag gives
+        seen = []
+        backend = arith.backend
+        monkeypatch.setattr(arith, "backend", lambda bits: seen.append(bits) or backend(bits))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"precision_bits": 256}))
-        argv = ["--config", str(cfg), "control", "--N", "4", "--quiet"]
-        assert cli.run(argv + ["--staircase"]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "--precision-bits" in err
-        assert cli.run(argv) == cli.EXIT_OK
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        argv = ["control", "--N", "4", "--staircase", "--quiet", "--out"]
+        assert cli.run(["--config", str(cfg)] + argv + [a]) == cli.EXIT_OK
+        assert seen == [256]
+        assert cli.run(argv + [b, "--precision-bits", "256"]) == cli.EXIT_OK
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     @pytest.mark.parametrize("doc, argv, message", [
         ({"gamma": 0.3}, ["bounds", "--variant", "open"], "bounds --variant open takes no --gamma"),
@@ -402,6 +431,19 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "error: config field 'precision_bits' above arith.MAX_BITS = 256\n")
         assert cli.run(argv + ["--precision-bits", "256"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("bits", [0, -7, 10, 52])
+    def test_precision_below_double_is_refused(self, bits, capsys, tmp_path):
+        # as the ceiling: a config value is an error when the file is read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"precision_bits": bits}))
+        assert cli.run(["--config", str(cfg), "basis", "--quiet"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: config field 'precision_bits' below 53, double precision\n")
+        argv = ["control", "--N", "2", "--T", "1", "--quiet", "--precision-bits", str(bits)]
+        assert cli.run(argv) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            "contract violation: precision_bits %d is below 53, double precision\n" % bits)
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -619,6 +661,26 @@ class TestOutputs:
         assert all(r["precision_bits"] >= 256 for r in rows)
         assert [r["subintervals"] for r in rows] == [16, 8, 4]
         assert all(r["taylor_degree"] > 0 for r in rows)
+
+    def test_constant_starts_at_the_requested_precision(self, capsys, tmp_path):
+        # 512 bits run no double attempt, whose floor error on log C_N is 7.6e-9
+        logs = []
+        for bits in ("512", "1024"):
+            out = str(tmp_path / bits)
+            assert cli.run(["constant", "--region", "halfline", "--N", "8", "--precision-bits",
+                            bits, "--quiet", "--out", out]) == cli.EXIT_OK
+            res = json.loads((tmp_path / (bits + ".json")).read_text())["result"]
+            assert res["precision_bits"] == int(bits) and res["flag"] == "ok"
+            logs.append(res["log_C_N"])
+        assert logs[0] == pytest.approx(logs[1], abs=1e-12)
+
+    def test_constant_escalation_ends_at_the_ceiling(self, capsys, tmp_path):
+        # 300, 600, 1200, 2400, then arith.MAX_BITS, not 4,800
+        out = str(tmp_path / "z")
+        assert cli.run(["constant", "--region", "interval:a=0,b=0", "--N", "2",
+                        "--precision-bits", "300", "--quiet", "--out", out]) == cli.EXIT_PRECISION
+        res = json.loads((tmp_path / "z.json").read_text())["result"]
+        assert res["precision_bits"] == arith.MAX_BITS and res["flag"] == "singular_floor"
 
     def test_evolve_ground_state(self, capsys, tmp_path):
         out = str(tmp_path / "e")

@@ -220,6 +220,20 @@ def test_mpmath_precision_is_scoped():
         assert ctl.precision_bits == 256 and mpmath.mp.prec == 80
 
 
+def test_observability_escalation_ends_at_the_ceiling(monkeypatch):
+    # a 1e-20 interval's P is rounding noise, so W never factors: from 300
+    # bits under a 512-bit ceiling the pencil runs at 300, then 512, not 600
+    monkeypatch.setattr(arith, "MAX_BITS", 512)
+    tables = []
+    taylor = arith.taylor
+    monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
+                        or taylor(ar, *a, **kw))
+    R = rg.truncate_radius(4, 1) + 1
+    P = gram.gram_matrix(rg.interval_region(0.0, 1e-20, trunc_radius=R), 1, 4).matrix
+    rep = ct.observability_constant(harmonic_problem(4, 1.0, P), 300)
+    assert tables == [300, 512] and (rep.precision_bits, rep.flag) == (512, "singular_floor")
+
+
 def test_precision_above_the_ceiling_is_refused_before_any_work(monkeypatch):
     # one shared check: the fixed-point cost grows about tenfold per doubling
     monkeypatch.setattr(arith, "MAX_BITS", 256)
@@ -229,7 +243,7 @@ def test_precision_above_the_ceiling_is_refused_before_any_work(monkeypatch):
     for call in (lambda: ct.observability_constant(prob, 512),
                  lambda: ct.hum_control(prob, basis.unit_expansion(1, 2, (0,)), 512),
                  lambda: ct.cost_blowup_study(prob.A, prob.piomega, [1.0], 512),
-                 lambda: gram.spectral_constant(G, start_bits=512)):
+                 lambda: gram.spectral_constant(G, precision_bits=512)):
         with pytest.raises(ContractViolation, match="above arith.MAX_BITS = 256"):
             call()
 
@@ -467,6 +481,20 @@ class TestStaircase:
         assert res.flag == "stage_gramian_failure:0" and res.stages == []
         hum = ct.hum_control(prob, f0)
         assert hum.flag == "ill_conditioned" and hum.gramian_cond >= 2.1
+
+    @pytest.mark.parametrize("N", [12, 16])
+    def test_ball_staircase_at_the_working_precision(self, N):
+        # a double stage Gramian fails at stage 3; at 256 bits every stage
+        # factors, and 512 bits give the same cost and residual
+        R = rg.truncate_radius(N, 1) + 1
+        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, N).matrix
+        prob = harmonic_problem(N, 0.5, P)
+        f0 = basis.random_expansion(1, N, np.random.default_rng(1))
+        assert ct.lr_staircase(prob, f0).flag == "stage_gramian_failure:3"
+        res, ref = (ct.lr_staircase(prob, f0, precision_bits=b) for b in (256, 512))
+        assert res.flag == ref.flag == "ok" and res.residual < 1e-10
+        assert res.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
+        assert res.residual == pytest.approx(ref.residual, rel=1e-12)
 
     def test_cost_comparable_to_hum(self):
         N = 12

@@ -195,10 +195,10 @@ class TestSpectralConstant:
         ball = rg.interval_region(-1.0, 1.0, trunc_radius=R)
         G = gram.gram_matrix(ball, 1, 48)
         monkeypatch.setattr(arith, "MAX_BITS", 256)
-        capped = gram.spectral_constant(G, start_bits=256)
+        capped = gram.spectral_constant(G, precision_bits=256)
         assert capped.flag == "singular_floor"
         monkeypatch.setattr(arith, "MAX_BITS", 1024)
-        resolved = gram.spectral_constant(G, start_bits=256)
+        resolved = gram.spectral_constant(G, precision_bits=256)
         assert resolved.flag == "ok"
         assert capped.c_log <= resolved.c_log
 
