@@ -152,22 +152,6 @@ def hermite_values(N, x):
     return vals
 
 
-def hermite_derivatives(N, x, values=None):
-    """Values of phi_k'(x) for k = 0..N.
-
-    phi_k' = (sqrt(k) phi_{k-1} - sqrt(k+1) phi_{k+1}) / sqrt(2), which is the
-    annihilation-minus-creation combination of neighbouring degrees.
-    """
-    x = np.asarray(x, dtype=float)
-    if values is None or values.shape[0] < N + 2:
-        values = hermite_values(N + 1, x)
-    der = np.empty((N + 1,) + x.shape, dtype=float)
-    for k in range(N + 1):
-        lower = math.sqrt(k) * values[k - 1] if k > 0 else 0.0
-        der[k] = (lower - math.sqrt(k + 1.0) * values[k + 1]) / SQRT2
-    return der
-
-
 def eval_hermite_1d(k, x):
     """phi_k(x) for a single degree k >= 0."""
     if k < 0:
@@ -406,31 +390,10 @@ def position_matrix(n, M, axis):
     return (R + R.T) / SQRT2
 
 
-def derivative_matrix(n, M, axis):
-    R = raise_matrix(n, M, axis)
-    return (R.T - R) / SQRT2
-
-
 def momentum_matrix(n, M, axis):
     """Matrix of D_j = -i d/dx_j = i (a_+ - a_-)/sqrt(2) on E_M."""
     R = raise_matrix(n, M, axis)
     return 1j * (R - R.T) / SQRT2
-
-
-def project_energy(f: HermiteExpansion, k, mode="cumulative") -> HermiteExpansion:
-    """Energy-level projections of the harmonic oscillator.
-
-    mode 'single' keeps the level |alpha| = k; mode 'cumulative' keeps all
-    levels |alpha| <= k.  Both are idempotent and return an expansion with
-    the same cutoff as the input.
-    """
-    if k < 0:
-        raise ContractViolation("level k must be >= 0")
-    if mode not in ("single", "cumulative"):
-        raise ContractViolation("mode must be 'single' or 'cumulative'")
-    lev = index_levels(f.n, f.N)
-    keep = lev == k if mode == "single" else lev <= k
-    return HermiteExpansion(f.n, f.N, np.where(keep, f.coeffs, 0.0))
 
 
 # -- fits --------------------------------------------------------------------

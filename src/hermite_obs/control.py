@@ -191,19 +191,6 @@ def observability_constant(problem: ControlProblem, precision_bits=53) -> Observ
             )
 
 
-def harmonic_full_space_ct(n, N, T):
-    """Closed-form C_T for the level-diagonal generator observed everywhere.
-
-    Per eigenvalue lam = 2k + n the scalar constant is
-    2 lam e^{-2 lam T} / (1 - e^{-2 lam T}); the worst mode is the lowest.
-    """
-    best = 0.0
-    for k in range(N + 1):
-        lam = 2.0 * k + n
-        best = max(best, 2.0 * lam * math.exp(-2.0 * lam * T) / -math.expm1(-2.0 * lam * T))
-    return best
-
-
 # -- minimal-norm control ---------------------------------------------------------
 
 
@@ -258,7 +245,7 @@ class StaircaseResult:
     stages: list                # dicts: stage, k_j, T_j, stage_cost, energy_after
     total_cost: float
     residual: float
-    flag: str
+    flag: str                   # 'ok', 'target_missed' or 'stage_gramian_failure:<j>'
 
 
 def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
@@ -275,7 +262,9 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
     flagged.  The run stops once the remaining energy is below ``target``
     relative to the initial one, or after the stage that controls the full
     space; the rest of [0, T] is free flow by the last stage's e^{-tau A},
-    tau = T_j / 2, the propagator that HUM built for that stage.
+    tau = T_j / 2, the propagator that HUM built for that stage.  A run
+    whose final relative residual is above ``target`` is flagged
+    'target_missed'.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
@@ -311,6 +300,8 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
         for _ in range(2 if flag == "ok" else 4):  # the rest of [0, T]: T_j, or T_{j-1} if stage j failed
             f = E_tau @ f
         residual = ar.norm(f) / nrm0
+    if flag == "ok" and residual > target:
+        flag = "target_missed"
     return StaircaseResult(stages, total_cost, residual, flag)
 
 

@@ -77,10 +77,10 @@ class GramOperator:
 
 
 def _times(outer, inner):
-    """Entrywise product of an outer-axis table with an inner sum.
+    """Entrywise product of an outer axis's sum with the inner axes' product.
 
-    In double precision both carry (values, |values|, bound), and the bound
-    of the product is (|T| + E)(A' + E') - |T| A' = E (A' + E') + |T| E',
+    In double precision both carry (values, sum of |values|, bound), and the
+    bound of the product is (A + E)(A' + E') - A A' = E (A' + E') + A E',
     written without the cancelling difference.
     """
     if len(outer) == 1:
@@ -90,16 +90,19 @@ def _times(outer, inner):
 
 
 def _assemble(region: Region, n, N, mp=None):
-    """Sum over the region's boxes of the tensor products of pair tables.
+    """The Gram of the product region: per axis, the sum of its intervals'
+    pair tables, then the entrywise product of the axes' sums.
 
     One ``regions.interval_pair_tables`` call stacks the tables of the
-    distinct intervals of all axes.  Boxes are grouped by their interval on
-    each axis in turn; the innermost axis is an in-order sum over the stack's
-    first axis, an (N+1)^2 table spread onto the dim x dim multi-index grid
-    only to be multiplied by an outer axis.  In double precision the result
-    is ``[G, A, E]``: the Gram matrix, the sum over boxes of prod |T| and the
-    sum of the per-box bounds prod(|T| + E_T) - prod |T|.  With an mpmath
-    context the tables are rounded once to one exponent, products and sums
+    distinct intervals of all axes.  Each axis's sum is a running sum in the
+    order of its intervals, an (N+1)^2 table spread onto the dim x dim
+    multi-index grid; the axes multiply with ``_times``, outer axis times the
+    product of the inner ones.  In double precision the result is
+    ``[G, A, E]``: the Gram matrix, prod A_i and the bound
+    prod(A_i + E_i) - prod A_i, where A_i is the axis's sum of |T| and E_i
+    the sum of its tables' bounds; summed over the boxes of the product, the
+    per-box bounds prod(|T| + E_T) - prod |T| give the same.  With an mpmath
+    context the tables are rounded once to one exponent, sums and products
     are exact in integers, and ``[G]`` is an :class:`arith.Fx` rounded once.
     """
     if region.n != n:
@@ -114,7 +117,7 @@ def _assemble(region: Region, n, N, mp=None):
         return [zero] * 3 if mp is None else [arith.fixed(zero, mp.prec)]
     # spread[j] maps the (N+1)^2 table of axis j onto the dim x dim grid
     spread = [np.ix_(degrees, degrees) for degrees in np.array(idx).T]
-    ends = np.stack([region.lows.T, region.highs.T], axis=-1).reshape(-1, 2)
+    ends = np.concatenate([np.stack(axis, axis=-1) for axis in region.axes])
     keys, which = np.unique(ends, axis=0, return_inverse=True)
     tables, other = regions.interval_pair_tables(keys[:, 0], keys[:, 1], N, mp)
     if mp is not None:  # table i is tables[i] 2^other[i]; at 2^t the largest has mp.prec bits
@@ -122,26 +125,15 @@ def _assemble(region: Region, n, N, mp=None):
                 default=0) - mp.prec
         tables = np.stack([arith._shift(T, t - e) for T, e in zip(tables, other)])
     stack = [tables, np.abs(tables), other] if mp is None else [tables]
-    sums = _axis_sum(0, np.arange(region.box_count), which.reshape(n, -1), stack, spread)
-    return sums if mp is None else [arith.Fx(sums[0], None, n * t, mp.prec)]
-
-
-def _axis_sum(axis, rows, which, stack, spread):
-    """Sum over the boxes ``rows`` of the products of their tables on the
-    axes from ``axis`` on, grouped by the boxes' interval on ``axis``;
-    ``stack[.][which[axis, box]]`` is the box's table on ``axis``."""
-    used, group = np.unique(which[axis, rows], return_inverse=True)
-    if axis == len(which) - 1:
-        # a running sum adds t_0 + t_1 + ... in order whatever the tables' size,
-        # where numpy's sum pairs the terms of a (M, 1, 1) stack
-        tables = stack if len(used) == len(stack[0]) else [t[used] for t in stack]
-        return [np.cumsum(t, axis=0)[-1][spread[axis]] for t in tables]
-    total = None
-    for g, i in enumerate(used):
-        inner = _axis_sum(axis + 1, rows[group == g], which, stack, spread)
-        part = _times([t[i][spread[axis]] for t in stack], inner)
-        total = part if total is None else [s + p for s, p in zip(total, part)]
-    return total
+    # a running sum adds t_0 + t_1 + ... in order whatever the tables' size,
+    # where numpy's sum pairs the terms of a (M, 1, 1) stack
+    counts = np.cumsum([len(lows) for lows, _ in region.axes])[:-1]
+    sums = [[np.cumsum(t[rows], axis=0)[-1][spread[j]] for t in stack]
+            for j, rows in enumerate(np.split(which.reshape(-1), counts))]
+    total = sums[-1]
+    for outer in reversed(sums[:-1]):
+        total = _times(outer, total)
+    return total if mp is None else [arith.Fx(total[0], None, n * t, mp.prec)]
 
 
 def gram_matrix(region: Region, n, N) -> GramOperator:

@@ -1,10 +1,11 @@
-"""Measurable control regions as finite axis-aligned box unions.
+"""Measurable control regions as products of one-dimensional interval unions.
 
-A region is always normalized to a finite union of pairwise-disjoint boxes
-inside a truncation ball; geometric diagnostics (thickness, density ratios)
-are exact box arithmetic, and integrals of Hermite-function pairs over a
-region reduce per axis to one-dimensional integrals over intervals, all in
-closed form from the boundary values of phi_k and phi_k':
+A region is, per axis, a finite union of disjoint intervals inside a
+truncation radius, and stands for the product of these unions; density
+ratios are exact box arithmetic over the product's boxes, and integrals of
+Hermite-function pairs over a region factor into one-dimensional integrals
+over the intervals of each axis, all in closed form from the boundary values
+of phi_k and phi_k':
 
 * ``j != k``: the Wronskian identity
   ``int_a^b phi_j phi_k = [phi_j phi_k' - phi_j' phi_k]_a^b / (2 (j - k))``,
@@ -54,67 +55,62 @@ def _merge_intervals(lows, highs):
 
 
 class Region:
-    """Finite union of disjoint axis-aligned boxes in R^n.
+    """Product of one-dimensional interval unions in R^n.
 
     Attributes
     ----------
     n : spatial dimension
-    lows, highs : arrays of shape (K, n), box corners
+    axes : n pairs (lows, highs), each axis's sorted, disjoint intervals
     generator : dict describing how the region was produced
     trunc_radius : radius of the ball inside which the region is faithful
+
+    ``axes`` takes, per axis, the interval ends as arrays or scalars; the
+    intervals of an axis are merged where they overlap or touch.  The boxes
+    of the product, in the order of ``itertools.product`` over the axes, are
+    ``lows`` and ``highs``, of shape (K, n).
     """
 
-    def __init__(self, n, lows, highs, generator=None, trunc_radius=None):
-        lows, highs = (np.atleast_2d(c) if c.size else c.reshape(0, n)  # no boxes: (0, n)
-                       for c in (np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)))
-        if lows.shape != highs.shape or (lows.size and lows.shape[1] != n):
-            raise ContractViolation("box arrays must have shape (K, n)")
-        if np.any(highs < lows):
-            raise ContractViolation("box with negative side length")
-        if not np.all(np.isfinite(lows)) or not np.all(np.isfinite(highs)):
-            raise ContractViolation("box bounds must be finite")
-        if n == 1 and lows.size:
-            lo, hi = _merge_intervals(lows[:, 0], highs[:, 0])
-            lows, highs = lo.reshape(-1, 1), hi.reshape(-1, 1)
-        self.n = n
-        self.lows = lows
-        self.highs = highs
+    def __init__(self, axes, generator=None, trunc_radius=None):
+        merged = []
+        for lows, highs in axes:
+            lows, highs = (np.asarray(c, dtype=float).reshape(-1) for c in (lows, highs))
+            if lows.shape != highs.shape:
+                raise ContractViolation("an axis needs as many low ends as high ends")
+            if np.any(highs < lows):
+                raise ContractViolation("interval with negative length")
+            if not np.all(np.isfinite(lows)) or not np.all(np.isfinite(highs)):
+                raise ContractViolation("interval ends must be finite")
+            lows, highs = _merge_intervals(lows, highs) if lows.size else (lows.copy(), highs.copy())
+            lows.flags.writeable = highs.flags.writeable = False
+            merged.append((lows, highs))
+        if not merged:
+            raise ContractViolation("a region needs at least one axis")
+        self.n = len(merged)
+        self.axes = tuple(merged)
         self.generator = dict(generator or {"kind": "explicit"})
-        edge = np.max(np.abs(np.concatenate([lows, highs])), initial=0.0)
+        edge = max(np.max(np.abs(np.concatenate(axis)), initial=0.0) for axis in merged)
         self.trunc_radius = float(edge if trunc_radius is None else trunc_radius)
-        self._check_disjoint()
-        self.lows.flags.writeable = False
-        self.highs.flags.writeable = False
 
-    def _check_disjoint(self):
-        # sort and sweep on axis 0: in order of low ends, box i can overlap only the
-        # boxes after it whose low end lies before its high end; pairs go in chunks
-        K = self.lows.shape[0]
-        if K < 2:
-            return
-        vols = np.prod(self.highs - self.lows, axis=1)
-        floor = 1e-12 * max(np.min(vols[vols > 0], initial=1.0), 1e-300)
-        order = np.argsort(self.lows[:, 0], kind="stable")
-        lows, highs = self.lows[order], self.highs[order]
-        counts = np.maximum(np.searchsorted(lows[:, 0], highs[:, 0]) - np.arange(1, K + 1), 0)
-        first, total, chunk = np.cumsum(counts) - counts, int(counts.sum()), 2**15 // self.n
-        for start in range(0, total, chunk):
-            pair = np.arange(start, min(start + chunk, total))
-            i = np.searchsorted(first, pair, side="right") - 1  # first[i]: box i's first pair
-            j = i + 1 + pair - first[i]
-            lo = np.maximum(lows[i], lows[j])
-            hi = np.minimum(highs[i], highs[j])
-            if np.any(np.all(hi > lo, axis=1) & (np.prod(hi - lo, axis=1) > floor)):
-                raise ContractViolation("boxes overlap beyond tolerance")
+    # -- the boxes and measures -------------------------------------------------
 
-    # -- measures -----------------------------------------------------------
+    def _corners(self, end):
+        grid = np.meshgrid(*(axis[end] for axis in self.axes), indexing="ij")
+        return np.stack(grid, axis=-1).reshape(-1, self.n)
+
+    @property
+    def lows(self):
+        return self._corners(0)
+
+    @property
+    def highs(self):
+        return self._corners(1)
 
     @property
     def box_count(self):
-        return self.lows.shape[0]
+        return math.prod(len(lows) for lows, _ in self.axes)
 
     def measure(self):
-        return float(np.sum(np.prod(self.highs - self.lows, axis=1)))
+        return float(math.prod(np.sum(highs - lows) for lows, highs in self.axes))
 
     def to_json_dict(self):
         """The region's definition, size and a SHA-256 of the little-endian
@@ -136,10 +132,13 @@ class Region:
 def make_periodic_thick(n, L, gamma, r_trunc):
     """Periodic thick pattern: one corner sub-box of side gamma^(1/n) L per cell.
 
-    Every lattice cell ``alpha + [0, L]^n`` meeting the ball B(0, r_trunc)
-    contributes the sub-box anchored at its corner, so the region is exactly
-    gamma-thick at scale L inside the truncation radius.  The (2 jmax + 2)^n
-    cells enumerated, jmax = floor(r_trunc / L) + 1, are counted first and
+    Every lattice cell ``alpha + [0, L]^n`` meeting the cube (-r_trunc,
+    r_trunc)^n contributes the sub-box anchored at its corner, so the region
+    is exactly gamma-thick at scale L inside the truncation radius and is the
+    product of n copies of one interval union: the axis's cells that meet
+    (-r_trunc, r_trunc).  The cube holds the ball B(0, r_trunc), so the tail
+    bound of :func:`gram.truncation_entry_error` covers it.  The lattice of
+    (2 jmax + 2)^n cells, jmax = floor(r_trunc / L) + 1, is counted first and
     refused above ``MAX_CELLS``.
     """
     if not 0.0 < gamma <= 1.0:
@@ -151,11 +150,10 @@ def make_periodic_thick(n, L, gamma, r_trunc):
     if (2 * jmax + 2) ** n > MAX_CELLS:
         raise ContractViolation("periodic L = %r at truncation radius %.6g needs more than "
                                 "regions.MAX_CELLS = %d lattice cells" % (L, r_trunc, MAX_CELLS))
-    cells = itertools.product(range(-jmax - 1, jmax + 1), repeat=n)
-    corners = np.array(list(cells), dtype=float) * L
+    corners = np.arange(-jmax - 1, jmax + 1, dtype=float) * L
     nearest = np.where(corners > 0, corners, np.minimum(corners + L, 0.0))
-    corners = corners[np.linalg.norm(nearest, axis=1) < r_trunc]
-    return Region(n, corners, corners + side,
+    corners = corners[np.abs(nearest) < r_trunc]
+    return Region([(corners, corners + side)] * n,
                   {"kind": "periodic_thick", "L": L, "gamma": gamma}, trunc_radius=r_trunc)
 
 
@@ -165,12 +163,9 @@ def half_space(n, axis, c, r_trunc):
         raise ContractViolation("truncation radius too small for the half-space")
     if not 0 <= axis < n:
         raise ContractViolation("half-space axis %d outside 0..%d" % (axis, n - 1))
-    lo = np.full(n, -r_trunc)
-    hi = np.full(n, r_trunc)
-    lo[axis] = c
-    return Region(n, lo[None, :], hi[None, :],
-                  {"kind": "half_space", "axis": axis, "c": c},
-                  trunc_radius=r_trunc)
+    axes = [(-r_trunc, r_trunc)] * n
+    axes[axis] = (c, r_trunc)
+    return Region(axes, {"kind": "half_space", "axis": axis, "c": c}, trunc_radius=r_trunc)
 
 
 def half_line(r_trunc):
@@ -179,83 +174,24 @@ def half_line(r_trunc):
 
 def full_space(n, r_trunc):
     """R^n truncated to the box [-R, R]^n."""
-    lo = np.full((1, n), -float(r_trunc))
-    hi = np.full((1, n), float(r_trunc))
-    return Region(n, lo, hi, {"kind": "full"}, trunc_radius=r_trunc)
+    return Region([(-r_trunc, r_trunc)] * n, {"kind": "full"}, trunc_radius=r_trunc)
 
 
 def interval_region(a, b, trunc_radius=None):
     """A single interval [a, b] in one dimension (e.g. a 1-D ball)."""
-    return Region(1, [[a]], [[b]], {"kind": "explicit"},
+    return Region([(a, b)], {"kind": "explicit"},
                   trunc_radius=trunc_radius or max(abs(a), abs(b)))
-
-
-def box_region(lo, hi, trunc_radius=None):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    return Region(len(lo), lo[None, :], hi[None, :], {"kind": "explicit"},
-                  trunc_radius=trunc_radius)
 
 
 def ball_complement(r0, r_trunc):
     """1-D complement of (-r0, r0), truncated: two symmetric intervals."""
     if r0 <= 0 or r_trunc <= r0:
         raise ContractViolation("need 0 < r0 < truncation radius")
-    return Region(1, [[-r_trunc], [r0]], [[-r0], [r_trunc]], {"kind": "ball_complement", "r0": r0},
+    return Region([([-r_trunc, r0], [-r0, r_trunc])], {"kind": "ball_complement", "r0": r0},
                   trunc_radius=r_trunc)
 
 
-def union(a: Region, b: Region):
-    """Union of two regions with disjoint boxes (validated on construction)."""
-    if a.n != b.n:
-        raise ContractViolation("dimension mismatch")
-    return Region(
-        a.n,
-        np.vstack([a.lows, b.lows]),
-        np.vstack([a.highs, b.highs]),
-        {"kind": "union"},
-        trunc_radius=max(a.trunc_radius, b.trunc_radius),
-    )
-
-
 # -- geometric diagnostics -----------------------------------------------------
-
-
-def thickness_check(region: Region, L, m=4):
-    """Thickness fraction at scale L, sampled on a lattice of cube corners.
-
-    Minimizes |region cap (x + [0,L]^n)| / L^n over corners x on a lattice of
-    pitch L/m, restricted to cubes lying inside the truncation ball (outside
-    it the region is artificially empty).  Box clipping makes each cube
-    measure exact, but a minimum over lattice corners is in general an upper
-    estimate of the infimum over all corners: for [-10, 0.15] u [1.05, 10],
-    L = 1 and m = 4 it gives 0.15, while the infimum is 0.1.  For the
-    periodic pattern at its own period L every cube has the same measure, so
-    the value is exact there.  A box's clipped volume in a cube is the
-    product of its clipped side lengths, so the measures of all cubes are one
-    contraction of per-axis length tables, taken in chunks of boxes.
-    """
-    if L <= 0 or m < 1:
-        raise ContractViolation("need L > 0 and m >= 1")
-    n, R = region.n, region.trunc_radius
-    if math.sqrt(n) * L >= 2 * R:
-        raise ContractViolation("truncation ball too small for scale L")
-    pitch, half_span = L / m, R / math.sqrt(n)  # cubes inside the ball
-    count = int(math.floor((half_span - L + half_span) / pitch)) + 1
-    if count < 1:
-        raise ContractViolation("no admissible cube positions")
-    grid = -half_span + pitch * np.arange(count)
-    # lengths[i][b, g] = |[lows[b, i], highs[b, i]] cap [grid[g], grid[g] + L]|
-    lengths = [np.clip(np.minimum(region.highs[:, i, None], grid + L)
-                       - np.maximum(region.lows[:, i, None], grid), 0.0, None) for i in range(n)]
-    measure = np.zeros((count ** (n - 1), count))
-    rows = max(1, 2**20 // count ** (n - 1))
-    for s in range(0, region.box_count, rows):
-        head = np.ones((len(lengths[0][s:s + rows]), 1))
-        for ell in lengths[:-1]:
-            head = (head[:, :, None] * ell[s:s + rows, None, :]).reshape(len(head), -1)
-        measure += head.T @ lengths[-1][s:s + rows]
-    return float(np.min(measure)) / L**n
 
 
 def _quarter_disc(u, v, R):
@@ -303,9 +239,10 @@ def _octant_ball(u, v, w, R):
 def density_ratio(region: Region, R):
     """|region cap B(0,R)| / |B(0,R)| in closed form, for n <= 3.
 
-    Inclusion-exclusion over the 2^n corners c of each box, high ends +, low
-    ends -, of G(c) = prod_i sgn(c_i) g_n(min(|c|, R)), where g_n(u) is
-    |[0, u_1] x ... x [0, u_n] cap B(0, R)|; the ball is 2^n g_n(R, ..., R).
+    Inclusion-exclusion over the 2^n corners c of each box of the product,
+    high ends +, low ends -, of G(c) = prod_i sgn(c_i) g_n(min(|c|, R)), where
+    g_n(u) is |[0, u_1] x ... x [0, u_n] cap B(0, R)|; the ball is
+    2^n g_n(R, ..., R).
     Corner terms reach R^n and cancel, so the absolute error is a few eps R^n.
     """
     if R <= 0:
@@ -316,9 +253,10 @@ def density_ratio(region: Region, R):
     if n > 3:
         raise ContractViolation("box-ball volumes are closed forms only for n <= 3")
     g = {1: lambda u, R: u, 2: _quarter_disc, 3: _octant_ball}[n]
+    lows, highs = region.lows, region.highs
     total = 0.0
     for high in itertools.product((False, True), repeat=n):
-        c = np.where(high, region.highs, region.lows)
+        c = np.where(high, highs, lows)
         sign = (-1) ** (n - sum(high))
         total = total + sign * np.prod(np.sign(c), axis=1) * g(*np.minimum(np.abs(c), R).T, R)
     ball = 2**n * g(*np.full((n, 1), float(R)), R)[0]

@@ -472,9 +472,9 @@ def suite_control_monotone(seed=0, trials=1):
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     R = rg.truncate_radius(N, 1) + 1
     small = rg.make_periodic_thick(1, 1.0, 0.35, R)
-    lows = np.vstack([small.lows, small.highs])
-    highs = np.vstack([small.highs, small.highs + 0.25])
-    big = rg.Region(1, lows, highs, trunc_radius=R)
+    ((lows, highs),) = small.axes
+    big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))],
+                    trunc_radius=R)
     P_small = gram.gram_matrix(small, 1, N).matrix
     P_big = gram.gram_matrix(big, 1, N).matrix
     cts = [

@@ -97,6 +97,8 @@ ENTRIES = [
      None),
     ("scaling-density-2d", "scaling --region periodic:L=1,gamma=0.5 --n 2 --N 2 --variant density"
      " --out {out}", None),
+    ("scaling-thick-3d", "scaling --region periodic:L=1,gamma=0.5 --n 3 --N 2:4:2 --variant thick"
+     " --out {out}", None),
     ("bounds-default", "bounds --out {out}", None),
     ("bounds-open", "bounds --variant open --n 1 --N 0,8,20 --x0 4.0 --r 0.5 --out {out}", None),
     ("bounds-thick", "bounds --variant thick --N 4:8:4 --L 2 --gamma 0.3 --out {out}", None),
@@ -126,6 +128,8 @@ ENTRIES = [
      None),
     ("flagged-staircase-ball12", "control --symbol harmonic --region ball:r=1 --T 0.5 --N 12"
      " --staircase --out {out}", None),
+    ("flagged-staircase-target-ball24-256", "control --symbol harmonic --region ball:r=1 --T 1"
+     " --N 24 --staircase --seed 1 --precision-bits 256 --out {out}", None),
     ("flagged-observability-zero", "observability --symbol harmonic --region interval:a=0,b=0"
      " --N 4 --T 1 --out {out}", None),
     ("flagged-observability-zero-list", "observability --symbol harmonic --region interval:a=0,b=0"

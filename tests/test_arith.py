@@ -45,7 +45,7 @@ def ball(N):
 
 
 def box_2d(N):
-    return rg.box_region((-1.0, -0.5), (0.5, 1.5), trunc_radius=rg.truncate_radius(N, 2) + 1)
+    return rg.Region([(-1.0, 0.5), (-0.5, 1.5)], trunc_radius=rg.truncate_radius(N, 2) + 1)
 
 
 @pytest.mark.parametrize("region, n, N, bits", [

@@ -13,7 +13,6 @@ from hermite_obs.basis import (
     apply_ladder,
     eval_hermite_1d,
     multi_indices,
-    project_energy,
     space_dimension,
     unit_expansion,
 )
@@ -226,14 +225,14 @@ class TestLadder:
         assert up.inner(g) == pytest.approx(f.inner(down.padded(4)), rel=1e-13)
 
     def test_harmonic_oscillator_diagonal(self):
-        # position^2 - derivative^2 acts level-diagonally, eigenvalue 2|a| + n
+        # position^2 + momentum^2 acts level-diagonally, eigenvalue 2|a| + n
         n, N = 2, 4
         M = N + 2
         H = np.zeros((space_dimension(n, M), space_dimension(n, M)), dtype=complex)
         for j in range(n):
             X = basis.position_matrix(n, M, j)
-            Dm = basis.derivative_matrix(n, M, j)
-            H += X @ X - Dm @ Dm
+            D = basis.momentum_matrix(n, M, j)
+            H += X @ X + D @ D
         dim = space_dimension(n, N)
         lev = basis.index_levels(n, N)
         assert np.max(np.abs(H[:dim, :dim] - np.diag(2 * lev + n))) < 1e-12
@@ -242,25 +241,3 @@ class TestLadder:
         f = unit_expansion(1, 3, (1,))
         with pytest.raises(ContractViolation):
             apply_ladder(LadderMap(basis.RAISE, 0, 5), f)
-
-
-class TestProjection:
-    def test_cumulative_identity_on_full_space(self):
-        rng = np.random.default_rng(2)
-        f = basis.random_expansion(2, 4, rng)
-        assert (project_energy(f, 4, "cumulative") - f).norm() == 0.0
-
-    def test_single_level_pick(self):
-        f = unit_expansion(1, 2, (0,)) + unit_expansion(1, 2, (1,)).scaled(3.0)
-        g = project_energy(f, 1, "single")
-        assert np.allclose(g.coeffs, unit_expansion(1, 2, (1,)).scaled(3.0).coeffs)
-
-    def test_low_projection_kills_higher_mode(self):
-        f = unit_expansion(2, 2, (1, 1))
-        assert project_energy(f, 0, "cumulative").norm() == 0.0
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        f = basis.random_expansion(1, 6, rng)
-        once = project_energy(f, 3, "cumulative")
-        assert (project_energy(once, 3, "cumulative") - once).norm() == 0.0

@@ -584,14 +584,14 @@ class TestOutputs:
         assert doc["result"]["singular_space_trivial"] is True
 
     def test_observability_closed_form(self, capsys, tmp_path):
-        from hermite_obs import control as ct
+        from oracles import harmonic_full_space_ct
 
         out = str(tmp_path / "o")
         code = cli.run(["observability", "--symbol", "harmonic", "--region", "full",
                         "--N", "6", "--T", "1.0", "--quiet", "--out", out])
         assert code == cli.EXIT_OK
         doc = json.loads((tmp_path / "o.json").read_text())
-        want = ct.harmonic_full_space_ct(1, 6, 1.0)
+        want = harmonic_full_space_ct(1, 6, 1.0)
         assert doc["result"]["C_T"] == pytest.approx(want, rel=1e-5)
 
     def test_control_subcommand(self, capsys, tmp_path):

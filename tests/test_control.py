@@ -7,6 +7,7 @@ import scipy.linalg
 
 from hermite_obs import arith, basis, control as ct, gram, quadratic as qd, regions as rg
 from hermite_obs.basis import ContractViolation
+from oracles import harmonic_full_space_ct
 
 
 def harmonic_problem(N, T=1.0, piomega=None):
@@ -137,7 +138,7 @@ class TestObservability:
         # oracle: per-eigenvalue scalar constants, worst mode wins
         prob = harmonic_problem(8)
         rep = ct.observability_constant(prob)
-        want = ct.harmonic_full_space_ct(1, 8, 1.0)
+        want = harmonic_full_space_ct(1, 8, 1.0)
         assert rep.c_value == pytest.approx(want, rel=1e-6)
         assert rep.flag == "ok"
 
@@ -314,9 +315,9 @@ class TestHumControl:
         N = 8
         R = rg.truncate_radius(N, 1) + 1
         small = rg.make_periodic_thick(1, 1.0, 0.35, R)
-        lows = np.vstack([small.lows, small.highs])
-        highs = np.vstack([small.highs, small.highs + 0.25])
-        big = rg.Region(1, lows, highs, trunc_radius=R)
+        ((lows, highs),) = small.axes
+        big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))],
+                        trunc_radius=R)
         P_small = gram.gram_matrix(small, 1, N).matrix
         P_big = gram.gram_matrix(big, 1, N).matrix
         rng = np.random.default_rng(14)
@@ -496,6 +497,20 @@ class TestStaircase:
         assert res.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
         assert res.residual == pytest.approx(ref.residual, rel=1e-12)
 
+    def test_missed_target_is_flagged(self):
+        # on the ball at T = 1 every stage factors at 256 bits, but the run
+        # ends after the full-space stage 5.3e-5 short of the target
+        N = 24
+        R = rg.truncate_radius(N, 1) + 1
+        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, N).matrix
+        prob = harmonic_problem(N, 1.0, P)
+        f0 = basis.random_expansion(1, N, np.random.default_rng(1))
+        res = ct.lr_staircase(prob, f0, target=1e-6, precision_bits=256)
+        assert res.flag == "target_missed" and res.stages[-1]["k_j"] == N
+        assert res.residual == pytest.approx(5.33e-5, rel=1e-3)
+        met = ct.lr_staircase(prob, f0, target=1e-4, precision_bits=256)
+        assert met.flag == "ok" and met.residual == res.residual
+
     def test_cost_comparable_to_hum(self):
         N = 12
         prob = harmonic_problem(N, 1.0, thick_gram(N))
@@ -514,7 +529,7 @@ class TestBlowup:
         P = np.eye(A.size)
         study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25])
         for row in study.rows:
-            want = ct.harmonic_full_space_ct(1, 6, row["T"])
+            want = harmonic_full_space_ct(1, 6, row["T"])
             assert row["C_T"] == pytest.approx(want, rel=1e-5)
 
     def test_thick_region_fit_shape(self):

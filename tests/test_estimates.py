@@ -8,6 +8,7 @@ import pytest
 from hermite_obs import basis, estimates as est
 from hermite_obs.basis import ContractViolation
 from hermite_obs.quadrature import composite_gauss_legendre
+from oracles import hermite_derivatives
 
 
 def chebyshev_first_exact(d, x):
@@ -170,7 +171,7 @@ def weighted_norm_oracle(f, beta, delta):
 
     def table(j, x):
         vals = basis.hermite_values(f.N + 1, x)
-        return basis.hermite_derivatives(f.N, x, vals) if beta[j] else vals[: f.N + 1]
+        return hermite_derivatives(f.N, x, vals) if beta[j] else vals[: f.N + 1]
 
     def line(d, j):
         """Integrand along axis j for the coefficient row d of that axis."""

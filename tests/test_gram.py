@@ -48,7 +48,7 @@ class TestGramAssembly:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_region_gives_zero_grams(self, n):
-        reg = rg.Region(n, [], [], trunc_radius=rg.truncate_radius(4, n) + 1)
+        reg = rg.Region([([], [])] * n, trunc_radius=rg.truncate_radius(4, n) + 1)
         G = gram.gram_matrix(reg, n, 4)
         assert not G.matrix.any() and not G.errors.any()
         with mpmath.workprec(272):
@@ -80,8 +80,7 @@ class TestGramAssembly:
         assert np.max(np.abs(G.matrix - want)) < 1e-10
 
     def test_empty_region_zero_matrix(self):
-        empty = rg.Region(1, np.zeros((0, 1)), np.zeros((0, 1)),
-                          trunc_radius=rg.truncate_radius(2, 1) + 1)
+        empty = rg.Region([(np.zeros(0), np.zeros(0))], trunc_radius=rg.truncate_radius(2, 1) + 1)
         G = gram.gram_matrix(empty, 1, 2)
         assert np.all(G.matrix == 0.0)
 
@@ -111,9 +110,14 @@ class TestGramAssembly:
 
     @pytest.mark.parametrize("n,N,L,gamma", [(2, 5, 1.0, 0.5), (3, 3, 3.0, 0.4)])
     def test_grouped_assembly_matches_per_box_reference(self, n, N, L, gamma):
+        # a product whose axes differ: periodic patterns of scale L, 2L, ...
+        # and fractions gamma, gamma / 2, ..., the first with one more interval
         R = rg.truncate_radius(N, n) + 1
-        reg = rg.union(rg.make_periodic_thick(n, L, gamma, R),
-                       rg.box_region([R - 0.5] * n, [R - 0.25] * n, trunc_radius=R))
+        axes = [rg.make_periodic_thick(1, L * (i + 1), gamma / (i + 1), R).axes[0]
+                for i in range(n)]
+        axes[0] = tuple(np.append(ends, R - e) for ends, e in zip(axes[0], (0.5, 0.25)))
+        reg = rg.Region(axes, trunc_radius=R)
+        assert len({len(lows) for lows, _ in reg.axes}) == n
         G = gram.gram_matrix(reg, n, N)
         want, want_err = per_box_reference(reg, n, N)
         assert np.max(np.abs(G.matrix - want)) < 1e-14

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from hermite_obs import basis, regions as rg
 from hermite_obs.basis import ContractViolation
 from hermite_obs.quadrature import composite_gauss_legendre
+from oracles import thickness
 
 
 class TestGenerators:
@@ -33,41 +35,38 @@ class TestGenerators:
             rg.make_periodic_thick(1, -1.0, 0.5, 3.0)
 
     def test_overlapping_boxes_rejected(self):
-        with pytest.raises(ContractViolation):
-            rg.Region(2, [[0.0, 0.0], [0.5, 0.5]], [[1.0, 1.0], [1.5, 1.5]])
-        # one-dimensional unions normalize instead: overlap and touching merge
-        r = rg.Region(1, [[0.0], [0.5]], [[1.0], [1.5]])
+        # an axis's intervals normalize: overlap and touching merge
+        r = rg.Region([([0.0, 0.5], [1.0, 1.5])])
         assert r.box_count == 1
         assert r.measure() == pytest.approx(1.5)
 
-    @pytest.mark.parametrize("corner", [(0.5, 0.5), (30.5, 29.5)])
-    def test_overlap_hidden_among_many_boxes(self, corner):
-        # 32 x 32 unit squares tile [0, 32]^2; touching boxes are accepted
-        g = np.arange(32.0)
-        lows = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        tiled = rg.Region(2, lows, lows + 1.0)
-        assert tiled.box_count == 1024
-        assert tiled.measure() == pytest.approx(1024.0)
-        # one more unit square straddling four tiles, early or late in the list
-        bad = np.vstack([lows, [corner]])
-        with pytest.raises(ContractViolation, match="overlap"):
-            rg.Region(2, bad, bad + 1.0)
+    def test_product_of_axis_unions(self):
+        # two intervals by three, merged per axis: six boxes in product order
+        r = rg.Region([([2.0, 0.0, 0.5], [3.0, 1.0, 1.5]), ([0.0, 4.0, 2.0], [1.0, 5.0, 2.5])])
+        assert r.n == 2 and r.box_count == 6
+        assert r.lows.tolist() == [[0.0, 0.0], [0.0, 2.0], [0.0, 4.0],
+                                   [2.0, 0.0], [2.0, 2.0], [2.0, 4.0]]
+        assert r.highs[-1].tolist() == [3.0, 5.0]
+        assert r.measure() == 2.5 * 2.5 and r.trunc_radius == 5.0
+        for bad in ([([0.0], [1.0, 2.0])], [([1.0], [0.0])], [([0.0], [math.inf])], []):
+            with pytest.raises(ContractViolation):
+                rg.Region(bad)
 
-    def test_overlap_hidden_in_a_3d_periodic_region(self):
-        # the sort-and-sweep test on a 3-D lattice of 9,016 boxes: accepted as
-        # built, refused with one box shifted by half a side onto a neighbour
-        r = rg.make_periodic_thick(3, 1.0, 0.5, rg.truncate_radius(2, 3) + 1.0)
-        assert r.box_count >= 9000
-        side = r.highs[0] - r.lows[0]
-        for cell in ([0, 0, 0], [-3, 2, -1], [5, -1, 4], [-13, -3, -1]):
-            (k,) = np.flatnonzero(np.all(r.lows == cell, axis=1))
-            lows = np.vstack([r.lows, r.lows[k] + side / 2])
-            with pytest.raises(ContractViolation, match="overlap"):
-                rg.Region(3, lows, np.vstack([r.highs, r.highs[k] + side / 2]))
+    def test_periodic_cells_meet_the_cube(self):
+        # in n >= 2 the cells kept are those meeting (-R, R)^n, on every axis
+        # the cells of the 1-D pattern, corners included
+        R = 2.5
+        flat = rg.make_periodic_thick(1, 1.0, 0.25, R).axes[0]
+        r = rg.make_periodic_thick(2, 1.0, 0.25, R)
+        assert r.box_count == len(flat[0]) ** 2 == 36
+        for lows, highs in r.axes:
+            assert lows.tolist() == flat[0].tolist()
+            assert np.allclose(highs - lows, 0.5)
+        assert [-3.0, -3.0] in r.lows.tolist()
 
     def test_empty_region_has_no_boxes(self):
         for n in (1, 2, 3):
-            r = rg.Region(n, [], [], trunc_radius=5.0)
+            r = rg.Region([([], [])] * n, trunc_radius=5.0)
             assert r.lows.shape == r.highs.shape == (0, n)
             assert r.box_count == 0 and r.measure() == 0.0
 
@@ -81,40 +80,45 @@ class TestGenerators:
         doc = r.to_json_dict()
         assert doc == rg.make_periodic_thick(2, 1.0, 0.25, 2.0).to_json_dict()
         assert "boxes" not in doc and doc["box_count"] == 16 and doc["measure"] == r.measure()
-        # one corner moved by one ulp changes the digest
-        highs = r.highs.copy()
-        highs[5, 1] = np.nextafter(highs[5, 1], np.inf)
-        moved = rg.Region(2, r.lows, highs, r.generator, r.trunc_radius).to_json_dict()
+        # one interval end moved by one ulp changes the digest
+        (lows, highs), axis = r.axes[0], r.axes[1]
+        highs = highs.copy()
+        highs[2] = np.nextafter(highs[2], np.inf)
+        moved = rg.Region([(lows, highs), axis], r.generator, r.trunc_radius).to_json_dict()
         assert moved["sha256"] != doc["sha256"]
         assert {k: v for k, v in moved.items() if k not in ("sha256", "measure")} == {
             k: v for k, v in doc.items() if k not in ("sha256", "measure")}
         # a 1-D union is recorded as its merged intervals
-        merged = rg.Region(1, [[0.5], [0.0], [2.0]], [[1.5], [1.0], [3.0]])
-        assert merged.to_json_dict() == rg.Region(1, [[0.0], [2.0]], [[1.5], [3.0]]).to_json_dict()
+        merged = rg.Region([([0.5, 0.0, 2.0], [1.5, 1.0, 3.0])])
+        assert merged.to_json_dict() == rg.Region([([0.0, 2.0], [1.5, 3.0])]).to_json_dict()
+        # a single box is recorded by its lows, then its highs
+        corners = np.array([-3.0, -3.0, 3.0, 3.0]).tobytes()
+        assert rg.full_space(2, 3.0).to_json_dict()["sha256"] == hashlib.sha256(corners).hexdigest()
 
 
 class TestThickness:
+    # the generators against the test oracle of lattice-cube measures
     def test_periodic_pattern_exact(self):
         r = rg.make_periodic_thick(1, 1.0, 0.5, 8.0)
-        assert rg.thickness_check(r, 1.0, 4) == pytest.approx(0.5, abs=1e-12)
+        assert thickness(r, 1.0, 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_half_space_has_empty_windows(self):
         r = rg.half_line(10.0)
-        assert rg.thickness_check(r, 1.0, 2) == 0.0
+        assert thickness(r, 1.0, 2) == 0.0
 
     def test_full_space(self):
         r = rg.full_space(1, 10.0)
-        assert rg.thickness_check(r, 2.0, 3) == pytest.approx(1.0)
+        assert thickness(r, 2.0, 3) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n,N,gamma", [(2, 16, 0.5), (2, 6, 0.3), (3, 2, 0.5)])
     def test_periodic_pattern_exact_at_its_period(self, n, N, gamma):
         r = rg.make_periodic_thick(n, 1.0, gamma, rg.truncate_radius(N, n) + 1.0)
-        assert rg.thickness_check(r, 1.0) == pytest.approx(gamma, abs=1e-12)
+        assert thickness(r, 1.0) == pytest.approx(gamma, abs=1e-12)
 
     def test_lattice_minimum_overestimates_the_infimum(self):
-        # the docstring's case: the lattice of pitch 1/4 sees 0.15, not 0.1
-        r = rg.Region(1, [[-10.0], [1.05]], [[0.15], [10.0]])
-        assert rg.thickness_check(r, 1.0, 4) == pytest.approx(0.15, abs=1e-12)
+        # the oracle's own case: the lattice of pitch 1/4 sees 0.15, not 0.1
+        r = rg.Region([([-10.0, 1.05], [0.15, 10.0])])
+        assert thickness(r, 1.0, 4) == pytest.approx(0.15, abs=1e-12)
 
 
 class TestDensity:
@@ -137,8 +141,8 @@ class TestDensity:
             rg.density_ratio(rg.full_space(4, 3.0), 2.0)
 
     def test_needs_no_quadrature(self, monkeypatch):
-        # box-ball volumes and cube measures are closed forms: the adaptive
-        # quadrature is never called
+        # box-ball volumes are closed forms: the adaptive quadrature is never
+        # called
         from hermite_obs import quadrature
 
         def refuse(*args, **kwargs):
@@ -148,7 +152,6 @@ class TestDensity:
         for n in (2, 3):
             r = rg.make_periodic_thick(n, 1.0, 0.5, 4.0)
             assert 0.4 < rg.density_ratio(r, 4.0) < 0.6
-            assert rg.thickness_check(r, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def clipped_length(lo, hi, s):
@@ -231,7 +234,7 @@ def test_box_ball_volume_matches_30_digit_quadrature(lo, hi, R):
     n = len(lo)
     want = ball_volume_quad(lo, hi, R)
     ball = mpmath.pi ** (n / mpmath.mpf(2)) / mpmath.gamma(n / mpmath.mpf(2) + 1) * R**n
-    got = rg.density_ratio(rg.box_region(lo, hi, trunc_radius=R), R) * ball
+    got = rg.density_ratio(rg.Region(list(zip(lo, hi)), trunc_radius=R), R) * ball
     near = max(abs(t) for t in lo + hi) <= 2.0 and want > 0
     assert abs(got - want) <= (1e-13 * want if near else 1e-14 * R**n)
 
