@@ -401,10 +401,19 @@ def backend(bits):
     return DOUBLE if bits <= 53 else Mp(bits)
 
 
-def taylor(ar, A, T, x=(), Q=None):
+def step_count(A, T):
+    """The Taylor table's step count over [0, T]: the least power of two at or
+    above T ||A||_1, at least 1.  A T ||A||_1 that is not finite has none."""
+    frac, e = math.frexp(t := T * float(np.abs(A).sum(axis=0).max()))
+    if not math.isfinite(t):
+        raise ContractViolation("T ||A||_1 = %r is not finite" % t)
+    return 1 << max(0, e - (frac == 0.5))
+
+
+def taylor(ar, A, T, x=(), Q=None, reads=None):
     """Propagators and, given Q, the Gramian over [0, T] from one Taylor table.
 
-    At h = T / 2^k, k least with h ||A||_1 <= 1, the powers of B = -hA up to
+    At h = T / 2^k, 2^k the :func:`step_count`, the powers of B = -hA up to
     the least m with nu^{m+1} / (m+1)! (m+2) / (m+2-nu) < 2^-(bits+16), nu
     the 1-norm of B or of Z = [[B, hQ], [0, -B^H]] (Higham, *Functions of
     Matrices*, 10.3), give E(h) = e^{-hA} and e^{-c h A} at the Gauss offsets
@@ -416,16 +425,13 @@ def taylor(ar, A, T, x=(), Q=None):
     so only the contractions, V E(h)^H and the doublings are dense.  k doublings
     W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach
     W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.  Returns the
-    propagators, W (or None), E, the step count 2^k and m.  A T ||A||_1
-    that is not finite has no step count: it raises ContractViolation.
+    propagators, W (or None), E, the step count 2^k and m; given Q and
+    ``reads``, step counts 2^j <= 2^k, the propagators, {2^j: (W, E)} off the
+    chain (each W averaged with W^H on its copy alone), the step count and m.
     """
-    norm1 = float(np.abs(A).sum(axis=0).max())
-    if not math.isfinite(T * norm1):
-        raise ContractViolation("T ||A||_1 = %r is not finite" % (T * norm1))
-    frac, e = math.frexp(T * norm1)
-    steps = 1 << max(0, e - (frac == 0.5))  # the least power of two >= T ||A||_1
+    steps = step_count(A, T)
     h = T / steps
-    nu = h * norm1
+    nu = h * float(np.abs(A).sum(axis=0).max())
     if Q is not None:
         nu = max(nu, h * float((np.abs(ar.to_np(Q)).sum(axis=0) + np.abs(A).sum(axis=1)).max()))
     m = 1
@@ -449,7 +455,10 @@ def taylor(ar, A, T, x=(), Q=None):
         R.append(BR - ar.adj(BQ) if j % 2 else BR + ar.adj(BQ))
     E = props[0]
     W = ar.series([1], R)[0] @ ar.adj(E)
-    for _ in range(steps.bit_length() - 1):
-        W = W + E @ W @ ar.adj(E)
-        E = E @ E
-    return props, (W + ar.adj(W)) * 0.5, E, steps, m
+    chain = {}
+    for j in range(steps.bit_length()):
+        if j:
+            W, E = W + E @ W @ ar.adj(E), E @ E
+        if 1 << j in (reads or [steps]):
+            chain[1 << j] = (W + ar.adj(W)) * 0.5, E
+    return (props, chain, steps, m) if reads else (props, *chain[steps], steps, m)

@@ -141,54 +141,68 @@ class ObservabilityReport:
 
 
 def observability_constant(problem: ControlProblem, precision_bits=53) -> ObservabilityReport:
-    """Best constant C_T with ||g(T)||^2 <= C_T int_0^T ||g(t)||^2_{L2(w)} dt
-    along the adjoint flow g(t) = e^{-tA^H} g0 on E_N.
+    """:func:`observability_constants` at the problem's own horizon."""
+    return observability_constants(problem.A, problem.piomega, [problem.T], precision_bits)[0]
+
+
+def observability_constants(A: GalerkinOperator, piomega, T_list, precision_bits=53) -> list:
+    """Best constants C_T with ||g(T)||^2 <= C_T int_0^T ||g(t)||^2_{L2(w)} dt
+    along the adjoint flow g(t) = e^{-tA^H} g0 on E_N, one per T in ``T_list``.
 
     Solved as the largest generalized eigenvalue of (e^{-TA} e^{-TA^H}, W):
     with W = L L^H, C_T is the top eigenvalue of X X^H, X = L^{-1} e^{-TA}.
     It walks ``arith.precisions(precision_bits)``: double precision serves
     while cond(W) < COND_MAX, fixed point while W is numerically positive
-    definite, else the pencil is redone at the next precision.  If W stays
-    singular at the last, arith.MAX_BITS, a ridged W gives a certified lower
-    bound, returned with a flag.  The ridge covers the error W inherits from
-    the double P, at most T dim eps ||P|| (e^{-tA} is a contraction), and
-    the working rounding.  A zero W
-    (P = 0, a region of measure zero) observes nothing, and no precision or
-    ridge makes it factor: C_T is then inf, exactly, flagged 'singular_floor'
-    at the first precision tried.
+    definite, else the horizon moves to the next precision.  At each, the
+    horizons that share a step h = T / ``arith.step_count`` share one Taylor
+    table, at their longest, and read W and e^{-TA} off its doubling chain.
+    If W stays singular at the last, arith.MAX_BITS, a ridged W gives a
+    certified lower bound, flagged.  The ridge covers the error W inherits
+    from the double P, at most T dim eps ||P|| (e^{-tA} is a contraction), and
+    the working rounding.  A zero W (P = 0, a region of measure zero) observes
+    nothing, and no precision or ridge makes it factor: C_T is then inf,
+    exactly, flagged 'singular_floor' at the first precision tried.
     """
-    A = problem.A.matrix
-    ladder = arith.precisions(precision_bits)
+    # each horizon's ControlProblem refuses a bad horizon or coupling before any work
+    steps = [arith.step_count(A.matrix, ControlProblem(A, piomega, T).T) for T in T_list]
+    ladder, reports = arith.precisions(precision_bits), [None] * len(T_list)
     for bits in ladder:
+        if not (todo := [i for i, rep in enumerate(reports) if rep is None]):
+            break
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
-            _, W, E_T, steps, m = arith.taylor(ar, A, problem.T, Q=ar.from_np(problem.piomega))
-            L = ar.cholesky(W)
-            if L is None and not problem.piomega.any():  # P = 0, so W = 0 at every precision
-                return ObservabilityReport(problem.T, math.inf, math.inf, None,
-                                           "generalized-eigen", bits, "singular_floor", steps, m)
-            if bits < ladder[-1] and (L is None or bits == 53 and not ar.cond(W) < COND_MAX):
-                continue
-            flag = "ok"
-            if L is None:
-                floor = problem.T * len(A) * np.finfo(float).eps * np.linalg.norm(problem.piomega)
-                L, flag = ar.cholesky(ar.ridged(W, floor)), "singular_floor"
-                if L is None:  # P below the double range, so its ridge underflowed to 0
-                    return ObservabilityReport(problem.T, math.inf, math.inf, None,
-                                               "generalized-eigen", bits, flag, steps, m)
-            Li = ar.inv_lower(L)
-            X = Li @ E_T
-            c, y = ar.eigh_top(X @ ar.adj(X))
-            extremal = None
-            if flag == "ok":
-                g0 = ar.to_np(ar.adj(Li) @ y)
-                nrm = np.linalg.norm(g0)
-                if nrm > 0 and np.all(np.isfinite(g0)):
-                    extremal = HermiteExpansion(problem.A.n, problem.A.N, g0 / nrm)
-            return ObservabilityReport(
-                problem.T, float(c), float(mp.log(c)), extremal, "generalized-eigen",
-                bits, flag, steps, m,
-            )
+            for h in dict.fromkeys(T_list[i] / steps[i] for i in todo):
+                group = [i for i in todo if T_list[i] / steps[i] == h]
+                reads = {steps[i] for i in group}
+                _, chain, _, m = arith.taylor(ar, A.matrix, max(T_list[i] for i in group),
+                                              Q=ar.from_np(piomega), reads=reads)
+                for i in group:
+                    reports[i] = _pencil(ar, A, piomega, T_list[i], *chain[steps[i]], steps[i],
+                                         m, bits == ladder[-1])
+    return reports
+
+
+def _pencil(ar, A, piomega, T, W, E_T, steps, m, last):
+    """The report of horizon T from its Gramian W and E_T = e^{-TA}, or None
+    while W asks for the next precision, before the ``last``."""
+    L = ar.cholesky(W)
+    if not last and piomega.any() and (L is None or ar is arith.DOUBLE
+                                       and not ar.cond(W) < COND_MAX):
+        return None
+    flag = "ok" if L is not None else "singular_floor"
+    if L is None and piomega.any():
+        L = ar.cholesky(ar.ridged(W, T * A.size * np.finfo(float).eps * np.linalg.norm(piomega)))
+    c, extremal = mp.inf, None  # kept if nothing factors: P = 0, or P's ridge underflowed to 0
+    if L is not None:
+        Li = ar.inv_lower(L)
+        X = Li @ E_T
+        c, y = ar.eigh_top(X @ ar.adj(X))
+        if flag == "ok":
+            g0 = ar.to_np(ar.adj(Li) @ y)
+            if (nrm := np.linalg.norm(g0)) > 0 and np.all(np.isfinite(g0)):
+                extremal = HermiteExpansion(A.n, A.N, g0 / nrm)
+    return ObservabilityReport(T, float(c), float(mp.log(c)), extremal, "generalized-eigen",
+                               ar.bits, flag, steps, m)
 
 
 # -- minimal-norm control ---------------------------------------------------------
@@ -264,10 +278,12 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
     space; the rest of [0, T] is free flow by the last stage's e^{-tau A},
     tau = T_j / 2, the propagator that HUM built for that stage.  A run
     whose final relative residual is above ``target`` is flagged
-    'target_missed'.
+    'target_missed'; a ``target`` that is not positive is refused.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
+    if not target > 0:
+        raise ContractViolation("staircase target must be positive, got %r" % target)
     ar = arith.backend(arith.precisions(precision_bits)[0])
     A = problem.A.matrix
     T, N, n = problem.T, problem.A.N, problem.A.n
@@ -337,25 +353,11 @@ def cost_blowup_study(A: GalerkinOperator, piomega, T_list, precision_bits=53) -
     if any(b >= a for a, b in zip(T_list, T_list[1:])):
         raise ContractViolation("T_list must be strictly decreasing")
     k0 = singular_space(hamilton_map(A.symbol)).k0 or 0
-    rows = []
-    excluded = []
-    for T in T_list:
-        rep = observability_constant(
-            ControlProblem(A, piomega, T), precision_bits=precision_bits
-        )
-        row = {
-            "T": T,
-            "C_T": rep.c_value,
-            "c_log": rep.c_log,
-            "precision_bits": rep.precision_bits,
-            "method": rep.method,
-            "flag": rep.flag,
-            "subintervals": rep.subintervals,
-            "taylor_degree": rep.taylor_degree,
-        }
-        rows.append(row)
-        if rep.flag != "ok":
-            excluded.append(T)
+    rows = [{"T": rep.T, "C_T": rep.c_value, "c_log": rep.c_log,
+             "precision_bits": rep.precision_bits, "method": rep.method, "flag": rep.flag,
+             "subintervals": rep.subintervals, "taylor_degree": rep.taylor_degree}
+            for rep in observability_constants(A, piomega, T_list, precision_bits)]
+    excluded = [row["T"] for row in rows if row["flag"] != "ok"]
     fits = {}
     usable = [r for r in rows if r["flag"] == "ok"]
     exponents = sorted({1, 2 * k0 + 1})

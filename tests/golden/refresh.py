@@ -85,6 +85,12 @@ ENTRIES = [
     ("fx-obs-harm8-512", OBS + " --N 8 --T 1 --precision-bits 512 --out {out}", None),
     ("fx-obs-halfline12-256", "observability --symbol harmonic --region halfline --N 12 --T 0.5"
      " --precision-bits 256 --out {out}", None),
+    # horizon studies: one dyadic step in fixed point, mixed precisions, three steps
+    ("fx-obs-kfp4-list-256", "observability " + KFP + " --N 4 --T 1,0.5,0.25,0.125"
+     " --precision-bits 256 --out {out}", None),
+    ("obs-ball16-mixed-bits", "observability --symbol harmonic --region ball:r=1 --N 16"
+     " --T 2,1,0.5,0.25 --out {out}", None),
+    ("obs-kfp6-nondyadic", "observability " + KFP + " --N 6 --T 1,0.3,0.1 --out {out}", None),
     ("fx-staircase-ball12-256", "control --symbol harmonic --region ball:r=1 --T 0.5 --N 12"
      " --staircase --precision-bits 256 --seed 1 --out {out}", None),
     ("fx-constant-halfline8-512", "constant --region halfline --N 8 --precision-bits 512"
@@ -161,6 +167,8 @@ ENTRIES = [
     ("contract-bits-0", "constant --N 2 --precision-bits 0", None),
     ("contract-bits-neg", "control --N 2 --precision-bits -7", None),
     ("contract-bits-10", "observability --N 2 --precision-bits 10", None),
+    ("contract-staircase-target-0", "control --N 4 --staircase --target 0", None),
+    ("contract-staircase-target-neg", "control --N 4 --staircase --target -1", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)
     ("usage-none", "", None),

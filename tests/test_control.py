@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hermite_obs import arith, basis, control as ct, gram, quadratic as qd, regions as rg
+from hermite_obs import arith, basis, cli, control as ct, gram, quadratic as qd, regions as rg
 from hermite_obs.basis import ContractViolation
 from oracles import harmonic_full_space_ct
 
@@ -511,6 +511,13 @@ class TestStaircase:
         met = ct.lr_staircase(prob, f0, target=1e-4, precision_bits=256)
         assert met.flag == "ok" and met.residual == res.residual
 
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan])
+    def test_target_that_is_not_positive_is_refused(self, monkeypatch, target):
+        # no run meets a target of 0 or below; it is refused before any work
+        monkeypatch.setattr(arith, "taylor", None)  # no Taylor table is started
+        with pytest.raises(ContractViolation, match="target must be positive"):
+            ct.lr_staircase(harmonic_problem(4), basis.unit_expansion(1, 4, (0,)), target=target)
+
     def test_cost_comparable_to_hum(self):
         N = 12
         prob = harmonic_problem(N, 1.0, thick_gram(N))
@@ -546,3 +553,37 @@ class TestBlowup:
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
         with pytest.raises(ContractViolation):
             ct.cost_blowup_study(A, np.eye(A.size), [0.5, 1.0])
+
+    @pytest.mark.parametrize("symbol, region, N, T_list, singles, study", [
+        # a dyadic list shares one step h = T / steps: one table, not four
+        ("kfp:a=1", "periodic:L=1,gamma=0.2", 6, [1.0, 0.5, 0.25, 0.125], [53] * 4, [53]),
+        # three horizons resolve in double precision, T = 0.25 at 256 bits
+        ("harmonic", "ball:r=1", 16, [2.0, 1.0, 0.5, 0.25], [53, 53, 53, 53, 256], [53, 256]),
+        # three steps, three tables
+        ("kfp:a=1", "periodic:L=1,gamma=0.2", 6, [1.0, 0.3, 0.1], [53] * 3, [53] * 3),
+    ])
+    def test_one_table_per_precision_and_step(self, monkeypatch, symbol, region, N, T_list,
+                                              singles, study):
+        # each horizon reads W and e^{-TA} off its group's doubling chain:
+        # every row is its one-horizon pencil, bit for bit
+        A = qd.weyl_quantize(qd.parse_symbol(symbol), N)
+        P = gram.gram_matrix(cli.parse_region(region, A.n, N), A.n, N).matrix
+        tables = []
+        taylor = arith.taylor
+        monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
+                            or taylor(ar, *a, **kw))
+        refs = [ct.observability_constant(ct.ControlProblem(A, P, T)) for T in T_list]
+        assert tables == singles
+        tables.clear()
+        rows = ct.cost_blowup_study(A, P, T_list).rows
+        assert tables == study
+        for row, ref in zip(rows, refs):
+            assert row == {"T": ref.T, "C_T": ref.c_value, "c_log": ref.c_log,
+                           "precision_bits": ref.precision_bits, "method": ref.method,
+                           "flag": ref.flag, "subintervals": ref.subintervals,
+                           "taylor_degree": ref.taylor_degree}
+        reps = ct.observability_constants(A, P, T_list)
+        for rep, ref in zip(reps, refs):
+            assert (rep.c_value, rep.c_log, rep.precision_bits) == (ref.c_value, ref.c_log,
+                                                                    ref.precision_bits)
+            assert np.array_equal(rep.extremal.coeffs, ref.extremal.coeffs)
