@@ -275,6 +275,8 @@ class HermiteExpansion:
         if doc.get("order") != "grlex":
             raise ContractViolation("unsupported coefficient order %r" % doc.get("order"))
         coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]])
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
         return HermiteExpansion(doc["n"], doc["N"], coeffs)
 
 

@@ -224,7 +224,7 @@ def build_parser():
 
     p = add("verify", help="run every invariant suite")
     p.add_argument("--suite", default="all", help="'all' or comma list of suite names")
-    p.add_argument("--trials", type=int, help="trials per suite, at least 1")
+    p.add_argument("--trials", type=int, help="trials per randomized suite, at least 1")
 
     parser.flags, parser.defaults, parser.types = {}, {}, {}
     for name, p in sub.choices.items():

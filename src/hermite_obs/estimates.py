@@ -40,6 +40,8 @@ def remez_fraction(n, t):
     F(t) >= 1 on (0, 1]; it measures how far a measurable subset of relative
     measure t sits from filling a convex body in R^n.
     """
+    if n < 1:
+        raise ContractViolation("dimension n must be >= 1")
     if not 0.0 < t <= 1.0:
         raise ContractViolation("relative measure t must lie in (0, 1]")
     if t == 1.0:

@@ -169,6 +169,7 @@ ENTRIES = [
     ("contract-bits-10", "observability --N 2 --precision-bits 10", None),
     ("contract-staircase-target-0", "control --N 4 --staircase --target 0", None),
     ("contract-staircase-target-neg", "control --N 4 --staircase --target -1", None),
+    ("contract-remez-n0", "remez --d 2 --t 0.5 --n 0", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)
     ("usage-none", "", None),

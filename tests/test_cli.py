@@ -181,11 +181,15 @@ def test_malformed_input_is_one_usage_line(argv, capsys):
     ["control", "--N", "2", "--precision-bits", "-7"],
     ["observability", "--N", "2", "--precision-bits", "10"],
     ["control", "--N", "2", "--staircase", "--precision-bits", "52"],
+    ["remez", "--d", "2", "--t", "0.5", "--n", "0"],
+    ["remez", "--d", "2", "--rho", "0.5", "--n", "0"],
+    ["remez", "--d", "2", "--t", "0.5", "--n", "-1"],
 ])
 def test_out_of_range_input_is_one_contract_line(argv, capsys, monkeypatch):
     # an integer shorthand key outside its range, a periodic lattice above
-    # regions.MAX_CELLS (refused before a cell is built) and a precision
-    # below double are contract violations: one line, exit 2
+    # regions.MAX_CELLS (refused before a cell is built), a precision below
+    # double and a Remez dimension below 1 are contract violations: one
+    # line, exit 2
     monkeypatch.setattr(itertools, "product", None)
     assert cli.run(argv + ["--quiet"]) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
@@ -238,6 +242,10 @@ def test_non_finite_flag_is_a_usage_error(argv, capsys):
     ('{"n": 1, "N": 4, "order": "grlex"}', cli.EXIT_USAGE),
     ("[1, 2]", cli.EXIT_USAGE),
     ('{"n": 1, "N": 4, "order": "lex", "coeffs": []}', cli.EXIT_CONTRACT),
+    ('{"n": 1, "N": 4, "order": "grlex", "coeffs": [[NaN, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}',
+     cli.EXIT_USAGE),
+    ('{"n": 1, "N": 4, "order": "grlex", "coeffs": [[1, 0], [0, Infinity], [0, 0], [0, 0],'
+     ' [0, 0]]}', cli.EXIT_USAGE),
 ])
 def test_malformed_initial_state_file(text, code, capsys, tmp_path):
     f0 = tmp_path / "f0.json"

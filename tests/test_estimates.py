@@ -69,6 +69,8 @@ class TestRemez:
     def test_domain_errors(self):
         with pytest.raises(ContractViolation):
             est.remez_fraction(1, 0.0)
+        with pytest.raises(ContractViolation, match="dimension"):
+            est.remez_fraction(0, 0.5)
         for t in (0.0, 1.5):
             for complex_poly in (False, True):
                 with pytest.raises(ContractViolation, match=r"\(0, 1\]"):

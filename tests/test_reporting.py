@@ -65,3 +65,13 @@ class TestVerifyRunner:
         a, _ = verify.run_suites(["basis_ladder"], seed=11, trials=6)
         b, _ = verify.run_suites(["basis_ladder"], seed=11, trials=6)
         assert a == b
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_suite_is_its_named_module_function(name):
+    # the tracer finds each suite as the module attribute suite_<name>; a
+    # wrapper with __wrapped__ would give it the per-trial check's signature
+    fn = verify.SUITES[name]
+    assert fn is getattr(verify, "suite_" + name)
+    assert fn.__name__ == "suite_" + name and not hasattr(fn, "__wrapped__")
+    assert fn(seed=0, trials=1)["suite"] == name
