@@ -248,6 +248,35 @@ class _Rows:
         return Fx(re, im, self.exp + X.exp, self.prec)
 
 
+@functools.cache
+def _gauss(prec, order):
+    """The Gauss-Legendre rule (nodes ascending, weights) as mpf on the
+    2^-prec grid, whatever mp.prec is, built once per (prec, order) and
+    immutable: Newton steps on the Legendre recurrence in integers at
+    2^-(prec+8), from numpy's double nodes (good to 48 bits).  The Newton
+    constant P''/2P' at a node is below n^2, so each step doubles the good
+    bits less 2 log2(n) until they cover the grid; w = 2 (1 - x^2) / (n
+    P_{n-1}(x))^2 at the nodes."""
+    wb = prec + 8
+    one, X = 1 << wb, rounded(np.polynomial.legendre.leggauss(order)[0], wb)
+
+    def legendre(X):  # P_n(x), P_{n-1}(x) at 2^-wb
+        p0, p1 = X * 0 + one, X
+        for k in range(1, order):
+            p0, p1 = p1, _rdiv((2 * k + 1) * X * p1 - k * one * p0, (k + 1) * one)
+        return p1, p0
+
+    good = 48
+    while good < wb:
+        pn, pm = legendre(X)
+        X = X - _rdiv(pn * (one * one - X * X), order * (pm * one - X * pn))
+        good = 2 * good - 2 * order.bit_length()
+    pm = legendre(X)[1]
+    W = _rdiv(2 * one * (one * one - X * X), order * order * pm * pm)
+    return tuple(tuple(mp.make_mpf(from_man_exp(int(v), -prec)) for v in _shift(Y, wb - prec))
+                 for Y in (X, W))
+
+
 class Mp:
     """Fixed-point matrices and mpmath scalars, ``bits`` + 16 bits."""
 
@@ -272,30 +301,7 @@ class Mp:
         return (X if X.imag.any() else X.real), M.exp + b
 
     def gauss(self, order):
-        """The Gauss-Legendre rule (nodes ascending, weights) as mpf on the
-        2^-prec grid, whatever mp.prec is: Newton steps on the Legendre
-        recurrence in integers at 2^-(prec+8), from numpy's double nodes
-        (good to 48 bits).  The Newton constant P''/2P' at a node is below
-        n^2, so each step doubles the good bits less 2 log2(n) until they
-        cover the grid; w = 2 (1 - x^2) / (n P_{n-1}(x))^2 at the nodes."""
-        wb = self.prec + 8
-        one, X = 1 << wb, rounded(np.polynomial.legendre.leggauss(order)[0], wb)
-
-        def legendre(X):  # P_n(x), P_{n-1}(x) at 2^-wb
-            p0, p1 = X * 0 + one, X
-            for k in range(1, order):
-                p0, p1 = p1, _rdiv((2 * k + 1) * X * p1 - k * one * p0, (k + 1) * one)
-            return p1, p0
-
-        good = 48
-        while good < wb:
-            pn, pm = legendre(X)
-            X = X - _rdiv(pn * (one * one - X * X), order * (pm * one - X * pn))
-            good = 2 * good - 2 * order.bit_length()
-        pm = legendre(X)[1]
-        W = _rdiv(2 * one * (one * one - X * X), order * order * pm * pm)
-        return [[mp.make_mpf(from_man_exp(int(v), -self.prec)) for v in _shift(Y, wb - self.prec)]
-                for Y in (X, W)]
+        return _gauss(self.prec, order)
 
     def series(self, scales, terms):
         """[sum_k c^k / k! terms[k] for c in scales] as one integer product,
@@ -374,10 +380,10 @@ class Mp:
         X, e = self._unit(self.inv_lower(L))
         return mp.ldexp(mp.mpf(float(np.linalg.norm(X, 2))), e) ** -2
 
-    def eigh_top(self, M):
+    def eigh_top(self, M):  # the vector in doubles
         X, e = self._unit(M)
         vals, vecs = np.linalg.eigh(X)
-        return mp.ldexp(mp.mpf(vals[-1]), e), self.from_np(vecs[:, -1])
+        return mp.ldexp(mp.mpf(vals[-1]), e), vecs[:, -1]
 
     def cond(self, W, L=None):
         lam = self.lam_min(W, L)

@@ -19,12 +19,16 @@ mp.workprec(bits + 16), which is also the precision of log C_T.  An
 ill-conditioned Gramian, or an explicit precision, runs the whole pipeline
 (Gramian, solve, control grid, re-simulation) in fixed point at that
 precision.  Each staircase stage is HUM on the leading block of its modes.
+HUM's Gramian depends on the system, not on the initial state: a
+ControlProblem keeps one plan per (precision, block, horizon), with the
+Taylor table's products, W's factor and cond and the grid propagators, and
+each call applies it to its initial state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -39,89 +43,150 @@ COND_MAX = 1e12  # double-precision Gramians at or above this condition are flag
 STAIRCASE_K0 = 2  # cutoff of the first staircase stage's controlled modes
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlProblem:
-    """Galerkin generator + region coupling + horizon."""
+    """Galerkin generator + region coupling + horizon, and the HUM plans built
+    on them.  The generator's matrix and the coupling are read-only copies
+    taken at construction, and the fields cannot be rebound, so a kept plan
+    always describes the problem it was built for."""
 
     A: GalerkinOperator
     piomega: np.ndarray
     T: float
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    couplings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.piomega.shape != (self.A.size, self.A.size):
             raise ContractViolation("coupling matrix must match the state dimension")
-        if self.T <= 0:
-            raise ContractViolation("horizon must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ContractViolation("horizon must be positive and finite, got %r" % self.T)
+        if not np.all(np.isfinite(self.piomega)):
+            raise ContractViolation("coupling matrix must be finite")
         dev = float(np.max(np.abs(self.piomega - self.piomega.T.conj())))
         if dev > 1e-12 * max(1.0, float(np.max(np.abs(self.piomega)))):
             raise ContractViolation("coupling matrix must be Hermitian")
+        object.__setattr__(self, "A", replace(self.A, matrix=_read_only(self.A.matrix)))
+        object.__setattr__(self, "piomega", _read_only(self.piomega))
+
+    def plan(self, ar, d, T):
+        """The HUM plan (:func:`_plan`) of the leading d modes over [0, T] at
+        ``ar``'s precision, built on first use and kept in ``plans`` under
+        (bits, d, T); the coupling is read into the backend once per
+        precision, into ``couplings``."""
+        if (key := (ar.bits, d, T)) not in self.plans:
+            if ar.bits not in self.couplings:
+                self.couplings[ar.bits] = ar.from_np(self.piomega)
+            self.plans[key] = _plan(ar, self.A.matrix, self.couplings[ar.bits], d, T,
+                                    ar.gauss(GRID_ORDER))
+        return self.plans[key]
+
+
+def _read_only(M):
+    M = np.array(M)
+    M.flags.writeable = False
+    return M
 
 
 # -- HUM on a leading block ----------------------------------------------------
 
 
-def _hum(ar, A, P, d, f, T, grid):
-    """HUM on the leading d modes (the subscript d): one Taylor table of
-    A_d, with Q = P_d^2, gives the Gramian W, b = e^{-TA_d} f_d and the
-    propagators at the Gauss ``grid`` (x, w) on the 2^k steps of [0, T].
-    W lam = -b is flagged unless cond(W) < ``COND_MAX`` in double precision
-    (then solved in least squares) or W factors in fixed point (else
-    ridged).  u(s) = P_d e^{-s A_d^H} lam, s the time to go, is sampled on
-    the grid and drives the full state: e^{-sA} = (e^{-hA})^j e^{-oA} at
+@dataclass(frozen=True)
+class _Plan:
+    """HUM's Gramian, solver and grid on one block, precision and horizon."""
+
+    d: int
+    W: object
+    L: object          # fixed point: the factor of W, or of the ridged W; double: None
+    cond: float
+    E_T: object        # e^{-TA_d}
+    times: tuple       # T - s at the grid nodes, increasing
+    weights: tuple     # Gauss weights of one step
+    out: tuple         # per offset o: v_j -> u(jh + o)
+    back: tuple        # per offset o: u -> weighted state increment
+    E_ctl_H: object    # e^{-hA_d^H}
+    E_sim: object      # e^{-hA}
+    E: object          # e^{-TA}; E_T itself when the block is the whole space
+    steps: int
+    m: int
+
+
+def _plan(ar, A, P, d, T, grid):
+    """The part of HUM on the leading d modes (the subscript d) that does not
+    depend on the initial state: one Taylor table of A_d, with Q = P_d^2,
+    gives the Gramian W, e^{-TA_d} and the propagators at the Gauss ``grid``
+    (x, w) on the 2^k steps of [0, T].  In fixed point one Cholesky factor of
+    W serves cond(W) and every solve (the ridged W's factor if W does not
+    factor); in double precision cond(W) is kept, and :func:`_hum` compares
+    it with ``COND_MAX`` at each call.  The full generator's propagators at
+    the grid offsets map the samples back into the state (``back``), and
+    e^{-TA} is e^{-hA} squared k times, unless the block is the whole space.
+    """
+    x, w = grid
+    P_d = P[:d, :d]
+    props, W, E_T, steps, m = arith.taylor(ar, A[:d, :d], T, x, P_d @ P_d)
+    if ar is arith.DOUBLE:
+        L, cond = None, ar.cond(W)
+    else:
+        L = ar.cholesky(W)
+        cond = math.inf if L is None else ar.cond(W, L)
+        L = L or ar.cholesky(ar.ridged(W))
+    h = T / steps
+    offsets = [h * (xi + 1) / 2 for xi in x]
+    weights = tuple(h * wi / 2 for wi in w)
+    E_h, *ctl = props
+    E_sim, *sim = props if d == A.shape[0] else arith.taylor(ar, A, h, x)[0]
+    E = E_T
+    if d < A.shape[0]:
+        E = E_sim
+        for _ in range(steps.bit_length() - 1):
+            E = E @ E
+    times = [float(T - (j * h + o)) for j in range(steps) for o in offsets]
+    return _Plan(d, W, L, cond, E_T, tuple(times[::-1]), weights,
+                 tuple(P_d @ ar.adj(E) for E in ctl),                        # v_j -> u
+                 tuple((E @ P[:, :d]) * wt for wt, E in zip(weights, sim)),  # u -> state
+                 ar.adj(E_h), E_sim, E, steps, m)
+
+
+def _hum(ar, plan, f):
+    """HUM's apply step: steer the full state f by the control of the leading
+    block that ``plan`` (:func:`_plan`) describes.  W lam = -b, b =
+    e^{-TA_d} f_d, is flagged unless cond(W) < ``COND_MAX`` in double
+    precision (then solved in least squares) or W factors in fixed point
+    (else ridged).  u(s) = P_d e^{-s A_d^H} lam, s the time to go, is sampled
+    on the grid and drives the full state: e^{-sA} = (e^{-hA})^j e^{-oA} at
     s = jh + o acts on vectors, summed over the steps j in Horner form.
     v_j = e^{-jh A_d^H} lam is stepped once per step and the v_j stacked
     as the columns of one matrix V (``ar.stack``); each grid offset o then
     takes its samples at every step as one product U_o = out_o V, its cost
     as one Frobenius norm, and its forced pieces as one more product, the
     same arithmetic in both backends.
-    Returns cond(W), the flag, the times T - s increasing, the samples as
-    the rows of one numpy array in the same order, the cost sum w ||u||^2,
-    the state at T, e^{-TA} f plus the forced response
-    sum w e^{-sA} P[:, :d] u(s), the full generator's e^{-TA}
-    (e^{-hA} squared k times, unless the block is the whole space), the step
-    count and the Taylor degree.
+    Returns the flag, the samples as the rows of one numpy array in the
+    order of ``plan.times``, the cost sum w ||u||^2 and the state at T,
+    e^{-TA} f plus the forced response sum w e^{-sA} P[:, :d] u(s).
     """
-    x, w = grid
-    P_d = P[:d, :d]
-    props, W, E_T, steps, m = arith.taylor(ar, A[:d, :d], T, x, P_d @ P_d)
-    b = E_T @ f[:d]
+    b = plan.E_T @ f[:plan.d]
     if ar is arith.DOUBLE:
-        cond = ar.cond(W)
-        flag = "ok" if cond < COND_MAX else "ill_conditioned"
-        lam = ar.solve(W, -b) if flag == "ok" else np.linalg.lstsq(W, -b, rcond=None)[0]
-    else:  # one Cholesky factor serves cond(W) and the solve
-        L = ar.cholesky(W)
-        cond = math.inf if L is None else ar.cond(W, L)
-        flag = "ok" if cond < math.inf else "ill_conditioned"
-        lam = ar.solve(W, -b, L)
-    h = T / steps
-    offsets = [h * (xi + 1) / 2 for xi in x]
-    weights = [h * wi / 2 for wi in w]
-    E_h, *ctl = props
-    E_sim, *sim = props if d == A.shape[0] else arith.taylor(ar, A, h, x)[0]
-    out = [P_d @ ar.adj(E) for E in ctl]                          # v_j -> u
-    back = [(E @ P[:, :d]) * wt for wt, E in zip(weights, sim)]   # u -> state
-    E_ctl_H = ar.adj(E_h)
+        flag = "ok" if plan.cond < COND_MAX else "ill_conditioned"
+        lam = ar.solve(plan.W, -b) if flag == "ok" else np.linalg.lstsq(plan.W, -b, rcond=None)[0]
+    else:
+        flag = "ok" if plan.cond < math.inf else "ill_conditioned"
+        lam = ar.solve(plan.W, -b, plan.L)
     vs = [lam]                                                     # v_j = e^{-jh A_d^H} lam
-    while len(vs) < steps:
-        vs.append(E_ctl_H @ vs[-1])
+    while len(vs) < plan.steps:
+        vs.append(plan.E_ctl_H @ vs[-1])
     V = ar.stack(vs)
-    us = [U @ V for U in out]                           # column j of us[o]: u at s = jh + o
-    times = [float(T - (j * h + o)) for j in range(steps) for o in offsets]
-    samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, d)  # (j, o) order, as times
-    cost = sum(float(wt) * ar.norm(U) ** 2 for wt, U in zip(weights, us))
-    S = [B @ U for B, U in zip(back, us)]
+    us = [U @ V for U in plan.out]                      # column j of us[o]: u at s = jh + o
+    samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, plan.d)  # (j, o) order
+    cost = sum(float(wt) * ar.norm(U) ** 2 for wt, U in zip(plan.weights, us))
+    S = [B @ U for B, U in zip(plan.back, us)]
     S = sum(S[1:], S[0])                                # column j: sum_o back_o u_o at step j
-    forced = S[:, steps - 1]
-    for j in reversed(range(steps - 1)):
-        forced = S[:, j] + E_sim @ forced
-    E = E_T
-    if d < A.shape[0]:
-        E = E_sim
-        for _ in range(steps.bit_length() - 1):
-            E = E @ E
-        b = E @ f
-    return cond, flag, times[::-1], samples[::-1], cost, b + forced, E, steps, m
+    forced = S[:, plan.steps - 1]
+    for j in reversed(range(plan.steps - 1)):
+        forced = S[:, j] + plan.E_sim @ forced
+    if plan.E is not plan.E_T:                          # a leading block: the full free flow
+        b = plan.E @ f
+    return flag, samples[::-1], cost, b + forced
 
 
 # -- observability ---------------------------------------------------------------
@@ -198,7 +263,7 @@ def _pencil(ar, A, piomega, T, W, E_T, steps, m, last):
         X = Li @ E_T
         c, y = ar.eigh_top(X @ ar.adj(X))
         if flag == "ok":
-            g0 = ar.to_np(ar.adj(Li) @ y)
+            g0 = ar.to_np(ar.adj(Li) @ ar.from_np(y))
             if (nrm := np.linalg.norm(g0)) > 0 and np.all(np.isfinite(g0)):
                 extremal = HermiteExpansion(A.n, A.N, g0 / nrm)
     return ObservabilityReport(T, float(c), float(mp.log(c)), extremal, "generalized-eigen",
@@ -234,6 +299,8 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     the residual documented.  A zero Gramian (P = 0) gives the zero control
     in both, flagged, and the residual of the free flow.  A zero f0 reports
     the working precision and ``gramian_cond`` nan: nothing is computed.
+    The Gramian, its factor and the grid come from the problem's plan at the
+    working precision (:meth:`ControlProblem.plan`), built by the first call.
     """
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
@@ -242,13 +309,12 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     if nrm0 == 0.0:
         return ControlResult([], np.zeros((0, len(f0.coeffs)), dtype=complex), 0.0, 0.0,
                              float("nan"), ar.bits, "ok")
-    A = problem.A.matrix
     with mp.workprec(ar.bits + 16):
-        cond, flag, times, samples, cost, state, _, steps, m = _hum(
-            ar, A, ar.from_np(problem.piomega), len(A), ar.from_np(f0.coeffs), problem.T,
-            ar.gauss(GRID_ORDER))
+        plan = problem.plan(ar, problem.A.size, problem.T)
+        flag, samples, cost, state = _hum(ar, plan, ar.from_np(f0.coeffs))
         residual = ar.norm(state) / nrm0
-    return ControlResult(times, samples, cost, residual, cond, ar.bits, flag, steps, m)
+    return ControlResult(list(plan.times), samples, cost, residual, plan.cond, ar.bits, flag,
+                         plan.steps, plan.m)
 
 
 # -- staircase strategy ------------------------------------------------------------
@@ -276,7 +342,8 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
     flagged.  The run stops once the remaining energy is below ``target``
     relative to the initial one, or after the stage that controls the full
     space; the rest of [0, T] is free flow by the last stage's e^{-tau A},
-    tau = T_j / 2, the propagator that HUM built for that stage.  A run
+    tau = T_j / 2, the propagator in that stage's HUM plan, which the
+    problem keeps (:meth:`ControlProblem.plan`) for the next run.  A run
     whose final relative residual is above ``target`` is flagged
     'target_missed'; a ``target`` that is not positive is refused.
     """
@@ -285,7 +352,6 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
     if not target > 0:
         raise ContractViolation("staircase target must be positive, got %r" % target)
     ar = arith.backend(arith.precisions(precision_bits)[0])
-    A = problem.A.matrix
     T, N, n = problem.T, problem.A.N, problem.A.n
     nrm0 = f0.norm()
     if nrm0 == 0.0:
@@ -293,7 +359,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
 
     stages, total_cost, j, flag = [], 0.0, 0, "ok"
     with mp.workprec(ar.bits + 16):
-        P, f, grid = ar.from_np(problem.piomega), ar.from_np(f0.coeffs), ar.gauss(GRID_ORDER)
+        f = ar.from_np(f0.coeffs)
         while True:
             k_j = min(int(math.ceil(STAIRCASE_K0 * 2**j)), N)
             T_j = T * 2.0 ** (-j - 1)
@@ -301,11 +367,12 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
             d = basis.space_dimension(n, k_j)
             # active half: HUM on E_{k_j}, simulated on the full state; then the
             # passive half: free dissipation by the same e^{-tau A}
-            _, stage_flag, _, _, stage_cost, state, E_tau, _, _ = _hum(ar, A, P, d, f, tau, grid)
+            plan = problem.plan(ar, d, tau)
+            stage_flag, _, stage_cost, state = _hum(ar, plan, f)
             if stage_flag != "ok":
                 flag = "stage_gramian_failure:%d" % j
                 break
-            f = E_tau @ state
+            f = plan.E @ state
             total_cost += stage_cost
             energy = ar.norm(f)
             stages.append({"stage": j, "k_j": k_j, "T_j": T_j, "stage_cost": stage_cost,
@@ -314,7 +381,7 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
                 break
             j += 1
         for _ in range(2 if flag == "ok" else 4):  # the rest of [0, T]: T_j, or T_{j-1} if stage j failed
-            f = E_tau @ f
+            f = plan.E @ f
         residual = ar.norm(f) / nrm0
     if flag == "ok" and residual > target:
         flag = "target_missed"

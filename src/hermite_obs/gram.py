@@ -200,7 +200,9 @@ def spectral_constants(G: GramOperator, cutoffs, precision_bits=53):
                     noise = max(1e3 * np.finfo(float).eps * max(lam_max, 0.0), B.size * B.entry_error)
                 else:
                     Bm = Gm[:B.size, :B.size]
-                    lam_min, lam_max = ar.lam_min(Bm), ar.eigh_top(Bm)[0]
+                    if (lam_min := ar.lam_min(Bm)) is None and bits != ladder[-1]:
+                        continue  # the next precision decides, and lam_max is not read
+                    lam_max = ar.eigh_top(Bm)[0]
                     noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max + B.size * B.tail
                 flag = "ok" if lam_min is not None and lam_min > noise else ""
                 if not flag and bits == ladder[-1]:

@@ -294,7 +294,7 @@ def singular_space_exact(sym: QuadraticSymbol):
 # -- Weyl quantization and Galerkin semigroup -----------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GalerkinOperator:
     """Matrix of the Weyl-quantized symbol compressed to E_N.
 

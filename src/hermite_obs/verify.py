@@ -416,7 +416,8 @@ def suite_quad_semigroup(rng, t):
 @functools.cache
 def _harmonic_problem(N, gamma=None):
     """HUM for the 1-D harmonic oscillator on E_N at T = 1, observed on the
-    whole line, or on the periodic thick set of fraction ``gamma``."""
+    whole line, or on the periodic thick set of fraction ``gamma``; one
+    problem per process, so its HUM plans serve every trial."""
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     if gamma is None:
         return ct.ControlProblem(A, np.eye(A.size), 1.0)

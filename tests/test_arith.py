@@ -85,7 +85,7 @@ def test_power_of_two_scaling_is_exact(k):
         assert ar.lam_min(S) == mp.ldexp(ar.lam_min(M), k)
         (top, vec), (top_s, vec_s) = ar.eigh_top(M), ar.eigh_top(S)
         assert top_s == mp.ldexp(top, k)
-        assert np.array_equal(ar.to_np(vec_s), ar.to_np(vec))
+        assert np.array_equal(vec_s, vec)
 
 
 @pytest.mark.parametrize("bits", [256, 512, 1000])
@@ -145,12 +145,35 @@ def test_integer_gauss_rule_matches_golub_welsch(bits):
         with mp.workprec(53):
             x, w = ar.gauss(order)
         with mp.workprec(2000):
-            assert ar.gauss(order) == [x, w]
+            assert arith._gauss.__wrapped__(ar.prec, order) == (x, w)
         with mp.workprec(ar.prec + 32):
             X, W = mp.gauss_quadrature(order, "legendre")
             assert len(x) == len(X) == order and all(a < b for a, b in zip(x, x[1:]))
             assert all(abs(a - b) <= mp.mpf(2) ** -(ar.prec - 4)
                        for a, b in [*zip(x, X), *zip(w, W)])
+
+
+def test_fixed_point_gauss_rule_is_built_once_per_precision_and_order():
+    # backend(bits) makes a new Mp per call; the rule is kept per (prec, order),
+    # immutable, and equals a fresh build whatever the ambient precision
+    rule = arith.backend(256).gauss(8)
+    assert arith.backend(256).gauss(8) is rule and arith.Mp(512).gauss(8) is not rule
+    assert isinstance(rule, tuple) and all(isinstance(part, tuple) for part in rule)
+    with mp.workprec(53):
+        assert arith._gauss.__wrapped__(272, 8) == rule
+
+
+def test_top_eigenvector_stays_in_doubles():
+    # cond and the spectral levels read the top eigenvalue only; the one
+    # caller that reads the vector converts it
+    ar = arith.Mp(256)
+    with mp.workprec(272):
+        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(6, 1) + 1), 1, 6)
+        top, vec = ar.eigh_top(M)
+        vals, vecs = np.linalg.eigh(ar.to_np(M).real)
+    assert isinstance(vec, np.ndarray) and vec.shape == (7,)
+    assert float(top) == pytest.approx(vals[-1], rel=1e-14)
+    assert abs(abs(vec @ vecs[:, -1]) - 1) <= 1e-12
 
 
 def test_integer_coefficients_round_exactly():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -249,6 +250,24 @@ def test_precision_above_the_ceiling_is_refused_before_any_work(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("bad", ["P nan", "P inf", "T nan", "T inf"])
+def test_non_finite_coupling_or_horizon_is_refused_before_any_work(monkeypatch, bad):
+    # NaN slips through the Hermitian check (every comparison with it is
+    # false), and LAPACK then fails to converge; a NaN horizon passed T > 0
+    monkeypatch.setattr(arith, "taylor", None)  # no Taylor table is started
+    A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
+    P, T = np.eye(A.size), 1.0
+    what, value = bad.split()
+    if what == "P":
+        P[1, 1] = float(value)
+    else:
+        T = float(value)
+    for call in (lambda: ct.ControlProblem(A, P, T),
+                 lambda: ct.cost_blowup_study(A, P, [T])):
+        with pytest.raises(ContractViolation, match="finite"):
+            call()
+
+
 class TestHumControl:
     def test_one_cholesky_factor_per_fixed_point_solve(self, monkeypatch):
         # cond(W) and the solve share W's factor, so the artifact is the same
@@ -409,7 +428,9 @@ def test_stacked_hum_equals_the_per_node_loop(case):
     with mpmath.workprec(ar.bits + 16):
         grid = ar.gauss(ct.GRID_ORDER)
         P_, f = ar.from_np(P), ar.from_np(f0)
-        _, flag, times, samples, cost, state, _, steps, _ = ct._hum(ar, A, P_, len(A), f, T, grid)
+        plan = ct._plan(ar, A, P_, len(A), T, grid)
+        flag, samples, cost, state = ct._hum(ar, plan, f)
+        times, steps = list(plan.times), plan.steps
         want = per_node_hum(ar, A, P_, f, T, grid)
         gap = ar.norm(state - want[3])
     unit_sample, unit_state = (1e-14, 1e-15) if double else (2.0 ** -ar.bits,) * 2
@@ -526,6 +547,71 @@ class TestStaircase:
         stair = ct.lr_staircase(prob, f0, target=1e-6)
         hum = ct.hum_control(prob, f0)
         assert stair.total_cost <= 100.0 * max(hum.cost, 1e-12)
+
+
+def same_control(a, b):
+    return (a.times == b.times and np.array_equal(a.controls, b.controls)
+            and (a.cost, a.residual, a.gramian_cond, a.precision_bits, a.flag, a.subintervals,
+                 a.taylor_degree) == (b.cost, b.residual, b.gramian_cond, b.precision_bits,
+                                      b.flag, b.subintervals, b.taylor_degree))
+
+
+class TestPlan:
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_second_call_builds_no_table(self, monkeypatch, bits):
+        # the Gramian, its factor and the grid propagators depend on the
+        # problem, not on f0: a second HUM or staircase on one problem reuses
+        # them, and answers as a fresh problem does, bit for bit
+        N = 8
+        tables = []
+        taylor = arith.taylor
+        monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
+                            or taylor(ar, *a, **kw))
+        rng = np.random.default_rng(23)
+        f0, f1 = (basis.random_expansion(1, N, rng) for _ in range(2))
+        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        ct.hum_control(prob, f0, bits)
+        stair0 = ct.lr_staircase(prob, f0, precision_bits=bits)
+        assert tables and set(tables) == {arith.precisions(bits)[0]}
+        tables.clear()
+        hum, stair = ct.hum_control(prob, f1, bits), ct.lr_staircase(prob, f1, precision_bits=bits)
+        assert tables == []
+        assert stair0.stages and stair.flag == "ok"
+        fresh = harmonic_problem(N, 1.0, thick_gram(N))
+        assert same_control(hum, ct.hum_control(fresh, f1, bits))
+        assert stair == ct.lr_staircase(harmonic_problem(N, 1.0, thick_gram(N)), f1,
+                                        precision_bits=bits)
+        assert hum.times is not ct.hum_control(prob, f1, bits).times  # a result owns its times
+
+    def test_plans_are_keyed_by_precision_block_and_horizon(self):
+        N = 8
+        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        f0 = basis.random_expansion(1, N, np.random.default_rng(24))
+        ct.hum_control(prob, f0)
+        ct.hum_control(prob, f0, 256)
+        stair = ct.lr_staircase(prob, f0)
+        blocks = {(53, basis.space_dimension(1, s["k_j"]), s["T_j"] / 2) for s in stair.stages}
+        assert set(prob.plans) == {(53, N + 1, 1.0), (256, N + 1, 1.0)} | blocks
+        assert set(prob.couplings) == {53, 256}
+
+    def test_arrays_under_a_plan_cannot_change(self):
+        N = 6
+        A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
+        P = thick_gram(N)
+        prob = ct.ControlProblem(A, P, 1.0)
+        f0 = basis.random_expansion(1, N, np.random.default_rng(25))
+        before = ct.hum_control(prob, f0)
+        for M in (prob.piomega, prob.A.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 7.0
+        for obj, name in ((prob, "piomega"), (prob, "A"), (prob, "T"), (prob.A, "matrix")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        # the problem holds copies: the caller's arrays stay its own
+        P[0, 0] += 1.0
+        A.matrix[0, 0] += 1.0
+        assert P.flags.writeable and A.matrix.flags.writeable
+        assert same_control(ct.hum_control(prob, f0), before)
 
 
 class TestBlowup:

@@ -206,6 +206,22 @@ class TestSpectralConstant:
         assert resolved.flag == "ok"
         assert capped.c_log <= resolved.c_log
 
+    def test_failed_level_reads_no_top_eigenvalue(self, monkeypatch):
+        # the ball at N = 48 fails to factor at 256 bits and resolves at 512:
+        # lambda_max is read at 512 only, where the noise floor needs it
+        R = rg.truncate_radius(48, 1) + 1
+        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, 48)
+        monkeypatch.setattr(arith, "MAX_BITS", 1024)
+        log = []
+        lam_min, eigh_top = arith.Mp.lam_min, arith.Mp.eigh_top
+        monkeypatch.setattr(arith.Mp, "lam_min", lambda self, *a: (
+            lambda lam: log.append(("lam_min", self.bits, lam is None)) or lam)(lam_min(self, *a)))
+        monkeypatch.setattr(arith.Mp, "eigh_top", lambda self, *a: log.append(
+            ("eigh_top", self.bits)) or eigh_top(self, *a))
+        res = gram.spectral_constant(G, precision_bits=256)
+        assert (res.precision_bits, res.flag) == (512, "ok")
+        assert log == [("lam_min", 256, True), ("lam_min", 512, False), ("eigh_top", 512)]
+
     def test_monotone_in_region(self):
         R = rg.truncate_radius(6, 1) + 1
         small = rg.make_periodic_thick(1, 1.0, 0.3, R)
