@@ -28,7 +28,7 @@ cases = {
 for label, region in cases.items():
     print("\n==", label)
     print("   N    log C_N     lambda_min     bits")
-    report = gram.scaling_study(region, 1, N_GRID)
+    report = gram.scaling_study(region, N_GRID)
     for row in report.rows:
         print(
         "  %3d   %8.3f    %11.3e   %5d"

@@ -24,7 +24,7 @@ cases = [
     (
         "ball (-1,1) vs open-set bound",
         regions.interval_region(-1.0, 1.0, trunc_radius=RADIUS),
-        gram.open_params(1, (0.0,), 1.0),
+        gram.open_params((0.0,), 1.0),
     ),
     (
         "half-line vs density bound (delta = 1/2)",
@@ -41,7 +41,7 @@ cases = [
 for label, region, params in cases:
     print("\n==", label)
     print("   N    measured log C_N    log bound")
-    report = gram.scaling_study(region, 1, N_GRID, bound=params)
+    report = gram.scaling_study(region, N_GRID, bound=params)
     for row in report.rows:
         print("  %3d        %9.3f      %11.3f" % (row["N"], row["C_log"], row["bound_log"]))
     print("  dominance holds:", report.dominance_ok)

@@ -14,7 +14,7 @@ from hermite_obs import basis, control as ct, gram, quadratic as qd, regions
 
 N = 16
 region = regions.make_periodic_thick(1, 1.0, 0.4, regions.truncate_radius(N, 1) + 1)
-P = gram.gram_matrix(region, 1, N).matrix
+P = gram.gram_matrix(region, N).matrix
 A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
 
 print("== observability constants over shrinking horizons")

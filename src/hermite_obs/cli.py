@@ -264,7 +264,7 @@ def _region_gram(text, n, N):
     """The region and its Gram operator on E_N, the one route of ``gram``,
     ``constant``, ``observability`` and ``control``."""
     region = parse_region(text, n, N)
-    return region, gram.gram_matrix(region, n, N)
+    return region, gram.gram_matrix(region, N)
 
 
 _VARIANT_FLAGS = {"open": {"x0", "r"}, "density": {"delta", "R0"}, "thick": {"L", "gamma"}}
@@ -335,14 +335,14 @@ def _run_command(args):
             if not np.all((region.lows <= x0 - r) & (region.highs >= x0 + r), axis=1).any():
                 raise ContractViolation("open bound: no box contains [x0-r, x0+r]^n, x0 = %s, r = %r"
                                         % (x0.tolist(), float(r)))
-            bound = gram.open_params(args.n, x0.tolist(), r)
+            bound = gram.open_params(x0.tolist(), r)
         elif args.variant == "density":
             bound = gram.density_params(args.n, rg.density_ratio(region, region.trunc_radius))
         elif args.variant == "thick":
             if gen["kind"] != "periodic_thick":
                 raise ContractViolation("thick bound: only a periodic region gives its L and gamma")
             bound = gram.thick_params(args.n, gen["L"], gen["gamma"])
-        rep = gram.scaling_study(region, args.n, N_list, bound=bound, precision_bits=bits)
+        rep = gram.scaling_study(region, N_list, bound=bound, precision_bits=bits)
         csv_payload = rep.csv_rows()
         result = {
             "rows": rep.rows, "fits": rep.fits, "best_model": rep.best_model,
@@ -357,7 +357,7 @@ def _run_command(args):
     elif command == "bounds":
         N_list = parse_int_range(args.N)
         if args.variant == "open":
-            params = gram.open_params(args.n, (args.x0,) * args.n, args.r)
+            params = gram.open_params((args.x0,) * args.n, args.r)
         elif args.variant == "density":
             params = gram.density_params(args.n, args.delta, args.R0)
         else:

@@ -77,8 +77,7 @@ class ControlProblem:
         if (key := (ar.bits, d, T)) not in self.plans:
             if ar.bits not in self.couplings:
                 self.couplings[ar.bits] = ar.from_np(self.piomega)
-            self.plans[key] = _plan(ar, self.A.matrix, self.couplings[ar.bits], d, T,
-                                    ar.gauss(GRID_ORDER))
+            self.plans[key] = _plan(ar, self.A.matrix, self.couplings[ar.bits], d, T)
         return self.plans[key]
 
 
@@ -111,18 +110,18 @@ class _Plan:
     m: int
 
 
-def _plan(ar, A, P, d, T, grid):
+def _plan(ar, A, P, d, T):
     """The part of HUM on the leading d modes (the subscript d) that does not
-    depend on the initial state: one Taylor table of A_d, with Q = P_d^2,
-    gives the Gramian W, e^{-TA_d} and the propagators at the Gauss ``grid``
-    (x, w) on the 2^k steps of [0, T].  In fixed point one Cholesky factor of
-    W serves cond(W) and every solve (the ridged W's factor if W does not
-    factor); in double precision cond(W) is kept, and :func:`_hum` compares
-    it with ``COND_MAX`` at each call.  The full generator's propagators at
-    the grid offsets map the samples back into the state (``back``), and
-    e^{-TA} is e^{-hA} squared k times, unless the block is the whole space.
+    depend on the initial state: one Taylor table of A_d, with Q = P_d^2, gives
+    the Gramian W, e^{-TA_d} and the propagators at the ``GRID_ORDER`` Gauss
+    nodes of the 2^k steps of [0, T].  In fixed point one Cholesky factor of W
+    serves cond(W) and every solve (the ridged W's factor if W does not
+    factor); in double precision cond(W) is kept, and :func:`_hum` compares it
+    with ``COND_MAX`` at each call.  The full generator's propagators at the
+    grid offsets map the samples back into the state (``back``); e^{-TA} is
+    e^{-hA} squared k times, unless the block is all of E_N.
     """
-    x, w = grid
+    x, w = ar.gauss(GRID_ORDER)
     P_d = P[:d, :d]
     props, W, E_T, steps, m = arith.taylor(ar, A[:d, :d], T, x, P_d @ P_d)
     if ar is arith.DOUBLE:
@@ -161,9 +160,9 @@ def _hum(ar, plan, f):
     takes its samples at every step as one product U_o = out_o V, its cost
     as one Frobenius norm, and its forced pieces as one more product, the
     same arithmetic in both backends.
-    Returns the flag, the samples as the rows of one numpy array in the
-    order of ``plan.times``, the cost sum w ||u||^2 and the state at T,
-    e^{-TA} f plus the forced response sum w e^{-sA} P[:, :d] u(s).
+    Returns the flag, the sample blocks U_o in the backend, the cost
+    sum w ||u||^2 and the state at T, e^{-TA} f plus the forced response
+    sum w e^{-sA} P[:, :d] u(s).
     """
     b = plan.E_T @ f[:plan.d]
     if ar is arith.DOUBLE:
@@ -177,16 +176,13 @@ def _hum(ar, plan, f):
         vs.append(plan.E_ctl_H @ vs[-1])
     V = ar.stack(vs)
     us = [U @ V for U in plan.out]                      # column j of us[o]: u at s = jh + o
-    samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, plan.d)  # (j, o) order
     cost = sum(float(wt) * ar.norm(U) ** 2 for wt, U in zip(plan.weights, us))
     S = [B @ U for B, U in zip(plan.back, us)]
     S = sum(S[1:], S[0])                                # column j: sum_o back_o u_o at step j
     forced = S[:, plan.steps - 1]
     for j in reversed(range(plan.steps - 1)):
         forced = S[:, j] + plan.E_sim @ forced
-    if plan.E is not plan.E_T:                          # a leading block: the full free flow
-        b = plan.E @ f
-    return flag, samples[::-1], cost, b + forced
+    return flag, us, cost, plan.E @ f + forced
 
 
 # -- observability ---------------------------------------------------------------
@@ -236,11 +232,12 @@ def observability_constants(A: GalerkinOperator, piomega, T_list, precision_bits
             break
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
+            Q = ar.from_np(piomega)
             for h in dict.fromkeys(T_list[i] / steps[i] for i in todo):
                 group = [i for i in todo if T_list[i] / steps[i] == h]
                 reads = {steps[i] for i in group}
                 _, chain, _, m = arith.taylor(ar, A.matrix, max(T_list[i] for i in group),
-                                              Q=ar.from_np(piomega), reads=reads)
+                                              Q=Q, reads=reads)
                 for i in group:
                     reports[i] = _pencil(ar, A, piomega, T_list[i], *chain[steps[i]], steps[i],
                                          m, bits == ladder[-1])
@@ -311,10 +308,11 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
                              float("nan"), ar.bits, "ok")
     with mp.workprec(ar.bits + 16):
         plan = problem.plan(ar, problem.A.size, problem.T)
-        flag, samples, cost, state = _hum(ar, plan, ar.from_np(f0.coeffs))
+        flag, us, cost, state = _hum(ar, plan, ar.from_np(f0.coeffs))
         residual = ar.norm(state) / nrm0
-    return ControlResult(list(plan.times), samples, cost, residual, plan.cond, ar.bits, flag,
-                         plan.steps, plan.m)
+    samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, plan.d)  # (j, o) order
+    return ControlResult(list(plan.times), samples[::-1], cost, residual, plan.cond, ar.bits,
+                         flag, plan.steps, plan.m)
 
 
 # -- staircase strategy ------------------------------------------------------------

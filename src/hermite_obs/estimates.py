@@ -46,8 +46,19 @@ def remez_fraction(n, t):
         raise ContractViolation("relative measure t must lie in (0, 1]")
     if t == 1.0:
         return 1.0
-    s = (1.0 - t) ** (1.0 / n)
-    return (1.0 + s) / (1.0 - s)
+    u = -math.expm1(math.log1p(-t) / n)  # 1 - (1-t)^(1/n), without cancelling at small t
+    return (2.0 - u) / u if u else math.inf  # (1 + s) / (1 - s), s = 1 - u; inf once u underflows
+
+
+def _saturated(factor):
+    """factor(), a positive growth factor, or +inf past the double range,
+    where pow overflows or the Chebyshev recurrence reaches inf - inf."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(factor())
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(value) else value
 
 
 def remez_bound(n, d, t, complex_poly=False):
@@ -56,7 +67,7 @@ def remez_bound(n, d, t, complex_poly=False):
     For a measurable subset E of a convex body K in R^n with |E|/|K| = t,
     sup_K |P| <= remez_bound(n, d, t) * sup_E |P|.  The real-polynomial
     factor is T_d(F(t)); for complex polynomials the factor weakens to
-    2^(2d+1) F(t)^d.
+    2^(2d+1) F(t)^d.  Past the double range it is +inf.
     """
     if not 0.0 < t <= 1.0:
         raise ContractViolation("ratio t must lie in (0, 1]")
@@ -64,8 +75,8 @@ def remez_bound(n, d, t, complex_poly=False):
         raise ContractViolation("degree must be >= 0")
     F = remez_fraction(n, t)
     if complex_poly:
-        return 2.0 ** (2 * d + 1) * F**d
-    return float(chebyshev_value(d, F))
+        return _saturated(lambda: 2.0 ** (2 * d + 1) * F**d)
+    return _saturated(lambda: chebyshev_value(d, F))
 
 
 def remez_ball_bound(n, d, rho):
@@ -73,18 +84,14 @@ def remez_ball_bound(n, d, rho):
 
     ``rho`` is the relative measure |w cap B| / |B| of the subset inside the
     ball.  The bound (2^(2d+1)/sqrt 3) sqrt(4/rho) F(rho/4)^d holds for all
-    complex polynomials of degree d.
+    complex polynomials of degree d; past the double range it is +inf.
     """
     if not 0.0 < rho <= 1.0:
         raise ContractViolation("relative measure rho must lie in (0, 1]")
     if d < 0:
         raise ContractViolation("degree must be >= 0")
-    return (
-        2.0 ** (2 * d + 1)
-        / math.sqrt(3.0)
-        * math.sqrt(4.0 / rho)
-        * remez_fraction(n, rho / 4.0) ** d
-    )
+    F = remez_fraction(n, rho / 4.0)
+    return _saturated(lambda: 2.0 ** (2 * d + 1) / math.sqrt(3.0) * math.sqrt(4.0 / rho) * F**d)
 
 
 def kovrijkine_interval_bound(c_kov, measure, m_value):

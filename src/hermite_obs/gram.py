@@ -89,7 +89,7 @@ def _times(outer, inner):
     return [T * T2, A * A2, E * (A2 + E2) + A * E2]
 
 
-def _assemble(region: Region, n, N, mp=None):
+def _assemble(region: Region, N, mp=None):
     """The Gram of the product region: per axis, the sum of its intervals'
     pair tables, then the entrywise product of the axes' sums.
 
@@ -105,8 +105,7 @@ def _assemble(region: Region, n, N, mp=None):
     context the tables are rounded once to one exponent, sums and products
     are exact in integers, and ``[G]`` is an :class:`arith.Fx` rounded once.
     """
-    if region.n != n:
-        raise ContractViolation("region dimension mismatch")
+    n = region.n
     required = regions.truncate_radius(N, n)
     if region.trunc_radius + 1e-9 < required:
         raise ContractViolation("region truncated at %.6g but cutoff N=%d needs radius >= %.6g"
@@ -136,21 +135,21 @@ def _assemble(region: Region, n, N, mp=None):
     return total if mp is None else [arith.Fx(total[0], None, n * t, mp.prec)]
 
 
-def gram_matrix(region: Region, n, N) -> GramOperator:
+def gram_matrix(region: Region, N) -> GramOperator:
     """Assemble G[a, b] = int_region Phi_a Phi_b from closed-form 1-D tables.
 
-    Requires the region to be truncated at least at
-    ``regions.truncate_radius(N, n)``; the neglected tail is added to the entry
-    error budget together with the rounding bounds of the tables.
+    The region gives the dimension n.  Requires it to be truncated at least
+    at ``regions.truncate_radius(N, n)``; the neglected tail is added to the
+    entry error budget together with the rounding bounds of the tables.
     """
-    G, _, E = _assemble(region, n, N)
-    return GramOperator(n, N, G, E, region)
+    G, _, E = _assemble(region, N)
+    return GramOperator(region.n, N, G, E, region)
 
 
-def gram_matrix_mp(region: Region, n, N) -> arith.Fx:
+def gram_matrix_mp(region: Region, N) -> arith.Fx:
     """Gram matrix in fixed point at the current mpmath precision: closed-form
     tables, summed exactly in integers and rounded once."""
-    (G,) = _assemble(region, n, N, mp)
+    (G,) = _assemble(region, N, mp)
     return G
 
 
@@ -191,7 +190,7 @@ def spectral_constants(G: GramOperator, cutoffs, precision_bits=53):
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
             if ar is not arith.DOUBLE:
-                Gm = gram_matrix_mp(G.region, G.n, max(blocks[i].N for i in todo))
+                Gm = gram_matrix_mp(G.region, max(blocks[i].N for i in todo))
             for i in todo:
                 B = blocks[i]
                 if ar is arith.DOUBLE:
@@ -247,10 +246,11 @@ class BoundParams:
     gamma: float = 0.0
 
 
-def open_params(n, x0, r):
+def open_params(x0, r):
+    """The ball B(x0, r), in the dimension of its centre x0."""
     if r <= 0:
         raise ContractViolation("ball radius must be positive")
-    return BoundParams(n, "open", x0=tuple(x0), r=float(r))
+    return BoundParams(len(x0), "open", x0=tuple(x0), r=float(r))
 
 
 def density_params(n, delta, R0=0.0):
@@ -292,7 +292,9 @@ def sobolev_chain_constant_log(n, delta):
 
 def theoretical_bound_log(p: BoundParams, N):
     """log of the explicit spectral-constant bound; None when N is outside
-    the validity range of the variant's derivation."""
+    the validity range of the variant's derivation; N < 0 is refused."""
+    if N < 0:
+        raise ContractViolation("cutoff N must be >= 0, got %r" % N)
     n = p.n
     c_n = tail_constant_cn(n).c
     root = c_n * math.sqrt(N + 1.0)
@@ -379,7 +381,7 @@ class ScalingReport:
                          self.bound_variant, row["precision_bits"]] for row in self.rows]
 
 
-def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None,
+def scaling_study(region: Region, N_list, bound: Optional[BoundParams] = None,
                   precision_bits=53) -> ScalingReport:
     """Measure C_N over increasing cutoffs, fit growth models, check bounds.
 
@@ -391,15 +393,17 @@ def scaling_study(region: Region, n, N_list, bound: Optional[BoundParams] = None
     singular even at maximal precision are reported with flags.  One Gram,
     at the largest cutoff, serves every cutoff (:func:`spectral_constants`).
     """
-    N_list = list(N_list)
+    N_list, n = list(N_list), region.n
     if not N_list or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ContractViolation("N_list must be non-empty and strictly increasing")
     report = ScalingReport(n)
     if bound is not None:
+        if bound.n != n:
+            raise ContractViolation("a %d-D bound on a %d-D region" % (bound.n, n))
         report.bound_variant = bound.variant
         report.aux_constants = {"c_n": tail_constant_cn(n).c, "C_sobolev": DEFAULT_C_SOBOLEV,
                                 "C_kov": DEFAULT_C_KOV}
-    G = gram_matrix(region, n, N_list[-1])
+    G = gram_matrix(region, N_list[-1])
     for N, res in zip(N_list, spectral_constants(G, N_list, precision_bits)):
         row = {"N": N, "C_measured": res.c_value, "C_log": res.c_log, "lambda_min": res.lam_min,
                "lambda_min_log": res.lam_min_log, "precision_bits": res.precision_bits,

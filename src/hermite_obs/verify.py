@@ -201,7 +201,7 @@ def suite_gram_invariants(rng, t):
     R = rg.truncate_radius(N, 1) + 1
     gamma = float(rng.uniform(0.25, 0.9))
     reg = rg.make_periodic_thick(1, 1.0, gamma, R)
-    G = gram.gram_matrix(reg, 1, N)
+    G = gram.gram_matrix(reg, N)
     herm = float(np.max(np.abs(G.matrix - G.matrix.T)))
     lam = np.linalg.eigvalsh(G.matrix)
     psd = -(float(lam[0]) + G.size * G.entry_error)
@@ -209,7 +209,7 @@ def suite_gram_invariants(rng, t):
     c = rng.standard_normal(G.size) + 1j * rng.standard_normal(G.size)
     quad = float(np.real(np.conj(c) @ G.matrix @ c))
     rayleigh = float(np.vdot(c, c).real) / quad - res.c_value**2 * (1 + 1e-9)
-    full = gram.gram_matrix(rg.full_space(1, R), 1, N)
+    full = gram.gram_matrix(rg.full_space(1, R), N)
     ident = float(np.max(np.abs(full.matrix - np.eye(full.size)))) - 1e-10
     return max(herm - 1e-14, psd, rayleigh, ident)
 
@@ -223,8 +223,8 @@ def suite_gram_monotonicity(rng, t):
     small = rg.make_periodic_thick(1, 1.0, g1, R)
     big = rg.make_periodic_thick(1, 1.0, g2, R)
     c_small, cs = (r.c_log for r in
-                   gram.spectral_constants(gram.gram_matrix(small, 1, N + 2), [N, N + 2]))
-    c_big = gram.spectral_constant(gram.gram_matrix(big, 1, N)).c_log
+                   gram.spectral_constants(gram.gram_matrix(small, N + 2), [N, N + 2]))
+    c_big = gram.spectral_constant(gram.gram_matrix(big, N)).c_log
     region_mono = c_big - c_small - 1e-9
     cutoff_mono = c_small - cs - 1e-9
     return max(region_mono, cutoff_mono)
@@ -235,12 +235,12 @@ def suite_gram_dominance(seed=0, trials=1):
     N_list = [4, 8, 12]
     R = rg.truncate_radius(max(N_list), 1) + 1
     cases = [
-        (rg.interval_region(-1.0, 1.0, trunc_radius=R), gram.open_params(1, (0.0,), 1.0)),
+        (rg.interval_region(-1.0, 1.0, trunc_radius=R), gram.open_params((0.0,), 1.0)),
         (rg.half_line(R), gram.density_params(1, 0.5)),
         (rg.make_periodic_thick(1, 1.0, 0.5, R), gram.thick_params(1, 1.0, 0.5)),
     ]
     for reg, params in cases:
-        rep = gram.scaling_study(reg, 1, N_list, bound=params)
+        rep = gram.scaling_study(reg, N_list, bound=params)
         for row in rep.rows:
             if not math.isnan(row["bound_log"]):
                 margins.append(row["C_log"] - row["bound_log"])
@@ -287,7 +287,7 @@ def suite_est_kovrijkine(rng, t):
     sup_I = float(vals.max())
     m_value = math.cosh(4 * a)
     step = int(rng.choice([2, 4, 8, 16]))
-    bound = est.kovrijkine_interval_bound(300.0, 1.0 / step, m_value)
+    bound = est.kovrijkine_interval_bound(gram.DEFAULT_C_KOV, 1.0 / step, m_value)
     return sup_I - bound * float(vals[::step].max()) * (1 + 1e-9)
 
 
@@ -422,7 +422,7 @@ def _harmonic_problem(N, gamma=None):
     if gamma is None:
         return ct.ControlProblem(A, np.eye(A.size), 1.0)
     reg = rg.make_periodic_thick(1, 1.0, gamma, rg.truncate_radius(N, 1) + 1)
-    return ct.ControlProblem(A, gram.gram_matrix(reg, 1, N).matrix, 1.0)
+    return ct.ControlProblem(A, gram.gram_matrix(reg, N).matrix, 1.0)
 
 
 @_trials(21, 10)
@@ -445,8 +445,8 @@ def suite_control_monotone(seed=0, trials=1):
     ((lows, highs),) = small.axes
     big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))],
                     trunc_radius=R)
-    P_small = gram.gram_matrix(small, 1, N).matrix
-    P_big = gram.gram_matrix(big, 1, N).matrix
+    P_small = gram.gram_matrix(small, N).matrix
+    P_big = gram.gram_matrix(big, N).matrix
     cts = [rep.c_value for rep in ct.observability_constants(A, P_small, [0.5, 1.0, 2.0])]
     for a, b in zip(cts, cts[1:]):
         margins.append(b - a * (1 + 1e-9))  # C_T nonincreasing in T

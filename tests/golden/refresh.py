@@ -111,6 +111,13 @@ ENTRIES = [
     ("remez", "remez --n 1 --d 4 --t 0.5 --rho 0.5 --out {out}", None),
     ("remez-complex", "remez --n 1 --d 4 --t 0.5 --complex-poly --out {out}", None),
     ("remez-d-only", "remez --d 3 --out {out}", None),
+    ("remez-small-t-3d", "remez --n 3 --d 3 --t 1e-14 --out {out}", None),
+    ("remez-t-below-eps", "remez --d 3 --t 1e-17 --out {out}", None),
+    ("remez-rho-below-eps", "remez --d 3 --rho 1e-17 --out {out}", None),
+    ("bounds-density-below-eps", "bounds --variant density --delta 1e-17 --N 4 --out {out}", None),
+    ("remez-past-double-range", "remez --d 2000 --t 0.1 --out {out}", None),
+    ("remez-complex-past-double-range", "remez --d 2000 --t 0.1 --complex-poly --out {out}", None),
+    ("remez-ball-past-double-range", "remez --d 200 --rho 0.01 --out {out}", None),
     ("tails-default", "tails --out {out}", None),
     ("tails-n2", "tails --n 2 --out {out}", None),
     ("tails-k-a", "tails --k 3 --a 5 --out {out}", None),
@@ -170,6 +177,10 @@ ENTRIES = [
     ("contract-staircase-target-0", "control --N 4 --staircase --target 0", None),
     ("contract-staircase-target-neg", "control --N 4 --staircase --target -1", None),
     ("contract-remez-n0", "remez --d 2 --t 0.5 --n 0", None),
+    ("contract-bounds-thick-N-neg", "bounds --variant thick --N=-3", None),
+    ("contract-bounds-open-N-neg", "bounds --variant open --N=-3", None),
+    ("contract-bounds-density-N-neg", "bounds --variant density --N=-3", None),
+    ("contract-bounds-density-N-1", "bounds --variant density --N=-1 --out {out}", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)
     ("usage-none", "", None),

@@ -24,7 +24,7 @@ def test_c01_orthonormality_and_ladder_algebra():
     # <Phi_a, Phi_b> = delta_ab +- 1e-10 for |a|, |b| <= 10, n <= 3
     for n in (1, 2, 3):
         region = rg.full_space(n, rg.truncate_radius(10, n) + 1)
-        G = gram.gram_matrix(region, n, 10)
+        G = gram.gram_matrix(region, 10)
         assert np.max(np.abs(G.matrix - np.eye(G.size))) <= 1e-10
 
     # commutator [a_-, a_+] = Id, exact on coefficients to 1e-12
@@ -68,7 +68,7 @@ def test_c01_orthonormality_and_ladder_algebra():
 
 def test_c02_half_line_gram_exactness():
     region = rg.half_line(rg.truncate_radius(1, 1) + 1)
-    G = gram.gram_matrix(region, 1, 1)
+    G = gram.gram_matrix(region, 1)
     off = 1.0 / math.sqrt(2.0 * math.pi)
     want = np.array([[0.5, off], [off, 0.5]])
     assert np.max(np.abs(G.matrix - want)) <= 1e-10
@@ -86,7 +86,7 @@ def test_c03_theoretical_bound_dominance():
     R = rg.truncate_radius(max(N_list), 1) + 1
     cases = [
         ("open ball(0,1)", rg.interval_region(-1.0, 1.0, trunc_radius=R),
-         gram.open_params(1, (0.0,), 1.0)),
+         gram.open_params((0.0,), 1.0)),
         ("density half-line", rg.half_line(R), gram.density_params(1, 0.5)),
     ]
     for gamma in (0.3, 0.5, 0.8):
@@ -96,7 +96,7 @@ def test_c03_theoretical_bound_dominance():
              gram.thick_params(1, 1.0, gamma))
         )
     for label, region, params in cases:
-        report = gram.scaling_study(region, 1, N_list, bound=params)
+        report = gram.scaling_study(region, N_list, bound=params)
         assert all(r["flag"] == "ok" for r in report.rows), label
         for row in report.rows:
             assert not math.isnan(row["bound_log"]), (label, row["N"])
@@ -113,9 +113,9 @@ def test_c04_thick_scaling_selects_sqrt_and_half_line_exponent():
     R = rg.truncate_radius(max(N_list), 1) + 1
     for gamma in (0.3, 0.5, 0.8):
         region = rg.make_periodic_thick(1, 1.0, gamma, R)
-        report = gram.scaling_study(region, 1, N_list)
+        report = gram.scaling_study(region, N_list)
         assert report.best_model == "sqrtN", (gamma, report.fits)
-    half = gram.scaling_study(rg.half_line(R), 1, N_list)
+    half = gram.scaling_study(rg.half_line(R), N_list)
     assert half.exponent_p >= 0.7
     density_bound = gram.density_params(1, 0.5)
     for row in half.rows:
@@ -213,7 +213,7 @@ def test_c08_control_full_space_duality_and_thick_hum():
     # thick region, N = 20, T = 1, 256-bit Gramian pipeline
     N = 20
     reg = rg.make_periodic_thick(1, 1.0, 0.6, rg.truncate_radius(N, 1) + 1)
-    P = gram.gram_matrix(reg, 1, N).matrix
+    P = gram.gram_matrix(reg, N).matrix
     A20 = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     f0 = basis.random_expansion(1, N, np.random.default_rng(MASTER_SEED + 1))
     res20 = ct.hum_control(ct.ControlProblem(A20, P, 1.0), f0, precision_bits=256)
@@ -224,7 +224,7 @@ def test_c08_control_full_space_duality_and_thick_hum():
 def test_c08_staircase_residual_and_decay():
     N = 24
     reg = rg.make_periodic_thick(1, 1.0, 0.6, rg.truncate_radius(N, 1) + 1)
-    P = gram.gram_matrix(reg, 1, N).matrix
+    P = gram.gram_matrix(reg, N).matrix
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     f0 = basis.random_expansion(1, N, np.random.default_rng(MASTER_SEED + 2))
     res = ct.lr_staircase(ct.ControlProblem(A, P, 1.0), f0, target=1e-6)
@@ -241,7 +241,7 @@ def test_c09_harmonic_blowup_shape():
     start = time.time()
     N = 16
     reg = rg.make_periodic_thick(1, 1.0, 0.2, rg.truncate_radius(N, 1) + 1)
-    P = gram.gram_matrix(reg, 1, N).matrix
+    P = gram.gram_matrix(reg, N).matrix
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
     assert not study.excluded
@@ -289,7 +289,7 @@ def test_c09_kfp_model_selection():
 
     N = 16
     reg = rg.make_periodic_thick(2, 1.0, 0.2, rg.truncate_radius(N, 2) + 1)
-    P = gram.gram_matrix(reg, 2, N).matrix
+    P = gram.gram_matrix(reg, N).matrix
     A = qd.weyl_quantize(kfp, N)
     study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
     assert not study.excluded

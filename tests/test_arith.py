@@ -59,7 +59,7 @@ def test_lam_min_matches_high_precision_eigsy(region, n, N, bits):
     # double-precision reading of sigma_max(L^-1)
     ar = arith.Mp(bits)
     with mp.workprec(bits + 16):
-        G = gram.gram_matrix_mp(region, n, N)
+        G = gram.gram_matrix_mp(region, N)
         lam = ar.lam_min(G)
     with mp.workprec(max(600, 2 * bits)):
         ev = mp.eigsy(to_mp(G), eigvals_only=True)
@@ -71,7 +71,7 @@ def test_lam_min_matches_high_precision_eigsy(region, n, N, bits):
 def test_not_positive_definite_below_needed_bits():
     # ball N=48 needs 512 bits: at 256 its smallest eigenvalue drowns
     with mp.workprec(256 + 16):
-        assert arith.Mp(256).lam_min(gram.gram_matrix_mp(ball(48), 1, 48)) is None
+        assert arith.Mp(256).lam_min(gram.gram_matrix_mp(ball(48), 48)) is None
 
 
 @pytest.mark.parametrize("k", [-3000, 2200])
@@ -80,7 +80,7 @@ def test_power_of_two_scaling_is_exact(k):
     # matrix's scale, so 2^k M answers exactly 2^k times M's answers
     ar = arith.Mp(256)
     with mp.workprec(256 + 16):
-        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(12, 1) + 1), 1, 12)
+        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(12, 1) + 1), 12)
         S = M * mp.ldexp(1, k)
         assert ar.lam_min(S) == mp.ldexp(ar.lam_min(M), k)
         (top, vec), (top_s, vec_s) = ar.eigh_top(M), ar.eigh_top(S)
@@ -101,7 +101,7 @@ def test_integer_identity_matches_rounded_identity(bits, d):
 def test_inv_lower_and_cond_match_dense_routines():
     kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
     reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(3, 2) + 1)
-    P = gram.gram_matrix(reg, 2, 3).matrix
+    P = gram.gram_matrix(reg, 3).matrix
     ar = arith.Mp(256)
     with mp.workprec(256 + 16):
         _, W, _, _, _ = arith.taylor(ar, kfp, 0.5, Q=ar.from_np(P))
@@ -118,7 +118,7 @@ def test_double_inv_lower_is_exactly_lower_triangular():
     # the Cholesky factor of the KFP N=6 observability Gramian (dim 28)
     kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
     reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(6, 2) + 1)
-    P = gram.gram_matrix(reg, 2, 6).matrix
+    P = gram.gram_matrix(reg, 6).matrix
     _, W, _, _, _ = arith.taylor(arith.DOUBLE, kfp, 0.5, Q=arith.DOUBLE.from_np(P))
     L = arith.DOUBLE.cholesky(W)
     Li = arith.DOUBLE.inv_lower(L)
@@ -168,7 +168,7 @@ def test_top_eigenvector_stays_in_doubles():
     # caller that reads the vector converts it
     ar = arith.Mp(256)
     with mp.workprec(272):
-        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(6, 1) + 1), 1, 6)
+        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(6, 1) + 1), 6)
         top, vec = ar.eigh_top(M)
         vals, vecs = np.linalg.eigh(ar.to_np(M).real)
     assert isinstance(vec, np.ndarray) and vec.shape == (7,)
@@ -241,7 +241,7 @@ def test_taylor_dense_products_do_not_grow_with_the_degree(monkeypatch):
     # dense Fx @ Fx left are the two contractions and W(h) = V E^H, whatever
     # m; two horizons of one step need different degrees
     A = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
-    P = gram.gram_matrix(rg.half_space(2, 0, 0.3, rg.truncate_radius(6, 2) + 1), 2, 6).matrix
+    P = gram.gram_matrix(rg.half_space(2, 0, 0.3, rg.truncate_radius(6, 2) + 1), 6).matrix
     ar, calls, matmul = arith.Mp(256), [], arith.Fx.__matmul__
     monkeypatch.setattr(arith.Fx, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
     norm1 = float(np.abs(A).sum(axis=0).max())
@@ -365,13 +365,13 @@ def test_no_mpmath_matrix_routine_in_the_pipelines(monkeypatch):
     # the Gauss nodes of the 256-bit HUM grid come from integer Newton steps
     for name in ("cholesky", "lu_solve", "fdot", "matrix", "gauss_quadrature"):
         _forbid_in_package(monkeypatch, name)
-    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(16, 1) + 1), 1, 16)
+    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(16, 1) + 1), 16)
     res = gram.spectral_constant(G)
     assert res.precision_bits == 256 and res.flag == "ok"
     N = 7
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     P = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.6, rg.truncate_radius(N, 1) + 1),
-                         1, N).matrix
+                         N).matrix
     problem = ct.ControlProblem(A, P, 1.0)
     hum = ct.hum_control(problem, basis.random_expansion(1, N, np.random.default_rng(3)), 256)
     assert hum.precision_bits == 256 and hum.flag == "ok" and hum.residual <= 1e-15

@@ -123,7 +123,7 @@ class TestExitCodes:
                         "--variant", "open", "--quiet", "--out", out])
         assert code == cli.EXIT_OK
         rows = json.loads((tmp_path / "s.json").read_text())["result"]["rows"]
-        params = gram.open_params(1, (2.0,), 1.0)
+        params = gram.open_params((2.0,), 1.0)
         assert [r["bound_log"] for r in rows] == [gram.theoretical_bound_log(params, N)
                                                   for N in (8, 16)]
 
@@ -529,7 +529,7 @@ class TestOutputs:
         assert code == cli.EXIT_OK
         doc = json.loads((tmp_path / "c.json").read_text())
         region = rg.half_line(rg.truncate_radius(8, 1) + 1.0)
-        res = spectral_constant(gram_matrix(region, 1, 8))
+        res = spectral_constant(gram_matrix(region, 8))
         assert doc["result"]["C_N"] == pytest.approx(res.c_value, rel=1e-12)
         assert doc["result"]["lambda_min"] == pytest.approx(res.lam_min, rel=1e-12)
 
@@ -653,7 +653,7 @@ class TestOutputs:
         from hermite_obs import control as ct, quadratic as qd
 
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
-        P = gram_matrix(cli.parse_region("full", 1, 4), 1, 4).matrix
+        P = gram_matrix(cli.parse_region("full", 1, 4), 4).matrix
         rep = ct.observability_constant(ct.ControlProblem(A, P, 1.0), 256)
         assert doc["result"]["subintervals"] == rep.subintervals == 16
         assert doc["result"]["taylor_degree"] == rep.taylor_degree > 0

@@ -19,12 +19,12 @@ def harmonic_problem(N, T=1.0, piomega=None):
 
 def thick_gram(N, gamma=0.6, L=1.0):
     reg = rg.make_periodic_thick(1, L, gamma, rg.truncate_radius(N, 1) + 1)
-    return gram.gram_matrix(reg, 1, N).matrix
+    return gram.gram_matrix(reg, N).matrix
 
 
 def half_plane_gram(N):
     reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(N, 2) + 1)
-    return gram.gram_matrix(reg, 2, N).matrix
+    return gram.gram_matrix(reg, N).matrix
 
 
 def to_mp(F):
@@ -154,8 +154,8 @@ class TestObservability:
     def test_monotone_under_region_shrink(self):
         N = 6
         R = rg.truncate_radius(N, 1) + 1
-        big = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.7, R), 1, N).matrix
-        small = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.35, R), 1, N).matrix
+        big = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.7, R), N).matrix
+        small = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.35, R), N).matrix
         c_big = ct.observability_constant(harmonic_problem(N, 1.0, big)).c_value
         c_small = ct.observability_constant(harmonic_problem(N, 1.0, small)).c_value
         assert c_small >= c_big
@@ -200,7 +200,7 @@ class TestObservability:
         monkeypatch.setattr(arith, "MAX_BITS", 256)
         N, T = 32, 0.5
         R = rg.truncate_radius(N, 1) + 1
-        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, N)
+        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N)
         assert np.linalg.eigvalsh(G.matrix)[0] < 0
         rep = ct.observability_constant(harmonic_problem(N, T, G.matrix))
         assert rep.flag == "singular_floor" and rep.precision_bits == 256
@@ -214,7 +214,7 @@ def test_mpmath_precision_is_scoped():
     # back unchanged, whatever it was
     with mpmath.workprec(80):
         reg = rg.half_line(rg.truncate_radius(16, 1) + 1.0)
-        res = gram.spectral_constant(gram.gram_matrix(reg, 1, 16))
+        res = gram.spectral_constant(gram.gram_matrix(reg, 16))
         assert res.precision_bits >= 256 and mpmath.mp.prec == 80
         rep = ct.observability_constant(harmonic_problem(4, 0.8, thick_gram(4)), 256)
         assert rep.precision_bits == 256 and mpmath.mp.prec == 80
@@ -231,7 +231,7 @@ def test_observability_escalation_ends_at_the_ceiling(monkeypatch):
     monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
                         or taylor(ar, *a, **kw))
     R = rg.truncate_radius(4, 1) + 1
-    P = gram.gram_matrix(rg.interval_region(0.0, 1e-20, trunc_radius=R), 1, 4).matrix
+    P = gram.gram_matrix(rg.interval_region(0.0, 1e-20, trunc_radius=R), 4).matrix
     rep = ct.observability_constant(harmonic_problem(4, 1.0, P), 300)
     assert tables == [300, 512] and (rep.precision_bits, rep.flag) == (512, "singular_floor")
 
@@ -241,7 +241,7 @@ def test_precision_above_the_ceiling_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(arith, "MAX_BITS", 256)
     monkeypatch.setattr(arith, "taylor", None)  # no Taylor table is started
     prob = harmonic_problem(2)
-    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(2, 1) + 1.0), 1, 2)
+    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(2, 1) + 1.0), 2)
     for call in (lambda: ct.observability_constant(prob, 512),
                  lambda: ct.hum_control(prob, basis.unit_expansion(1, 2, (0,)), 512),
                  lambda: ct.cost_blowup_study(prob.A, prob.piomega, [1.0], 512),
@@ -337,8 +337,8 @@ class TestHumControl:
         ((lows, highs),) = small.axes
         big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))],
                         trunc_radius=R)
-        P_small = gram.gram_matrix(small, 1, N).matrix
-        P_big = gram.gram_matrix(big, 1, N).matrix
+        P_small = gram.gram_matrix(small, N).matrix
+        P_big = gram.gram_matrix(big, N).matrix
         rng = np.random.default_rng(14)
         f0 = basis.random_expansion(1, N, rng)
         c_small = ct.hum_control(harmonic_problem(N, 1.0, P_small), f0).cost
@@ -428,8 +428,9 @@ def test_stacked_hum_equals_the_per_node_loop(case):
     with mpmath.workprec(ar.bits + 16):
         grid = ar.gauss(ct.GRID_ORDER)
         P_, f = ar.from_np(P), ar.from_np(f0)
-        plan = ct._plan(ar, A, P_, len(A), T, grid)
-        flag, samples, cost, state = ct._hum(ar, plan, f)
+        plan = ct._plan(ar, A, P_, len(A), T)
+        flag, us, cost, state = ct._hum(ar, plan, f)
+        samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, plan.d)[::-1]
         times, steps = list(plan.times), plan.steps
         want = per_node_hum(ar, A, P_, f, T, grid)
         gap = ar.norm(state - want[3])
@@ -509,7 +510,7 @@ class TestStaircase:
         # a double stage Gramian fails at stage 3; at 256 bits every stage
         # factors, and 512 bits give the same cost and residual
         R = rg.truncate_radius(N, 1) + 1
-        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, N).matrix
+        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N).matrix
         prob = harmonic_problem(N, 0.5, P)
         f0 = basis.random_expansion(1, N, np.random.default_rng(1))
         assert ct.lr_staircase(prob, f0).flag == "stage_gramian_failure:3"
@@ -523,7 +524,7 @@ class TestStaircase:
         # ends after the full-space stage 5.3e-5 short of the target
         N = 24
         R = rg.truncate_radius(N, 1) + 1
-        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, N).matrix
+        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N).matrix
         prob = harmonic_problem(N, 1.0, P)
         f0 = basis.random_expansion(1, N, np.random.default_rng(1))
         res = ct.lr_staircase(prob, f0, target=1e-6, precision_bits=256)
@@ -653,7 +654,7 @@ class TestBlowup:
         # each horizon reads W and e^{-TA} off its group's doubling chain:
         # every row is its one-horizon pencil, bit for bit
         A = qd.weyl_quantize(qd.parse_symbol(symbol), N)
-        P = gram.gram_matrix(cli.parse_region(region, A.n, N), A.n, N).matrix
+        P = gram.gram_matrix(cli.parse_region(region, A.n, N), N).matrix
         tables = []
         taylor = arith.taylor
         monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -77,6 +78,35 @@ class TestRemez:
                     est.remez_bound(1, 2, t, complex_poly)
         with pytest.raises(ContractViolation):
             est.remez_ball_bound(1, 2, 1.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.5, 1e-6, 1e-10, 1e-14, 1e-17])
+    def test_fraction_matches_a_50_digit_reference(self, n, t):
+        # F = (2 - u) / u with u = -expm1(log1p(-t) / n) has no cancellation:
+        # within 2e-16 of F at this t, also where 1 - t rounds to 1 (t < 1.1e-16)
+        # and 1 - (1-t)^(1/n) would divide by zero
+        with mpmath.workdps(50):
+            s = (1 - mpmath.mpf(t)) ** (mpmath.mpf(1) / n)
+            want = (1 + s) / (1 - s)
+        assert abs(est.remez_fraction(n, t) - want) <= 2e-16 * want
+
+    def test_factors_past_the_double_range_are_inf(self):
+        # the Chebyshev recurrence reaches inf - inf and pow overflows: +inf,
+        # with no warning; a finite factor is the unsaturated expression, bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert est.remez_bound(1, 2000, 0.1) == math.inf
+            assert est.remez_bound(1, 2000, 0.1, complex_poly=True) == math.inf
+            assert est.remez_ball_bound(1, 200, 0.01) == math.inf
+            assert est.remez_fraction(2, 5e-324) == math.inf  # log1p(-t) / 2 underflows to 0
+        F = est.remez_fraction(1, 0.1)  # 19 less an ulp
+        assert est.remez_bound(1, 190, 0.1) == float(est.chebyshev_value(190, F)) > 1e299
+        for n, d, t in [(1, 4, 0.5), (2, 40, 0.3), (1, 100, 0.1), (3, 3, 1e-17)]:
+            F, G = est.remez_fraction(n, t), est.remez_fraction(n, t / 4.0)
+            assert est.remez_bound(n, d, t) == float(est.chebyshev_value(d, F))
+            assert est.remez_bound(n, d, t, complex_poly=True) == 2.0 ** (2 * d + 1) * F**d
+            assert est.remez_ball_bound(n, d, t) == (
+                2.0 ** (2 * d + 1) / math.sqrt(3.0) * math.sqrt(4.0 / t) * G**d)
 
     def test_empirical_dominance_on_subintervals(self):
         # 200 random real polynomials of degree <= 6: the L2 ball bound must

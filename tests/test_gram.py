@@ -43,16 +43,16 @@ def per_box_reference(region, n, N):
 class TestGramAssembly:
     def test_full_space_identity(self):
         reg = rg.full_space(2, rg.truncate_radius(3, 2) + 1)
-        G = gram.gram_matrix(reg, 2, 3)
+        G = gram.gram_matrix(reg, 3)
         assert np.max(np.abs(G.matrix - np.eye(G.size))) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_region_gives_zero_grams(self, n):
         reg = rg.Region([([], [])] * n, trunc_radius=rg.truncate_radius(4, n) + 1)
-        G = gram.gram_matrix(reg, n, 4)
+        G = gram.gram_matrix(reg, 4)
         assert not G.matrix.any() and not G.errors.any()
         with mpmath.workprec(272):
-            Gm = gram.gram_matrix_mp(reg, n, 4)
+            Gm = gram.gram_matrix_mp(reg, 4)
         assert Gm.re.shape == G.matrix.shape and not Gm.re.any()
 
     def test_mpf_multiplications_grow_linearly(self, monkeypatch):
@@ -68,12 +68,12 @@ class TestGramAssembly:
         for N in (16, 32):
             counts.clear()
             with mpmath.workprec(272):
-                gram.gram_matrix_mp(reg, 1, N)
+                gram.gram_matrix_mp(reg, N)
             sizes.append(len(counts))
         assert 0 < sizes[1] < 2.2 * sizes[0]
 
     def test_half_line_two_by_two(self):
-        G = gram.gram_matrix(halfline_region(1), 1, 1)
+        G = gram.gram_matrix(halfline_region(1), 1)
         want = np.array(
             [[0.5, 1 / math.sqrt(2 * math.pi)], [1 / math.sqrt(2 * math.pi), 0.5]]
         )
@@ -81,25 +81,25 @@ class TestGramAssembly:
 
     def test_empty_region_zero_matrix(self):
         empty = rg.Region([(np.zeros(0), np.zeros(0))], trunc_radius=rg.truncate_radius(2, 1) + 1)
-        G = gram.gram_matrix(empty, 1, 2)
+        G = gram.gram_matrix(empty, 2)
         assert np.all(G.matrix == 0.0)
 
     def test_symmetric(self):
         reg = rg.make_periodic_thick(1, 1.0, 0.5, rg.truncate_radius(6, 1) + 1)
-        G = gram.gram_matrix(reg, 1, 6)
+        G = gram.gram_matrix(reg, 6)
         assert np.max(np.abs(G.matrix - G.matrix.T)) < 1e-14
 
     def test_radius_precondition(self):
         small = rg.half_line(3.0)
         with pytest.raises(ContractViolation) as err:
-            gram.gram_matrix(small, 1, 12)
+            gram.gram_matrix(small, 12)
         assert "radius" in str(err.value)
 
     def test_mp_matches_double(self):
         reg = rg.make_periodic_thick(1, 1.0, 0.5, rg.truncate_radius(4, 1) + 1)
-        G = gram.gram_matrix(reg, 1, 4)
+        G = gram.gram_matrix(reg, 4)
         with mpmath.workprec(120):
-            Gm = to_mp(gram.gram_matrix_mp(reg, 1, 4))
+            Gm = to_mp(gram.gram_matrix_mp(reg, 4))
             dev = max(
                 abs(float(Gm[i, j]) - G.matrix[i, j])
                 for i in range(G.size)
@@ -118,7 +118,7 @@ class TestGramAssembly:
         axes[0] = tuple(np.append(ends, R - e) for ends, e in zip(axes[0], (0.5, 0.25)))
         reg = rg.Region(axes, trunc_radius=R)
         assert len({len(lows) for lows, _ in reg.axes}) == n
-        G = gram.gram_matrix(reg, n, N)
+        G = gram.gram_matrix(reg, N)
         want, want_err = per_box_reference(reg, n, N)
         assert np.max(np.abs(G.matrix - want)) < 1e-14
         assert G.entry_error == pytest.approx(want_err, rel=1e-12, abs=0)
@@ -134,7 +134,7 @@ class TestGramAssembly:
         G, E = vals[0], errs[0]
         for v, e in zip(vals[1:], errs[1:]):
             G, E = G + v, E + e
-        got = gram.gram_matrix(reg, 1, 16)
+        got = gram.gram_matrix(reg, 16)
         assert got.matrix.tobytes() == G.tobytes()
         assert got.entry_error == float(np.max(E)) + gram.truncation_entry_error(1, 16, R)
 
@@ -147,14 +147,14 @@ class TestGramAssembly:
                             lambda *args: calls.append(args) or tables(*args))
         reg = rg.make_periodic_thick(n, 1.0, 0.5, rg.truncate_radius(N, n) + 1)
         with mpmath.workprec(272):
-            build(reg, n, N)
+            build(reg, N)
         assert len(calls) == 1
 
     def test_mp_matches_double_2d(self):
         reg = rg.make_periodic_thick(2, 1.0, 0.5, rg.truncate_radius(6, 2) + 1)
-        G = gram.gram_matrix(reg, 2, 6)
+        G = gram.gram_matrix(reg, 6)
         with mpmath.workprec(120):
-            Gm = to_mp(gram.gram_matrix_mp(reg, 2, 6))
+            Gm = to_mp(gram.gram_matrix_mp(reg, 6))
             dev = max(
                 abs(float(Gm[i, j]) - G.matrix[i, j])
                 for i in range(G.size)
@@ -166,11 +166,11 @@ class TestGramAssembly:
 class TestSpectralConstant:
     def test_identity_gives_one(self):
         reg = rg.full_space(1, rg.truncate_radius(4, 1) + 1)
-        res = gram.spectral_constant(gram.gram_matrix(reg, 1, 4))
+        res = gram.spectral_constant(gram.gram_matrix(reg, 4))
         assert res.c_value == pytest.approx(1.0, abs=1e-9)
 
     def test_half_line_closed_form(self):
-        res = gram.spectral_constant(gram.gram_matrix(halfline_region(1), 1, 1))
+        res = gram.spectral_constant(gram.gram_matrix(halfline_region(1), 1))
         lam = 0.5 - 1 / math.sqrt(2 * math.pi)
         assert res.lam_min == pytest.approx(lam, abs=1e-10)
         assert res.c_value == pytest.approx(lam ** -0.5, abs=1e-8)
@@ -179,7 +179,7 @@ class TestSpectralConstant:
         # even-degree block of the half-line Gram is exactly I/2, so the
         # spectral constant restricted to even expansions is sqrt(2)
         # (oracle: brute-force eigenvalues of the small block)
-        G = gram.gram_matrix(halfline_region(4), 1, 4)
+        G = gram.gram_matrix(halfline_region(4), 4)
         even = [i for i, a in enumerate(basis.multi_indices(1, 4)) if a[0] % 2 == 0]
         block = G.matrix[np.ix_(even, even)]
         lam = np.linalg.eigvalsh(block)
@@ -187,7 +187,7 @@ class TestSpectralConstant:
         assert lam[0] ** -0.5 == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_escalation_kicks_in(self):
-        res = gram.spectral_constant(gram.gram_matrix(halfline_region(16), 1, 16))
+        res = gram.spectral_constant(gram.gram_matrix(halfline_region(16), 16))
         assert res.precision_bits >= 256
         assert res.flag == "ok"
         assert res.lam_min < 1e-15
@@ -197,7 +197,7 @@ class TestSpectralConstant:
         # flagged and must stay below the fully resolved constant
         R = rg.truncate_radius(48, 1) + 1
         ball = rg.interval_region(-1.0, 1.0, trunc_radius=R)
-        G = gram.gram_matrix(ball, 1, 48)
+        G = gram.gram_matrix(ball, 48)
         monkeypatch.setattr(arith, "MAX_BITS", 256)
         capped = gram.spectral_constant(G, precision_bits=256)
         assert capped.flag == "singular_floor"
@@ -210,7 +210,7 @@ class TestSpectralConstant:
         # the ball at N = 48 fails to factor at 256 bits and resolves at 512:
         # lambda_max is read at 512 only, where the noise floor needs it
         R = rg.truncate_radius(48, 1) + 1
-        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 1, 48)
+        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 48)
         monkeypatch.setattr(arith, "MAX_BITS", 1024)
         log = []
         lam_min, eigh_top = arith.Mp.lam_min, arith.Mp.eigh_top
@@ -226,20 +226,20 @@ class TestSpectralConstant:
         R = rg.truncate_radius(6, 1) + 1
         small = rg.make_periodic_thick(1, 1.0, 0.3, R)
         big = rg.make_periodic_thick(1, 1.0, 0.6, R)
-        c_small = gram.spectral_constant(gram.gram_matrix(small, 1, 6)).c_value
-        c_big = gram.spectral_constant(gram.gram_matrix(big, 1, 6)).c_value
+        c_small = gram.spectral_constant(gram.gram_matrix(small, 6)).c_value
+        c_big = gram.spectral_constant(gram.gram_matrix(big, 6)).c_value
         assert c_small >= c_big
 
     def test_monotone_in_cutoff(self):
         reg = rg.make_periodic_thick(1, 1.0, 0.4, rg.truncate_radius(10, 1) + 1)
         cs = [
-            gram.spectral_constant(gram.gram_matrix(reg, 1, N)).c_value
+            gram.spectral_constant(gram.gram_matrix(reg, N)).c_value
             for N in (2, 5, 8, 10)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(cs, cs[1:]))
 
     def test_cutoffs_outside_the_gram_are_refused(self):
-        G = gram.gram_matrix(halfline_region(6), 1, 6)
+        G = gram.gram_matrix(halfline_region(6), 6)
         for N in (7, -1):
             with pytest.raises(ContractViolation):
                 gram.spectral_constants(G, [2, N])
@@ -261,10 +261,10 @@ class TestSpectralConstant:
 
         cutoffs = list(cutoffs)
         reg = parse_region(spec, n, cutoffs[-1])
-        G = gram.gram_matrix(reg, n, cutoffs[-1])
+        G = gram.gram_matrix(reg, cutoffs[-1])
         got = gram.spectral_constants(G, cutoffs)
         for N, res in zip(cutoffs, got):
-            own = gram.gram_matrix(reg, n, N)
+            own = gram.gram_matrix(reg, N)
             block = G.leading(N)
             assert block.matrix.tobytes() == own.matrix.tobytes()
             assert block.errors.tobytes() == own.errors.tobytes()
@@ -273,7 +273,7 @@ class TestSpectralConstant:
 
     def test_rayleigh_consistency(self):
         reg = rg.make_periodic_thick(1, 1.0, 0.5, rg.truncate_radius(8, 1) + 1)
-        G = gram.gram_matrix(reg, 1, 8)
+        G = gram.gram_matrix(reg, 8)
         res = gram.spectral_constant(G)
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -303,7 +303,7 @@ class TestBounds:
     def test_open_bound_against_direct_reimplementation(self):
         # oracle: the fully explicit expression evaluated independently in
         # high-precision arithmetic
-        p = gram.open_params(1, (0.0,), 1.0)
+        p = gram.open_params((0.0,), 1.0)
         c1 = est.tail_constant_cn(1).c
         for N in (4, 10, 30):
             with mpmath.workdps(80):
@@ -323,8 +323,25 @@ class TestBounds:
                 )
             assert gram.theoretical_bound_log(p, N) == pytest.approx(want, rel=1e-12)
 
+    def test_open_params_take_the_dimension_of_the_centre(self):
+        # the 1-D ball's bound at N=8 is 49.77; stated in 2-D it would read 54.54
+        assert gram.open_params((0.0,), 1.0).n == 1
+        assert gram.open_params((0.0, 0.0, 0.0), 1.0).n == 3
+        assert gram.theoretical_bound_log(gram.open_params((0.0,), 1.0), 8) == pytest.approx(
+            49.76926414070671, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ["open", "density", "thick"])
+    def test_negative_cutoff_is_refused(self, variant):
+        p = {"open": gram.open_params((0.0,), 1.0), "density": gram.density_params(1, 0.5),
+             "thick": gram.thick_params(1, 1.0, 0.5)}[variant]
+        for N in (-1, -3):
+            for bound in (gram.theoretical_bound_log, gram.theoretical_bound):
+                with pytest.raises(ContractViolation, match="cutoff N must be >= 0"):
+                    bound(p, N)
+        gram.theoretical_bound_log(p, 0)  # N = 0 is a cutoff: no refusal
+
     def test_open_bound_validity_flag(self):
-        p = gram.open_params(1, (30.0,), 0.5)
+        p = gram.open_params((30.0,), 0.5)
         assert gram.theoretical_bound_log(p, 0) is None
 
     def test_density_validity_flag(self):
@@ -336,15 +353,13 @@ class TestBounds:
 class TestScalingStudy:
     def test_full_space_flat(self):
         reg = rg.full_space(1, rg.truncate_radius(12, 1) + 1)
-        rep = gram.scaling_study(reg, 1, [4, 6, 8, 10, 12])
+        rep = gram.scaling_study(reg, [4, 6, 8, 10, 12])
         assert all(abs(r["C_log"]) < 1e-8 for r in rep.rows)
 
     def test_nondecreasing_and_dominated(self):
         R = rg.truncate_radius(16, 1) + 1
         reg = rg.make_periodic_thick(1, 1.0, 0.5, R)
-        rep = gram.scaling_study(
-            reg, 1, [4, 8, 12, 16], bound=gram.thick_params(1, 1.0, 0.5)
-        )
+        rep = gram.scaling_study(reg, [4, 8, 12, 16], bound=gram.thick_params(1, 1.0, 0.5))
         logs = [r["C_log"] for r in rep.rows]
         assert all(a <= b + 1e-12 for a, b in zip(logs, logs[1:]))
         assert rep.dominance_ok
@@ -352,15 +367,15 @@ class TestScalingStudy:
     def test_cutoff_zero_is_fitted(self):
         # N log N is 0 at N = 0 and the exponent fit skips log N = -inf
         reg = rg.make_periodic_thick(2, 1.0, 0.5, rg.truncate_radius(4, 2) + 1)
-        rep = gram.scaling_study(reg, 2, [0, 1, 2, 3, 4])
+        rep = gram.scaling_study(reg, [0, 1, 2, 3, 4])
         assert set(rep.fits) == set(gram.SCALING_MODELS)
         assert all(math.isfinite(fit["ssr"]) for fit in rep.fits.values())
-        assert rep.rows[0]["C_log"] == gram.spectral_constant(gram.gram_matrix(reg, 2, 0)).c_log
+        assert rep.rows[0]["C_log"] == gram.spectral_constant(gram.gram_matrix(reg, 0)).c_log
 
     def test_requires_increasing_cutoffs(self):
         reg = rg.full_space(1, rg.truncate_radius(8, 1) + 1)
         with pytest.raises(ContractViolation):
-            gram.scaling_study(reg, 1, [4, 4, 8])
+            gram.scaling_study(reg, [4, 4, 8])
 
     @pytest.mark.parametrize("spec,cutoffs,fixed_levels", [
         ("halfline", range(8, 33, 8), 1), ("ball:r=1", range(8, 65, 8), 2)])
@@ -372,21 +387,33 @@ class TestScalingStudy:
         cutoffs = list(cutoffs)
         calls = []
         assemble = gram._assemble
-        monkeypatch.setattr(gram, "_assemble", lambda region, n, N, mp=None: calls.append(
-            (N, None if mp is None else mp.prec)) or assemble(region, n, N, mp))
-        rep = gram.scaling_study(parse_region(spec, 1, cutoffs[-1]), 1, cutoffs)
+        monkeypatch.setattr(gram, "_assemble", lambda region, N, mp=None: calls.append(
+            (N, None if mp is None else mp.prec)) or assemble(region, N, mp))
+        rep = gram.scaling_study(parse_region(spec, 1, cutoffs[-1]), cutoffs)
         assert calls[0] == (cutoffs[-1], None)
         assert [prec for _, prec in calls[1:]] == [(256 << k) + 16 for k in range(fixed_levels)]
         assert max(r["precision_bits"] for r in rep.rows) == 256 << (fixed_levels - 1)
 
+    @pytest.mark.parametrize("bound", [gram.thick_params(3, 1.0, 0.5), gram.density_params(2, 0.5),
+                                       gram.open_params((0.0, 0.0), 1.0)], ids=["thick-3d",
+                                       "density-2d", "open-2d"])
+    def test_refuses_a_bound_of_another_dimension(self, bound, monkeypatch):
+        # the region states the dimension; a bound stated in another is refused
+        # before any Gram is built (a 3-D thick bound would read 4.4e7 at N=4
+        # on the 1-D periodic set, against 3.8e5 for the 1-D one)
+        monkeypatch.setattr(gram, "_assemble", None)
+        reg = rg.make_periodic_thick(1, 1.0, 0.5, rg.truncate_radius(4, 1) + 1)
+        with pytest.raises(ContractViolation, match="%d-D bound on a 1-D region" % bound.n):
+            gram.scaling_study(reg, [4], bound=bound)
+
     def test_requires_cutoffs(self):
         reg = rg.full_space(1, rg.truncate_radius(8, 1) + 1)
         with pytest.raises(ContractViolation):
-            gram.scaling_study(reg, 1, [])
+            gram.scaling_study(reg, [])
 
     def test_csv_rows_schema(self):
         reg = rg.full_space(1, rg.truncate_radius(6, 1) + 1)
-        rep = gram.scaling_study(reg, 1, [2, 4, 6])
+        rep = gram.scaling_study(reg, [2, 4, 6])
         header, rows = rep.csv_rows()
         assert header == ["N", "dim", "C_measured", "lambda_min", "bound",
                           "bound_variant", "precision_bits"]
