@@ -197,9 +197,6 @@ class HermiteExpansion:
         return HermiteExpansion(self.n, self.N, self.coeffs * z)
 
     def add(self, other):
-        if other.N != self.N:
-            M = max(self.N, other.N)
-            return self.padded(M).add(other.padded(M))
         self._check_compatible(other)
         return HermiteExpansion(self.n, self.N, self.coeffs + other.coeffs)
 
@@ -231,7 +228,9 @@ class HermiteExpansion:
 
         ``x`` is a point of R^n or an array of shape (m, n); 1-d input in
         dimension one is treated as a batch of scalar points.  The 1-d factor
-        values phi_k(x_j) are shared across all multi-indices.
+        values phi_k(x_j) are shared across all multi-indices: one product
+        per axis over the multi-index table, summed over the coefficients in
+        their order by a running sum.
         """
         pts = np.asarray(x, dtype=float)
         scalar = False
@@ -245,16 +244,11 @@ class HermiteExpansion:
                 pts = pts.reshape(1, -1)
         if pts.shape[1] != self.n:
             raise ContractViolation("points have wrong spatial dimension")
-        tables = [hermite_values(self.N, pts[:, j]) for j in range(self.n)]
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for i, alpha in enumerate(multi_indices(self.n, self.N)):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            term = tables[0][alpha[0]].copy()
-            for j in range(1, self.n):
-                term *= tables[j][alpha[j]]
-            out += c * term
+        idx = np.array(multi_indices(self.n, self.N))
+        terms = hermite_values(self.N, pts[:, 0])[idx[:, 0]]
+        for j in range(1, self.n):
+            terms *= hermite_values(self.N, pts[:, j])[idx[:, j]]
+        out = np.cumsum(self.coeffs[:, None] * terms, axis=0)[-1]
         return out[0] if scalar else out
 
     # -- serialization ------------------------------------------------------

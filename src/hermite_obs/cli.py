@@ -436,12 +436,17 @@ def _run_command(args):
             "state": json.loads(ft.to_json()),
         }
 
-    elif command == "observability":
+    elif command in ("observability", "control"):  # one problem serves every horizon
+        T_list = parse_float_list(args.T)
+        if command == "control" and len(T_list) != 1:
+            raise UsageError("control takes a single horizon T")
         N = _single_N(args)
         A = qd.weyl_quantize(qd.parse_symbol(args.symbol), N)
         region, G = _region_gram(args.region, A.n, N)
-        T_list = parse_float_list(args.T)
-        study = ct.cost_blowup_study(A, G.matrix, T_list, precision_bits=bits)
+        problem = ct.ControlProblem(A, G.matrix)
+
+    if command == "observability":
+        study = ct.cost_blowup_study(problem, T_list, precision_bits=bits)
         csv_payload = (["T", "C_T", "precision_bits", "method"],
                        [[r["T"], r["C_T"], r["precision_bits"], r["method"]] for r in study.rows])
         if len(T_list) == 1:  # the one row, its c_log as log_C_T
@@ -451,19 +456,11 @@ def _run_command(args):
                       "k0": study.k0, "excluded": study.excluded}
 
     elif command == "control":
-        T_list = parse_float_list(args.T)
-        if len(T_list) != 1:
-            raise UsageError("control takes a single horizon T")
-        if args.staircase and args.target is None:
-            args.target = 1e-6
-        N = _single_N(args)
-        A = qd.weyl_quantize(qd.parse_symbol(args.symbol), N)
-        region, G = _region_gram(args.region, A.n, N)
-        T = T_list[0]
-        problem = ct.ControlProblem(A, G.matrix, T)
-        f0 = _load_f0(args.f0, A.n, N, seed)
+        T, f0 = T_list[0], _load_f0(args.f0, A.n, N, seed)
         if args.staircase:
-            res = ct.lr_staircase(problem, f0, target=args.target, precision_bits=bits)
+            if args.target is None:
+                args.target = 1e-6
+            res = ct.lr_staircase(problem, T, f0, target=args.target, precision_bits=bits)
             csv_payload = (
                 ["stage", "k_j", "stage_cost", "energy_after"],
                 [[s["stage"], s["k_j"], s["stage_cost"], s["energy_after"]]
@@ -474,7 +471,7 @@ def _run_command(args):
                 "total_cost": res.total_cost, "stages": res.stages, "flag": res.flag,
             }
         else:
-            res = ct.hum_control(problem, f0, precision_bits=bits)
+            res = ct.hum_control(problem, T, f0, precision_bits=bits)
             result = {
                 "method": "hum", "residual": res.residual, "cost": res.cost,
                 "gramian_cond": res.gramian_cond, "precision_bits": res.precision_bits,
@@ -550,9 +547,6 @@ def run(argv):
     except ContractViolation as exc:
         sys.stderr.write("contract violation: %s\n" % exc)
         return EXIT_CONTRACT
-    except reporting.EmitError as exc:
-        sys.stderr.write("io error: %s\n" % exc)
-        return EXIT_IO
 
     for key, value in config.items():
         if getattr(args, key) != value:

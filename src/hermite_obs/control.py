@@ -41,26 +41,24 @@ from .quadratic import GalerkinOperator, hamilton_map, singular_space
 GRID_ORDER = 8  # Gauss nodes per subinterval of the control grid
 COND_MAX = 1e12  # double-precision Gramians at or above this condition are flagged
 STAIRCASE_K0 = 2  # cutoff of the first staircase stage's controlled modes
+MAX_GRID = 2**15  # samples (steps x GRID_ORDER) of one HUM plan's control grid
 
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Galerkin generator + region coupling + horizon, and the HUM plans built
-    on them.  The generator's matrix and the coupling are read-only copies
-    taken at construction, and the fields cannot be rebound, so a kept plan
-    always describes the problem it was built for."""
+    """Galerkin generator + region coupling, and what every pipeline builds on
+    them: the coupling in each backend and the HUM plans.  The matrices are
+    read-only copies taken at construction and the fields cannot be rebound,
+    so a kept plan always describes its problem.  Horizons are arguments."""
 
     A: GalerkinOperator
     piomega: np.ndarray
-    T: float
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     couplings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.piomega.shape != (self.A.size, self.A.size):
             raise ContractViolation("coupling matrix must match the state dimension")
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ContractViolation("horizon must be positive and finite, got %r" % self.T)
         if not np.all(np.isfinite(self.piomega)):
             raise ContractViolation("coupling matrix must be finite")
         dev = float(np.max(np.abs(self.piomega - self.piomega.T.conj())))
@@ -69,16 +67,30 @@ class ControlProblem:
         object.__setattr__(self, "A", replace(self.A, matrix=_read_only(self.A.matrix)))
         object.__setattr__(self, "piomega", _read_only(self.piomega))
 
+    def coupling(self, ar):
+        """P in ``ar``'s arithmetic, read once per precision into
+        ``couplings``: the one place where P enters a backend."""
+        if ar.bits not in self.couplings:
+            self.couplings[ar.bits] = ar.from_np(self.piomega)
+        return self.couplings[ar.bits]
+
     def plan(self, ar, d, T):
         """The HUM plan (:func:`_plan`) of the leading d modes over [0, T] at
         ``ar``'s precision, built on first use and kept in ``plans`` under
-        (bits, d, T); the coupling is read into the backend once per
-        precision, into ``couplings``."""
+        (bits, d, T).  A grid of more than ``MAX_GRID`` samples is refused
+        before its Taylor table."""
         if (key := (ar.bits, d, T)) not in self.plans:
-            if ar.bits not in self.couplings:
-                self.couplings[ar.bits] = ar.from_np(self.piomega)
-            self.plans[key] = _plan(ar, self.A.matrix, self.couplings[ar.bits], d, T)
+            if (steps := arith.step_count(self.A.matrix[:d, :d], T)) * GRID_ORDER > MAX_GRID:
+                raise ContractViolation("HUM grid of 2^%d steps x %d nodes is above MAX_GRID = %d"
+                                        % (steps.bit_length() - 1, GRID_ORDER, MAX_GRID))
+            self.plans[key] = _plan(ar, self.A.matrix, self.coupling(ar), d, T)
         return self.plans[key]
+
+
+def _check_horizons(*Ts):
+    """Refuse, before any work, a horizon that is not positive and finite."""
+    if bad := [T for T in Ts if not (math.isfinite(T) and T > 0)]:
+        raise ContractViolation("horizon must be positive and finite, got %r" % bad[0])
 
 
 def _read_only(M):
@@ -201,12 +213,12 @@ class ObservabilityReport:
     taylor_degree: int = 0  # degree of the step's Taylor table
 
 
-def observability_constant(problem: ControlProblem, precision_bits=53) -> ObservabilityReport:
-    """:func:`observability_constants` at the problem's own horizon."""
-    return observability_constants(problem.A, problem.piomega, [problem.T], precision_bits)[0]
+def observability_constant(problem: ControlProblem, T, precision_bits=53) -> ObservabilityReport:
+    """:func:`observability_constants` at the one horizon T."""
+    return observability_constants(problem, [T], precision_bits)[0]
 
 
-def observability_constants(A: GalerkinOperator, piomega, T_list, precision_bits=53) -> list:
+def observability_constants(problem: ControlProblem, T_list, precision_bits=53) -> list:
     """Best constants C_T with ||g(T)||^2 <= C_T int_0^T ||g(t)||^2_{L2(w)} dt
     along the adjoint flow g(t) = e^{-tA^H} g0 on E_N, one per T in ``T_list``.
 
@@ -224,29 +236,31 @@ def observability_constants(A: GalerkinOperator, piomega, T_list, precision_bits
     nothing, and no precision or ridge makes it factor: C_T is then inf,
     exactly, flagged 'singular_floor' at the first precision tried.
     """
-    # each horizon's ControlProblem refuses a bad horizon or coupling before any work
-    steps = [arith.step_count(A.matrix, ControlProblem(A, piomega, T).T) for T in T_list]
+    _check_horizons(*T_list)
+    A = problem.A.matrix
+    steps = [arith.step_count(A, T) for T in T_list]
     ladder, reports = arith.precisions(precision_bits), [None] * len(T_list)
     for bits in ladder:
         if not (todo := [i for i, rep in enumerate(reports) if rep is None]):
             break
         ar = arith.backend(bits)
         with mp.workprec(ar.bits + 16):
-            Q = ar.from_np(piomega)
+            Q = problem.coupling(ar)
             for h in dict.fromkeys(T_list[i] / steps[i] for i in todo):
                 group = [i for i in todo if T_list[i] / steps[i] == h]
                 reads = {steps[i] for i in group}
-                _, chain, _, m = arith.taylor(ar, A.matrix, max(T_list[i] for i in group),
+                _, chain, _, m = arith.taylor(ar, A, max(T_list[i] for i in group),
                                               Q=Q, reads=reads)
                 for i in group:
-                    reports[i] = _pencil(ar, A, piomega, T_list[i], *chain[steps[i]], steps[i],
+                    reports[i] = _pencil(ar, problem, T_list[i], *chain[steps[i]], steps[i],
                                          m, bits == ladder[-1])
     return reports
 
 
-def _pencil(ar, A, piomega, T, W, E_T, steps, m, last):
+def _pencil(ar, problem, T, W, E_T, steps, m, last):
     """The report of horizon T from its Gramian W and E_T = e^{-TA}, or None
     while W asks for the next precision, before the ``last``."""
+    A, piomega = problem.A, problem.piomega
     L = ar.cholesky(W)
     if not last and piomega.any() and (L is None or ar is arith.DOUBLE
                                        and not ar.cond(W) < COND_MAX):
@@ -283,7 +297,7 @@ class ControlResult:
     taylor_degree: int = 0      # degree of the step's Taylor table
 
 
-def hum_control(problem: ControlProblem, f0: HermiteExpansion,
+def hum_control(problem: ControlProblem, T, f0: HermiteExpansion,
                 precision_bits=53) -> ControlResult:
     """Minimal-norm control steering f0 to (numerical) zero at time T.
 
@@ -299,6 +313,7 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
     The Gramian, its factor and the grid come from the problem's plan at the
     working precision (:meth:`ControlProblem.plan`), built by the first call.
     """
+    _check_horizons(T)
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
     ar = arith.backend(arith.precisions(precision_bits)[0])
@@ -307,7 +322,7 @@ def hum_control(problem: ControlProblem, f0: HermiteExpansion,
         return ControlResult([], np.zeros((0, len(f0.coeffs)), dtype=complex), 0.0, 0.0,
                              float("nan"), ar.bits, "ok")
     with mp.workprec(ar.bits + 16):
-        plan = problem.plan(ar, problem.A.size, problem.T)
+        plan = problem.plan(ar, problem.A.size, T)
         flag, us, cost, state = _hum(ar, plan, ar.from_np(f0.coeffs))
         residual = ar.norm(state) / nrm0
     samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, plan.d)  # (j, o) order
@@ -326,7 +341,7 @@ class StaircaseResult:
     flag: str                   # 'ok', 'target_missed' or 'stage_gramian_failure:<j>'
 
 
-def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
+def lr_staircase(problem: ControlProblem, T, f0: HermiteExpansion,
                  target=1e-6, precision_bits=53) -> StaircaseResult:
     """Iterative low-mode steering with free dissipation in between.
 
@@ -345,12 +360,13 @@ def lr_staircase(problem: ControlProblem, f0: HermiteExpansion,
     whose final relative residual is above ``target`` is flagged
     'target_missed'; a ``target`` that is not positive is refused.
     """
+    _check_horizons(T)
     if f0.n != problem.A.n or f0.N != problem.A.N:
         raise ContractViolation("initial state lives on the wrong space")
     if not target > 0:
         raise ContractViolation("staircase target must be positive, got %r" % target)
     ar = arith.backend(arith.precisions(precision_bits)[0])
-    T, N, n = problem.T, problem.A.N, problem.A.n
+    N, n = problem.A.N, problem.A.n
     nrm0 = f0.norm()
     if nrm0 == 0.0:
         return StaircaseResult([], 0.0, 0.0, "ok")
@@ -398,7 +414,7 @@ class BlowupStudy:
     excluded: list = field(default_factory=list)
 
 
-def cost_blowup_study(A: GalerkinOperator, piomega, T_list, precision_bits=53) -> BlowupStudy:
+def cost_blowup_study(problem: ControlProblem, T_list, precision_bits=53) -> BlowupStudy:
     """Observability constants over shrinking horizons and blowup-shape fits.
 
     Fits log C_T against T^(-(2 k0 + 1)) (the dissipation-matched shape), k0
@@ -415,13 +431,14 @@ def cost_blowup_study(A: GalerkinOperator, piomega, T_list, precision_bits=53) -
     for the full equation; on E_N the ceiling keeps log C_T concave in 1/T.
     """
     T_list = list(T_list)
+    _check_horizons(*T_list)
     if any(b >= a for a, b in zip(T_list, T_list[1:])):
         raise ContractViolation("T_list must be strictly decreasing")
-    k0 = singular_space(hamilton_map(A.symbol)).k0 or 0
+    k0 = singular_space(hamilton_map(problem.A.symbol)).k0 or 0
     rows = [{"T": rep.T, "C_T": rep.c_value, "c_log": rep.c_log,
              "precision_bits": rep.precision_bits, "method": rep.method, "flag": rep.flag,
              "subintervals": rep.subintervals, "taylor_degree": rep.taylor_degree}
-            for rep in observability_constants(A, piomega, T_list, precision_bits)]
+            for rep in observability_constants(problem, T_list, precision_bits)]
     excluded = [row["T"] for row in rows if row["flag"] != "ok"]
     fits = {}
     usable = [r for r in rows if r["flag"] == "ok"]

@@ -262,16 +262,21 @@ def density_params(n, delta, R0=0.0):
 def thick_params(n, L, gamma):
     if not 0.0 < gamma <= 1.0 or L <= 0:
         raise ContractViolation("need 0 < gamma <= 1 and L > 0")
+    if n > 255:
+        raise ContractViolation("thick bound: n = %d is above 255, where n^(n/2) passes the"
+                                " double range" % n)
     return BoundParams(n, "thick", L=float(L), gamma=float(gamma))
 
 
-def _sum_weighted_factorials(n, ratio):
-    """sum over multi-indices |b| <= n of ratio^{|b|} (|b|!)^2."""
-    total = 0.0
-    for k in range(n + 1):
-        count = math.comb(k + n - 1, n - 1)
-        total += count * ratio**k * math.factorial(k) ** 2
-    return total
+def _log_sum_weighted_factorials(n, ratio):
+    """log of the sum over multi-indices |b| <= n of ratio^{|b|} (|b|!)^2: a
+    log-sum-exp over k = |b|, which C(k+n-1, n-1) multi-indices share."""
+    if math.isinf(ratio):
+        return ratio
+    logs = [math.log(math.comb(k + n - 1, n - 1)) + k * math.log(ratio)
+            + 2.0 * math.lgamma(k + 1) for k in range(n + 1)]
+    top = max(logs)
+    return top + math.log(sum(math.exp(t - top) for t in logs))
 
 
 def delta_weight_scale(n):
@@ -281,12 +286,15 @@ def delta_weight_scale(n):
 
 def sobolev_chain_constant_log(n, delta):
     """log of the good-cube sup-norm chain constant at weight delta, with the
-    Sobolev embedding constant ``DEFAULT_C_SOBOLEV``."""
+    Sobolev embedding constant ``DEFAULT_C_SOBOLEV``; +inf when delta^2
+    underflows, as the log then exceeds e / (2 delta^2), past the double range."""
+    if not delta * delta:
+        return math.inf
     ratio = 32.0 * delta * delta * (2.0**n + 1.0)
     return (
         math.log(DEFAULT_C_SOBOLEV)
         + math.e / (2.0 * delta * delta)
-        + 0.5 * math.log(_sum_weighted_factorials(n, ratio))
+        + 0.5 * _log_sum_weighted_factorials(n, ratio)
     )
 
 

@@ -59,10 +59,6 @@ class QuadraticSymbol:
         Q.flags.writeable = False
         object.__setattr__(self, "Q", Q)
 
-    def __call__(self, X):
-        X = np.asarray(X, dtype=complex)
-        return X @ self.Q @ X
-
     def polarized(self, X, Y):
         return np.asarray(X, dtype=complex) @ self.Q @ np.asarray(Y, dtype=complex)
 

@@ -415,14 +415,14 @@ def suite_quad_semigroup(rng, t):
 
 @functools.cache
 def _harmonic_problem(N, gamma=None):
-    """HUM for the 1-D harmonic oscillator on E_N at T = 1, observed on the
-    whole line, or on the periodic thick set of fraction ``gamma``; one
-    problem per process, so its HUM plans serve every trial."""
+    """The 1-D harmonic oscillator on E_N, observed on the whole line, or on
+    the periodic thick set of fraction ``gamma``; one problem per process,
+    so its HUM plans serve every trial."""
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     if gamma is None:
-        return ct.ControlProblem(A, np.eye(A.size), 1.0)
+        return ct.ControlProblem(A, np.eye(A.size))
     reg = rg.make_periodic_thick(1, 1.0, gamma, rg.truncate_radius(N, 1) + 1)
-    return ct.ControlProblem(A, gram.gram_matrix(reg, N).matrix, 1.0)
+    return ct.ControlProblem(A, gram.gram_matrix(reg, N).matrix)
 
 
 @_trials(21, 10)
@@ -430,7 +430,7 @@ def suite_control_duality(rng, t):
     # observed everywhere, the mode of level l = 2k + 1 costs
     # |c_k|^2 2 l e^{-2l} / (1 - e^{-2l})
     f0 = basis.random_expansion(1, 8, rng)
-    res = ct.hum_control(_harmonic_problem(8), f0)
+    res = ct.hum_control(_harmonic_problem(8), 1.0, f0)
     want = float(sum(abs(c) ** 2 * 2 * lam * math.exp(-2 * lam) / (1 - math.exp(-2 * lam))
                      for lam, c in zip(range(1, 18, 2), f0.coeffs)))
     return abs(res.cost - want) / want - 1e-6, res.residual - 1e-9
@@ -445,17 +445,17 @@ def suite_control_monotone(seed=0, trials=1):
     ((lows, highs),) = small.axes
     big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))],
                     trunc_radius=R)
-    P_small = gram.gram_matrix(small, N).matrix
-    P_big = gram.gram_matrix(big, N).matrix
-    cts = [rep.c_value for rep in ct.observability_constants(A, P_small, [0.5, 1.0, 2.0])]
+    p_small, p_big = (ct.ControlProblem(A, gram.gram_matrix(region, N).matrix)
+                      for region in (small, big))
+    cts = [rep.c_value for rep in ct.observability_constants(p_small, [0.5, 1.0, 2.0])]
     for a, b in zip(cts, cts[1:]):
         margins.append(b - a * (1 + 1e-9))  # C_T nonincreasing in T
-    c_big = ct.observability_constant(ct.ControlProblem(A, P_big, 1.0)).c_value
+    c_big = ct.observability_constant(p_big, 1.0).c_value
     margins.append(c_big - cts[1] * (1 + 1e-9))  # shrink raises C_T
     rng = _rng(seed, 22, 0)
     f0 = basis.random_expansion(1, N, rng)
-    cost_small = ct.hum_control(ct.ControlProblem(A, P_small, 1.0), f0).cost
-    cost_big = ct.hum_control(ct.ControlProblem(A, P_big, 1.0), f0).cost
+    cost_small = ct.hum_control(p_small, 1.0, f0).cost
+    cost_big = ct.hum_control(p_big, 1.0, f0).cost
     margins.append(cost_big - cost_small * (1 + 1e-9))  # larger region no dearer
     return _verdict("control_monotone", len(margins), margins, seed)
 
@@ -463,7 +463,7 @@ def suite_control_monotone(seed=0, trials=1):
 @_trials(23, 3)
 def suite_control_staircase(rng, t):
     f0 = basis.random_expansion(1, 12, rng)
-    res = ct.lr_staircase(_harmonic_problem(12, 0.6), f0, target=1e-6)
+    res = ct.lr_staircase(_harmonic_problem(12, 0.6), 1.0, f0, target=1e-6)
     energies = [s["energy_after"] for s in res.stages]
     decays = all(b < a for a, b in zip(energies, energies[1:]))
     return res.residual - 1e-4, -1.0 if decays else 1.0, 0.0 if res.flag != "ok" else -1.0

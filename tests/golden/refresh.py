@@ -118,6 +118,16 @@ ENTRIES = [
     ("remez-past-double-range", "remez --d 2000 --t 0.1 --out {out}", None),
     ("remez-complex-past-double-range", "remez --d 2000 --t 0.1 --complex-poly --out {out}", None),
     ("remez-ball-past-double-range", "remez --d 200 --rho 0.01 --out {out}", None),
+    ("bounds-thick-n99", "bounds --variant thick --n 99 --N 4 --out {out}", None),
+    ("bounds-thick-n255", "bounds --variant thick --n 255 --N 4 --out {out}", None),
+    ("bounds-thick-delta-underflow", "bounds --variant thick --n 1 --N 4 --L 1e160 --out {out}",
+     None),
+    ("bounds-thick-L-tiny", "bounds --variant thick --n 1 --N 4 --L 1e-300 --out {out}", None),
+    ("bounds-open-far", "bounds --variant open --n 1000 --N 100000 --r 1e-300 --out {out}", None),
+    ("bounds-density-far", "bounds --variant density --n 1000 --N 100000 --delta 1e-300"
+     " --R0 1e-300 --out {out}", None),
+    ("remez-far", "remez --n 1000 --d 100000 --t 0.999 --out {out}", None),
+    ("tails-n1000", "tails --n 1000 --out {out}", None),
     ("tails-default", "tails --out {out}", None),
     ("tails-n2", "tails --n 2 --out {out}", None),
     ("tails-k-a", "tails --k 3 --a 5 --out {out}", None),
@@ -181,6 +191,9 @@ ENTRIES = [
     ("contract-bounds-open-N-neg", "bounds --variant open --N=-3", None),
     ("contract-bounds-density-N-neg", "bounds --variant density --N=-3", None),
     ("contract-bounds-density-N-1", "bounds --variant density --N=-1 --out {out}", None),
+    ("contract-control-grid-T", "control --T 1e300 --N 4", None),
+    ("contract-control-grid-kfp", "control --symbol kfp:a=1e300 --N 2", None),
+    ("contract-bounds-thick-n256", "bounds --variant thick --n 256 --N 4", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)
     ("usage-none", "", None),

@@ -196,10 +196,10 @@ def test_c08_control_full_space_duality_and_thick_hum():
     # omega = R: HUM cost matches the per-mode closed form to 1e-6 relative
     N = 8
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
-    prob = ct.ControlProblem(A, np.eye(A.size), 1.0)
+    prob = ct.ControlProblem(A, np.eye(A.size))
     rng = np.random.default_rng(MASTER_SEED)
     f0 = basis.random_expansion(1, N, rng)
-    res = ct.hum_control(prob, f0)
+    res = ct.hum_control(prob, 1.0, f0)
     lam = 2 * basis.index_levels(1, N) + 1
     closed = float(
         sum(
@@ -216,7 +216,7 @@ def test_c08_control_full_space_duality_and_thick_hum():
     P = gram.gram_matrix(reg, N).matrix
     A20 = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     f0 = basis.random_expansion(1, N, np.random.default_rng(MASTER_SEED + 1))
-    res20 = ct.hum_control(ct.ControlProblem(A20, P, 1.0), f0, precision_bits=256)
+    res20 = ct.hum_control(ct.ControlProblem(A20, P), 1.0, f0, precision_bits=256)
     assert res20.precision_bits >= 256
     assert res20.residual <= 1e-6
 
@@ -227,7 +227,7 @@ def test_c08_staircase_residual_and_decay():
     P = gram.gram_matrix(reg, N).matrix
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     f0 = basis.random_expansion(1, N, np.random.default_rng(MASTER_SEED + 2))
-    res = ct.lr_staircase(ct.ControlProblem(A, P, 1.0), f0, target=1e-6)
+    res = ct.lr_staircase(ct.ControlProblem(A, P), 1.0, f0, target=1e-6)
     assert res.flag == "ok"
     assert res.residual <= 1e-4
     energies = [s["energy_after"] for s in res.stages]
@@ -243,7 +243,7 @@ def test_c09_harmonic_blowup_shape():
     reg = rg.make_periodic_thick(1, 1.0, 0.2, rg.truncate_radius(N, 1) + 1)
     P = gram.gram_matrix(reg, N).matrix
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
-    study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
+    study = ct.cost_blowup_study(ct.ControlProblem(A, P), [1.0, 0.5, 0.25, 0.125])
     assert not study.excluded
     fit = study.fits[1]
     assert fit["slope"] > 0
@@ -291,7 +291,7 @@ def test_c09_kfp_model_selection():
     reg = rg.make_periodic_thick(2, 1.0, 0.2, rg.truncate_radius(N, 2) + 1)
     P = gram.gram_matrix(reg, N).matrix
     A = qd.weyl_quantize(kfp, N)
-    study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
+    study = ct.cost_blowup_study(ct.ControlProblem(A, P), [1.0, 0.5, 0.25, 0.125])
     assert not study.excluded
     assert set(study.fits) == {1, p_matched}
 
@@ -305,7 +305,7 @@ def test_c09_kfp_model_selection():
 
     # the two-sided band at a short horizon
     T = 2.0 ** -10
-    rep = ct.observability_constant(ct.ControlProblem(A, P, T))
+    rep = ct.observability_constant(ct.ControlProblem(A, P), T)
     assert rep.flag == "ok"
     norm_A = float(np.linalg.norm(A.matrix, 2))
     lower = math.exp(-2 * T * norm_A) / (

@@ -372,10 +372,10 @@ def test_no_mpmath_matrix_routine_in_the_pipelines(monkeypatch):
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     P = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.6, rg.truncate_radius(N, 1) + 1),
                          N).matrix
-    problem = ct.ControlProblem(A, P, 1.0)
-    hum = ct.hum_control(problem, basis.random_expansion(1, N, np.random.default_rng(3)), 256)
+    problem = ct.ControlProblem(A, P)
+    hum = ct.hum_control(problem, 1.0, basis.random_expansion(1, N, np.random.default_rng(3)), 256)
     assert hum.precision_bits == 256 and hum.flag == "ok" and hum.residual <= 1e-15
-    obs = ct.observability_constant(problem, precision_bits=256)
+    obs = ct.observability_constant(problem, 1.0, precision_bits=256)
     assert obs.precision_bits == 256 and obs.flag == "ok"
 
 

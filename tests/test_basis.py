@@ -148,6 +148,26 @@ class TestExpansion:
         assert g.n == f.n and g.N == f.N
         assert np.allclose(g.coeffs, f.coeffs)
 
+    def test_evaluation_equals_the_per_coefficient_loop(self):
+        # one product per axis and a running sum over the coefficients add in
+        # the loop's order: the values agree bit for bit
+        rng = np.random.default_rng(43)
+        for n, N in [(1, 0), (1, 9), (2, 4), (3, 3)]:
+            f = basis.random_expansion(n, N, rng)
+            pts = rng.normal(scale=3.0, size=(6, n))
+            tables = [basis.hermite_values(N, pts[:, j]) for j in range(n)]
+            want = np.zeros(6, dtype=complex)
+            for c, alpha in zip(f.coeffs, multi_indices(n, N)):
+                term = tables[0][alpha[0]].copy()
+                for j in range(1, n):
+                    term *= tables[j][alpha[j]]
+                want += c * term
+            assert np.array_equal(f.evaluate(pts), want)
+
+    def test_mixed_cutoffs_are_refused(self):
+        with pytest.raises(ContractViolation, match="different spaces"):
+            unit_expansion(1, 2, (0,)) + unit_expansion(1, 3, (0,))
+
     def test_coefficients_are_immutable(self):
         f = unit_expansion(1, 2, (1,))
         with pytest.raises(ValueError):

@@ -282,6 +282,73 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("line", [
+    "scaling --region periodic:L=1,gamma=0.5 --n 2 --N 12:16:4",
+    "observability --symbol harmonic --region periodic:L=1,gamma=0.6 --N 16 --T 1,0.5,0.25,0.125",
+    "control --symbol harmonic --region periodic:L=1,gamma=0.6 --N 20 --T 1",
+])
+def test_artifacts_do_not_depend_on_the_blas_threads(line, tmp_path):
+    # each of these moved in its last bits under two OpenBLAS threads; the
+    # package pins one before numpy loads, so the environment's count does
+    # not reach the bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = []
+    for threads in ("1", "2"):
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 threads))
+        out = tmp_path / threads
+        done = subprocess.run([sys.executable, "-m", "hermite_obs.cli", *shlex.split(line),
+                               "--out", str(out)], env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append([done.stdout] + [Path(str(out) + ext).read_bytes()
+                                     for ext in (".json", ".csv")])
+    assert runs[0] == runs[1]
+
+
+# edge values of bounds, remez and tails: n and N far out, lengths, fractions
+# and ratios near 0 and 1e300, degrees up to 1e5
+EDGE_LINES = [
+    "bounds --variant thick --n 99 --N 4",
+    "bounds --variant thick --n 255 --N 4",
+    "bounds --variant thick --n 256 --N 4",
+    "bounds --variant thick --n 1000 --N 4",
+    "bounds --variant thick --n 1 --N 4 --L 1e160",
+    "bounds --variant thick --n 1 --N 4 --L 1e300",
+    "bounds --variant thick --n 1 --N 4 --L 1e-300",
+    "bounds --variant thick --n 98 --N 100000 --L 1e-300 --gamma 1e-300",
+    "bounds --variant thick --n 255 --N 0 --L 1e300 --gamma 1e-300",
+    "bounds --variant open --n 1 --N 4 --r 1e-300",
+    "bounds --variant open --n 1 --N 4 --r 1e300",
+    "bounds --variant open --n 1 --N 100000 --x0 1e300",
+    "bounds --variant open --n 1000 --N 100000 --r 1e-300",
+    "bounds --variant open --n 1 --N 0 --x0=-1e300 --r 1e300",
+    "bounds --variant density --n 1 --N 100000 --delta 1e-300",
+    "bounds --variant density --n 1 --N 4 --R0 1e300",
+    "bounds --variant density --n 1000 --N 100000 --delta 1e-300 --R0 1e-300",
+    "bounds --variant density --n 1 --N 4 --delta 1",
+    "remez --d 100000 --t 0.5",
+    "remez --d 100000 --t 1e-300 --complex-poly",
+    "remez --n 1000 --d 100000 --t 0.999",
+    "remez --n 1000 --d 5 --rho 1e-300",
+    "remez --d 1 --t 1e300",
+    "remez --d 3 --rho 1e300",
+    "tails --n 1000",
+    "tails --k 100000 --a 1e-300",
+    "tails --k 0 --a 1e300",
+]
+
+
+@pytest.mark.parametrize("line", EDGE_LINES)
+def test_edge_values_end_in_a_result_or_one_refusal(line, capsys):
+    # no traceback: a result (exit 0, or 3 when flagged) or one contract line
+    code = cli.run(shlex.split(line) + ["--quiet"])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT, cli.EXIT_PRECISION)
+    assert "Traceback" not in err
+    if code == cli.EXIT_CONTRACT:
+        assert err.startswith("contract violation: ") and err.count("\n") == 1
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -654,7 +721,7 @@ class TestOutputs:
 
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
         P = gram_matrix(cli.parse_region("full", 1, 4), 4).matrix
-        rep = ct.observability_constant(ct.ControlProblem(A, P, 1.0), 256)
+        rep = ct.observability_constant(ct.ControlProblem(A, P), 1.0, 256)
         assert doc["result"]["subintervals"] == rep.subintervals == 16
         assert doc["result"]["taylor_degree"] == rep.taylor_degree > 0
 

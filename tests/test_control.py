@@ -11,10 +11,10 @@ from hermite_obs.basis import ContractViolation
 from oracles import harmonic_full_space_ct
 
 
-def harmonic_problem(N, T=1.0, piomega=None):
+def harmonic_problem(N, piomega=None):
     A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
     P = np.eye(A.size) if piomega is None else piomega
-    return ct.ControlProblem(A, P, T)
+    return ct.ControlProblem(A, P)
 
 
 def thick_gram(N, gamma=0.6, L=1.0):
@@ -138,7 +138,7 @@ class TestObservability:
     def test_full_space_closed_form(self):
         # oracle: per-eigenvalue scalar constants, worst mode wins
         prob = harmonic_problem(8)
-        rep = ct.observability_constant(prob)
+        rep = ct.observability_constant(prob, 1.0)
         want = harmonic_full_space_ct(1, 8, 1.0)
         assert rep.c_value == pytest.approx(want, rel=1e-6)
         assert rep.flag == "ok"
@@ -146,7 +146,7 @@ class TestObservability:
     def test_monotone_nonincreasing_in_horizon(self):
         P = thick_gram(8)
         vals = [
-            ct.observability_constant(harmonic_problem(8, T, P)).c_value
+            ct.observability_constant(harmonic_problem(8, P), T).c_value
             for T in (0.25, 0.5, 1.0, 2.0)
         ]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -156,16 +156,16 @@ class TestObservability:
         R = rg.truncate_radius(N, 1) + 1
         big = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.7, R), N).matrix
         small = gram.gram_matrix(rg.make_periodic_thick(1, 1.0, 0.35, R), N).matrix
-        c_big = ct.observability_constant(harmonic_problem(N, 1.0, big)).c_value
-        c_small = ct.observability_constant(harmonic_problem(N, 1.0, small)).c_value
+        c_big = ct.observability_constant(harmonic_problem(N, big), 1.0).c_value
+        c_small = ct.observability_constant(harmonic_problem(N, small), 1.0).c_value
         assert c_small >= c_big
 
     def test_rayleigh_probes_below_constant(self):
         N = 8
         P = thick_gram(N)
-        prob = harmonic_problem(N, 1.0, P)
-        rep = ct.observability_constant(prob)
-        W, E = lyapunov_oracle(prob.A.matrix, P.astype(complex), prob.T)
+        prob = harmonic_problem(N, P)
+        rep = ct.observability_constant(prob, 1.0)
+        W, E = lyapunov_oracle(prob.A.matrix, P.astype(complex), 1.0)
         M = E @ E.conj().T
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -176,18 +176,18 @@ class TestObservability:
     def test_extremal_datum_achieves_constant(self):
         N = 8
         P = thick_gram(N)
-        prob = harmonic_problem(N, 1.0, P)
-        rep = ct.observability_constant(prob)
-        W, E = lyapunov_oracle(prob.A.matrix, P.astype(complex), prob.T)
+        prob = harmonic_problem(N, P)
+        rep = ct.observability_constant(prob, 1.0)
+        W, E = lyapunov_oracle(prob.A.matrix, P.astype(complex), 1.0)
         M = E @ E.conj().T
         g = rep.extremal.coeffs
         ratio = float(np.real(np.vdot(g, M @ g)) / np.real(np.vdot(g, W @ g)))
         assert ratio == pytest.approx(rep.c_value, rel=1e-8)
 
     def test_mp_path_matches_double(self):
-        prob = harmonic_problem(6, 0.8, thick_gram(6))
-        a = ct.observability_constant(prob)
-        b = ct.observability_constant(prob, precision_bits=256)
+        prob = harmonic_problem(6, thick_gram(6))
+        a = ct.observability_constant(prob, 0.8)
+        b = ct.observability_constant(prob, 0.8, precision_bits=256)
         assert b.precision_bits >= 256
         assert b.subintervals == a.subintervals and b.taylor_degree > a.taylor_degree > 0
         assert a.c_value == pytest.approx(b.c_value, rel=1e-9)
@@ -202,7 +202,7 @@ class TestObservability:
         R = rg.truncate_radius(N, 1) + 1
         G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N)
         assert np.linalg.eigvalsh(G.matrix)[0] < 0
-        rep = ct.observability_constant(harmonic_problem(N, T, G.matrix))
+        rep = ct.observability_constant(harmonic_problem(N, G.matrix), T)
         assert rep.flag == "singular_floor" and rep.precision_bits == 256
         assert math.isfinite(rep.c_log) and rep.extremal is None
         # accretive flow: C_T <= 1 / (T lambda_min(P)) = C_N(w)^2 / T
@@ -216,9 +216,9 @@ def test_mpmath_precision_is_scoped():
         reg = rg.half_line(rg.truncate_radius(16, 1) + 1.0)
         res = gram.spectral_constant(gram.gram_matrix(reg, 16))
         assert res.precision_bits >= 256 and mpmath.mp.prec == 80
-        rep = ct.observability_constant(harmonic_problem(4, 0.8, thick_gram(4)), 256)
+        rep = ct.observability_constant(harmonic_problem(4, thick_gram(4)), 0.8, 256)
         assert rep.precision_bits == 256 and mpmath.mp.prec == 80
-        ctl = ct.hum_control(harmonic_problem(4), basis.unit_expansion(1, 4, (0,)), 256)
+        ctl = ct.hum_control(harmonic_problem(4), 1.0, basis.unit_expansion(1, 4, (0,)), 256)
         assert ctl.precision_bits == 256 and mpmath.mp.prec == 80
 
 
@@ -232,7 +232,7 @@ def test_observability_escalation_ends_at_the_ceiling(monkeypatch):
                         or taylor(ar, *a, **kw))
     R = rg.truncate_radius(4, 1) + 1
     P = gram.gram_matrix(rg.interval_region(0.0, 1e-20, trunc_radius=R), 4).matrix
-    rep = ct.observability_constant(harmonic_problem(4, 1.0, P), 300)
+    rep = ct.observability_constant(harmonic_problem(4, P), 1.0, 300)
     assert tables == [300, 512] and (rep.precision_bits, rep.flag) == (512, "singular_floor")
 
 
@@ -242,9 +242,9 @@ def test_precision_above_the_ceiling_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(arith, "taylor", None)  # no Taylor table is started
     prob = harmonic_problem(2)
     G = gram.gram_matrix(rg.half_line(rg.truncate_radius(2, 1) + 1.0), 2)
-    for call in (lambda: ct.observability_constant(prob, 512),
-                 lambda: ct.hum_control(prob, basis.unit_expansion(1, 2, (0,)), 512),
-                 lambda: ct.cost_blowup_study(prob.A, prob.piomega, [1.0], 512),
+    for call in (lambda: ct.observability_constant(prob, 1.0, 512),
+                 lambda: ct.hum_control(prob, 1.0, basis.unit_expansion(1, 2, (0,)), 512),
+                 lambda: ct.cost_blowup_study(prob, [1.0], 512),
                  lambda: gram.spectral_constant(G, precision_bits=512)):
         with pytest.raises(ContractViolation, match="above arith.MAX_BITS = 256"):
             call()
@@ -262,10 +262,8 @@ def test_non_finite_coupling_or_horizon_is_refused_before_any_work(monkeypatch, 
         P[1, 1] = float(value)
     else:
         T = float(value)
-    for call in (lambda: ct.ControlProblem(A, P, T),
-                 lambda: ct.cost_blowup_study(A, P, [T])):
-        with pytest.raises(ContractViolation, match="finite"):
-            call()
+    with pytest.raises(ContractViolation, match="finite"):  # the problem refuses P, the study T
+        ct.cost_blowup_study(ct.ControlProblem(A, P), [T])
 
 
 class TestHumControl:
@@ -277,28 +275,29 @@ class TestHumControl:
         monkeypatch.setattr(arith.Mp, "cholesky",
                             lambda self, W: factors.append(1) or cholesky(self, W))
         N = 6
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
-        res = ct.hum_control(prob, basis.random_expansion(1, N, np.random.default_rng(17)), 256)
+        prob = harmonic_problem(N, thick_gram(N))
+        f0 = basis.random_expansion(1, N, np.random.default_rng(17))
+        res = ct.hum_control(prob, 1.0, f0, 256)
         assert res.flag == "ok" and res.residual <= 1e-15
         assert factors == [1]
 
     def test_zero_initial_state(self):
         prob = harmonic_problem(6)
         f0 = basis.HermiteExpansion(1, 6, np.zeros(7))
-        res = ct.hum_control(prob, f0)
+        res = ct.hum_control(prob, 1.0, f0)
         assert res.cost == 0.0 and res.residual == 0.0
         # no Gramian is built, and the precision is the one a nonzero state gets
         assert math.isnan(res.gramian_cond) and res.precision_bits == 53
         nonzero = basis.unit_expansion(1, 6, (0,))
         for bits in (100, 300):
-            want = ct.hum_control(prob, nonzero, bits).precision_bits
-            res = ct.hum_control(prob, f0, bits)
+            want = ct.hum_control(prob, 1.0, nonzero, bits).precision_bits
+            res = ct.hum_control(prob, 1.0, f0, bits)
             assert res.precision_bits == want == max(bits, 256)
             assert math.isnan(res.gramian_cond)
 
     def test_full_space_single_mode(self):
         prob = harmonic_problem(8)
-        res = ct.hum_control(prob, basis.unit_expansion(1, 8, (0,)))
+        res = ct.hum_control(prob, 1.0, basis.unit_expansion(1, 8, (0,)))
         want = 2 * 1 * math.exp(-2) / (1 - math.exp(-2))
         assert res.residual <= 1e-10
         assert res.cost == pytest.approx(want, rel=1e-6)
@@ -307,7 +306,7 @@ class TestHumControl:
         prob = harmonic_problem(8)
         rng = np.random.default_rng(12)
         f0 = basis.random_expansion(1, 8, rng)
-        res = ct.hum_control(prob, f0)
+        res = ct.hum_control(prob, 1.0, f0)
         lam = 2 * basis.index_levels(1, 8) + 1
         want = float(
             sum(
@@ -321,10 +320,10 @@ class TestHumControl:
 
     def test_thick_region_double_precision(self):
         N = 10
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        prob = harmonic_problem(N, thick_gram(N))
         rng = np.random.default_rng(13)
         f0 = basis.random_expansion(1, N, rng)
-        res = ct.hum_control(prob, f0)
+        res = ct.hum_control(prob, 1.0, f0)
         assert res.flag == "ok"
         assert res.residual <= 1e-8
 
@@ -341,18 +340,18 @@ class TestHumControl:
         P_big = gram.gram_matrix(big, N).matrix
         rng = np.random.default_rng(14)
         f0 = basis.random_expansion(1, N, rng)
-        c_small = ct.hum_control(harmonic_problem(N, 1.0, P_small), f0).cost
-        c_big = ct.hum_control(harmonic_problem(N, 1.0, P_big), f0).cost
+        c_small = ct.hum_control(harmonic_problem(N, P_small), 1.0, f0).cost
+        c_big = ct.hum_control(harmonic_problem(N, P_big), 1.0, f0).cost
         assert c_big <= c_small * (1 + 1e-9)
 
     def test_mp_path_matches_double(self):
         # the 256-bit residual sits at the control grid's quadrature error,
         # far below double rounding; the cost agrees with double precision
         N = 6
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        prob = harmonic_problem(N, thick_gram(N))
         f0 = basis.random_expansion(1, N, np.random.default_rng(17))
-        a = ct.hum_control(prob, f0)
-        b = ct.hum_control(prob, f0, precision_bits=256)
+        a = ct.hum_control(prob, 1.0, f0)
+        b = ct.hum_control(prob, 1.0, f0, precision_bits=256)
         assert b.precision_bits == 256 and b.flag == "ok"
         assert b.subintervals == a.subintervals
         assert b.taylor_degree > a.taylor_degree > 0
@@ -368,14 +367,14 @@ class TestHumControl:
         # fails and a ridged solve steers that mode, flagged
         P = np.zeros((7, 7))
         P[0, 0] = 1.0
-        res = ct.hum_control(harmonic_problem(6, 1.0, P), basis.unit_expansion(1, 6, (0,)), 256)
+        res = ct.hum_control(harmonic_problem(6, P), 1.0, basis.unit_expansion(1, 6, (0,)), 256)
         assert res.flag == "ill_conditioned" and res.gramian_cond == float("inf")
         assert res.residual <= 1e-30 and res.cost > 0
 
     def test_state_space_mismatch(self):
         prob = harmonic_problem(6)
         with pytest.raises(ContractViolation):
-            ct.hum_control(prob, basis.unit_expansion(1, 5, (0,)))
+            ct.hum_control(prob, 1.0, basis.unit_expansion(1, 5, (0,)))
 
 
 def per_node_hum(ar, A, P, f, T, grid):
@@ -452,7 +451,7 @@ def test_hum_norms_do_not_grow_with_the_steps(ar, monkeypatch):
     monkeypatch.setattr(type(ar), "norm", lambda self, v: calls.append(1) or norm(self, v))
     counts = {}
     for T in (1.0, 2.0):
-        res = ct.hum_control(harmonic_problem(8, T), basis.unit_expansion(1, 8, (0,)), ar.bits)
+        res = ct.hum_control(harmonic_problem(8), T, basis.unit_expansion(1, 8, (0,)), ar.bits)
         counts[res.subintervals] = len(calls)
         calls.clear()
     assert len(counts) == 2 and len(set(counts.values())) == 1
@@ -461,16 +460,16 @@ def test_hum_norms_do_not_grow_with_the_steps(ar, monkeypatch):
 class TestStaircase:
     def test_single_mode_one_stage(self):
         prob = harmonic_problem(12)
-        res = ct.lr_staircase(prob, basis.unit_expansion(1, 12, (0,)), target=1e-10)
+        res = ct.lr_staircase(prob, 1.0, basis.unit_expansion(1, 12, (0,)), target=1e-10)
         assert len(res.stages) == 1
         assert res.residual <= 1e-10
 
     def test_thick_region_geometric_decay(self):
         N = 14
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        prob = harmonic_problem(N, thick_gram(N))
         rng = np.random.default_rng(15)
         f0 = basis.random_expansion(1, N, rng)
-        res = ct.lr_staircase(prob, f0, target=1e-8)
+        res = ct.lr_staircase(prob, 1.0, f0, target=1e-8)
         energies = [s["energy_after"] for s in res.stages]
         assert all(b < a for a, b in zip(energies, energies[1:]))
         assert res.residual <= 1e-4
@@ -480,13 +479,13 @@ class TestStaircase:
         # stage 0 steers E_{k_0} over the first quarter of [0, T] by the HUM
         # core: its cost is hum_control's on the compressed problem, bit for bit
         N, T = 12, 1.0
-        prob = harmonic_problem(N, T, thick_gram(N))
+        prob = harmonic_problem(N, thick_gram(N))
         f0 = basis.random_expansion(1, N, np.random.default_rng(16))
-        stage = ct.lr_staircase(prob, f0).stages[0]
+        stage = ct.lr_staircase(prob, T, f0).stages[0]
         k = stage["k_j"]
         d = basis.space_dimension(1, k)
         A_d = qd.GalerkinOperator(1, k, prob.A.matrix[:d, :d], prob.A.symbol)
-        hum = ct.hum_control(ct.ControlProblem(A_d, prob.piomega[:d, :d], T / 4),
+        hum = ct.hum_control(ct.ControlProblem(A_d, prob.piomega[:d, :d]), T / 4,
                              basis.HermiteExpansion(1, k, f0.coeffs[:d]))
         assert (d, hum.flag) == (3, "ok")
         assert stage["stage_cost"] == hum.cost
@@ -495,14 +494,14 @@ class TestStaircase:
         # stage 0's Gramian has condition number 2.15: a ceiling below it
         # flags that stage and the double-precision HUM by the same test
         N = 12
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        prob = harmonic_problem(N, thick_gram(N))
         f0 = basis.random_expansion(1, N, np.random.default_rng(16))
         monkeypatch.setattr(ct, "COND_MAX", 2.2)
-        assert ct.lr_staircase(prob, f0).flag == "stage_gramian_failure:1"
+        assert ct.lr_staircase(prob, 1.0, f0).flag == "stage_gramian_failure:1"
         monkeypatch.setattr(ct, "COND_MAX", 2.1)
-        res = ct.lr_staircase(prob, f0)
+        res = ct.lr_staircase(prob, 1.0, f0)
         assert res.flag == "stage_gramian_failure:0" and res.stages == []
-        hum = ct.hum_control(prob, f0)
+        hum = ct.hum_control(prob, 1.0, f0)
         assert hum.flag == "ill_conditioned" and hum.gramian_cond >= 2.1
 
     @pytest.mark.parametrize("N", [12, 16])
@@ -511,10 +510,10 @@ class TestStaircase:
         # factors, and 512 bits give the same cost and residual
         R = rg.truncate_radius(N, 1) + 1
         P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N).matrix
-        prob = harmonic_problem(N, 0.5, P)
+        prob = harmonic_problem(N, P)
         f0 = basis.random_expansion(1, N, np.random.default_rng(1))
-        assert ct.lr_staircase(prob, f0).flag == "stage_gramian_failure:3"
-        res, ref = (ct.lr_staircase(prob, f0, precision_bits=b) for b in (256, 512))
+        assert ct.lr_staircase(prob, 0.5, f0).flag == "stage_gramian_failure:3"
+        res, ref = (ct.lr_staircase(prob, 0.5, f0, precision_bits=b) for b in (256, 512))
         assert res.flag == ref.flag == "ok" and res.residual < 1e-10
         assert res.total_cost == pytest.approx(ref.total_cost, rel=1e-12)
         assert res.residual == pytest.approx(ref.residual, rel=1e-12)
@@ -525,12 +524,12 @@ class TestStaircase:
         N = 24
         R = rg.truncate_radius(N, 1) + 1
         P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N).matrix
-        prob = harmonic_problem(N, 1.0, P)
+        prob = harmonic_problem(N, P)
         f0 = basis.random_expansion(1, N, np.random.default_rng(1))
-        res = ct.lr_staircase(prob, f0, target=1e-6, precision_bits=256)
+        res = ct.lr_staircase(prob, 1.0, f0, target=1e-6, precision_bits=256)
         assert res.flag == "target_missed" and res.stages[-1]["k_j"] == N
         assert res.residual == pytest.approx(5.33e-5, rel=1e-3)
-        met = ct.lr_staircase(prob, f0, target=1e-4, precision_bits=256)
+        met = ct.lr_staircase(prob, 1.0, f0, target=1e-4, precision_bits=256)
         assert met.flag == "ok" and met.residual == res.residual
 
     @pytest.mark.parametrize("target", [0.0, -1.0, math.nan])
@@ -538,15 +537,16 @@ class TestStaircase:
         # no run meets a target of 0 or below; it is refused before any work
         monkeypatch.setattr(arith, "taylor", None)  # no Taylor table is started
         with pytest.raises(ContractViolation, match="target must be positive"):
-            ct.lr_staircase(harmonic_problem(4), basis.unit_expansion(1, 4, (0,)), target=target)
+            ct.lr_staircase(harmonic_problem(4), 1.0, basis.unit_expansion(1, 4, (0,)),
+                            target=target)
 
     def test_cost_comparable_to_hum(self):
         N = 12
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        prob = harmonic_problem(N, thick_gram(N))
         rng = np.random.default_rng(16)
         f0 = basis.random_expansion(1, N, rng)
-        stair = ct.lr_staircase(prob, f0, target=1e-6)
-        hum = ct.hum_control(prob, f0)
+        stair = ct.lr_staircase(prob, 1.0, f0, target=1e-6)
+        hum = ct.hum_control(prob, 1.0, f0)
         assert stair.total_cost <= 100.0 * max(hum.cost, 1e-12)
 
 
@@ -570,27 +570,28 @@ class TestPlan:
                             or taylor(ar, *a, **kw))
         rng = np.random.default_rng(23)
         f0, f1 = (basis.random_expansion(1, N, rng) for _ in range(2))
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
-        ct.hum_control(prob, f0, bits)
-        stair0 = ct.lr_staircase(prob, f0, precision_bits=bits)
+        prob = harmonic_problem(N, thick_gram(N))
+        ct.hum_control(prob, 1.0, f0, bits)
+        stair0 = ct.lr_staircase(prob, 1.0, f0, precision_bits=bits)
         assert tables and set(tables) == {arith.precisions(bits)[0]}
         tables.clear()
-        hum, stair = ct.hum_control(prob, f1, bits), ct.lr_staircase(prob, f1, precision_bits=bits)
+        hum = ct.hum_control(prob, 1.0, f1, bits)
+        stair = ct.lr_staircase(prob, 1.0, f1, precision_bits=bits)
         assert tables == []
         assert stair0.stages and stair.flag == "ok"
-        fresh = harmonic_problem(N, 1.0, thick_gram(N))
-        assert same_control(hum, ct.hum_control(fresh, f1, bits))
-        assert stair == ct.lr_staircase(harmonic_problem(N, 1.0, thick_gram(N)), f1,
+        fresh = harmonic_problem(N, thick_gram(N))
+        assert same_control(hum, ct.hum_control(fresh, 1.0, f1, bits))
+        assert stair == ct.lr_staircase(harmonic_problem(N, thick_gram(N)), 1.0, f1,
                                         precision_bits=bits)
-        assert hum.times is not ct.hum_control(prob, f1, bits).times  # a result owns its times
+        assert hum.times is not ct.hum_control(prob, 1.0, f1, bits).times  # a result owns its times
 
     def test_plans_are_keyed_by_precision_block_and_horizon(self):
         N = 8
-        prob = harmonic_problem(N, 1.0, thick_gram(N))
+        prob = harmonic_problem(N, thick_gram(N))
         f0 = basis.random_expansion(1, N, np.random.default_rng(24))
-        ct.hum_control(prob, f0)
-        ct.hum_control(prob, f0, 256)
-        stair = ct.lr_staircase(prob, f0)
+        ct.hum_control(prob, 1.0, f0)
+        ct.hum_control(prob, 1.0, f0, 256)
+        stair = ct.lr_staircase(prob, 1.0, f0)
         blocks = {(53, basis.space_dimension(1, s["k_j"]), s["T_j"] / 2) for s in stair.stages}
         assert set(prob.plans) == {(53, N + 1, 1.0), (256, N + 1, 1.0)} | blocks
         assert set(prob.couplings) == {53, 256}
@@ -599,20 +600,88 @@ class TestPlan:
         N = 6
         A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
         P = thick_gram(N)
-        prob = ct.ControlProblem(A, P, 1.0)
+        prob = ct.ControlProblem(A, P)
         f0 = basis.random_expansion(1, N, np.random.default_rng(25))
-        before = ct.hum_control(prob, f0)
+        before = ct.hum_control(prob, 1.0, f0)
         for M in (prob.piomega, prob.A.matrix):
             with pytest.raises(ValueError, match="read-only"):
                 M[0, 0] = 7.0
-        for obj, name in ((prob, "piomega"), (prob, "A"), (prob, "T"), (prob.A, "matrix")):
+        for obj, name in ((prob, "piomega"), (prob, "A"), (prob.A, "matrix")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, getattr(obj, name))
         # the problem holds copies: the caller's arrays stay its own
         P[0, 0] += 1.0
         A.matrix[0, 0] += 1.0
         assert P.flags.writeable and A.matrix.flags.writeable
-        assert same_control(ct.hum_control(prob, f0), before)
+        assert same_control(ct.hum_control(prob, 1.0, f0), before)
+
+
+    def test_one_coupling_for_every_pipeline(self, monkeypatch):
+        # an observability study and HUM on one problem read P into the
+        # 256-bit backend once, through ControlProblem.coupling, and answer
+        # as fresh problems do, bit for bit
+        N, T_list = 8, [1.0, 0.5]
+        prob = harmonic_problem(N, thick_gram(N))
+        reads = []
+        from_np = arith.Mp.from_np
+        monkeypatch.setattr(arith.Mp, "from_np", lambda self, M: reads.append(M is prob.piomega)
+                            or from_np(self, M))
+        f0 = basis.random_expansion(1, N, np.random.default_rng(26))
+        reps = ct.observability_constants(prob, T_list, 256)
+        hum = ct.hum_control(prob, 1.0, f0, 256)
+        assert reads.count(True) == 1 and set(prob.couplings) == {256}
+        assert [rep.precision_bits for rep in reps] == [256, 256]
+        for rep, T in zip(reps, T_list):
+            ref = ct.observability_constant(harmonic_problem(N, thick_gram(N)), T, 256)
+            assert (rep.T, rep.c_value, rep.c_log, rep.flag, rep.subintervals,
+                    rep.taylor_degree) == (ref.T, ref.c_value, ref.c_log, ref.flag,
+                                           ref.subintervals, ref.taylor_degree)
+            assert np.array_equal(rep.extremal.coeffs, ref.extremal.coeffs)
+        assert same_control(hum, ct.hum_control(harmonic_problem(N, thick_gram(N)), 1.0, f0, 256))
+
+    @pytest.mark.parametrize("bits", [53, 256])
+    def test_grid_above_the_budget_is_refused_before_its_table(self, monkeypatch, bits):
+        # T = 1e300, or a generator of norm 1e300, asks for a grid of 2^1000
+        # steps: HUM and the staircase refuse it before any Taylor table
+        monkeypatch.setattr(arith, "taylor", None)
+        A = qd.weyl_quantize(qd.kfp_symbol(1e300), 2)
+        for prob, T in ((harmonic_problem(4), 1e300), (ct.ControlProblem(A, np.eye(A.size)), 1.0)):
+            f0 = basis.random_expansion(prob.A.n, prob.A.N, np.random.default_rng(27))
+            for call in (lambda: ct.hum_control(prob, T, f0, bits),
+                         lambda: ct.lr_staircase(prob, T, f0, precision_bits=bits)):
+                with pytest.raises(ContractViolation, match="above MAX_GRID"):
+                    call()
+            assert prob.plans == {}
+
+    def test_grid_budget_is_inclusive(self, monkeypatch):
+        # a grid of exactly MAX_GRID samples is built, one sample more is not
+        prob = harmonic_problem(8)
+        f0 = basis.unit_expansion(1, 8, (0,))
+        samples = arith.step_count(prob.A.matrix, 1.0) * ct.GRID_ORDER
+        monkeypatch.setattr(ct, "MAX_GRID", samples - 1)
+        with pytest.raises(ContractViolation, match="above MAX_GRID"):
+            ct.hum_control(prob, 1.0, f0)
+        monkeypatch.setattr(ct, "MAX_GRID", samples)
+        assert len(ct.hum_control(prob, 1.0, f0).times) == samples
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_every_pipeline_refuses_a_bad_horizon_before_any_work(monkeypatch, T):
+    # one check serves the five pipelines, before any Taylor table, whatever
+    # the initial state (a zero one needs no work at all)
+    monkeypatch.setattr(arith, "taylor", None)
+    prob = harmonic_problem(4)
+    f0, zero = basis.unit_expansion(1, 4, (0,)), basis.HermiteExpansion(1, 4, np.zeros(5))
+    for call in (lambda: ct.observability_constant(prob, T),
+                 lambda: ct.observability_constants(prob, [1.0, T]),
+                 lambda: ct.cost_blowup_study(prob, [T]),
+                 lambda: ct.hum_control(prob, T, f0),
+                 lambda: ct.hum_control(prob, T, zero),
+                 lambda: ct.lr_staircase(prob, T, f0),
+                 lambda: ct.lr_staircase(prob, T, zero)):
+        with pytest.raises(ContractViolation, match="horizon must be positive and finite"):
+            call()
+    assert prob.plans == {} and prob.couplings == {}
 
 
 class TestBlowup:
@@ -621,7 +690,7 @@ class TestBlowup:
         # per-mode closed form, whose top rate is the finite-N ceiling
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 6)
         P = np.eye(A.size)
-        study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25])
+        study = ct.cost_blowup_study(ct.ControlProblem(A, P), [1.0, 0.5, 0.25])
         for row in study.rows:
             want = harmonic_full_space_ct(1, 6, row["T"])
             assert row["C_T"] == pytest.approx(want, rel=1e-5)
@@ -630,7 +699,7 @@ class TestBlowup:
         N = 12
         A = qd.weyl_quantize(qd.harmonic_symbol(1), N)
         P = thick_gram(N, gamma=0.2)
-        study = ct.cost_blowup_study(A, P, [1.0, 0.5, 0.25, 0.125])
+        study = ct.cost_blowup_study(ct.ControlProblem(A, P), [1.0, 0.5, 0.25, 0.125])
         assert not study.excluded
         fit = study.fits[1]
         assert fit["slope"] > 0
@@ -639,7 +708,7 @@ class TestBlowup:
     def test_requires_decreasing_horizons(self):
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
         with pytest.raises(ContractViolation):
-            ct.cost_blowup_study(A, np.eye(A.size), [0.5, 1.0])
+            ct.cost_blowup_study(ct.ControlProblem(A, np.eye(A.size)), [0.5, 1.0])
 
     @pytest.mark.parametrize("symbol, region, N, T_list, singles, study", [
         # a dyadic list shares one step h = T / steps: one table, not four
@@ -659,17 +728,17 @@ class TestBlowup:
         taylor = arith.taylor
         monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
                             or taylor(ar, *a, **kw))
-        refs = [ct.observability_constant(ct.ControlProblem(A, P, T)) for T in T_list]
+        refs = [ct.observability_constant(ct.ControlProblem(A, P), T) for T in T_list]
         assert tables == singles
         tables.clear()
-        rows = ct.cost_blowup_study(A, P, T_list).rows
+        rows = ct.cost_blowup_study(ct.ControlProblem(A, P), T_list).rows
         assert tables == study
         for row, ref in zip(rows, refs):
             assert row == {"T": ref.T, "C_T": ref.c_value, "c_log": ref.c_log,
                            "precision_bits": ref.precision_bits, "method": ref.method,
                            "flag": ref.flag, "subintervals": ref.subintervals,
                            "taylor_degree": ref.taylor_degree}
-        reps = ct.observability_constants(A, P, T_list)
+        reps = ct.observability_constants(ct.ControlProblem(A, P), T_list)
         for rep, ref in zip(reps, refs):
             assert (rep.c_value, rep.c_log, rep.precision_bits) == (ref.c_value, ref.c_log,
                                                                     ref.precision_bits)

@@ -284,6 +284,28 @@ class TestSpectralConstant:
 
 
 class TestBounds:
+    @pytest.mark.parametrize("n", [1, 5, 40, 99, 255])
+    def test_weighted_factorial_sum_in_logs(self, n):
+        # the log-sum-exp against the exact sum at 50 digits; the float sum
+        # overflowed from n = 99
+        for ratio in (1e-40, 3e-3, 1.0, 1e30):
+            with mpmath.workdps(50):
+                exact = mpmath.log(mpmath.fsum(
+                    mpmath.binomial(k + n - 1, n - 1) * mpmath.mpf(ratio) ** k
+                    * mpmath.factorial(k) ** 2 for k in range(n + 1)))
+            got = gram._log_sum_weighted_factorials(n, ratio)
+            assert got == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+
+    def test_thick_bound_past_the_double_range(self):
+        # n = 99 is finite now; delta^2 underflows at L = 1e160, where the log
+        # bound is past the double range; n^(n/2) overflows from n = 256
+        assert math.isfinite(gram.theoretical_bound_log(gram.thick_params(99, 1.0, 0.5), 4))
+        far = gram.thick_params(1, 1e160, 0.5)
+        assert gram.theoretical_bound_log(far, 4) == gram.theoretical_bound(far, 4) == math.inf
+        gram.thick_params(255, 1.0, 0.5)
+        with pytest.raises(ContractViolation, match="n = 256 is above 255"):
+            gram.thick_params(256, 1.0, 0.5)
+
     def test_density_plugin_at_zero(self):
         # delta = 1 at N = 0: sqrt(2^6 / 9) e^{c_1^2 / 2}
         p = gram.density_params(1, 1.0)
