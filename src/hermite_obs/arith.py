@@ -106,8 +106,9 @@ class Double:
     def cond(self, W):
         return float(np.linalg.cond(W))
 
-    def norm(self, v):
-        return float(np.linalg.norm(v))
+    def norm(self, v):  # inf, without a warning, past the double range
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(v))
 
 
 def _shift(x, s):
@@ -341,9 +342,14 @@ class Mp:
         rev = (slice(None, None, -1),) * 2
         return _forward(self.adj(L)[rev], _forward(L, b[:, None])[rev])[rev][:, 0]
 
-    def cholesky(self, W):
-        """W = L L^H in integers, or None when a pivot falls below eps =
-        2^(1-prec) times the largest diagonal entry, so that 2^k W factors
+    def cholesky(self, W):  # W = L L^H, or None when a pivot fails (:meth:`factor`)
+        L, k = self.factor(W)
+        return L if k == len(W.re) else None
+
+    def factor(self, W):
+        """(L, k): the Cholesky factor of W's leading k x k block, k the
+        columns factored before the first pivot below eps = 2^(1-prec) times
+        W's largest diagonal entry (L None if k = 0), so that 2^k W factors
         exactly as W does for even k.  W is held at 2^(2f) with that entry at
         2 prec - 2 or 2 prec - 1 bits, so L (at 2^f) fits prec bits; each
         pivot is an isqrt and each column one object mat-vec."""
@@ -358,12 +364,16 @@ class Mp:
                      (L[0][j, :j], None if L[1] is None else -L[1][j, :j]))
             s = G[0][j, j] - c[0][0]  # |L[j, :j]|^2 is real
             if s <= 0 or s << (p - 1) < top:
-                return None
+                d = j
+                break
             L[0][j, j] = r = math.isqrt(s)
             for x, g, cj in zip(L, G, c):
                 if x is not None:
                     x[j + 1:, j] = _rdiv(g[j + 1:, j] - cj[1:], r)
-        return Fx(L[0], L[1], (W.exp - shift) // 2, p)
+        if not d:
+            return None, 0
+        L = [None if x is None else x[:d, :d] for x in L]
+        return Fx(L[0], L[1], (W.exp - shift) // 2, p), d
 
     def eye(self, d):  # from_np(np.eye(d)), built in integers
         return Fx(np.eye(d, dtype=object) << (self.prec - 1), None, 1 - self.prec, self.prec)
@@ -372,13 +382,28 @@ class Mp:
         return _forward(L, self.eye(len(L.re)))
 
     def lam_min(self, G, L=None):
-        """sigma_max(L^-1)^-2, L the factor of G (factored here if not given),
-        or None when G is not numerically positive definite."""
-        L = L or self.cholesky(G)
-        if L is None:
-            return None
-        X, e = self._unit(self.inv_lower(L))
-        return mp.ldexp(mp.mpf(float(np.linalg.norm(X, 2))), e) ** -2
+        """lambda_min(G) by :meth:`lam_mins`, from G's factor L if given; None
+        when G is not numerically positive definite."""
+        return self.lam_mins(G, [len(G.re)], L)[0]
+
+    def lam_mins(self, G, sizes, L=None):
+        """[lambda_min(G[:s, :s]) for s in sizes], None for an s past the
+        columns :meth:`factor` (or the given L) factored: sigma_max(X)^-2, X
+        the leading s x s block of one L^-1, inverted up to the largest s that
+        fits.  Column j of L depends only on the columns before it, and L^-1
+        leads with the inverse of L's leading block, so each value is that of
+        the block's own factor when the block holds G's largest diagonal
+        entry (L's scale and pivot floor).  L^-1 is rounded to prec bits of
+        its largest entry; a factored block keeps about prec / 2 of them or
+        more, above the 53 that sigma_max is read at."""
+        L, k = self.factor(G) if L is None else (L, len(L.re))
+        m = max((s for s in sizes if s <= k), default=0)
+        X = self.inv_lower(L[:m, :m]) if m else None
+
+        def lam(s):
+            Y, e = self._unit(X[:s, :s])
+            return mp.ldexp(mp.mpf(float(np.linalg.norm(Y, 2))), e) ** -2
+        return [lam(s) if s <= k else None for s in sizes]
 
     def eigh_top(self, M):  # the vector in doubles
         X, e = self._unit(M)

@@ -142,7 +142,8 @@ def hermite_values(N, x):
     """
     x = np.asarray(x, dtype=float)
     vals = np.empty((N + 1,) + x.shape, dtype=float)
-    vals[0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    near = np.minimum(np.abs(x), 2.0**511)  # past it x^2 / 2 passes the double range and phi_0 is 0
+    vals[0] = math.pi ** (-0.25) * np.exp(-0.5 * near * near)
     if N >= 1:
         vals[1] = x * SQRT2 * vals[0]
     for k in range(1, N):

@@ -173,7 +173,8 @@ def _hum(ar, plan, f):
     as one Frobenius norm, and its forced pieces as one more product, the
     same arithmetic in both backends.
     Returns the flag, the sample blocks U_o in the backend, the cost
-    sum w ||u||^2 and the state at T, e^{-TA} f plus the forced response
+    sum w ||u||^2 (inf where a norm or its square passes the double range)
+    and the state at T, e^{-TA} f plus the forced response
     sum w e^{-sA} P[:, :d] u(s).
     """
     b = plan.E_T @ f[:plan.d]
@@ -188,7 +189,10 @@ def _hum(ar, plan, f):
         vs.append(plan.E_ctl_H @ vs[-1])
     V = ar.stack(vs)
     us = [U @ V for U in plan.out]                      # column j of us[o]: u at s = jh + o
-    cost = sum(float(wt) * ar.norm(U) ** 2 for wt, U in zip(plan.weights, us))
+    try:
+        cost = sum(float(wt) * ar.norm(U) ** 2 for wt, U in zip(plan.weights, us))
+    except OverflowError:  # a finite norm whose square is not
+        cost = math.inf
     S = [B @ U for B, U in zip(plan.back, us)]
     S = sum(S[1:], S[0])                                # column j: sum_o back_o u_o at step j
     forced = S[:, plan.steps - 1]
@@ -308,7 +312,8 @@ def hum_control(problem: ControlProblem, T, f0: HermiteExpansion,
     check of the solve; an ill-conditioned Gramian yields a least-squares
     control in double precision, a ridged solve in fixed point, flagged, with
     the residual documented.  A zero Gramian (P = 0) gives the zero control
-    in both, flagged, and the residual of the free flow.  A zero f0 reports
+    in both, flagged, and the residual of the free flow.  A cost past the
+    double range is inf, flagged 'cost_not_finite'.  A zero f0 reports
     the working precision and ``gramian_cond`` nan: nothing is computed.
     The Gramian, its factor and the grid come from the problem's plan at the
     working precision (:meth:`ControlProblem.plan`), built by the first call.
@@ -325,6 +330,8 @@ def hum_control(problem: ControlProblem, T, f0: HermiteExpansion,
         plan = problem.plan(ar, problem.A.size, T)
         flag, us, cost, state = _hum(ar, plan, ar.from_np(f0.coeffs))
         residual = ar.norm(state) / nrm0
+    if flag == "ok" and not math.isfinite(cost):
+        flag = "cost_not_finite"
     samples = np.concatenate([ar.to_np(U) for U in us]).T.reshape(-1, plan.d)  # (j, o) order
     return ControlResult(list(plan.times), samples[::-1], cost, residual, plan.cond, ar.bits,
                          flag, plan.steps, plan.m)
@@ -338,7 +345,8 @@ class StaircaseResult:
     stages: list                # dicts: stage, k_j, T_j, stage_cost, energy_after
     total_cost: float
     residual: float
-    flag: str                   # 'ok', 'target_missed' or 'stage_gramian_failure:<j>'
+    flag: str                   # 'ok', 'cost_not_finite', 'target_missed' or
+                                # 'stage_gramian_failure:<j>'
 
 
 def lr_staircase(problem: ControlProblem, T, f0: HermiteExpansion,
@@ -357,7 +365,8 @@ def lr_staircase(problem: ControlProblem, T, f0: HermiteExpansion,
     space; the rest of [0, T] is free flow by the last stage's e^{-tau A},
     tau = T_j / 2, the propagator in that stage's HUM plan, which the
     problem keeps (:meth:`ControlProblem.plan`) for the next run.  A run
-    whose final relative residual is above ``target`` is flagged
+    whose total cost passes the double range is flagged 'cost_not_finite',
+    else one whose final relative residual is above ``target``
     'target_missed'; a ``target`` that is not positive is refused.
     """
     _check_horizons(T)
@@ -397,6 +406,8 @@ def lr_staircase(problem: ControlProblem, T, f0: HermiteExpansion,
         for _ in range(2 if flag == "ok" else 4):  # the rest of [0, T]: T_j, or T_{j-1} if stage j failed
             f = plan.E @ f
         residual = ar.norm(f) / nrm0
+    if flag == "ok" and not math.isfinite(total_cost):
+        flag = "cost_not_finite"
     if flag == "ok" and residual > target:
         flag = "target_missed"
     return StaircaseResult(stages, total_cost, residual, flag)

@@ -174,10 +174,13 @@ def spectral_constants(G: GramOperator, cutoffs, precision_bits=53):
     lambda_max and the accumulated entry error; in software floating point,
     where the Gram entries are rebuilt, once it clears 1e3 * 2^-bits *
     lambda_max + dim * tail.  A level builds one fixed-point Gram, at the
-    largest cutoff left, and factors each left block on its own.  A failed
-    Cholesky factorization (:mod:`hermite_obs.arith`) means lambda_min is
-    below its rounding, about 20 dim^1.5 2^-(bits+16) lambda_max (Higham,
-    Thm 10.7), under that floor for dim up to about 20,000.  A block left at
+    largest cutoff left, factors it once and inverts that factor once, up to
+    the largest left block inside the factored columns; each left block reads
+    lambda_min from the leading block of that inverse (``arith.Mp.lam_mins``).
+    A block past the first failed pivot of the Cholesky factorization
+    (:mod:`hermite_obs.arith`) has lambda_min below its rounding, about 20
+    dim^1.5 2^-(bits+16) lambda_max (Higham, Thm 10.7), under that floor for
+    dim up to about 20,000, and goes to the next precision.  A block left at
     the last precision, ``arith.MAX_BITS``, is flagged with a certified lower
     bound on C_N.
     """
@@ -191,6 +194,7 @@ def spectral_constants(G: GramOperator, cutoffs, precision_bits=53):
         with mp.workprec(ar.bits + 16):
             if ar is not arith.DOUBLE:
                 Gm = gram_matrix_mp(G.region, max(blocks[i].N for i in todo))
+                lams = dict(zip(todo, ar.lam_mins(Gm, [blocks[i].size for i in todo])))
             for i in todo:
                 B = blocks[i]
                 if ar is arith.DOUBLE:
@@ -198,10 +202,9 @@ def spectral_constants(G: GramOperator, cutoffs, precision_bits=53):
                     lam_min, lam_max = float(lam[0]), float(lam[-1])
                     noise = max(1e3 * np.finfo(float).eps * max(lam_max, 0.0), B.size * B.entry_error)
                 else:
-                    Bm = Gm[:B.size, :B.size]
-                    if (lam_min := ar.lam_min(Bm)) is None and bits != ladder[-1]:
+                    if (lam_min := lams[i]) is None and bits != ladder[-1]:
                         continue  # the next precision decides, and lam_max is not read
-                    lam_max = ar.eigh_top(Bm)[0]
+                    lam_max = ar.eigh_top(Gm[:B.size, :B.size])[0]
                     noise = 1e3 * mp.mpf(2) ** (-bits) * lam_max + B.size * B.tail
                 flag = "ok" if lam_min is not None and lam_min > noise else ""
                 if not flag and bits == ladder[-1]:

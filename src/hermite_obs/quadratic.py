@@ -174,17 +174,24 @@ def singular_space(H: HamiltonMap) -> SingularSpace:
     tolerance, 1e-10 times the largest singular value of the full stack,
     count as kernel directions.  Rank decisions within a factor 10
     of the tolerance are flagged and both candidate answers are reported.
+    A map whose stacked powers pass the double range is refused before any
+    singular value is taken.
     """
     n = H.n
     two_n = 2 * n
     re, im = H.re, H.im
     blocks = []
     power = np.eye(two_n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for _ in range(two_n):
+            blocks.append(re @ power)
+            power = power @ im
+    if not np.isfinite(blocks).all():
+        raise ContractViolation("the Hamilton map's powers Re F (Im F)^j, j < %d, pass the double"
+                                " range: the symbol is too large for its singular space" % two_n)
     svals_per_stack = []
-    for _ in range(two_n):
-        blocks.append(re @ power)
-        power = power @ im
-        stack = np.vstack(blocks)
+    for j in range(two_n):
+        stack = np.vstack(blocks[:j + 1])
         svals = np.linalg.svd(stack, compute_uv=False)
         svals = np.concatenate([svals, np.zeros(max(0, two_n - len(svals)))])
         svals_per_stack.append(np.sort(svals))

@@ -27,6 +27,7 @@ import itertools
 import math
 
 import numpy as np
+from mpmath.libmp import from_man_exp
 
 from . import arith
 from .basis import ContractViolation
@@ -276,10 +277,12 @@ def interval_pair_tables(a, b, N, mp=None):
     precision, vectorized, and the result is ``(values, error_bounds)``, two
     (M, N+1, N+1) stacks whose bounds come from the rounding analysis below.
     With an mpmath context the result is ``(tables, exps)``, table i being
-    the Python ints ``tables[i]`` times 2^exps[i]: the O(N M) boundary values,
-    seeds and constants are mpf at ``mp.prec + 64`` bits, rounded once at the
-    interval's scale 2^-s_i (32 bits past ``mp.prec`` for the larger of its
-    largest boundary value and the root of its seed), and the Wronskian, the
+    the Python ints ``tables[i]`` times 2^exps[i]: the O(N M) boundary values
+    and seeds are mpf at ``mp.prec + 64`` bits, from constants sqrt(2 / (k +
+    1)), sqrt(k / (k + 1)) and sqrt(k) each within 2^-(mp.prec + 64)
+    (:func:`_roots`), and are rounded once at the interval's scale 2^-s_i
+    (32 bits past ``mp.prec`` for the larger of its largest boundary value
+    and the root of its seed), and the Wronskian, the
     division by 2 (j - k) and the ladder run in ints, exps[i] = -2 s_i.  With
     A the largest |v|, |v'| in units 2^-s_i, each entry errs by at most
     (N + 1) (3 A + 1) units 2^exps[i].  No table depends on its batch: every
@@ -299,15 +302,26 @@ def interval_pair_tables(a, b, N, mp=None):
     return out
 
 
+def _roots(ratios, mp):
+    """[sqrt(p / q) for (p, q) in ratios] as floats, or with an mpmath
+    context as mpf isqrt(p 4^W // q) 2^-W, W = mp.prec: each one integer
+    square root, below the root by less than 2^-W."""
+    if mp is None:
+        return np.array([math.sqrt(p / q) for p, q in ratios])
+    W = mp.prec
+    return np.array([mp.make_mpf(from_man_exp(math.isqrt((p << 2 * W) // q), -W))
+                     for p, q in ratios], dtype=object)
+
+
 def _pair_tables(x, N, mp, bits):
     """``interval_pair_tables`` of the intervals ``x[i] = (a_i, b_i)``."""
-    sqrt, exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("sqrt", "exp", "erf", "erfc", "pi"))
+    exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("exp", "erf", "erfc", "pi"))
     num, dtype, div = (float, float, np.true_divide) if mp is None else (mp.mpf, object, arith._rdiv)
     M, K = len(x), N + 1
     x = x if mp is None else np.frompyfunc(num, 1, 1)(x)
-    c = np.array([sqrt(num(2) / (k + 1)) for k in range(K)], dtype=dtype)
-    d = np.array([sqrt(num(k) / (k + 1)) for k in range(K)], dtype=dtype)
-    root = np.array([sqrt(num(k)) for k in range(K + 1)], dtype=dtype)[:, None, None]
+    c = _roots([(2, k + 1) for k in range(K)], mp)
+    d = _roots([(k, k + 1) for k in range(K)], mp)
+    root = _roots([(k, 1) for k in range(K + 1)], mp)[:, None, None]
 
     # v[k, i] = (phi_k(a_i), phi_k(b_i)) for k <= N+1, dv[k, i] likewise phi_k' for k <= N;
     # the diagonal's seed I_0 = (erf(b) - erf(a)) / 2 leans right and takes erfc when
@@ -324,7 +338,7 @@ def _pair_tables(x, N, mp, bits):
     for k in range(1, K):
         v[k + 1] = xc[k] * v[k] - v[k - 1] * d[k]  # not d[k] * v: mpf would try converting v
     below = np.concatenate([v[:1] * 0, v[:K - 1]])
-    dv = (root[:K] * below - root[1:] * v[1:]) / sqrt(num(2))
+    dv = (root[:K] * below - root[1:] * v[1:]) / _roots([(2, 1)], mp)[0]
     seed = sign * (F_hi - F_lo) / 2
     if mp is not None:  # v, dv at 2^-s_i, the seed at 2^-2s_i, c_k / 2 at 2^-bits
         s = np.array([bits - max(mp.frexp(t)[1], -(-mp.frexp(z)[1] // 2))

@@ -131,6 +131,7 @@ ENTRIES = [
     ("tails-default", "tails --out {out}", None),
     ("tails-n2", "tails --n 2 --out {out}", None),
     ("tails-k-a", "tails --k 3 --a 5 --out {out}", None),
+    ("tails-far", "tails --k 0 --a 1e300 --out {out}", None),
     ("symbol-harmonic2", "symbol --symbol harmonic:n=2 --out {out}", None),
     ("quantize-kfp", "quantize --symbol kfp:a=1 --N 2 --out {out}", None),
     ("quantize-default", "quantize --out {out}", None),
@@ -161,6 +162,9 @@ ENTRIES = [
      " --out {out}", None),
     ("flagged-constant-zero-300", "constant --region interval:a=0,b=0 --N 2 --precision-bits 300"
      " --out {out}", None),
+    ("flagged-control-cost", "control --N 4 --T 1e-300 --out {out}", None),
+    ("flagged-staircase-cost", "control --N 4 --T 1e-300 --staircase --out {out}", None),
+    ("flagged-control-cost-256", "control --N 4 --T 1e-160 --precision-bits 256 --out {out}", None),
     # contract violations and failed verification (exit 2), output failures (exit 4)
     ("contract-gamma", "constant --region periodic:L=1,gamma=1.5 --n 1 --N 4", None),
     ("contract-density-4d", "scaling --region full --n 4 --N 0 --variant density", None),
@@ -193,6 +197,8 @@ ENTRIES = [
     ("contract-bounds-density-N-1", "bounds --variant density --N=-1 --out {out}", None),
     ("contract-control-grid-T", "control --T 1e300 --N 4", None),
     ("contract-control-grid-kfp", "control --symbol kfp:a=1e300 --N 2", None),
+    ("contract-symbol-kfp-huge", "symbol --symbol kfp:a=1e300", None),
+    ("contract-observability-kfp-huge", "observability --symbol kfp:a=1e300 --N 2", None),
     ("contract-bounds-thick-n256", "bounds --variant thick --n 256 --N 4", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)

@@ -74,6 +74,22 @@ def test_not_positive_definite_below_needed_bits():
         assert arith.Mp(256).lam_min(gram.gram_matrix_mp(ball(48), 48)) is None
 
 
+def test_lam_mins_read_leading_blocks_of_one_inverse(monkeypatch):
+    # ball N=48 at 256 bits factors 46 of its 49 columns: blocks inside them
+    # get their own lam_min from one inverse of the 33 x 33 factor, the rest None
+    ar, inverted = arith.Mp(256), []
+    inv_lower = arith.Mp.inv_lower
+    monkeypatch.setattr(arith.Mp, "inv_lower",
+                        lambda self, L: inverted.append(len(L.re)) or inv_lower(self, L))
+    with mp.workprec(256 + 16):
+        G = gram.gram_matrix_mp(ball(48), 48)
+        assert ar.factor(G)[1] == 46
+        lams = ar.lam_mins(G, [33, 49, 17, 47])
+        assert inverted == [33] and lams[1] is None and lams[3] is None
+        assert ar.lam_mins(G, [47, 49]) == [None, None] and inverted == [33]  # nothing fits
+        assert lams[0] == ar.lam_min(G[:33, :33]) and lams[2] == ar.lam_min(G[:17, :17])
+
+
 @pytest.mark.parametrize("k", [-3000, 2200])
 def test_power_of_two_scaling_is_exact(k):
     # the pivot tolerance and the double-precision reading both follow the

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -335,13 +336,22 @@ EDGE_LINES = [
     "tails --n 1000",
     "tails --k 100000 --a 1e-300",
     "tails --k 0 --a 1e300",
+    "control --N 4 --T 1e-300",
+    "control --N 4 --T 1e-300 --staircase",
+    "control --N 4 --T 1e-160 --precision-bits 256",
+    "symbol --symbol kfp:a=1e300",
+    "observability --symbol kfp:a=1e300 --N 2",
 ]
 
 
 @pytest.mark.parametrize("line", EDGE_LINES)
 def test_edge_values_end_in_a_result_or_one_refusal(line, capsys):
-    # no traceback: a result (exit 0, or 3 when flagged) or one contract line
-    code = cli.run(shlex.split(line) + ["--quiet"])
+    # no traceback and no warning: a result (exit 0, or 3 when flagged) or
+    # one contract line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run(shlex.split(line) + ["--quiet"])
+    assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT, cli.EXIT_PRECISION)
     assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -375,6 +376,22 @@ class TestHumControl:
         prob = harmonic_problem(6)
         with pytest.raises(ContractViolation):
             ct.hum_control(prob, 1.0, basis.unit_expansion(1, 5, (0,)))
+
+    @pytest.mark.parametrize("T, bits", [(1e-300, 53), (1e-200, 53), (1e-160, 256)])
+    def test_cost_past_the_double_range_is_flagged(self, T, bits):
+        # at T -> 0 the control grows like 1/T and sum w ||u||^2 like 1/T: its
+        # norm, or the norm's square, passes the double range.  The cost is inf,
+        # flagged, with no warning; the residual is still re-simulated
+        f0 = basis.unit_expansion(1, 4, (0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ct.hum_control(harmonic_problem(4), T, f0, bits)
+            stair = ct.lr_staircase(harmonic_problem(4), T, f0, precision_bits=bits)
+        assert (res.cost, res.flag) == (math.inf, "cost_not_finite")
+        assert res.residual < 1e-3 and np.isfinite(res.controls).all()
+        assert (stair.total_cost, stair.flag) == (math.inf, "cost_not_finite")
+        ok = ct.hum_control(harmonic_problem(4), 1e-3, f0)
+        assert ok.flag == "ok" and math.isfinite(ok.cost)
 
 
 def per_node_hum(ar, A, P, f, T, grid):

@@ -213,14 +213,38 @@ class TestSpectralConstant:
         G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 48)
         monkeypatch.setattr(arith, "MAX_BITS", 1024)
         log = []
-        lam_min, eigh_top = arith.Mp.lam_min, arith.Mp.eigh_top
-        monkeypatch.setattr(arith.Mp, "lam_min", lambda self, *a: (
-            lambda lam: log.append(("lam_min", self.bits, lam is None)) or lam)(lam_min(self, *a)))
+        lam_mins, eigh_top = arith.Mp.lam_mins, arith.Mp.eigh_top
+        monkeypatch.setattr(arith.Mp, "lam_mins", lambda self, *a: (
+            lambda lams: log.append(("lam_mins", self.bits, [lam is None for lam in lams]))
+            or lams)(lam_mins(self, *a)))
         monkeypatch.setattr(arith.Mp, "eigh_top", lambda self, *a: log.append(
             ("eigh_top", self.bits)) or eigh_top(self, *a))
         res = gram.spectral_constant(G, precision_bits=256)
         assert (res.precision_bits, res.flag) == (512, "ok")
-        assert log == [("lam_min", 256, True), ("lam_min", 512, False), ("eigh_top", 512)]
+        assert log == [("lam_mins", 256, [True]), ("lam_mins", 512, [False]), ("eigh_top", 512)]
+
+    @pytest.mark.parametrize("region, Ns, bits", [
+        (halfline_region(32), [8, 16, 24, 32], [53, 256, 256, 256]),
+        (rg.interval_region(-1.0, 1.0, trunc_radius=rg.truncate_radius(48, 1) + 1),
+         [16, 32, 48], [256, 256, 512]),
+    ])
+    def test_study_equals_separate_constants(self, region, Ns, bits, monkeypatch):
+        # one factor and one inverse per level serve every cutoff left: the
+        # half-line resolves three cutoffs at 256 bits; the ball's 256-bit
+        # factor stops at column 46 of 49, so 16 and 32 resolve there and 48
+        # at 512.  Each row equals its own spectral_constant, bit for bit
+        monkeypatch.setattr(arith, "MAX_BITS", 1024)
+        calls = []
+        factor = arith.Mp.factor
+        monkeypatch.setattr(arith.Mp, "factor", lambda self, W: (
+            lambda out: calls.append((self.bits, len(W.re), out[1])) or out)(factor(self, W)))
+        study = gram.spectral_constants(gram.gram_matrix(region, Ns[-1]), Ns)
+        assert [res.precision_bits for res in study] == bits
+        assert [c[0] for c in calls] == sorted(set(bits) - {53})  # one factor per level
+        if Ns[-1] == 48:
+            assert calls[0] == (256, 49, 46)
+        for N, res in zip(Ns, study):
+            assert res == gram.spectral_constant(gram.gram_matrix(region, N))
 
     def test_monotone_in_region(self):
         R = rg.truncate_radius(6, 1) + 1

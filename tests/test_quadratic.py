@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -82,6 +83,15 @@ class TestSingularSpace:
         assert S.tolerance_sensitive
         assert len(S.alternative_dims) == 2
         assert S.alternative_dims[0] != S.alternative_dims[1]
+
+    @pytest.mark.parametrize("a", [1e160, 1e300])
+    def test_powers_past_the_double_range_are_refused(self, a):
+        # Re F (Im F)^3 of the KFP map grows like a^3 / 32: past 1e308 it is
+        # refused before any singular value is taken, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="pass the double range"):
+                qd.singular_space(qd.hamilton_map(qd.kfp_symbol(a)))
 
     @pytest.mark.parametrize("scale", [0.1, 3.0, 250.0])
     def test_scaling_invariance(self, scale):

@@ -456,6 +456,21 @@ def test_integer_tables_within_two_units_of_mpf(N):
             assert err <= 2 * mpmath.ldexp(top, -prec)
 
 
+@pytest.mark.parametrize("prec", [53, 336, 1100])
+def test_integer_root_constants_within_one_unit(prec):
+    # sqrt(2 / (k + 1)), sqrt(k / (k + 1)) and sqrt(k) from integer square
+    # roots lie below mpmath's roots at twice the bits by less than 2^-prec
+    ratios = [(2, k + 1) for k in range(65)] + [(k, k + 1) for k in range(65)] + [
+        (k, 1) for k in range(66)]
+    with mpmath.workprec(prec):
+        roots = rg._roots(ratios, mpmath.mp)
+    with mpmath.workprec(2 * prec):
+        for (p, q), r in zip(ratios, roots):
+            gap = mpmath.ldexp(mpmath.sqrt(mpmath.mpf(p) / q) - r, prec)
+            assert 0 <= gap < 1
+    assert rg._roots(ratios, None).tolist() == [math.sqrt(p / q) for p, q in ratios]
+
+
 class TestTruncateRadius:
     def test_monotone_in_cutoff(self):
         assert rg.truncate_radius(10, 1) < rg.truncate_radius(40, 1)
