@@ -137,16 +137,39 @@ def _rdiv(x, d):
 
 def coefficients(c, n, prec):
     """[c^k / k! 2^prec for k < n], each rounded once to an int, ties to even
-    as in :func:`rounded`: with c = man 2^e, man^k 2^(ek+prec) / k! in integers."""
+    as in :func:`rounded`, and odd in c.
+
+    With c = +-man 2^e, the term |c|^k / k! 2^(prec+g) is carried floored,
+    t_{k+1} = floor(t_k man 2^e / (k + 1)), with u_{k+1} = ceil(u_k man 2^e /
+    (k + 1)) + 1 above what the floors dropped, so the term lies in [t_k, t_k
+    + u_k].  Where that window holds no tie point of the rounding at 2^g,
+    t_k rounds as the term does; elsewhere (an exact tie, mostly) the term
+    is the exact quotient man^k 2^(ek+prec) / k!.  As u_k <= 2 k max_{m<n}
+    |c|^m / m!, the guard g = 64 plus the log2 of that largest term (at most
+    n top and 1.5 2^top, |c| < 2^top) keeps each window near 2k 2^-64 of a
+    rounding step, and the integers near prec + g bits, where man^k reaches
+    k times man's."""
     sign, man, e, _ = c._mpf_ if hasattr(c, "_mpf_") else from_float(c)
-    man, out, num, den = -man if sign else man, [], 1, 1          # num, den: man^k, k!
+    top = man.bit_length() + e
+    g = 64 + (min(n * top, 3 << top - 1) if top > 0 else 0)
+    half, up, down = 1 << g - 1, max(e, 0), max(-e, 0)
+    t, u, out = 1 << prec + g, 0, []
     for k in range(n):
-        s = e * k + prec
-        d = den << max(-s, 0)
-        q, r = divmod(num << max(s, 0), d)
-        out.append(q + ((2 * r, q & 1) > (d, 0)))
-        num, den = num * man, den * (k + 1)
+        q = (t + half) >> g
+        if (t + half) & (2 * half - 1) == 0 or q != (t + u + half) >> g:  # a tie point in the window
+            q = _exact_coefficient(man, e, k, prec)
+        out.append(-q if sign and k & 1 else q)
+        t = ((t * man << up) >> down) // (k + 1)
+        u = 1 - ((-(u * man << up) >> down) // (k + 1))
     return out
+
+
+def _exact_coefficient(man, e, k, prec):
+    """man^k 2^(ek+prec) / k! rounded to an int, ties to even."""
+    s = e * k + prec
+    d = math.factorial(k) << max(-s, 0)
+    q, r = divmod(man**k << max(s, 0), d)
+    return q + ((2 * r, q & 1) > (d, 0))
 
 
 @np.vectorize(otypes=[object])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -69,6 +69,20 @@ def parse_shorthand(text, table):
     return head, opts
 
 
+def frozen_cache(fn):
+    """``fn`` as a table of the process: built on the first call with each
+    argument tuple, kept, and returned with its array, or each array of its
+    tuple, read-only, so that no caller can change what the next one reads.
+    Nothing is built at import."""
+    def frozen(*args):
+        out = fn(*args)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        return out
+
+    return lru_cache(maxsize=None)(wraps(fn)(frozen))
+
+
 def space_dimension(n, N):
     """Dimension of E_N in n variables: binomial(N + n, n)."""
     return math.comb(N + n, n)
@@ -109,12 +123,16 @@ def index_positions(n, N):
     return {alpha: i for i, alpha in enumerate(multi_indices(n, N))}
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def index_levels(n, N):
     """Array of |alpha| per basis position (read-only)."""
-    lev = np.array([sum(a) for a in multi_indices(n, N)], dtype=np.int64)
-    lev.flags.writeable = False
-    return lev
+    return np.array([sum(a) for a in multi_indices(n, N)], dtype=np.int64)
+
+
+@frozen_cache
+def _index_array(n, N):
+    """``multi_indices(n, N)`` as a read-only (dim, n) int array."""
+    return np.array(multi_indices(n, N))
 
 
 def hermite_values(N, x):
@@ -245,7 +263,7 @@ class HermiteExpansion:
                 pts = pts.reshape(1, -1)
         if pts.shape[1] != self.n:
             raise ContractViolation("points have wrong spatial dimension")
-        idx = np.array(multi_indices(self.n, self.N))
+        idx = _index_array(self.n, self.N)
         terms = hermite_values(self.N, pts[:, 0])[idx[:, 0]]
         for j in range(1, self.n):
             terms *= hermite_values(self.N, pts[:, j])[idx[:, j]]
@@ -346,7 +364,7 @@ def apply_ladder(m: LadderMap, f: HermiteExpansion) -> HermiteExpansion:
     return HermiteExpansion(f.n, N_out, out)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _ladder_table(n, M, axis):
     """Index-shift table ``(src, tgt, fac)`` of a_{axis,+} inside E_M.
 
@@ -363,12 +381,10 @@ def _ladder_table(n, M, axis):
         [pos[a[:axis] + (a[axis] + 1,) + a[axis + 1 :]] for a in alphas], dtype=np.int64
     )
     fac = np.sqrt(np.array([a[axis] + 1.0 for a in alphas]))
-    for arr in (src, tgt, fac):
-        arr.flags.writeable = False
     return src, tgt, fac
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def raise_matrix(n, M, axis):
     """Matrix of a_{axis,+} on E_M (images beyond level M are dropped).
 
@@ -378,7 +394,6 @@ def raise_matrix(n, M, axis):
     src, tgt, fac = _ladder_table(n, M, axis)
     A = np.zeros((space_dimension(n, M),) * 2)
     A[tgt, src] = fac
-    A.flags.writeable = False
     return A
 
 

@@ -19,6 +19,14 @@ from mpmath import mp
 from . import basis
 from .basis import ContractViolation, HermiteExpansion, LadderMap, apply_ladder
 
+
+@basis.frozen_cache
+def gauss_hermite(order):
+    """The Gauss-Hermite rule (nodes, weights) of one order: a read-only
+    table of the process, shared by the weighted norms and the verify suites."""
+    return np.polynomial.hermite.hermgauss(order)
+
+
 def chebyshev_value(d, x):
     """Chebyshev polynomial T_d by the stable three-term recurrence
     p_{d+1} = 2 x p_d - p_{d-1}."""
@@ -174,7 +182,7 @@ def _gaussian_weighted_norm(g, delta):
     """
     n = g.n
     s = math.sqrt(1.0 - 2.0 * delta)
-    y, w = np.polynomial.hermite.hermgauss(g.N + 1)
+    y, w = gauss_hermite(g.N + 1)
     x = y / s
     pts = np.stack(np.meshgrid(*([x] * n), indexing="ij"), axis=-1).reshape(-1, n)
     # w exp(x^2) folds the factor exp(|x|^2) of |p|^2 = |g|^2 exp(|x|^2) in

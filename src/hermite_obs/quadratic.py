@@ -320,33 +320,41 @@ class GalerkinOperator:
         return self.symbol.real_part_psd
 
 
+@basis.frozen_cache
+def _weyl_term(n, M, term, i, j):
+    """The ladder product of one monomial on E_M: X_i X_j for term "xx",
+    D_i D_j for "dd" and X_i D_j + D_j X_i for "xd", complex; built once per
+    (n, M, term, i, j), when a symbol first needs it, and read-only."""
+    X = {k: basis.position_matrix(n, M, k).astype(complex) for k in (i, j)}
+    D = {k: basis.momentum_matrix(n, M, k) for k in (i, j)}
+    if term == "xx":
+        return X[i] @ X[j]
+    if term == "dd":
+        return D[i] @ D[j]
+    return X[i] @ D[j] + D[j] @ X[i]
+
+
 def weyl_quantize(sym: QuadraticSymbol, N) -> GalerkinOperator:
     """Galerkin matrix of the Weyl quantization of a quadratic symbol.
 
     Positions and momenta are substituted by their ladder combinations,
     x_j = (a_+ + a_-)/sqrt(2) and D_j = i (a_+ - a_-)/sqrt(2); the mixed
     monomials x_i xi_j quantize with the symmetrized ordering
-    (x_i D_j + D_j x_i)/2.
+    (x_i D_j + D_j x_i)/2.  Each monomial's ladder product is a table of
+    the process (:func:`_weyl_term`), formed for the nonzero entries of Q.
     """
     if N < 0:
         raise ContractViolation("cutoff N must be >= 0")
     n = sym.n
     M = N + 2
     dim_M = basis.space_dimension(n, M)
-    X = [basis.position_matrix(n, M, j).astype(complex) for j in range(n)]
-    D = [basis.momentum_matrix(n, M, j) for j in range(n)]
-    Qxx = sym.Q[:n, :n]
-    Qxxi = sym.Q[:n, n:]
-    Qxixi = sym.Q[n:, n:]
+    blocks = (("xx", sym.Q[:n, :n]), ("dd", sym.Q[n:, n:]), ("xd", sym.Q[:n, n:]))
     A = np.zeros((dim_M, dim_M), dtype=complex)
     for i in range(n):
         for j in range(n):
-            if Qxx[i, j] != 0:
-                A += Qxx[i, j] * (X[i] @ X[j])
-            if Qxixi[i, j] != 0:
-                A += Qxixi[i, j] * (D[i] @ D[j])
-            if Qxxi[i, j] != 0:
-                A += Qxxi[i, j] * (X[i] @ D[j] + D[j] @ X[i])
+            for term, Q in blocks:
+                if Q[i, j] != 0:
+                    A += Q[i, j] * _weyl_term(n, M, term, i, j)
     dim_N = basis.space_dimension(n, N)
     return GalerkinOperator(n, N, np.ascontiguousarray(A[:dim_N, :dim_N]), sym)
 

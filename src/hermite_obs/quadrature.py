@@ -8,7 +8,8 @@ import numpy as np
 
 ORDER = 20  # Gauss-Legendre nodes per panel
 MAX_DOUBLINGS = 16
-_X, _W = np.polynomial.legendre.leggauss(ORDER)
+_X, _W = np.polynomial.legendre.leggauss(ORDER)  # one rule for every call, read-only
+_X.flags.writeable = _W.flags.writeable = False
 
 
 def composite_gauss_legendre(f, a, b, abs_tol=1e-13, min_panels=1):

@@ -26,10 +26,11 @@ import hashlib
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp
 
-from . import arith
+from . import arith, basis
 from .basis import ContractViolation
 from .estimates import tail_constant_cn
 
@@ -313,15 +314,28 @@ def _roots(ratios, mp):
                      for p, q in ratios], dtype=object)
 
 
+@basis.frozen_cache
+def _root_rows(K, W):
+    """The pair tables' constants of order K by :func:`_roots` at W bits
+    (doubles for W None): c_k = sqrt(2 / (k + 1)) and d_k = sqrt(k / (k +
+    1)) for k < K, sqrt(k) for k <= K and sqrt(2), one row each.  A
+    read-only table of the process, one per (K, W)."""
+    ratios = ([(2, k + 1) for k in range(K)], [(k, k + 1) for k in range(K)],
+              [(k, 1) for k in range(K + 1)], [(2, 1)])
+    if W is None:
+        return tuple(_roots(r, None) for r in ratios)
+    with mpmath.workprec(W):
+        return tuple(_roots(r, mpmath.mp) for r in ratios)
+
+
 def _pair_tables(x, N, mp, bits):
     """``interval_pair_tables`` of the intervals ``x[i] = (a_i, b_i)``."""
     exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("exp", "erf", "erfc", "pi"))
     num, dtype, div = (float, float, np.true_divide) if mp is None else (mp.mpf, object, arith._rdiv)
     M, K = len(x), N + 1
     x = x if mp is None else np.frompyfunc(num, 1, 1)(x)
-    c = _roots([(2, k + 1) for k in range(K)], mp)
-    d = _roots([(k, k + 1) for k in range(K)], mp)
-    root = _roots([(k, 1) for k in range(K + 1)], mp)[:, None, None]
+    c, d, root, sqrt2 = _root_rows(K, None if mp is None else mp.prec)
+    root = root[:, None, None]
 
     # v[k, i] = (phi_k(a_i), phi_k(b_i)) for k <= N+1, dv[k, i] likewise phi_k' for k <= N;
     # the diagonal's seed I_0 = (erf(b) - erf(a)) / 2 leans right and takes erfc when
@@ -338,7 +352,7 @@ def _pair_tables(x, N, mp, bits):
     for k in range(1, K):
         v[k + 1] = xc[k] * v[k] - v[k - 1] * d[k]  # not d[k] * v: mpf would try converting v
     below = np.concatenate([v[:1] * 0, v[:K - 1]])
-    dv = (root[:K] * below - root[1:] * v[1:]) / _roots([(2, 1)], mp)[0]
+    dv = (root[:K] * below - root[1:] * v[1:]) / sqrt2[0]
     seed = sign * (F_hi - F_lo) / 2
     if mp is not None:  # v, dv at 2^-s_i, the seed at 2^-2s_i, c_k / 2 at 2^-bits
         s = np.array([bits - max(mp.frexp(t)[1], -(-mp.frexp(z)[1] // 2))

@@ -66,9 +66,9 @@ def _trials(tag, default):
 
 
 # fixed grids and nodes of the suites, built on first use, not at import
-# (every command imports this module), and then shared by every trial
-_linspace = functools.cache(np.linspace)
-_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+# (every command imports this module), and then shared, read-only, by every trial
+_linspace = basis.frozen_cache(np.linspace)
+_leggauss = basis.frozen_cache(np.polynomial.legendre.leggauss)
 
 
 # -- basis ---------------------------------------------------------------------
@@ -79,7 +79,7 @@ def suite_basis_parseval(rng, t):
     n = int(rng.integers(1, 4))
     N = int(rng.integers(0, {1: 16, 2: 10, 3: 7}[n]))
     f = basis.random_expansion(n, N, rng)
-    nodes, weights = np.polynomial.hermite.hermgauss(N + 1)
+    nodes, weights = est.gauss_hermite(N + 1)
     grids = np.meshgrid(*([nodes] * n), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     w = np.ones(pts.shape[0])
@@ -108,6 +108,14 @@ def suite_basis_ladder(rng, t):
     return max(adj, comm) - 1e-12 * max(f.norm() * g.norm(), 1.0)
 
 
+@functools.cache
+def _recurrence_step(m):
+    """The oracle's constants of step m, sqrt(2 / (m + 1)) and sqrt(m / (m +
+    1)), to 60 digits, once per process (mpf are immutable); sqrt 2 at m = 0."""
+    with mpmath.workdps(60):
+        return mpmath.sqrt(mpmath.mpf(2) / (m + 1)), mpmath.sqrt(mpmath.mpf(m) / (m + 1))
+
+
 @_trials(3, 60)
 def suite_basis_recurrence(rng, t):
     k = int(rng.integers(0, 61))
@@ -117,12 +125,10 @@ def suite_basis_recurrence(rng, t):
         xm = mpmath.mpf(x)
         vals = [mpmath.pi ** mpmath.mpf("-0.25") * mpmath.e ** (-xm * xm / 2)]
         if k >= 1:
-            vals.append(xm * mpmath.sqrt(2) * vals[0])
+            vals.append(xm * _recurrence_step(0)[0] * vals[0])
         for m in range(1, k):
-            vals.append(
-                xm * mpmath.sqrt(mpmath.mpf(2) / (m + 1)) * vals[m]
-                - mpmath.sqrt(mpmath.mpf(m) / (m + 1)) * vals[m - 1]
-            )
+            c, d = _recurrence_step(m)
+            vals.append(xm * c * vals[m] - d * vals[m - 1])
         want = float(vals[k])
     return abs(got - want) / max(abs(want), 1e-250) - 1e-12
 

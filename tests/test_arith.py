@@ -1,9 +1,11 @@
 import math
+import random
 import sys
 
 import numpy as np
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_sqrt
 
 from hermite_obs import arith, basis, control as ct, gram, quadratic as qd, regions as rg
 
@@ -208,6 +210,49 @@ def test_integer_coefficients_round_exactly():
                 want = [int(mp.nint(mp.ldexp(mp.mpf(c) ** k / mp.factorial(k), ar.prec)))
                         for k in range(64)]
             assert got == want
+
+
+def exact_coefficients(c, n, prec):
+    """[c^k / k! 2^prec for k < n] as the exact quotients man^k 2^(ek+prec)
+    / k! of c = man 2^e, rounded once, ties to even."""
+    sign, man, e, _ = c._mpf_
+    man, out = -man if sign else man, []
+    for k in range(n):
+        s = e * k + prec
+        d = math.factorial(k) << max(-s, 0)
+        q, r = divmod(man**k << max(s, 0), d)
+        out.append(q + ((2 * r, q & 1) > (d, 0)))
+    return out
+
+
+def test_carried_coefficients_equal_the_exact_quotients(monkeypatch):
+    # the floored running term rounds as the exact quotient on random rows of
+    # both signs with |c| > 1; a search over binades near 1/4 finds a row
+    # whose window holds a tie point, which takes the exact fallback
+    rng = random.Random(34)
+
+    def draw(prec, lo, hi):  # a random prec-bit mantissa in [2^lo, 2^hi), random sign
+        man = rng.choice([-1, 1]) * (rng.getrandbits(prec) | 1 << prec - 1)
+        return mp.make_mpf(from_man_exp(man, rng.randrange(lo, hi) - prec + 1))
+
+    for prec in (272, 528, 1040, 4112):
+        for _ in range(6):
+            c, n = draw(prec, 0, 6), rng.randrange(2, 81)
+            assert arith.coefficients(c, n, prec) == exact_coefficients(c, n, prec)
+    for prec in (272, 528):  # c^2 / 2 2^prec a hair above m + 1/2: the floors fall below the tie
+        m = 1 << prec - 1 | rng.getrandbits(prec - 2)
+        c = mp.make_mpf(mpf_sqrt(from_man_exp(2 * m + 1, -prec), prec + 256, "c"))
+        assert arith.coefficients(c, 3, prec) == exact_coefficients(c, 3, prec)
+    fallbacks, exact = [], arith._exact_coefficient
+    monkeypatch.setattr(arith, "_exact_coefficient", lambda *a: fallbacks.append(a) or exact(*a))
+    for _ in range(100):
+        prec = rng.choice([272, 528, 1040, 4112])
+        c = draw(prec, -4, 3)
+        got = arith.coefficients(c, 40, prec)
+        if fallbacks:
+            break
+    assert fallbacks, "no row took the fallback"
+    assert got == exact_coefficients(c, 40, prec)
 
 
 def test_series_ignores_the_ambient_precision():

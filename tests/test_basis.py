@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hermite_obs import basis
+from hermite_obs import basis, estimates, quadratic, quadrature, regions, verify
 from hermite_obs.basis import (
     ContractViolation,
     HermiteExpansion,
@@ -261,3 +261,29 @@ class TestLadder:
         f = unit_expansion(1, 3, (1,))
         with pytest.raises(ContractViolation):
             apply_ladder(LadderMap(basis.RAISE, 0, 5), f)
+
+
+# every table kept for the rest of the process, as (name, its arrays)
+PROCESS_TABLES = {
+    "basis.index_levels": lambda: (basis.index_levels(2, 3),),
+    "basis._index_array": lambda: (basis._index_array(2, 3),),
+    "basis._ladder_table": lambda: basis._ladder_table(2, 3, 1),
+    "basis.raise_matrix": lambda: (basis.raise_matrix(2, 3, 1),),
+    "estimates.gauss_hermite": lambda: estimates.gauss_hermite(5),
+    "quadrature._X, _W": lambda: (quadrature._X, quadrature._W),
+    "regions._root_rows double": lambda: regions._root_rows(4, None),
+    "regions._root_rows mpf": lambda: regions._root_rows(4, 300),
+    "quadratic._weyl_term": lambda: (quadratic._weyl_term(2, 3, "dd", 0, 1),),
+    "verify._linspace": lambda: (verify._linspace(0.0, 1.0, 5),),
+    "verify._leggauss": lambda: verify._leggauss(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_TABLES))
+def test_process_tables_are_read_only(name):
+    # one stray write would change what every later caller reads
+    tables = PROCESS_TABLES[name]()
+    for arr in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
+    assert all(a is b for a, b in zip(tables, PROCESS_TABLES[name]()))

@@ -151,6 +151,50 @@ class TestWeylQuantization:
             assert float(np.real(np.vdot(c, A.matrix @ c))) >= -1e-10 * np.vdot(c, c).real
 
 
+def weyl_reference(sym, N):
+    """The Weyl quantization as one loop per call, every ladder product
+    formed afresh: the reference for the per-process product tables."""
+    n, M = sym.n, N + 2
+    dim_M = basis.space_dimension(n, M)
+    X = [basis.position_matrix(n, M, j).astype(complex) for j in range(n)]
+    D = [basis.momentum_matrix(n, M, j) for j in range(n)]
+    Qxx, Qxxi, Qxixi = sym.Q[:n, :n], sym.Q[:n, n:], sym.Q[n:, n:]
+    A = np.zeros((dim_M, dim_M), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if Qxx[i, j] != 0:
+                A += Qxx[i, j] * (X[i] @ X[j])
+            if Qxixi[i, j] != 0:
+                A += Qxixi[i, j] * (D[i] @ D[j])
+            if Qxxi[i, j] != 0:
+                A += Qxxi[i, j] * (X[i] @ D[j] + D[j] @ X[i])
+    dim_N = basis.space_dimension(n, N)
+    return np.ascontiguousarray(A[:dim_N, :dim_N])
+
+
+class TestWeylProductTables:
+    def test_bytes_match_the_per_call_loop(self):
+        # random symbols, about half their entries zeroed in symmetric
+        # patterns, and the all-zero symbol
+        rng = np.random.default_rng(33)
+        for t in range(60):
+            n, N = int(rng.integers(1, 4)), int(rng.integers(0, 6))
+            M = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+            keep = np.triu(rng.random((2 * n, 2 * n)) < 0.5)
+            sym = qd.QuadraticSymbol(n, np.where(keep | keep.T, M + M.T, 0) * (t > 0))
+            got = qd.weyl_quantize(sym, N).matrix
+            assert got.tobytes() == weyl_reference(sym, N).tobytes()
+
+    def test_second_call_forms_no_product(self):
+        sym = qd.QuadraticSymbol(2, np.ones((4, 4), dtype=complex))
+        qd.weyl_quantize(sym, 3)
+        before = qd._weyl_term.cache_info()
+        qd.weyl_quantize(sym.scaled(2.0), 3)
+        after = qd._weyl_term.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 12  # four entries in each of the three blocks
+
+
 class TestEvolve:
     def test_time_zero_identity(self):
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 5)
