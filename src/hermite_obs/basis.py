@@ -384,30 +384,6 @@ def _ladder_table(n, M, axis):
     return src, tgt, fac
 
 
-@frozen_cache
-def raise_matrix(n, M, axis):
-    """Matrix of a_{axis,+} on E_M (images beyond level M are dropped).
-
-    Compose ladder matrices only on a buffered cutoff: a product of p
-    raise-type factors applied to columns with |alpha| <= M - p is exact.
-    """
-    src, tgt, fac = _ladder_table(n, M, axis)
-    A = np.zeros((space_dimension(n, M),) * 2)
-    A[tgt, src] = fac
-    return A
-
-
-def position_matrix(n, M, axis):
-    R = raise_matrix(n, M, axis)
-    return (R + R.T) / SQRT2
-
-
-def momentum_matrix(n, M, axis):
-    """Matrix of D_j = -i d/dx_j = i (a_+ - a_-)/sqrt(2) on E_M."""
-    R = raise_matrix(n, M, axis)
-    return 1j * (R - R.T) / SQRT2
-
-
 # -- fits --------------------------------------------------------------------
 
 

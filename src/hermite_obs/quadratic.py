@@ -301,9 +301,9 @@ def singular_space_exact(sym: QuadraticSymbol):
 class GalerkinOperator:
     """Matrix of the Weyl-quantized symbol compressed to E_N.
 
-    Entry [i, j] is the coefficient of Phi_i in q^w Phi_j; the quantization
-    maps E_N into E_{N+2}, so building ladder products on the buffered cutoff
-    N+2 and keeping rows/columns of E_N gives exact matrix elements.
+    Entry [i, j] is the coefficient of Phi_i in q^w Phi_j, formed in closed
+    form from two ladder steps (:func:`weyl_quantize`); the parts of q^w Phi_j
+    outside E_N are dropped.
     """
 
     n: int
@@ -320,43 +320,38 @@ class GalerkinOperator:
         return self.symbol.real_part_psd
 
 
-@basis.frozen_cache
-def _weyl_term(n, M, term, i, j):
-    """The ladder product of one monomial on E_M: X_i X_j for term "xx",
-    D_i D_j for "dd" and X_i D_j + D_j X_i for "xd", complex; built once per
-    (n, M, term, i, j), when a symbol first needs it, and read-only."""
-    X = {k: basis.position_matrix(n, M, k).astype(complex) for k in (i, j)}
-    D = {k: basis.momentum_matrix(n, M, k) for k in (i, j)}
-    if term == "xx":
-        return X[i] @ X[j]
-    if term == "dd":
-        return D[i] @ D[j]
-    return X[i] @ D[j] + D[j] @ X[i]
-
-
 def weyl_quantize(sym: QuadraticSymbol, N) -> GalerkinOperator:
     """Galerkin matrix of the Weyl quantization of a quadratic symbol.
 
-    Positions and momenta are substituted by their ladder combinations,
-    x_j = (a_+ + a_-)/sqrt(2) and D_j = i (a_+ - a_-)/sqrt(2); the mixed
-    monomials x_i xi_j quantize with the symmetrized ordering
-    (x_i D_j + D_j x_i)/2.  Each monomial's ladder product is a table of
-    the process (:func:`_weyl_term`), formed for the nonzero entries of Q.
+    With L = (a_+, a_-) the raising and lowering operators of the n axes,
+    positions and momenta are (x, D) = P L / sqrt(2), P = [[I, I], [iI, -iI]],
+    so the symmetric ordering of X^T Q X is q^w = sum_kl M_kl L_k L_l with
+    M = P^T Q P / 2.  L_k L_l moves Phi_beta by the two unit steps s_l and
+    s_k and multiplies it by sqrt(c_l c_k), each c the ladder count where
+    its step acts: beta_j + 1 for a raise on axis j, beta_j for a lower.  The
+    counts, their product and one sqrt are taken for every beta of E_N and
+    nonzero M_kl at once, and the images inside E_N scattered into the matrix.
     """
     if N < 0:
         raise ContractViolation("cutoff N must be >= 0")
     n = sym.n
-    M = N + 2
-    dim_M = basis.space_dimension(n, M)
-    blocks = (("xx", sym.Q[:n, :n]), ("dd", sym.Q[n:, n:]), ("xd", sym.Q[:n, n:]))
-    A = np.zeros((dim_M, dim_M), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for term, Q in blocks:
-                if Q[i, j] != 0:
-                    A += Q[i, j] * _weyl_term(n, M, term, i, j)
-    dim_N = basis.space_dimension(n, N)
-    return GalerkinOperator(n, N, np.ascontiguousarray(A[:dim_N, :dim_N]), sym)
+    E = np.eye(n, dtype=np.int64)
+    step = np.concatenate([E, -E])                                    # s_k, the step of L_k
+    P = np.concatenate([abs(step.T), 1j * step.T])                    # [[I, I], [iI, -iI]]
+    M = P.T @ sym.Q @ P / 2
+    k, l = np.nonzero(M)
+    beta, level = basis._index_array(n, N), basis.index_levels(n, N)
+    counts = ((beta[:, l % n].T + (l < n)[:, None])                     # [pair, column]
+              * (beta[:, k % n].T + (step[l, k % n] + (k < n))[:, None]))
+    shift = step[l] + step[k]                                          # [pair, axis]
+    p, col = np.nonzero((counts > 0) & (level + shift.sum(axis=1)[:, None] <= N))
+    both = np.concatenate([beta, beta[col] + shift[p]])
+    order = np.lexsort((*both.T[::-1], both.sum(axis=1)))  # E_N's order; stable, so each
+    rank = np.empty(len(both), dtype=np.int64)              # beta sorts ahead of its images
+    rank[order] = np.cumsum(order < len(beta)) - 1          # the position in E_N
+    A = np.zeros((len(beta), len(beta)), dtype=complex)
+    np.add.at(A, (rank[len(beta):], col), M[k[p], l[p]] * np.sqrt(counts[p, col]))
+    return GalerkinOperator(n, N, A, sym)
 
 
 def evolve(op: GalerkinOperator, f0: HermiteExpansion, t) -> HermiteExpansion:

@@ -24,6 +24,30 @@ def hermite_derivatives(N, x, values=None):
     return der
 
 
+def raise_matrix(n, M, axis):
+    """Matrix of a_{axis,+} on E_M (images beyond level M are dropped).
+
+    Compose ladder matrices only on a buffered cutoff: a product of p
+    raise-type factors applied to columns with |alpha| <= M - p is exact.
+    """
+    src, tgt, fac = basis._ladder_table(n, M, axis)
+    A = np.zeros((basis.space_dimension(n, M),) * 2)
+    A[tgt, src] = fac
+    return A
+
+
+def position_matrix(n, M, axis):
+    """Matrix of x_j = (a_+ + a_-)/sqrt(2) on E_M."""
+    R = raise_matrix(n, M, axis)
+    return (R + R.T) / math.sqrt(2.0)
+
+
+def momentum_matrix(n, M, axis):
+    """Matrix of D_j = -i d/dx_j = i (a_+ - a_-)/sqrt(2) on E_M."""
+    R = raise_matrix(n, M, axis)
+    return 1j * (R - R.T) / math.sqrt(2.0)
+
+
 def harmonic_full_space_ct(n, N, T):
     """Closed-form C_T for the level-diagonal generator observed everywhere.
 

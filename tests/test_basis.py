@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hermite_obs import basis, estimates, quadratic, quadrature, regions, verify
+from hermite_obs import basis, estimates, quadrature, regions, verify
 from hermite_obs.basis import (
     ContractViolation,
     HermiteExpansion,
@@ -16,6 +16,7 @@ from hermite_obs.basis import (
     space_dimension,
     unit_expansion,
 )
+from oracles import momentum_matrix, position_matrix, raise_matrix
 
 
 def hermite_polynomial_coeffs(k):
@@ -203,7 +204,7 @@ class TestLadder:
                     got_down = apply_ladder(LadderMap(basis.LOWER, j, N), f)
                     assert np.array_equal(got_up.coeffs, up)
                     assert np.array_equal(got_down.coeffs, down)
-                    R = basis.raise_matrix(n, N + 1, j)
+                    R = raise_matrix(n, N + 1, j)
                     assert np.array_equal(R @ f.padded(N + 1).coeffs, up)
 
     def test_lower_annihilates_ground_state(self):
@@ -250,8 +251,8 @@ class TestLadder:
         M = N + 2
         H = np.zeros((space_dimension(n, M), space_dimension(n, M)), dtype=complex)
         for j in range(n):
-            X = basis.position_matrix(n, M, j)
-            D = basis.momentum_matrix(n, M, j)
+            X = position_matrix(n, M, j)
+            D = momentum_matrix(n, M, j)
             H += X @ X + D @ D
         dim = space_dimension(n, N)
         lev = basis.index_levels(n, N)
@@ -268,12 +269,10 @@ PROCESS_TABLES = {
     "basis.index_levels": lambda: (basis.index_levels(2, 3),),
     "basis._index_array": lambda: (basis._index_array(2, 3),),
     "basis._ladder_table": lambda: basis._ladder_table(2, 3, 1),
-    "basis.raise_matrix": lambda: (basis.raise_matrix(2, 3, 1),),
     "estimates.gauss_hermite": lambda: estimates.gauss_hermite(5),
     "quadrature._X, _W": lambda: (quadrature._X, quadrature._W),
     "regions._root_rows double": lambda: regions._root_rows(4, None),
     "regions._root_rows mpf": lambda: regions._root_rows(4, 300),
-    "quadratic._weyl_term": lambda: (quadratic._weyl_term(2, 3, "dd", 0, 1),),
     "verify._linspace": lambda: (verify._linspace(0.0, 1.0, 5),),
     "verify._leggauss": lambda: verify._leggauss(4),
 }

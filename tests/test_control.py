@@ -422,17 +422,41 @@ def per_node_hum(ar, A, P, f, T, grid):
     return times[::-1], samples[::-1], cost, E_T @ f + forced, lam
 
 
+def forced_on_absolute_values(plan, lam):
+    """||sum_j |e^{-hA}|^j sum_o |back_o| |out_o| |v_j|||: the forced
+    response of a double-precision HUM plan summed on the absolute values of
+    its factors, v_j = e^{-jhA^H} lam as HUM steps it."""
+    vs = [lam]
+    while len(vs) < plan.steps:
+        vs.append(plan.E_ctl_H @ vs[-1])
+    V = np.abs(np.column_stack(vs))
+    S = sum(np.abs(B) @ (np.abs(U) @ V) for B, U in zip(plan.back, plan.out))
+    total = S[:, -1]
+    for j in reversed(range(plan.steps - 1)):
+        total = S[:, j] + np.abs(plan.E_sim) @ total
+    return np.linalg.norm(total)
+
+
 @pytest.mark.parametrize("case", ["harmonic-6", "kfp-4", "harmonic-6:double", "kfp-4:double"])
 def test_stacked_hum_equals_the_per_node_loop(case):
     # one product per grid node over all steps sums in another order than the
     # mat-vecs, and in fixed point rounds the stacked columns once, at the
-    # finest exponent: the numbers agree to the backend's unit (1e-14 for
-    # samples and 1e-15 for the state in double, 2^-bits in fixed point),
-    # measured against the size of what is summed: a sample against ||P||
-    # ||lam|| (e^{-sA^H} is a contraction), the final state against ||f0|| +
-    # ||P|| sqrt(T cost), which bounds ||E_T f0|| plus sum w ||e^{-sA} P u(s)||.
+    # finest exponent: the samples agree to the backend's unit (1e-14 in
+    # double, 2^-bits in fixed point) against ||P|| ||lam|| (e^{-sA^H} is a
+    # contraction), the fixed-point state to 2^-bits against ||f0|| + ||P||
+    # sqrt(T cost), which bounds ||E_T f0|| plus sum w ||e^{-sA} P u(s)||.
     # KFP's lam is of order 1e5: its samples and forced response cancel by
     # two to three orders.  The cost is a sum of squares, good to 1e-15.
+    # In double both sides add the same terms of the forced response from
+    # the same stored factors (e^{-TA} f0 is one identical mat-vec), only in
+    # other orders.  A complex inner product of length d rounds as 2d real
+    # terms, so a term meets at most m = 2d (the sample out_o v_j)
+    # + 2d (back_o times it) + G - 1 (the G grid offsets)
+    # + (steps - 1)(2d + 1) (Horner's S_j + e^{-hA} forced) roundings.
+    # Each side then differs from the exact sum by at most
+    # gamma_m = m u / (1 - m u), u = 2^-53, times the sum of the terms'
+    # absolute values (Higham, Accuracy and Stability, section 3.1), and
+    # the two sides by at most twice that.
     name, _, double = case.partition(":")
     if name == "harmonic-6":
         A, P, T = qd.weyl_quantize(qd.harmonic_symbol(1), 6).matrix, thick_gram(6), 1.0
@@ -450,13 +474,19 @@ def test_stacked_hum_equals_the_per_node_loop(case):
         times, steps = list(plan.times), plan.steps
         want = per_node_hum(ar, A, P_, f, T, grid)
         gap = ar.norm(state - want[3])
-    unit_sample, unit_state = (1e-14, 1e-15) if double else (2.0 ** -ar.bits,) * 2
+    unit_sample = 1e-14 if double else 2.0 ** -ar.bits
     assert flag == "ok" and steps > 1
     assert times == want[0] and abs(cost - want[2]) <= 1e-15 * want[2]
     loop, size_P = np.array(want[1]), np.linalg.norm(P, 2)
     assert samples.shape == loop.shape == (len(times), len(A))
     assert np.abs(samples - loop).max() <= unit_sample * size_P * ar.norm(want[4])
-    assert gap <= unit_state * (np.linalg.norm(f0) + size_P * math.sqrt(T * cost))
+    if double:
+        d, u = len(A), 2.0 ** -53
+        m = 4 * d + ct.GRID_ORDER - 1 + (steps - 1) * (2 * d + 1)
+        bound = 2 * m * u / (1 - m * u) * forced_on_absolute_values(plan, want[4])
+    else:
+        bound = 2.0 ** -ar.bits * (np.linalg.norm(f0) + size_P * math.sqrt(T * cost))
+    assert gap <= bound
 
 
 @pytest.mark.parametrize("ar", [arith.DOUBLE, arith.Mp(256)], ids=["double", "fixed"])
