@@ -15,9 +15,12 @@ definite: lambda_min = sigma_max(L^-1)^-2, cond =
 lambda_max / lambda_min, G^-1 b by two triangular solves.  Its error is
 normwise, so with u = 2^-(bits+16) Higham's Thm 10.7 bounds it by about
 20 d^{3/2} u ||G||, below the escalation floor 1e3 2^-bits lambda_max for d
-up to about 20,000.  Largest singular values and top eigenpairs are well
-conditioned, so they are read in double precision after an exact
-power-of-two rescale, to a few d eps.
+up to about 20,000.  L^-1 runs its integer substitution only as wide as its
+error account needs, prec + 2 bitlen(d) + 32 bits, which leaves every entry
+32 bits below its own rounding; a solve's error grows with cond(L), so it
+keeps 2 prec (:func:`_forward`).  Largest singular values and top
+eigenpairs are well conditioned, so they are read in double precision after
+an exact power-of-two rescale, to a few d eps.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ class Double:
 
 
 def _shift(x, s):
-    """x 2^-s rounded to integers (exact for s <= 0); x an int array or None."""
+    """x 2^-s rounded to integers (exact for s <= 0); x an int array or None,
+    or anything at s = 0, which returns x itself."""
     if x is None or s == 0:
         return x
     return x << -s if s < 0 else (x + (1 << (s - 1))) >> s
@@ -230,12 +234,18 @@ def fixed(x, prec):
     return Fx(rounded(x, -t), None, t, prec)
 
 
-def _forward(L, B):
+def _forward(L, B, up=None):
     """L^-1 B by forward substitution in integers, row by row, for L lower
-    triangular with a real positive diagonal and B lower trapezoidal (B[i,
-    j] = 0 for j > i: the identity or a column).  B is first raised by 2 prec
-    bits, so each rounded quotient errs by at most 2^-prec of its scale."""
-    up = 2 * B.prec
+    triangular with a real positive diagonal below 2^prec and B lower
+    trapezoidal (B[i, j] = 0 for j > i: the identity or a column).  B is
+    first raised by ``up`` bits, 2 prec unless given.  The rounded quotients
+    give L X^ = 2^up B + R with |R_ij| <= L_ii / 2, so for B the d x d
+    identity, held at 2^(prec-1), ||X^ - X||_2 = ||L^-1 R||_2 <= d 2^-up
+    ||X||_2, and each entry of X^ lies within d^2 2^-up of max|X|: ``up`` =
+    prec + 2 bitlen(d) + 32 (:meth:`Mp.inv_lower`) puts that 32 bits below
+    X's own rounding to prec bits.  A solve's relative error scales with
+    cond(L) 2^-up instead, so a column keeps 2 prec."""
+    up = 2 * B.prec if up is None else up
     rhs = [_shift(x, -up) for x in (B.re, B.im)]
     X = [np.zeros_like(rhs[0]), None if L.im is None and B.im is None else np.zeros_like(rhs[0])]
     for i in range(len(X[0])):
@@ -401,8 +411,9 @@ class Mp:
     def eye(self, d):  # from_np(np.eye(d)), built in integers
         return Fx(np.eye(d, dtype=object) << (self.prec - 1), None, 1 - self.prec, self.prec)
 
-    def inv_lower(self, L):
-        return _forward(L, self.eye(len(L.re)))
+    def inv_lower(self, L):  # each entry within 2^-(prec+32) of max|L^-1| before its rounding
+        d = len(L.re)
+        return _forward(L, self.eye(d), self.prec + 2 * d.bit_length() + 32)
 
     def lam_min(self, G, L=None):
         """lambda_min(G) by :meth:`lam_mins`, from G's factor L if given; None

@@ -253,8 +253,9 @@ def observability_constants(problem: ControlProblem, T_list, precision_bits=53) 
             for h in dict.fromkeys(T_list[i] / steps[i] for i in todo):
                 group = [i for i in todo if T_list[i] / steps[i] == h]
                 reads = {steps[i] for i in group}
-                _, chain, _, m = arith.taylor(ar, A, max(T_list[i] for i in group),
-                                              Q=Q, reads=reads)
+                with np.errstate(over="ignore", invalid="ignore"):  # _pencil refuses an overflow
+                    _, chain, _, m = arith.taylor(ar, A, max(T_list[i] for i in group),
+                                                  Q=Q, reads=reads)
                 for i in group:
                     reports[i] = _pencil(ar, problem, T_list[i], *chain[steps[i]], steps[i],
                                          m, bits == ladder[-1])
@@ -263,8 +264,15 @@ def observability_constants(problem: ControlProblem, T_list, precision_bits=53) 
 
 def _pencil(ar, problem, T, W, E_T, steps, m, last):
     """The report of horizon T from its Gramian W and E_T = e^{-TA}, or None
-    while W asks for the next precision, before the ``last``."""
+    while W asks for the next precision, before the ``last``.  A double chain
+    that left the double range is refused: no precision repairs its
+    2^k-fold doublings, as HUM's ``MAX_GRID`` refuses their grid.  In fixed
+    point L^-1 lies 32 bits below its own rounding (``arith.Mp.inv_lower``),
+    so X = L^-1 E_T and the extremal state carry their products' roundings."""
     A, piomega = problem.A, problem.piomega
+    if ar is arith.DOUBLE and not (np.isfinite(W).all() and np.isfinite(E_T).all()):
+        raise ContractViolation("the double Taylor chain over T ||A||_1 = %.6g is not finite"
+                                % (T * float(np.abs(A.matrix).sum(axis=0).max())))
     L = ar.cholesky(W)
     if not last and piomega.any() and (L is None or ar is arith.DOUBLE
                                        and not ar.cond(W) < COND_MAX):

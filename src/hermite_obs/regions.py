@@ -16,8 +16,9 @@ of phi_k and phi_k':
   ``a^dagger phi_k = sqrt(k + 1) phi_{k+1}`` and one integration by parts
   of ``a^dagger = (x - d/dx) / sqrt(2)``.
 
-The same formulas serve double precision and, with mpf boundary values and
-the pair work in Python ints, arbitrary precision, each to a derived bound.
+The same formulas serve double precision and, with the boundary
+recurrences and the pair work in Python ints, arbitrary precision, each to a
+derived bound.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ import hashlib
 import itertools
 import math
 
-import mpmath
 import numpy as np
-from mpmath.libmp import from_man_exp
 
 from . import arith, basis
 from .basis import ContractViolation
@@ -278,17 +277,22 @@ def interval_pair_tables(a, b, N, mp=None):
     precision, vectorized, and the result is ``(values, error_bounds)``, two
     (M, N+1, N+1) stacks whose bounds come from the rounding analysis below.
     With an mpmath context the result is ``(tables, exps)``, table i being
-    the Python ints ``tables[i]`` times 2^exps[i]: the O(N M) boundary values
-    and seeds are mpf at ``mp.prec + 64`` bits, from constants sqrt(2 / (k +
-    1)), sqrt(k / (k + 1)) and sqrt(k) each within 2^-(mp.prec + 64)
-    (:func:`_roots`), and are rounded once at the interval's scale 2^-s_i
-    (32 bits past ``mp.prec`` for the larger of its largest boundary value
-    and the root of its seed), and the Wronskian, the
-    division by 2 (j - k) and the ladder run in ints, exps[i] = -2 s_i.  With
-    A the largest |v|, |v'| in units 2^-s_i, each entry errs by at most
-    (N + 1) (3 A + 1) units 2^exps[i].  No table depends on its batch: every
-    entry sees the same operations in the same order, bit for bit, in chunks
-    of about 2^15 bound temporaries.
+    the Python ints ``tables[i]`` times 2^exps[i].  Only the O(M) values
+    phi_0, erf and erfc at the ends are mpf, at W = ``mp.prec + 64`` bits,
+    and pi^(-1/4) is taken once.  Each end's recurrence for phi_k and phi_k'
+    runs in ints at the scale 2^e of phi_0's W-bit mantissa, with the end at
+    2^-W and the constants sqrt(2 / (k + 1)), sqrt(k / (k + 1)), sqrt(k) and
+    sqrt(2) each below by less than 2^-W (:func:`_roots`), one rounding a
+    step: it errs by units of 2^e where an mpf recurrence at W bits errs by
+    units of its terms, and 2^e lies 32 bits below the interval's scale
+    2^-s_i (32 bits past ``mp.prec`` for the larger of its largest boundary
+    value and the root of its seed), as |phi_0| is at most that value.  One
+    shift per end then rounds the values to 2^-s_i, the seed is rounded at
+    2^-2s_i, and the Wronskian, the division by 2 (j - k) and the ladder run
+    in ints, exps[i] = -2 s_i.  With A the largest |v|, |v'| in units 2^-s_i,
+    each entry errs by at most (N + 1) (3 A + 1) units 2^exps[i].  No table
+    depends on its batch: every entry sees the same operations in the same
+    order, bit for bit, in chunks of about 2^15 bound temporaries.
     """
     ends = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)], axis=-1)
     shape = (len(ends), N + 1, N + 1)
@@ -303,67 +307,79 @@ def interval_pair_tables(a, b, N, mp=None):
     return out
 
 
-def _roots(ratios, mp):
-    """[sqrt(p / q) for (p, q) in ratios] as floats, or with an mpmath
-    context as mpf isqrt(p 4^W // q) 2^-W, W = mp.prec: each one integer
-    square root, below the root by less than 2^-W."""
-    if mp is None:
+def _roots(ratios, W):
+    """[sqrt(p / q) for (p, q) in ratios] as floats for W None, else as the
+    ints isqrt(p 4^W // q), each below the root times 2^W by less than 1."""
+    if W is None:
         return np.array([math.sqrt(p / q) for p, q in ratios])
-    W = mp.prec
-    return np.array([mp.make_mpf(from_man_exp(math.isqrt((p << 2 * W) // q), -W))
-                     for p, q in ratios], dtype=object)
+    return np.array([math.isqrt((p << 2 * W) // q) for p, q in ratios], dtype=object)
 
 
 @basis.frozen_cache
 def _root_rows(K, W):
-    """The pair tables' constants of order K by :func:`_roots` at W bits
-    (doubles for W None): c_k = sqrt(2 / (k + 1)) and d_k = sqrt(k / (k +
-    1)) for k < K, sqrt(k) for k <= K and sqrt(2), one row each.  A
+    """The pair tables' constants of order K by :func:`_roots`, ints at
+    2^-W (doubles for W None): c_k = sqrt(2 / (k + 1)) and d_k = sqrt(k / (k
+    + 1)) for k < K, sqrt(k) for k <= K and sqrt(2), one row each.  A
     read-only table of the process, one per (K, W)."""
     ratios = ([(2, k + 1) for k in range(K)], [(k, k + 1) for k in range(K)],
               [(k, 1) for k in range(K + 1)], [(2, 1)])
-    if W is None:
-        return tuple(_roots(r, None) for r in ratios)
-    with mpmath.workprec(W):
-        return tuple(_roots(r, mpmath.mp) for r in ratios)
+    return tuple(_roots(r, W) for r in ratios)
+
+
+def _boundary(x, K, mp, bits):
+    """(v, dv, seed, s, F) of the intervals ``x[i] = (a_i, b_i)``: v[k, i] =
+    (phi_k(a_i), phi_k(b_i)) for k <= K, dv[k, i] likewise phi_k' for k < K,
+    and the diagonal's seed I_0 = (erf(b) - erf(a)) / 2 from the pair F of
+    erf values, erfc when both ends share a sign so that far intervals keep
+    relative accuracy.  Floats with s None, or with an mpmath context ints,
+    v and dv at 2^-s_i and the seed at 2^-2s_i (:func:`interval_pair_tables`).
+    """
+    exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("exp", "erf", "erfc", "pi"))
+    num, dtype, div = (float, float, np.true_divide) if mp is None else (mp.mpf, object, arith._rdiv)
+    M, W = len(x), None if mp is None else mp.prec
+    c, d, root, sqrt2 = _root_rows(K, W)
+    v = np.empty((K + 1, M, 2), dtype=dtype)
+    F_lo, F_hi, sign = np.empty((3, M), dtype=dtype)
+    p = pi ** num(-0.25)
+    for i, (a, b) in enumerate(x if mp is None else np.frompyfunc(num, 1, 1)(x)):
+        v[0, i] = [p * exp(-t * t / 2) for t in (a, b)]
+        lo, hi = (a, b) if a + b >= 0 else (-b, -a)
+        F, sign[i] = (erfc, -1) if lo >= 0 else (erf, 1)
+        F_lo[i], F_hi[i] = F(lo), F(hi)
+    seed = sign * (F_hi - F_lo) / 2
+    fit = 0  # a step's rounding to v's scale: none in doubles
+    if mp is not None:  # phi_0 = m 2^e, m of W bits; x c_k and d_k at 2^-2W, one rounding a step
+        v[0], e = np.frompyfunc(lambda t: (t.man << W - t.bc, t.exp + t.bc - W), 1, 2)(v[0])
+        x, d, fit = arith.rounded(x, W), d << W, 2 * W
+    xc = x * c[:, None, None]
+    v[1] = arith._shift(xc[0] * v[0], fit)
+    for k in range(1, K):
+        v[k + 1] = arith._shift(xc[k] * v[k] - v[k - 1] * d[k], fit)
+    below = np.concatenate([v[:1] * 0, v[:K - 1]])
+    dv = div(root[:K, None, None] * below - root[1:, None, None] * v[1:], sqrt2[0])
+    if mp is None:
+        return v, dv, seed, None, (F_lo, F_hi)
+    top = (np.frompyfunc(int.bit_length, 1, 1)(np.abs(v).max(axis=0)) + e).max(axis=1)
+    s = np.array([bits - max(t, -(-mp.frexp(z)[1] // 2)) for t, z in zip(top, seed)], dtype=object)
+    r = -(e + s[:, None])  # at least W - bits, as |v| >= phi_0
+    v, dv = ((t + (1 << r - 1)) >> r for t in (v, dv))
+    return v, dv, arith.rounded(seed, 2 * s), s, (F_lo, F_hi)
 
 
 def _pair_tables(x, N, mp, bits):
     """``interval_pair_tables`` of the intervals ``x[i] = (a_i, b_i)``."""
-    exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("exp", "erf", "erfc", "pi"))
-    num, dtype, div = (float, float, np.true_divide) if mp is None else (mp.mpf, object, arith._rdiv)
+    dtype, div = (float, np.true_divide) if mp is None else (object, arith._rdiv)
     M, K = len(x), N + 1
-    x = x if mp is None else np.frompyfunc(num, 1, 1)(x)
-    c, d, root, sqrt2 = _root_rows(K, None if mp is None else mp.prec)
-    root = root[:, None, None]
-
-    # v[k, i] = (phi_k(a_i), phi_k(b_i)) for k <= N+1, dv[k, i] likewise phi_k' for k <= N;
-    # the diagonal's seed I_0 = (erf(b) - erf(a)) / 2 leans right and takes erfc when
-    # both ends share a sign, so that far intervals keep relative accuracy
-    v = np.empty((K + 1, M, 2), dtype=dtype)
-    F_lo, F_hi, sign = (np.empty(M, dtype=dtype) for _ in range(3))
-    for i, (a, b) in enumerate(x):
-        v[0, i] = [pi ** num(-0.25) * exp(-t * t / 2) for t in (a, b)]
-        lo, hi = (a, b) if a + b >= 0 else (-b, -a)
-        F, sign[i] = (erfc, -1) if lo >= 0 else (erf, 1)
-        F_lo[i], F_hi[i] = F(lo), F(hi)
-    xc = x * c[:, None, None]
-    v[1] = xc[0] * v[0]
-    for k in range(1, K):
-        v[k + 1] = xc[k] * v[k] - v[k - 1] * d[k]  # not d[k] * v: mpf would try converting v
-    below = np.concatenate([v[:1] * 0, v[:K - 1]])
-    dv = (root[:K] * below - root[1:] * v[1:]) / sqrt2[0]
-    seed = sign * (F_hi - F_lo) / 2
-    if mp is not None:  # v, dv at 2^-s_i, the seed at 2^-2s_i, c_k / 2 at 2^-bits
-        s = np.array([bits - max(mp.frexp(t)[1], -(-mp.frexp(z)[1] // 2))
-                      for t, z in zip(np.abs(v).max(axis=(0, 2)), seed)], dtype=object)
-        v, dv = (arith.rounded(t, s[:, None]) for t in (v, dv))
-        seed, half_c, num = arith.rounded(seed, 2 * s), arith.rounded(c[:N, None] / 2, bits), int
+    c, d, root, _ = _root_rows(K, None if mp is None else mp.prec)
+    v, dv, seed, s, (F_lo, F_hi) = _boundary(x, K, mp, bits)
+    if mp is not None:  # c_k / 2 at 2^-bits, ties to even
+        h = mp.prec + 1 - bits
+        half_c = (c[:N, None] + ((c[:N, None] >> h) & 1) + (1 << h - 1) - 1) >> h
 
     # off[., i] = [phi_j phi_k' - phi_j' phi_k]_{a_i}^{b_i} / (2 (j - k)) for j < k
     row, col = np.nonzero(np.arange(K)[:, None] < np.arange(K))
     wronskian = [v[row, :, e] * dv[col, :, e] - v[col, :, e] * dv[row, :, e] for e in (0, 1)]
-    den = np.array([num(-2 * m) for m in range(K)], dtype=dtype)[col - row, None]
+    den = (-2 * (col - row)[:, None]).astype(dtype)
     off = div(wronskian[1] - wronskian[0], den)
 
     # diagonal: I_{k+1} = I_k - (c_k / 2) [phi_k phi_{k+1}]_a^b from I_0
@@ -386,9 +402,9 @@ def _pair_tables(x, N, mp, bits):
     # where exp(-x^2/2) inherits the relative error u x^2/2 of x^2.  An
     # underflow adds at most half a subnormal step: the seed's share is
     # carried by T^-1, the rest by a floor of the smallest normal number.
-    eps = np.finfo(float).eps
-    tiny = np.finfo(float).smallest_subnormal
-    av = np.abs(v)
+    fi = np.finfo(float)
+    eps, tiny = fi.eps, fi.smallest_subnormal
+    av, xc, root = np.abs(v), x * c[:, None, None], root[:, None, None]
     G = np.zeros((K + 1, M, 2, K + 1))  # G[k, i, e, m] = (T^-1)[k, m] at end e of interval i
     G[np.arange(K + 1), :, :, np.arange(K + 1)] = 1.0
     G[1] += xc[0, :, :, None] * G[0]
@@ -399,16 +415,21 @@ def _pair_tables(x, N, mp, bits):
     Tv[2:] += d[1:, None, None] * av[:-2]
     r = 3 * eps * Tv + tiny
     r[0] = eps * (x * x / 4 + 3) * av[0] + tiny
-    rho = np.cumsum(np.abs(G) * r.transpose(1, 2, 0), axis=3)[..., -1]  # in order: no N in the bits
+    np.abs(G, out=G)
+    G *= r.transpose(1, 2, 0)
+    rho = np.cumsum(G, axis=3)[..., -1]  # in order: no N in the bits
     # phi_k' carries its terms' errors and 3 eps of their size; products of
     # perturbed factors obey |pq - p^q^| <= dp |q^| + (|p^| + dp) dq
-    sig = (root[:K] * (np.concatenate([rho[:1] * 0, rho[:K - 1]]) + 3 * eps * np.abs(below))
+    sig = (root[:K] * np.concatenate([rho[:1] * 0, rho[:K - 1] + 3 * eps * av[:K - 1]])
            + root[1:] * (rho[1:] + 3 * eps * av[1:])) / math.sqrt(2.0)
     adv = np.abs(dv)
     rho_j, av_j = rho[:K, None], av[:K, None]
-    S = (rho_j * adv + (av_j + rho_j) * sig + 2 * eps * av_j * adv).sum(axis=3)
-    err_B = (rho[:N] * av[1:K] + (av[:N] + rho[:N]) * rho[1:K]
-             + 2 * eps * av[:N] * av[1:K]).sum(axis=2)
+    S = rho_j * adv  # S[j, k, i] sums over the two ends: a + b, as .sum would add them
+    S += (av_j + rho_j) * sig
+    S += 2 * eps * av_j * adv
+    S = S[..., 0] + S[..., 1]
+    err_B = rho[:N] * av[1:K] + (av[:N] + rho[:N]) * rho[1:K] + 2 * eps * av[:N] * av[1:K]
+    err_B = err_B[..., 0] + err_B[..., 1]
     err_seed = 4 * eps * (np.abs(F_lo) + np.abs(F_hi)) + eps * np.abs(seed)  # erf, erfc to 8 ulp
     err_step = c[:N, None] / 2 * err_B + 2 * eps * np.abs(step) + eps * np.abs(diag[1:])
     errs = np.empty((M, K, K))
@@ -416,5 +437,6 @@ def _pair_tables(x, N, mp, bits):
         (S[row, col] + S[col, row]) / np.abs(den) + eps * np.abs(off)).T
     errs.reshape(M, -1)[:, ::K + 1] = (err_seed + np.concatenate(
         [np.zeros((1, M)), np.cumsum(err_step, axis=0)])).T
-    return vals, errs + np.finfo(float).tiny
+    errs += fi.tiny
+    return vals, errs
 

@@ -95,6 +95,10 @@ ENTRIES = [
      " --staircase --precision-bits 256 --seed 1 --out {out}", None),
     ("fx-constant-halfline8-512", "constant --region halfline --N 8 --precision-bits 512"
      " --out {out}", None),
+    ("fx-constant-halfspace14-2d", "constant --region halfspace:axis=0,c=1 --n 2 --N 14"
+     " --out {out}", None),
+    ("fx-constant-periodic8-2d-256", "constant --region periodic:L=1,gamma=0.5 --n 2 --N 8"
+     " --precision-bits 256 --out {out}", None),
     # the other subcommands
     ("basis", "basis --n 2 --N 3 --out {out}", None),
     ("gram", "gram --region halfline --n 1 --N 4 --out {out}", None),
@@ -199,6 +203,8 @@ ENTRIES = [
     ("contract-control-grid-kfp", "control --symbol kfp:a=1e300 --N 2", None),
     ("contract-symbol-kfp-huge", "symbol --symbol kfp:a=1e300", None),
     ("contract-observability-kfp-huge", "observability --symbol kfp:a=1e300 --N 2", None),
+    ("contract-observability-kfp-chain", "observability --symbol kfp:a=1e20 --N 2", None),
+    ("contract-observability-kfp-chain-far", "observability --symbol kfp:a=1e150 --N 2", None),
     ("contract-bounds-thick-n256", "bounds --variant thick --n 256 --N 4", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)

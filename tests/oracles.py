@@ -78,3 +78,21 @@ def thickness(region, L, m=4):
                                    - np.maximum(lows[:, None], grid), 0.0, None), axis=0))
              for lows, highs in region.axes]
     return float(math.prod(least)) / L**n
+
+
+def boundary_values_mp(ends, K, mp):
+    """phi_k (k <= K) and phi_k' (k < K) at the interval ends, an (M, 2)
+    float array, as mpf from the three-term recurrence run in mpf at
+    mp.prec, the constants correctly rounded: the recurrence the integer
+    pair tables replaced, kept as their oracle."""
+    x = np.frompyfunc(mp.mpf, 1, 1)(np.asarray(ends, dtype=float))
+    c = [mp.sqrt(mp.mpf(2) / (k + 1)) for k in range(K)]
+    d = [mp.sqrt(mp.mpf(k) / (k + 1)) for k in range(K)]
+    v = np.empty((K + 1,) + x.shape, dtype=object)
+    v[0] = mp.pi ** mp.mpf(-0.25) * np.frompyfunc(lambda t: mp.exp(-t * t / 2), 1, 1)(x)
+    v[1] = x * c[0] * v[0]
+    for k in range(1, K):
+        v[k + 1] = x * c[k] * v[k] - v[k - 1] * d[k]
+    dv = np.array([(mp.sqrt(k) * v[k - 1] if k else 0 * v[0]) - mp.sqrt(k + 1) * v[k + 1]
+                   for k in range(K)]) / mp.sqrt(2)
+    return v, dv

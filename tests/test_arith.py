@@ -132,6 +132,35 @@ def test_inv_lower_and_cond_match_dense_routines():
         assert ar.cond(-W) == float("inf")
 
 
+@pytest.mark.parametrize("case", ["ball48-512", "halfline32-256", "halfspace14-2d-256",
+                                  "hermitian-256"])
+def test_inv_lower_at_its_bound_matches_the_wide_route(case):
+    # raised by prec + 2 bitlen(d) + 32 bits, not 2 prec, every entry of L^-1
+    # lies 32 bits below its rounding from the exact one: it is the wide
+    # route's entry or one unit 2^exp (2^-prec of max|X| to a factor 2) away,
+    # and sigma_max of the whole and of a leading block reads the same double
+    bits = int(case.rsplit("-", 1)[1])
+    ar = arith.Mp(bits)
+    with mp.workprec(bits + 16):
+        if case.startswith("hermitian"):
+            G = ar.from_np(hermitian(np.random.default_rng(35), 12, 0.25))
+        else:
+            region = {"ball48-512": ball(48), "halfline32-256": rg.half_line(
+                rg.truncate_radius(32, 1) + 1), "halfspace14-2d-256": rg.half_space(
+                2, 0, 1.0, rg.truncate_radius(14, 2))}[case]
+            G = gram.gram_matrix_mp(region, int(case.split("-")[0][-2:]))
+        L = ar.cholesky(G)
+        d = len(L.re)
+        X, wide = ar.inv_lower(L), arith._forward(L, ar.eye(d))
+    assert X.exp == wide.exp and (X.im is None) == (wide.im is None) == (G.im is None)
+    for x, y in zip((X.re, X.im), (wide.re, wide.im)):
+        if x is not None:
+            assert max(abs(int(a) - int(b)) for a, b in zip(x.flat, y.flat)) <= 1
+    for s in (d, d // 2):
+        (Y, e), (Z, f) = ar._unit(X[:s, :s]), ar._unit(wide[:s, :s])
+        assert e == f and np.linalg.norm(Y, 2) == np.linalg.norm(Z, 2)
+
+
 def test_double_inv_lower_is_exactly_lower_triangular():
     # the Cholesky factor of the KFP N=6 observability Gramian (dim 28)
     kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix

@@ -272,7 +272,7 @@ PROCESS_TABLES = {
     "estimates.gauss_hermite": lambda: estimates.gauss_hermite(5),
     "quadrature._X, _W": lambda: (quadrature._X, quadrature._W),
     "regions._root_rows double": lambda: regions._root_rows(4, None),
-    "regions._root_rows mpf": lambda: regions._root_rows(4, 300),
+    "regions._root_rows int": lambda: regions._root_rows(4, 300),
     "verify._linspace": lambda: (verify._linspace(0.0, 1.0, 5),),
     "verify._leggauss": lambda: verify._leggauss(4),
 }

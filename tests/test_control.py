@@ -437,6 +437,17 @@ def forced_on_absolute_values(plan, lam):
     return np.linalg.norm(total)
 
 
+def cost_on_absolute_values(plan, lam):
+    """sum_o w_o || |out_o| |V| ||_F^2: the cost of a double-precision HUM
+    plan from the absolute values of its samples' factors, the columns of V
+    v_j = e^{-jhA^H} lam as HUM steps them."""
+    vs = [lam]
+    while len(vs) < plan.steps:
+        vs.append(plan.E_ctl_H @ vs[-1])
+    V = np.abs(np.column_stack(vs))
+    return sum(wt * np.linalg.norm(np.abs(U) @ V) ** 2 for wt, U in zip(plan.weights, plan.out))
+
+
 @pytest.mark.parametrize("case", ["harmonic-6", "kfp-4", "harmonic-6:double", "kfp-4:double"])
 def test_stacked_hum_equals_the_per_node_loop(case):
     # one product per grid node over all steps sums in another order than the
@@ -446,7 +457,19 @@ def test_stacked_hum_equals_the_per_node_loop(case):
     # contraction), the fixed-point state to 2^-bits against ||f0|| + ||P||
     # sqrt(T cost), which bounds ||E_T f0|| plus sum w ||e^{-sA} P u(s)||.
     # KFP's lam is of order 1e5: its samples and forced response cancel by
-    # two to three orders.  The cost is a sum of squares, good to 1e-15.
+    # two to three orders.
+    # The cost sum_o w_o sum_j ||u_oj||^2 is a float sum in both backends:
+    # G steps squared norms of length-d samples.  On one side a term w |u_i|^2
+    # meets at most 2d roundings in its norm's sum of squares (2d steps on
+    # the stacked side, one norm per offset), three in the root, the square
+    # and the weight, and G steps in the sum over the grid nodes (G on the
+    # stacked side): m_s = 2d steps + G steps + 3.  In double each sample
+    # entry also errs by gamma_2d a_i in its real and imaginary parts, a =
+    # |out_o| |v_j|, so |u_i|^2 by at most 3 gamma_2d a_i^2 <= gamma_6d a_i^2.
+    # With C_abs = sum_o w_o || |out_o| |V| ||_F^2 >= cost, each side is
+    # within gamma_{m_s + 6d} C_abs of the exact cost, the two sides within
+    # twice that.  In fixed point the norms are exact to 2^-bits before their
+    # rounding to double: m = G steps + 3 against the cost itself.
     # In double both sides add the same terms of the forced response from
     # the same stored factors (e^{-TA} f0 is one identical mat-vec), only in
     # other orders.  A complex inner product of length d rounds as 2d real
@@ -476,13 +499,15 @@ def test_stacked_hum_equals_the_per_node_loop(case):
         gap = ar.norm(state - want[3])
     unit_sample = 1e-14 if double else 2.0 ** -ar.bits
     assert flag == "ok" and steps > 1
-    assert times == want[0] and abs(cost - want[2]) <= 1e-15 * want[2]
+    d, u, G = len(A), 2.0 ** -53, ct.GRID_ORDER
+    m = G * steps + 3 + (2 * d * steps + 6 * d if double else 0)
+    sized = cost_on_absolute_values(plan, want[4]) if double else want[2]
+    assert times == want[0] and abs(cost - want[2]) <= 2 * m * u / (1 - m * u) * sized
     loop, size_P = np.array(want[1]), np.linalg.norm(P, 2)
     assert samples.shape == loop.shape == (len(times), len(A))
     assert np.abs(samples - loop).max() <= unit_sample * size_P * ar.norm(want[4])
     if double:
-        d, u = len(A), 2.0 ** -53
-        m = 4 * d + ct.GRID_ORDER - 1 + (steps - 1) * (2 * d + 1)
+        m = 4 * d + G - 1 + (steps - 1) * (2 * d + 1)
         bound = 2 * m * u / (1 - m * u) * forced_on_absolute_values(plan, want[4])
     else:
         bound = 2.0 ** -ar.bits * (np.linalg.norm(f0) + size_P * math.sqrt(T * cost))
@@ -699,6 +724,21 @@ class TestPlan:
                 with pytest.raises(ContractViolation, match="above MAX_GRID"):
                     call()
             assert prob.plans == {}
+
+    @pytest.mark.parametrize("a", [1e20, 1e150])
+    def test_observability_refuses_a_double_chain_past_the_double_range(self, a):
+        # T ||A||_1 of 1.9e20 (1.9e150) doubles the Taylor chain 68 (500)
+        # times: W and e^{-TA} leave the double range, and a NaN W would
+        # factor into NaN.  The horizon is refused, naming T ||A||_1, with no
+        # warning; a = 1e8 still resolves
+        A = qd.weyl_quantize(qd.kfp_symbol(a), 2)
+        prob = ct.ControlProblem(A, np.eye(A.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match=r"T \|\|A\|\|_1 = .* is not finite"):
+                ct.observability_constant(prob, 1.0)
+        assert ct.observability_constant(ct.ControlProblem(
+            qd.weyl_quantize(qd.kfp_symbol(1e8), 2), np.eye(A.size)), 1.0).flag == "ok"
 
     def test_grid_budget_is_inclusive(self, monkeypatch):
         # a grid of exactly MAX_GRID samples is built, one sample more is not

@@ -1,14 +1,15 @@
 import hashlib
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from hermite_obs import basis, regions as rg
+from hermite_obs import arith, basis, regions as rg
 from hermite_obs.basis import ContractViolation
 from hermite_obs.quadrature import composite_gauss_legendre
-from oracles import thickness
+from oracles import boundary_values_mp, thickness
 
 
 class TestGenerators:
@@ -456,17 +457,60 @@ def test_integer_tables_within_two_units_of_mpf(N):
             assert err <= 2 * mpmath.ldexp(top, -prec)
 
 
+# ends of every size for the recurrence: 0, +-40, and ends the integer
+# recurrence holds at 2^-W with fewer than 53 bits, or not at all (W = 336)
+TINY_INTERVALS = [(1e-300, 1e-200), (-5e-324, 5e-324), (-1e-90, 1e-88), (0.0, 2.0**-300)]
+
+
+@pytest.mark.parametrize("prec, N", [(272, 8), (272, 64), (1100, 8), (1100, 64)])
+def test_integer_boundary_values_equal_the_rounded_mpf_recurrence(prec, N):
+    # the recurrence in ints at phi_0's scale, rounded once per step and once
+    # per end, gives the mpf recurrence's values rounded at 2^-s_i, bit for bit
+    ends = np.array(MIXED_INTERVALS + TINY_INTERVALS)
+    with mpmath.workprec(prec + 64):  # as interval_pair_tables runs at prec
+        v, dv, seed, s, _ = rg._boundary(ends, N + 1, mpmath.mp, prec + 32)
+        ref_v, ref_dv = boundary_values_mp(ends, N + 1, mpmath.mp)
+    assert all(type(t) is int for t in itertools.chain(v.flat, dv.flat))
+    assert v.tolist() == arith.rounded(ref_v, s[:, None]).tolist()
+    assert dv.tolist() == arith.rounded(ref_dv, s[:, None]).tolist()
+    assert not v[1::2, 10].any() and not dv[::2, 10].any()  # odd phi_k and even phi_k' vanish at 0
+
+
+def test_integer_tables_take_o_of_m_mpf_operations(monkeypatch):
+    # only phi_0, erf and erfc at the ends are mpf, and pi^(-1/4) is taken once:
+    # the count of mpf operations does not grow with the degree
+    calls = []
+    mpf = type(mpmath.mp.mpf(1))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__abs__"):
+        real = getattr(mpf, name)
+        monkeypatch.setattr(mpf, name, lambda *args, real=real: calls.append(1) or real(*args))
+    for name in ("exp", "erf", "erfc", "sqrt", "frexp", "ldexp"):
+        real = getattr(mpmath.mp, name)
+        monkeypatch.setattr(mpmath.mp, name,
+                            lambda *args, real=real: calls.append(1) or real(*args))
+    ends = np.array(MIXED_INTERVALS)
+    counts = []
+    for N in (8, 64):
+        with mpmath.workprec(272):
+            rg.interval_pair_tables(*ends.T, N, mpmath.mp)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1] <= 20 * len(ends)
+
+
 @pytest.mark.parametrize("prec", [53, 336, 1100])
 def test_integer_root_constants_within_one_unit(prec):
     # sqrt(2 / (k + 1)), sqrt(k / (k + 1)) and sqrt(k) from integer square
-    # roots lie below mpmath's roots at twice the bits by less than 2^-prec
+    # roots, read at 2^-prec, lie below mpmath's roots at twice the bits by
+    # less than 2^-prec
     ratios = [(2, k + 1) for k in range(65)] + [(k, k + 1) for k in range(65)] + [
         (k, 1) for k in range(66)]
-    with mpmath.workprec(prec):
-        roots = rg._roots(ratios, mpmath.mp)
+    roots = rg._roots(ratios, prec)
+    assert all(type(r) is int for r in roots)
     with mpmath.workprec(2 * prec):
         for (p, q), r in zip(ratios, roots):
-            gap = mpmath.ldexp(mpmath.sqrt(mpmath.mpf(p) / q) - r, prec)
+            gap = mpmath.ldexp(mpmath.sqrt(mpmath.mpf(p) / q), prec) - r
             assert 0 <= gap < 1
     assert rg._roots(ratios, None).tolist() == [math.sqrt(p / q) for p, q in ratios]
 
