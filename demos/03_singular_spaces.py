@@ -40,6 +40,3 @@ for label, sym in examples.items():
         print(" ", S.basis.T)
         print("  no hypoelliptic smoothing in those directions")
 
-# cross-check the floating-point kernels against exact rational elimination
-k0, kernel = qd.singular_space_exact(qd.kfp_symbol(1.0))
-print("\nExact rational cross-check for KFP: k_0 =", k0, ", kernel =", kernel)

@@ -409,7 +409,6 @@ def _run_command(args):
             "singular_dims": list(S.dims),
             "k0": S.k0,
             "singular_space_trivial": S.basis.shape[1] == 0,
-            "tolerance_sensitive": S.tolerance_sensitive,
             "accretive": sym.real_part_psd,
         }
 

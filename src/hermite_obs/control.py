@@ -429,7 +429,7 @@ class BlowupStudy:
     rows: list                   # dicts: T, C_T, c_log, precision_bits, method, flag,
                                  # subintervals, taylor_degree
     fits: dict                   # exponent -> {slope, intercept, r2, ssr}
-    k0: int
+    k0: Optional[int]            # None when the symbol's singular space is not trivial
     excluded: list = field(default_factory=list)
 
 
@@ -437,10 +437,10 @@ def cost_blowup_study(problem: ControlProblem, T_list, precision_bits=53) -> Blo
     """Observability constants over shrinking horizons and blowup-shape fits.
 
     Fits log C_T against T^(-(2 k0 + 1)) (the dissipation-matched shape), k0
-    the index of A's symbol (0 when its singular space is not trivial), and
-    against T^(-1) for model comparison, given at least three usable
-    horizons; horizons whose pencil hit the precision ceiling are excluded
-    from fits and listed.
+    the index of A's symbol, and against T^(-1) for model comparison, given
+    at least three usable horizons; a symbol whose singular space is not
+    trivial has no k0 (None) and gets only the T^(-1) fit.  Horizons whose
+    pencil hit the precision ceiling are excluded from fits and listed.
 
     The fits are a comparison, not a law expected at fixed N.  For an
     accretive generator the adjoint flow does not grow in norm, so
@@ -453,7 +453,7 @@ def cost_blowup_study(problem: ControlProblem, T_list, precision_bits=53) -> Blo
     _check_horizons(*T_list)
     if any(b >= a for a, b in zip(T_list, T_list[1:])):
         raise ContractViolation("T_list must be strictly decreasing")
-    k0 = singular_space(hamilton_map(problem.A.symbol)).k0 or 0
+    k0 = singular_space(hamilton_map(problem.A.symbol)).k0
     rows = [{"T": rep.T, "C_T": rep.c_value, "c_log": rep.c_log,
              "precision_bits": rep.precision_bits, "method": rep.method, "flag": rep.flag,
              "subintervals": rep.subintervals, "taylor_degree": rep.taylor_degree}
@@ -461,7 +461,7 @@ def cost_blowup_study(problem: ControlProblem, T_list, precision_bits=53) -> Blo
     excluded = [row["T"] for row in rows if row["flag"] != "ok"]
     fits = {}
     usable = [r for r in rows if r["flag"] == "ok"]
-    exponents = sorted({1, 2 * k0 + 1})
+    exponents = [1] if k0 is None else sorted({1, 2 * k0 + 1})
     if len(usable) >= 3:
         y = np.array([r["c_log"] for r in usable])
         for p in exponents:

@@ -7,13 +7,14 @@ Hamilton map F is the unique matrix with q(X, Y) = sigma(X, F Y) for the
 standard symplectic form sigma; concretely F = -J Q with J the symplectic
 unit.  The singular space is the real intersection of the kernels of
 Re F (Im F)^j for j = 0 .. 2n-1, and k_0 is the first j at which the
-intersection becomes trivial.
+intersection becomes trivial.  Both are decided exactly, by integer
+elimination on the stored entries of F: no rank tolerance enters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -53,6 +54,8 @@ class QuadraticSymbol:
         Q = np.asarray(self.Q, dtype=complex)
         if Q.shape != (2 * self.n, 2 * self.n):
             raise ContractViolation("Q must be 2n x 2n")
+        if not np.isfinite(Q).all():
+            raise ContractViolation("Q must be finite")
         if np.max(np.abs(Q - Q.T)) > 1e-14 * max(np.max(np.abs(Q)), 1.0):
             raise ContractViolation("Q must be symmetric")
         Q = 0.5 * (Q + Q.T)
@@ -146,152 +149,79 @@ def hamilton_map(sym: QuadraticSymbol) -> HamiltonMap:
 
 @dataclass(frozen=True)
 class SingularSpace:
-    """Orthonormal basis of S, the trivializing index k_0, and diagnostics.
-
-    ``k0`` is None when the kernel intersection never becomes trivial (then
-    the basis is nonempty).  ``tolerance_sensitive`` marks rank decisions
-    within a factor 10 of the threshold; ``alternative_dims`` then reports
-    the kernel dimensions obtained with the threshold divided and multiplied
-    by 10.
-    """
+    """Orthonormal basis of S, the trivializing index k_0 (None when the
+    intersection never becomes trivial; then the basis is nonempty), and
+    dims[j] = dim cap_{l<=j} Ker[Re F (Im F)^l], j = 0 .. 2n-1, which never
+    increase."""
 
     basis: np.ndarray
     k0: Optional[int]
     dims: tuple
-    tolerance_sensitive: bool = False
-    alternative_dims: tuple = ()
 
 
-def _kernel_dims_for_tol(svals_per_stack, tol):
-    return tuple(int(np.sum(s <= tol)) for s in svals_per_stack)
+def _integer_matrix(M):
+    """M times the power of two that clears the denominators of its floats
+    (dyadic rationals all), as rows of Python ints."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in M.tolist()]
+    den = max(d for row in ratios for _, d in row)
+    return [[p * (den // d) for p, d in row] for row in ratios]
+
+
+def _primitive(row):
+    """The int row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def singular_space(H: HamiltonMap) -> SingularSpace:
-    """Kernel intersection S = cap_j Ker[Re F (Im F)^j] over j = 0..2n-1.
+    """Kernel intersection S = cap_j Ker[Re F (Im F)^j] over j = 0..2n-1,
+    decided exactly.
 
-    The intersection is computed through singular values of the stacked
-    matrices [Re F; Re F Im F; ...]; singular values at most the rank
-    tolerance, 1e-10 times the largest singular value of the full stack,
-    count as kernel directions.  Rank decisions within a factor 10
-    of the tolerance are flagged and both candidate answers are reported.
-    A map whose stacked powers pass the double range is refused before any
-    singular value is taken.
+    F = -J Q only moves and negates entries of Q, so Re F and Im F are
+    stored floats; a power of two each makes them integer matrices R and I.
+    The rows of each block R I^j are reduced against those kept so far by
+    fraction-free Gauss-Jordan elimination in Python ints, up to the first j
+    of full rank or the first that adds none (the j-th intersection is
+    Ker Re F cut with the Im F-preimage of the one before, so it stays put
+    from there).  The answer is the rank of the stored floats; the command
+    line's symbols owe their zeros to structure, not to cancellation between
+    rounded entries.  A nontrivial kernel is read off the reduced rows, each
+    vector scaled by its largest entry, and orthonormalized in double.
     """
-    n = H.n
-    two_n = 2 * n
-    re, im = H.re, H.im
-    blocks = []
-    power = np.eye(two_n)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for _ in range(two_n):
-            blocks.append(re @ power)
-            power = power @ im
-    if not np.isfinite(blocks).all():
-        raise ContractViolation("the Hamilton map's powers Re F (Im F)^j, j < %d, pass the double"
-                                " range: the symbol is too large for its singular space" % two_n)
-    svals_per_stack = []
+    two_n = 2 * H.n
+    R, I = _integer_matrix(H.re), _integer_matrix(H.im)
+    kept = {}                                     # pivot column -> reduced row
+    dims, block = [], R
     for j in range(two_n):
-        stack = np.vstack(blocks[:j + 1])
-        svals = np.linalg.svd(stack, compute_uv=False)
-        svals = np.concatenate([svals, np.zeros(max(0, two_n - len(svals)))])
-        svals_per_stack.append(np.sort(svals))
-    rank_tol = 1e-10 * max(float(svals_per_stack[-1][-1]), 1e-300)
-
-    dims = _kernel_dims_for_tol(svals_per_stack, rank_tol)
-    sensitive = any(
-        rank_tol / 10.0 < s < rank_tol * 10.0
-        for svals in svals_per_stack
-        for s in svals
-    )
-    alt = ()
-    if sensitive:
-        alt = (
-            _kernel_dims_for_tol(svals_per_stack, rank_tol / 10.0),
-            _kernel_dims_for_tol(svals_per_stack, rank_tol * 10.0),
-        )
-
-    k0 = next((j for j, d in enumerate(dims) if d == 0), None)
-    _, s, Vt = np.linalg.svd(stack)
-    s = np.concatenate([s, np.zeros(max(0, two_n - len(s)))])
-    kernel_basis = Vt[s <= rank_tol].T if dims[-1] > 0 else np.zeros((two_n, 0))
-    kernel_basis = np.ascontiguousarray(kernel_basis)
-    return SingularSpace(kernel_basis, k0, dims, sensitive, alt)
-
-
-def _fraction_kernel(rows):
-    """Exact kernel basis of a matrix with Fraction entries (row echelon)."""
-    rows = [list(r) for r in rows]
-    cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        for row in block:
+            for c, piv in kept.items():
+                if row[c]:
+                    row = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
+            lead = next((c for c, x in enumerate(row) if x), None)
+            if lead is None:
+                continue
+            row = _primitive(row)
+            for c, piv in kept.items():           # keep every row zero at the other pivots
+                if piv[lead]:
+                    kept[c] = _primitive([row[lead] * x - piv[lead] * y for x, y in zip(piv, row)])
+            kept[lead] = row
+        dims.append(two_n - len(kept))
+        if not dims[-1] or dims[-2:] == dims[-1:] * 2:
             break
-    free = [c for c in range(cols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        kernel.append(vec)
-    return kernel
-
-
-def singular_space_exact(sym: QuadraticSymbol):
-    """Exact-rational singular space for symbols with rational entries.
-
-    Returns (k0, kernel_basis) with Fractions throughout; used as the oracle
-    for the floating-point kernel computation.
-    """
-
-    def to_frac(x):
-        return Fraction(x).limit_denominator(10**12)
-
-    n = sym.n
-    two_n = 2 * n
-    J = [[Fraction(0)] * two_n for _ in range(two_n)]
-    for i in range(n):
-        J[i][n + i] = Fraction(-1)
-        J[n + i][i] = Fraction(1)
-    Qre = [[to_frac(sym.Q[i, j].real) for j in range(two_n)] for i in range(two_n)]
-    Qim = [[to_frac(sym.Q[i, j].imag) for j in range(two_n)] for i in range(two_n)]
-
-    def matmul(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(two_n)) for j in range(two_n)]
-            for i in range(two_n)
-        ]
-
-    def neg(A):
-        return [[-v for v in row] for row in A]
-
-    re_F = neg(matmul(J, Qre))
-    im_F = neg(matmul(J, Qim))
-
-    stacked = []
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(two_n)] for i in range(two_n)]
-    k0 = None
-    kernel = None
-    for j in range(two_n):
-        stacked.extend(matmul(re_F, power))
-        power = matmul(power, im_F)
-        kernel = _fraction_kernel(stacked)
-        if not kernel and k0 is None:
-            k0 = j
-    return k0, kernel
+        block = [[sum(x * y for x, y in zip(r, col)) for col in zip(*I)] for r in block]
+    k0 = j if not dims[-1] else None
+    dims += dims[-1:] * (two_n - len(dims))
+    scale = math.lcm(*(piv[c] for c, piv in kept.items()))
+    vectors = []
+    for free in (c for c in range(two_n) if c not in kept):
+        v = [0] * two_n
+        v[free] = scale
+        for c, piv in kept.items():
+            v[c] = -piv[free] * scale // piv[c]
+        top = max(map(abs, v))
+        vectors.append([x / top for x in v])
+    basis = np.linalg.qr(np.array(vectors).T)[0] if vectors else np.zeros((two_n, 0))
+    return SingularSpace(np.ascontiguousarray(basis), k0, tuple(dims))
 
 
 # -- Weyl quantization and Galerkin semigroup -----------------------------------

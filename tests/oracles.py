@@ -2,6 +2,7 @@
 whose results they check."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +57,83 @@ def harmonic_full_space_ct(n, N, T):
     """
     return max(2.0 * lam * math.exp(-2.0 * lam * T) / -math.expm1(-2.0 * lam * T)
                for lam in (2.0 * k + n for k in range(N + 1)))
+
+
+def _fraction_kernel(rows):
+    """Exact kernel basis of a matrix with Fraction entries (row echelon)."""
+    rows = [list(r) for r in rows]
+    cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1, 1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    kernel = []
+    for fc in free:
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rows[i][fc]
+        kernel.append(vec)
+    return kernel
+
+
+def singular_space_exact(sym):
+    """Singular space of a symbol's stored floats in exact rationals.
+
+    Fraction(x) of a float is exact.  The Hamilton map F = -J Q is formed
+    with Fraction products, and every stack [Re F; Re F Im F; ...] up to
+    j = 2n-1 gets its kernel by Gauss-Jordan elimination.  Returns
+    (k0, dims, kernel) with the last stack's kernel basis in Fractions: the
+    oracle for the integer elimination of ``quadratic.singular_space``.
+    """
+    n = sym.n
+    two_n = 2 * n
+    J = [[Fraction(0)] * two_n for _ in range(two_n)]
+    for i in range(n):
+        J[i][n + i] = Fraction(-1)
+        J[n + i][i] = Fraction(1)
+    Qre = [[Fraction(sym.Q[i, j].real) for j in range(two_n)] for i in range(two_n)]
+    Qim = [[Fraction(sym.Q[i, j].imag) for j in range(two_n)] for i in range(two_n)]
+
+    def matmul(A, B):
+        return [
+            [sum(A[i][k] * B[k][j] for k in range(two_n)) for j in range(two_n)]
+            for i in range(two_n)
+        ]
+
+    def neg(A):
+        return [[-v for v in row] for row in A]
+
+    re_F = neg(matmul(J, Qre))
+    im_F = neg(matmul(J, Qim))
+
+    stacked = []
+    power = [[Fraction(1) if i == j else Fraction(0) for j in range(two_n)] for i in range(two_n)]
+    k0 = None
+    dims = []
+    kernel = None
+    for j in range(two_n):
+        stacked.extend(matmul(re_F, power))
+        power = matmul(power, im_F)
+        kernel = _fraction_kernel(stacked)
+        dims.append(len(kernel))
+        if not kernel and k0 is None:
+            k0 = j
+    return k0, tuple(dims), kernel
 
 
 def thickness(region, L, m=4):

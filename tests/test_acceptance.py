@@ -12,6 +12,7 @@ import pytest
 
 from hermite_obs import basis, cli, control as ct, estimates as est, gram
 from hermite_obs import quadratic as qd, regions as rg, verify
+from oracles import singular_space_exact
 
 MASTER_SEED = 7
 
@@ -152,7 +153,7 @@ def test_c06_singular_spaces():
 
     kfp = qd.kfp_symbol(1.0)
     S_kfp = qd.singular_space(qd.hamilton_map(kfp))
-    k0_exact, kernel_exact = qd.singular_space_exact(kfp)
+    k0_exact, _, kernel_exact = singular_space_exact(kfp)
     assert S_kfp.k0 == 1 and S_kfp.basis.shape[1] == 0
     assert k0_exact == 1 and kernel_exact == []
 

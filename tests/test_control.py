@@ -792,6 +792,15 @@ class TestBlowup:
         assert fit["slope"] > 0
         assert fit["r2"] >= 0.9
 
+    @pytest.mark.parametrize("a, k0, exponents", [(1e6, 1, [1, 3]), (0.0, None, [1])])
+    def test_symbol_index_sets_the_fitted_exponents(self, a, k0, exponents):
+        # KFP has k0 = 1 at any coupling a != 0, however unbalanced; without
+        # coupling its singular space is not trivial: no k0, only the T^-1 fit
+        A = qd.weyl_quantize(qd.kfp_symbol(a), 2)
+        study = ct.cost_blowup_study(ct.ControlProblem(A, np.eye(A.size)), [1.0, 0.5, 0.25])
+        assert not study.excluded
+        assert study.k0 == k0 and sorted(study.fits) == exponents
+
     def test_requires_decreasing_horizons(self):
         A = qd.weyl_quantize(qd.harmonic_symbol(1), 4)
         with pytest.raises(ContractViolation):

@@ -7,7 +7,7 @@ import pytest
 
 from hermite_obs import basis, quadratic as qd
 from hermite_obs.basis import ContractViolation
-from oracles import momentum_matrix, position_matrix
+from oracles import momentum_matrix, position_matrix, singular_space_exact
 
 
 class TestHamiltonMap:
@@ -46,6 +46,14 @@ class TestHamiltonMap:
         with pytest.raises(ContractViolation):
             qd.QuadraticSymbol(1, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="finite"):
+            qd.QuadraticSymbol(1, np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+FREE_LAPLACIAN = qd.QuadraticSymbol(1, np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex))
+
 
 class TestSingularSpace:
     def test_harmonic_trivial_at_zero(self):
@@ -53,46 +61,95 @@ class TestSingularSpace:
         assert S.k0 == 0
         assert S.basis.shape[1] == 0
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_harmonic_index_zero_in_every_dimension(self, n):
+        S = qd.singular_space(qd.hamilton_map(qd.harmonic_symbol(n)))
+        assert S.k0 == 0 and S.dims == (0,) * (2 * n) and S.basis.shape == (2 * n, 0)
+
     def test_kfp_trivial_at_one(self):
         S = qd.singular_space(qd.hamilton_map(qd.kfp_symbol(1.0)))
         assert S.k0 == 1
-        assert S.dims[0] == 2 and S.dims[1] == 0
+        assert S.dims == (2, 0, 0, 0)
         assert S.basis.shape[1] == 0
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-13, 1e6, 1e20, 1e160, 1e300])
+    def test_kfp_index_one_at_every_coupling(self, a):
+        # unbalanced entries (a next to 1/4) leave the exact rank untouched,
+        # with no warning from entries past the double range
+        sym = qd.kfp_symbol(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = qd.singular_space(qd.hamilton_map(sym))
+        k0, dims, kernel = singular_space_exact(sym)
+        assert S.k0 == k0 == 1 and kernel == []
+        assert S.dims == dims
+        assert S.basis.shape == (4, 0)
+
     def test_kfp_exact_rational_oracle(self):
-        k0, kernel = qd.singular_space_exact(qd.kfp_symbol(1.0))
-        assert k0 == 1 and kernel == []
-        k0h, kernelh = qd.singular_space_exact(qd.harmonic_symbol(2))
-        assert k0h == 0 and kernelh == []
+        k0, dims, kernel = singular_space_exact(qd.kfp_symbol(1.0))
+        assert k0 == 1 and dims == (2, 0, 0, 0) and kernel == []
+        k0h, dimsh, kernelh = singular_space_exact(qd.harmonic_symbol(2))
+        assert k0h == 0 and dimsh == (0, 0, 0, 0) and kernelh == []
 
     def test_free_laplacian_nontrivial(self):
-        free = qd.QuadraticSymbol(1, np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex))
-        S = qd.singular_space(qd.hamilton_map(free))
+        S = qd.singular_space(qd.hamilton_map(FREE_LAPLACIAN))
         assert S.k0 is None
         assert S.basis.shape[1] == 1
         v = S.basis[:, 0]
         assert abs(abs(v[0]) - 1.0) < 1e-12 and abs(v[1]) < 1e-12
-        k0x, kernel = qd.singular_space_exact(free)
-        assert k0x is None and len(kernel) == 1
+        k0x, dims, kernel = singular_space_exact(FREE_LAPLACIAN)
+        assert k0x is None and len(kernel) == 1 and S.dims == dims
 
-    def test_rank_decision_near_threshold_is_flagged(self):
-        # a singular value within a factor 10 of the rank tolerance must be
-        # surfaced, with the kernel dimensions under both candidate thresholds
-        eps = 3e-10
-        sym = qd.QuadraticSymbol(1, np.array([[eps, 0.0], [0.0, 1.0]], dtype=complex))
+    def test_kfp_without_coupling_nontrivial(self):
+        # a = 0: Im F never carries the position x into the dissipative v
+        sym = qd.kfp_symbol(0.0)
         S = qd.singular_space(qd.hamilton_map(sym))
-        assert S.tolerance_sensitive
-        assert len(S.alternative_dims) == 2
-        assert S.alternative_dims[0] != S.alternative_dims[1]
+        k0, dims, kernel = singular_space_exact(sym)
+        assert S.k0 is None and k0 is None
+        assert S.dims == dims == (2, 1, 1, 1)
+        assert S.basis.shape == (4, 1) and len(kernel) == 1
+        assert np.allclose(np.abs(S.basis[:, 0]), [1, 0, 0, 0], rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("a", [1e160, 1e300])
-    def test_powers_past_the_double_range_are_refused(self, a):
-        # Re F (Im F)^3 of the KFP map grows like a^3 / 32: past 1e308 it is
-        # refused before any singular value is taken, with no warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ContractViolation, match="pass the double range"):
-                qd.singular_space(qd.hamilton_map(qd.kfp_symbol(a)))
+    def test_basis_is_orthonormal_and_in_the_kernel(self):
+        # Re q = (x1 + x2)^2 + (xi1 + 2 xi2)^2, Im q = 0: a two-dimensional
+        # kernel spanned by no coordinate axis
+        v, w = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 2.0])
+        H = qd.hamilton_map(qd.QuadraticSymbol(2, np.outer(v, v) + np.outer(w, w)))
+        S = qd.singular_space(H)
+        assert S.k0 is None and S.dims == (2, 2, 2, 2) and S.basis.shape == (4, 2)
+        assert np.allclose(S.basis.T @ S.basis, np.eye(S.basis.shape[1]), atol=1e-15)
+        assert np.max(np.abs(H.re @ S.basis)) < 1e-15
+
+    def test_random_sparse_symbols_match_the_fraction_oracle(self):
+        # sparse symbols with unbalanced entries: every kernel chain, the
+        # stationary ones included, equals the rational elimination's
+        rng = np.random.default_rng(36)
+        for _ in range(150):
+            n = int(rng.integers(1, 3))
+            parts = []
+            for density in (0.35, 0.3):
+                M = rng.integers(-2, 3, (2 * n, 2 * n)) * rng.choice([1.0, 0.1, 3e-7, 1e9],
+                                                                     (2 * n, 2 * n))
+                keep = rng.random((2 * n, 2 * n)) < density
+                parts.append(np.where(keep | keep.T, M + M.T, 0.0))
+            sym = qd.QuadraticSymbol(n, parts[0] + 1j * parts[1])
+            S = qd.singular_space(qd.hamilton_map(sym))
+            k0, dims, kernel = singular_space_exact(sym)
+            assert (S.k0, S.dims, S.basis.shape[1]) == (k0, dims, len(kernel))
+
+    def test_near_zero_entry_is_an_exact_rank(self):
+        # a small stored float is a nonzero entry: Re F has full rank
+        sym = qd.QuadraticSymbol(1, np.array([[3e-10, 0.0], [0.0, 1.0]], dtype=complex))
+        S = qd.singular_space(qd.hamilton_map(sym))
+        assert S.k0 == 0 and S.dims == (0, 0)
+
+    def test_no_singular_value_is_taken(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("singular_space took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for sym in (qd.kfp_symbol(1.0), qd.kfp_symbol(0.0), FREE_LAPLACIAN, qd.harmonic_symbol(3)):
+            qd.singular_space(qd.hamilton_map(sym))
 
     @pytest.mark.parametrize("scale", [0.1, 3.0, 250.0])
     def test_scaling_invariance(self, scale):
