@@ -34,6 +34,7 @@ from mpmath import mp
 from mpmath.libmp import from_float, from_man_exp
 
 from .basis import ContractViolation
+from .quadrature import gauss_legendre
 
 MAX_BITS = 4096  # mantissa ceiling of every multiprecision escalation
 
@@ -69,9 +70,8 @@ class Double:
     def to_np(self, v):
         return v
 
-    @functools.cache
-    def gauss(self, order):  # built on first use, once per order; floats, immutable
-        return tuple(tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(order))
+    def gauss(self, order):  # the shared table's nodes and weights as floats
+        return tuple(tuple(a.tolist()) for a in gauss_legendre(order))
 
     def series(self, scales, terms):
         """[sum_k c^k / k! terms[k] for c in scales]."""
@@ -292,7 +292,7 @@ def _gauss(prec, order):
     bits less 2 log2(n) until they cover the grid; w = 2 (1 - x^2) / (n
     P_{n-1}(x))^2 at the nodes."""
     wb = prec + 8
-    one, X = 1 << wb, rounded(np.polynomial.legendre.leggauss(order)[0], wb)
+    one, X = 1 << wb, rounded(gauss_legendre(order)[0], wb)
 
     def legendre(X):  # P_n(x), P_{n-1}(x) at 2^-wb
         p0, p1 = X * 0 + one, X

@@ -31,11 +31,6 @@ DEFAULT_C_SOBOLEV = 10.0
 DEFAULT_C_KOV = 300.0
 
 
-def sphere_area(n):
-    """Surface measure of the unit sphere in R^n (equals 2 when n = 1)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
 def truncation_entry_error(n, N, radius):
     """Bound on the neglected |x| > radius part of any Gram entry."""
     a = radius / math.sqrt(n)
@@ -265,40 +260,25 @@ def density_params(n, delta, R0=0.0):
 def thick_params(n, L, gamma):
     if not 0.0 < gamma <= 1.0 or L <= 0:
         raise ContractViolation("need 0 < gamma <= 1 and L > 0")
-    if n > 255:
-        raise ContractViolation("thick bound: n = %d is above 255, where n^(n/2) passes the"
-                                " double range" % n)
     return BoundParams(n, "thick", L=float(L), gamma=float(gamma))
 
 
-def _log_sum_weighted_factorials(n, ratio):
-    """log of the sum over multi-indices |b| <= n of ratio^{|b|} (|b|!)^2: a
-    log-sum-exp over k = |b|, which C(k+n-1, n-1) multi-indices share."""
-    if math.isinf(ratio):
-        return ratio
-    logs = [math.log(math.comb(k + n - 1, n - 1)) + k * math.log(ratio)
-            + 2.0 * math.lgamma(k + 1) for k in range(n + 1)]
-    top = max(logs)
-    return top + math.log(sum(math.exp(t - top) for t in logs))
-
-
-def delta_weight_scale(n):
-    """The fixed derivative-weight scale 2 sqrt(2^11 n^3 (2^n + 1))."""
-    return 2.0 * math.sqrt(2.0**11 * n**3 * (2.0**n + 1.0))
-
-
-def sobolev_chain_constant_log(n, delta):
-    """log of the good-cube sup-norm chain constant at weight delta, with the
-    Sobolev embedding constant ``DEFAULT_C_SOBOLEV``; +inf when delta^2
-    underflows, as the log then exceeds e / (2 delta^2), past the double range."""
-    if not delta * delta:
+def _or_inf(f, *args):
+    """f(*args), or inf where the value passes the double range and f raises
+    (``math.exp`` from 709.79, ``math.ldexp`` past 2^1024)."""
+    try:
+        return f(*args)
+    except OverflowError:
         return math.inf
-    ratio = 32.0 * delta * delta * (2.0**n + 1.0)
-    return (
-        math.log(DEFAULT_C_SOBOLEV)
-        + math.e / (2.0 * delta * delta)
-        + 0.5 * _log_sum_weighted_factorials(n, ratio)
-    )
+
+
+def _log_sum_weighted_factorials(n, log_ratio):
+    """log of the sum over multi-indices |b| <= n of ratio^{|b|} (|b|!)^2,
+    given log(ratio): a log-sum-exp over k = |b|, which C(k+n-1, n-1) =
+    (k+n-1)! / ((n-1)! k!) multi-indices share, in O(n) floats."""
+    logs = [math.lgamma(k + n) + math.lgamma(k + 1) + k * log_ratio for k in range(n + 1)]
+    top = max(logs)
+    return top + math.log(sum(math.exp(t - top) for t in logs)) - math.lgamma(n)
 
 
 def theoretical_bound_log(p: BoundParams, N):
@@ -334,13 +314,20 @@ def theoretical_bound_log(p: BoundParams, N):
             + 0.5 * c_n * c_n * (N + 1.0)
         )
     if p.variant == "thick":
-        dn = delta_weight_scale(n)
-        theta = (math.log(2.0 * DEFAULT_C_KOV * n ** (n / 2.0) * sphere_area(n) / p.gamma)
-                 / math.log(2.0))
+        # theta = log2(4 C_kov (pi n)^(n/2) / (Gamma(n/2) gamma)); at delta = 1 / (d_n L),
+        # d_n = 2 sqrt(2^11 n^3 (2^n + 1)), e / (2 delta^2) = e s / 2 with s = (d_n L)^2 built
+        # on L's mantissa, and the Sobolev ratio 32 delta^2 (2^n + 1) is 2^-8 n^-3 L^-2
+        theta = (math.log(4.0 * DEFAULT_C_KOV) - math.log(p.gamma) + n / 2 * math.log(math.pi * n)
+                 - math.lgamma(n / 2)) / math.log(2.0)
+        m, k = math.frexp(p.L)
+        s = _or_inf(math.ldexp, n**3 * (1.0 + 2.0**-n) * m * m, 13 + n + 2 * k)
+        log_ratio = -8 * math.log(2.0) - 3 * math.log(n) - 2 * math.log(p.L)
         inner = (
             0.5 * n * math.log(4.0 * p.L)
-            + sobolev_chain_constant_log(n, 1.0 / (dn * p.L))
-            + dn * p.L * math.sqrt(N)
+            + math.log(DEFAULT_C_SOBOLEV)
+            + math.e / 2 * s
+            + 0.5 * _log_sum_weighted_factorials(n, log_ratio)
+            + (math.sqrt(s) * math.sqrt(N) if N else 0.0)  # d_n L sqrt(N), never inf * 0
         )
         return 1.5 * math.log(2.0) - 0.5 * math.log(p.gamma) + theta * inner
     raise ContractViolation("unknown bound variant %r" % p.variant)
@@ -350,9 +337,7 @@ def theoretical_bound(p: BoundParams, N):
     """The explicit bound as a float (inf past the double range); None when
     the variant's validity condition excludes this N."""
     lg = theoretical_bound_log(p, N)
-    if lg is None:
-        return None
-    return math.exp(lg) if lg < 709.0 else math.inf
+    return None if lg is None else _or_inf(math.exp, lg)
 
 
 # -- scaling studies -----------------------------------------------------------

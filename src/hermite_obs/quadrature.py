@@ -6,10 +6,17 @@ import math
 
 import numpy as np
 
+from . import basis
+
 ORDER = 20  # Gauss-Legendre nodes per panel
 MAX_DOUBLINGS = 16
-_X, _W = np.polynomial.legendre.leggauss(ORDER)  # one rule for every call, read-only
-_X.flags.writeable = _W.flags.writeable = False
+
+
+@basis.frozen_cache
+def gauss_legendre(order):
+    """The Gauss-Legendre rule (nodes ascending, weights) of one order: a
+    read-only table of the process, shared by every caller."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def composite_gauss_legendre(f, a, b, abs_tol=1e-13, min_panels=1):
@@ -28,6 +35,7 @@ def composite_gauss_legendre(f, a, b, abs_tol=1e-13, min_panels=1):
     if b <= a:
         return 0.0, 0.0, 0
     panels = max(1, int(min_panels))
+    X, W = gauss_legendre(ORDER)
     prev = None
     value = 0.0
     err = math.inf
@@ -35,9 +43,9 @@ def composite_gauss_legendre(f, a, b, abs_tol=1e-13, min_panels=1):
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mid[:, None] + half[:, None] * _X[None, :]).ravel()
+        pts = (mid[:, None] + half[:, None] * X[None, :]).ravel()
         vals = np.asarray(f(pts), dtype=float).reshape(panels, ORDER)
-        value = float(np.sum(np.sort((vals * _W[None, :] * half[:, None]).ravel())))
+        value = float(np.sum(np.sort((vals * W[None, :] * half[:, None]).ravel())))
         if prev is not None:
             err = abs(value - prev)
             if err <= abs_tol:

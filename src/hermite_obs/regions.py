@@ -276,6 +276,9 @@ def interval_pair_tables(a, b, N, mp=None):
     recurrence (module docstring).  With ``mp=None`` everything runs in double
     precision, vectorized, and the result is ``(values, error_bounds)``, two
     (M, N+1, N+1) stacks whose bounds come from the rounding analysis below.
+    An end past 64 is read at +-64: past 38.6, phi_0 (so every phi_k) and
+    erfc are 0 in doubles and erf is +-1, and |phi_k| only falls past its
+    turning point sqrt(2k + 1).  A bound past the double range reads inf.
     With an mpmath context the result is ``(tables, exps)``, table i being
     the Python ints ``tables[i]`` times 2^exps[i].  Only the O(M) values
     phi_0, erf and erfc at the ends are mpf, at W = ``mp.prec + 64`` bits,
@@ -299,7 +302,8 @@ def interval_pair_tables(a, b, N, mp=None):
     out = (np.empty(shape), np.empty(shape)) if mp is None else (
         np.empty(shape, dtype=object), np.empty(len(ends), dtype=object))
     bits = None if mp is None else mp.prec + 32
-    tables = _pair_tables if mp is None else mp.workprec(bits + 32)(_pair_tables)
+    scope = np.errstate(over="ignore", invalid="ignore") if mp is None else mp.workprec(bits + 32)
+    tables = scope(_pair_tables)  # in doubles an overflowed bound reads inf, with no warning
     rows = max(1, 2**15 // (2 * (N + 2) ** 2))  # G below holds 2 (N+2)^2 doubles per interval
     for start in range(0, len(ends), rows):
         for stack, part in zip(out, tables(ends[start:start + rows], N, mp, bits)):
@@ -370,6 +374,8 @@ def _pair_tables(x, N, mp, bits):
     """``interval_pair_tables`` of the intervals ``x[i] = (a_i, b_i)``."""
     dtype, div = (float, np.true_divide) if mp is None else (object, arith._rdiv)
     M, K = len(x), N + 1
+    if mp is None:  # no value changes: phi_0 underflows past 38.6
+        x = np.clip(x, -64.0, 64.0)
     c, d, root, _ = _root_rows(K, None if mp is None else mp.prec)
     v, dv, seed, s, (F_lo, F_hi) = _boundary(x, K, mp, bits)
     if mp is not None:  # c_k / 2 at 2^-bits, ties to even
@@ -437,6 +443,7 @@ def _pair_tables(x, N, mp, bits):
         (S[row, col] + S[col, row]) / np.abs(den) + eps * np.abs(off)).T
     errs.reshape(M, -1)[:, ::K + 1] = (err_seed + np.concatenate(
         [np.zeros((1, M)), np.cumsum(err_step, axis=0)])).T
+    errs[np.isnan(errs)] = np.inf  # inf - inf or inf * 0 where |T^-1| overflowed
     errs += fi.tiny
     return vals, errs
 

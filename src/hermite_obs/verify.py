@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 
 from . import basis, control as ct, estimates as est, gram, quadratic as qd, regions as rg
-from .quadrature import composite_gauss_legendre
+from .quadrature import composite_gauss_legendre, gauss_legendre
 
 
 def _rng(seed, suite_tag, trial):
@@ -65,10 +65,9 @@ def _trials(tag, default):
     return declare
 
 
-# fixed grids and nodes of the suites, built on first use, not at import
-# (every command imports this module), and then shared, read-only, by every trial
+# fixed grids of the suites, built on first use, not at import (every
+# command imports this module), and then shared, read-only, by every trial
 _linspace = basis.frozen_cache(np.linspace)
-_leggauss = basis.frozen_cache(np.polynomial.legendre.leggauss)
 
 
 # -- basis ---------------------------------------------------------------------
@@ -181,7 +180,7 @@ def suite_regions_account_honesty(rng, t):
 
 @_trials(7, 20)
 def suite_regions_tensorization(rng, t):
-    nodes, w = _leggauss(40)
+    nodes, w = gauss_legendre(40)
     lo = rng.uniform(-2.0, 0.5, size=2)
     hi = lo + rng.uniform(0.3, 2.0, size=2)
     N = 3
@@ -327,16 +326,11 @@ def suite_est_tails(rng, t):
     return exact - bound - 1e-14
 
 
-@functools.cache
-def _c1():
-    return est.tail_constant_cn(1).c
-
-
 @_trials(16, 50)
 def suite_est_tail_constant(rng, t):
     N = int(rng.integers(0, 31))
     f = basis.random_expansion(1, N, rng)
-    a = _c1() * math.sqrt(N + 1)
+    a = est.tail_constant_cn(1).c * math.sqrt(N + 1)
     span = math.sqrt(2 * N + 1) + 12.0
 
     def density(x):

@@ -103,10 +103,13 @@ ENTRIES = [
     ("basis", "basis --n 2 --N 3 --out {out}", None),
     ("gram", "gram --region halfline --n 1 --N 4 --out {out}", None),
     ("gram-2d", "gram --region periodic:L=1,gamma=0.5 --n 2 --N 2 --out {out}", None),
+    ("gram-interval-far", "gram --region interval:a=-1e200,b=1e200 --N 2 --out {out}", None),
     ("scaling-open", "scaling --region interval:a=1,b=3 --N 8:16:8 --variant open --out {out}",
      None),
     ("scaling-density-2d", "scaling --region periodic:L=1,gamma=0.5 --n 2 --N 2 --variant density"
      " --out {out}", None),
+    ("scaling-density-3d", "scaling --region full --n 3 --N 2:4:2 --variant density --out {out}",
+     None),
     ("scaling-thick-3d", "scaling --region periodic:L=1,gamma=0.5 --n 3 --N 2:4:2 --variant thick"
      " --out {out}", None),
     ("bounds-default", "bounds --out {out}", None),
@@ -124,6 +127,9 @@ ENTRIES = [
     ("remez-ball-past-double-range", "remez --d 200 --rho 0.01 --out {out}", None),
     ("bounds-thick-n99", "bounds --variant thick --n 99 --N 4 --out {out}", None),
     ("bounds-thick-n255", "bounds --variant thick --n 255 --N 4 --out {out}", None),
+    ("bounds-thick-n256", "bounds --variant thick --n 256 --N 4 --out {out}", None),
+    ("bounds-thick-n1000", "bounds --variant thick --n 1000 --N 4 --out {out}", None),
+    ("bounds-thick-N0-L-huge", "bounds --variant thick --n 1 --N 0 --L 1e307 --out {out}", None),
     ("bounds-thick-delta-underflow", "bounds --variant thick --n 1 --N 4 --L 1e160 --out {out}",
      None),
     ("bounds-thick-L-tiny", "bounds --variant thick --n 1 --N 4 --L 1e-300 --out {out}", None),
@@ -137,6 +143,7 @@ ENTRIES = [
     ("tails-k-a", "tails --k 3 --a 5 --out {out}", None),
     ("tails-far", "tails --k 0 --a 1e300 --out {out}", None),
     ("symbol-harmonic2", "symbol --symbol harmonic:n=2 --out {out}", None),
+    ("symbol-kfp-a0", "symbol --symbol kfp:a=0 --out {out}", None),
     ("quantize-kfp", "quantize --symbol kfp:a=1 --N 2 --out {out}", None),
     ("quantize-default", "quantize --out {out}", None),
     ("evolve-ground", "evolve --symbol harmonic --N 6 --t 0.5 --f0 ground --out {out}", None),
@@ -205,7 +212,6 @@ ENTRIES = [
     ("contract-observability-kfp-huge", "observability --symbol kfp:a=1e300 --N 2", None),
     ("contract-observability-kfp-chain", "observability --symbol kfp:a=1e20 --N 2", None),
     ("contract-observability-kfp-chain-far", "observability --symbol kfp:a=1e150 --N 2", None),
-    ("contract-bounds-thick-n256", "bounds --variant thick --n 256 --N 4", None),
     ("io-missing-dir", "basis --n 1 --N 4 --out {tmp}/no/such/dir/x", None),
     # usage errors (exit 1)
     ("usage-none", "", None),

@@ -174,3 +174,22 @@ def boundary_values_mp(ends, K, mp):
     dv = np.array([(mp.sqrt(k) * v[k - 1] if k else 0 * v[0]) - mp.sqrt(k + 1) * v[k + 1]
                    for k in range(K)]) / mp.sqrt(2)
     return v, dv
+
+
+def thick_bound_log_mp(n, L, gamma, Ns, mp, C_kov=300, C_sobolev=10):
+    """The thick-set log bound at each N in ``Ns``, in mpf at mp.prec, in the
+    form it had before its closed form: d_n = 2 sqrt(2^11 n^3 (2^n + 1)),
+    delta = 1 / (d_n L), theta = log2(2 C_kov n^(n/2) |S^(n-1)| / gamma) and
+    the Sobolev chain constant C_sob e^(e / (2 delta^2)) (sum_|b|<=n ratio^|b|
+    (|b|!)^2)^(1/2) with ratio = 32 delta^2 (2^n + 1)."""
+    L, gamma = mp.mpf(L), mp.mpf(gamma)
+    dn = 2 * mp.sqrt(2**11 * mp.mpf(n) ** 3 * (mp.mpf(2) ** n + 1))
+    delta = 1 / (dn * L)
+    area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+    theta = mp.log(2 * C_kov * mp.mpf(n) ** (mp.mpf(n) / 2) * area / gamma) / mp.log(2)
+    ratio = 32 * delta**2 * (mp.mpf(2) ** n + 1)
+    weighted = mp.fsum(math.comb(k + n - 1, n - 1) * math.factorial(k) ** 2 * ratio**k
+                       for k in range(n + 1))
+    sobolev = mp.log(C_sobolev) + mp.e / (2 * delta**2) + mp.log(weighted) / 2
+    return [mp.mpf(3) / 2 * mp.log(2) - mp.log(gamma) / 2
+            + theta * (mp.mpf(n) / 2 * mp.log(4 * L) + sobolev + dn * L * mp.sqrt(N)) for N in Ns]

@@ -270,11 +270,10 @@ PROCESS_TABLES = {
     "basis._index_array": lambda: (basis._index_array(2, 3),),
     "basis._ladder_table": lambda: basis._ladder_table(2, 3, 1),
     "estimates.gauss_hermite": lambda: estimates.gauss_hermite(5),
-    "quadrature._X, _W": lambda: (quadrature._X, quadrature._W),
+    "quadrature.gauss_legendre": lambda: quadrature.gauss_legendre(4),
     "regions._root_rows double": lambda: regions._root_rows(4, None),
     "regions._root_rows int": lambda: regions._root_rows(4, 300),
     "verify._linspace": lambda: (verify._linspace(0.0, 1.0, 5),),
-    "verify._leggauss": lambda: verify._leggauss(4),
 }
 
 

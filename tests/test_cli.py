@@ -313,6 +313,7 @@ EDGE_LINES = [
     "bounds --variant thick --n 255 --N 4",
     "bounds --variant thick --n 256 --N 4",
     "bounds --variant thick --n 1000 --N 4",
+    "bounds --variant thick --n 100000 --N 4",
     "bounds --variant thick --n 1 --N 4 --L 1e160",
     "bounds --variant thick --n 1 --N 4 --L 1e300",
     "bounds --variant thick --n 1 --N 4 --L 1e-300",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hermite_obs import arith, basis, estimates as est, gram, regions as rg
 from hermite_obs.basis import ContractViolation
+from oracles import thick_bound_log_mp
 
 
 def halfline_region(N, extra=1.0):
@@ -192,6 +194,41 @@ class TestSpectralConstant:
         assert res.flag == "ok"
         assert res.lam_min < 1e-15
 
+    def test_an_inf_entry_bound_does_not_resolve_in_doubles(self):
+        # an overflowed table bound reads inf: the double level cannot clear
+        # it, and the next precision rebuilds the Gram from its region
+        G = gram.gram_matrix(halfline_region(4), 4)
+        errors = G.errors.copy()
+        errors[0, 0] = math.inf
+        res = gram.spectral_constant(gram.GramOperator(G.n, G.N, G.matrix, errors, G.region))
+        assert res.precision_bits > 53
+        assert res == gram.spectral_constant(G, precision_bits=res.precision_bits)
+
+    @pytest.mark.parametrize("spec", ["interval:-1e200:1e200", "periodic:1e300", "full:400"])
+    def test_far_or_overflowed_tables_keep_an_honest_entry_error(self, spec):
+        # ends past the double range of x^2 and, at N = 400, |T^-1| past the
+        # double range of its bound: no NaN, no warning; the full line at
+        # N = 400 resolves at 256 bits, not in doubles on a dropped NaN
+        kind, *args = spec.split(":")
+        N = int(args[0]) if kind == "full" else 2
+        radius = rg.truncate_radius(N, 1) + 1.0  # as the command line truncates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kind == "interval":
+                reg = rg.interval_region(float(args[0]), float(args[1]), trunc_radius=radius)
+            elif kind == "periodic":
+                reg = rg.make_periodic_thick(1, float(args[0]), 0.5, radius)
+            else:
+                reg = rg.full_space(1, radius)
+            G = gram.gram_matrix(reg, N)
+            assert not np.isnan(G.errors).any()
+            if kind == "full":
+                assert G.entry_error == math.inf
+                res = gram.spectral_constant(G)
+                assert (res.precision_bits, res.flag) == (256, "ok")
+            else:
+                assert G.entry_error < 1e-14
+
     def test_precision_floor_reports_certified_lower_bound(self, monkeypatch):
         # cap the mantissa below what lambda_min needs: the result must be
         # flagged and must stay below the fully resolved constant
@@ -310,25 +347,59 @@ class TestSpectralConstant:
 class TestBounds:
     @pytest.mark.parametrize("n", [1, 5, 40, 99, 255])
     def test_weighted_factorial_sum_in_logs(self, n):
-        # the log-sum-exp against the exact sum at 50 digits; the float sum
-        # overflowed from n = 99
+        # the log-sum-exp against the exact sum at 50 digits, given log(ratio);
+        # the float sum overflowed from n = 99
         for ratio in (1e-40, 3e-3, 1.0, 1e30):
             with mpmath.workdps(50):
                 exact = mpmath.log(mpmath.fsum(
                     mpmath.binomial(k + n - 1, n - 1) * mpmath.mpf(ratio) ** k
                     * mpmath.factorial(k) ** 2 for k in range(n + 1)))
-            got = gram._log_sum_weighted_factorials(n, ratio)
+            got = gram._log_sum_weighted_factorials(n, math.log(ratio))
             assert got == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
 
     def test_thick_bound_past_the_double_range(self):
-        # n = 99 is finite now; delta^2 underflows at L = 1e160, where the log
-        # bound is past the double range; n^(n/2) overflows from n = 256
-        assert math.isfinite(gram.theoretical_bound_log(gram.thick_params(99, 1.0, 0.5), 4))
-        far = gram.thick_params(1, 1e160, 0.5)
-        assert gram.theoretical_bound_log(far, 4) == gram.theoretical_bound(far, 4) == math.inf
-        gram.thick_params(255, 1.0, 0.5)
-        with pytest.raises(ContractViolation, match="n = 256 is above 255"):
-            gram.thick_params(256, 1.0, 0.5)
+        # finite at n = 256, where n^(n/2) passed the double range; inf, with
+        # no refusal, at n = 1000, where the weight term e (d_n L)^2 / 2 does,
+        # and at L = 1e160
+        assert math.isfinite(gram.theoretical_bound_log(gram.thick_params(256, 1.0, 0.5), 4))
+        for far in (gram.thick_params(1000, 1.0, 0.5), gram.thick_params(1, 1e160, 0.5)):
+            assert gram.theoretical_bound_log(far, 4) == gram.theoretical_bound(far, 4) == math.inf
+
+    def test_thick_bound_against_the_50_digit_reference(self):
+        # the closed form against the former formula at 50 digits: within
+        # 1e-15, never NaN, and inf exactly where the reference passes the
+        # double range
+        Ns = (0, 4, 100)
+        for n in (1, 2, 3, 7, 20, 59, 150, 254, 255, 256, 300):
+            for L in (1e-300, 1e-150, 1e-3, 1.0, 10.0, 1e150, 1e300):
+                for gamma in (1e-300, 1e-6, 0.5, 1.0):
+                    with mpmath.workdps(50):
+                        want = thick_bound_log_mp(n, L, gamma, Ns, mpmath.mp)
+                    p = gram.thick_params(n, L, gamma)
+                    for N, ref in zip(Ns, want):
+                        got = gram.theoretical_bound_log(p, N)
+                        if ref > 1.7976931348623157e308:
+                            assert got == math.inf, (n, L, gamma, N)
+                        else:
+                            assert abs(got - ref) <= 1e-15 * abs(ref), (n, L, gamma, N, got)
+
+    @pytest.mark.parametrize("n, L, gamma, N", [
+        (1, 1e307, 0.5, 0),  # NaN: d_n L sqrt(0) was inf * 0
+        (1, 1e-300, 0.5, 4),  # inf, as were the next two
+        (255, 1.0, 0.5, 4),
+        (250, 1.0, 1e-300, 4),
+        (256, 1.0, 0.5, 4),  # refused
+    ])
+    def test_thick_bound_where_the_float_route_failed(self, n, L, gamma, N):
+        # each within 2 ulps of the 50-digit reference, inf where it passes
+        # the double range
+        with mpmath.workdps(50):
+            (ref,) = thick_bound_log_mp(n, L, gamma, [N], mpmath.mp)
+        got = gram.theoretical_bound_log(gram.thick_params(n, L, gamma), N)
+        if ref > 1.7976931348623157e308:
+            assert got == math.inf
+        else:
+            assert abs(got - float(ref)) <= 2 * math.ulp(float(ref))
 
     def test_density_plugin_at_zero(self):
         # delta = 1 at N = 0: sqrt(2^6 / 9) e^{c_1^2 / 2}
@@ -342,7 +413,7 @@ class TestBounds:
         # (sqrt(16) - sqrt(4)) between N = 4 and N = 16
         p = gram.thick_params(1, 1.0, 1.0)
         theta = math.log(2 * gram.DEFAULT_C_KOV * 1.0 * 2.0) / math.log(2.0)
-        d1 = gram.delta_weight_scale(1)
+        d1 = 2 * math.sqrt(2**11 * 3)
         inc = gram.theoretical_bound_log(p, 16) - gram.theoretical_bound_log(p, 4)
         assert inc == pytest.approx(theta * d1 * (4.0 - 2.0), rel=1e-12)
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -292,6 +293,19 @@ class TestPairIntegral:
             (ref,), (e,) = rg.interval_pair_tables([a], [b], N, mpmath.mp)
         ref = np.array([[float(mpmath.ldexp(t, e)) for t in row] for row in ref])
         assert np.all(np.abs(vals - ref) <= errs)
+
+    def test_far_ends_and_overflowed_bounds_are_never_nan(self):
+        # past |x| = 38.6 every phi_k is 0 in doubles, so ends out to 1e300
+        # give the tables of +-40; a |T^-1| past the double range gives an
+        # inf bound, never NaN, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far, far_errs = rg.interval_pair_tables([-1e200, 0.0], [1e200, 1e300], 2)
+            near, _ = rg.interval_pair_tables([-40.0, 0.0], [40.0, 40.0], 2)
+            _, big = rg.interval_pair_tables([0.0], [62.0], 400)
+        assert far.tobytes() == near.tobytes()
+        assert far_errs.max() < 1e-14
+        assert not np.isnan(big).any() and np.isinf(big).any()
 
     def test_tensorization_against_2d_quadrature(self):
         # int_box Phi_a Phi_b factorizes; oracle is a tensor Gauss rule
