@@ -258,6 +258,16 @@ ENTRIES = [
     ("help-observability", "observability --help", None),
     ("help-control", "control --help", None),
     ("help-tails", "tails --help", None),
+    ("help-basis", "basis --help", None),
+    ("help-gram", "gram --help", None),
+    ("help-constant", "constant --help", None),
+    ("help-scaling", "scaling --help", None),
+    ("help-bounds", "bounds --help", None),
+    ("help-remez", "remez --help", None),
+    ("help-symbol", "symbol --help", None),
+    ("help-quantize", "quantize --help", None),
+    ("help-evolve", "evolve --help", None),
+    ("help-verify", "verify --help", None),
     # config files
     ("config-override-warns", "--config {cfg} basis --n 1 --N 6 --out {out}",
      '{"N": "12", "seed": 3}'),
