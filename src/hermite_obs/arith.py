@@ -5,10 +5,11 @@ Matrices of both backends support +, -, @, unary -, real scalar * and slicing;
 everything else goes through the methods here, under ``mp.workprec(bits +
 16)``.  ``Mp`` takes and returns fixed-point matrices (``Fx``) only; mpmath
 serves scalars, while the Gauss rule and the Taylor coefficients are exact
-integer work at the backend's own precision.  Products by a sparse generator
-go through its row slots (``rows``).  Vectors stack (``stack``) as the
-columns of one matrix in both backends, so a product with a block of them is
-one BLAS or one integer product, rounded once as any matrix is.
+integer work at the backend's own precision (``Double`` rounds the 128-bit
+Gauss rule to doubles).  Products by a sparse generator go through its row
+slots (``rows``).  Vectors stack (``stack``) as the columns of one matrix in
+both backends, so a product with a block of them is one BLAS or one integer
+product, rounded once as any matrix is.
 ``Mp`` answers every eigenproblem and solve through one Cholesky factor
 G = L L^H in integers, which exists exactly when G is numerically positive
 definite: lambda_min = sigma_max(L^-1)^-2, cond =
@@ -31,10 +32,9 @@ import operator
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_float, from_man_exp
+from mpmath.libmp import from_float, from_man_exp, to_float
 
 from .basis import ContractViolation
-from .quadrature import gauss_legendre
 
 MAX_BITS = 4096  # mantissa ceiling of every multiprecision escalation
 
@@ -70,8 +70,8 @@ class Double:
     def to_np(self, v):
         return v
 
-    def gauss(self, order):  # the shared table's nodes and weights as floats
-        return tuple(tuple(a.tolist()) for a in gauss_legendre(order))
+    def gauss(self, order):  # the integer rule on the 2^-128 grid, each value rounded once
+        return tuple(tuple(to_float(v._mpf_, rnd="n") for v in part) for part in _gauss(128, order))
 
     def series(self, scales, terms):
         """[sum_k c^k / k! terms[k] for c in scales]."""
@@ -282,33 +282,50 @@ class _Rows:
         return Fx(re, im, self.exp + X.exp, self.prec)
 
 
+NEWTON_STEPS = 16  # the budget of :func:`_gauss`
+
+
 @functools.cache
 def _gauss(prec, order):
     """The Gauss-Legendre rule (nodes ascending, weights) as mpf on the
     2^-prec grid, whatever mp.prec is, built once per (prec, order) and
-    immutable: Newton steps on the Legendre recurrence in integers at
-    2^-(prec+8), from numpy's double nodes (good to 48 bits).  The Newton
-    constant P''/2P' at a node is below n^2, so each step doubles the good
-    bits less 2 log2(n) until they cover the grid; w = 2 (1 - x^2) / (n
-    P_{n-1}(x))^2 at the nodes."""
-    wb = prec + 8
-    one, X = 1 << wb, rounded(gauss_legendre(order)[0], wb)
+    immutable.
 
-    def legendre(X):  # P_n(x), P_{n-1}(x) at 2^-wb
+    Newton steps on the Legendre recurrence in integers at 2^-(prec+8), each
+    recurrence step rounded once, start from Tricomi's asymptotic nodes (Hale
+    and Townsend, SIAM J. Sci. Comput. 35, 2013), good to 9 bits or more, and
+    run on the nodes at or below 0; the others are their mirror images.  Near
+    a root Newton takes an error e to about C e^2, C = |P''/2P'| = |x| / (1 -
+    x^2) < n^2, so once a step corrects every node by at most m units of
+    2^-(prec+8) with (2 n m)^2 <= 2^(prec+8), the next correction would be
+    below a quarter unit and the iteration stops.  Order 128 at ``MAX_BITS``
+    stops after 9 steps; ``NEWTON_STEPS`` steps without the stop end in
+    ContractViolation.  w = 2 (1 - x^2) / (n P_{n-1}(x))^2 at the nodes."""
+    wb, half = prec + 8, order // 2  # Newton on the nodes at or below 0, mirrored
+    one, phi = 1 << wb, (4 * np.arange(1, order - half + 1) - 1) * math.pi / (4 * order + 2)
+    X = rounded((1 - (order - 1) / (8 * order**3) - (39 - 28 / np.sin(phi) ** 2)
+                 / (384 * order**4)) * -np.cos(phi), wb)
+
+    def legendre(X):  # P_n(x), P_{n-1}(x) at 2^-wb; each step is _rdiv by (k + 1) 2^wb
         p0, p1 = X * 0 + one, X
         for k in range(1, order):
-            p0, p1 = p1, _rdiv((2 * k + 1) * X * p1 - k * one * p0, (k + 1) * one)
+            t = (2 * k + 1) * X * p1 - (k * p0 << wb)
+            p0, p1 = p1, ((2 * t + ((k + 1) << wb)) >> wb + 1) // (k + 1)
         return p1, p0
 
-    good = 48
-    while good < wb:
+    for _ in range(NEWTON_STEPS):
         pn, pm = legendre(X)
-        X = X - _rdiv(pn * (one * one - X * X), order * (pm * one - X * pn))
-        good = 2 * good - 2 * order.bit_length()
+        D = _rdiv(pn * (one * one - X * X), order * (pm * one - X * pn))
+        X = X - D
+        if (2 * order * int(abs(D).max())) ** 2 <= one:
+            break
+    else:
+        raise ContractViolation("Gauss-Legendre order %d at 2^-%d: no convergence in %d Newton steps"
+                                % (order, prec, NEWTON_STEPS))
     pm = legendre(X)[1]
     W = _rdiv(2 * one * (one * one - X * X), order * order * pm * pm)
-    return tuple(tuple(mp.make_mpf(from_man_exp(int(v), -prec)) for v in _shift(Y, wb - prec))
-                 for Y in (X, W))
+    return tuple(tuple(mp.make_mpf(from_man_exp(int(v), -prec)) for v in (*Y, *s * Y[:half][::-1]))
+                 for Y, s in ((_shift(X, wb - prec), -1), (_shift(W, wb - prec), 1)))
 
 
 class Mp:

@@ -129,111 +129,125 @@ def load_config(path, types):
     return out
 
 
+COMMON_FLAGS = (
+    ("--out", {"help": "output stem; writes <out>.json / <out>.csv"}),
+    ("--mkdirs", {"action": "store_true"}),
+    ("--seed", {"type": int}),
+    ("--quiet", {"action": "store_true"}),
+)
+
+_VARIANT_FLAGS = {"open": {"x0", "r"}, "density": {"delta", "R0"}, "thick": {"L", "gamma"}}
+
+# name -> (help line, flags after COMMON_FLAGS), in the order of --help
+COMMANDS = {
+    "basis": ("dimension and self-check of E_N", (
+        ("--n", {"type": int, "default": 1}),
+        ("--N", {"default": "8"}))),
+    "gram": ("restriction Gram matrix on E_N", (
+        ("--region", {"default": "halfline"}),
+        ("--n", {"type": int, "default": 1}),
+        ("--N", {"default": "4"}))),
+    "constant": ("sharp spectral constant C_N", (
+        ("--region", {"default": "halfline"}),
+        ("--n", {"type": int, "default": 1}),
+        ("--N", {"default": "8"}),
+        ("--precision-bits", {"type": int}))),
+    "scaling": ("C_N over a range of cutoffs, with growth fits", (
+        ("--region", {"default": "periodic:L=1,gamma=0.5"}),
+        ("--n", {"type": int, "default": 1}),
+        ("--N", {"default": "4:16:4", "help": "range a:b:c"}),
+        ("--variant", {"choices": list(_VARIANT_FLAGS)}),
+        ("--precision-bits", {"type": int}),
+        ("--plot-data", {"action": "store_true"}))),
+    "bounds": ("explicit theoretical bounds", (
+        ("--variant", {"default": "thick", "choices": list(_VARIANT_FLAGS)}),
+        ("--n", {"type": int, "default": 1}),
+        ("--N", {"default": "4:16:4", "help": "range a:b:c"}),
+        ("--x0", {"type": basis.finite_float, "default": 0.0}),
+        ("--r", {"type": basis.finite_float, "default": 1.0}),
+        ("--delta", {"type": basis.finite_float, "default": 0.5}),
+        ("--R0", {"type": basis.finite_float, "default": 0.0}),
+        ("--L", {"type": basis.finite_float, "default": 1.0}),
+        ("--gamma", {"type": basis.finite_float, "default": 0.5}))),
+    "remez": ("Remez/Chebyshev growth factors", (
+        ("--n", {"type": int, "default": 1}),
+        ("--d", {"type": int, "required": True}),
+        ("--t", {"type": basis.finite_float}),
+        ("--rho", {"type": basis.finite_float}),
+        ("--complex-poly", {"action": "store_true"}))),
+    "tails": ("Hermite tail bounds and the radius constant c_n", (
+        ("--n", {"type": int}),
+        ("--k", {"type": int}),
+        ("--a", {"type": basis.finite_float}))),
+    "symbol": ("Hamilton map and singular space of a symbol", (
+        ("--symbol", {"default": "harmonic"}),)),
+    "quantize": ("Galerkin matrix of the Weyl quantization", (
+        ("--symbol", {"default": "harmonic"}),
+        ("--N", {"default": "6"}))),
+    "evolve": ("semigroup propagation of an initial expansion", (
+        ("--symbol", {"default": "harmonic"}),
+        ("--N", {"default": "8"}),
+        ("--t", {"type": basis.finite_float, "required": True}),
+        ("--f0", {"default": "ground", "help": "'ground', 'random' or a JSON file"}))),
+    "observability": ("observability constant C_T", (
+        ("--symbol", {"default": "harmonic"}),
+        ("--region", {"default": "full"}),
+        ("--N", {"default": "8"}),
+        ("--T", {"default": "1.0", "help": "single horizon or comma list (blowup study)"}),
+        ("--precision-bits", {"type": int}))),
+    "control": ("minimal-norm or staircase control synthesis", (
+        ("--symbol", {"default": "harmonic"}),
+        ("--region", {"default": "full"}),
+        ("--N", {"default": "8"}),
+        ("--T", {"default": "1.0"}),
+        ("--f0", {"default": "random"}),
+        ("--staircase", {"action": "store_true"}),
+        ("--target", {"type": basis.finite_float, "help": "staircase energy target (default 1e-6)"}),
+        ("--precision-bits", {"type": int}))),
+    "verify": ("run every invariant suite", (
+        ("--suite", {"default": "all", "help": "'all' or comma list of suite names"}),
+        ("--trials", {"type": int, "help": "trials per randomized suite, at least 1"}))),
+}
+
+
+class _Commands(argparse._SubParsersAction):
+    """The subparsers action of :func:`build_parser`: a command is registered
+    by name and help line alone, and its parser is built from ``COMMANDS``
+    the first time the command is parsed."""
+
+    def register(self, name, text):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), text))
+        self.choices[name] = None
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if self.choices[name] is None:
+            sub = self.choices[name] = self._parser_class(prog="%s %s" % (self._prog_prefix, name))
+            for flag, kw in COMMON_FLAGS + COMMANDS[name][1]:
+                sub.add_argument(flag, **kw)
+            acts = [act for act in sub._actions if act.default is not argparse.SUPPRESS]
+            parser.flags[name] = {act.dest: act for act in acts}
+            parser.defaults[name] = {act.dest: act.default for act in acts}
+            for act in acts:
+                act.default = argparse.SUPPRESS
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser():
-    """The parser of every subcommand.  Its flags default to absent, so a parse
-    holds exactly the flags given: ``parser.flags[command]`` maps each of the
-    subcommand's destinations to its action, ``parser.defaults[command]`` to
-    its default, and ``parser.types`` each destination to its flag's type."""
+    """The top-level parser, with every subcommand registered and none built
+    (:class:`_Commands`).  A subcommand's flags default to absent, so a parse
+    holds exactly the flags given: once the command is parsed,
+    ``parser.flags[command]`` maps each of its destinations to its action and
+    ``parser.defaults[command]`` to its default; ``parser.types`` maps every
+    destination of ``COMMANDS`` to its flag's type."""
     parser = _Parser(prog="hermite-obs", description=__doc__)
     parser.add_argument("--config", help="JSON config file merged under CLI flags")
-    sub = parser.add_subparsers(dest="command")
-
-    def add(name, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--out", help="output stem; writes <out>.json / <out>.csv")
-        p.add_argument("--mkdirs", action="store_true")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--quiet", action="store_true")
-        return p
-
-    p = add("basis", help="dimension and self-check of E_N")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--N", default="8")
-
-    p = add("gram", help="restriction Gram matrix on E_N")
-    p.add_argument("--region", default="halfline")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--N", default="4")
-
-    p = add("constant", help="sharp spectral constant C_N")
-    p.add_argument("--region", default="halfline")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--N", default="8")
-    p.add_argument("--precision-bits", type=int)
-
-    p = add("scaling", help="C_N over a range of cutoffs, with growth fits")
-    p.add_argument("--region", default="periodic:L=1,gamma=0.5")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--N", default="4:16:4", help="range a:b:c")
-    p.add_argument("--variant", choices=["open", "density", "thick"])
-    p.add_argument("--precision-bits", type=int)
-    p.add_argument("--plot-data", action="store_true")
-
-    p = add("bounds", help="explicit theoretical bounds")
-    p.add_argument("--variant", default="thick", choices=["open", "density", "thick"])
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--N", default="4:16:4", help="range a:b:c")
-    p.add_argument("--x0", type=basis.finite_float, default=0.0)
-    p.add_argument("--r", type=basis.finite_float, default=1.0)
-    p.add_argument("--delta", type=basis.finite_float, default=0.5)
-    p.add_argument("--R0", type=basis.finite_float, default=0.0)
-    p.add_argument("--L", type=basis.finite_float, default=1.0)
-    p.add_argument("--gamma", type=basis.finite_float, default=0.5)
-
-    p = add("remez", help="Remez/Chebyshev growth factors")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=basis.finite_float)
-    p.add_argument("--rho", type=basis.finite_float)
-    p.add_argument("--complex-poly", action="store_true")
-
-    p = add("tails", help="Hermite tail bounds and the radius constant c_n")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--a", type=basis.finite_float)
-
-    p = add("symbol", help="Hamilton map and singular space of a symbol")
-    p.add_argument("--symbol", default="harmonic")
-
-    p = add("quantize", help="Galerkin matrix of the Weyl quantization")
-    p.add_argument("--symbol", default="harmonic")
-    p.add_argument("--N", default="6")
-
-    p = add("evolve", help="semigroup propagation of an initial expansion")
-    p.add_argument("--symbol", default="harmonic")
-    p.add_argument("--N", default="8")
-    p.add_argument("--t", type=basis.finite_float, required=True)
-    p.add_argument("--f0", default="ground", help="'ground', 'random' or a JSON file")
-
-    p = add("observability", help="observability constant C_T")
-    p.add_argument("--symbol", default="harmonic")
-    p.add_argument("--region", default="full")
-    p.add_argument("--N", default="8")
-    p.add_argument("--T", default="1.0", help="single horizon or comma list (blowup study)")
-    p.add_argument("--precision-bits", type=int)
-
-    p = add("control", help="minimal-norm or staircase control synthesis")
-    p.add_argument("--symbol", default="harmonic")
-    p.add_argument("--region", default="full")
-    p.add_argument("--N", default="8")
-    p.add_argument("--T", default="1.0")
-    p.add_argument("--f0", default="random")
-    p.add_argument("--staircase", action="store_true")
-    p.add_argument("--target", type=basis.finite_float, help="staircase energy target (default 1e-6)")
-    p.add_argument("--precision-bits", type=int)
-
-    p = add("verify", help="run every invariant suite")
-    p.add_argument("--suite", default="all", help="'all' or comma list of suite names")
-    p.add_argument("--trials", type=int, help="trials per randomized suite, at least 1")
-
-    parser.flags, parser.defaults, parser.types = {}, {}, {}
-    for name, p in sub.choices.items():
-        acts = [act for act in p._actions if act.default is not argparse.SUPPRESS]
-        parser.flags[name] = {act.dest: act for act in acts}
-        parser.defaults[name] = {act.dest: act.default for act in acts}
-        parser.types.update((act.dest, act.type or str) for act in acts)
-        for act in acts:
-            act.default = argparse.SUPPRESS
+    sub = parser.add_subparsers(dest="command", action=_Commands)
+    for name, (text, _) in COMMANDS.items():
+        sub.register(name, text)
+    parser.flags, parser.defaults = {}, {}
+    parser.types = {flag[2:].replace("-", "_"): kw.get("type", str)
+                    for _, flags in COMMANDS.values() for flag, kw in COMMON_FLAGS + flags}
     return parser
 
 
@@ -265,9 +279,6 @@ def _region_gram(text, n, N):
     ``constant``, ``observability`` and ``control``."""
     region = parse_region(text, n, N)
     return region, gram.gram_matrix(region, N)
-
-
-_VARIANT_FLAGS = {"open": {"x0", "r"}, "density": {"delta", "R0"}, "thick": {"L", "gamma"}}
 
 
 def _unread(args):

@@ -330,13 +330,19 @@ def _root_rows(K, W):
     return tuple(_roots(r, W) for r in ratios)
 
 
+ERF_HALF = 0.4769362762044699  # erf^-1(1/2) rounded up: a double below it lies below erf^-1(1/2)
+
+
 def _boundary(x, K, mp, bits):
     """(v, dv, seed, s, F) of the intervals ``x[i] = (a_i, b_i)``: v[k, i] =
     (phi_k(a_i), phi_k(b_i)) for k <= K, dv[k, i] likewise phi_k' for k < K,
     and the diagonal's seed I_0 = (erf(b) - erf(a)) / 2 from the pair F of
-    erf values, erfc when both ends share a sign so that far intervals keep
-    relative accuracy.  Floats with s None, or with an mpmath context ints,
-    v and dv at 2^-s_i and the seed at 2^-2s_i (:func:`interval_pair_tables`).
+    erf values, erfc when both ends share a sign and the far one lies at or
+    past erf^-1(1/2), so that far intervals keep relative accuracy; on an
+    interval inside [0, erf^-1(1/2)) both erf values lie below 1/2, where
+    erfc's lie above it and cancel.  Floats with s None, or with an mpmath
+    context ints, v and dv at 2^-s_i and the seed at 2^-2s_i
+    (:func:`interval_pair_tables`).
     """
     exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("exp", "erf", "erfc", "pi"))
     num, dtype, div = (float, float, np.true_divide) if mp is None else (mp.mpf, object, arith._rdiv)
@@ -348,7 +354,7 @@ def _boundary(x, K, mp, bits):
     for i, (a, b) in enumerate(x if mp is None else np.frompyfunc(num, 1, 1)(x)):
         v[0, i] = [p * exp(-t * t / 2) for t in (a, b)]
         lo, hi = (a, b) if a + b >= 0 else (-b, -a)
-        F, sign[i] = (erfc, -1) if lo >= 0 else (erf, 1)
+        F, sign[i] = (erfc, -1) if lo >= 0 and hi >= ERF_HALF else (erf, 1)
         F_lo[i], F_hi[i] = F(lo), F(hi)
     seed = sign * (F_hi - F_lo) / 2
     fit = 0  # a step's rounding to v's scale: none in doubles

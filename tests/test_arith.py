@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -182,22 +183,60 @@ def test_mp_gauss_rule_is_exact_to_degree_15():
             assert abs(got - want) < mp.mpf(2) ** -260
 
 
+@functools.cache
+def golub_welsch(order):
+    """mpmath's eigenvalue route to the Gauss-Legendre rule at 1,104 bits, 32
+    past the widest integer rule checked against it."""
+    with mp.workprec(1104):
+        return mp.gauss_quadrature(order, "legendre")
+
+
 @pytest.mark.parametrize("bits", [256, 512, 1024])
 def test_integer_gauss_rule_matches_golub_welsch(bits):
-    # Newton in integers from numpy's double nodes against mpmath's
-    # eigenvalue route at 32 more bits; the rule is the same whatever the
-    # ambient precision
+    # Newton in integers from Tricomi's asymptotic nodes against mpmath's
+    # eigenvalue route at 32 or more bits past the rule; the rule is the same
+    # whatever the ambient precision
     ar = arith.Mp(bits)
-    for order in range(1, 17):
+    for order in range(1, 65):
         with mp.workprec(53):
             x, w = ar.gauss(order)
         with mp.workprec(2000):
             assert arith._gauss.__wrapped__(ar.prec, order) == (x, w)
-        with mp.workprec(ar.prec + 32):
-            X, W = mp.gauss_quadrature(order, "legendre")
+        X, W = golub_welsch(order)
+        with mp.workprec(1104):
             assert len(x) == len(X) == order and all(a < b for a, b in zip(x, x[1:]))
             assert all(abs(a - b) <= mp.mpf(2) ** -(ar.prec - 4)
                        for a, b in [*zip(x, X), *zip(w, W)])
+
+
+def test_double_gauss_rule_is_the_nearest_doubles():
+    # each node and weight is the double nearest mpmath's eigenvalue route at
+    # 192 bits, 64 past the integer rule that Double rounds, or 1 ulp from it
+    # where that rule lies on the midpoint of two doubles (a double-rounding
+    # tie); an odd order's middle node is 0, where the route reads 1e-38
+    for order in range(1, 41):
+        x, w = arith.DOUBLE.gauss(order)
+        held = arith._gauss(128, order)
+        with mp.workprec(192):
+            X, W = mp.gauss_quadrature(order, "legendre")
+            for got, want, h in zip(x + w, [*X, *W], held[0] + held[1]):
+                near = 0.0 if abs(want) < mp.mpf(2) ** -160 else float(want)
+                tie = h == (mp.mpf(got) + mp.mpf(near)) / 2
+                assert got == near or tie and abs(got - near) == math.ulp(near), (order, got, near)
+
+
+@pytest.mark.parametrize("prec", [64, 272, 1100])
+def test_gauss_rule_converges_inside_its_budget(prec, monkeypatch):
+    # every order to 128 stops on its measured Newton correction within
+    # NEWTON_STEPS, with nodes ascending and mirrored; a budget too small for
+    # the rule ends in a contract violation, not in a loop
+    for order in range(1, 129):
+        x, w = arith._gauss.__wrapped__(prec, order)
+        assert len(x) == order and all(a < b for a, b in zip(x, x[1:]))
+        assert x == tuple(mp.fneg(a, exact=True) for a in reversed(x)) and w == w[::-1]
+    monkeypatch.setattr(arith, "NEWTON_STEPS", 2)
+    with pytest.raises(basis.ContractViolation, match="no convergence in 2 Newton steps"):
+        arith._gauss.__wrapped__(prec, 8)
 
 
 def test_fixed_point_gauss_rule_is_built_once_per_precision_and_order():

@@ -283,6 +283,31 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_a_fresh_process_builds_only_the_parsers_it_runs():
+    # one top-level parser, one subcommand parser per command run (control
+    # twice), and the Gauss rules come from integers: no numpy.polynomial
+    code = """
+import argparse, json, sys
+from hermite_obs import cli
+built, init = [], argparse.ArgumentParser.__init__
+def count(self, *args, **kw):
+    built.append(kw.get("prog"))
+    init(self, *args, **kw)
+argparse.ArgumentParser.__init__ = count
+for line in ("control --N 4", "control --N 4 --precision-bits 256", "observability --N 4",
+             "constant --N 4"):
+    assert cli.run(line.split() + ["--quiet"]) == 0, line
+print(json.dumps([built, "numpy.polynomial" in sys.modules]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    built, polynomial = json.loads(done.stdout)
+    assert built == ["hermite-obs", "hermite-obs control", "hermite-obs observability",
+                     "hermite-obs constant"]
+    assert not polynomial
+
+
 @pytest.mark.parametrize("line", [
     "scaling --region periodic:L=1,gamma=0.5 --n 2 --N 12:16:4",
     "observability --symbol harmonic --region periodic:L=1,gamma=0.6 --N 16 --T 1,0.5,0.25,0.125",

@@ -165,6 +165,44 @@ class TestGramAssembly:
         assert dev < 1e-11
 
 
+def tiny_interval(b):
+    return rg.interval_region(0.0, b, trunc_radius=rg.truncate_radius(4, 1) + 1)
+
+
+class TestTinyIntervalSeed:
+    """[0, b] inside [0, erf^-1(1/2)) seeds its diagonal from erf, so entry
+    (0, 0) = erf(b) / 2, b / sqrt(pi) to first order, keeps its relative
+    accuracy where erfc(0) - erfc(b) cancelled (to -0 in double precision)."""
+
+    @pytest.mark.parametrize("b", [1e-20, 1e-200])
+    def test_double(self, b):
+        G = gram.gram_matrix(tiny_interval(b), 4)
+        assert G.matrix[0, 0] == pytest.approx(b / math.sqrt(math.pi), rel=1e-15, abs=0)
+        assert G.matrix.diagonal().min() >= -G.entry_error
+
+    @pytest.mark.parametrize("b, bits", [(1e-110, 256), (1e-200, 512), (1e-320, 1024)])
+    def test_fixed_point(self, b, bits):
+        # seeds above the level's grid; every entry errs by units of that grid
+        with mpmath.workprec(bits + 16):
+            F = gram.gram_matrix_mp(tiny_interval(b), 4)
+        with mpmath.workprec(bits + 64):
+            diag = [mpmath.ldexp(int(v), F.exp) for v in F.re.diagonal()]
+            want = mpmath.mpf(b) / mpmath.sqrt(mpmath.pi)
+            assert abs(diag[0] - want) <= mpmath.ldexp(want, -200)
+            assert min(diag) >= -mpmath.ldexp(1, -bits)
+
+    @pytest.mark.parametrize("b", [1e-200, 1e-320])
+    def test_below_the_256_bit_grid(self, b):
+        # a table's grid is set by its boundary values, about 2^-608 at 256
+        # bits: these intervals read 0 there, within 2^-200 of b / sqrt(pi),
+        # and 512 or 1,024 bits resolve them (test_fixed_point)
+        with mpmath.workprec(272):
+            F = gram.gram_matrix_mp(tiny_interval(b), 4)
+            diag = [mpmath.ldexp(int(v), F.exp) for v in F.re.diagonal()]
+            assert abs(diag[0] - mpmath.mpf(b) / mpmath.sqrt(mpmath.pi)) <= mpmath.ldexp(1, -200)
+            assert min(diag) >= -mpmath.ldexp(1, -256)
+
+
 class TestSpectralConstant:
     def test_identity_gives_one(self):
         reg = rg.full_space(1, rg.truncate_radius(4, 1) + 1)

@@ -373,11 +373,12 @@ def single_interval_tables(a, b, N, mp=None):
 
     # diagonal: I_{k+1} = I_k - (c_k / 2) [phi_k phi_{k+1}]_a^b from I_0, which is
     # (erf(b) - erf(a)) / 2 reflected to lean right and taken through erfc
-    # when both ends share a sign, so that far intervals keep relative accuracy
+    # when both ends share a sign and the far one is past erf^-1(1/2), so that
+    # far intervals keep relative accuracy
     B = v[:N, 1] * v[1:K, 1] - v[:N, 0] * v[1:K, 0]
     step = c[:N] / 2 * B
     lo, hi = (x[0], x[1]) if a + b >= 0 else (-x[1], -x[0])
-    F, sign = (erfc, -1) if lo >= 0 else (erf, 1)
+    F, sign = (erfc, -1) if lo >= 0 and hi >= rg.ERF_HALF else (erf, 1)
     F_lo, F_hi = F(lo), F(hi)
     seed = sign * (F_hi - F_lo) / 2
     diag = np.cumsum(np.concatenate([np.array([seed], dtype=dtype), -step]))
