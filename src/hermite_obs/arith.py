@@ -1,12 +1,14 @@
-"""Arithmetic backends shared by the spectral and control pipelines, and the
-one Taylor table (:func:`taylor`) behind every propagator and time Gramian.
+"""Arithmetic backends shared by the spectral and control pipelines, and
+:func:`taylor`, behind every propagator and time Gramian: closed forms for a
+diagonal generator (``closed``), else one Taylor table.
 
 Matrices of both backends support +, -, @, unary -, real scalar * and slicing;
 everything else goes through the methods here, under ``mp.workprec(bits +
 16)``.  ``Mp`` takes and returns fixed-point matrices (``Fx``) only; mpmath
-serves scalars, while the Gauss rule and the Taylor coefficients are exact
-integer work at the backend's own precision (``Double`` rounds the 128-bit
-Gauss rule to doubles).  Products by a sparse generator go through its row
+serves scalars (the diagonal closed forms among them, each rounded once),
+while the Gauss rule and the Taylor coefficients are exact integer work at
+the backend's own precision (``Double`` rounds the 128-bit Gauss rule to
+doubles).  Products by a sparse generator go through its row
 slots (``rows``).  Vectors stack (``stack``) as the columns of one matrix in
 both backends, so a product with a block of them is one BLAS or one integer
 product, rounded once as any matrix is.
@@ -77,6 +79,15 @@ class Double:
         """[sum_k c^k / k! terms[k] for c in scales]."""
         C = [[c**k / math.factorial(k) for k in range(len(terms))] for c in scales]
         return list(np.tensordot(C, np.stack(terms), axes=1))
+
+    def closed(self, a, t, Q=None):
+        """e^{-t diag(a)}, or given Q the Gramian Q o t phi1(-t (a_i + conj a_j))
+        entrywise, phi1(z) = (e^z - 1) / z and phi1(0) = 1, from numpy's exp
+        and expm1."""
+        if Q is None:
+            return self.from_np(np.diag(np.exp(-t * a)))
+        z = -t * (a[:, None] + a.conj())
+        return Q * (t * np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0))
 
     def rows(self, B):  # BLAS takes the dense product
         return B
@@ -337,7 +348,12 @@ class Mp:
 
     def from_np(self, M):
         M = np.asarray(M, dtype=complex)
-        F = fixed(np.stack([M.real, M.imag]), self.prec)  # one exponent for both parts
+        return self._fixed(M.real, M.imag)
+
+    def _fixed(self, re, im):
+        """Real and imaginary parts (floats or mpf) as one Fx, each entry
+        rounded once (:func:`fixed`) at one exponent for both parts."""
+        F = fixed(np.stack([re, im]), self.prec)
         return Fx(F.re[0], F.re[1] if F.re[1].any() else None, F.exp, self.prec)
 
     def to_np(self, v):  # int / int true division rounds each entry once
@@ -365,6 +381,28 @@ class Mp:
         S, shape = Fx(C, None, -self.prec, self.prec) @ Fx(re, im, t, self.prec), terms[0].re.shape
         return [Fx(S.re[i].reshape(shape), None if S.im is None else S.im[i].reshape(shape),
                    S.exp, self.prec) for i in range(len(C))]
+
+    def closed(self, a, t, Q=None):
+        """:meth:`Double.closed` from mpmath at 2^-prec, once per distinct
+        a_i or a_i + conj a_j, each value rounded once to one grid
+        (:meth:`_fixed`); Q's entrywise product is exact, then rounded as
+        any Fx is."""
+        u, k = np.unique(a, return_inverse=True)
+        k, n = k.ravel(), len(u)
+        with mp.workprec(self.prec):
+            v = [mp.mpf(z.real) if z.imag == 0 else mp.mpc(z) for z in u]
+            if Q is None:  # the distinct e^{-t a_i}, and 0 off the diagonal
+                vals = [mp.exp(-t * z) for z in v] + [mp.zero]
+                at = np.where(np.eye(len(k), dtype=bool), k, n)
+            else:  # the distinct t phi1(-t s), s = a_i + conj a_j
+                sums = {}
+                at = np.array([sums.setdefault(y + mp.conj(z), len(sums)) for y in v for z in v])
+                vals = [-mp.expm1(-t * s) / s if s else mp.mpf(t) for s in sums]
+                at = at[k[:, None] * n + k]
+        F = self._fixed(*(np.array([f(z) for z in vals], dtype=object) for f in (mp.re, mp.im)))
+        M = Fx(F.re[at], None if F.im is None else F.im[at], F.exp, self.prec)
+        return M if Q is None else Fx(*_dot((Q.re, Q.im), (M.re, M.im), operator.mul),
+                                      Q.exp + M.exp, self.prec)
 
     def rows(self, B):
         return _Rows(B)
@@ -493,54 +531,71 @@ def step_count(A, T):
 
 
 def taylor(ar, A, T, x=(), Q=None, reads=None):
-    """Propagators and, given Q, the Gramian over [0, T] from one Taylor table.
+    """Propagators and, given Q, the Gramian over [0, T]: closed forms for a
+    diagonal A, else one Taylor table.
 
-    At h = T / 2^k, 2^k the :func:`step_count`, the powers of B = -hA up to
-    the least m with nu^{m+1} / (m+1)! (m+2) / (m+2-nu) < 2^-(bits+16), nu
-    the 1-norm of B or of Z = [[B, hQ], [0, -B^H]] (Higham, *Functions of
-    Matrices*, 10.3), give E(h) = e^{-hA} and e^{-c h A} at the Gauss offsets
-    c = (x + 1) / 2, one contraction each; without Q they are squared k times.
-    With Q, W(h) = V E(h)^H, V = sum R_j / j! the top-right block of e^Z with
-    R_1 = hQ, R_{j+1} = B R_j + (-1)^j (B^j hQ)^H (Van Loan 1978; Q is
-    Hermitian).  Every product of the table is B times a matrix, taken
-    through ``ar.rows(B)``: B's row slots in fixed point, BLAS in double,
-    so only the contractions, V E(h)^H and the doublings are dense.  k doublings
-    W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach
-    W = int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.  Returns the
-    propagators, W (or None), E, the step count 2^k and m; given Q and
-    ``reads``, step counts 2^j <= 2^k, the propagators, {2^j: (W, E)} off the
-    chain (each W averaged with W^H on its copy alone), the step count and m.
+    h = T / 2^k, 2^k the :func:`step_count`, and the Gauss offsets c = (x +
+    1) / 2 set what is read.  A = diag(a) (the harmonic generator) takes
+    ``ar.closed`` at each time read: e^{-c h A} entrywise from e^{-t a_i},
+    e^{-TA}, and W(t) = Q o t phi1(-t (a_i + conj a_j)) at t = 2^j h, with
+    no table and no doubling (m = 0).
+
+    Any other A: the powers of B = -hA up to the least m with nu^{m+1} /
+    (m+1)! (m+2) / (m+2-nu) < 2^-(bits+16), nu the 1-norm of B or of Z = [[B,
+    hQ], [0, -B^H]] (Higham, *Functions of Matrices*, 10.3), give E(h) =
+    e^{-hA} and e^{-c h A}, one contraction each; without Q they are squared
+    k times.  With Q, W(h) = V E(h)^H, V = sum R_j / j! the top-right block
+    of e^Z with R_1 = hQ, R_{j+1} = B R_j + (-1)^j (B^j hQ)^H (Van Loan 1978;
+    Q is Hermitian).  Every product of the table is B times a matrix, taken
+    through ``ar.rows(B)``: B's row slots in fixed point, BLAS in double, so
+    only the contractions, V E(h)^H and the doublings are dense.  k
+    doublings W(2h) = W(h) + E(h) W(h) E(h)^H, E(2h) = E(h)^2 reach W =
+    int_0^T e^{-tA} Q e^{-tA^H} dt and E = e^{-TA}.
+
+    Returns the propagators (at c T without Q), W (or None), E, the step
+    count 2^k and m; given Q and ``reads``, step counts 2^j <= 2^k, the
+    propagators, {2^j: (W, E)} at 2^j h (each W averaged with W^H on its
+    copy alone), the step count and m.
     """
     steps = step_count(A, T)
     h = T / steps
-    nu = h * float(np.abs(A).sum(axis=0).max())
-    if Q is not None:
-        nu = max(nu, h * float((np.abs(ar.to_np(Q)).sum(axis=0) + np.abs(A).sum(axis=1)).max()))
-    m = 1
-    while nu and (m + 2 <= nu or (m + 1) * math.log(nu) - math.lgamma(m + 2)
-                  + math.log((m + 2) / (m + 2 - nu)) > -(ar.bits + 16) * math.log(2)):
-        m += 1
-    B = ar.from_np(A) * -h
-    rows = ar.rows(B)
-    powers = [ar.from_np(np.eye(A.shape[0])), B]
-    while len(powers) <= m:
-        powers.append(rows @ powers[-1])
-    props = ar.series([1] + [(xi + 1) / 2 for xi in x], powers)
-    if Q is None:
-        for _ in range(steps.bit_length() - 1):
-            props = [M @ M for M in props]
-        return props, None, props[0], steps, m
-    R = [Q * 0, Q * h]
-    BQ = R[1]                                                      # B^j hQ
-    for j in range(1, m):
-        BQ, BR = rows @ BQ, rows @ R[-1]
-        R.append(BR - ar.adj(BQ) if j % 2 else BR + ar.adj(BQ))
-    E = props[0]
-    W = ar.series([1], R)[0] @ ar.adj(E)
-    chain = {}
-    for j in range(steps.bit_length()):
-        if j:
-            W, E = W + E @ W @ ar.adj(E), E @ E
-        if 1 << j in (reads or [steps]):
-            chain[1 << j] = (W + ar.adj(W)) * 0.5, E
+    scales = [1] + [(xi + 1) / 2 for xi in x]
+    a, m = np.diagonal(A), 0
+    if not (A - np.diag(a)).any():
+        props = [ar.closed(a, c * (T if Q is None else h)) for c in scales]
+        if Q is None:
+            return props, None, props[0], steps, m
+        chain = {r: (ar.closed(a, r * h, Q), ar.closed(a, r * h)) for r in reads or [steps]}
+    else:
+        nu = h * float(np.abs(A).sum(axis=0).max())
+        if Q is not None:
+            nu = max(nu, h * float((np.abs(ar.to_np(Q)).sum(axis=0) + np.abs(A).sum(axis=1)).max()))
+        m = 1
+        while nu and (m + 2 <= nu or (m + 1) * math.log(nu) - math.lgamma(m + 2)
+                      + math.log((m + 2) / (m + 2 - nu)) > -(ar.bits + 16) * math.log(2)):
+            m += 1
+        B = ar.from_np(A) * -h
+        rows = ar.rows(B)
+        powers = [ar.from_np(np.eye(A.shape[0])), B]
+        while len(powers) <= m:
+            powers.append(rows @ powers[-1])
+        props = ar.series(scales, powers)
+        if Q is None:
+            for _ in range(steps.bit_length() - 1):
+                props = [M @ M for M in props]
+            return props, None, props[0], steps, m
+        R = [Q * 0, Q * h]
+        BQ = R[1]                                                      # B^j hQ
+        for j in range(1, m):
+            BQ, BR = rows @ BQ, rows @ R[-1]
+            R.append(BR - ar.adj(BQ) if j % 2 else BR + ar.adj(BQ))
+        E = props[0]
+        W = ar.series([1], R)[0] @ ar.adj(E)
+        chain = {}
+        for j in range(steps.bit_length()):
+            if j:
+                W, E = W + E @ W @ ar.adj(E), E @ E
+            if 1 << j in (reads or [steps]):
+                chain[1 << j] = W, E
+    chain = {r: ((W + ar.adj(W)) * 0.5, E) for r, (W, E) in chain.items()}
     return (props, chain, steps, m) if reads else (props, *chain[steps], steps, m)

@@ -12,16 +12,17 @@ horizon T is the largest generalized eigenvalue of the pencil
 
 and the minimal-norm steering control solves W_c lam = -e^{-TA} f0 with the
 reachability Gramian W_c built from P^2 (the control enters through B = P
-with cost ||u(t)||^2_{L2}).  Gramians are exact: one truncated Taylor table
-over a short step, then doubling up to T (:func:`arith.taylor`).  Both
+with cost ||u(t)||^2_{L2}).  Gramians are exact (:func:`arith.taylor`): in
+closed form for a diagonal generator (the harmonic oscillator's), else one
+truncated Taylor table over a short step, then doubling up to T.  Both
 pipelines are written once over a backend (:mod:`hermite_obs.arith`) under
 mp.workprec(bits + 16), which is also the precision of log C_T.  An
 ill-conditioned Gramian, or an explicit precision, runs the whole pipeline
 (Gramian, solve, control grid, re-simulation) in fixed point at that
 precision.  Each staircase stage is HUM on the leading block of its modes.
 HUM's Gramian depends on the system, not on the initial state: a
-ControlProblem keeps one plan per (precision, block, horizon), with the
-Taylor table's products, W's factor and cond and the grid propagators, and
+ControlProblem keeps one plan per (precision, block, horizon), with W, its
+factor and cond and the grid propagators, and
 each call applies it to its initial state.
 """
 
@@ -78,7 +79,7 @@ class ControlProblem:
         """The HUM plan (:func:`_plan`) of the leading d modes over [0, T] at
         ``ar``'s precision, built on first use and kept in ``plans`` under
         (bits, d, T).  A grid of more than ``MAX_GRID`` samples is refused
-        before its Taylor table."""
+        before any propagator is built."""
         if (key := (ar.bits, d, T)) not in self.plans:
             if (steps := arith.step_count(self.A.matrix[:d, :d], T)) * GRID_ORDER > MAX_GRID:
                 raise ContractViolation("HUM grid of 2^%d steps x %d nodes is above MAX_GRID = %d"
@@ -124,8 +125,8 @@ class _Plan:
 
 def _plan(ar, A, P, d, T):
     """The part of HUM on the leading d modes (the subscript d) that does not
-    depend on the initial state: one Taylor table of A_d, with Q = P_d^2, gives
-    the Gramian W, e^{-TA_d} and the propagators at the ``GRID_ORDER`` Gauss
+    depend on the initial state: :func:`arith.taylor` of A_d, with Q = P_d^2,
+    gives the Gramian W, e^{-TA_d} and the propagators at the ``GRID_ORDER`` Gauss
     nodes of the 2^k steps of [0, T].  In fixed point one Cholesky factor of W
     serves cond(W) and every solve (the ridged W's factor if W does not
     factor); in double precision cond(W) is kept, and :func:`_hum` compares it
@@ -214,7 +215,7 @@ class ObservabilityReport:
     precision_bits: int
     flag: str  # 'ok' or 'singular_floor' (value then a certified lower bound)
     subintervals: int = 0  # Gramian steps of length h = T / 2^k: 2^k
-    taylor_degree: int = 0  # degree of the step's Taylor table
+    taylor_degree: int = 0  # degree of the step's Taylor table; 0: closed form, no table
 
 
 def observability_constant(problem: ControlProblem, T, precision_bits=53) -> ObservabilityReport:
@@ -231,8 +232,10 @@ def observability_constants(problem: ControlProblem, T_list, precision_bits=53) 
     It walks ``arith.precisions(precision_bits)``: double precision serves
     while cond(W) < COND_MAX, fixed point while W is numerically positive
     definite, else the horizon moves to the next precision.  At each, the
-    horizons that share a step h = T / ``arith.step_count`` share one Taylor
-    table, at their longest, and read W and e^{-TA} off its doubling chain.
+    horizons that share a step h = T / ``arith.step_count`` share one call of
+    :func:`arith.taylor`, at their longest: a diagonal generator's closed forms
+    at each, else one Taylor table whose doubling chain they read W and
+    e^{-TA} off.
     If W stays singular at the last, arith.MAX_BITS, a ridged W gives a
     certified lower bound, flagged.  The ridge covers the error W inherits
     from the double P, at most T dim eps ||P|| (e^{-tA} is a contraction), and
@@ -306,7 +309,7 @@ class ControlResult:
     precision_bits: int
     flag: str
     subintervals: int = 0       # control-grid subintervals, 2^k
-    taylor_degree: int = 0      # degree of the step's Taylor table
+    taylor_degree: int = 0      # degree of the step's Taylor table; 0: closed form, no table
 
 
 def hum_control(problem: ControlProblem, T, f0: HermiteExpansion,

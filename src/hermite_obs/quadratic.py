@@ -285,7 +285,8 @@ def weyl_quantize(sym: QuadraticSymbol, N) -> GalerkinOperator:
 
 
 def evolve(op: GalerkinOperator, f0: HermiteExpansion, t) -> HermiteExpansion:
-    """Propagate f0 by the Galerkin semigroup, f(t) = e^{-tA} f0 (arith.taylor).
+    """Propagate f0 by the Galerkin semigroup, f(t) = e^{-tA} f0 (arith.taylor:
+    entrywise exponentials for a diagonal A, else the Taylor table).
 
     For accretive symbols the expansion norm must not grow; a violation
     beyond 1e-8 relative is raised since it signals either a truncation
@@ -326,9 +327,9 @@ def dissipation_check(op: GalerkinOperator, t_grid, k_grid, seed=0) -> Dissipati
     """Measure sup_f ||(1 - pi_k) e^{-tA} f|| / ||f|| on the given grids.
 
     The sup over f is the exact operator norm of the row-masked propagator
-    e^{-tA} (arith.taylor), its largest singular value; four random unit probes
-    cross-check it from below, and a violation of that ordering is reported
-    as a failure.  At each t the decay exponent in k is fitted by least
+    e^{-tA} (arith.taylor, in closed form for a diagonal A), its largest
+    singular value; four random unit probes cross-check it from below, and a
+    violation of that ordering is reported as a failure.  At each t the decay exponent in k is fitted by least
     squares; the fitted intercept exp(c) estimates the prefactor C_0 and the
     slope estimates delta(t).
     """

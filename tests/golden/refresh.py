@@ -176,6 +176,10 @@ ENTRIES = [
     ("flagged-control-cost", "control --N 4 --T 1e-300 --out {out}", None),
     ("flagged-staircase-cost", "control --N 4 --T 1e-300 --staircase --out {out}", None),
     ("flagged-control-cost-256", "control --N 4 --T 1e-160 --precision-bits 256 --out {out}", None),
+    # short horizons at 256 bits: the harmonic Gramian in closed form, the KFP one by its table
+    ("fx-short-horizon-256", "control --N 4 --T 1e-150 --precision-bits 256 --out {out}", None),
+    ("fx-short-horizon-kfp-256", "control --symbol kfp:a=1 --N 4 --T 1e-150 --precision-bits 256"
+     " --out {out}", None),
     # contract violations and failed verification (exit 2), output failures (exit 4)
     ("contract-gamma", "constant --region periodic:L=1,gamma=1.5 --n 1 --N 4", None),
     ("contract-density-4d", "scaling --region full --n 4 --N 0 --variant density", None),

@@ -84,13 +84,15 @@ class TestGramian:
 
 
 class TestTaylorTable:
-    """The one Taylor table against independent matrix exponentials."""
+    """The Taylor table and the diagonal closed forms against independent
+    matrix exponentials."""
 
     @pytest.mark.parametrize("bits", [256, 512])
     @pytest.mark.parametrize("case", ["harmonic-7", "kfp-4"])
     def test_matches_mp_expm(self, bits, case):
-        # E(h), the eight grid offsets e^{-c h A} and W = V E^H built from the
-        # Van Loan block V, against mp.expm of the block and of each -c h A
+        # E(h), the eight grid offsets e^{-c h A} and W against mp.expm of the
+        # Van Loan block and of each -c h A; the diagonal harmonic generator
+        # takes the closed forms (degree 0), KFP a deep table
         if case == "harmonic-7":
             A, P = qd.weyl_quantize(qd.harmonic_symbol(1), 7).matrix, thick_gram(7)
         else:
@@ -112,10 +114,47 @@ class TestTaylorTable:
             def err(got, ref):
                 return mpmath.mnorm(to_mp(got) - ref, 1) / mpmath.mnorm(ref, 1)
 
-            assert steps == 1 and m > 50
+            assert steps == 1 and (m == 0 if case == "harmonic-7" else m > 50)
             assert err(E, refs[0]) <= tol
             assert all(err(got, ref) <= tol for got, ref in zip(props, refs))
             assert err(W, (ref_W + ref_W.H) / 2) <= tol
+
+    @pytest.mark.parametrize("bits", [53, 256])
+    @pytest.mark.parametrize("a", [[0.5 + 3j, 2 - 1j, 0.5 + 3j, 7 + 0.25j],
+                                   [1j, -1j, 0, 1 + 2j, -1 + 2j, 2.5]], ids=["complex", "zero-sum"])
+    def test_diagonal_closed_forms_match_mp_expm(self, bits, a):
+        # a complex diagonal with a repeated entry, and one where a_i + conj a_j
+        # = 0 for several pairs (the phi1(0) = 1 branch), some not accretive:
+        # the propagators at c h and c T, and W, E at the first and last step,
+        # against mp.expm of -t A and of the Van Loan block at 48 more bits
+        A = np.diag(np.array(a, dtype=complex))
+        d, ar, T = len(a), arith.backend(bits), 0.7
+        G = np.random.default_rng(3).standard_normal((d, 2 * d)).view(complex)
+        Q = (G + G.conj().T) / 2
+        steps = arith.step_count(A, T)
+        tol = 1e-13 if bits == 53 else mpmath.mpf(2) ** -(bits - 16)
+        read = mpmath.matrix if bits == 53 else to_mp
+        with mpmath.workprec(bits + 16):
+            x, _ = ar.gauss(ct.GRID_ORDER)
+            props, chain, got_steps, m = arith.taylor(ar, A, T, x, ar.from_np(Q), {1, steps})
+            props_T, W_T, E_T, _, m_T = arith.taylor(ar, A, T, x)
+        assert got_steps == steps > 1 and m == m_T == 0 and W_T is None and E_T is props_T[0]
+        with mpmath.workprec(bits + 48):
+            A_mp, Q_mp = mpmath.matrix(A), read(ar.from_np(Q)) if bits > 53 else mpmath.matrix(Q)
+
+            def err(got, ref):
+                return mpmath.mnorm(read(got) - ref, 1) / mpmath.mnorm(ref, 1)
+
+            cs = [1] + [(xi + 1) / 2 for xi in x]
+            assert all(err(got, mpmath.expm(A_mp * (-c * T / steps))) <= tol for c, got in zip(cs, props))
+            assert all(err(got, mpmath.expm(A_mp * (-c * T))) <= tol for c, got in zip(cs, props_T))
+            for r, (W, E) in chain.items():
+                t = r * T / steps
+                Z = mpmath.matrix(2 * d)
+                Z[:d, :d], Z[:d, d:], Z[d:, d:] = A_mp * -t, Q_mp * t, A_mp.H * t
+                F = mpmath.expm(Z)
+                assert err(E, F[:d, :d]) <= tol and err(W, F[:d, d:] * F[:d, :d].H) <= tol
+                assert mpmath.mnorm(read(W) - read(W).H, 1) == 0
 
     @pytest.mark.parametrize("case, T", [pytest.param("kfp-6", T, id=str(T)) for T in (0.01, 1.0, 5.0)]
                              + [(case, T) for case in ("kfp-8", "harmonic-24") for T in (0.05, 0.8, 1.6)])
@@ -190,6 +229,16 @@ class TestObservability:
         a = ct.observability_constant(prob, 0.8)
         b = ct.observability_constant(prob, 0.8, precision_bits=256)
         assert b.precision_bits >= 256
+        assert b.subintervals == a.subintervals and b.taylor_degree == a.taylor_degree == 0
+        assert a.c_value == pytest.approx(b.c_value, rel=1e-9)
+
+    def test_kfp_mp_table_is_deeper_than_double(self):
+        # a generator off the diagonal keeps its Taylor table, deeper at 256
+        # bits than in double precision, over the same steps
+        prob = ct.ControlProblem(qd.weyl_quantize(qd.kfp_symbol(1.0), 3), half_plane_gram(3))
+        a = ct.observability_constant(prob, 0.8)
+        b = ct.observability_constant(prob, 0.8, precision_bits=256)
+        assert (a.precision_bits, b.precision_bits, a.flag, b.flag) == (53, 256, "ok", "ok")
         assert b.subintervals == a.subintervals and b.taylor_degree > a.taylor_degree > 0
         assert a.c_value == pytest.approx(b.c_value, rel=1e-9)
 
@@ -355,13 +404,37 @@ class TestHumControl:
         b = ct.hum_control(prob, 1.0, f0, precision_bits=256)
         assert b.precision_bits == 256 and b.flag == "ok"
         assert b.subintervals == a.subintervals
-        assert b.taylor_degree > a.taylor_degree > 0
+        assert b.taylor_degree == a.taylor_degree == 0
         assert b.residual <= 1e-15
         assert b.cost == pytest.approx(a.cost, rel=1e-10)
         assert b.times == pytest.approx(a.times, rel=1e-15)
         assert a.controls.shape == b.controls.shape == (len(a.times), N + 1)
         assert all(np.allclose(u, v, rtol=1e-9, atol=1e-12)
                    for u, v in zip(a.controls, b.controls))
+
+    def test_kfp_mp_table_is_deeper_than_double(self):
+        prob = ct.ControlProblem(qd.weyl_quantize(qd.kfp_symbol(1.0), 3), half_plane_gram(3))
+        f0 = basis.random_expansion(2, 3, np.random.default_rng(17))
+        a = ct.hum_control(prob, 1.0, f0)
+        b = ct.hum_control(prob, 1.0, f0, precision_bits=256)
+        assert (a.flag, b.flag) == ("ok", "ok") and b.subintervals == a.subintervals
+        assert b.taylor_degree > a.taylor_degree > 0
+        assert b.cost == pytest.approx(a.cost, rel=1e-10)
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_short_horizons_reach_the_working_rounding(self, bits):
+        # P = I: T cost -> ||f0||^2 as T -> 0, the mode-by-mode closed form
+        # sum |f_i|^2 2 a_i T e^{-2 a_i T} / (1 - e^{-2 a_i T}); the harmonic
+        # Gramian in closed form keeps the residual at the working rounding
+        N = 4
+        prob = harmonic_problem(N)
+        f0 = basis.random_expansion(1, N, np.random.default_rng(1))
+        want = float(np.sum(np.abs(f0.coeffs) ** 2))
+        for T in (1e-20, 1e-100, 1e-150):
+            res = ct.hum_control(prob, T, f0, precision_bits=bits)
+            assert res.flag == "ok" and res.taylor_degree == 0
+            assert res.residual <= 2.0**-200
+            assert res.cost * T == pytest.approx(want, rel=1e-15)
 
     def test_mp_singular_gramian_is_flagged(self):
         # a coupling that sees one mode only: W is singular, so the factor
