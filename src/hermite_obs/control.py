@@ -22,8 +22,8 @@ ill-conditioned Gramian, or an explicit precision, runs the whole pipeline
 precision.  Each staircase stage is HUM on the leading block of its modes.
 HUM's Gramian depends on the system, not on the initial state: a
 ControlProblem keeps one plan per (precision, block, horizon), with W, its
-factor and cond and the grid propagators, and
-each call applies it to its initial state.
+factor and cond and the grid propagators, and each call applies it to its
+initial state.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class _Plan:
 def _plan(ar, A, P, d, T):
     """The part of HUM on the leading d modes (the subscript d) that does not
     depend on the initial state: :func:`arith.taylor` of A_d, with Q = P_d^2,
-    gives the Gramian W, e^{-TA_d} and the propagators at the ``GRID_ORDER`` Gauss
-    nodes of the 2^k steps of [0, T].  In fixed point one Cholesky factor of W
+    gives the Gramian W, e^{-TA_d} and the propagators at the ``GRID_ORDER``
+    Gauss nodes of the 2^k steps of [0, T].  In fixed point one Cholesky factor of W
     serves cond(W) and every solve (the ridged W's factor if W does not
     factor); in double precision cond(W) is kept, and :func:`_hum` compares it
     with ``COND_MAX`` at each call.  The full generator's propagators at the

@@ -329,9 +329,9 @@ def dissipation_check(op: GalerkinOperator, t_grid, k_grid, seed=0) -> Dissipati
     The sup over f is the exact operator norm of the row-masked propagator
     e^{-tA} (arith.taylor, in closed form for a diagonal A), its largest
     singular value; four random unit probes cross-check it from below, and a
-    violation of that ordering is reported as a failure.  At each t the decay exponent in k is fitted by least
-    squares; the fitted intercept exp(c) estimates the prefactor C_0 and the
-    slope estimates delta(t).
+    violation of that ordering is reported as a failure.  At each t the decay
+    exponent in k is fitted by least squares; the fitted intercept exp(c)
+    estimates the prefactor C_0 and the slope estimates delta(t).
     """
     rng = np.random.default_rng(seed)
     lev = basis.index_levels(op.n, op.N)

@@ -136,11 +136,12 @@ class TestTaylorTable:
         read = mpmath.matrix if bits == 53 else to_mp
         with mpmath.workprec(bits + 16):
             x, _ = ar.gauss(ct.GRID_ORDER)
-            props, chain, got_steps, m = arith.taylor(ar, A, T, x, ar.from_np(Q), {1, steps})
+            Q = ar.from_np(Q)
+            props, chain, got_steps, m = arith.taylor(ar, A, T, x, Q, {1, steps})
             props_T, W_T, E_T, _, m_T = arith.taylor(ar, A, T, x)
         assert got_steps == steps > 1 and m == m_T == 0 and W_T is None and E_T is props_T[0]
         with mpmath.workprec(bits + 48):
-            A_mp, Q_mp = mpmath.matrix(A), read(ar.from_np(Q)) if bits > 53 else mpmath.matrix(Q)
+            A_mp, Q_mp = mpmath.matrix(A), read(Q)
 
             def err(got, ref):
                 return mpmath.mnorm(read(got) - ref, 1) / mpmath.mnorm(ref, 1)
@@ -413,6 +414,7 @@ class TestHumControl:
                    for u, v in zip(a.controls, b.controls))
 
     def test_kfp_mp_table_is_deeper_than_double(self):
+        # as TestObservability's: KFP keeps a table, deeper at 256 bits
         prob = ct.ControlProblem(qd.weyl_quantize(qd.kfp_symbol(1.0), 3), half_plane_gram(3))
         f0 = basis.random_expansion(2, 3, np.random.default_rng(17))
         a = ct.hum_control(prob, 1.0, f0)
