@@ -374,7 +374,9 @@ class Mp:
         """[sum_k c^k / k! terms[k] for c in scales] as one integer product,
         its coefficients exact (:func:`coefficients`)."""
         C = np.array([coefficients(c, len(terms), self.prec) for c in scales], dtype=object)
-        t = max(M.exp + M.bits() for M in terms) - self.prec  # the terms stacked at 2^t
+        # the terms stacked at 2^t, set by the nonzero ones: a zero term (the
+        # Van Loan list's R_0) would pin the grid to its own exponent
+        t = max((M.exp + M.bits() for M in terms if M.bits()), default=0) - self.prec
         re = np.array([_shift(M.re, t - M.exp).ravel() for M in terms])
         im = None if all(M.im is None for M in terms) else np.array(
             [_shift(0 * M.re if M.im is None else M.im, t - M.exp).ravel() for M in terms])

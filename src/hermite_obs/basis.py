@@ -1,5 +1,6 @@
 """Hermite basis machinery: multi-indices, stable function evaluation,
-ladder-operator algebra and finite expansions.
+finite expansions and the ladder-operator algebra on them
+(:func:`apply_ladder`, which reads the cutoff off the expansion).
 
 Everything downstream (restriction Gram matrices, Weyl-quantized operators,
 semigroup propagation) is expressed in the orthonormal basis of Hermite
@@ -311,55 +312,32 @@ def random_expansion(n, N, rng):
 # -- ladder maps -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LadderMap:
-    """One creation/annihilation-type map along a fixed axis.
+def apply_ladder(kind, axis, f: HermiteExpansion) -> HermiteExpansion:
+    """One creation/annihilation-type map along ``axis``, coefficient-exactly.
 
     kind 'raise'      a_{j,+}: Phi_alpha -> sqrt(alpha_j + 1) Phi_{alpha+e_j}
     kind 'lower'      a_{j,-}: Phi_alpha -> sqrt(alpha_j) Phi_{alpha-e_j}
     kind 'position'   x_j   = (a_+ + a_-)/sqrt(2)
     kind 'derivative' d/dx_j = (a_- - a_+)/sqrt(2)
 
-    Raise/position/derivative enlarge the cutoff by one; lower shrinks it.
+    Raise/position/derivative take E_N to E_{N+1}; lower to E_{max(N-1, 0)}.
     """
-
-    kind: str
-    axis: int
-    source_cutoff: int
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ContractViolation("unknown ladder kind %r" % self.kind)
-        if self.source_cutoff < 0:
-            raise ContractViolation("source cutoff must be >= 0")
-
-    @property
-    def target_cutoff(self):
-        if self.kind == LOWER:
-            return max(self.source_cutoff - 1, 0)
-        return self.source_cutoff + 1
-
-
-def apply_ladder(m: LadderMap, f: HermiteExpansion) -> HermiteExpansion:
-    """Apply a ladder map to an expansion, coefficient-exactly."""
-    if f.N != m.source_cutoff:
-        raise ContractViolation(
-            "expansion cutoff %d does not match ladder source %d" % (f.N, m.source_cutoff)
-        )
-    if m.axis < 0 or m.axis >= f.n:
+    if kind not in _KINDS:
+        raise ContractViolation("unknown ladder kind %r" % kind)
+    if axis < 0 or axis >= f.n:
         raise ContractViolation("axis out of range")
-    if m.kind in (POSITION, DERIVATIVE):
-        up = apply_ladder(LadderMap(RAISE, m.axis, f.N), f)
-        down = apply_ladder(LadderMap(LOWER, m.axis, f.N), f).padded(up.N)
-        return (up + down if m.kind == POSITION else down - up).scaled(1.0 / SQRT2)
+    if kind in (POSITION, DERIVATIVE):
+        up = apply_ladder(RAISE, axis, f)
+        down = apply_ladder(LOWER, axis, f).padded(up.N)
+        return (up + down if kind == POSITION else down - up).scaled(1.0 / SQRT2)
 
-    N_out = m.target_cutoff
+    N_out = f.N + 1 if kind == RAISE else max(f.N - 1, 0)
     out = np.zeros(space_dimension(f.n, N_out), dtype=complex)
-    if m.kind == RAISE:
-        src, tgt, fac = _ladder_table(f.n, N_out, m.axis)
+    if kind == RAISE:
+        src, tgt, fac = _ladder_table(f.n, N_out, axis)
         out[tgt] = fac * f.coeffs[src]
     else:  # LOWER, the adjoint: read the raise table of E_N backwards
-        src, tgt, fac = _ladder_table(f.n, f.N, m.axis)
+        src, tgt, fac = _ladder_table(f.n, f.N, axis)
         out[src] = fac * f.coeffs[tgt]
     return HermiteExpansion(f.n, N_out, out)
 

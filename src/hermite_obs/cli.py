@@ -576,7 +576,7 @@ def run(argv):
         "provenance": reporting.provenance(config_view, seed, aux_defaults),
     }
     if not args.quiet:
-        sys.stdout.write(json.dumps(reporting.sanitize(bundle), sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(reporting.json_text(bundle))
     try:
         if args.out:
             reporting.write_json(args.out + ".json", bundle, mkdirs=args.mkdirs)

@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp
 
 from . import basis
-from .basis import ContractViolation, HermiteExpansion, LadderMap, apply_ladder
+from .basis import ContractViolation, HermiteExpansion, apply_ladder
 
 
 @basis.frozen_cache
@@ -58,9 +58,9 @@ def remez_fraction(n, t):
     return (2.0 - u) / u if u else math.inf  # (1 + s) / (1 - s), s = 1 - u; inf once u underflows
 
 
-def _saturated(factor):
-    """factor(), a positive growth factor, or +inf past the double range,
-    where pow overflows or the Chebyshev recurrence reaches inf - inf."""
+def saturated(factor):
+    """factor(), a positive value, or +inf past the double range, where pow,
+    exp or ldexp overflows or the Chebyshev recurrence reaches inf - inf."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = float(factor())
@@ -83,8 +83,8 @@ def remez_bound(n, d, t, complex_poly=False):
         raise ContractViolation("degree must be >= 0")
     F = remez_fraction(n, t)
     if complex_poly:
-        return _saturated(lambda: 2.0 ** (2 * d + 1) * F**d)
-    return _saturated(lambda: chebyshev_value(d, F))
+        return saturated(lambda: 2.0 ** (2 * d + 1) * F**d)
+    return saturated(lambda: chebyshev_value(d, F))
 
 
 def remez_ball_bound(n, d, rho):
@@ -99,7 +99,7 @@ def remez_ball_bound(n, d, rho):
     if d < 0:
         raise ContractViolation("degree must be >= 0")
     F = remez_fraction(n, rho / 4.0)
-    return _saturated(lambda: 2.0 ** (2 * d + 1) / math.sqrt(3.0) * math.sqrt(4.0 / rho) * F**d)
+    return saturated(lambda: 2.0 ** (2 * d + 1) / math.sqrt(3.0) * math.sqrt(4.0 / rho) * F**d)
 
 
 def kovrijkine_interval_bound(c_kov, measure, m_value):
@@ -143,7 +143,7 @@ def _apply_derivatives(f, beta):
     g = f
     for j, b in enumerate(beta):
         for _ in range(b):
-            g = apply_ladder(LadderMap(basis.DERIVATIVE, j, g.N), g)
+            g = apply_ladder(basis.DERIVATIVE, j, g)
     return g
 
 

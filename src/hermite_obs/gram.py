@@ -24,7 +24,7 @@ from mpmath import mp
 
 from . import arith, basis, regions
 from .basis import ContractViolation
-from .estimates import hermite_tail_bound_log, remez_fraction, tail_constant_cn
+from .estimates import hermite_tail_bound_log, remez_fraction, saturated, tail_constant_cn
 from .regions import Region
 
 DEFAULT_C_SOBOLEV = 10.0
@@ -263,15 +263,6 @@ def thick_params(n, L, gamma):
     return BoundParams(n, "thick", L=float(L), gamma=float(gamma))
 
 
-def _or_inf(f, *args):
-    """f(*args), or inf where the value passes the double range and f raises
-    (``math.exp`` from 709.79, ``math.ldexp`` past 2^1024)."""
-    try:
-        return f(*args)
-    except OverflowError:
-        return math.inf
-
-
 def _log_sum_weighted_factorials(n, log_ratio):
     """log of the sum over multi-indices |b| <= n of ratio^{|b|} (|b|!)^2,
     given log(ratio): a log-sum-exp over k = |b|, which C(k+n-1, n-1) =
@@ -320,7 +311,7 @@ def theoretical_bound_log(p: BoundParams, N):
         theta = (math.log(4.0 * DEFAULT_C_KOV) - math.log(p.gamma) + n / 2 * math.log(math.pi * n)
                  - math.lgamma(n / 2)) / math.log(2.0)
         m, k = math.frexp(p.L)
-        s = _or_inf(math.ldexp, n**3 * (1.0 + 2.0**-n) * m * m, 13 + n + 2 * k)
+        s = saturated(lambda: math.ldexp(n**3 * (1.0 + 2.0**-n) * m * m, 13 + n + 2 * k))
         log_ratio = -8 * math.log(2.0) - 3 * math.log(n) - 2 * math.log(p.L)
         inner = (
             0.5 * n * math.log(4.0 * p.L)
@@ -337,7 +328,7 @@ def theoretical_bound(p: BoundParams, N):
     """The explicit bound as a float (inf past the double range); None when
     the variant's validity condition excludes this N."""
     lg = theoretical_bound_log(p, N)
-    return None if lg is None else _or_inf(math.exp, lg)
+    return None if lg is None else saturated(lambda: math.exp(lg))
 
 
 # -- scaling studies -----------------------------------------------------------

@@ -80,10 +80,14 @@ def write_csv(path, header, rows, mkdirs=False):
             fh.write(",".join(fmt_float(v) for v in row) + "\n")
 
 
+def json_text(obj):
+    """The artifact's JSON text: sanitized, keys sorted, indented, one final LF."""
+    return json.dumps(sanitize(obj), sort_keys=True, indent=2) + "\n"
+
+
 def write_json(path, obj, mkdirs=False):
     with _open_out(path, mkdirs) as fh:
-        fh.write(json.dumps(sanitize(obj), sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.write(json_text(obj))
 
 
 def write_xy_series(path, xs, ys, mkdirs=False):

@@ -96,12 +96,12 @@ def suite_basis_ladder(rng, t):
     j = int(rng.integers(0, n))
     f = basis.random_expansion(n, N, rng)
     g = basis.random_expansion(n, N + 1, rng)
-    up = basis.apply_ladder(basis.LadderMap(basis.RAISE, j, N), f)
-    down = basis.apply_ladder(basis.LadderMap(basis.LOWER, j, N + 1), g)
+    up = basis.apply_ladder(basis.RAISE, j, f)
+    down = basis.apply_ladder(basis.LOWER, j, g)
     adj = abs(up.inner(g) - f.inner(down.padded(N)))
-    du = basis.apply_ladder(basis.LadderMap(basis.LOWER, j, N + 1), up)
-    dn = basis.apply_ladder(basis.LadderMap(basis.LOWER, j, N), f)
-    ud = basis.apply_ladder(basis.LadderMap(basis.RAISE, j, dn.N), dn)
+    du = basis.apply_ladder(basis.LOWER, j, up)
+    dn = basis.apply_ladder(basis.LOWER, j, f)
+    ud = basis.apply_ladder(basis.RAISE, j, dn)
     M = max(du.N, ud.N, f.N)
     comm = (du.padded(M) - ud.padded(M) - f.padded(M)).norm()
     return max(adj, comm) - 1e-12 * max(f.norm() * g.norm(), 1.0)

@@ -34,10 +34,10 @@ def test_c01_orthonormality_and_ladder_algebra():
         N = 6
         f = basis.random_expansion(n, N, rng)
         for axis in range(n):
-            up = basis.apply_ladder(basis.LadderMap(basis.RAISE, axis, N), f)
-            du = basis.apply_ladder(basis.LadderMap(basis.LOWER, axis, N + 1), up)
-            dn = basis.apply_ladder(basis.LadderMap(basis.LOWER, axis, N), f)
-            ud = basis.apply_ladder(basis.LadderMap(basis.RAISE, axis, dn.N), dn)
+            up = basis.apply_ladder(basis.RAISE, axis, f)
+            du = basis.apply_ladder(basis.LOWER, axis, up)
+            dn = basis.apply_ladder(basis.LOWER, axis, f)
+            ud = basis.apply_ladder(basis.RAISE, axis, dn)
             M = max(du.N, ud.N, f.N)
             resid = (du.padded(M) - ud.padded(M) - f.padded(M)).norm()
             assert resid <= 1e-12 * max(f.norm(), 1.0)
@@ -50,12 +50,10 @@ def test_c01_orthonormality_and_ladder_algebra():
             total = None
             for axis in range(n):
                 xx = basis.apply_ladder(
-                    basis.LadderMap(basis.POSITION, axis, N + 1),
-                    basis.apply_ladder(basis.LadderMap(basis.POSITION, axis, N), f),
+                    basis.POSITION, axis, basis.apply_ladder(basis.POSITION, axis, f)
                 )
                 dd = basis.apply_ladder(
-                    basis.LadderMap(basis.DERIVATIVE, axis, N + 1),
-                    basis.apply_ladder(basis.LadderMap(basis.DERIVATIVE, axis, N), f),
+                    basis.DERIVATIVE, axis, basis.apply_ladder(basis.DERIVATIVE, axis, f)
                 )
                 term = xx - dd
                 total = term if total is None else total + term

@@ -9,7 +9,6 @@ from hermite_obs import basis, estimates, quadrature, regions, verify
 from hermite_obs.basis import (
     ContractViolation,
     HermiteExpansion,
-    LadderMap,
     apply_ladder,
     eval_hermite_1d,
     multi_indices,
@@ -178,7 +177,7 @@ class TestExpansion:
 class TestLadder:
     def test_raise_on_phi2(self):
         f = unit_expansion(1, 3, (2,))
-        g = apply_ladder(LadderMap(basis.RAISE, 0, 3), f)
+        g = apply_ladder(basis.RAISE, 0, f)
         assert g.N == 4
         want = unit_expansion(1, 4, (3,)).scaled(math.sqrt(3))
         assert np.allclose(g.coeffs, want.coeffs)
@@ -200,8 +199,8 @@ class TestLadder:
                         up[pos_up[a[:j] + (a[j] + 1,) + a[j + 1:]]] = math.sqrt(a[j] + 1.0) * c
                         if a[j] > 0:
                             down[pos_down[a[:j] + (a[j] - 1,) + a[j + 1:]]] = math.sqrt(a[j]) * c
-                    got_up = apply_ladder(LadderMap(basis.RAISE, j, N), f)
-                    got_down = apply_ladder(LadderMap(basis.LOWER, j, N), f)
+                    got_up = apply_ladder(basis.RAISE, j, f)
+                    got_down = apply_ladder(basis.LOWER, j, f)
                     assert np.array_equal(got_up.coeffs, up)
                     assert np.array_equal(got_down.coeffs, down)
                     R = raise_matrix(n, N + 1, j)
@@ -209,31 +208,25 @@ class TestLadder:
 
     def test_lower_annihilates_ground_state(self):
         f = unit_expansion(1, 2, (0,))
-        g = apply_ladder(LadderMap(basis.LOWER, 0, 2), f)
+        g = apply_ladder(basis.LOWER, 0, f)
         assert g.norm() == 0.0
 
     @pytest.mark.parametrize("k", [0, 1, 4, 7])
     def test_oscillator_eigenrelation(self, k):
         # (-d^2/dx^2 + x^2) phi_k = (2k+1) phi_k, built from ladder maps
         f = unit_expansion(1, 8, (k,))
-        xx = apply_ladder(
-            LadderMap(basis.POSITION, 0, 9),
-            apply_ladder(LadderMap(basis.POSITION, 0, 8), f),
-        )
-        dd = apply_ladder(
-            LadderMap(basis.DERIVATIVE, 0, 9),
-            apply_ladder(LadderMap(basis.DERIVATIVE, 0, 8), f),
-        )
+        xx = apply_ladder(basis.POSITION, 0, apply_ladder(basis.POSITION, 0, f))
+        dd = apply_ladder(basis.DERIVATIVE, 0, apply_ladder(basis.DERIVATIVE, 0, f))
         res = (xx - dd) - f.padded(10).scaled(2 * k + 1)
         assert res.norm() < 1e-12
 
     def test_commutator_is_identity(self):
         rng = np.random.default_rng(0)
         f = basis.random_expansion(2, 5, rng)
-        up = apply_ladder(LadderMap(basis.RAISE, 1, 5), f)
-        down_up = apply_ladder(LadderMap(basis.LOWER, 1, 6), up)
-        down = apply_ladder(LadderMap(basis.LOWER, 1, 5), f)
-        up_down = apply_ladder(LadderMap(basis.RAISE, 1, max(down.N, 0)), down)
+        up = apply_ladder(basis.RAISE, 1, f)
+        down_up = apply_ladder(basis.LOWER, 1, up)
+        down = apply_ladder(basis.LOWER, 1, f)
+        up_down = apply_ladder(basis.RAISE, 1, down)
         diff = down_up - up_down.padded(down_up.N) - f.padded(down_up.N)
         assert diff.norm() < 1e-12
 
@@ -241,8 +234,8 @@ class TestLadder:
         rng = np.random.default_rng(1)
         f = basis.random_expansion(2, 4, rng)
         g = basis.random_expansion(2, 5, rng)
-        up = apply_ladder(LadderMap(basis.RAISE, 0, 4), f)
-        down = apply_ladder(LadderMap(basis.LOWER, 0, 5), g)
+        up = apply_ladder(basis.RAISE, 0, f)
+        down = apply_ladder(basis.LOWER, 0, g)
         assert up.inner(g) == pytest.approx(f.inner(down.padded(4)), rel=1e-13)
 
     def test_harmonic_oscillator_diagonal(self):
@@ -258,10 +251,14 @@ class TestLadder:
         lev = basis.index_levels(n, N)
         assert np.max(np.abs(H[:dim, :dim] - np.diag(2 * lev + n))) < 1e-12
 
-    def test_cutoff_mismatch_rejected(self):
-        f = unit_expansion(1, 3, (1,))
-        with pytest.raises(ContractViolation):
-            apply_ladder(LadderMap(basis.RAISE, 0, 5), f)
+    @pytest.mark.parametrize("kind, axis, message", [
+        ("sideways", 0, "unknown ladder kind"), (basis.RAISE, 2, "axis out of range"),
+        (basis.LOWER, -1, "axis out of range"), (basis.POSITION, 5, "axis out of range"),
+    ])
+    def test_unknown_kind_and_axis_out_of_range_refused(self, kind, axis, message):
+        f = unit_expansion(2, 3, (1, 0))
+        with pytest.raises(ContractViolation, match=message):
+            apply_ladder(kind, axis, f)
 
 
 # every table kept for the rest of the process, as (name, its arrays)

@@ -77,15 +77,11 @@ class TestExitCodes:
         (["observability"], "singular_floor"),
         (["control", "--precision-bits", "256"], "ill_conditioned"),
     ])
-    def test_zero_coupling_is_flagged(self, argv, flag, capsys, monkeypatch, tmp_path):
+    def test_zero_coupling_is_flagged(self, argv, flag, capsys, monkeypatch, tables, tmp_path):
         # a measure-zero region makes P and so W zero, which no precision or
         # ridge makes factor: observability, under the full 4,096-bit ceiling,
         # ends flagged with C_T inf after its first Taylor table, and HUM at
         # 256 bits gives the control 0
-        tables = []
-        taylor = arith.taylor
-        monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
-                            or taylor(ar, *a, **kw))
         if argv[0] == "control":
             monkeypatch.setattr(arith, "MAX_BITS", 256)
         common = ["--symbol", "harmonic", "--region", "interval:a=0,b=0", "--N", "4",

@@ -273,14 +273,10 @@ def test_mpmath_precision_is_scoped():
         assert ctl.precision_bits == 256 and mpmath.mp.prec == 80
 
 
-def test_observability_escalation_ends_at_the_ceiling(monkeypatch):
+def test_observability_escalation_ends_at_the_ceiling(monkeypatch, tables):
     # a 1e-20 interval's P is rounding noise, so W never factors: from 300
     # bits under a 512-bit ceiling the pencil runs at 300, then 512, not 600
     monkeypatch.setattr(arith, "MAX_BITS", 512)
-    tables = []
-    taylor = arith.taylor
-    monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
-                        or taylor(ar, *a, **kw))
     R = rg.truncate_radius(4, 1) + 1
     P = gram.gram_matrix(rg.interval_region(0.0, 1e-20, trunc_radius=R), 4).matrix
     rep = ct.observability_constant(harmonic_problem(4, P), 1.0, 300)
@@ -423,18 +419,24 @@ class TestHumControl:
         assert b.taylor_degree > a.taylor_degree > 0
         assert b.cost == pytest.approx(a.cost, rel=1e-10)
 
-    @pytest.mark.parametrize("bits", [256, 512])
-    def test_short_horizons_reach_the_working_rounding(self, bits):
-        # P = I: T cost -> ||f0||^2 as T -> 0, the mode-by-mode closed form
-        # sum |f_i|^2 2 a_i T e^{-2 a_i T} / (1 - e^{-2 a_i T}); the harmonic
-        # Gramian in closed form keeps the residual at the working rounding
+    @pytest.mark.parametrize("symbol, bits", [
+        pytest.param("harmonic", 256, id="256"), pytest.param("harmonic", 512, id="512"),
+        pytest.param("kfp:a=1", 256, id="kfp-256"), pytest.param("kfp:a=1", 512, id="kfp-512"),
+    ])
+    def test_short_horizons_reach_the_working_rounding(self, symbol, bits):
+        # P = I: T cost -> ||f0||^2 as T -> 0 (for the harmonic generator the
+        # mode-by-mode closed form sum |f_i|^2 2 a_i T e^{-2 a_i T} / (1 - e^{-2 a_i T}));
+        # the harmonic Gramian in closed form, and KFP's Taylor table with its
+        # series on the grid of its nonzero terms, keep the residual at the
+        # working rounding
         N = 4
-        prob = harmonic_problem(N)
-        f0 = basis.random_expansion(1, N, np.random.default_rng(1))
+        A = qd.weyl_quantize(qd.parse_symbol(symbol), N)
+        prob = ct.ControlProblem(A, np.eye(A.size))
+        f0 = basis.random_expansion(A.n, N, np.random.default_rng(1))
         want = float(np.sum(np.abs(f0.coeffs) ** 2))
         for T in (1e-20, 1e-100, 1e-150):
             res = ct.hum_control(prob, T, f0, precision_bits=bits)
-            assert res.flag == "ok" and res.taylor_degree == 0
+            assert res.flag == "ok" and (res.taylor_degree == 0) == (symbol == "harmonic")
             assert res.residual <= 2.0**-200
             assert res.cost * T == pytest.approx(want, rel=1e-15)
 
@@ -706,15 +708,11 @@ def same_control(a, b):
 
 class TestPlan:
     @pytest.mark.parametrize("bits", [53, 256])
-    def test_second_call_builds_no_table(self, monkeypatch, bits):
+    def test_second_call_builds_no_table(self, tables, bits):
         # the Gramian, its factor and the grid propagators depend on the
         # problem, not on f0: a second HUM or staircase on one problem reuses
         # them, and answers as a fresh problem does, bit for bit
         N = 8
-        tables = []
-        taylor = arith.taylor
-        monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
-                            or taylor(ar, *a, **kw))
         rng = np.random.default_rng(23)
         f0, f1 = (basis.random_expansion(1, N, rng) for _ in range(2))
         prob = harmonic_problem(N, thick_gram(N))
@@ -889,16 +887,12 @@ class TestBlowup:
         # three steps, three tables
         ("kfp:a=1", "periodic:L=1,gamma=0.2", 6, [1.0, 0.3, 0.1], [53] * 3, [53] * 3),
     ])
-    def test_one_table_per_precision_and_step(self, monkeypatch, symbol, region, N, T_list,
+    def test_one_table_per_precision_and_step(self, tables, symbol, region, N, T_list,
                                               singles, study):
         # each horizon reads W and e^{-TA} off its group's doubling chain:
         # every row is its one-horizon pencil, bit for bit
         A = qd.weyl_quantize(qd.parse_symbol(symbol), N)
         P = gram.gram_matrix(cli.parse_region(region, A.n, N), N).matrix
-        tables = []
-        taylor = arith.taylor
-        monkeypatch.setattr(arith, "taylor", lambda ar, *a, **kw: tables.append(ar.bits)
-                            or taylor(ar, *a, **kw))
         refs = [ct.observability_constant(ct.ControlProblem(A, P), T) for T in T_list]
         assert tables == singles
         tables.clear()
