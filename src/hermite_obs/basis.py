@@ -312,7 +312,17 @@ def random_expansion(n, N, rng):
 # -- ladder maps -------------------------------------------------------------
 
 
-def apply_ladder(kind, axis, f: HermiteExpansion) -> HermiteExpansion:
+@dataclass(frozen=True)
+class LadderMap:
+    """The record form of a step, ``apply_ladder(LadderMap(kind, axis, f.N), f)``,
+    kept for the benchmark's tracer test; ``source_cutoff`` must be ``f.N``."""
+
+    kind: str
+    axis: int
+    source_cutoff: int
+
+
+def apply_ladder(kind, axis, f: HermiteExpansion = None) -> HermiteExpansion:
     """One creation/annihilation-type map along ``axis``, coefficient-exactly.
 
     kind 'raise'      a_{j,+}: Phi_alpha -> sqrt(alpha_j + 1) Phi_{alpha+e_j}
@@ -322,6 +332,10 @@ def apply_ladder(kind, axis, f: HermiteExpansion) -> HermiteExpansion:
 
     Raise/position/derivative take E_N to E_{N+1}; lower to E_{max(N-1, 0)}.
     """
+    if isinstance(kind, LadderMap):  # the record form apply_ladder(m, f)
+        if kind.source_cutoff != axis.N:
+            raise ContractViolation("expansion cutoff does not match ladder source")
+        kind, axis, f = kind.kind, kind.axis, axis
     if kind not in _KINDS:
         raise ContractViolation("unknown ladder kind %r" % kind)
     if axis < 0 or axis >= f.n:

@@ -9,6 +9,7 @@ from hermite_obs import basis, estimates, quadrature, regions, verify
 from hermite_obs.basis import (
     ContractViolation,
     HermiteExpansion,
+    LadderMap,
     apply_ladder,
     eval_hermite_1d,
     multi_indices,
@@ -259,6 +260,16 @@ class TestLadder:
         f = unit_expansion(2, 3, (1, 0))
         with pytest.raises(ContractViolation, match=message):
             apply_ladder(kind, axis, f)
+
+    def test_cutoff_mismatch_rejected(self):
+        # the record form: the same step as (kind, axis, f), and refused
+        # when its cutoff is not the expansion's
+        f = basis.random_expansion(2, 3, np.random.default_rng(2))
+        for kind in (basis.RAISE, basis.LOWER, basis.POSITION, basis.DERIVATIVE):
+            got = apply_ladder(LadderMap(kind, 1, 3), f)
+            assert np.array_equal(got.coeffs, apply_ladder(kind, 1, f).coeffs)
+        with pytest.raises(ContractViolation, match="does not match ladder source"):
+            apply_ladder(LadderMap(basis.RAISE, 0, 5), f)
 
 
 # every table kept for the rest of the process, as (name, its arrays)
