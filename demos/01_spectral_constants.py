@@ -21,8 +21,8 @@ RADIUS = regions.truncate_radius(max(N_GRID), 1) + 1.0
 
 cases = {
     "thick (L=1, gamma=0.5)": regions.make_periodic_thick(1, 1.0, 0.5, RADIUS),
-    "half-line (0, inf)": regions.half_line(RADIUS),
-    "ball (-1, 1)": regions.interval_region(-1.0, 1.0, trunc_radius=RADIUS),
+    "half-line (0, inf)": regions.half_line(),
+    "ball (-1, 1)": regions.Region([(-1.0, 1.0)]),
 }
 
 for label, region in cases.items():

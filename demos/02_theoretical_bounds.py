@@ -23,12 +23,12 @@ RADIUS = regions.truncate_radius(max(N_GRID), 1) + 1.0
 cases = [
     (
         "ball (-1,1) vs open-set bound",
-        regions.interval_region(-1.0, 1.0, trunc_radius=RADIUS),
+        regions.Region([(-1.0, 1.0)]),
         gram.open_params((0.0,), 1.0),
     ),
     (
         "half-line vs density bound (delta = 1/2)",
-        regions.half_line(RADIUS),
+        regions.half_line(),
         gram.density_params(1, 0.5),
     ),
     (

@@ -37,30 +37,29 @@ REGION_SHORTHANDS = {"periodic": {"L": 1.0, "gamma": 0.5}, "halfline": {}, "full
 
 
 def parse_region(text, n, N):
-    """Region shorthand -> Region, truncated at ``truncate_radius(N, n) + 1``
-    (safety 1.5 and a unit margin) for cutoff N.
+    """Region shorthand -> Region, exact but 'periodic', the lattice, cut at
+    ``truncate_radius(N, n) + 1`` (safety 1.5 and a unit margin) for cutoff N.
 
     Shorthands: 'periodic:L=1,gamma=0.5', 'halfline', 'full',
     'ball:r=1' (interval in 1-D), 'interval:a=-1,b=1',
     'halfspace:axis=0,c=0', 'ballcomp:r0=1'.
     """
     head, opts = basis.parse_shorthand(text, REGION_SHORTHANDS)
-    radius = rg.truncate_radius(N, n) + 1.0
     if head == "periodic":
-        return rg.make_periodic_thick(n, opts["L"], opts["gamma"], radius)
+        return rg.make_periodic_thick(n, opts["L"], opts["gamma"], rg.truncate_radius(N, n) + 1.0)
     if head == "halfspace":
-        return rg.half_space(n, opts["axis"], opts["c"], radius)
+        return rg.half_space(n, opts["axis"], opts["c"])
     if head == "full":
-        return rg.full_space(n, radius)
+        return rg.full_space(n)
     if n != 1:
         raise ContractViolation("%s shorthand is one-dimensional" % head)
     if head == "halfline":
-        return rg.half_line(radius)
+        return rg.half_line()
     if head == "ball":
-        return rg.interval_region(-opts["r"], opts["r"], trunc_radius=radius)
+        return rg.Region([(-opts["r"], opts["r"])])
     if head == "interval":
-        return rg.interval_region(opts["a"], opts["b"], trunc_radius=radius)
-    return rg.ball_complement(opts["r0"], radius)
+        return rg.Region([(opts["a"], opts["b"])])
+    return rg.ball_complement(opts["r0"])
 
 
 def parse_int_range(text):
@@ -348,7 +347,8 @@ def _run_command(args):
                                         % (x0.tolist(), float(r)))
             bound = gram.open_params(x0.tolist(), r)
         elif args.variant == "density":
-            bound = gram.density_params(args.n, rg.density_ratio(region, region.trunc_radius))
+            R = rg.truncate_radius(max(N_list), args.n) + 1.0
+            bound = gram.density_params(args.n, rg.density_ratio(region, R))
         elif args.variant == "thick":
             if gen["kind"] != "periodic_thick":
                 raise ContractViolation("thick bound: only a periodic region gives its L and gamma")

@@ -32,7 +32,9 @@ DEFAULT_C_KOV = 300.0
 
 
 def truncation_entry_error(n, N, radius):
-    """Bound on the neglected |x| > radius part of any Gram entry."""
+    """Bound on the neglected |x| > radius part of any Gram entry; 0 at radius inf."""
+    if radius == math.inf:
+        return 0.0
     a = radius / math.sqrt(n)
     if a < math.sqrt(2.0 * N + 1.0):
         return math.inf
@@ -133,9 +135,9 @@ def _assemble(region: Region, N, mp=None):
 def gram_matrix(region: Region, N) -> GramOperator:
     """Assemble G[a, b] = int_region Phi_a Phi_b from closed-form 1-D tables.
 
-    The region gives the dimension n.  Requires it to be truncated at least
-    at ``regions.truncate_radius(N, n)``; the neglected tail is added to the
-    entry error budget together with the rounding bounds of the tables.
+    The region gives the dimension n.  The periodic lattice, cut at a radius,
+    must be cut at least at ``regions.truncate_radius(N, n)``; its neglected
+    tail is added to the entry error budget with the tables' rounding bounds.
     """
     G, _, E = _assemble(region, N)
     return GramOperator(region.n, N, G, E, region)
@@ -204,11 +206,11 @@ def spectral_constants(G: GramOperator, cutoffs, precision_bits=53):
                 flag = "ok" if lam_min is not None and lam_min > noise else ""
                 if not flag and bits == ladder[-1]:
                     lam_min, flag = noise, "singular_floor"
-                if flag:
+                if flag:  # a floor of 0 (an empty region) is from mpmath, whose log(0) is -inf
                     log = math.log if ar is arith.DOUBLE else mp.log  # no mpmath rounding at 53 bits
                     results[i] = SpectralResult(
-                        float(lam_min ** -0.5), float(-log(lam_min) / 2), float(lam_min),
-                        float(log(lam_min)), bits, flag,
+                        float(lam_min ** -0.5) if lam_min else math.inf,
+                        float(-log(lam_min) / 2), float(lam_min), float(log(lam_min)), bits, flag,
                     )
     return results
 

@@ -1,11 +1,11 @@
 """Measurable control regions as products of one-dimensional interval unions.
 
-A region is, per axis, a finite union of disjoint intervals inside a
-truncation radius, and stands for the product of these unions; density
-ratios are exact box arithmetic over the product's boxes, and integrals of
+A region is, per axis, a finite union of disjoint intervals, whose ends may
+be infinite, and stands for the product of these unions; density ratios are
+exact box arithmetic over the product's boxes, and integrals of
 Hermite-function pairs over a region factor into one-dimensional integrals
 over the intervals of each axis, all in closed form from the boundary values
-of phi_k and phi_k':
+of phi_k and phi_k', which are 0 at an infinite end, where erf is +-1:
 
 * ``j != k``: the Wronskian identity
   ``int_a^b phi_j phi_k = [phi_j phi_k' - phi_j' phi_k]_a^b / (2 (j - k))``,
@@ -18,7 +18,8 @@ of phi_k and phi_k':
 
 The same formulas serve double precision and, with the boundary
 recurrences and the pair work in Python ints, arbitrary precision, each to a
-derived bound.
+derived bound.  So every region is exact but the periodic lattice, the one
+region cut at a truncation radius (:func:`make_periodic_thick`).
 """
 
 from __future__ import annotations
@@ -63,24 +64,24 @@ class Region:
     n : spatial dimension
     axes : n pairs (lows, highs), each axis's sorted, disjoint intervals
     generator : dict describing how the region was produced
-    trunc_radius : radius of the ball inside which the region is faithful
+    trunc_radius : radius of the ball inside which the region is faithful, inf but for the lattice
 
-    ``axes`` takes, per axis, the interval ends as arrays or scalars; the
-    intervals of an axis are merged where they overlap or touch.  The boxes
-    of the product, in the order of ``itertools.product`` over the axes, are
-    ``lows`` and ``highs``, of shape (K, n).
+    ``axes`` takes, per axis, the interval ends as arrays or scalars, +-inf
+    included; the intervals of an axis are merged where they overlap or
+    touch.  The boxes of the product, in the order of ``itertools.product``
+    over the axes, are ``lows`` and ``highs``, of shape (K, n).
     """
 
-    def __init__(self, axes, generator=None, trunc_radius=None):
+    def __init__(self, axes, generator=None, trunc_radius=math.inf):
         merged = []
         for lows, highs in axes:
             lows, highs = (np.asarray(c, dtype=float).reshape(-1) for c in (lows, highs))
             if lows.shape != highs.shape:
                 raise ContractViolation("an axis needs as many low ends as high ends")
+            if not (np.all(lows < math.inf) and np.all(highs > -math.inf)):  # nan fails both
+                raise ContractViolation("interval ends must be numbers, no interval at infinity")
             if np.any(highs < lows):
                 raise ContractViolation("interval with negative length")
-            if not np.all(np.isfinite(lows)) or not np.all(np.isfinite(highs)):
-                raise ContractViolation("interval ends must be finite")
             lows, highs = _merge_intervals(lows, highs) if lows.size else (lows.copy(), highs.copy())
             lows.flags.writeable = highs.flags.writeable = False
             merged.append((lows, highs))
@@ -89,8 +90,7 @@ class Region:
         self.n = len(merged)
         self.axes = tuple(merged)
         self.generator = dict(generator or {"kind": "explicit"})
-        edge = max(np.max(np.abs(np.concatenate(axis)), initial=0.0) for axis in merged)
-        self.trunc_radius = float(edge if trunc_radius is None else trunc_radius)
+        self.trunc_radius = float(trunc_radius)
 
     # -- the boxes and measures -------------------------------------------------
 
@@ -110,8 +110,9 @@ class Region:
     def box_count(self):
         return math.prod(len(lows) for lows, _ in self.axes)
 
-    def measure(self):
-        return float(math.prod(np.sum(highs - lows) for lows, highs in self.axes))
+    def measure(self):  # a null axis times an infinite one is 0, not nan
+        lengths = [np.sum(highs - lows) for lows, highs in self.axes]
+        return 0.0 if min(lengths) == 0 else float(math.prod(lengths))
 
     def to_json_dict(self):
         """The region's definition, size and a SHA-256 of the little-endian
@@ -158,38 +159,28 @@ def make_periodic_thick(n, L, gamma, r_trunc):
                   {"kind": "periodic_thick", "L": L, "gamma": gamma}, trunc_radius=r_trunc)
 
 
-def half_space(n, axis, c, r_trunc):
-    """{x_axis > c} clipped to the truncation box [-R, R]^n."""
-    if r_trunc <= 0 or c >= r_trunc:
-        raise ContractViolation("truncation radius too small for the half-space")
+def half_space(n, axis, c):
+    """{x_axis > c} in R^n."""
     if not 0 <= axis < n:
         raise ContractViolation("half-space axis %d outside 0..%d" % (axis, n - 1))
-    axes = [(-r_trunc, r_trunc)] * n
-    axes[axis] = (c, r_trunc)
-    return Region(axes, {"kind": "half_space", "axis": axis, "c": c}, trunc_radius=r_trunc)
+    axes = [(-math.inf, math.inf)] * n
+    axes[axis] = (c, math.inf)
+    return Region(axes, {"kind": "half_space", "axis": axis, "c": c})
 
 
-def half_line(r_trunc):
-    return half_space(1, 0, 0.0, r_trunc)
+def half_line():
+    return half_space(1, 0, 0.0)
 
 
-def full_space(n, r_trunc):
-    """R^n truncated to the box [-R, R]^n."""
-    return Region([(-r_trunc, r_trunc)] * n, {"kind": "full"}, trunc_radius=r_trunc)
+def full_space(n):
+    return Region([(-math.inf, math.inf)] * n, {"kind": "full"})
 
 
-def interval_region(a, b, trunc_radius=None):
-    """A single interval [a, b] in one dimension (e.g. a 1-D ball)."""
-    return Region([(a, b)], {"kind": "explicit"},
-                  trunc_radius=trunc_radius or max(abs(a), abs(b)))
-
-
-def ball_complement(r0, r_trunc):
-    """1-D complement of (-r0, r0), truncated: two symmetric intervals."""
-    if r0 <= 0 or r_trunc <= r0:
-        raise ContractViolation("need 0 < r0 < truncation radius")
-    return Region([([-r_trunc, r0], [-r0, r_trunc])], {"kind": "ball_complement", "r0": r0},
-                  trunc_radius=r_trunc)
+def ball_complement(r0):
+    """1-D complement of (-r0, r0): two half-lines."""
+    if not r0 > 0:
+        raise ContractViolation("need r0 > 0")
+    return Region([([-math.inf, r0], [-r0, math.inf])], {"kind": "ball_complement", "r0": r0})
 
 
 # -- geometric diagnostics -----------------------------------------------------
@@ -278,7 +269,8 @@ def interval_pair_tables(a, b, N, mp=None):
     (M, N+1, N+1) stacks whose bounds come from the rounding analysis below.
     An end past 64 is read at +-64: past 38.6, phi_0 (so every phi_k) and
     erfc are 0 in doubles and erf is +-1, and |phi_k| only falls past its
-    turning point sqrt(2k + 1).  A bound past the double range reads inf.
+    turning point sqrt(2k + 1); an infinite end, where they are exactly 0,
+    adds nothing to the bound.  A bound past the double range reads inf.
     With an mpmath context the result is ``(tables, exps)``, table i being
     the Python ints ``tables[i]`` times 2^exps[i].  Only the O(M) values
     phi_0, erf and erfc at the ends are mpf, at W = ``mp.prec + 64`` bits,
@@ -342,7 +334,10 @@ def _boundary(x, K, mp, bits):
     interval inside [0, erf^-1(1/2)) both erf values lie below 1/2, where
     erfc's lie above it and cancel.  Floats with s None, or with an mpmath
     context ints, v and dv at 2^-s_i and the seed at 2^-2s_i
-    (:func:`interval_pair_tables`).
+    (:func:`interval_pair_tables`).  An infinite end has phi_0 = 0, erf =
+    +-1 and erfc = 0; its recurrence runs on the exact zero, so in fixed
+    point the end reads 0 and takes the other end's scale 2^e, which it then
+    moves neither for the interval nor for a shift.
     """
     exp, erf, erfc, pi = (getattr(mp or math, f) for f in ("exp", "erf", "erfc", "pi"))
     num, dtype, div = (float, float, np.true_divide) if mp is None else (mp.mpf, object, arith._rdiv)
@@ -360,7 +355,9 @@ def _boundary(x, K, mp, bits):
     fit = 0  # a step's rounding to v's scale: none in doubles
     if mp is not None:  # phi_0 = m 2^e, m of W bits; x c_k and d_k at 2^-2W, one rounding a step
         v[0], e = np.frompyfunc(lambda t: (t.man << W - t.bc, t.exp + t.bc - W), 1, 2)(v[0])
-        x, d, fit = arith.rounded(x, W), d << W, 2 * W
+        far = np.isinf(x)
+        e = np.where(far, e[:, ::-1], e)
+        x, d, fit = arith.rounded(np.where(far, 0.0, x), W), d << W, 2 * W
     xc = x * c[:, None, None]
     v[1] = arith._shift(xc[0] * v[0], fit)
     for k in range(1, K):
@@ -381,7 +378,7 @@ def _pair_tables(x, N, mp, bits):
     dtype, div = (float, np.true_divide) if mp is None else (object, arith._rdiv)
     M, K = len(x), N + 1
     if mp is None:  # no value changes: phi_0 underflows past 38.6
-        x = np.clip(x, -64.0, 64.0)
+        far, x = np.isinf(x), np.clip(x, -64.0, 64.0)
     c, d, root, _ = _root_rows(K, None if mp is None else mp.prec)
     v, dv, seed, s, (F_lo, F_hi) = _boundary(x, K, mp, bits)
     if mp is not None:  # c_k / 2 at 2^-bits, ties to even
@@ -430,6 +427,7 @@ def _pair_tables(x, N, mp, bits):
     np.abs(G, out=G)
     G *= r.transpose(1, 2, 0)
     rho = np.cumsum(G, axis=3)[..., -1]  # in order: no N in the bits
+    rho[:, far] = 0.0  # phi_k and phi_k' are exactly 0 at an infinite end
     # phi_k' carries its terms' errors and 3 eps of their size; products of
     # perturbed factors obey |pq - p^q^| <= dp |q^| + (|p^| + dp) dq
     sig = (root[:K] * np.concatenate([rho[:1] * 0, rho[:K - 1] + 3 * eps * av[:K - 1]])

@@ -214,7 +214,7 @@ def suite_gram_invariants(rng, t):
     c = rng.standard_normal(G.size) + 1j * rng.standard_normal(G.size)
     quad = float(np.real(np.conj(c) @ G.matrix @ c))
     rayleigh = float(np.vdot(c, c).real) / quad - res.c_value**2 * (1 + 1e-9)
-    full = gram.gram_matrix(rg.full_space(1, R), N)
+    full = gram.gram_matrix(rg.full_space(1), N)
     ident = float(np.max(np.abs(full.matrix - np.eye(full.size)))) - 1e-10
     return max(herm - 1e-14, psd, rayleigh, ident)
 
@@ -240,8 +240,8 @@ def suite_gram_dominance(seed=0, trials=1):
     N_list = [4, 8, 12]
     R = rg.truncate_radius(max(N_list), 1) + 1
     cases = [
-        (rg.interval_region(-1.0, 1.0, trunc_radius=R), gram.open_params((0.0,), 1.0)),
-        (rg.half_line(R), gram.density_params(1, 0.5)),
+        (rg.Region([(-1.0, 1.0)]), gram.open_params((0.0,), 1.0)),
+        (rg.half_line(), gram.density_params(1, 0.5)),
         (rg.make_periodic_thick(1, 1.0, 0.5, R), gram.thick_params(1, 1.0, 0.5)),
     ]
     for reg, params in cases:
@@ -443,8 +443,7 @@ def suite_control_monotone(seed=0, trials=1):
     R = rg.truncate_radius(N, 1) + 1
     small = rg.make_periodic_thick(1, 1.0, 0.35, R)
     ((lows, highs),) = small.axes
-    big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))],
-                    trunc_radius=R)
+    big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))])
     p_small, p_big = (ct.ControlProblem(A, gram.gram_matrix(region, N).matrix)
                       for region in (small, big))
     cts = [rep.c_value for rep in ct.observability_constants(p_small, [0.5, 1.0, 2.0])]

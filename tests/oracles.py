@@ -136,11 +136,11 @@ def singular_space_exact(sym):
     return k0, tuple(dims), kernel
 
 
-def thickness(region, L, m=4):
+def thickness(region, L, half_span, m=4):
     """Thickness fraction of a product region at scale L, on a lattice of
     cube corners: the least |region cap (x + [0, L]^n)| / L^n over corners x
-    of pitch L / m whose cubes lie inside [-R/sqrt(n), R/sqrt(n)]^n, R the
-    truncation radius, where the region is faithful.
+    of pitch L / m whose cubes lie inside the window [-half_span,
+    half_span]^n.
 
     The measure in a cube is the product over the axes of the length the
     axis's intervals leave in the cube's side, so the least measure is the
@@ -149,7 +149,6 @@ def thickness(region, L, m=4):
     periodic pattern's own period every cube has the same measure.
     """
     n = region.n
-    half_span = region.trunc_radius / math.sqrt(n)
     pitch = L / m
     grid = -half_span + pitch * np.arange(int(math.floor((2 * half_span - L) / pitch)) + 1)
     least = [np.min(np.sum(np.clip(np.minimum(highs[:, None], grid + L)

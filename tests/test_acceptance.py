@@ -24,7 +24,7 @@ def test_c01_orthonormality_and_ladder_algebra():
     start = time.time()
     # <Phi_a, Phi_b> = delta_ab +- 1e-10 for |a|, |b| <= 10, n <= 3
     for n in (1, 2, 3):
-        region = rg.full_space(n, rg.truncate_radius(10, n) + 1)
+        region = rg.full_space(n)
         G = gram.gram_matrix(region, 10)
         assert np.max(np.abs(G.matrix - np.eye(G.size))) <= 1e-10
 
@@ -66,7 +66,7 @@ def test_c01_orthonormality_and_ladder_algebra():
 
 
 def test_c02_half_line_gram_exactness():
-    region = rg.half_line(rg.truncate_radius(1, 1) + 1)
+    region = rg.half_line()
     G = gram.gram_matrix(region, 1)
     off = 1.0 / math.sqrt(2.0 * math.pi)
     want = np.array([[0.5, off], [off, 0.5]])
@@ -84,9 +84,9 @@ def test_c03_theoretical_bound_dominance():
     N_list = list(range(4, 65, 4))
     R = rg.truncate_radius(max(N_list), 1) + 1
     cases = [
-        ("open ball(0,1)", rg.interval_region(-1.0, 1.0, trunc_radius=R),
+        ("open ball(0,1)", rg.Region([(-1.0, 1.0)]),
          gram.open_params((0.0,), 1.0)),
-        ("density half-line", rg.half_line(R), gram.density_params(1, 0.5)),
+        ("density half-line", rg.half_line(), gram.density_params(1, 0.5)),
     ]
     for gamma in (0.3, 0.5, 0.8):
         cases.append(
@@ -114,7 +114,7 @@ def test_c04_thick_scaling_selects_sqrt_and_half_line_exponent():
         region = rg.make_periodic_thick(1, 1.0, gamma, R)
         report = gram.scaling_study(region, N_list)
         assert report.best_model == "sqrtN", (gamma, report.fits)
-    half = gram.scaling_study(rg.half_line(R), N_list)
+    half = gram.scaling_study(rg.half_line(), N_list)
     assert half.exponent_p >= 0.7
     density_bound = gram.density_params(1, 0.5)
     for row in half.rows:

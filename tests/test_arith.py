@@ -43,18 +43,13 @@ def test_precisions_refuse_either_bound(bits, message):
         arith.precisions(bits)
 
 
-def ball(N):
-    return rg.interval_region(-1.0, 1.0, trunc_radius=rg.truncate_radius(N, 1) + 1)
-
-
-def box_2d(N):
-    return rg.Region([(-1.0, 0.5), (-0.5, 1.5)], trunc_radius=rg.truncate_radius(N, 2) + 1)
+BALL = rg.Region([(-1.0, 1.0)])
 
 
 @pytest.mark.parametrize("region, n, N, bits", [
-    (ball(48), 1, 48, 512),
-    (rg.half_line(rg.truncate_radius(32, 1) + 1), 1, 32, 256),
-    (box_2d(10), 2, 10, 256),
+    (BALL, 1, 48, 512),
+    (rg.half_line(), 1, 32, 256),
+    (rg.Region([(-1.0, 0.5), (-0.5, 1.5)]), 2, 10, 256),
 ])
 def test_lam_min_matches_high_precision_eigsy(region, n, N, bits):
     # the same working-precision Gram, fully diagonalized at >= 600 bits:
@@ -74,7 +69,7 @@ def test_lam_min_matches_high_precision_eigsy(region, n, N, bits):
 def test_not_positive_definite_below_needed_bits():
     # ball N=48 needs 512 bits: at 256 its smallest eigenvalue drowns
     with mp.workprec(256 + 16):
-        assert arith.Mp(256).lam_min(gram.gram_matrix_mp(ball(48), 48)) is None
+        assert arith.Mp(256).lam_min(gram.gram_matrix_mp(BALL, 48)) is None
 
 
 def test_lam_mins_read_leading_blocks_of_one_inverse(monkeypatch):
@@ -85,7 +80,7 @@ def test_lam_mins_read_leading_blocks_of_one_inverse(monkeypatch):
     monkeypatch.setattr(arith.Mp, "inv_lower",
                         lambda self, L: inverted.append(len(L.re)) or inv_lower(self, L))
     with mp.workprec(256 + 16):
-        G = gram.gram_matrix_mp(ball(48), 48)
+        G = gram.gram_matrix_mp(BALL, 48)
         assert ar.factor(G)[1] == 46
         lams = ar.lam_mins(G, [33, 49, 17, 47])
         assert inverted == [33] and lams[1] is None and lams[3] is None
@@ -99,7 +94,7 @@ def test_power_of_two_scaling_is_exact(k):
     # matrix's scale, so 2^k M answers exactly 2^k times M's answers
     ar = arith.Mp(256)
     with mp.workprec(256 + 16):
-        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(12, 1) + 1), 12)
+        M = gram.gram_matrix_mp(rg.half_line(), 12)
         S = M * mp.ldexp(1, k)
         assert ar.lam_min(S) == mp.ldexp(ar.lam_min(M), k)
         (top, vec), (top_s, vec_s) = ar.eigh_top(M), ar.eigh_top(S)
@@ -119,7 +114,7 @@ def test_integer_identity_matches_rounded_identity(bits, d):
 
 def test_inv_lower_and_cond_match_dense_routines():
     kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 3).matrix
-    reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(3, 2) + 1)
+    reg = rg.half_space(2, 0, 0.3)
     P = gram.gram_matrix(reg, 3).matrix
     ar = arith.Mp(256)
     with mp.workprec(256 + 16):
@@ -146,9 +141,8 @@ def test_inv_lower_at_its_bound_matches_the_wide_route(case):
         if case.startswith("hermitian"):
             G = ar.from_np(hermitian(np.random.default_rng(35), 12, 0.25))
         else:
-            region = {"ball48-512": ball(48), "halfline32-256": rg.half_line(
-                rg.truncate_radius(32, 1) + 1), "halfspace14-2d-256": rg.half_space(
-                2, 0, 1.0, rg.truncate_radius(14, 2))}[case]
+            region = {"ball48-512": BALL, "halfline32-256": rg.half_line(),
+                      "halfspace14-2d-256": rg.half_space(2, 0, 1.0)}[case]
             G = gram.gram_matrix_mp(region, int(case.split("-")[0][-2:]))
         L = ar.cholesky(G)
         d = len(L.re)
@@ -165,7 +159,7 @@ def test_inv_lower_at_its_bound_matches_the_wide_route(case):
 def test_double_inv_lower_is_exactly_lower_triangular():
     # the Cholesky factor of the KFP N=6 observability Gramian (dim 28)
     kfp = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
-    reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(6, 2) + 1)
+    reg = rg.half_space(2, 0, 0.3)
     P = gram.gram_matrix(reg, 6).matrix
     _, W, _, _, _ = arith.taylor(arith.DOUBLE, kfp, 0.5, Q=arith.DOUBLE.from_np(P))
     L = arith.DOUBLE.cholesky(W)
@@ -254,7 +248,7 @@ def test_top_eigenvector_stays_in_doubles():
     # caller that reads the vector converts it
     ar = arith.Mp(256)
     with mp.workprec(272):
-        M = gram.gram_matrix_mp(rg.half_line(rg.truncate_radius(6, 1) + 1), 6)
+        M = gram.gram_matrix_mp(rg.half_line(), 6)
         top, vec = ar.eigh_top(M)
         vals, vecs = np.linalg.eigh(ar.to_np(M).real)
     assert isinstance(vec, np.ndarray) and vec.shape == (7,)
@@ -370,7 +364,7 @@ def test_taylor_dense_products_do_not_grow_with_the_degree(monkeypatch):
     # dense Fx @ Fx left are the two contractions and W(h) = V E^H, whatever
     # m; two horizons of one step need different degrees
     A = qd.weyl_quantize(qd.kfp_symbol(1.0), 6).matrix
-    P = gram.gram_matrix(rg.half_space(2, 0, 0.3, rg.truncate_radius(6, 2) + 1), 6).matrix
+    P = gram.gram_matrix(rg.half_space(2, 0, 0.3), 6).matrix
     ar, calls, matmul = arith.Mp(256), [], arith.Fx.__matmul__
     monkeypatch.setattr(arith.Fx, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
     norm1 = float(np.abs(A).sum(axis=0).max())
@@ -494,7 +488,7 @@ def test_no_mpmath_matrix_routine_in_the_pipelines(monkeypatch):
     # the Gauss nodes of the 256-bit HUM grid come from integer Newton steps
     for name in ("cholesky", "lu_solve", "fdot", "matrix", "gauss_quadrature"):
         _forbid_in_package(monkeypatch, name)
-    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(16, 1) + 1), 16)
+    G = gram.gram_matrix(rg.half_line(), 16)
     res = gram.spectral_constant(G)
     assert res.precision_bits == 256 and res.flag == "ok"
     N = 7

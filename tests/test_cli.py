@@ -39,8 +39,8 @@ class TestParsing:
         assert cli.parse_region("full", 2, 4).box_count == 1
 
     def test_region_radius_scales_with_cutoff(self):
-        small = cli.parse_region("halfline", 1, 4)
-        big = cli.parse_region("halfline", 1, 32)
+        small = cli.parse_region("periodic", 1, 4)
+        big = cli.parse_region("periodic", 1, 32)
         assert big.trunc_radius > small.trunc_radius
 
 
@@ -627,7 +627,7 @@ class TestOutputs:
                         "--N", "8", "--quiet", "--out", out])
         assert code == cli.EXIT_OK
         doc = json.loads((tmp_path / "c.json").read_text())
-        region = rg.half_line(rg.truncate_radius(8, 1) + 1.0)
+        region = rg.half_line()
         res = spectral_constant(gram_matrix(region, 8))
         assert doc["result"]["C_N"] == pytest.approx(res.c_value, rel=1e-12)
         assert doc["result"]["lambda_min"] == pytest.approx(res.lam_min, rel=1e-12)
@@ -783,12 +783,30 @@ class TestOutputs:
         assert logs[0] == pytest.approx(logs[1], abs=1e-12)
 
     def test_constant_escalation_ends_at_the_ceiling(self, capsys, tmp_path):
-        # 300, 600, 1200, 2400, then arith.MAX_BITS, not 4,800
+        # 300, 600, 1200, 2400, then arith.MAX_BITS, not 4,800; the empty
+        # interval is exact, so its floor is 0 and C_N reads inf
         out = str(tmp_path / "z")
         assert cli.run(["constant", "--region", "interval:a=0,b=0", "--N", "2",
                         "--precision-bits", "300", "--quiet", "--out", out]) == cli.EXIT_PRECISION
         res = json.loads((tmp_path / "z.json").read_text())["result"]
         assert res["precision_bits"] == arith.MAX_BITS and res["flag"] == "singular_floor"
+        assert (res["C_N"], res["log_C_N"], res["lambda_min"], res["lambda_min_log"]) == (
+            "inf", "inf", 0.0, "-inf")
+
+    @pytest.mark.parametrize("region, N, bits", [("interval:a=0,b=0.2", 24, 512),
+                                                 ("interval:a=0,b=1", 100, 1024)])
+    def test_bounded_interval_resolves_with_no_tail(self, region, N, bits, capsys, tmp_path):
+        # nothing of a bounded interval is neglected, so no truncation tail
+        # holds its floor above lambda_min: it resolves, and agrees with a run
+        # at twice the bits
+        got = []
+        for start in (53, 2 * bits):
+            out = str(tmp_path / str(start))
+            assert cli.run(["constant", "--region", region, "--N", str(N), "--precision-bits",
+                            str(start), "--quiet", "--out", out]) == cli.EXIT_OK
+            got.append(json.loads((tmp_path / (str(start) + ".json")).read_text())["result"])
+        assert [(r["precision_bits"], r["flag"]) for r in got] == [(bits, "ok"), (2 * bits, "ok")]
+        assert got[0]["lambda_min"] == pytest.approx(got[1]["lambda_min"], rel=1e-15)
 
     def test_evolve_ground_state(self, capsys, tmp_path):
         out = str(tmp_path / "e")

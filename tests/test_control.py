@@ -24,7 +24,7 @@ def thick_gram(N, gamma=0.6, L=1.0):
 
 
 def half_plane_gram(N):
-    reg = rg.half_space(2, 0, 0.3, rg.truncate_radius(N, 2) + 1)
+    reg = rg.half_space(2, 0, 0.3)
     return gram.gram_matrix(reg, N).matrix
 
 
@@ -250,8 +250,7 @@ class TestObservability:
         # error W inherits from P for the floor to factor
         monkeypatch.setattr(arith, "MAX_BITS", 256)
         N, T = 32, 0.5
-        R = rg.truncate_radius(N, 1) + 1
-        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N)
+        G = gram.gram_matrix(rg.Region([(-1.0, 1.0)]), N)
         assert np.linalg.eigvalsh(G.matrix)[0] < 0
         rep = ct.observability_constant(harmonic_problem(N, G.matrix), T)
         assert rep.flag == "singular_floor" and rep.precision_bits == 256
@@ -264,7 +263,7 @@ def test_mpmath_precision_is_scoped():
     # each escalation runs under mp.workprec: the caller's precision comes
     # back unchanged, whatever it was
     with mpmath.workprec(80):
-        reg = rg.half_line(rg.truncate_radius(16, 1) + 1.0)
+        reg = rg.half_line()
         res = gram.spectral_constant(gram.gram_matrix(reg, 16))
         assert res.precision_bits >= 256 and mpmath.mp.prec == 80
         rep = ct.observability_constant(harmonic_problem(4, thick_gram(4)), 0.8, 256)
@@ -277,8 +276,7 @@ def test_observability_escalation_ends_at_the_ceiling(monkeypatch, tables):
     # a 1e-20 interval's P is rounding noise, so W never factors: from 300
     # bits under a 512-bit ceiling the pencil runs at 300, then 512, not 600
     monkeypatch.setattr(arith, "MAX_BITS", 512)
-    R = rg.truncate_radius(4, 1) + 1
-    P = gram.gram_matrix(rg.interval_region(0.0, 1e-20, trunc_radius=R), 4).matrix
+    P = gram.gram_matrix(rg.Region([(0.0, 1e-20)]), 4).matrix
     rep = ct.observability_constant(harmonic_problem(4, P), 1.0, 300)
     assert tables == [300, 512] and (rep.precision_bits, rep.flag) == (512, "singular_floor")
 
@@ -288,7 +286,7 @@ def test_precision_above_the_ceiling_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(arith, "MAX_BITS", 256)
     monkeypatch.setattr(arith, "taylor", None)  # no Taylor table is started
     prob = harmonic_problem(2)
-    G = gram.gram_matrix(rg.half_line(rg.truncate_radius(2, 1) + 1.0), 2)
+    G = gram.gram_matrix(rg.half_line(), 2)
     for call in (lambda: ct.observability_constant(prob, 1.0, 512),
                  lambda: ct.hum_control(prob, 1.0, basis.unit_expansion(1, 2, (0,)), 512),
                  lambda: ct.cost_blowup_study(prob, [1.0], 512),
@@ -381,8 +379,7 @@ class TestHumControl:
         R = rg.truncate_radius(N, 1) + 1
         small = rg.make_periodic_thick(1, 1.0, 0.35, R)
         ((lows, highs),) = small.axes
-        big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))],
-                        trunc_radius=R)
+        big = rg.Region([(np.concatenate([lows, highs]), np.concatenate([highs, highs + 0.25]))])
         P_small = gram.gram_matrix(small, N).matrix
         P_big = gram.gram_matrix(big, N).matrix
         rng = np.random.default_rng(14)
@@ -657,8 +654,7 @@ class TestStaircase:
     def test_ball_staircase_at_the_working_precision(self, N):
         # a double stage Gramian fails at stage 3; at 256 bits every stage
         # factors, and 512 bits give the same cost and residual
-        R = rg.truncate_radius(N, 1) + 1
-        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N).matrix
+        P = gram.gram_matrix(rg.Region([(-1.0, 1.0)]), N).matrix
         prob = harmonic_problem(N, P)
         f0 = basis.random_expansion(1, N, np.random.default_rng(1))
         assert ct.lr_staircase(prob, 0.5, f0).flag == "stage_gramian_failure:3"
@@ -671,8 +667,7 @@ class TestStaircase:
         # on the ball at T = 1 every stage factors at 256 bits, but the run
         # ends after the full-space stage 5.3e-5 short of the target
         N = 24
-        R = rg.truncate_radius(N, 1) + 1
-        P = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), N).matrix
+        P = gram.gram_matrix(rg.Region([(-1.0, 1.0)]), N).matrix
         prob = harmonic_problem(N, P)
         f0 = basis.random_expansion(1, N, np.random.default_rng(1))
         res = ct.lr_staircase(prob, 1.0, f0, target=1e-6, precision_bits=256)

@@ -10,10 +10,6 @@ from hermite_obs.basis import ContractViolation
 from oracles import thick_bound_log_mp
 
 
-def halfline_region(N, extra=1.0):
-    return rg.half_line(rg.truncate_radius(N, 1) + extra)
-
-
 def to_mp(F):
     """The oracles' exact reading of a real Fx as an mpmath matrix."""
     return mpmath.matrix([[mpmath.ldexp(int(a), F.exp) for a in row] for row in F.re])
@@ -44,13 +40,24 @@ def per_box_reference(region, n, N):
 
 class TestGramAssembly:
     def test_full_space_identity(self):
-        reg = rg.full_space(2, rg.truncate_radius(3, 2) + 1)
+        reg = rg.full_space(2)
         G = gram.gram_matrix(reg, 3)
         assert np.max(np.abs(G.matrix - np.eye(G.size))) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2])
+    def test_full_space_is_exactly_the_identity(self, n):
+        # at the infinite ends phi_k is 0 and erf is +-1: no entry rounds
+        reg = rg.full_space(n)
+        G = gram.gram_matrix(reg, 6)
+        assert np.array_equal(G.matrix, np.eye(G.size)) and G.tail == 0.0
+        with mpmath.workprec(256):
+            Gm = gram.gram_matrix_mp(reg, 6)
+        assert Gm.im is None
+        assert all(mpmath.ldexp(int(a), Gm.exp) == (i == j) for (i, j), a in np.ndenumerate(Gm.re))
+
+    @pytest.mark.parametrize("n", [1, 2])
     def test_empty_region_gives_zero_grams(self, n):
-        reg = rg.Region([([], [])] * n, trunc_radius=rg.truncate_radius(4, n) + 1)
+        reg = rg.Region([([], [])] * n)
         G = gram.gram_matrix(reg, 4)
         assert not G.matrix.any() and not G.errors.any()
         with mpmath.workprec(272):
@@ -65,7 +72,7 @@ class TestGramAssembly:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(mpf, name, lambda x, y, f=getattr(mpf, name):
                                 counts.append(1) or f(x, y))
-        reg = rg.interval_region(-1.0, 1.0, trunc_radius=rg.truncate_radius(32, 1) + 1)
+        reg = rg.Region([(-1.0, 1.0)])
         sizes = []
         for N in (16, 32):
             counts.clear()
@@ -75,14 +82,14 @@ class TestGramAssembly:
         assert 0 < sizes[1] < 2.2 * sizes[0]
 
     def test_half_line_two_by_two(self):
-        G = gram.gram_matrix(halfline_region(1), 1)
+        G = gram.gram_matrix(rg.half_line(), 1)
         want = np.array(
             [[0.5, 1 / math.sqrt(2 * math.pi)], [1 / math.sqrt(2 * math.pi), 0.5]]
         )
         assert np.max(np.abs(G.matrix - want)) < 1e-10
 
     def test_empty_region_zero_matrix(self):
-        empty = rg.Region([(np.zeros(0), np.zeros(0))], trunc_radius=rg.truncate_radius(2, 1) + 1)
+        empty = rg.Region([(np.zeros(0), np.zeros(0))])
         G = gram.gram_matrix(empty, 2)
         assert np.all(G.matrix == 0.0)
 
@@ -92,7 +99,7 @@ class TestGramAssembly:
         assert np.max(np.abs(G.matrix - G.matrix.T)) < 1e-14
 
     def test_radius_precondition(self):
-        small = rg.half_line(3.0)
+        small = rg.make_periodic_thick(1, 1.0, 0.5, 3.0)
         with pytest.raises(ContractViolation) as err:
             gram.gram_matrix(small, 12)
         assert "radius" in str(err.value)
@@ -131,7 +138,7 @@ class TestGramAssembly:
         # symmetric interval's odd-parity entries are -0.0 and must stay so
         R = rg.truncate_radius(16, 1) + 1
         reg = (rg.make_periodic_thick(1, 1.0, 0.5, R) if kind == "periodic"
-               else rg.interval_region(-1.0, 1.0, trunc_radius=R))
+               else rg.Region([(-1.0, 1.0)]))
         vals, errs = rg.interval_pair_tables(reg.lows[:, 0], reg.highs[:, 0], 16)
         G, E = vals[0], errs[0]
         for v, e in zip(vals[1:], errs[1:]):
@@ -166,7 +173,7 @@ class TestGramAssembly:
 
 
 def tiny_interval(b):
-    return rg.interval_region(0.0, b, trunc_radius=rg.truncate_radius(4, 1) + 1)
+    return rg.Region([(0.0, b)])
 
 
 class TestTinyIntervalSeed:
@@ -205,12 +212,12 @@ class TestTinyIntervalSeed:
 
 class TestSpectralConstant:
     def test_identity_gives_one(self):
-        reg = rg.full_space(1, rg.truncate_radius(4, 1) + 1)
+        reg = rg.full_space(1)
         res = gram.spectral_constant(gram.gram_matrix(reg, 4))
         assert res.c_value == pytest.approx(1.0, abs=1e-9)
 
     def test_half_line_closed_form(self):
-        res = gram.spectral_constant(gram.gram_matrix(halfline_region(1), 1))
+        res = gram.spectral_constant(gram.gram_matrix(rg.half_line(), 1))
         lam = 0.5 - 1 / math.sqrt(2 * math.pi)
         assert res.lam_min == pytest.approx(lam, abs=1e-10)
         assert res.c_value == pytest.approx(lam ** -0.5, abs=1e-8)
@@ -219,7 +226,7 @@ class TestSpectralConstant:
         # even-degree block of the half-line Gram is exactly I/2, so the
         # spectral constant restricted to even expansions is sqrt(2)
         # (oracle: brute-force eigenvalues of the small block)
-        G = gram.gram_matrix(halfline_region(4), 4)
+        G = gram.gram_matrix(rg.half_line(), 4)
         even = [i for i, a in enumerate(basis.multi_indices(1, 4)) if a[0] % 2 == 0]
         block = G.matrix[np.ix_(even, even)]
         lam = np.linalg.eigvalsh(block)
@@ -227,7 +234,7 @@ class TestSpectralConstant:
         assert lam[0] ** -0.5 == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_escalation_kicks_in(self):
-        res = gram.spectral_constant(gram.gram_matrix(halfline_region(16), 16))
+        res = gram.spectral_constant(gram.gram_matrix(rg.half_line(), 16))
         assert res.precision_bits >= 256
         assert res.flag == "ok"
         assert res.lam_min < 1e-15
@@ -235,43 +242,48 @@ class TestSpectralConstant:
     def test_an_inf_entry_bound_does_not_resolve_in_doubles(self):
         # an overflowed table bound reads inf: the double level cannot clear
         # it, and the next precision rebuilds the Gram from its region
-        G = gram.gram_matrix(halfline_region(4), 4)
+        G = gram.gram_matrix(rg.half_line(), 4)
         errors = G.errors.copy()
         errors[0, 0] = math.inf
         res = gram.spectral_constant(gram.GramOperator(G.n, G.N, G.matrix, errors, G.region))
         assert res.precision_bits > 53
         assert res == gram.spectral_constant(G, precision_bits=res.precision_bits)
 
-    @pytest.mark.parametrize("spec", ["interval:-1e200:1e200", "periodic:1e300", "full:400"])
+    @pytest.mark.parametrize("spec", ["interval:-1e200:1e200", "periodic:1e300",
+                                      "interval:-62.3:62.3:400", "full:400"])
     def test_far_or_overflowed_tables_keep_an_honest_entry_error(self, spec):
-        # ends past the double range of x^2 and, at N = 400, |T^-1| past the
-        # double range of its bound: no NaN, no warning; the full line at
-        # N = 400 resolves at 256 bits, not in doubles on a dropped NaN
+        # ends past the double range of x^2 and, at N = 400 on a far interval,
+        # |T^-1| past the double range of its bound: no NaN, no warning; that
+        # interval resolves at 256 bits, not in doubles on a dropped NaN.  At
+        # the full line's infinite ends every phi_k is exactly 0: its Gram is
+        # the identity, resolved in doubles
         kind, *args = spec.split(":")
-        N = int(args[0]) if kind == "full" else 2
-        radius = rg.truncate_radius(N, 1) + 1.0  # as the command line truncates
+        N = 400 if spec.endswith(":400") else 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if kind == "interval":
-                reg = rg.interval_region(float(args[0]), float(args[1]), trunc_radius=radius)
+                reg = rg.Region([(float(args[0]), float(args[1]))])
             elif kind == "periodic":
-                reg = rg.make_periodic_thick(1, float(args[0]), 0.5, radius)
+                reg = rg.make_periodic_thick(1, float(args[0]), 0.5, rg.truncate_radius(N, 1) + 1.0)
             else:
-                reg = rg.full_space(1, radius)
+                reg = rg.full_space(1)
             G = gram.gram_matrix(reg, N)
             assert not np.isnan(G.errors).any()
-            if kind == "full":
+            if kind == "interval" and N == 400:
                 assert G.entry_error == math.inf
                 res = gram.spectral_constant(G)
                 assert (res.precision_bits, res.flag) == (256, "ok")
+            elif kind == "full":  # the diagonal's bound adds an ulp a step
+                assert np.array_equal(G.matrix, np.eye(G.size)) and G.entry_error < 1e-13
+                res = gram.spectral_constant(G)
+                assert (res.c_value, res.precision_bits, res.flag) == (1.0, 53, "ok")
             else:
                 assert G.entry_error < 1e-14
 
     def test_precision_floor_reports_certified_lower_bound(self, monkeypatch):
         # cap the mantissa below what lambda_min needs: the result must be
         # flagged and must stay below the fully resolved constant
-        R = rg.truncate_radius(48, 1) + 1
-        ball = rg.interval_region(-1.0, 1.0, trunc_radius=R)
+        ball = rg.Region([(-1.0, 1.0)])
         G = gram.gram_matrix(ball, 48)
         monkeypatch.setattr(arith, "MAX_BITS", 256)
         capped = gram.spectral_constant(G, precision_bits=256)
@@ -284,8 +296,7 @@ class TestSpectralConstant:
     def test_failed_level_reads_no_top_eigenvalue(self, monkeypatch):
         # the ball at N = 48 fails to factor at 256 bits and resolves at 512:
         # lambda_max is read at 512 only, where the noise floor needs it
-        R = rg.truncate_radius(48, 1) + 1
-        G = gram.gram_matrix(rg.interval_region(-1.0, 1.0, trunc_radius=R), 48)
+        G = gram.gram_matrix(rg.Region([(-1.0, 1.0)]), 48)
         monkeypatch.setattr(arith, "MAX_BITS", 1024)
         log = []
         lam_mins, eigh_top = arith.Mp.lam_mins, arith.Mp.eigh_top
@@ -299,8 +310,8 @@ class TestSpectralConstant:
         assert log == [("lam_mins", 256, [True]), ("lam_mins", 512, [False]), ("eigh_top", 512)]
 
     @pytest.mark.parametrize("region, Ns, bits", [
-        (halfline_region(32), [8, 16, 24, 32], [53, 256, 256, 256]),
-        (rg.interval_region(-1.0, 1.0, trunc_radius=rg.truncate_radius(48, 1) + 1),
+        (rg.half_line(), [8, 16, 24, 32], [53, 256, 256, 256]),
+        (rg.Region([(-1.0, 1.0)]),
          [16, 32, 48], [256, 256, 512]),
     ])
     def test_study_equals_separate_constants(self, region, Ns, bits, monkeypatch):
@@ -338,7 +349,7 @@ class TestSpectralConstant:
         assert all(a <= b + 1e-12 for a, b in zip(cs, cs[1:]))
 
     def test_cutoffs_outside_the_gram_are_refused(self):
-        G = gram.gram_matrix(halfline_region(6), 6)
+        G = gram.gram_matrix(rg.half_line(), 6)
         for N in (7, -1):
             with pytest.raises(ContractViolation):
                 gram.spectral_constants(G, [2, N])
@@ -507,7 +518,7 @@ class TestBounds:
 
 class TestScalingStudy:
     def test_full_space_flat(self):
-        reg = rg.full_space(1, rg.truncate_radius(12, 1) + 1)
+        reg = rg.full_space(1)
         rep = gram.scaling_study(reg, [4, 6, 8, 10, 12])
         assert all(abs(r["C_log"]) < 1e-8 for r in rep.rows)
 
@@ -528,7 +539,7 @@ class TestScalingStudy:
         assert rep.rows[0]["C_log"] == gram.spectral_constant(gram.gram_matrix(reg, 0)).c_log
 
     def test_requires_increasing_cutoffs(self):
-        reg = rg.full_space(1, rg.truncate_radius(8, 1) + 1)
+        reg = rg.full_space(1)
         with pytest.raises(ContractViolation):
             gram.scaling_study(reg, [4, 4, 8])
 
@@ -562,12 +573,12 @@ class TestScalingStudy:
             gram.scaling_study(reg, [4], bound=bound)
 
     def test_requires_cutoffs(self):
-        reg = rg.full_space(1, rg.truncate_radius(8, 1) + 1)
+        reg = rg.full_space(1)
         with pytest.raises(ContractViolation):
             gram.scaling_study(reg, [])
 
     def test_csv_rows_schema(self):
-        reg = rg.full_space(1, rg.truncate_radius(6, 1) + 1)
+        reg = rg.full_space(1)
         rep = gram.scaling_study(reg, [2, 4, 6])
         header, rows = rep.csv_rows()
         assert header == ["N", "dim", "C_measured", "lambda_min", "bound",

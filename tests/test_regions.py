@@ -49,8 +49,9 @@ class TestGenerators:
         assert r.lows.tolist() == [[0.0, 0.0], [0.0, 2.0], [0.0, 4.0],
                                    [2.0, 0.0], [2.0, 2.0], [2.0, 4.0]]
         assert r.highs[-1].tolist() == [3.0, 5.0]
-        assert r.measure() == 2.5 * 2.5 and r.trunc_radius == 5.0
-        for bad in ([([0.0], [1.0, 2.0])], [([1.0], [0.0])], [([0.0], [math.inf])], []):
+        assert r.measure() == 2.5 * 2.5 and r.trunc_radius == math.inf
+        for bad in ([([0.0], [1.0, 2.0])], [([1.0], [0.0])], [([0.0], [math.nan])],
+                    [([math.inf], [math.inf])], [([-math.inf], [-math.inf])], []):
             with pytest.raises(ContractViolation):
                 rg.Region(bad)
 
@@ -68,14 +69,19 @@ class TestGenerators:
 
     def test_empty_region_has_no_boxes(self):
         for n in (1, 2, 3):
-            r = rg.Region([([], [])] * n, trunc_radius=5.0)
+            r = rg.Region([([], [])] * n)
             assert r.lows.shape == r.highs.shape == (0, n)
             assert r.box_count == 0 and r.measure() == 0.0
+        # a null axis times the whole line is null, not nan
+        assert rg.Region([([], []), (-math.inf, math.inf)]).measure() == 0.0
+        assert rg.Region([(0.0, 0.0), (-math.inf, math.inf)]).measure() == 0.0
 
     def test_ball_complement(self):
-        r = rg.ball_complement(1.0, 5.0)
+        r = rg.ball_complement(1.0)
         assert r.box_count == 2
-        assert r.measure() == pytest.approx(8.0)
+        assert r.lows[:, 0].tolist() == [-math.inf, 1.0]
+        assert r.highs[:, 0].tolist() == [-1.0, math.inf]
+        assert r.measure() == math.inf
 
     def test_json_record_is_a_digest(self):
         r = rg.make_periodic_thick(2, 1.0, 0.25, 2.0)
@@ -94,41 +100,42 @@ class TestGenerators:
         merged = rg.Region([([0.5, 0.0, 2.0], [1.5, 1.0, 3.0])])
         assert merged.to_json_dict() == rg.Region([([0.0, 2.0], [1.5, 3.0])]).to_json_dict()
         # a single box is recorded by its lows, then its highs
-        corners = np.array([-3.0, -3.0, 3.0, 3.0]).tobytes()
-        assert rg.full_space(2, 3.0).to_json_dict()["sha256"] == hashlib.sha256(corners).hexdigest()
+        corners = np.array([-math.inf, -math.inf, math.inf, math.inf]).tobytes()
+        assert rg.full_space(2).to_json_dict()["sha256"] == hashlib.sha256(corners).hexdigest()
 
 
 class TestThickness:
     # the generators against the test oracle of lattice-cube measures
     def test_periodic_pattern_exact(self):
         r = rg.make_periodic_thick(1, 1.0, 0.5, 8.0)
-        assert thickness(r, 1.0, 4) == pytest.approx(0.5, abs=1e-12)
+        assert thickness(r, 1.0, 8.0, 4) == pytest.approx(0.5, abs=1e-12)
 
     def test_half_space_has_empty_windows(self):
-        r = rg.half_line(10.0)
-        assert thickness(r, 1.0, 2) == 0.0
+        r = rg.half_line()
+        assert thickness(r, 1.0, 10.0, 2) == 0.0
 
     def test_full_space(self):
-        r = rg.full_space(1, 10.0)
-        assert thickness(r, 2.0, 3) == pytest.approx(1.0)
+        r = rg.full_space(1)
+        assert thickness(r, 2.0, 10.0, 3) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n,N,gamma", [(2, 16, 0.5), (2, 6, 0.3), (3, 2, 0.5)])
     def test_periodic_pattern_exact_at_its_period(self, n, N, gamma):
-        r = rg.make_periodic_thick(n, 1.0, gamma, rg.truncate_radius(N, n) + 1.0)
-        assert thickness(r, 1.0) == pytest.approx(gamma, abs=1e-12)
+        R = rg.truncate_radius(N, n) + 1.0
+        r = rg.make_periodic_thick(n, 1.0, gamma, R)
+        assert thickness(r, 1.0, R / math.sqrt(n)) == pytest.approx(gamma, abs=1e-12)
 
     def test_lattice_minimum_overestimates_the_infimum(self):
         # the oracle's own case: the lattice of pitch 1/4 sees 0.15, not 0.1
         r = rg.Region([([-10.0, 1.05], [0.15, 10.0])])
-        assert thickness(r, 1.0, 4) == pytest.approx(0.15, abs=1e-12)
+        assert thickness(r, 1.0, 10.0, 4) == pytest.approx(0.15, abs=1e-12)
 
 
 class TestDensity:
     def test_half_line(self):
-        assert rg.density_ratio(rg.half_line(20.0), 10.0) == pytest.approx(0.5)
+        assert rg.density_ratio(rg.half_line(), 10.0) == pytest.approx(0.5)
 
     def test_full_space_2d(self):
-        assert rg.density_ratio(rg.full_space(2, 8.0), 5.0) == pytest.approx(1.0, abs=1e-6)
+        assert rg.density_ratio(rg.full_space(2), 5.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_periodic_1d(self):
         r = rg.make_periodic_thick(1, 1.0, 0.5, 12.0)
@@ -136,11 +143,11 @@ class TestDensity:
 
     def test_radius_beyond_truncation_rejected(self):
         with pytest.raises(ContractViolation):
-            rg.density_ratio(rg.half_line(5.0), 6.0)
+            rg.density_ratio(rg.make_periodic_thick(1, 1.0, 0.5, 5.0), 6.0)
 
     def test_four_dimensions_rejected(self):
         with pytest.raises(ContractViolation):
-            rg.density_ratio(rg.full_space(4, 3.0), 2.0)
+            rg.density_ratio(rg.full_space(4), 2.0)
 
     def test_needs_no_quadrature(self, monkeypatch):
         # box-ball volumes are closed forms: the adaptive quadrature is never
@@ -236,7 +243,7 @@ def test_box_ball_volume_matches_30_digit_quadrature(lo, hi, R):
     n = len(lo)
     want = ball_volume_quad(lo, hi, R)
     ball = mpmath.pi ** (n / mpmath.mpf(2)) / mpmath.gamma(n / mpmath.mpf(2) + 1) * R**n
-    got = rg.density_ratio(rg.Region(list(zip(lo, hi)), trunc_radius=R), R) * ball
+    got = rg.density_ratio(rg.Region(list(zip(lo, hi))), R) * ball
     near = max(abs(t) for t in lo + hi) <= 2.0 and want > 0
     assert abs(got - want) <= (1e-13 * want if near else 1e-14 * R**n)
 
@@ -470,6 +477,24 @@ def test_integer_tables_within_two_units_of_mpf(N):
             top = max(abs(r) for r in ref.flat)
             err = max(abs(mpmath.ldexp(t, e) - r) for t, r in zip(tab.flat, ref.flat))
             assert err <= 2 * mpmath.ldexp(top, -prec)
+
+
+# infinite ends and ends at +-80, where phi_0 ~ e^-3200 and erfc lie far below
+# 2^-prec of each table; [60, inf) sits at e^-1800, below the infinite end's 2^-W
+INFINITE_ENDS = [((0.0, math.inf), (0.0, 80.0)), ((-math.inf, 1.0), (-80.0, 1.0)),
+                 ((-math.inf, math.inf), (-80.0, 80.0)), ((60.0, math.inf), (60.0, 80.0)),
+                 ((-math.inf, -60.0), (-80.0, -60.0))]
+
+
+@pytest.mark.parametrize("prec", [256, 1024])
+def test_infinite_ends_give_the_tables_of_ends_at_80(prec):
+    # an infinite end reads 0 and takes the other end's scale, so it moves no
+    # table: the tables equal those of the ends at +-80, bit for bit
+    ends = [np.array([pair[i] for pair in INFINITE_ENDS]).T for i in (0, 1)]
+    with mpmath.workprec(prec):
+        (tabs, exps), (want, want_exps) = (rg.interval_pair_tables(a, b, 40, mpmath.mp)
+                                           for a, b in ends)
+    assert exps.tolist() == want_exps.tolist() and tabs.tolist() == want.tolist()
 
 
 # ends of every size for the recurrence: 0, +-40, and ends the integer
